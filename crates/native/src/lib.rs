@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 //! # afs-native — the pinned-thread execution backend
 //!
@@ -11,18 +12,22 @@
 //! backends agree on the paper's qualitative claims — the policy
 //! ordering and the size of the affinity win.
 //!
+//! One dispatcher and one worker implementation serve every entry point
+//! (DESIGN.md §9): replay and serving differ only in the arrival source,
+//! the admission bound and whether a recorder is attached.
+//!
 //! * [`pin`] — best-effort core pinning (`sched_setaffinity` behind the
 //!   [`pin::CorePinner`] trait; unprivileged CI degrades gracefully).
 //! * [`ring`] — the bounded lock-free ring each worker uses as its run
-//!   queue (multi-consumer, so IPS thieves can pop the remote end).
-//! * [`runtime`] — the dispatcher + pinned workers: placement policies,
-//!   migration-aware cache accounting on per-worker hierarchies, and
-//!   virtual-clock delay measurement.
+//!   queue.
+//! * [`runtime`] — configuration, workload generators, report types and
+//!   the replay entry points ([`run_native`], [`run_native_recorded`]):
+//!   a pre-generated workload, lossless back-pressure, optional trace.
+//! * [`serve`] — the serving entry points ([`run_serve`]): an open-loop
+//!   generator feeding the same pipeline for an unbounded horizon in
+//!   bounded memory, with deterministic taildrop under overload.
 //! * [`crossval`] — the native mapping of the shared scenario matrix
 //!   defined in `afs_core::crossval`.
-//! * [`serve`] — the sustained-ingest serving path: an open-loop
-//!   generator feeding the pinned pipeline for an unbounded horizon in
-//!   bounded memory, with deterministic taildrop under overload.
 //! * [`watchdog`] — plan-driven worker health (crash/stall/slowdown
 //!   schedules on the virtual clock), the shared health board, and the
 //!   heartbeat-lag diagnostic backing orphan-work recovery.
@@ -42,11 +47,13 @@
 //! in dispatch order).
 
 pub mod crossval;
+mod dispatch;
 pub mod pin;
 pub mod ring;
 pub mod runtime;
 pub mod serve;
 pub mod watchdog;
+mod worker;
 
 pub use afs_core::procfault::{FaultLoad, ProcFault, ProcFaultKind, ProcFaultPlan};
 pub use afs_sched::{FrontEndKind, FrontEndPlan, NativeLayout, PolicySpec, Router, StealPolicy};

@@ -1,15 +1,17 @@
-//! The pinned-worker runtime.
+//! The replay entry points and the backend's configuration, workload
+//! and report types.
 //!
-//! Executes the real [`ProtocolEngine`] receive path on OS threads — the
-//! same instrumented UDP/IP/FDDI code the calibration experiments run —
-//! under the scheduling rungs of the shared policy crate
-//! ([`PolicySpec`]): the runtime consumes a [`NativeLayout`] (structural
-//! knobs) plus the `afs-sched` decision objects ([`afs_sched::Router`],
-//! [`afs_sched::StealPolicy`]) and contains no policy `match` of its
-//! own. The
-//! dispatcher replays a pre-generated Poisson workload into per-worker
-//! ring run-queues; each worker owns a *private* [`MemoryHierarchy`]
-//! (its processor's caches) and advances a virtual clock:
+//! The backend executes the real [`ProtocolEngine`][afs_xkernel::ProtocolEngine]
+//! receive path on OS threads — the same instrumented UDP/IP/FDDI code
+//! the calibration experiments run — under the scheduling rungs of the
+//! shared policy crate ([`PolicySpec`]): it consumes a [`NativeLayout`]
+//! (structural knobs) plus the `afs-sched` decision objects
+//! ([`afs_sched::Router`], [`afs_sched::StealPolicy`]) and contains no
+//! policy `match` of its own. One dispatcher feeds per-worker ring
+//! run-queues (DESIGN.md §9); [`run_native`] replays a pre-generated
+//! workload through it, [`crate::serve::run_serve`] an open-loop
+//! generator. Each worker owns a *private* memory hierarchy (its
+//! processor's caches) and advances a virtual clock:
 //!
 //! ```text
 //! start   = max(worker_vclock, packet.arrival_us)
@@ -27,12 +29,12 @@
 //! explicit: the dispatcher stamps every packet with the previous owner
 //! of its stream state and thread stack (tracked in virtual dispatch
 //! order), and a worker that was not the previous owner purges that
-//! entity's address range from its own hierarchy
-//! ([`MemoryHierarchy::purge_range`]) before processing — the reload
-//! transient the paper measures. Shared-stack policies additionally
-//! charge the Section 5.1 lock overhead
-//! ([`lock_overhead_cycles`]) per packet; the IPS owner path is
-//! lock-free and charges it only on stolen packets (the steal handoff).
+//! entity's address range from its own hierarchy before processing —
+//! the reload transient the paper measures. Shared-stack policies
+//! additionally charge the Section 5.1 lock overhead
+//! ([`afs_xkernel::lock_overhead_cycles`]) per packet; the IPS owner
+//! path is lock-free and charges it only on stolen packets (the steal
+//! handoff).
 //!
 //! ## Deterministic arbitration (the claim protocol)
 //!
@@ -45,35 +47,20 @@
 //! of the arrival stream — bit-identical at any worker count and any
 //! dequeue batch, with or without a fault plan (DESIGN.md §17).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use afs_cache::model::pricer::DispatchPricer;
-use afs_cache::sim::{MemoryHierarchy, Region};
-use afs_core::exec::ExecParams;
 use afs_core::metrics::RunReport;
 use afs_core::procfault::ProcFaultPlan;
 use afs_desim::dist::Dist;
 use afs_desim::rng::RngFactory;
-use afs_desim::stats::Welford;
-use afs_obs::{ChargeKind, MemRecorder, ObsEvent, Recorder as _};
-use afs_sched::{
-    Claim, ClaimTable, FrontEndKind, FrontEndState, HashedLru, NativeLayout, PolicySpec, Route,
-    RouterState,
-};
-use afs_xkernel::driver::{PacketFactory, RxFrame};
+use afs_obs::MemRecorder;
+use afs_sched::{NativeLayout, PolicySpec};
+use afs_xkernel::driver::PacketFactory;
 use afs_xkernel::engine::CostModel;
-use afs_xkernel::lock_overhead_cycles;
-use afs_xkernel::mem::MemLayout;
-use afs_xkernel::mt::owner_of;
-use afs_xkernel::{DropReason, ProtocolEngine, RxOutcome, StreamId, ThreadId};
-use parking_lot::Mutex;
+use afs_xkernel::StreamId;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::dispatch::{dispatch, Arrival, Pipeline};
 use crate::pin::{CorePinner, NoopPinner, OsPinner};
-use crate::ring::RingQueue;
-use crate::watchdog::{HealthBoard, WorkerFaults};
 
 /// Whether workers attempt to pin themselves to cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +70,16 @@ pub enum Pinning {
     Auto,
     /// Never attempt the syscall.
     Off,
+}
+
+impl Pinning {
+    /// The pinner this mode selects.
+    pub(crate) fn pinner(self) -> &'static dyn CorePinner {
+        match self {
+            Pinning::Auto => &OsPinner,
+            Pinning::Off => &NoopPinner,
+        }
+    }
 }
 
 /// Configuration of one native run.
@@ -111,11 +108,14 @@ pub struct NativeConfig {
     /// The processor-fault plan (crashes, stalls, slowdowns on the
     /// virtual clock). Empty by default — a clean run is untouched.
     pub faults: ProcFaultPlan,
-    /// NIC front-end steering (`None` = legacy dispatcher routing via
-    /// [`NativeLayout::router`]). When set, the front-end owns arrival
-    /// routing into per-worker rings: the pooled ring, rotating pool
-    /// threads, and stealing are all forced off — the NIC decides, the
-    /// cores serve their own queues in FIFO order.
+    /// NIC front-end steering (`None` = the dispatcher routes through
+    /// [`NativeLayout::router`]). When set, the front-end steers every
+    /// arrival into the per-worker rings and the layout's router only
+    /// serves as its miss-path fallback; each core runs its own thread
+    /// (no rotating pool threads). The work-conserving rungs keep their
+    /// claim arbitration behind it: a pooled layout resolves steering
+    /// misses through the shared pool, a stealing layout lets idle
+    /// workers steal what the NIC steered elsewhere.
     pub frontend: Option<afs_sched::FrontEndPlan>,
     /// Bound on resident stream footprints per run (`None` = every
     /// stream's state stays cache-resident once touched, the legacy
@@ -135,11 +135,11 @@ pub struct NativeConfig {
     /// Dequeue/dispatch batch bound. `1` (the default) is the historical
     /// per-packet path. `> 1` turns on (a) train pops: a worker claims up
     /// to `batch` already-published packets from its ring in one
-    /// synchronized [`RingQueue::pop_batch`] operation, and (b) flow-run
+    /// synchronized [`RingQueue::pop_batch`][crate::ring::RingQueue::pop_batch] operation, and (b) flow-run
     /// fusion: the dispatcher reuses the previous front-end steering
     /// decision across a run of consecutive same-flow arrivals whenever
     /// that reuse is provably the decision the front-end would have made
-    /// (see DESIGN §16 for the per-kind proof obligations). Both are
+    /// (see DESIGN.md §9 for the per-kind proof obligations). Both are
     /// result-transparent — `RunReport`s and ledgers are bit-identical
     /// across batch sizes, which the differential tests pin. Every
     /// layout honours the bound: pooled and stealing arbitration happen
@@ -361,7 +361,7 @@ impl ZipfPacketGen {
 
 /// Per-worker telemetry (hardware-agnostic: all counters come from the
 /// runtime and the simulated hierarchy, never from host PMUs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkerStats {
     /// Worker index.
     pub worker: usize,
@@ -502,68 +502,10 @@ impl NativeReport {
     }
 }
 
-/// A queued unit of work.
-pub(crate) struct Job {
-    pub(crate) bytes: Vec<u8>,
-    pub(crate) stream: StreamId,
-    pub(crate) arrival_us: f64,
-    /// Global arrival sequence number (the observability trace key).
-    pub(crate) seq: u64,
-    /// Pool thread to run as (`u32::MAX` = use the worker's own thread).
-    pub(crate) thread: u32,
-    /// Whether this packet counts toward the statistics (post-warm-up).
-    pub(crate) record: bool,
-    /// Stack this packet must run on when it is not the processing
-    /// worker's own (`u32::MAX` = own stack). Under per-worker stacks a
-    /// stream's session lives on its owner's engine, so work diverted
-    /// off the owner — routed around a crashed worker, or orphaned and
-    /// requeued by the watchdog — runs on the home stack under its
-    /// lock, exactly the steal handoff path.
-    pub(crate) home_stack: u32,
-    /// Dispatcher-stamped previous owner of this packet's stream state
-    /// ([`PREV_NONE`] = first touch).
-    ///
-    /// The dispatcher always knows the virtual-order predecessor of
-    /// every stream/thread touch: routing decides the processing worker
-    /// directly, and when it does not (shared pool, stealing) the claim
-    /// table resolves the claimant in total virtual order before the
-    /// job reaches any ring. Orphans recovered from a failed worker are
-    /// re-stamped when the watchdog requeues them. Migration detection
-    /// — and through the cache purges it drives, every modeled service
-    /// time — is therefore a pure function of the workload in *every*
-    /// configuration; there is no racy fallback.
-    pub(crate) prev_stream_owner: u32,
-    /// Dispatcher-stamped previous owner of this packet's thread stack
-    /// (same encoding as `prev_stream_owner`).
-    pub(crate) prev_thread_owner: u32,
-    /// Worker whose queue this packet was stolen from, per the resolved
-    /// claim (`u32::MAX` = not stolen). Drives the steal statistics,
-    /// the `Steal` trace event, and the locked steal-handoff path.
-    pub(crate) stolen_from: u32,
-}
-
-/// `Job::prev_*_owner`: deterministic first touch (no previous owner).
-pub(crate) const PREV_NONE: u32 = u32::MAX - 1;
-
-/// What each worker thread hands back on join.
-pub(crate) struct WorkerResult {
-    pub(crate) stats: WorkerStats,
-    pub(crate) delay: Welford,
-    pub(crate) service: Welford,
-    pub(crate) wait: Welford,
-    pub(crate) outcomes: OutcomeTotals,
-    /// This worker's slice of the observability trace (present only when
-    /// the run was started through a recorded entry point).
-    pub(crate) rec: Option<MemRecorder>,
-}
-
 /// Run the workload under `cfg`, choosing the pinner from
 /// [`NativeConfig::pinning`].
 pub fn run_native(cfg: &NativeConfig, workload: Vec<NativePacket>) -> NativeReport {
-    match cfg.pinning {
-        Pinning::Auto => run_native_with_pinner(cfg, workload, &OsPinner),
-        Pinning::Off => run_native_with_pinner(cfg, workload, &NoopPinner),
-    }
+    run_native_with_pinner(cfg, workload, cfg.pinning.pinner())
 }
 
 /// Run the workload with an explicit [`CorePinner`] (tests inject
@@ -573,7 +515,7 @@ pub fn run_native_with_pinner(
     workload: Vec<NativePacket>,
     pinner: &dyn CorePinner,
 ) -> NativeReport {
-    run_native_impl(cfg, workload, pinner, None)
+    replay(cfg, workload, pinner, None)
 }
 
 /// Run the workload and capture the unified observability trace: every
@@ -587,10 +529,7 @@ pub fn run_native_recorded(
     cfg: &NativeConfig,
     workload: Vec<NativePacket>,
 ) -> (NativeReport, MemRecorder) {
-    match cfg.pinning {
-        Pinning::Auto => run_native_recorded_with_pinner(cfg, workload, &OsPinner),
-        Pinning::Off => run_native_recorded_with_pinner(cfg, workload, &NoopPinner),
-    }
+    run_native_recorded_with_pinner(cfg, workload, cfg.pinning.pinner())
 }
 
 /// [`run_native_recorded`] with an explicit pinner (for tests).
@@ -600,1210 +539,66 @@ pub fn run_native_recorded_with_pinner(
     pinner: &dyn CorePinner,
 ) -> (NativeReport, MemRecorder) {
     let mut out = MemRecorder::new();
-    let report = run_native_impl(cfg, workload, pinner, Some(&mut out));
+    let report = replay(cfg, workload, pinner, Some(&mut out));
     (report, out)
 }
 
-fn run_native_impl(
+/// Replay as a run of the shared pipeline: a materialized arrival
+/// source, no admission bound (a full ring blocks the dispatcher, so
+/// nothing is dropped), and a statistics window that opens
+/// [`NativeConfig::warmup_frac`] of the way through the arrival horizon.
+fn replay(
     cfg: &NativeConfig,
     workload: Vec<NativePacket>,
     pinner: &dyn CorePinner,
     obs: Option<&mut MemRecorder>,
 ) -> NativeReport {
-    assert!(cfg.workers >= 1, "need at least one worker");
     assert!(
         (0.0..1.0).contains(&cfg.warmup_frac),
         "warmup_frac must be in [0, 1)"
     );
-    let w = cfg.workers;
-    if let Err(e) = cfg.faults.validate(w) {
-        panic!("invalid processor-fault plan: {e}");
-    }
-    let offered = workload.len() as u64;
-    let n_streams = workload.iter().map(|p| p.stream.0 + 1).max().unwrap_or(0) as usize;
-    let last_arrival_us = workload.last().map_or(0.0, |p| p.arrival_us);
-    let warmup_cut_us = cfg.warmup_frac * last_arrival_us;
-
-    // NIC front-end: validated up front; when active it owns routing
-    // into per-worker rings, so the pooled ring, rotating pool threads,
-    // and stealing are structurally off.
-    let frontend_on = cfg.frontend.is_some();
-    if let Some(plan) = &cfg.frontend {
-        plan.validate();
-    }
-    // Session space: flows fold onto `flow % sessions` engine sessions
-    // (identity when unbounded — the fold only reshapes runs that set
-    // `session_space`).
-    let sessions = match cfg.session_space {
-        Some(m) => (m as usize).min(n_streams.max(1)),
-        None => n_streams,
-    };
-
-    // Engines: one shared stack for the locked policies, one per worker
-    // for IPS. Streams bind to the stack that owns them.
-    let shared_stack = cfg.layout.shared_stack;
-    let n_stacks = if shared_stack { 1 } else { w };
-    let engines: Vec<Mutex<ProtocolEngine>> = (0..n_stacks)
-        .map(|stack| {
-            let mut e = ProtocolEngine::new(cfg.cost);
-            for s in 0..sessions as u32 {
-                if shared_stack || owner_of(StreamId(s), w) == stack {
-                    e.bind_stream(StreamId(s));
-                }
-            }
-            Mutex::new(e)
-        })
-        .collect();
-
-    // Run queues: one per worker in *every* layout. The shared pool and
-    // stealing are arbitrated dispatcher-side by the claim table, so
-    // workers only ever pop their own ring in FIFO order; a pooled
-    // packet lands directly on its claimant's ring.
-    let pooled = cfg.layout.pooled_queue && !frontend_on;
-    let queues: Vec<RingQueue<Job>> = (0..w)
-        .map(|_| RingQueue::with_capacity(cfg.queue_capacity))
-        .collect();
-
-    // Published per-worker virtual clocks (f64 bit patterns; nonnegative
-    // floats order the same as their bits) — the serving path's live
-    // snapshot gauge.
-    let vclocks: Vec<AtomicU64> = (0..w).map(|_| AtomicU64::new(0)).collect();
-    let done = AtomicBool::new(false);
-    let lock_cycles = lock_overhead_cycles(&cfg.cost);
-    let record_obs = obs.is_some();
-
-    // Processor-fault machinery: each worker gets its slice of the
-    // plan, crash flags flow through the health board, a fatal job is
-    // escrowed (with its worker id) for the watchdog, and live workers
-    // hold their exit until the watchdog declares recovery finished.
-    let worker_faults: Vec<WorkerFaults> = (0..w)
-        .map(|i| WorkerFaults::from_plan(&cfg.faults, i))
-        .collect();
-    let board = HealthBoard::new(w);
-    let escrow: Mutex<Vec<(u32, Job)>> = Mutex::new(Vec::new());
-    let recovery_done = AtomicBool::new(false);
-    // Workers with a permanent (revive-less) crash in the plan: masked
-    // out of every orphan re-route, and the set the watchdog waits on.
-    let permanent: Vec<usize> = (0..w)
-        .filter(|&i| matches!(worker_faults[i].crash, Some((_, None))))
-        .collect();
-    let mut orphaned = 0u64;
-    let mut requeued = 0u64;
-    let mut fe_table_misses = 0u64;
-    let mut fe_rebinds = 0u64;
-
-    let mut results: Vec<WorkerResult> = Vec::with_capacity(w);
-    let mut disp_rec: Option<MemRecorder> = if record_obs {
-        Some(MemRecorder::new())
-    } else {
-        None
-    };
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(w);
-        for (wid, faults) in worker_faults.iter().enumerate() {
-            let ctx = WorkerCtx {
-                wid,
-                cfg,
-                pinner,
-                engines: &engines,
-                queues: &queues,
-                vclocks: &vclocks,
-                done: &done,
-                lock_cycles,
-                record_obs,
-                faults,
-                board: &board,
-                escrow: &escrow,
-                recovery_done: &recovery_done,
-                sessions: sessions as u32,
-                recycle: None,
-                progress: None,
-            };
-            handles.push(scope.spawn(move || worker_loop(ctx)));
-        }
-
-        // The dispatcher runs on this thread: replay arrivals in order,
-        // blocking (yield-spin) on a full ring so nothing is dropped.
-        // Routing goes through the shared policy crate's Router over the
-        // dispatcher's deterministic virtual-load model; the dispatcher
-        // owns the placement RNG and the ring pushes.
-        let factory = RngFactory::new(cfg.seed);
-        let mut place = factory.stream("native-placement");
-        let pricer = DispatchPricer::new(&ExecParams::calibrated().model);
-        let mut rstate = RouterState::new(w, pricer.t_warm_us());
-        let mut fes: Option<FrontEndState> = cfg.frontend.map(FrontEndState::new);
-        // Flow-Director completion feedback, modeled: each routed packet
-        // schedules a (vfinish, seq, flow, worker) entry on the router
-        // model's drain clock; entries at or before an arrival are
-        // delivered to the NIC before that arrival is routed. Keying on
-        // the deterministic virtual-load model (not racy worker clocks)
-        // keeps routing a pure function of the workload.
-        let mut feedback: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32, u32)>> =
-            std::collections::BinaryHeap::new();
-        let has_crashes = worker_faults.iter().any(|f| f.crash.is_some());
-        // Flow-run fusion (batch > 1): a run of consecutive same-flow
-        // arrivals reuses the previous front-end decision when it is
-        // provably the one the front-end would recompute — RSS is a pure
-        // hash of (flow, salt, live mask); transport-friendly sticks to
-        // its last placement while it stays live; a Flow-Director table
-        // *hit* repeats while no completion feedback or liveness change
-        // could have moved the binding. Miss paths are never fused (the
-        // fallback consumes placement-RNG draws / mutates first-placement
-        // state). Any liveness flip or delivered feedback invalidates the
-        // memo. Off (always recompute) at batch == 1 so the historical
-        // per-packet path is untouched.
-        let fuse = cfg.batch > 1;
-        let mut run_flow = u32::MAX;
-        let mut run_target = 0usize;
-        let mut run_reusable = false;
-        // Deterministic owner tracking (see `Job::prev_stream_owner`):
-        // every configuration stamps previous owners in virtual order —
-        // at routing when routing decides the processing worker, at
-        // claim resolution when the claim table does, and again at
-        // requeue when the watchdog re-dispatches an orphan.
-        let mut prev_stream_tbl: Vec<u32> = vec![PREV_NONE; n_streams];
-        let mut prev_thread_tbl: Vec<u32> = vec![PREV_NONE; w];
-        // The claim table: dispatcher-side virtual-order arbitration for
-        // the shared pool and for stealing (see the module docs). Jobs
-        // under a stealing layout are *staged* here until the model
-        // resolves their claimant; the pooled mode resolves immediately.
-        let mut claims: Option<ClaimTable> = if pooled {
-            Some(ClaimTable::pooled(w, pricer.t_warm_us()))
-        } else if !frontend_on && cfg.layout.steal.is_some() {
-            let sp = cfg.layout.steal.expect("checked above");
-            Some(ClaimTable::stealing(w, pricer.t_warm_us(), sp))
-        } else {
-            None
-        };
-        let mut staged: HashMap<u64, Job> = HashMap::new();
-        let mut resolved: Vec<Claim> = Vec::new();
-        for (seq, pkt) in workload.into_iter().enumerate() {
-            // Plan-driven masking: a packet arriving inside a worker's
-            // crash window (crash..revive, or crash..∞ for a permanent
-            // crash) is routed around it — the policy's own fallback
-            // scan over a degraded view, not a runtime special case.
-            if has_crashes {
-                for (i, f) in worker_faults.iter().enumerate() {
-                    let live = match f.crash {
-                        Some((c, revive)) if pkt.arrival_us >= c => {
-                            matches!(revive, Some(r) if pkt.arrival_us >= r)
-                        }
-                        _ => true,
-                    };
-                    if rstate.is_live(i) != live {
-                        run_flow = u32::MAX;
-                        // The claim model's mask flips in lockstep with
-                        // the router's, at the same arrival instants —
-                        // dead workers neither claim nor get stolen
-                        // from while down.
-                        if let Some(tbl) = claims.as_mut() {
-                            tbl.set_live(i, live);
-                        }
-                    }
-                    rstate.set_live(i, live);
-                }
-            }
-            let target = if let Some(fes) = fes.as_mut() {
-                if fes.wants_completion_feedback() {
-                    while let Some(&std::cmp::Reverse((bits, _, s, wkr))) = feedback.peek() {
-                        if f64::from_bits(bits) <= pkt.arrival_us {
-                            fes.note_complete(s, wkr);
-                            feedback.pop();
-                            // The table learned (an insert can evict any
-                            // binding, including the memoized flow's).
-                            run_flow = u32::MAX;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                let p = if fuse && pkt.stream.0 == run_flow && run_reusable {
-                    run_target
-                } else {
-                    let prev = fes.previous_route(pkt.stream.0);
-                    let misses_before = fes.table_misses();
-                    let p = fes.route(
-                        &rstate.view_at(pkt.arrival_us),
-                        pkt.stream.0,
-                        &mut |n| place.gen_range(0..n),
-                        &pricer,
-                    );
-                    if let Some(r) = disp_rec.as_mut() {
-                        if fes.table_misses() > misses_before {
-                            r.record(ObsEvent::TableMiss {
-                                t_us: pkt.arrival_us,
-                                seq: seq as u64,
-                                stream: pkt.stream.0,
-                            });
-                        }
-                        if let Some(from) = prev {
-                            if from != p {
-                                r.record(ObsEvent::Rebind {
-                                    t_us: pkt.arrival_us,
-                                    seq: seq as u64,
-                                    stream: pkt.stream.0,
-                                    from: from as u32,
-                                    to: p as u32,
-                                });
-                            }
-                        }
-                    }
-                    run_flow = pkt.stream.0;
-                    run_target = p;
-                    run_reusable = match fes.plan().config.kind {
-                        FrontEndKind::Rss | FrontEndKind::TransportFriendly => true,
-                        // Only a hit is stable to repeat: a miss consumed
-                        // fallback state on the way to its placement.
-                        FrontEndKind::FlowDirector => fes.table_misses() == misses_before,
-                    };
-                    p
-                };
-                rstate.note_routed(pkt.stream.0, p, pkt.arrival_us);
-                if fes.wants_completion_feedback() {
-                    feedback.push(std::cmp::Reverse((
-                        rstate.vfinish_us(p).to_bits(),
-                        seq as u64,
-                        pkt.stream.0,
-                        p as u32,
-                    )));
-                }
-                p
-            } else {
-                let route = cfg.layout.router.route(
-                    &rstate.view_at(pkt.arrival_us),
-                    pkt.stream.0,
-                    &mut |n| place.gen_range(0..n),
-                    &pricer,
-                );
-                match route {
-                    Route::Worker(p) => {
-                        rstate.note_routed(pkt.stream.0, p, pkt.arrival_us);
-                        p
-                    }
-                    Route::Shared => 0,
-                }
-            };
-            let thread = if cfg.layout.rotating_threads && !frontend_on {
-                (seq % w) as u32
-            } else {
-                u32::MAX
-            };
-            let (stream, arrival_us) = (pkt.stream, pkt.arrival_us);
-            // Under per-worker stacks a stream's session lives on its
-            // owner's engine. Routing normally targets the owner; when
-            // masking (a crashed owner) diverts the packet, it must
-            // still run on the home stack — the cross-stack handoff.
-            let home = if shared_stack {
-                u32::MAX
-            } else {
-                let h = owner_of(stream, w);
-                if h == target {
-                    u32::MAX
-                } else {
-                    h as u32
-                }
-            };
-            let job = Job {
-                bytes: pkt.bytes,
-                stream,
-                arrival_us,
-                seq: seq as u64,
-                thread,
-                record: arrival_us >= warmup_cut_us,
-                home_stack: home,
-                prev_stream_owner: PREV_NONE,
-                prev_thread_owner: PREV_NONE,
-                stolen_from: u32::MAX,
-            };
-            if let Some(tbl) = claims.as_mut() {
-                // Claim arbitration: stage the job, then deliver every
-                // claim this arrival makes causally final. Previous-owner
-                // stamping, ring pushes and trace events all happen per
-                // resolved claim, in total virtual order — never at
-                // routing time, which for these layouts only picks the
-                // stream's *owner* (stealing) or nothing at all (pool).
-                staged.insert(seq as u64, job);
-                resolved.clear();
-                tbl.offer(seq as u64, target, arrival_us, &mut resolved);
-                for c in &resolved {
-                    deliver_claim(
-                        c,
-                        &mut staged,
-                        &mut prev_stream_tbl,
-                        &mut prev_thread_tbl,
-                        &queues,
-                        &board,
-                        &escrow,
-                        &mut disp_rec,
-                        shared_stack,
-                    );
-                }
-            } else {
-                // Routing decided the processing worker; stamp the
-                // previous owners here, in arrival order.
-                let mut job = job;
-                {
-                    let slot = &mut prev_stream_tbl[stream.0 as usize];
-                    job.prev_stream_owner = *slot;
-                    *slot = target as u32;
-                    let tid = if thread == u32::MAX {
-                        target
-                    } else {
-                        thread as usize
-                    };
-                    let tslot = &mut prev_thread_tbl[tid];
-                    job.prev_thread_owner = *tslot;
-                    *tslot = target as u32;
-                }
-                loop {
-                    match queues[target].push(job) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            job = back;
-                            // A crashed worker stopped draining its ring;
-                            // blocking on it would wedge the replay (the
-                            // watchdog only runs after it). Park the job in
-                            // escrow — the watchdog re-routes it with the
-                            // other orphans.
-                            if board.is_down(target) {
-                                escrow.lock().push((target as u32, job));
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                if let Some(r) = disp_rec.as_mut() {
-                    // Arrival stamp, not host time; depth is a racy sample
-                    // (workers pop concurrently), which is all a depth gauge
-                    // promises.
-                    r.record(ObsEvent::Enqueue {
-                        t_us: arrival_us,
-                        seq: seq as u64,
-                        stream: stream.0,
-                        queue: target as u32,
-                        depth: queues[target].len() as u32,
-                    });
-                }
-            }
-        }
-        // End of the arrival stream: the model can no longer be changed
-        // by a future arrival, so every staged job resolves now.
-        if let Some(tbl) = claims.as_mut() {
-            resolved.clear();
-            tbl.flush(&mut resolved);
-            for c in &resolved {
-                deliver_claim(
-                    c,
-                    &mut staged,
-                    &mut prev_stream_tbl,
-                    &mut prev_thread_tbl,
-                    &queues,
-                    &board,
-                    &escrow,
-                    &mut disp_rec,
-                    shared_stack,
-                );
-            }
-            debug_assert!(staged.is_empty(), "claim flush left jobs staged");
-        }
-        done.store(true, Ordering::Release);
-        // Watchdog (runs on the dispatcher thread): once every worker
-        // with a permanent plan crash has stopped touching its ring,
-        // recover the orphans — escrowed in-flight fatal jobs plus
-        // whatever is stranded in dead rings — and re-dispatch each one
-        // through the policy's own router over the degraded view.
-        // `recovery_done` holds live workers in their loops until every
-        // orphan is back in a live ring, so recovered work is drained.
-        if !permanent.is_empty() {
-            for &p in &permanent {
-                while !board.has_exited(p) {
-                    std::thread::yield_now();
-                }
-            }
-            for &p in &permanent {
-                rstate.set_live(p, false);
-                if let Some(tbl) = claims.as_mut() {
-                    tbl.set_live(p, false);
-                }
-            }
-            let mut orphans: Vec<(u32, Job)> = std::mem::take(&mut *escrow.lock());
-            for &p in &permanent {
-                while let Some(job) = queues[p].pop() {
-                    orphans.push((p as u32, job));
-                }
-            }
-            // Deterministic recovery order regardless of which worker
-            // escrowed first on the host clock.
-            orphans.sort_by_key(|(_, j)| j.seq);
-            for (dead, mut job) in orphans {
-                orphaned += 1;
-                let crash_at = worker_faults[dead as usize].crash.map_or(0.0, |(c, _)| c);
-                // The re-route decision happens at the instant the crash
-                // was detected, never before the orphan's own arrival.
-                let t = job.arrival_us.max(crash_at);
-                let target = if let Some(fes) = fes.as_mut() {
-                    // The NIC re-steers the orphan over the degraded
-                    // view (its dead queue is masked out of next_live
-                    // and the fallback alike).
-                    let misses_before = fes.table_misses();
-                    let prev = fes.previous_route(job.stream.0);
-                    let p = fes.route(
-                        &rstate.view_at(t),
-                        job.stream.0,
-                        &mut |n| place.gen_range(0..n),
-                        &pricer,
-                    );
-                    rstate.note_routed(job.stream.0, p, t);
-                    if let Some(r) = disp_rec.as_mut() {
-                        if fes.table_misses() > misses_before {
-                            r.record(ObsEvent::TableMiss {
-                                t_us: t,
-                                seq: job.seq,
-                                stream: job.stream.0,
-                            });
-                        }
-                        if let Some(from) = prev {
-                            if from != p {
-                                r.record(ObsEvent::Rebind {
-                                    t_us: t,
-                                    seq: job.seq,
-                                    stream: job.stream.0,
-                                    from: from as u32,
-                                    to: p as u32,
-                                });
-                            }
-                        }
-                    }
-                    p
-                } else {
-                    let route = cfg.layout.router.route(
-                        &rstate.view_at(t),
-                        job.stream.0,
-                        &mut |n| place.gen_range(0..n),
-                        &pricer,
-                    );
-                    match route {
-                        Route::Worker(p) => {
-                            rstate.note_routed(job.stream.0, p, t);
-                            p
-                        }
-                        // The shared pool has no router-picked worker:
-                        // the claimant is the pooled claim table's call,
-                        // over the degraded (masked) model. Pooled claims
-                        // resolve immediately — nothing stays staged.
-                        Route::Shared => {
-                            let tbl = claims
-                                .as_mut()
-                                .expect("pooled layouts always carry a claim table");
-                            resolved.clear();
-                            tbl.offer(job.seq, 0, t, &mut resolved);
-                            resolved[0].claimant
-                        }
-                    }
-                };
-                // Under per-worker stacks the dead worker's engine still
-                // holds the session — recovered work runs there, under
-                // its (now uncontended) lock.
-                if !shared_stack && job.home_stack == u32::MAX {
-                    job.home_stack = dead;
-                }
-                // Re-dispatch is a second (virtual-order) placement of
-                // the same message: re-stamp the previous owners so the
-                // recovered job's purge accounting reflects where the
-                // stream actually ran last, deterministically.
-                {
-                    let slot = &mut prev_stream_tbl[job.stream.0 as usize];
-                    job.prev_stream_owner = *slot;
-                    *slot = target as u32;
-                    let tid = if job.thread == u32::MAX {
-                        target
-                    } else {
-                        job.thread as usize
-                    };
-                    let tslot = &mut prev_thread_tbl[tid];
-                    job.prev_thread_owner = *tslot;
-                    *tslot = target as u32;
-                }
-                if let Some(r) = disp_rec.as_mut() {
-                    r.record(ObsEvent::Orphaned {
-                        t_us: t,
-                        seq: job.seq,
-                        worker: dead,
-                    });
-                    r.record(ObsEvent::Requeue {
-                        t_us: t,
-                        seq: job.seq,
-                        queue: target as u32,
-                    });
-                }
-                let mut job = job;
-                loop {
-                    match queues[target].push(job) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            job = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                requeued += 1;
-            }
-        }
-        if let Some(fes) = &fes {
-            fe_table_misses = fes.table_misses();
-            fe_rebinds = fes.rebinds;
-        }
-        recovery_done.store(true, Ordering::Release);
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
+    let flows = workload.iter().map(|p| p.stream.0 + 1).max().unwrap_or(0);
+    let warmup_cut_us = cfg.warmup_frac * workload.last().map_or(0.0, |p| p.arrival_us);
+    let arrivals = workload.into_iter().map(|p| Arrival {
+        record: p.arrival_us >= warmup_cut_us,
+        bytes: p.bytes,
+        stream: p.stream,
+        arrival_us: p.arrival_us,
     });
-
-    // Merge worker statistics.
-    let mut delay = Welford::new();
-    let mut service = Welford::new();
-    let mut wait = Welford::new();
-    let mut outcomes = OutcomeTotals::default();
-    for r in &results {
-        delay.merge(&r.delay);
-        service.merge(&r.service);
-        wait.merge(&r.wait);
-        outcomes.delivered += r.outcomes.delivered;
-        outcomes.no_session += r.outcomes.no_session;
-        outcomes.queue_full += r.outcomes.queue_full;
-        outcomes.rejected += r.outcomes.rejected;
-    }
-    // Fold the dispatcher's and each worker's trace slice into one
-    // stream, sorted by the deterministic merge key (virtual time, seq,
-    // causal rank) — worker order does not affect the merged trace.
-    if let Some(out) = obs {
-        if let Some(d) = disp_rec.take() {
-            out.absorb(d);
-        }
-        for r in &mut results {
-            if let Some(rec) = r.rec.take() {
-                out.absorb(rec);
-            }
-        }
-    }
-    // The merges above only borrowed `results`; move the stats out
-    // rather than cloning per worker (each holds Welford state and the
-    // migration counters — a needless teardown fan-out at high worker
-    // counts).
-    let per_worker: Vec<WorkerStats> = results.into_iter().map(|r| r.stats).collect();
-    let per_stream_delivered: Vec<u64> = (0..sessions as u32)
-        .map(|s| {
-            engines
-                .iter()
-                .filter_map(|e| e.lock().table.session(StreamId(s)).map(|ss| ss.packets))
-                .sum()
-        })
-        .collect();
-
-    NativeReport {
-        policy: cfg.spec.label(),
-        workers: w,
-        offered,
-        outcomes,
-        mean_delay_us: delay.mean(),
-        mean_service_us: service.mean(),
-        mean_wait_us: wait.mean(),
-        max_delay_us: delay.max(),
-        recorded: delay.count(),
-        steals: per_worker.iter().map(|s| s.steals).sum(),
-        stream_migrations: per_worker.iter().map(|s| s.stream_migrations).sum(),
-        thread_migrations: per_worker.iter().map(|s| s.thread_migrations).sum(),
-        last_arrival_us,
-        makespan_us: per_worker.iter().map(|s| s.vclock_us).fold(0.0, f64::max),
-        all_pinned: per_worker.iter().all(|s| s.pinned),
-        workers_crashed: board.downs(),
-        orphaned,
-        requeued,
-        per_worker,
-        per_stream_delivered,
-        table_misses: fe_table_misses,
-        rebinds: fe_rebinds,
-        ooo_deliveries: 0,
-    }
-}
-
-/// Deliver one resolved claim: take the staged job, stamp it, push it
-/// onto the claimant's ring and record its trace events.
-///
-/// This is the single point where an engaged (pooled or stealing)
-/// arrival becomes visible to a worker. Because the dispatcher calls it
-/// strictly in claim-resolution order — a total virtual order that is a
-/// pure function of the arrival stream — everything done here
-/// (previous-owner stamping, migration accounting, the Enqueue /
-/// StealClaim events, ring content and order) is deterministic for any
-/// worker count and any batch size.
-#[allow(clippy::too_many_arguments)]
-fn deliver_claim(
-    c: &Claim,
-    staged: &mut HashMap<u64, Job>,
-    prev_stream_tbl: &mut [u32],
-    prev_thread_tbl: &mut [u32],
-    queues: &[RingQueue<Job>],
-    board: &HealthBoard,
-    escrow: &Mutex<Vec<(u32, Job)>>,
-    disp_rec: &mut Option<MemRecorder>,
-    shared_stack: bool,
-) {
-    let mut job = staged
-        .remove(&c.seq)
-        .expect("claim resolved for a job that was never staged");
-    if let Some(victim) = c.victim {
-        job.stolen_from = victim as u32;
-        // Under per-worker stacks the stolen stream's session lives on
-        // the victim's engine: the thief crosses over and runs it there,
-        // under that stack's lock — that contention is the cost the
-        // paper's stealing rung pays for its load balance.
-        if !shared_stack && job.home_stack == u32::MAX {
-            job.home_stack = victim as u32;
-        }
-    }
-    let claimant = c.claimant;
-    // Previous-owner stamping in claim order. Engaged layouts never
-    // rotate threads, so the processing thread is the claimant itself.
-    {
-        let slot = &mut prev_stream_tbl[job.stream.0 as usize];
-        job.prev_stream_owner = *slot;
-        *slot = claimant as u32;
-        let tslot = &mut prev_thread_tbl[claimant];
-        job.prev_thread_owner = *tslot;
-        *tslot = claimant as u32;
-    }
-    if let Some(r) = disp_rec.as_mut() {
-        if let Some(victim) = c.victim {
-            // The claim is the arbitration decision, stamped with the
-            // model's steal instant; the worker-side Steal event later
-            // records the thief executing it.
-            r.record(ObsEvent::StealClaim {
-                t_us: c.start_us,
-                seq: c.seq,
-                from: victim as u32,
-                to: claimant as u32,
-            });
-        }
-    }
-    let seq = job.seq;
-    let (stream, arrival_us) = (job.stream.0, job.arrival_us);
-    loop {
-        match queues[claimant].push(job) {
-            Ok(()) => break,
-            Err(back) => {
-                job = back;
-                // A crashed claimant stopped draining its ring; park the
-                // job in escrow for the watchdog rather than wedging the
-                // dispatcher on a full dead ring.
-                if board.is_down(claimant) {
-                    escrow.lock().push((claimant as u32, job));
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-    if let Some(r) = disp_rec.as_mut() {
-        // Stamped with the message's arrival (the recorder sorts by the
-        // virtual merge key at the end, so late-resolved staged jobs
-        // land in their causal place); depth is a racy sample, which is
-        // all a depth gauge promises.
-        r.record(ObsEvent::Enqueue {
-            t_us: arrival_us,
-            seq,
-            stream,
-            queue: claimant as u32,
-            depth: queues[claimant].len() as u32,
-        });
-    }
-}
-
-/// Everything a worker thread borrows from the runtime.
-pub(crate) struct WorkerCtx<'a> {
-    pub(crate) wid: usize,
-    pub(crate) cfg: &'a NativeConfig,
-    pub(crate) pinner: &'a dyn CorePinner,
-    pub(crate) engines: &'a [Mutex<ProtocolEngine>],
-    pub(crate) queues: &'a [RingQueue<Job>],
-    pub(crate) vclocks: &'a [AtomicU64],
-    pub(crate) done: &'a AtomicBool,
-    pub(crate) lock_cycles: f64,
-    pub(crate) record_obs: bool,
-    /// This worker's slice of the processor-fault plan.
-    pub(crate) faults: &'a WorkerFaults,
-    /// Shared health state (crash flags, exit flags, heartbeats).
-    pub(crate) board: &'a HealthBoard,
-    /// Fatal jobs parked for the watchdog, tagged with the dead worker.
-    pub(crate) escrow: &'a Mutex<Vec<(u32, Job)>>,
-    /// Set by the watchdog once every orphan is back in a live ring;
-    /// live workers hold their exit on it so recovered work is drained.
-    pub(crate) recovery_done: &'a AtomicBool,
-    /// Engine session space: flows fold onto `flow % sessions` bound
-    /// sessions (equal to the stream population when `session_space`
-    /// is unset, making the fold the identity).
-    pub(crate) sessions: u32,
-    /// Buffer pool for the serving path: after a frame is processed its
-    /// byte buffer is returned here for the dispatcher to refill
-    /// (allocation-free steady state). `None` (the replay path) drops
-    /// buffers as before.
-    pub(crate) recycle: Option<&'a RingQueue<Vec<u8>>>,
-    /// Serving-path progress gauge: incremented once per processed
-    /// packet (for live snapshots). `None` on the replay path.
-    pub(crate) progress: Option<&'a AtomicU64>,
-}
-
-pub(crate) fn worker_loop(ctx: WorkerCtx<'_>) -> WorkerResult {
-    let WorkerCtx {
-        wid,
+    let pipeline = Pipeline {
         cfg,
         pinner,
-        engines,
-        queues,
-        vclocks,
-        done,
-        lock_cycles,
-        record_obs,
-        faults,
-        board,
-        escrow,
-        recovery_done,
-        sessions,
-        recycle,
-        progress,
-    } = ctx;
-    let core = wid % pinner.cores().max(1);
-    let pinned = matches!(cfg.pinning, Pinning::Auto) && pinner.pin_current(core).is_ok();
-
-    let mut hier = cfg.cost.hierarchy();
-    let layout = MemLayout::new();
-    let mut stats = WorkerStats {
-        worker: wid,
-        core,
-        pinned,
-        processed: 0,
-        delivered: 0,
-        steals: 0,
-        lock_contended: 0,
-        stream_migrations: 0,
-        thread_migrations: 0,
-        max_queue_depth: 0,
-        busy_us: 0.0,
-        vclock_us: 0.0,
+        flows,
+        admit: None,
+        obs,
+        pool: None,
+        tick: None,
     };
-    let mut delay = Welford::new();
-    let mut service = Welford::new();
-    let mut wait = Welford::new();
-    let mut outcomes = OutcomeTotals::default();
-    let mut rec: Option<MemRecorder> = if record_obs {
-        Some(MemRecorder::new())
-    } else {
-        None
-    };
-    let mut vclock = 0.0f64;
-    let mut slot = 0u32;
-
-    // Every layout gives each worker its own ring, fed in claim order by
-    // the dispatcher; a worker only ever pops its own ring, FIFO. Pool
-    // and steal arbitration happened dispatcher-side (claim table), so
-    // there is no worker-side victim scan or shared-pool gate here.
-    let my_queue = &queues[wid];
-    // Bounded resident stream-state set: `stream_cache` slots split
-    // across workers, each tracking which flows' footprints its caches
-    // still hold. A flow falling out pays a full cold stream reload on
-    // its next packet even without an intervening migration.
-    let mut resident: Option<HashedLru<()>> = cfg
-        .stream_cache
-        .map(|cap| HashedLru::new((cap / cfg.workers.max(1)).max(1)));
-    // Does the plan kill this worker for good? (Crash-with-revive is a
-    // reboot handled inline; only a permanent crash orphans work.)
-    let plan_crashed = matches!(faults.crash, Some((_, None)));
-    // Would starting a job at the current virtual instant kill us?
-    // Displacement first: a stall window can push the start past the
-    // crash instant, and the crash wins.
-    let fatal = |vclock: f64, job: &Job| -> Option<f64> {
-        faults.fatal_at(faults.displace(vclock.max(job.arrival_us)).start_v)
-    };
-
-    // One packet's full processing: migration purges, lock acquisition
-    // (with overhead charge where the policy pays it), the real receive
-    // path, and virtual-clock advance.
-    let mut process = |job: Job,
-                       stack: usize,
-                       stolen: bool,
-                       queue: u32,
-                       qdepth: u32,
-                       rec: &mut Option<MemRecorder>,
-                       hier: &mut MemoryHierarchy,
-                       stats: &mut WorkerStats,
-                       vclock: &mut f64,
-                       slot: &mut u32,
-                       delay: &mut Welford,
-                       service: &mut Welford,
-                       wait: &mut Welford,
-                       outcomes: &mut OutcomeTotals| {
-        let me = wid as u32;
-        // Fault displacement: push the virtual service start through any
-        // stall window (and the reboot window of a crash-with-revive)
-        // containing it. The vclock is monotone, so each window is
-        // crossed at most once — no dedup flags needed for the events.
-        let disp = faults.displace(vclock.max(job.arrival_us));
-        if let Some(r) = rec.as_mut() {
-            for &ix in &disp.stall_hits {
-                let (s, e) = faults.stalls[ix];
-                r.record(ObsEvent::WorkerDown {
-                    t_us: s,
-                    worker: me,
-                });
-                r.record(ObsEvent::WorkerUp {
-                    t_us: e,
-                    worker: me,
-                });
-            }
-        }
-        if disp.rebooted {
-            // The crash lost this worker's caches: the revived worker
-            // re-touches all state cold (the rebuilt hierarchy is
-            // all-cold, so the reload is charged either way). Ownership
-            // stamps are dispatcher-side and unaffected — a post-reboot
-            // remote touch still counts as a migration, deterministically.
-            *hier = cfg.cost.hierarchy();
-            if let Some(r) = rec.as_mut() {
-                if let Some((c, Some(rv))) = faults.crash {
-                    r.record(ObsEvent::WorkerDown {
-                        t_us: c,
-                        worker: me,
-                    });
-                    r.record(ObsEvent::WorkerUp {
-                        t_us: rv,
-                        worker: me,
-                    });
-                }
-            }
-        }
-        // Stream-state migration: if another worker touched this
-        // stream's state last, its lines are not in our caches. The
-        // previous owner always comes stamped on the job — at routing
-        // time when routing decides the processing worker, at claim
-        // resolution when the claim table does (DESIGN.md §17). No
-        // shared last-owner slots, no host-time race.
-        let mut s_mig = false;
-        {
-            let prev = match job.prev_stream_owner {
-                PREV_NONE => u32::MAX,
-                p => p,
-            };
-            if prev != me {
-                if prev != u32::MAX {
-                    stats.stream_migrations += 1;
-                    s_mig = true;
-                }
-                hier.purge_range(
-                    layout.stream(job.stream.0),
-                    cfg.cost.stream_read_bytes + cfg.cost.stream_write_bytes,
-                );
-            }
-        }
-        // Thread-stack migration (pool threads under Oblivious).
-        let mut t_mig = false;
-        let tid = if job.thread == u32::MAX {
-            me
-        } else {
-            job.thread
-        };
-        {
-            let prev = match job.prev_thread_owner {
-                PREV_NONE => u32::MAX,
-                p => p,
-            };
-            if prev != me {
-                if prev != u32::MAX {
-                    stats.thread_migrations += 1;
-                    t_mig = true;
-                }
-                hier.purge_range(
-                    layout.thread(tid),
-                    cfg.cost.thread_read_bytes + cfg.cost.thread_write_bytes,
-                );
-            }
-        }
-        // Bounded resident set: touching a flow promotes it; a miss
-        // (first touch or re-touch after eviction) means its state fell
-        // out of this worker's caches, so the next reads run cold.
-        if let Some(lru) = resident.as_mut() {
-            let key = job.stream.0 as u64;
-            let hit = lru.get(key).is_some();
-            lru.insert(key, ());
-            if !hit {
-                hier.purge_range(
-                    layout.stream(job.stream.0),
-                    cfg.cost.stream_read_bytes + cfg.cost.stream_write_bytes,
-                );
-            }
-        }
-        // Packet buffers arrive DMA-cold, as in the calibration runs.
-        hier.purge_region(Region::PacketData);
-
-        let frame = RxFrame {
-            bytes: job.bytes,
-            // The engine demuxes by port, i.e. by folded session id;
-            // steering and migration tracking above use the real flow.
-            stream: StreamId(job.stream.0 % sessions.max(1)),
-            buf_addr: layout.packet(*slot % 8),
-        };
-        *slot = slot.wrapping_add(1);
-
-        let start_cycles = hier.stats.cycles;
-        // Any off-stack run pays the lock: shared-stack policies always,
-        // steals and orphan recovery (both run on the session-owning
-        // worker's stack) under per-worker stacks.
-        let locked_path = cfg.layout.shared_stack || stack != wid;
-        let outcome = {
-            let engine = &engines[stack];
-            let mut guard = match engine.try_lock() {
-                Some(g) => g,
-                None => {
-                    stats.lock_contended += 1;
-                    engine.lock()
-                }
-            };
-            if locked_path {
-                hier.charge_cycles(lock_cycles);
-            }
-            let outcome = guard.receive_outcome(hier, &frame, ThreadId(tid));
-            // The user process reads each datagram as it lands (its cost
-            // is already priced into the receive path's user stage);
-            // without this the 64-deep session queue would overflow on
-            // any run longer than it.
-            if outcome.is_delivered() {
-                if let Some(session) = guard.table.session_mut(frame.stream) {
-                    session.consume();
-                }
-            }
-            outcome
-        };
-        // Serving path: the engine only borrows the frame, so its byte
-        // buffer is free here — hand it back for the dispatcher to
-        // refill instead of dropping it (allocation-free steady state).
-        // A full pool (impossible when sized to the buffer population)
-        // just drops the buffer.
-        if let Some(pool) = recycle {
-            let RxFrame { bytes, .. } = frame;
-            let _ = pool.push(bytes);
-        }
-        let service_us = faults.scale_service(
-            disp.start_v,
-            hier.platform()
-                .cycles_to_us(hier.stats.cycles - start_cycles),
-        );
-
-        let start_v = disp.start_v;
-        let wait_us = start_v - job.arrival_us;
-        *vclock = start_v + service_us;
-        stats.processed += 1;
-        stats.busy_us += service_us;
-        if stolen {
-            stats.steals += 1;
-        }
-        if let Some(r) = rec.as_mut() {
-            // Every stamp is virtual: the service start (`start_v`) and
-            // the post-service vclock. For a steal, `queue` names the
-            // victim ring the packet was lifted from.
-            if stolen {
-                r.record(ObsEvent::Steal {
-                    t_us: start_v,
-                    seq: job.seq,
-                    from: queue,
-                    to: me,
-                });
-            }
-            r.record(ObsEvent::Dispatch {
-                t_us: start_v,
-                seq: job.seq,
-                stream: job.stream.0,
-                worker: me,
-                service_us,
-                stream_migrated: s_mig,
-                thread_migrated: t_mig,
-                stolen,
-            });
-            if s_mig {
-                r.record(ObsEvent::CacheCharge {
-                    t_us: start_v,
-                    worker: me,
-                    kind: ChargeKind::Flush,
-                    amount_us: 0.0,
-                });
-            }
-            if t_mig {
-                r.record(ObsEvent::CacheCharge {
-                    t_us: start_v,
-                    worker: me,
-                    kind: ChargeKind::Flush,
-                    amount_us: 0.0,
-                });
-            }
-            if locked_path {
-                r.record(ObsEvent::CacheCharge {
-                    t_us: start_v,
-                    worker: me,
-                    kind: ChargeKind::Lock,
-                    amount_us: hier.platform().cycles_to_us(lock_cycles),
-                });
-            }
-            r.record(ObsEvent::QueueDepth {
-                t_us: start_v,
-                queue,
-                depth: qdepth,
-            });
-            r.record(ObsEvent::Complete {
-                t_us: *vclock,
-                seq: job.seq,
-                stream: job.stream.0,
-                worker: me,
-                delay_us: *vclock - job.arrival_us,
-                ok: outcome.is_delivered(),
-            });
-        }
-        match outcome {
-            RxOutcome::Delivered(_) => {
-                stats.delivered += 1;
-                outcomes.delivered += 1;
-            }
-            RxOutcome::Dropped { reason, .. } => match reason {
-                DropReason::NoSession(_) => outcomes.no_session += 1,
-                DropReason::UserQueueFull(_) => outcomes.queue_full += 1,
-            },
-            RxOutcome::Error { .. } => outcomes.rejected += 1,
-        }
-        if job.record {
-            delay.add(*vclock - job.arrival_us);
-            service.add(service_us);
-            wait.add(wait_us);
-        }
-        vclocks[wid].store(vclock.to_bits(), Ordering::Release);
-        if let Some(p) = progress {
-            p.fetch_add(1, Ordering::Relaxed);
-        }
-    };
-
-    // Train pops: claim up to `batch` published packets in one ring
-    // operation. Legal for every layout — pool and steal arbitration
-    // already happened dispatcher-side, so a train pop can never change
-    // an arbitration outcome, only drain what was already decided.
-    let batch = cfg.batch.max(1);
-    let mut train: Vec<Job> = Vec::with_capacity(batch);
-    'main: loop {
-        board.beat(wid);
-        stats.max_queue_depth = stats.max_queue_depth.max(my_queue.len());
-        {
-            let got = if batch > 1 {
-                my_queue.pop_batch(&mut train, batch)
-            } else {
-                match my_queue.pop() {
-                    Some(job) => {
-                        train.push(job);
-                        1
-                    }
-                    None => 0,
-                }
-            };
-            if got > 0 {
-                let mut jobs = train.drain(..);
-                while let Some(job) = jobs.next() {
-                    // Starting this job would carry the vclock past our
-                    // permanent crash instant: the worker dies here. The
-                    // job is parked with the watchdog, which re-routes
-                    // it (and whatever is left in our ring) once we have
-                    // exited.
-                    if let Some(c_at) = fatal(vclock, &job) {
-                        if let Some(r) = rec.as_mut() {
-                            r.record(ObsEvent::WorkerDown {
-                                t_us: c_at,
-                                worker: wid as u32,
-                            });
-                        }
-                        board.mark_down(wid);
-                        {
-                            // Batch-aware escrow: the rest of the claimed
-                            // train is already off the ring, so it
-                            // orphans with the fatal job — the watchdog
-                            // re-routes the lot in seq order.
-                            let mut esc = escrow.lock();
-                            esc.push((wid as u32, job));
-                            for rest in jobs.by_ref() {
-                                esc.push((wid as u32, rest));
-                            }
-                        }
-                        break 'main;
-                    }
-                    // A stolen packet or a requeued orphan must run on
-                    // the stack that holds its session (the victim's /
-                    // the dead owner's); everything else runs on ours
-                    // (or the shared one).
-                    let stack = if cfg.layout.shared_stack {
-                        0
-                    } else if job.home_stack != u32::MAX {
-                        job.home_stack as usize
-                    } else {
-                        wid
-                    };
-                    // A claim-table steal reaches us as a job in our own
-                    // ring tagged with the victim it was lifted from.
-                    let stolen = job.stolen_from != u32::MAX;
-                    let queue = if stolen { job.stolen_from } else { wid as u32 };
-                    let depth = my_queue.len() as u32;
-                    process(
-                        job,
-                        stack,
-                        stolen,
-                        queue,
-                        depth,
-                        &mut rec,
-                        &mut hier,
-                        &mut stats,
-                        &mut vclock,
-                        &mut slot,
-                        &mut delay,
-                        &mut service,
-                        &mut wait,
-                        &mut outcomes,
-                    );
-                }
-                continue;
-            }
-        }
-        if done.load(Ordering::Acquire) {
-            // A worker the plan permanently kills exits as soon as its
-            // own work is gone — the watchdog waits on that exit before
-            // draining its ring, so it must not gate on global
-            // emptiness. Live workers additionally hold until orphan
-            // recovery finished, so requeued work is drained.
-            if plan_crashed {
-                if my_queue.is_empty() {
-                    break;
-                }
-            } else if recovery_done.load(Ordering::Acquire) && queues.iter().all(|q| q.is_empty()) {
-                break;
-            }
-        }
-        std::thread::yield_now();
-    }
-
-    // Park the published clock at infinity so live snapshot readers
-    // (the serving path) see an exited worker as never-again-busy; then
-    // let the watchdog know this thread will never touch a ring again.
-    vclocks[wid].store(f64::INFINITY.to_bits(), Ordering::Release);
-    board.mark_exited(wid);
-    stats.vclock_us = vclock;
-    WorkerResult {
-        stats,
-        delay,
-        service,
-        wait,
-        outcomes,
-        rec,
+    let t = dispatch(pipeline, arrivals);
+    NativeReport {
+        policy: cfg.spec.label(),
+        workers: cfg.workers,
+        offered: t.ledger.offered,
+        outcomes: t.outcomes,
+        mean_delay_us: t.delay.mean(),
+        mean_service_us: t.service.mean(),
+        mean_wait_us: t.wait.mean(),
+        max_delay_us: t.delay.max(),
+        recorded: t.delay.count(),
+        steals: t.per_worker.iter().map(|s| s.steals).sum(),
+        stream_migrations: t.per_worker.iter().map(|s| s.stream_migrations).sum(),
+        thread_migrations: t.per_worker.iter().map(|s| s.thread_migrations).sum(),
+        last_arrival_us: t.ledger.last_arrival_us,
+        makespan_us: t.makespan_us(),
+        all_pinned: t.per_worker.iter().all(|s| s.pinned),
+        workers_crashed: t.workers_crashed,
+        orphaned: t.ledger.orphaned,
+        requeued: t.ledger.requeued,
+        per_stream_delivered: t.per_session_delivered(),
+        table_misses: t.table_misses,
+        rebinds: t.rebinds,
+        ooo_deliveries: 0,
+        per_worker: t.per_worker,
     }
 }
 
@@ -1857,6 +652,21 @@ mod tests {
             assert_eq!(r.per_stream_delivered, vec![20; 6], "{label:?}");
             assert!(r.mean_delay_us > 0.0 && r.mean_service_us > 0.0);
             assert!(r.recorded > 0 && r.recorded <= 120);
+        }
+    }
+
+    /// Engines bind *folded* sessions (`flow % m`) to their owners, so
+    /// the home stack must be computed from the folded id too — for any
+    /// session space, not only the ones the worker count divides.
+    #[test]
+    fn folded_sessions_find_their_home_stack() {
+        for (w, m) in [(3usize, 50u32), (4, 50), (2, 50), (3, 48)] {
+            let mut c = cfg(w, PolicySpec::Ips);
+            c.session_space = Some(m);
+            let workload = zipf_workload(200, 4_000, 30_000.0, 1.1, 4.0, Some(m), 64, 11);
+            let r = run_native(&c, workload);
+            assert_eq!(r.outcomes.no_session, 0, "w={w} m={m}");
+            assert_eq!(r.outcomes.delivered, r.offered, "w={w} m={m}");
         }
     }
 
@@ -2039,6 +849,7 @@ mod tests {
     mod procfault {
         use super::*;
         use afs_core::procfault::{FaultLoad, ProcFault, ProcFaultKind, ProcFaultPlan};
+        use afs_obs::ObsEvent;
 
         fn crash(proc: usize, at_us: f64, revive_at_us: Option<f64>) -> ProcFaultPlan {
             ProcFaultPlan {

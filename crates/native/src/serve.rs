@@ -1,75 +1,49 @@
 //! The sustained-ingest serving path.
 //!
-//! [`run_serve`] turns the native backend from a replay harness (a
-//! pre-materialized `Vec<NativePacket>` pushed through
-//! [`crate::runtime::run_native`]) into a long-running serving engine:
-//! an open-loop Zipf × compound-Poisson generator
-//! ([`crate::runtime::ZipfPacketGen`]) drives packets through the NIC
-//! front-end into the pinned worker rings one at a time, for as many
-//! packets as asked, in bounded memory.
+//! [`run_serve`] runs the native pipeline (DESIGN.md §9) as a
+//! long-running serving engine. It differs from replay
+//! ([`crate::runtime::run_native`]) in exactly three things it hands the
+//! shared dispatcher:
 //!
-//! Three contracts distinguish serving from replay:
+//! * **The arrival source** is an open-loop Zipf × compound-Poisson
+//!   generator ([`crate::runtime::ZipfPacketGen`]) instead of a
+//!   materialized `Vec`, so run length does not bound memory. Frame
+//!   buffers live in a fixed-size object pool ([`RingQueue<Vec<u8>>`]):
+//!   the source pops a spent buffer and refills it in place
+//!   ([`ZipfPacketGen::next_into`]), the processing worker returns it
+//!   after the engine's borrow ends. Every per-flow table is pre-sized,
+//!   so after warm-up the per-packet path never calls the allocator —
+//!   pinned by the counting-allocator test in `tests/alloc_free.rs`.
+//! * **The admission bound** is [`NativeConfig::queue_capacity`] instead
+//!   of none: a packet whose steered worker already holds that many
+//!   modeled-backlog packets on the router's drain clock is tail-dropped
+//!   at the NIC. The decision is keyed on the deterministic virtual-load
+//!   model rather than a racy host-side ring occupancy, so the drop
+//!   ledger (`offered = admitted + dropped`) is a pure function of the
+//!   seed. Admitted packets are never lost: the physical ring push
+//!   blocks (backpressure) until the worker drains.
+//! * **No recorder**; instead, at a configurable packet interval the
+//!   dispatcher publishes an [`afs_obs::ServeSnapshot`] JSONL line (wall
+//!   time and RSS are explicitly host gauges; every committed artifact
+//!   uses only the virtual-domain fields of the final [`ServeReport`]).
 //!
-//! * **Allocation-free steady state.** Frame buffers live in a
-//!   fixed-size object pool ([`RingQueue<Vec<u8>>`]): the dispatcher
-//!   pops a spent buffer, refills it in place
-//!   ([`ZipfPacketGen::next_into`]), and the processing worker returns
-//!   it after the engine's borrow ends. Every per-flow table
-//!   (router MRU, front-end steering memory, resident-set LRUs,
-//!   last-owner slots) is pre-sized, so after warm-up the per-packet
-//!   path never calls the allocator — pinned by the counting-allocator
-//!   test in `tests/alloc_free.rs`.
-//! * **Deterministic overload degradation.** Admission is decided in
-//!   the *virtual* domain: a packet whose steered worker already holds
-//!   [`NativeConfig::queue_capacity`] modeled-backlog packets on the
-//!   router's drain clock is tail-dropped at the NIC, exactly as the
-//!   PR-1 bounded queues drop at the rings — but keyed on the
-//!   deterministic virtual-load model rather than a racy host-side ring
-//!   occupancy, so the drop ledger (`offered = admitted + dropped`) is
-//!   a pure function of the seed. Admitted packets are never lost: the
-//!   physical ring push blocks (backpressure) until the worker drains.
-//! * **Live gauges off the hot path.** At a configurable packet
-//!   interval the dispatcher publishes an [`afs_obs::ServeSnapshot`]
-//!   JSONL line (wall time and RSS are explicitly host gauges; every
-//!   committed artifact uses only the virtual-domain fields of the
-//!   final [`ServeReport`]).
-//!
-//! All five policy rungs serve. The work-conserving rungs ride the
-//! claim protocol (DESIGN.md §17): a `SharedQueue` steering fallback
-//! (the locking rung) resolves its claimant through a pooled
-//! [`ClaimTable`] and reports the placement back to the front-end,
-//! while a stealing layout (the IPS rung) stages every admitted packet
-//! in a stealing-mode table that arbitrates owner pops against steals
-//! in total virtual order — so batched dequeue, drops, migrations and
-//! steal counts stay a pure function of the seed on every rung.
+//! All five policy rungs serve; the work-conserving ones ride the claim
+//! protocol (DESIGN.md §17) exactly as they do under replay.
 
-use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use afs_cache::model::pricer::DispatchPricer;
 use afs_core::exec::ExecParams;
-use afs_desim::rng::RngFactory;
-use afs_desim::stats::Welford;
 use afs_obs::ServeSnapshot;
-use afs_sched::{
-    Claim, ClaimTable, FrontEndKind, FrontEndPlan, FrontEndState, PolicySpec, Route, RouterState,
-    SchedView as _,
-};
-use afs_xkernel::mt::owner_of;
-use afs_xkernel::{lock_overhead_cycles, ProtocolEngine, StreamId};
-use parking_lot::Mutex;
-use rand::Rng;
+use afs_sched::{FrontEndKind, FrontEndPlan, PolicySpec};
 
 use crate::crossval::NATIVE_SESSION_SPACE;
-use crate::pin::{CorePinner, NoopPinner, OsPinner};
+use crate::dispatch::{dispatch, Arrival, Ledger, Pipeline, Tick};
+use crate::pin::CorePinner;
 use crate::ring::RingQueue;
-use crate::runtime::{
-    worker_loop, Job, NativeConfig, OutcomeTotals, Pinning, WorkerCtx, WorkerStats, ZipfPacketGen,
-    PREV_NONE,
-};
-use crate::watchdog::{HealthBoard, WorkerFaults};
+use crate::runtime::{NativeConfig, OutcomeTotals, WorkerStats, ZipfPacketGen};
 
 /// Default Flow-Director steering-table capacity for serving runs
 /// (matches the stream-scenario experiments' order of magnitude).
@@ -247,13 +221,15 @@ pub fn current_rss_kb() -> u64 {
 /// line per interval) when both a sink and
 /// [`ServeConfig::snapshot_every`] are given.
 pub fn run_serve(cfg: &ServeConfig, sink: Option<&mut dyn Write>) -> ServeReport {
-    match cfg.native.pinning {
-        Pinning::Auto => run_serve_with_pinner(cfg, sink, &OsPinner),
-        Pinning::Off => run_serve_with_pinner(cfg, sink, &NoopPinner),
-    }
+    run_serve_with_pinner(cfg, sink, cfg.native.pinning.pinner())
 }
 
 /// [`run_serve`] with an explicit pinner (tests inject no-op pinners).
+///
+/// Serving as a run of the shared pipeline: an open-loop generator
+/// refilling pooled frame buffers as the arrival source, the modeled
+/// backlog bound [`NativeConfig::queue_capacity`] as the admission
+/// bound, and no recorder.
 pub fn run_serve_with_pinner(
     cfg: &ServeConfig,
     mut sink: Option<&mut dyn Write>,
@@ -261,53 +237,15 @@ pub fn run_serve_with_pinner(
 ) -> ServeReport {
     let n = &cfg.native;
     let w = n.workers;
-    assert!(w >= 1, "need at least one worker");
     assert!(cfg.streams >= 1 && cfg.offered_pps > 0.0 && cfg.batch_mean >= 1.0);
     let plan = n
         .frontend
         .expect("the serving path is NIC-steered: set NativeConfig::frontend");
-    plan.validate();
     assert!(
         n.faults.is_noop(),
         "fault plans are a replay-path feature; the serving path has no watchdog"
     );
-
     let t0 = Instant::now();
-    let sessions = match n.session_space {
-        Some(m) => (m as usize).min(cfg.streams.max(1) as usize),
-        None => cfg.streams as usize,
-    };
-
-    // Stacks and rings mirror the replay path: the front-end forces
-    // per-worker FIFO rings, the rung decides stack sharing.
-    let shared_stack = n.layout.shared_stack;
-    let n_stacks = if shared_stack { 1 } else { w };
-    let engines: Vec<Mutex<ProtocolEngine>> = (0..n_stacks)
-        .map(|stack| {
-            let mut e = ProtocolEngine::new(n.cost);
-            for s in 0..sessions as u32 {
-                if shared_stack || owner_of(StreamId(s), w) == stack {
-                    e.bind_stream(StreamId(s));
-                }
-            }
-            Mutex::new(e)
-        })
-        .collect();
-    let queues: Vec<RingQueue<Job>> = (0..w)
-        .map(|_| RingQueue::with_capacity(n.queue_capacity))
-        .collect();
-
-    let vclocks: Vec<AtomicU64> = (0..w).map(|_| AtomicU64::new(0)).collect();
-    let done = AtomicBool::new(false);
-    // No faults: recovery is vacuously finished, workers only gate on
-    // `done` + empty rings.
-    let recovery_done = AtomicBool::new(true);
-    let board = HealthBoard::new(w);
-    let escrow: Mutex<Vec<(u32, Job)>> = Mutex::new(Vec::new());
-    let worker_faults: Vec<WorkerFaults> = (0..w)
-        .map(|i| WorkerFaults::from_plan(&n.faults, i))
-        .collect();
-    let lock_cycles = lock_overhead_cycles(&n.cost);
 
     // The frame-buffer object pool: sized to cover every buffer that
     // can be in flight at once (ring slots + in-service trains + the
@@ -315,25 +253,20 @@ pub fn run_serve_with_pinner(
     // full frame capacity (49 header bytes + payload, with slack), so
     // the steady-state loop never calls the allocator — not even on a
     // host-scheduling hiccup that drains the pool deeper than any
-    // previous instant.
+    // previous instant. A stealing layout stages admitted packets
+    // (buffers and all) in the claim table until the model resolves
+    // their claimant, so its in-flight population can transiently reach
+    // a second ring's worth on top of the physical rings. The other
+    // rungs keep the original sizing — the allocation-free pin in
+    // `tests/alloc_free.rs` measures exactly that footprint.
     let batch = n.batch.max(1);
-    // A stealing layout stages admitted packets (buffers and all) in
-    // the claim table until the model resolves their claimant, so its
-    // in-flight buffer population can transiently reach a second ring's
-    // worth on top of the physical rings. The other rungs keep the
-    // original sizing — the allocation-free pin in `tests/alloc_free.rs`
-    // measures exactly that footprint.
-    let max_bufs = if n.layout.steal.is_some() {
-        2 * w * n.queue_capacity + w * batch + 64
-    } else {
-        w * n.queue_capacity + w * batch + 64
-    };
+    let rings = if n.layout.steal.is_some() { 2 } else { 1 };
+    let max_bufs = rings * w * n.queue_capacity + w * batch + 64;
     let pool: RingQueue<Vec<u8>> = RingQueue::with_capacity(max_bufs);
     for _ in 0..max_bufs {
         pool.push(Vec::with_capacity(cfg.payload_bytes + 64))
             .expect("pool ring sized for the full population");
     }
-    let progress = AtomicU64::new(0);
 
     let mut gen = ZipfPacketGen::new(
         cfg.streams,
@@ -344,425 +277,130 @@ pub fn run_serve_with_pinner(
         cfg.payload_bytes,
         n.seed,
     );
-
     let mut offered = 0u64;
-    let mut admitted = 0u64;
-    let mut dropped = 0u64;
-    let mut last_arrival_us = 0.0f64;
-    let mut fe_table_misses = 0u64;
-    let mut fe_rebinds = 0u64;
-    let mut results = Vec::with_capacity(w);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(w);
-        for (wid, faults) in worker_faults.iter().enumerate() {
-            let ctx = WorkerCtx {
-                wid,
-                cfg: n,
-                pinner,
-                engines: &engines,
-                queues: &queues,
-                vclocks: &vclocks,
-                done: &done,
-                lock_cycles,
-                record_obs: false,
-                faults,
-                board: &board,
-                escrow: &escrow,
-                recovery_done: &recovery_done,
-                sessions: sessions as u32,
-                recycle: Some(&pool),
-                progress: Some(&progress),
-            };
-            handles.push(scope.spawn(move || worker_loop(ctx)));
-        }
-
-        // The NIC dispatcher: generate → steer → admit-or-drop → push,
-        // one packet at a time, with the same flow-run fusion as the
-        // replay path. All routing state is pre-sized so the loop stays
-        // allocation-free after the pool is minted.
-        let factory = RngFactory::new(n.seed);
-        let mut place = factory.stream("native-placement");
-        let pricer = DispatchPricer::new(&ExecParams::calibrated().model);
-        let mut rstate = RouterState::new(w, pricer.t_warm_us());
-        rstate.reserve_flows(cfg.streams);
-        let mut fes = FrontEndState::new(plan);
-        fes.reserve_flows(cfg.streams);
-        // Flow-Director completion feedback, as on the replay path.
-        // Admission control bounds the modeled in-flight population to
-        // `workers × (queue_capacity + 1)` undelivered entries, so the
-        // reserve below is never outgrown; the eager-deliver guard is a
-        // belt-and-braces bound, not a path taken in practice.
-        let feedback_cap = w * (n.queue_capacity + 2);
-        let mut feedback: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32, u32)>> =
-            std::collections::BinaryHeap::with_capacity(feedback_cap + 1);
-        let fuse = batch > 1;
-        let mut run_flow = u32::MAX;
-        let mut run_target = 0usize;
-        let mut run_reusable = false;
-        // Serving routes into per-worker rings with no fault plan, and
-        // every placement — NIC hit, pooled claim, steal — is decided
-        // dispatcher-side in virtual order, so the dispatcher knows
-        // every stream's and thread's previous owner deterministically
-        // (see `Job::prev_stream_owner`) — results are a pure function
-        // of the workload, batched or not.
-        let mut prev_stream_tbl: Vec<u32> = vec![PREV_NONE; cfg.streams as usize];
-        let mut prev_thread_tbl: Vec<u32> = vec![PREV_NONE; w];
-        // Claim arbitration for the work-conserving rungs (DESIGN.md
-        // §17): pooled for a `SharedQueue` steering fallback, stealing
-        // for an IPS layout. `None` for the NIC-owns-placement rungs.
-        let mut claims: Option<ClaimTable> = if n.layout.pooled_queue {
-            Some(ClaimTable::pooled(w, pricer.t_warm_us()))
-        } else {
-            n.layout
-                .steal
-                .map(|sp| ClaimTable::stealing(w, pricer.t_warm_us(), sp))
-        };
-        let steal_mode = n.layout.steal.is_some();
-        let mut staged: HashMap<u64, Job> = HashMap::new();
-        let mut resolved: Vec<Claim> = Vec::new();
-        // Deliver one resolved claim: stamp the staged job's previous
-        // owners in claim order and push it onto the claimant's ring
-        // (blocking push — admitted packets are never lost).
-        let deliver = |c: &Claim,
-                       staged: &mut HashMap<u64, Job>,
-                       prev_stream_tbl: &mut [u32],
-                       prev_thread_tbl: &mut [u32]| {
-            let mut job = staged
-                .remove(&c.seq)
-                .expect("claim resolved for a job that was never staged");
-            if let Some(victim) = c.victim {
-                job.stolen_from = victim as u32;
-            }
-            let claimant = c.claimant;
-            {
-                let slot = &mut prev_stream_tbl[job.stream.0 as usize];
-                job.prev_stream_owner = *slot;
-                *slot = claimant as u32;
-                let tslot = &mut prev_thread_tbl[claimant];
-                job.prev_thread_owner = *tslot;
-                *tslot = claimant as u32;
-            }
-            loop {
-                match queues[claimant].push(job) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        job = back;
-                        std::thread::yield_now();
-                    }
-                }
+    let arrivals = std::iter::from_fn(|| {
+        // A spent buffer from the pre-minted population. With every
+        // buffer in flight the dispatcher waits for a worker to hand
+        // one back — backpressure through the pool, the same
+        // degradation contract as a full ring.
+        let mut bytes = loop {
+            match pool.pop() {
+                Some(b) => break b,
+                None => std::thread::yield_now(),
             }
         };
-
-        for seq in 0..cfg.total_packets {
-            // A spent buffer from the pre-minted population. With every
-            // buffer in flight the dispatcher waits for a worker to
-            // hand one back — backpressure through the pool, the same
-            // degradation contract as a full ring.
-            let mut buf = loop {
-                match pool.pop() {
-                    Some(b) => break b,
-                    None => std::thread::yield_now(),
-                }
-            };
-            let (stream, arrival_us) = gen.next_into(&mut buf);
-            offered += 1;
-            last_arrival_us = arrival_us;
-            if offered == cfg.warmup_packets {
-                if let Some(hook) = cfg.on_steady {
-                    hook();
-                }
-            }
-
-            if fes.wants_completion_feedback() {
-                while let Some(&std::cmp::Reverse((bits, _, s, wkr))) = feedback.peek() {
-                    if f64::from_bits(bits) <= arrival_us {
-                        fes.note_complete(s, wkr);
-                        feedback.pop();
-                        run_flow = u32::MAX;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            let route = if fuse && stream.0 == run_flow && run_reusable {
-                Route::Worker(run_target)
-            } else {
-                let misses_before = fes.table_misses();
-                let r = fes.route_flow(
-                    &rstate.view_at(arrival_us),
-                    stream.0,
-                    &mut |n| place.gen_range(0..n),
-                    &pricer,
-                );
-                match r {
-                    Route::Worker(p) => {
-                        run_flow = stream.0;
-                        run_target = p;
-                        run_reusable = match plan.config.kind {
-                            FrontEndKind::Rss | FrontEndKind::TransportFriendly => true,
-                            FrontEndKind::FlowDirector => fes.table_misses() == misses_before,
-                        };
-                    }
-                    // A pooled-fallback miss names no worker — nothing
-                    // to fuse; the claim table decides per packet.
-                    Route::Shared => run_flow = u32::MAX,
-                }
-                r
-            };
-
-            // Virtual-domain taildrop, per route flavor: a NIC-steered
-            // packet drops when its worker's modeled backlog is full; a
-            // shared-pool packet drops only when even the least-loaded
-            // worker's modeled backlog is full (a work-conserving pool
-            // saturates only when everyone does).
-            let placement: Option<usize> = match route {
-                Route::Worker(target) => {
-                    if rstate.view_at(arrival_us).queue_depth(target) >= n.queue_capacity {
-                        None
-                    } else {
-                        Some(target)
-                    }
-                }
-                Route::Shared => {
-                    let tbl = claims
-                        .as_mut()
-                        .expect("a SharedQueue fallback requires the pooled rung");
-                    if tbl.min_model_depth(arrival_us) >= n.queue_capacity {
-                        None
-                    } else {
-                        // Pooled claims resolve immediately; report the
-                        // claimant back so the steering memory and the
-                        // rebind ledger see the actual placement.
-                        resolved.clear();
-                        tbl.offer(seq, 0, arrival_us, &mut resolved);
-                        let claimant = resolved[0].claimant;
-                        fes.note_placement(stream.0, claimant);
-                        Some(claimant)
-                    }
-                }
-            };
-            if let Some(target) = placement {
-                rstate.note_routed(stream.0, target, arrival_us);
-                if fes.wants_completion_feedback() {
-                    if feedback.len() >= feedback_cap {
-                        // Deterministic pressure valve: deliver the
-                        // oldest completion early rather than grow.
-                        if let Some(std::cmp::Reverse((_, _, s, wkr))) = feedback.pop() {
-                            fes.note_complete(s, wkr);
-                            run_flow = u32::MAX;
-                        }
-                    }
-                    feedback.push(std::cmp::Reverse((
-                        rstate.vfinish_us(target).to_bits(),
-                        seq,
-                        stream.0,
-                        target as u32,
-                    )));
-                }
-                admitted += 1;
-                // Under per-worker stacks the folded session lives on
-                // its owner's engine — the packet runs there whoever
-                // drains it (steals pay that stack's lock).
-                let home = if shared_stack {
-                    u32::MAX
-                } else {
-                    owner_of(StreamId(stream.0 % sessions as u32), w) as u32
-                };
-                let job = Job {
-                    bytes: buf,
-                    stream,
-                    arrival_us,
-                    seq,
-                    thread: u32::MAX,
-                    record: offered > cfg.warmup_packets,
-                    home_stack: home,
-                    prev_stream_owner: PREV_NONE,
-                    prev_thread_owner: PREV_NONE,
-                    stolen_from: u32::MAX,
-                };
-                if steal_mode {
-                    // Stage on the steered owner's model queue; the
-                    // table arbitrates owner pops against steals and
-                    // `deliver` pushes each resolution in claim order.
-                    let tbl = claims.as_mut().expect("steal mode has a claim table");
-                    staged.insert(seq, job);
-                    resolved.clear();
-                    tbl.offer(seq, target, arrival_us, &mut resolved);
-                    for c in &resolved {
-                        deliver(c, &mut staged, &mut prev_stream_tbl, &mut prev_thread_tbl);
-                    }
-                } else {
-                    if let (Some(tbl), Route::Worker(_)) = (claims.as_mut(), route) {
-                        // A NIC steering hit bypassed the pool: charge
-                        // the pooled model anyway so later claims
-                        // arbitrate over the worker's real modeled load.
-                        tbl.note_assigned(target, arrival_us);
-                    }
-                    let mut job = job;
-                    {
-                        let slot = &mut prev_stream_tbl[stream.0 as usize];
-                        job.prev_stream_owner = *slot;
-                        *slot = target as u32;
-                        let tslot = &mut prev_thread_tbl[target];
-                        job.prev_thread_owner = *tslot;
-                        *tslot = target as u32;
-                    }
-                    // Admitted ⇒ delivered to the ring: blocking push is
-                    // the backpressure half of the degradation contract.
-                    loop {
-                        match queues[target].push(job) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                job = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            } else {
-                dropped += 1;
-                let _ = pool.push(buf);
-            }
-
-            if let Some(every) = cfg.snapshot_every {
-                if every > 0 && offered.is_multiple_of(every) {
-                    if let Some(out) = sink.as_deref_mut() {
-                        let snap = snapshot(
-                            t0,
-                            offered,
-                            admitted,
-                            dropped,
-                            &progress,
-                            last_arrival_us,
-                            &vclocks,
-                        );
-                        let mut line = String::new();
-                        snap.write_jsonl(&mut line);
-                        let _ = out.write_all(line.as_bytes());
-                        let _ = out.flush();
-                    }
-                }
+        let (stream, arrival_us) = gen.next_into(&mut bytes);
+        offered += 1;
+        if offered == cfg.warmup_packets {
+            if let Some(hook) = cfg.on_steady {
+                hook();
             }
         }
-        // End of the offered stream: no future arrival can change the
-        // model, so every staged packet resolves now.
-        if let Some(tbl) = claims.as_mut() {
-            resolved.clear();
-            tbl.flush(&mut resolved);
-            for c in &resolved {
-                deliver(c, &mut staged, &mut prev_stream_tbl, &mut prev_thread_tbl);
-            }
-            debug_assert!(staged.is_empty(), "claim flush left packets staged");
-        }
-        done.store(true, Ordering::Release);
-        fe_table_misses = fes.table_misses();
-        fe_rebinds = fes.rebinds;
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
-    });
+        Some(Arrival {
+            bytes,
+            stream,
+            arrival_us,
+            record: offered > cfg.warmup_packets,
+        })
+    })
+    .take(usize::try_from(cfg.total_packets).unwrap_or(usize::MAX));
 
-    let mut delay = Welford::new();
-    let mut service = Welford::new();
-    let mut wait = Welford::new();
-    let mut outcomes = OutcomeTotals::default();
-    for r in &results {
-        delay.merge(&r.delay);
-        service.merge(&r.service);
-        wait.merge(&r.wait);
-        outcomes.delivered += r.outcomes.delivered;
-        outcomes.no_session += r.outcomes.no_session;
-        outcomes.queue_full += r.outcomes.queue_full;
-        outcomes.rejected += r.outcomes.rejected;
+    let mut publish;
+    let mut tick: Option<&mut Tick<'_>> = None;
+    let every = cfg.snapshot_every.filter(|&every| every > 0);
+    if let (Some(out), Some(every)) = (sink.as_deref_mut(), every) {
+        publish = move |ledger: &Ledger, processed: u64, vclocks: &[AtomicU64]| {
+            if ledger.offered.is_multiple_of(every) {
+                let clocks = vclocks
+                    .iter()
+                    .map(|c| f64::from_bits(c.load(Ordering::Acquire)));
+                write_snapshot(out, snapshot(t0, ledger, processed, clocks));
+            }
+        };
+        tick = Some(&mut publish);
     }
-    let per_worker: Vec<WorkerStats> = results.into_iter().map(|r| r.stats).collect();
+    let pipeline = Pipeline {
+        cfg: n,
+        pinner,
+        flows: cfg.streams,
+        admit: Some(n.queue_capacity),
+        obs: None,
+        pool: Some(&pool),
+        tick,
+    };
+    let t = dispatch(pipeline, arrivals);
+
     let wall_s = t0.elapsed().as_secs_f64();
-    let processed = progress.load(Ordering::Relaxed);
+    let processed: u64 = t.per_worker.iter().map(|s| s.processed).sum();
     // Emit a closing snapshot so a streamed log always ends on the
-    // final ledger.
+    // final ledger and the joined final clocks.
     if let (Some(out), Some(_)) = (sink, cfg.snapshot_every) {
-        let mut snap = snapshot(
-            t0,
-            offered,
-            admitted,
-            dropped,
-            &progress,
-            last_arrival_us,
-            &vclocks,
-        );
-        // The workers have exited (their live clock slots read ∞, which
-        // `snapshot` maps to 0); close on the joined final clocks.
-        let lo = per_worker
-            .iter()
-            .map(|s| s.vclock_us)
-            .fold(f64::INFINITY, f64::min);
-        snap.min_worker_vclock_us = if lo.is_finite() { lo } else { 0.0 };
-        snap.max_worker_vclock_us = per_worker.iter().map(|s| s.vclock_us).fold(0.0, f64::max);
-        let mut line = String::new();
-        snap.write_jsonl(&mut line);
-        let _ = out.write_all(line.as_bytes());
-        let _ = out.flush();
+        let clocks = t.per_worker.iter().map(|s| s.vclock_us);
+        write_snapshot(out, snapshot(t0, &t.ledger, processed, clocks));
     }
-
     ServeReport {
         policy: n.spec.label(),
         frontend: plan.config.kind.label(),
         workers: w,
         batch,
-        offered,
-        admitted,
-        dropped,
-        outcomes,
-        recorded: delay.count(),
-        mean_delay_us: delay.mean(),
-        mean_service_us: service.mean(),
-        mean_wait_us: wait.mean(),
-        max_delay_us: delay.max(),
-        last_arrival_us,
-        makespan_us: per_worker.iter().map(|s| s.vclock_us).fold(0.0, f64::max),
-        per_worker,
-        table_misses: fe_table_misses,
-        rebinds: fe_rebinds,
+        offered: t.ledger.offered,
+        admitted: t.ledger.admitted,
+        dropped: t.ledger.dropped,
+        outcomes: t.outcomes,
+        recorded: t.delay.count(),
+        mean_delay_us: t.delay.mean(),
+        mean_service_us: t.service.mean(),
+        mean_wait_us: t.wait.mean(),
+        max_delay_us: t.delay.max(),
+        last_arrival_us: t.ledger.last_arrival_us,
+        makespan_us: t.makespan_us(),
+        table_misses: t.table_misses,
+        rebinds: t.rebinds,
+        per_worker: t.per_worker,
         wall_s,
         pkts_per_wall_s: processed as f64 / wall_s.max(1e-9),
         rss_kb: current_rss_kb(),
     }
 }
 
+/// A snapshot of the ledger and the given worker clocks (an exited
+/// worker's live clock slot reads ∞ and is skipped).
 fn snapshot(
     t0: Instant,
-    offered: u64,
-    admitted: u64,
-    dropped: u64,
-    progress: &AtomicU64,
-    arrival_us: f64,
-    vclocks: &[AtomicU64],
+    ledger: &Ledger,
+    processed: u64,
+    clocks: impl Iterator<Item = f64>,
 ) -> ServeSnapshot {
-    let mut lo = f64::INFINITY;
-    let mut hi = 0.0f64;
-    for c in vclocks {
-        let v = f64::from_bits(c.load(Ordering::Acquire));
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
+    let (lo, hi) = clocks
+        .filter(|v| v.is_finite())
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), v| {
+            (lo.min(v), hi.max(v))
+        });
     ServeSnapshot {
         wall_s: t0.elapsed().as_secs_f64(),
-        offered,
-        admitted,
-        dropped,
-        processed: progress.load(Ordering::Relaxed),
-        arrival_us,
+        offered: ledger.offered,
+        admitted: ledger.admitted,
+        dropped: ledger.dropped,
+        processed,
+        arrival_us: ledger.last_arrival_us,
         min_worker_vclock_us: if lo.is_finite() { lo } else { 0.0 },
-        max_worker_vclock_us: if hi.is_finite() { hi } else { 0.0 },
+        max_worker_vclock_us: hi,
         rss_kb: current_rss_kb(),
     }
+}
+
+fn write_snapshot(out: &mut dyn Write, snap: ServeSnapshot) {
+    let mut line = String::new();
+    snap.write_jsonl(&mut line);
+    let _ = out.write_all(line.as_bytes());
+    let _ = out.flush();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pin::NoopPinner;
+    use crate::runtime::Pinning;
 
     fn small(kind: FrontEndKind, policy: PolicySpec) -> ServeConfig {
         let mut cfg = ServeConfig::new(2, 64, kind, policy);
@@ -846,6 +484,27 @@ mod tests {
                 assert_eq!(r.table_misses, base.table_misses);
                 assert_eq!(r.rebinds, base.rebinds);
             }
+        }
+    }
+
+    /// A panic on the dispatcher thread must release the workers (they
+    /// spin on the run flags inside the scope) so the scope joins and the
+    /// panic reaches the caller. Timed from outside: a wedged run fails
+    /// the test with a different message instead of hanging it.
+    #[test]
+    #[should_panic(expected = "steady-state hook exploded")]
+    fn dispatcher_panic_reaches_the_caller() {
+        let mut cfg = small(FrontEndKind::Rss, PolicySpec::MruLoad);
+        cfg.on_steady = Some(|| panic!("steady-state hook exploded"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = || run_serve_with_pinner(&cfg, None, &NoopPinner);
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(Err(panic)) => std::panic::resume_unwind(panic),
+            Ok(Ok(_)) => panic!("the hook never fired"),
+            Err(_) => panic!("the dispatcher panic wedged the run: workers were never released"),
         }
     }
 
