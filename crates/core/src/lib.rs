@@ -27,8 +27,6 @@
 //! * [`analysis`] — percent-delay-reduction curves, crossover detection
 //!   (Figures 10/11 and the policy trade-offs), and MSER-5 warm-up
 //!   validation.
-//! * [`trace`] — bounded structured traces of per-packet scheduling
-//!   decisions for debugging and fine-grained analysis.
 //!
 //! The simulator also emits the unified `afs-obs` observability schema:
 //! [`sim::run_observed`] streams every scheduling event (enqueue,
@@ -65,7 +63,6 @@ pub mod replicate;
 pub mod sim;
 pub mod state;
 pub mod sweep;
-pub mod trace;
 
 pub use config::{DropPolicy, FaultProfile, IpsPolicy, LockPolicy, Paradigm, SystemConfig};
 pub use crossval::{sim_matrix, CrossPolicy, CrossvalScenario, SimCell};

@@ -20,7 +20,6 @@ use afs_sched::{DispatchPolicy, IpsDispatch, LockingDispatch, SchedView, ThreadS
 
 use crate::config::{Paradigm, SystemConfig};
 use crate::state::{LocTable, Packet, ProcActivity, ProcHealth, Procs, StreamTable};
-use crate::trace::SchedEvent;
 
 use super::{Event, SchedSim, Stacks};
 
@@ -241,15 +240,6 @@ impl<'r> SchedSim<'r> {
         }
         let done_at = now + service;
 
-        if let Some(trace) = &mut self.trace {
-            trace.push(SchedEvent::Dispatch {
-                time_us: now.as_micros_f64(),
-                stream: pkt.stream,
-                proc: p,
-                service_us: service.as_micros_f64(),
-                stream_migrated: matches!(stream_age, Age::Remote),
-            });
-        }
         if let Some(rec) = self.obs.as_deref_mut() {
             let t_us = now.as_micros_f64();
             let worker = p as u32;

@@ -15,7 +15,6 @@ use afs_sched::{DispatchPolicy, LockingDispatch, Route};
 use crate::config::{DropPolicy, Paradigm};
 use crate::procfault::ProcFaultKind;
 use crate::state::{Packet, ProcActivity, ProcHealth};
-use crate::trace::SchedEvent;
 
 use super::dispatch::LockView;
 use super::SchedSim;
@@ -622,14 +621,6 @@ impl<'r> Simulate for SchedSim<'r> {
                 }
                 self.pending_thread[proc] = None;
 
-                if let Some(trace) = &mut self.trace {
-                    trace.push(SchedEvent::Completion {
-                        time_us: now.as_micros_f64(),
-                        stream: packet.stream,
-                        proc,
-                        delay_us: now.since(packet.arrival).as_micros_f64(),
-                    });
-                }
                 if let Some(rec) = self.obs.as_deref_mut() {
                     rec.record(ObsEvent::Complete {
                         t_us: now.as_micros_f64(),

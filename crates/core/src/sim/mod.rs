@@ -59,7 +59,6 @@ use crate::config::{Paradigm, SystemConfig};
 use crate::config::IpsPolicy;
 use crate::metrics::{Collector, RunReport};
 use crate::state::{LocTable, Packet, Procs, StreamTable};
-use crate::trace::SchedTrace;
 
 /// IPS stack state, field-major like the rest of the hot state: the
 /// per-stack queues, the running flags the dispatch scan reads, and the
@@ -158,8 +157,6 @@ pub struct SchedSim<'r> {
     pending_completion: Vec<Option<EventId>>,
     /// Metrics.
     pub collector: Collector,
-    /// Optional structured scheduling trace.
-    pub trace: Option<SchedTrace>,
     /// Optional observability recorder (the unified `afs-obs` schema).
     /// Events are emitted for the whole run, warm-up included, and
     /// recording is pure observation: attaching a recorder changes no
@@ -229,7 +226,6 @@ impl<'r> SchedSim<'r> {
             pending_service: vec![SimDuration::ZERO; n],
             pending_completion: vec![None; n],
             collector: Collector::new(SimTime::from_micros_f64(warm_us), k),
-            trace: None,
             obs: None,
             next_seq: 0,
             pricer,
@@ -255,6 +251,39 @@ impl<'r> SchedSim<'r> {
     }
 }
 
+/// The one run loop behind every public entry point: build the model
+/// around `pricer`, optionally capture the per-packet delay series,
+/// optionally attach `rec` (which also attaches the engine probe), run
+/// to the horizon and report. The series is empty unless captured, the
+/// probe default unless recorded.
+fn run_inner<'r>(
+    cfg: &'r SystemConfig,
+    pricer: DispatchPricer,
+    capture: bool,
+    rec: Option<&'r mut dyn Recorder>,
+) -> (RunReport, Vec<f64>, EngineProbe) {
+    let mut engine = Engine::new(SchedSim::with_pricer(cfg, pricer));
+    if capture {
+        engine.model_mut().collector.capture_series();
+    }
+    if rec.is_some() {
+        engine.attach_probe();
+    }
+    engine.model_mut().obs = rec;
+    engine_prime(&mut engine);
+    engine.run_until(SimTime::ZERO + cfg.horizon);
+    let end = engine.now();
+    let mut report = engine.model_mut().collector.report(end, cfg.n_procs);
+    engine.model().finalize_report(&mut report);
+    let series = engine
+        .model_mut()
+        .collector
+        .full_series
+        .take()
+        .unwrap_or_default();
+    (report, series, engine.take_probe().unwrap_or_default())
+}
+
 /// Run a configuration to completion and report.
 ///
 /// Takes the configuration by reference — the simulator borrows it for
@@ -263,7 +292,7 @@ impl<'r> SchedSim<'r> {
 /// The run is a pure function of `(cfg, cfg.seed)`: identical inputs
 /// produce a bit-identical report on any thread.
 pub fn run(cfg: &SystemConfig) -> RunReport {
-    run_with_series(cfg, false).0
+    run_with_pricer(cfg, &DispatchPricer::new(&cfg.exec.model))
 }
 
 /// [`run`] with the execution-model fold supplied by the caller: sweep
@@ -272,55 +301,15 @@ pub fn run(cfg: &SystemConfig) -> RunReport {
 /// is bit-identical to [`run`]'s — the pricer is a pure function of
 /// `cfg.exec.model`, which rate rescaling never touches.
 pub fn run_with_pricer(cfg: &SystemConfig, pricer: &DispatchPricer) -> RunReport {
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let n_procs = cfg.n_procs;
-    let mut engine = Engine::new(SchedSim::with_pricer(cfg, *pricer));
-    engine_prime(&mut engine);
-    engine.run_until(horizon);
-    let end = engine.now();
-    let mut report = engine.model_mut().collector.report(end, n_procs);
-    engine.model().finalize_report(&mut report);
-    report
+    run_inner(cfg, *pricer, false, None).0
 }
 
 /// Run a configuration; optionally also return the full per-packet delay
 /// series (µs, completion order, warm-up included) for output analysis
 /// such as MSER-5 warm-up validation.
 pub fn run_with_series(cfg: &SystemConfig, capture: bool) -> (RunReport, Vec<f64>) {
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let n_procs = cfg.n_procs;
-    let mut engine = Engine::new(SchedSim::new(cfg));
-    if capture {
-        engine.model_mut().collector.capture_series();
-    }
-    engine_prime(&mut engine);
-    engine.run_until(horizon);
-    let end = engine.now();
-    let mut report = engine.model_mut().collector.report(end, n_procs);
-    engine.model().finalize_report(&mut report);
-    let series = engine
-        .model_mut()
-        .collector
-        .full_series
-        .take()
-        .unwrap_or_default();
+    let (report, series, _) = run_inner(cfg, DispatchPricer::new(&cfg.exec.model), capture, None);
     (report, series)
-}
-
-/// Run a configuration with a bounded scheduling trace attached;
-/// returns the report and the trace (newest `capacity` events).
-pub fn run_traced(cfg: &SystemConfig, capacity: usize) -> (RunReport, SchedTrace) {
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let n_procs = cfg.n_procs;
-    let mut engine = Engine::new(SchedSim::new(cfg));
-    engine.model_mut().trace = Some(SchedTrace::new(capacity));
-    engine_prime(&mut engine);
-    engine.run_until(horizon);
-    let end = engine.now();
-    let mut report = engine.model_mut().collector.report(end, n_procs);
-    engine.model().finalize_report(&mut report);
-    let trace = engine.model_mut().trace.take().expect("trace attached");
-    (report, trace)
 }
 
 /// Run a configuration with an observability recorder attached: every
@@ -332,17 +321,7 @@ pub fn run_observed<'r>(
     cfg: &'r SystemConfig,
     rec: &'r mut dyn Recorder,
 ) -> (RunReport, EngineProbe) {
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let n_procs = cfg.n_procs;
-    let mut engine = Engine::new(SchedSim::new(cfg));
-    engine.model_mut().obs = Some(rec);
-    engine.attach_probe();
-    engine_prime(&mut engine);
-    engine.run_until(horizon);
-    let end = engine.now();
-    let mut report = engine.model_mut().collector.report(end, n_procs);
-    engine.model().finalize_report(&mut report);
-    let probe = engine.take_probe().unwrap_or_default();
+    let (report, _, probe) = run_inner(cfg, DispatchPricer::new(&cfg.exec.model), false, Some(rec));
     (report, probe)
 }
 

@@ -685,70 +685,10 @@ mod balance_tests {
 }
 
 #[cfg(test)]
-mod trace_tests {
-    use super::super::*;
-    use crate::config::LockPolicy;
-    use afs_workload::Population;
-
-    fn quick(policy: LockPolicy, k: usize, rate: f64) -> SystemConfig {
-        let mut cfg = SystemConfig::new(
-            Paradigm::Locking { policy },
-            Population::homogeneous_poisson(k, rate),
-        );
-        cfg.warmup = SimDuration::from_millis(20);
-        cfg.horizon = SimDuration::from_millis(200);
-        cfg
-    }
-
-    #[test]
-    fn trace_records_every_packet_when_capacity_suffices() {
-        let (report, trace) = run_traced(&quick(LockPolicy::Mru, 4, 300.0), 1 << 16);
-        assert_eq!(trace.dropped, 0);
-        // Dispatches = completions recorded (all in-flight work finishes
-        // being traced only if it completed before the horizon).
-        let dispatches = trace.dispatches().count();
-        let completions = trace.len() - dispatches;
-        assert!(dispatches >= completions);
-        // Completions in the trace cover the whole run (warm-up included),
-        // so they are at least the post-warmup delivered count.
-        assert!(completions as u64 >= report.delivered);
-    }
-
-    #[test]
-    fn wired_trace_shows_static_assignment() {
-        let k = 8;
-        let (_, trace) = run_traced(&quick(LockPolicy::Wired, k, 400.0), 1 << 16);
-        for s in 0..k as u32 {
-            let history = trace.processor_history(s);
-            assert!(!history.is_empty());
-            assert!(
-                history.iter().all(|&p| p == s as usize % 8),
-                "stream {s} strayed: {history:?}"
-            );
-            assert_eq!(trace.migrations_of(s), 0);
-        }
-    }
-
-    #[test]
-    fn baseline_trace_shows_migrations() {
-        let (_, trace) = run_traced(&quick(LockPolicy::Baseline, 4, 500.0), 1 << 16);
-        let total_migrations: usize = (0..4).map(|s| trace.migrations_of(s)).sum();
-        assert!(total_migrations > 10, "baseline should bounce streams");
-    }
-
-    #[test]
-    fn trace_timestamps_nondecreasing() {
-        let (_, trace) = run_traced(&quick(LockPolicy::Mru, 4, 300.0), 1 << 16);
-        let times: Vec<f64> = trace.events().map(|e| e.time_us()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    }
-}
-
-#[cfg(test)]
 mod obs_tests {
     use super::super::*;
     use crate::config::LockPolicy;
-    use afs_obs::MemRecorder;
+    use afs_obs::{MemRecorder, ObsEvent};
     use afs_workload::Population;
 
     fn quick(policy: LockPolicy, k: usize, rate: f64) -> SystemConfig {
@@ -759,6 +699,33 @@ mod obs_tests {
         cfg.warmup = SimDuration::from_millis(20);
         cfg.horizon = SimDuration::from_millis(200);
         cfg
+    }
+
+    /// The processors that served `stream`, in dispatch order.
+    fn processor_history(rec: &MemRecorder, stream: u32) -> Vec<u32> {
+        rec.events
+            .iter()
+            .filter_map(|ev| match *ev {
+                ObsEvent::Dispatch {
+                    stream: s, worker, ..
+                } if s == stream => Some(worker),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Processor switches in a stream's service history.
+    fn migrations_of(rec: &MemRecorder, stream: u32) -> usize {
+        processor_history(rec, stream)
+            .windows(2)
+            .filter(|w| w[0] != w[1])
+            .count()
+    }
+
+    fn recorded(cfg: &SystemConfig) -> (RunReport, MemRecorder) {
+        let mut rec = MemRecorder::new();
+        let (report, _) = run_observed(cfg, &mut rec);
+        (report, rec)
     }
 
     #[test]
@@ -770,6 +737,61 @@ mod obs_tests {
         assert_eq!(plain, observed, "attaching a recorder changed the run");
         assert!(probe.steps > 0);
         assert!(rec.counters.dispatched > 0);
+        // Every public entry point is the same run behind a different
+        // signature.
+        let priced = run_with_pricer(&cfg, &DispatchPricer::new(&cfg.exec.model));
+        assert_eq!(plain, priced, "a caller-supplied pricer changed the run");
+        let (captured, series) = run_with_series(&cfg, true);
+        assert_eq!(plain, captured, "capturing the series changed the run");
+        assert!(!series.is_empty());
+    }
+
+    #[test]
+    fn trace_records_every_packet() {
+        let (report, rec) = recorded(&quick(LockPolicy::Mru, 4, 300.0));
+        let (mut dispatches, mut completions) = (0u64, 0u64);
+        for ev in &rec.events {
+            match ev {
+                ObsEvent::Dispatch { .. } => dispatches += 1,
+                ObsEvent::Complete { .. } => completions += 1,
+                _ => {}
+            }
+        }
+        // Work still in service at the horizon was dispatched but never
+        // completed.
+        assert!(dispatches >= completions);
+        // Completions in the trace cover the whole run (warm-up included),
+        // so they are at least the post-warmup delivered count.
+        assert!(completions >= report.delivered);
+    }
+
+    #[test]
+    fn wired_trace_shows_static_assignment() {
+        let k = 8;
+        let (_, rec) = recorded(&quick(LockPolicy::Wired, k, 400.0));
+        for s in 0..k as u32 {
+            let history = processor_history(&rec, s);
+            assert!(!history.is_empty());
+            assert!(
+                history.iter().all(|&p| p == s % 8),
+                "stream {s} strayed: {history:?}"
+            );
+            assert_eq!(migrations_of(&rec, s), 0);
+        }
+    }
+
+    #[test]
+    fn baseline_trace_shows_migrations() {
+        let (_, rec) = recorded(&quick(LockPolicy::Baseline, 4, 500.0));
+        let total_migrations: usize = (0..4).map(|s| migrations_of(&rec, s)).sum();
+        assert!(total_migrations > 10, "baseline should bounce streams");
+    }
+
+    #[test]
+    fn trace_timestamps_nondecreasing() {
+        let (_, rec) = recorded(&quick(LockPolicy::Mru, 4, 300.0));
+        let times: Vec<f64> = rec.events.iter().map(ObsEvent::t_us).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

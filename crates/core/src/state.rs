@@ -254,15 +254,6 @@ impl Procs {
     pub fn served(&self) -> &[u64] {
         &self.served
     }
-
-    /// Approximate hot bytes this struct touches per dispatch-scan slot
-    /// (the `avail` byte) and per priced candidate (clocks + recency):
-    /// used by the bench harness's bytes-per-packet report.
-    pub fn hot_bytes_per_proc() -> usize {
-        // avail (1) + slow_factor (8) + proto_busy_us (8)
-        // + np_at_last_protocol (16) + last_protocol_end (16)
-        1 + 8 + 8 + 16 + 16
-    }
 }
 
 /// Where the entities of one footprint class (thread stacks, stream
@@ -338,12 +329,6 @@ impl LocTable {
                 *q = NOWHERE;
             }
         }
-    }
-
-    /// Hot bytes per entity (the bench harness's bytes-per-packet
-    /// report): one `u32` location + one `f64` clock.
-    pub fn hot_bytes_per_entity() -> usize {
-        4 + 8
     }
 }
 

@@ -21,6 +21,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use afs_native::{run_serve, FrontEndKind, Pinning, PolicySpec, ServeConfig};
 
@@ -28,6 +29,10 @@ struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// The counter is process-global and the test runner is parallel: one
+/// measured run at a time, or one test's warm-up allocations land in
+/// the other's armed window.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -80,6 +85,9 @@ fn armed_allocs(workers: usize, total: u64) -> u64 {
     cfg.warmup_packets = 6_000;
     cfg.snapshot_every = None;
     cfg.on_steady = Some(arm);
+    // A failed sibling test poisons the lock; the `()` it guards cannot
+    // be left invalid.
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     ARMED.store(false, Ordering::SeqCst);
     ALLOCS.store(0, Ordering::SeqCst);
     let report = run_serve(&cfg, None);

@@ -13,10 +13,8 @@
 //!           --frontend fdir --packets 1000000 --snapshot-every 100000
 //! ```
 //!
-//! Exit status is non-zero if the ledger does not balance or, when
-//! `--gate <BENCH_perf.json>` is given, if host throughput falls below
-//! `--gate-frac` (default 0.5) of the committed
-//! `native_serve_pkts_per_wall_s` baseline — the CI smoke contract.
+//! Exit status is non-zero if the ledger does not balance — the CI
+//! smoke contract.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -51,9 +49,6 @@ OPTIONS:
     --pin                 pin workers to cores (default off)
     --snapshot-every <N>  emit a serve snapshot every N offered packets
     --snapshot-out <PATH> write snapshots to PATH instead of stdout
-    --gate <PATH>         BENCH_perf.json with the committed
-                          native_serve_pkts_per_wall_s baseline
-    --gate-frac <F>       minimum fraction of the baseline (default 0.5)
     -h, --help            print this help
 ";
 
@@ -76,8 +71,6 @@ struct Args {
     pin: bool,
     snapshot_every: Option<u64>,
     snapshot_out: Option<String>,
-    gate: Option<String>,
-    gate_frac: f64,
 }
 
 fn parse_policy(s: &str) -> Result<PolicySpec, String> {
@@ -116,8 +109,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         pin: false,
         snapshot_every: None,
         snapshot_out: None,
-        gate: None,
-        gate_frac: 0.5,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -202,12 +193,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 )
             }
             "--snapshot-out" => args.snapshot_out = Some(value(&mut i)?),
-            "--gate" => args.gate = Some(value(&mut i)?),
-            "--gate-frac" => {
-                args.gate_frac = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--gate-frac: {e}"))?
-            }
             other => return Err(format!("unknown argument '{other}'")),
         }
         i += 1;
@@ -216,19 +201,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         return Err("--workers, --streams and --batch must be positive".into());
     }
     Ok(Some(args))
-}
-
-/// The committed `native_serve_pkts_per_wall_s` baseline, read from a
-/// BENCH_perf.json produced by `bench_snapshot` (schema v3+).
-fn baseline_serve_pkts_per_s(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let tail = text.split("\"native_serve_pkts_per_wall_s\":").nth(1)?;
-    tail.trim_start()
-        .split([',', '}'])
-        .next()?
-        .trim()
-        .parse()
-        .ok()
 }
 
 fn main() -> ExitCode {
@@ -323,35 +295,10 @@ fn main() -> ExitCode {
         r.rebinds,
     );
 
-    let mut failed = false;
-    if !r.ledger_balanced() {
-        eprintln!("FAIL: serving ledger does not balance");
-        failed = true;
-    }
-    if let Some(path) = &a.gate {
-        match baseline_serve_pkts_per_s(path) {
-            Some(base) => {
-                let floor = a.gate_frac * base;
-                if r.pkts_per_wall_s < floor {
-                    eprintln!(
-                        "FAIL: throughput {:.0} pkts/s below gate {:.0} \
-                         ({} x committed baseline {:.0})",
-                        r.pkts_per_wall_s, floor, a.gate_frac, base
-                    );
-                    failed = true;
-                } else {
-                    eprintln!(
-                        "gate ok: {:.0} pkts/s >= {:.0} ({} x baseline {:.0})",
-                        r.pkts_per_wall_s, floor, a.gate_frac, base
-                    );
-                }
-            }
-            None => eprintln!("gate skipped: no native_serve_pkts_per_wall_s in {path}"),
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if r.ledger_balanced() {
         ExitCode::SUCCESS
+    } else {
+        eprintln!("FAIL: serving ledger does not balance");
+        ExitCode::FAILURE
     }
 }

@@ -1,14 +1,15 @@
 //! Trace debugging: watch individual scheduling decisions — which
 //! processor served which stream, when streams migrated, and what each
-//! dispatch cost — using the bounded scheduling trace and the
-//! replication API.
+//! dispatch cost — using the `afs-obs` event trace and the replication
+//! API.
 //!
 //! ```sh
 //! cargo run --release --example trace_debugging
 //! ```
 
 use affinity_sched::prelude::*;
-use afs_core::sim::run_traced;
+use afs_core::sim::run_observed;
+use afs_obs::{MemRecorder, ObsEvent};
 
 fn main() {
     let k = 6;
@@ -21,40 +22,56 @@ fn main() {
     cfg.warmup = SimDuration::from_millis(50);
     cfg.horizon = SimDuration::from_millis(400);
 
-    let (report, trace) = run_traced(&cfg, 1 << 16);
+    let mut rec = MemRecorder::new();
+    let (report, _) = run_observed(&cfg, &mut rec);
+    // (time, stream, processor, service, stream-state-migrated) per dispatch.
+    let dispatches: Vec<(f64, u32, u32, f64, bool)> = rec
+        .events
+        .iter()
+        .filter_map(|ev| match *ev {
+            ObsEvent::Dispatch {
+                t_us,
+                stream,
+                worker,
+                service_us,
+                stream_migrated,
+                ..
+            } => Some((t_us, stream, worker, service_us, stream_migrated)),
+            _ => None,
+        })
+        .collect();
     println!(
         "run: {} dispatches traced, mean delay {:.1} us\n",
-        trace.dispatches().count(),
+        dispatches.len(),
         report.mean_delay_us
     );
 
     println!("per-stream processor history (first 14 dispatches each):");
     for s in 0..k as u32 {
-        let hist = trace.processor_history(s);
+        let hist: Vec<u32> = dispatches
+            .iter()
+            .filter(|&&(_, stream, ..)| stream == s)
+            .map(|&(_, _, proc, ..)| proc)
+            .collect();
         let shown: Vec<String> = hist.iter().take(14).map(|p| p.to_string()).collect();
         println!(
             "  stream {s}: [{}]  ({} migrations / {} dispatches)",
             shown.join(" "),
-            trace.migrations_of(s),
+            hist.windows(2).filter(|w| w[0] != w[1]).count(),
             hist.len()
         );
     }
 
     println!("\nfirst 8 dispatch decisions in detail:");
-    for ev in trace.dispatches().take(8) {
-        if let afs_core::trace::SchedEvent::Dispatch {
-            time_us,
-            stream,
-            proc,
-            service_us,
-            stream_migrated,
-        } = ev
-        {
-            println!(
-                "  t={time_us:>9.1}us  stream {stream} -> proc {proc}  service {service_us:>6.1}us{}",
-                if *stream_migrated { "  [stream state migrated]" } else { "" }
-            );
-        }
+    for &(t_us, stream, proc, service_us, stream_migrated) in dispatches.iter().take(8) {
+        println!(
+            "  t={t_us:>9.1}us  stream {stream} -> proc {proc}  service {service_us:>6.1}us{}",
+            if stream_migrated {
+                "  [stream state migrated]"
+            } else {
+                ""
+            }
+        );
     }
 
     println!(
