@@ -40,11 +40,10 @@ fn measure_tcp(prep: &mut dyn FnMut(&mut afs_cache::sim::hierarchy::MemoryHierar
             stream: StreamId(0),
             buf_addr: layout.packet(i % 8),
         };
-        let (t, _) = eng
-            .receive_tcp(&mut hier, &frame, ThreadId(0))
-            .expect("calibration frames are valid");
+        let (out, _) = eng.receive_tcp_outcome(&mut hier, &frame, ThreadId(0));
+        assert!(out.is_delivered(), "calibration frames are valid");
         if i >= warmup {
-            total += t.us;
+            total += out.timing().us;
         }
     }
     total / measure as f64

@@ -26,7 +26,7 @@ const K_STREAMS: usize = 8;
 fn base_cfg(paradigm: Paradigm, rate: f64) -> SystemConfig {
     let mut cfg = SystemConfig::new(paradigm, Population::homogeneous_poisson(K_STREAMS, rate));
     cfg.n_procs = N_PROCS;
-    if std::env::var_os("AFS_QUICK").is_some() {
+    if afs_bench::quick_mode() {
         cfg.warmup = SimDuration::from_millis(100);
         cfg.horizon = SimDuration::from_millis(500);
     } else {

@@ -110,7 +110,7 @@ fn committed_fig06(rate: f64, column: usize) -> Option<f64> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke") || afs_bench::quick_mode();
+    let smoke = afs_bench::quick_mode();
     banner(
         "EXT E23",
         "Observability: fig06 policy curves derived from traces alone",

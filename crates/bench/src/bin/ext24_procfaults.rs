@@ -39,7 +39,7 @@ struct Cell {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke") || std::env::var_os("AFS_QUICK").is_some();
+    let smoke = afs_bench::quick_mode();
     banner(
         "EXT E24",
         "Scheduling for affinity under processor faults",

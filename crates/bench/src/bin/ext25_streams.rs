@@ -42,7 +42,7 @@ struct Cell {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke") || std::env::var_os("AFS_QUICK").is_some();
+    let smoke = afs_bench::quick_mode();
     banner(
         "EXT E25",
         "NIC front-ends over large stream populations",

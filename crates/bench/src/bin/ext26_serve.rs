@@ -89,7 +89,7 @@ fn virtual_key(r: &ServeReport) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64,
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke") || std::env::var_os("AFS_QUICK").is_some();
+    let smoke = afs_bench::quick_mode();
     banner(
         "EXT E26",
         "sustained-ingest serving: offered-load sweep over the batched native path",

@@ -33,7 +33,7 @@ fn main() {
             stream: StreamId(0),
             buf_addr: layout.packet(i % 8),
         };
-        eng.receive(&mut hier, &frame, ThreadId(0)).unwrap();
+        eng.receive_outcome(&mut hier, &frame, ThreadId(0));
     }
     hier.flush_all();
 
@@ -47,7 +47,7 @@ fn main() {
             stream: StreamId(0),
             buf_addr: layout.packet(i % 8),
         };
-        let t = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap();
+        let t = *eng.receive_outcome(&mut hier, &frame, ThreadId(0)).timing();
         println!("{:>8} {:>12.1}", i + 1, t.us);
         rows.push(format!("{},{:.2}", i + 1, t.us));
         times.push(t.us);

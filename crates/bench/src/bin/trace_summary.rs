@@ -20,7 +20,7 @@ use afs_native::crossval::{run_scenario, run_scenario_recorded};
 use afs_obs::summary;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--smoke") || afs_bench::quick_mode();
+    let quick = afs_bench::quick_mode();
     banner(
         "TRACE SUMMARY",
         "Unified observability digest: simulator and native backends",

@@ -128,16 +128,19 @@ pub fn json_object(fields: &[(&str, String)]) -> String {
 
 /// The canonical simulation template used by the delay figures.
 ///
-/// Setting `AFS_QUICK=1` in the environment shrinks the horizon ~4x for
-/// smoke runs (CI); the shape checks are tuned for the full horizon and
-/// may be noisier in quick mode.
+/// Under [`quick_mode`] the horizon shrinks ~4x for smoke runs (CI); the
+/// shape checks are tuned for the full horizon and may be noisier then.
 pub fn template(paradigm: Paradigm, k: usize) -> SystemConfig {
     template_with(paradigm, k, quick_mode())
 }
 
-/// Whether the environment asked for the shortened smoke horizon.
+/// Whether this run was asked for the shortened smoke horizon: `AFS_QUICK`
+/// set in the environment, or a `--smoke` argument — the one switch,
+/// meaning the same for every binary. No other argument is parsed, so
+/// test harness processes (which reach this through [`template`]) can
+/// call it whatever filters they were started with.
 pub fn quick_mode() -> bool {
-    std::env::var_os("AFS_QUICK").is_some()
+    std::env::var_os("AFS_QUICK").is_some() || std::env::args().any(|a| a == "--smoke")
 }
 
 /// [`template`] with the horizon chosen explicitly instead of from the

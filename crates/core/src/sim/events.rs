@@ -7,6 +7,8 @@
 //! mechanical around it — fault draws, drop policies, eviction, and the
 //! affinity bookkeeping at completion.
 
+use std::collections::VecDeque;
+
 use afs_desim::engine::{Scheduler, Simulate};
 use afs_desim::time::SimTime;
 use afs_obs::{ObsEvent, SHARED_QUEUE};
@@ -44,19 +46,27 @@ pub enum Event {
     },
 }
 
-impl<'r> SchedSim<'r> {
-    /// The queue an arriving Locking packet joins, as decided by the
-    /// policy's routing rule over the state at the packet's arrival
-    /// instant. Routing never consumes randomness — the draw hook is a
-    /// poisoned closure so any policy that tried would fail loudly
-    /// instead of silently skewing the placement RNG stream.
-    fn lock_route(&self, pkt: &Packet) -> Route {
-        self.lock_route_at(pkt.arrival, pkt.stream)
-    }
+/// The queue an admitted packet joins.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// The shared Locking run queue.
+    Shared,
+    /// A processor's own queue (enqueue-routed Locking, or front-end
+    /// steered).
+    Proc(usize),
+    /// An IPS stack's queue.
+    Stack(usize),
+}
 
-    /// Routing at an explicit decision instant: the normal enqueue path
-    /// decides at the packet's arrival, crash recovery re-decides at the
-    /// crash instant over the degraded (dead-worker-masked) view.
+impl<'r> SchedSim<'r> {
+    /// The queue a Locking packet joins, as decided by the policy's
+    /// routing rule over the state at an explicit decision instant: the
+    /// normal enqueue path decides at the packet's arrival, crash
+    /// recovery re-decides at the crash instant over the degraded
+    /// (dead-worker-masked) view. Routing never consumes randomness —
+    /// the draw hook is a poisoned closure so any policy that tried
+    /// would fail loudly instead of silently skewing the placement RNG
+    /// stream.
     fn lock_route_at(&self, now: SimTime, stream: u32) -> Route {
         let policy = match &self.cfg.paradigm {
             Paradigm::Locking { policy } => policy,
@@ -113,96 +123,31 @@ impl<'r> SchedSim<'r> {
         w
     }
 
-    /// Front-end admission: the NIC steers the arrival to a worker
-    /// queue before any drop policy sees it, and the bound applies to
-    /// the routed queue (total backlog under backpressure). The route
-    /// decision happens even for a packet the bound then sheds — the
-    /// NIC steered it; the queue overflowed afterwards — which keeps
-    /// the steering counters a pure function of the arrival stream.
-    fn admit_frontend(&mut self, now: SimTime, pkt: Packet) {
-        let w = self.route_via_frontend(now, pkt.seq, pkt.stream);
-        let bound = self.cfg.queue_bound;
-        if bound != usize::MAX {
-            match self.cfg.drop_policy {
-                DropPolicy::Backpressure => {
-                    if self.total_backlog() >= bound {
-                        self.collector.on_offered_only(now);
-                        if self.collector.recording(now) {
-                            self.collector.shed_at_source += 1;
-                        }
-                        return;
-                    }
-                }
-                DropPolicy::TailDrop => {
-                    if self.proc_q[w].len() >= bound {
-                        self.collector.on_offered_only(now);
-                        if self.collector.recording(now) {
-                            self.collector.queue_drops += 1;
-                        }
-                        return;
-                    }
-                }
-                DropPolicy::DropLongestQueue => {
-                    if self.proc_q[w].len() >= bound {
-                        self.evict_from_longest(now);
-                    }
-                }
-            }
+    /// Resolve the queue an arriving packet joins — front-end steer, the
+    /// Locking policy's routing rule, or the stream's IPS stack — exactly
+    /// once per packet (see [`Self::route_via_frontend`] for why twice
+    /// would be wrong).
+    fn target_of(&mut self, now: SimTime, pkt: &Packet) -> Target {
+        if self.frontend.is_some() {
+            return Target::Proc(self.route_via_frontend(now, pkt.seq, pkt.stream));
         }
-        self.collector.on_arrival(now);
-        self.proc_q[w].push_back(pkt);
-        if let Some(rec) = self.obs.as_deref_mut() {
-            rec.record(ObsEvent::Enqueue {
-                t_us: pkt.arrival.as_micros_f64(),
-                seq: pkt.seq,
-                stream: pkt.stream,
-                queue: w as u32,
-                depth: self.proc_q[w].len() as u32,
-            });
-        }
-    }
-
-    /// Enqueue an admitted packet on the queue its paradigm + policy
-    /// routes it to.
-    fn enqueue(&mut self, pkt: Packet) {
-        let (queue, depth) = match &self.cfg.paradigm {
-            Paradigm::Locking { .. } => match self.lock_route(&pkt) {
-                Route::Worker(p) => {
-                    self.proc_q[p].push_back(pkt);
-                    (p as u32, self.proc_q[p].len())
-                }
-                Route::Shared => {
-                    self.global_q.push_back(pkt);
-                    (SHARED_QUEUE, self.global_q.len())
-                }
-            },
-            Paradigm::Ips { .. } => {
-                let w = self.stream_to_stack[pkt.stream as usize] as usize;
-                self.stacks.queue[w].push_back(pkt);
-                (w as u32, self.stacks.queue[w].len())
-            }
-        };
-        if let Some(rec) = self.obs.as_deref_mut() {
-            rec.record(ObsEvent::Enqueue {
-                t_us: pkt.arrival.as_micros_f64(),
-                seq: pkt.seq,
-                stream: pkt.stream,
-                queue,
-                depth: depth as u32,
-            });
-        }
-    }
-
-    /// Occupancy of the queue `pkt` would join (mirrors `enqueue`).
-    fn target_queue_len(&self, pkt: &Packet) -> usize {
         match &self.cfg.paradigm {
-            Paradigm::Locking { .. } => match self.lock_route(pkt) {
-                Route::Worker(p) => self.proc_q[p].len(),
-                Route::Shared => self.global_q.len(),
+            Paradigm::Locking { .. } => match self.lock_route_at(pkt.arrival, pkt.stream) {
+                Route::Worker(p) => Target::Proc(p),
+                Route::Shared => Target::Shared,
             },
             Paradigm::Ips { .. } => {
-                self.stacks.queue[self.stream_to_stack[pkt.stream as usize] as usize].len()
+                Target::Stack(self.stream_to_stack[pkt.stream as usize] as usize)
             }
+        }
+    }
+
+    /// The queue behind `target` and its id in the observability stream.
+    fn queue_of(&mut self, target: Target) -> (&mut VecDeque<Packet>, u32) {
+        match target {
+            Target::Shared => (&mut self.global_q, SHARED_QUEUE),
+            Target::Proc(p) => (&mut self.proc_q[p], p as u32),
+            Target::Stack(w) => (&mut self.stacks.queue[w], w as u32),
         }
     }
 
@@ -246,50 +191,49 @@ impl<'r> SchedSim<'r> {
     }
 
     /// Admit one packet through the bounded-queue policy, updating the
-    /// collector's offered/backlog/shed accounting. On the default
+    /// collector's offered/backlog/shed accounting. The route decision
+    /// happens even for a packet the bound then sheds — the NIC steered
+    /// it; the queue overflowed afterwards — which keeps the steering
+    /// counters a pure function of the arrival stream. On the default
     /// configuration (unbounded queues) this is exactly the historical
     /// count-then-enqueue path.
     fn admit(&mut self, now: SimTime, pkt: Packet) {
-        if self.frontend.is_some() {
-            self.admit_frontend(now, pkt);
-            return;
-        }
+        let target = self.target_of(now, &pkt);
         let bound = self.cfg.queue_bound;
-        if bound == usize::MAX {
-            self.collector.on_arrival(now);
-            self.enqueue(pkt);
-            return;
-        }
-        match self.cfg.drop_policy {
-            DropPolicy::Backpressure => {
-                if self.total_backlog() >= bound {
+        if bound != usize::MAX {
+            let target_full = |sim: &mut Self| sim.queue_of(target).0.len() >= bound;
+            let policy = self.cfg.drop_policy;
+            match policy {
+                DropPolicy::Backpressure if self.total_backlog() >= bound => {
                     self.collector.on_offered_only(now);
                     if self.collector.recording(now) {
                         self.collector.shed_at_source += 1;
                     }
-                } else {
-                    self.collector.on_arrival(now);
-                    self.enqueue(pkt);
+                    return;
                 }
-            }
-            DropPolicy::TailDrop => {
-                if self.target_queue_len(&pkt) >= bound {
+                DropPolicy::TailDrop if target_full(self) => {
                     self.collector.on_offered_only(now);
                     if self.collector.recording(now) {
                         self.collector.queue_drops += 1;
                     }
-                } else {
-                    self.collector.on_arrival(now);
-                    self.enqueue(pkt);
+                    return;
                 }
+                DropPolicy::DropLongestQueue if target_full(self) => self.evict_from_longest(now),
+                _ => {}
             }
-            DropPolicy::DropLongestQueue => {
-                if self.target_queue_len(&pkt) >= bound {
-                    self.evict_from_longest(now);
-                }
-                self.collector.on_arrival(now);
-                self.enqueue(pkt);
-            }
+        }
+        self.collector.on_arrival(now);
+        let (queue, id) = self.queue_of(target);
+        queue.push_back(pkt);
+        let depth = queue.len() as u32;
+        if let Some(rec) = self.obs.as_deref_mut() {
+            rec.record(ObsEvent::Enqueue {
+                t_us: pkt.arrival.as_micros_f64(),
+                seq: pkt.seq,
+                stream: pkt.stream,
+                queue: id,
+                depth,
+            });
         }
     }
 

@@ -1279,6 +1279,27 @@ mod frontend_tests {
     }
 
     #[test]
+    fn frontend_taildrop_sheds_after_routing_exactly_once() {
+        // The NIC steers every offered packet — also the ones the bound
+        // then sheds — and exactly once: one learning-table lookup per
+        // offer, so hits + misses balance the offered count.
+        let mut cfg = frontend_cfg(FlowDirector, 512, 32, 256, true);
+        cfg.queue_bound = 4;
+        cfg.drop_policy = crate::config::DropPolicy::TailDrop;
+        let pricer = DispatchPricer::new(&cfg.exec.model);
+        let mut engine = Engine::new(SchedSim::with_pricer(&cfg, pricer));
+        engine_prime(&mut engine);
+        engine.run_until(SimTime::ZERO + cfg.horizon);
+        let end = engine.now();
+        let report = engine.model_mut().collector.report(end, cfg.n_procs);
+        assert_conservation(&report);
+        assert!(report.queue_drops > 0, "the bound must bite: {report:?}");
+        assert_eq!(report.shed_at_source, 0);
+        let fes = engine.model().frontend.as_ref().expect("front-end on");
+        assert_eq!(fes.table_hits() + fes.table_misses(), report.offered_total);
+    }
+
+    #[test]
     fn frontend_survives_a_crash() {
         // A mid-run crash orphans the dead worker's backlog; the NIC
         // re-steers every orphan over the degraded view and the run

@@ -29,7 +29,7 @@ use afs_cache::sim::hierarchy::MemoryHierarchy;
 use afs_cache::sim::trace::Region;
 
 use crate::driver::PacketFactory;
-use crate::engine::{CostModel, ProtocolEngine};
+use crate::engine::{CostModel, ProtocolEngine, RxOutcome};
 use crate::mem::MemLayout;
 use crate::proto::{StreamId, ThreadId};
 
@@ -125,11 +125,15 @@ fn run_state_experiment(
             stream: StreamId(0),
             buf_addr: layout.packet((i % 8) as u32),
         };
-        let t = eng
-            .receive(hier, &frame, ThreadId(0))
-            .expect("calibration frames are well-formed");
+        let out = eng.receive_outcome(hier, &frame, ThreadId(0));
+        // Not `is_delivered()`: nothing consumes the user queue here, and
+        // a shed at the session boundary has still done the whole walk.
+        assert!(
+            !matches!(out, RxOutcome::Error { .. }),
+            "calibration frames are well-formed"
+        );
         if i >= WARMUP_PACKETS {
-            total += t.us;
+            total += out.timing().us;
         }
     }
     total / MEASURE_PACKETS as f64
@@ -160,7 +164,7 @@ pub fn calibrate(cost: &CostModel) -> Calibration {
         buf_addr: MemLayout::new().packet(0),
     };
     hier.purge_region(Region::PacketData);
-    let probe = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap();
+    let probe = *eng.receive_outcome(&mut hier, &frame, ThreadId(0)).timing();
 
     // Controlled-state experiments.
     let t_l2 = run_state_experiment(&mut eng, &mut hier, &mut factory, &mut |h| h.flush_l1());

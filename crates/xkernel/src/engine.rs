@@ -1,7 +1,7 @@
 //! The instrumented UDP/IP/FDDI fast path.
 //!
-//! [`ProtocolEngine::receive`] processes a wire frame exactly as the
-//! paper's parallelized x-kernel receive path does — FDDI demux, IP
+//! [`ProtocolEngine::receive_outcome`] processes a wire frame exactly as
+//! the paper's parallelized x-kernel receive path does — FDDI demux, IP
 //! header validation (real internet checksum over real bytes), UDP port
 //! demux, session delivery — while charging every memory touch to a
 //! simulated cache hierarchy and every instruction to the cycle budget:
@@ -15,6 +15,13 @@
 //! fully cold path costs ≈ 284.3 µs at 100 MHz — the paper's measured
 //! `t_cold` — and the warm path lands near 150 µs, consistent with the
 //! 40–50 % delay-reduction upper bound of Figures 10/11.
+//!
+//! The receive walk exists once: the entry point
+//! ([`ProtocolEngine::receive_outcome`] for UDP,
+//! [`ProtocolEngine::receive_tcp_outcome`] for TCP) selects the transport
+//! leg, everything else — thread dispatch, driver, FDDI, IP, the
+//! session-state touch and the timing epilogue — is shared, and every
+//! exit charges the partial work done up to it.
 //!
 //! A symmetric [`ProtocolEngine::send`] implements the send-side path
 //! (header pushes) used by extension experiment E12.
@@ -66,9 +73,6 @@ pub struct CostModel {
     pub stream_read_bytes: u64,
     /// Stream state bytes written per packet.
     pub stream_write_bytes: u64,
-    /// Verify the FDDI FCS in software (off: MAC hardware does it, as on
-    /// real adapters; frames are still logically validated).
-    pub software_fcs: bool,
     /// Compute the UDP checksum in software (off = the paper's
     /// non-data-touching configuration; on = touches the whole payload).
     pub software_udp_checksum: bool,
@@ -95,7 +99,6 @@ impl Default for CostModel {
             global_touch_bytes: 640,
             stream_read_bytes: 2048,
             stream_write_bytes: 768,
-            software_fcs: false,
             software_udp_checksum: false,
             l2_hit_penalty_cycles: 8.0,
             mem_penalty_cycles: 49.0,
@@ -143,8 +146,6 @@ pub enum RxError {
     Udp(udp::UdpError),
     /// TCP layer rejected the segment.
     Tcp(tcp::TcpError),
-    /// No stream bound to the destination port.
-    NoSession(u16),
 }
 
 impl std::fmt::Display for RxError {
@@ -154,7 +155,6 @@ impl std::fmt::Display for RxError {
             RxError::Ip(e) => write!(f, "ip: {e}"),
             RxError::Udp(e) => write!(f, "udp: {e}"),
             RxError::Tcp(e) => write!(f, "tcp: {e}"),
-            RxError::NoSession(p) => write!(f, "no session on port {p}"),
         }
     }
 }
@@ -169,7 +169,6 @@ impl RxError {
             RxError::Ip(_) => RxLayer::Ip,
             RxError::Udp(_) => RxLayer::Udp,
             RxError::Tcp(_) => RxLayer::Tcp,
-            RxError::NoSession(_) => RxLayer::Session,
         }
     }
 }
@@ -185,8 +184,6 @@ pub enum RxLayer {
     Udp,
     /// TCP header validation / sequence processing.
     Tcp,
-    /// Port demux / session delivery.
-    Session,
 }
 
 /// Why a *well-formed* packet was dropped (as opposed to rejected as
@@ -278,6 +275,26 @@ pub struct PacketTiming {
     pub stream: StreamId,
 }
 
+/// Most ICMP error replies [`ProtocolEngine::icmp_egress`] holds; further
+/// ones are counted in [`ProtocolEngine::icmp_suppressed`], not built.
+pub const ICMP_EGRESS_CAP: usize = 64;
+
+/// The transport leg of the receive body, fixed by the entry point.
+#[derive(Debug, Clone, Copy)]
+enum Transport {
+    Udp,
+    Tcp,
+}
+
+impl Transport {
+    fn ip_protocol(self) -> u8 {
+        match self {
+            Transport::Udp => ip::PROTO_UDP,
+            Transport::Tcp => ip::PROTO_TCP,
+        }
+    }
+}
+
 /// Code segments of the receive path, one per layer.
 #[derive(Debug, Clone, Copy)]
 struct Segs {
@@ -307,10 +324,14 @@ pub struct ProtocolEngine {
     /// TCP connection state per stream (present for TCP-bound streams).
     pub tcp_sessions: std::collections::HashMap<StreamId, tcp::TcpSession>,
     /// ICMP error datagrams awaiting transmission (port-unreachable
-    /// replies queued by failed demultiplexes).
+    /// replies queued by failed demultiplexes), at most
+    /// [`ICMP_EGRESS_CAP`].
     pub icmp_egress: Vec<Vec<u8>>,
-    /// Reusable receive message: [`ProtocolEngine::receive_outcome`]
-    /// takes it, refills it in place from the frame, and puts it back —
+    /// Port-unreachable replies not generated because the egress queue
+    /// was at its cap.
+    pub icmp_suppressed: u64,
+    /// Reusable receive message: the receive body takes it, refills it
+    /// in place from the frame, and puts it back —
     /// so the steady-state receive path never touches the allocator
     /// once the buffer has grown to the frame length.
     scratch: Message,
@@ -345,6 +366,7 @@ impl ProtocolEngine {
             table: SessionTable::new(),
             tcp_sessions: std::collections::HashMap::new(),
             icmp_egress: Vec::new(),
+            icmp_suppressed: 0,
             scratch: Message::default(),
         }
     }
@@ -363,12 +385,7 @@ impl ProtocolEngine {
         self.tcp_sessions.insert(stream, tcp::TcpSession::new(isn));
     }
 
-    /// Total code bytes of the path.
-    pub fn code_footprint_bytes(&self) -> u64 {
-        self.cost.code_bytes.iter().sum()
-    }
-
-    /// Process one received frame on `hier` in the context of thread
+    /// Process one received UDP frame on `hier` in the context of thread
     /// `tid`, returning the typed verdict. Every exit — delivery, shed,
     /// or malformed-packet rejection — charges the instruction cycles
     /// and cache misses of the work done up to that point: a corrupted
@@ -380,6 +397,36 @@ impl ProtocolEngine {
         frame: &RxFrame,
         tid: ThreadId,
     ) -> RxOutcome {
+        self.receive_via(Transport::Udp, hier, frame, tid).0
+    }
+
+    /// Process one received TCP frame on `hier` — the common path plus
+    /// the TCP-specific work (real header parse + checksum verification,
+    /// header prediction, sequence bookkeeping) — returning the typed
+    /// verdict plus the TCP-level disposition (when the segment got far
+    /// enough to have one). The stream must have been bound with
+    /// [`ProtocolEngine::bind_tcp_stream`]. Like
+    /// [`ProtocolEngine::receive_outcome`], every exit charges the
+    /// partial work.
+    pub fn receive_tcp_outcome(
+        &mut self,
+        hier: &mut MemoryHierarchy,
+        frame: &RxFrame,
+        tid: ThreadId,
+    ) -> (RxOutcome, Option<tcp::TcpDisposition>) {
+        self.receive_via(Transport::Tcp, hier, frame, tid)
+    }
+
+    /// The one receive body. `transport` comes from the entry point, not
+    /// from the frame: a frame of the other protocol is rejected at IP
+    /// demux as `UnknownProtocol`.
+    fn receive_via(
+        &mut self,
+        transport: Transport,
+        hier: &mut MemoryHierarchy,
+        frame: &RxFrame,
+        tid: ThreadId,
+    ) -> (RxOutcome, Option<tcp::TcpDisposition>) {
         enum Verdict {
             Delivered { stream: StreamId, payload: usize },
             QueueFull { stream: StreamId, payload: usize },
@@ -396,17 +443,10 @@ impl ProtocolEngine {
         // no allocation once its capacity covers the frame.
         let mut msg = std::mem::take(&mut self.scratch);
         msg.reset_from_wire(&frame.bytes, frame.buf_addr);
+        let mut disposition = None;
 
         let verdict = 'rx: {
-            // --- Thread dispatch: wake the protocol thread, touch its
-            // stack.
-            ctx.exec(segs.thread, cost.thread_instrs);
-            ctx.load_range(layout.thread(tid.0), cost.thread_read_bytes, Region::Thread);
-            ctx.store_range(
-                layout.thread(tid.0) + cost.thread_read_bytes,
-                cost.thread_write_bytes,
-                Region::Thread,
-            );
+            self.dispatch_thread(&mut ctx, tid);
 
             // --- Driver: buffer bookkeeping and handoff.
             ctx.exec(segs.driver, cost.driver_instrs);
@@ -415,12 +455,7 @@ impl ProtocolEngine {
 
             // --- FDDI: header reads + LLC/SNAP demux.
             ctx.exec(segs.fddi, cost.fddi_instrs);
-            for off in [0usize, 4, 8, 12, 16, 20] {
-                let _ = msg.read_u32(&mut ctx, off.min(msg.len().saturating_sub(4)));
-            }
-            if cost.software_fcs && msg.len() >= fddi::FCS_LEN {
-                let _ = msg.checksum16(&mut ctx, 0, msg.len());
-            }
+            read_header_words(&msg, &mut ctx, 6);
             if let Err(e) = fddi::parse_frame(&mut msg) {
                 break 'rx Verdict::Reject {
                     error: RxError::Fddi(e),
@@ -439,68 +474,89 @@ impl ProtocolEngine {
                     }
                 }
             };
-            if ih.protocol != ip::PROTO_UDP {
+            if ih.protocol != transport.ip_protocol() {
                 break 'rx Verdict::Reject {
                     error: RxError::Ip(ip::IpError::UnknownProtocol(ih.protocol)),
                 };
             }
 
-            // --- UDP: header reads, optional software checksum, port
-            // demux.
-            ctx.exec(segs.udp, cost.udp_instrs);
-            let _ = msg.read_u32(&mut ctx, 0);
-            let _ = msg.read_u32(&mut ctx, 4);
-            if cost.software_udp_checksum {
-                let _ = msg.checksum16(&mut ctx, 0, msg.len());
-            }
+            // --- Transport leg: header reads, checksum, parse.
+            ctx.exec(segs.udp, cost.udp_instrs); // shared transport demux code
             let remaining_global = cost.global_touch_bytes.saturating_sub(64 + 192);
-            ctx.load_range(layout.global(256), remaining_global, Region::Global);
-            let uh = match udp::parse_datagram(&mut msg, ih.src, ih.dst) {
-                Ok(h) => h,
-                Err(e) => {
-                    break 'rx Verdict::Reject {
-                        error: RxError::Udp(e),
+            let (src_port, dst_port, segment) = match transport {
+                Transport::Udp => {
+                    let _ = msg.read_u32(&mut ctx, 0);
+                    let _ = msg.read_u32(&mut ctx, 4);
+                    if cost.software_udp_checksum {
+                        let _ = msg.checksum16(&mut ctx, 0, msg.len());
+                    }
+                    ctx.load_range(layout.global(256), remaining_global, Region::Global);
+                    match udp::parse_datagram(&mut msg, ih.src, ih.dst) {
+                        Ok(h) => (h.src_port, h.dst_port, None),
+                        Err(e) => {
+                            break 'rx Verdict::Reject {
+                                error: RxError::Udp(e),
+                            }
+                        }
+                    }
+                }
+                Transport::Tcp => {
+                    // The software checksum over the whole segment is
+                    // mandatory (TCP has no checksum-off mode), on top of
+                    // the TCP-specific instruction budget.
+                    ctx.exec(segs.tcp, cost.tcp_extra_instrs);
+                    read_header_words(&msg, &mut ctx, 5);
+                    let _ = msg.checksum16(&mut ctx, 0, msg.len());
+                    ctx.load_range(layout.global(256), remaining_global, Region::Global);
+                    match tcp::parse_segment(&mut msg, ih.src, ih.dst) {
+                        Ok(h) => (h.src_port, h.dst_port, Some(h)),
+                        Err(e) => {
+                            break 'rx Verdict::Reject {
+                                error: RxError::Tcp(e),
+                            }
+                        }
                     }
                 }
             };
-            let stream = match self.table.demux(uh.dst_port) {
-                Some(s) => s,
-                None => {
+            let Some(stream) = self.table.demux(dst_port) else {
+                if let Transport::Udp = transport {
                     // RFC 1122: a datagram for an unbound port elicits an
-                    // ICMP port-unreachable quoting the offender. Rebuild
-                    // the original IP datagram view for the quote, and
-                    // charge the generation work (header build +
-                    // checksum).
+                    // ICMP port-unreachable quoting the offender; charge
+                    // the generation work (header build + checksum).
                     ctx.exec(segs.ip, cost.ip_instrs / 4);
-                    let ip_start = fddi::HEADER_LEN;
-                    let ip_end = frame.bytes.len().saturating_sub(fddi::FCS_LEN);
-                    if let Some(reply) =
-                        crate::icmp::port_unreachable(&frame.bytes[ip_start..ip_end], ih.dst)
-                    {
-                        self.icmp_egress.push(reply);
-                    }
-                    break 'rx Verdict::NoSession { port: uh.dst_port };
+                    self.queue_port_unreachable(frame, ih.dst);
                 }
+                break 'rx Verdict::NoSession { port: dst_port };
             };
 
             // --- Session/user delivery: touch per-stream state.
             ctx.exec(segs.user, cost.user_instrs);
-            ctx.load_range(
-                layout.stream(stream.0),
-                cost.stream_read_bytes,
-                Region::Stream,
-            );
-            ctx.store_range(
-                layout.stream(stream.0) + cost.stream_read_bytes,
-                cost.stream_write_bytes,
-                Region::Stream,
-            );
+            self.touch_stream(&mut ctx, stream, cost.stream_write_bytes);
             let payload = msg.len();
-            let accepted = self
-                .table
-                .session_mut(stream)
-                .expect("demuxed stream has a session")
-                .deliver(ih.src, uh.src_port, payload);
+            let accepted = match segment {
+                None => self.deliver(stream, ih.src, src_port, payload),
+                Some(th) => {
+                    let Some(session) = self.tcp_sessions.get_mut(&stream) else {
+                        break 'rx Verdict::NoSession { port: dst_port };
+                    };
+                    let d = match session.receive(&th, msg.bytes()) {
+                        Ok(d) => d,
+                        Err(e) => {
+                            break 'rx Verdict::Reject {
+                                error: RxError::Tcp(e),
+                            }
+                        }
+                    };
+                    if let tcp::TcpDisposition::Delivered { bytes } = d {
+                        if bytes > 0 {
+                            self.deliver(stream, ih.src, src_port, bytes);
+                        }
+                    }
+                    disposition = Some(d);
+                    // Queued and duplicate segments were still processed.
+                    true
+                }
+            };
             if accepted {
                 Verdict::Delivered { stream, payload }
             } else {
@@ -508,24 +564,17 @@ impl ProtocolEngine {
             }
         };
 
-        // --- Timing: single exit, charged whatever the verdict.
-        let instructions = ctx.instructions;
-        let refs = ctx.data_refs + ctx.ifetch_refs;
-        hier.charge_cycles(instructions as f64 * cost.cpi);
-        let cycles = hier.stats.cycles - start_cycles;
-        let us = hier.platform().cycles_to_us(cycles);
-        let timing = |payload_bytes: usize, stream: StreamId| PacketTiming {
-            instructions,
-            refs,
-            cycles,
-            us,
-            payload_bytes,
-            stream,
-        };
         // Return the scratch message (and its capacity) for the next
         // receive.
         self.scratch = msg;
-        match verdict {
+        // --- Timing: single exit, charged whatever the verdict.
+        let unattributed = settle(ctx, cost.cpi, start_cycles);
+        let timing = |payload_bytes: usize, stream: StreamId| PacketTiming {
+            payload_bytes,
+            stream,
+            ..unattributed
+        };
+        let outcome = match verdict {
             Verdict::Delivered { stream, payload } => RxOutcome::Delivered(timing(payload, stream)),
             Verdict::QueueFull { stream, payload } => RxOutcome::Dropped {
                 reason: DropReason::UserQueueFull(stream),
@@ -533,242 +582,15 @@ impl ProtocolEngine {
             },
             Verdict::NoSession { port } => RxOutcome::Dropped {
                 reason: DropReason::NoSession(port),
-                timing: timing(0, StreamId::UNKNOWN),
+                timing: unattributed,
             },
             Verdict::Reject { error } => RxOutcome::Error {
                 layer: error.layer(),
                 error,
-                timing: timing(0, StreamId::UNKNOWN),
+                timing: unattributed,
             },
-        }
-    }
-
-    /// Process one received frame on `hier` in the context of thread
-    /// `tid`. Consumes cycles even when the packet is dropped.
-    ///
-    /// Compatibility shim over [`ProtocolEngine::receive_outcome`]: a
-    /// queue-full shed still reports `Ok` (the historical behaviour —
-    /// the work *was* done); malformed packets and failed demuxes
-    /// surface as the typed [`RxError`].
-    pub fn receive(
-        &mut self,
-        hier: &mut MemoryHierarchy,
-        frame: &RxFrame,
-        tid: ThreadId,
-    ) -> Result<PacketTiming, RxError> {
-        match self.receive_outcome(hier, frame, tid) {
-            RxOutcome::Delivered(t) => Ok(t),
-            RxOutcome::Dropped {
-                reason: DropReason::UserQueueFull(_),
-                timing,
-            } => Ok(timing),
-            RxOutcome::Dropped {
-                reason: DropReason::NoSession(port),
-                ..
-            } => Err(RxError::NoSession(port)),
-            RxOutcome::Error { error, .. } => Err(error),
-        }
-    }
-
-    /// Process one received TCP frame on `hier`, returning the typed
-    /// verdict plus the TCP-level disposition (when the segment got far
-    /// enough to have one). Like [`ProtocolEngine::receive_outcome`],
-    /// every exit charges the partial work.
-    pub fn receive_tcp_outcome(
-        &mut self,
-        hier: &mut MemoryHierarchy,
-        frame: &RxFrame,
-        tid: ThreadId,
-    ) -> (RxOutcome, Option<tcp::TcpDisposition>) {
-        enum Verdict {
-            Done {
-                stream: StreamId,
-                payload: usize,
-                disposition: tcp::TcpDisposition,
-            },
-            NoSession {
-                port: u16,
-            },
-            Reject {
-                error: RxError,
-            },
-        }
-
-        let cost = self.cost;
-        let segs = self.segs;
-        let layout = self.layout;
-        let start_cycles = hier.stats.cycles;
-        let mut ctx = MemCtx::new(hier);
-        let mut msg = Message::from_wire(&frame.bytes, frame.buf_addr);
-
-        let verdict = 'rx: {
-            // Thread dispatch + driver + FDDI + IP: identical to the UDP
-            // path.
-            ctx.exec(segs.thread, cost.thread_instrs);
-            ctx.load_range(layout.thread(tid.0), cost.thread_read_bytes, Region::Thread);
-            ctx.store_range(
-                layout.thread(tid.0) + cost.thread_read_bytes,
-                cost.thread_write_bytes,
-                Region::Thread,
-            );
-            ctx.exec(segs.driver, cost.driver_instrs);
-            ctx.load_range(layout.global(0), 64, Region::Global);
-            ctx.exec(segs.fddi, cost.fddi_instrs);
-            for off in [0usize, 4, 8, 12, 16, 20] {
-                let _ = msg.read_u32(&mut ctx, off.min(msg.len().saturating_sub(4)));
-            }
-            if let Err(e) = fddi::parse_frame(&mut msg) {
-                break 'rx Verdict::Reject {
-                    error: RxError::Fddi(e),
-                };
-            }
-            ctx.exec(segs.ip, cost.ip_instrs);
-            let _ = msg.checksum16(&mut ctx, 0, ip::HEADER_LEN.min(msg.len()));
-            ctx.load_range(layout.global(64), 192, Region::Global);
-            let ih = match ip::parse_header(&mut msg) {
-                Ok(h) => h,
-                Err(e) => {
-                    break 'rx Verdict::Reject {
-                        error: RxError::Ip(e),
-                    }
-                }
-            };
-            if ih.protocol != ip::PROTO_TCP {
-                break 'rx Verdict::Reject {
-                    error: RxError::Ip(ip::IpError::UnknownProtocol(ih.protocol)),
-                };
-            }
-
-            // TCP: the software checksum over the whole segment is
-            // mandatory (TCP has no checksum-off mode), plus the
-            // TCP-specific instruction budget and header reads.
-            ctx.exec(segs.udp, cost.udp_instrs); // shared transport demux code
-            ctx.exec(segs.tcp, cost.tcp_extra_instrs);
-            for off in [0usize, 4, 8, 12, 16] {
-                let _ = msg.read_u32(&mut ctx, off.min(msg.len().saturating_sub(4)));
-            }
-            let _ = msg.checksum16(&mut ctx, 0, msg.len());
-            let remaining_global = cost.global_touch_bytes.saturating_sub(64 + 192);
-            ctx.load_range(layout.global(256), remaining_global, Region::Global);
-            let th = match tcp::parse_segment(&mut msg, ih.src, ih.dst) {
-                Ok(h) => h,
-                Err(e) => {
-                    break 'rx Verdict::Reject {
-                        error: RxError::Tcp(e),
-                    }
-                }
-            };
-            let Some(stream) = self.table.demux(th.dst_port) else {
-                break 'rx Verdict::NoSession { port: th.dst_port };
-            };
-
-            // Session/user: connection state + delivery bookkeeping.
-            ctx.exec(segs.user, cost.user_instrs);
-            ctx.load_range(
-                layout.stream(stream.0),
-                cost.stream_read_bytes,
-                Region::Stream,
-            );
-            ctx.store_range(
-                layout.stream(stream.0) + cost.stream_read_bytes,
-                cost.stream_write_bytes,
-                Region::Stream,
-            );
-            let payload = msg.len();
-            let Some(session) = self.tcp_sessions.get_mut(&stream) else {
-                break 'rx Verdict::NoSession { port: th.dst_port };
-            };
-            let disposition = match session.receive(&th, msg.bytes()) {
-                Ok(d) => d,
-                Err(e) => {
-                    break 'rx Verdict::Reject {
-                        error: RxError::Tcp(e),
-                    }
-                }
-            };
-            if let tcp::TcpDisposition::Delivered { bytes } = disposition {
-                if bytes > 0 {
-                    self.table
-                        .session_mut(stream)
-                        .expect("bound stream has a session")
-                        .deliver(ih.src, th.src_port, bytes);
-                }
-            }
-            Verdict::Done {
-                stream,
-                payload,
-                disposition,
-            }
         };
-
-        // Timing: single exit, charged whatever the verdict.
-        let instructions = ctx.instructions;
-        let refs = ctx.data_refs + ctx.ifetch_refs;
-        hier.charge_cycles(instructions as f64 * cost.cpi);
-        let cycles = hier.stats.cycles - start_cycles;
-        let us = hier.platform().cycles_to_us(cycles);
-        let timing = |payload_bytes: usize, stream: StreamId| PacketTiming {
-            instructions,
-            refs,
-            cycles,
-            us,
-            payload_bytes,
-            stream,
-        };
-        match verdict {
-            Verdict::Done {
-                stream,
-                payload,
-                disposition,
-            } => (
-                RxOutcome::Delivered(timing(payload, stream)),
-                Some(disposition),
-            ),
-            Verdict::NoSession { port } => (
-                RxOutcome::Dropped {
-                    reason: DropReason::NoSession(port),
-                    timing: timing(0, StreamId::UNKNOWN),
-                },
-                None,
-            ),
-            Verdict::Reject { error } => (
-                RxOutcome::Error {
-                    layer: error.layer(),
-                    error,
-                    timing: timing(0, StreamId::UNKNOWN),
-                },
-                None,
-            ),
-        }
-    }
-
-    /// Process one received TCP frame on `hier` — the common path plus
-    /// the TCP-specific work (real header parse + checksum verification,
-    /// header prediction, sequence bookkeeping). The stream must have
-    /// been bound with [`ProtocolEngine::bind_tcp_stream`].
-    ///
-    /// Compatibility shim over
-    /// [`ProtocolEngine::receive_tcp_outcome`].
-    pub fn receive_tcp(
-        &mut self,
-        hier: &mut MemoryHierarchy,
-        frame: &RxFrame,
-        tid: ThreadId,
-    ) -> Result<(PacketTiming, tcp::TcpDisposition), RxError> {
-        match self.receive_tcp_outcome(hier, frame, tid) {
-            (RxOutcome::Delivered(t), Some(d)) => Ok((t, d)),
-            (
-                RxOutcome::Dropped {
-                    reason: DropReason::NoSession(port),
-                    ..
-                },
-                _,
-            ) => Err(RxError::NoSession(port)),
-            (RxOutcome::Error { error, .. }, _) => Err(error),
-            // Delivered without a disposition and queue-full drops cannot
-            // come out of the TCP path.
-            (outcome, _) => unreachable!("tcp path produced {outcome:?}"),
-        }
+        (outcome, disposition)
     }
 
     /// Send-side fast path (extension E12): user hands down a payload for
@@ -792,27 +614,11 @@ impl ProtocolEngine {
         let mut ctx = MemCtx::new(hier);
         let mut msg = Message::for_send(payload, buf_addr);
 
-        // Thread dispatch.
-        ctx.exec(segs.thread, cost.thread_instrs);
-        ctx.load_range(layout.thread(tid.0), cost.thread_read_bytes, Region::Thread);
-        ctx.store_range(
-            layout.thread(tid.0) + cost.thread_read_bytes,
-            cost.thread_write_bytes,
-            Region::Thread,
-        );
+        self.dispatch_thread(&mut ctx, tid);
 
         // User/session: read stream state to form headers.
         ctx.exec(segs.user, cost.user_instrs * 3 / 4);
-        ctx.load_range(
-            layout.stream(stream.0),
-            cost.stream_read_bytes,
-            Region::Stream,
-        );
-        ctx.store_range(
-            layout.stream(stream.0) + cost.stream_read_bytes,
-            cost.stream_write_bytes / 2,
-            Region::Stream,
-        );
+        self.touch_stream(&mut ctx, stream, cost.stream_write_bytes / 2);
 
         // UDP push.
         ctx.exec(segs.udp, cost.udp_instrs * 3 / 4);
@@ -881,22 +687,100 @@ impl ProtocolEngine {
             f
         };
 
-        let instructions = ctx.instructions;
-        let refs = ctx.data_refs + ctx.ifetch_refs;
-        let instr_cycles = instructions as f64 * cost.cpi;
-        hier.charge_cycles(instr_cycles);
-        let cycles = hier.stats.cycles - start_cycles;
-        (
-            PacketTiming {
-                instructions,
-                refs,
-                cycles,
-                us: hier.platform().cycles_to_us(cycles),
-                payload_bytes: payload.len(),
-                stream,
-            },
-            wire,
-        )
+        let timing = PacketTiming {
+            payload_bytes: payload.len(),
+            stream,
+            ..settle(ctx, cost.cpi, start_cycles)
+        };
+        (timing, wire)
+    }
+
+    /// Thread dispatch: wake the protocol thread, touch its stack.
+    fn dispatch_thread(&self, ctx: &mut MemCtx<'_, MemoryHierarchy>, tid: ThreadId) {
+        let cost = &self.cost;
+        let stack = self.layout.thread(tid.0);
+        ctx.exec(self.segs.thread, cost.thread_instrs);
+        ctx.load_range(stack, cost.thread_read_bytes, Region::Thread);
+        ctx.store_range(
+            stack + cost.thread_read_bytes,
+            cost.thread_write_bytes,
+            Region::Thread,
+        );
+    }
+
+    /// Read `stream`'s session state and write back `write_bytes` of it.
+    fn touch_stream(
+        &self,
+        ctx: &mut MemCtx<'_, MemoryHierarchy>,
+        stream: StreamId,
+        write_bytes: u64,
+    ) {
+        let state = self.layout.stream(stream.0);
+        ctx.load_range(state, self.cost.stream_read_bytes, Region::Stream);
+        ctx.store_range(
+            state + self.cost.stream_read_bytes,
+            write_bytes,
+            Region::Stream,
+        );
+    }
+
+    /// Hand `bytes` of payload to `stream`'s user queue; false when the
+    /// queue is full and the payload was shed.
+    fn deliver(
+        &mut self,
+        stream: StreamId,
+        src: ip::Ipv4Addr,
+        src_port: u16,
+        bytes: usize,
+    ) -> bool {
+        self.table
+            .session_mut(stream)
+            .expect("demuxed stream has a session")
+            .deliver(src, src_port, bytes)
+    }
+
+    /// Queue an ICMP port-unreachable quoting `frame`'s IP datagram,
+    /// unless [`ICMP_EGRESS_CAP`] replies are already pending — then the
+    /// reply is not built and only counted (RFC 1812 rate-limits ICMP
+    /// errors; nothing on the serving path drains the queue).
+    fn queue_port_unreachable(&mut self, frame: &RxFrame, host: ip::Ipv4Addr) {
+        if self.icmp_egress.len() >= ICMP_EGRESS_CAP {
+            self.icmp_suppressed += 1;
+            return;
+        }
+        let ip_start = fddi::HEADER_LEN;
+        let ip_end = frame.bytes.len().saturating_sub(fddi::FCS_LEN);
+        if let Some(reply) = crate::icmp::port_unreachable(&frame.bytes[ip_start..ip_end], host) {
+            self.icmp_egress.push(reply);
+        }
+    }
+}
+
+/// Instrumented reads of a header's first `words` words, clamped into a
+/// short message so a runt still charges them.
+fn read_header_words(msg: &Message, ctx: &mut MemCtx<'_, MemoryHierarchy>, words: usize) {
+    for w in 0..words {
+        let _ = msg.read_u32(ctx, (w * 4).min(msg.len().saturating_sub(4)));
+    }
+}
+
+/// The single timing exit of a traversal: charge the instruction cycles
+/// and read the packet's cost off the hierarchy's cycle ledger. The
+/// timing comes back attributed to no stream and no payload — what a
+/// packet that never reached a session reports.
+fn settle(mut ctx: MemCtx<'_, MemoryHierarchy>, cpi: f64, start_cycles: f64) -> PacketTiming {
+    let instructions = ctx.instructions;
+    let refs = ctx.data_refs + ctx.ifetch_refs;
+    let hier = ctx.sink();
+    hier.charge_cycles(instructions as f64 * cpi);
+    let cycles = hier.stats.cycles - start_cycles;
+    PacketTiming {
+        instructions,
+        refs,
+        cycles,
+        us: hier.platform().cycles_to_us(cycles),
+        payload_bytes: 0,
+        stream: StreamId::UNKNOWN,
     }
 }
 
@@ -922,11 +806,23 @@ mod tests {
         }
     }
 
+    /// Receive on thread 0 and require delivery.
+    fn delivered(
+        eng: &mut ProtocolEngine,
+        hier: &mut MemoryHierarchy,
+        frame: &RxFrame,
+    ) -> PacketTiming {
+        match eng.receive_outcome(hier, frame, ThreadId(0)) {
+            RxOutcome::Delivered(t) => t,
+            other => panic!("not delivered: {other:?}"),
+        }
+    }
+
     #[test]
     fn receive_delivers_and_accounts() {
         let (mut eng, mut hier, mut f) = setup(1);
         let frame = rx(&mut f, 0, 32);
-        let t = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap();
+        let t = delivered(&mut eng, &mut hier, &frame);
         assert_eq!(t.stream, StreamId(0));
         assert_eq!(t.payload_bytes, 32);
         assert_eq!(t.instructions, eng.cost.total_instrs());
@@ -940,7 +836,7 @@ mod tests {
     fn cold_time_in_paper_band() {
         let (mut eng, mut hier, mut f) = setup(1);
         let frame = rx(&mut f, 0, 1);
-        let t = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap();
+        let t = delivered(&mut eng, &mut hier, &frame);
         // First packet on a stone-cold machine: the paper's t_cold is
         // 284.3 µs. The CostModel defaults are calibrated to land close.
         assert!(
@@ -956,7 +852,7 @@ mod tests {
         let mut last = 0.0;
         for _ in 0..20 {
             let frame = rx(&mut f, 0, 1);
-            last = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap().us;
+            last = delivered(&mut eng, &mut hier, &frame).us;
         }
         // Steady-state warm time ≈ instructions × CPI.
         let warm_floor = eng.cost.total_instrs() as f64 / 100.0; // µs at 100 MHz
@@ -979,8 +875,14 @@ mod tests {
         let fcs = fddi::crc32(&frame.bytes[..body]);
         frame.bytes[body..].copy_from_slice(&fcs.to_be_bytes());
         let before = hier.stats.cycles;
-        let err = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap_err();
-        assert!(matches!(err, RxError::NoSession(_)));
+        let out = eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        assert!(matches!(
+            out,
+            RxOutcome::Dropped {
+                reason: DropReason::NoSession(0xFFFF),
+                ..
+            }
+        ));
         assert!(hier.stats.cycles > before, "drop still consumed cycles");
     }
 
@@ -992,8 +894,15 @@ mod tests {
         let body = frame.bytes.len() - fddi::FCS_LEN;
         let fcs = fddi::crc32(&frame.bytes[..body]);
         frame.bytes[body..].copy_from_slice(&fcs.to_be_bytes());
-        let err = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap_err();
-        assert_eq!(err, RxError::Ip(ip::IpError::BadChecksum));
+        let out = eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        assert!(matches!(
+            out,
+            RxOutcome::Error {
+                layer: RxLayer::Ip,
+                error: RxError::Ip(ip::IpError::BadChecksum),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1001,12 +910,8 @@ mod tests {
         let (mut eng, mut hier, mut f) = setup(1);
         f.udp_checksums = true;
         eng.cost.software_udp_checksum = true;
-        let small = eng
-            .receive(&mut hier, &rx(&mut f, 0, 16), ThreadId(0))
-            .unwrap();
-        let big = eng
-            .receive(&mut hier, &rx(&mut f, 0, 4096), ThreadId(0))
-            .unwrap();
+        let small = delivered(&mut eng, &mut hier, &rx(&mut f, 0, 16));
+        let big = delivered(&mut eng, &mut hier, &rx(&mut f, 0, 4096));
         assert!(
             big.refs > small.refs + 900,
             "checksumming 4 KiB should add ≈1k loads: {} vs {}",
@@ -1018,12 +923,9 @@ mod tests {
     #[test]
     fn two_streams_demux_to_their_sessions() {
         let (mut eng, mut hier, mut f) = setup(2);
-        eng.receive(&mut hier, &rx(&mut f, 0, 10), ThreadId(0))
-            .unwrap();
-        eng.receive(&mut hier, &rx(&mut f, 1, 20), ThreadId(0))
-            .unwrap();
-        eng.receive(&mut hier, &rx(&mut f, 1, 20), ThreadId(0))
-            .unwrap();
+        delivered(&mut eng, &mut hier, &rx(&mut f, 0, 10));
+        delivered(&mut eng, &mut hier, &rx(&mut f, 1, 20));
+        delivered(&mut eng, &mut hier, &rx(&mut f, 1, 20));
         assert_eq!(eng.table.session(StreamId(0)).unwrap().packets, 1);
         assert_eq!(eng.table.session(StreamId(1)).unwrap().packets, 2);
     }
@@ -1069,6 +971,79 @@ mod tests {
         assert_eq!(uh.src_port, crate::driver::port_of(StreamId(0)));
         assert_eq!(msg.bytes(), b"loopback payload");
     }
+
+    /// The exact `(instructions, refs, cycles)` of a fixed script on one
+    /// engine and one hierarchy, captured before the UDP and TCP walks
+    /// were merged into one body: the walk's `ctx` call order per
+    /// transport, exit by exit.
+    #[test]
+    fn timing_is_pinned_per_transport_and_exit() {
+        let mut eng = ProtocolEngine::new(CostModel::default());
+        eng.bind_stream(StreamId(0));
+        eng.bind_tcp_stream(StreamId(1), 1000);
+        let mut hier = eng.cost.hierarchy();
+        let mut f = PacketFactory::new();
+        let tcp = |f: &mut PacketFactory, seq: u32| RxFrame {
+            bytes: f.tcp_frame_for(StreamId(1), seq, b"0123456789ABCDEF"),
+            stream: StreamId(1),
+            buf_addr: MemLayout::new().packet(0),
+        };
+        let mut got = Vec::new();
+        let mut note = |t: &PacketTiming| got.push((t.instructions, t.refs, t.cycles));
+
+        // UDP: cold, warm, 4 KiB with the software checksum.
+        for _ in 0..2 {
+            let frame = rx(&mut f, 0, 64);
+            note(eng.receive_outcome(&mut hier, &frame, ThreadId(0)).timing());
+        }
+        f.udp_checksums = true;
+        eng.cost.software_udp_checksum = true;
+        let frame = rx(&mut f, 0, 4096);
+        note(eng.receive_outcome(&mut hier, &frame, ThreadId(0)).timing());
+        f.udp_checksums = false;
+        eng.cost.software_udp_checksum = false;
+
+        // TCP: in order, out of order, duplicate.
+        for seq in [1000, 1032, 1000] {
+            let frame = tcp(&mut f, seq);
+            let (out, _) = eng.receive_tcp_outcome(&mut hier, &frame, ThreadId(1));
+            note(out.timing());
+        }
+
+        // Unbound port, then a corrupted IP header.
+        let frame = rx(&mut f, 7, 16);
+        note(eng.receive_outcome(&mut hier, &frame, ThreadId(0)).timing());
+        let mut frame = rx(&mut f, 0, 8);
+        frame.bytes[21 + 8] ^= 0xFF;
+        let body = frame.bytes.len() - fddi::FCS_LEN;
+        let fcs = fddi::crc32(&frame.bytes[..body]);
+        frame.bytes[body..].copy_from_slice(&fcs.to_be_bytes());
+        note(eng.receive_outcome(&mut hier, &frame, ThreadId(0)).timing());
+
+        let (t, _) = eng.send(
+            &mut hier,
+            StreamId(0),
+            &[0xAB; 64],
+            ThreadId(0),
+            MemLayout::new().packet(1),
+        );
+        note(&t);
+
+        assert_eq!(
+            got,
+            [
+                (15000, 4787, 28407.0),
+                (15000, 4787, 15186.0),
+                (15000, 5813, 18915.0),
+                (17250, 5361, 21294.0),
+                (17250, 5361, 17330.0),
+                (17250, 5361, 17330.0),
+                (13375, 3676, 13719.0),
+                (10000, 2735, 10000.0),
+                (11875, 3816, 13172.0),
+            ]
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1092,13 +1067,25 @@ mod tcp_tests {
         }
     }
 
+    /// Receive a TCP frame on thread 0 and require a processed segment.
+    fn delivered_tcp(
+        eng: &mut ProtocolEngine,
+        hier: &mut MemoryHierarchy,
+        frame: &RxFrame,
+    ) -> (PacketTiming, TcpDisposition) {
+        match eng.receive_tcp_outcome(hier, frame, ThreadId(0)) {
+            (RxOutcome::Delivered(t), Some(d)) => (t, d),
+            other => panic!("not delivered: {other:?}"),
+        }
+    }
+
     #[test]
     fn tcp_in_order_delivers_through_full_stack() {
         let (mut eng, mut hier, mut f) = setup_tcp();
         let mut seq = 1000u32;
         for _ in 0..5 {
             let frame = tcp_rx(&mut f, 0, seq, b"0123456789ABCDEF");
-            let (t, d) = eng.receive_tcp(&mut hier, &frame, ThreadId(0)).unwrap();
+            let (t, d) = delivered_tcp(&mut eng, &mut hier, &frame);
             assert_eq!(d, TcpDisposition::Delivered { bytes: 16 });
             assert_eq!(t.stream, StreamId(0));
             seq += 16;
@@ -1114,9 +1101,9 @@ mod tcp_tests {
         let (mut eng, mut hier, mut f) = setup_tcp();
         let f2 = tcp_rx(&mut f, 0, 1010, b"BBBBBBBBBB");
         let f1 = tcp_rx(&mut f, 0, 1000, b"AAAAAAAAAA");
-        let (_, d) = eng.receive_tcp(&mut hier, &f2, ThreadId(0)).unwrap();
+        let (_, d) = delivered_tcp(&mut eng, &mut hier, &f2);
         assert_eq!(d, TcpDisposition::Queued);
-        let (_, d) = eng.receive_tcp(&mut hier, &f1, ThreadId(0)).unwrap();
+        let (_, d) = delivered_tcp(&mut eng, &mut hier, &f1);
         assert_eq!(d, TcpDisposition::Delivered { bytes: 20 });
         let s = eng.tcp_sessions.get(&StreamId(0)).unwrap();
         assert_eq!(s.rcv_nxt, 1020);
@@ -1133,7 +1120,7 @@ mod tcp_tests {
         for i in 0..40u32 {
             hier.purge_region(Region::PacketData);
             let frame = tcp_rx(&mut f, 0, 1000 + i, b"x");
-            let (t, _) = eng.receive_tcp(&mut hier, &frame, ThreadId(0)).unwrap();
+            let (t, _) = delivered_tcp(&mut eng, &mut hier, &frame);
             if i >= 20 {
                 tcp_time += t.us;
             }
@@ -1145,9 +1132,10 @@ mod tcp_tests {
                 stream: StreamId(1),
                 buf_addr: MemLayout::new().packet(0),
             };
-            let t = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap();
+            let out = eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+            assert!(out.is_delivered());
             if i >= 20 {
-                udp_time += t.us;
+                udp_time += out.timing().us;
             }
         }
         let ratio = tcp_time / udp_time;
@@ -1167,8 +1155,16 @@ mod tcp_tests {
         let body = n - fddi::FCS_LEN;
         let fcs = fddi::crc32(&frame.bytes[..body]);
         frame.bytes[body..].copy_from_slice(&fcs.to_be_bytes());
-        let err = eng.receive_tcp(&mut hier, &frame, ThreadId(0)).unwrap_err();
-        assert_eq!(err, RxError::Tcp(tcp::TcpError::BadChecksum));
+        let (out, disposition) = eng.receive_tcp_outcome(&mut hier, &frame, ThreadId(0));
+        assert!(matches!(
+            out,
+            RxOutcome::Error {
+                layer: RxLayer::Tcp,
+                error: RxError::Tcp(tcp::TcpError::BadChecksum),
+                ..
+            }
+        ));
+        assert_eq!(disposition, None);
     }
 
     #[test]
@@ -1179,8 +1175,14 @@ mod tcp_tests {
             stream: StreamId(0),
             buf_addr: MemLayout::new().packet(0),
         };
-        let err = eng.receive_tcp(&mut hier, &frame, ThreadId(0)).unwrap_err();
-        assert!(matches!(err, RxError::Ip(ip::IpError::UnknownProtocol(17))));
+        let (out, _) = eng.receive_tcp_outcome(&mut hier, &frame, ThreadId(0));
+        assert!(matches!(
+            out,
+            RxOutcome::Error {
+                error: RxError::Ip(ip::IpError::UnknownProtocol(17)),
+                ..
+            }
+        ));
     }
 }
 
@@ -1203,8 +1205,14 @@ mod icmp_tests {
             stream: StreamId(7),
             buf_addr: MemLayout::new().packet(0),
         };
-        let err = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap_err();
-        assert!(matches!(err, RxError::NoSession(_)));
+        let out = eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        assert!(matches!(
+            out,
+            RxOutcome::Dropped {
+                reason: DropReason::NoSession(_),
+                ..
+            }
+        ));
         assert_eq!(eng.icmp_egress.len(), 1);
 
         // The queued reply is a valid ICMP port-unreachable addressed to
@@ -1230,7 +1238,9 @@ mod icmp_tests {
             stream: StreamId(0),
             buf_addr: MemLayout::new().packet(0),
         };
-        eng.receive(&mut hier, &frame, ThreadId(0)).unwrap();
+        assert!(eng
+            .receive_outcome(&mut hier, &frame, ThreadId(0))
+            .is_delivered());
         assert!(eng.icmp_egress.is_empty());
     }
 
@@ -1250,7 +1260,43 @@ mod icmp_tests {
             stream: StreamId(7),
             buf_addr: MemLayout::new().packet(0),
         };
-        let _ = eng.receive(&mut hier, &frame, ThreadId(0)).unwrap_err();
+        let out = eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        assert!(matches!(out, RxOutcome::Error { .. }));
         assert!(eng.icmp_egress.is_empty());
+    }
+
+    #[test]
+    fn icmp_egress_is_capped_and_the_miss_costs_the_same() {
+        // Nothing on the serving path drains `icmp_egress`: a flood of
+        // unbound-port datagrams must not grow it without bound, and the
+        // modeled cost of a miss must not depend on whether the reply
+        // was built.
+        let mut eng = ProtocolEngine::new(CostModel::default());
+        eng.bind_stream(StreamId(0));
+        let mut hier = CostModel::default().hierarchy();
+        let mut f = PacketFactory::new();
+        let mut frame = RxFrame {
+            bytes: Vec::new(),
+            stream: StreamId(7),
+            buf_addr: MemLayout::new().packet(0),
+        };
+        let mut cycles = Vec::new();
+        for _ in 0..10_000 {
+            f.frame_into(StreamId(7), 16, &mut frame.bytes);
+            let out = eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+            assert!(matches!(
+                out,
+                RxOutcome::Dropped {
+                    reason: DropReason::NoSession(_),
+                    ..
+                }
+            ));
+            cycles.push(out.timing().cycles);
+        }
+        assert_eq!(eng.icmp_egress.len(), ICMP_EGRESS_CAP);
+        assert_eq!(eng.icmp_suppressed, 10_000 - ICMP_EGRESS_CAP as u64);
+        // Warm steady state on both sides of the cap.
+        assert_eq!(cycles[ICMP_EGRESS_CAP - 1], cycles[ICMP_EGRESS_CAP]);
+        assert_eq!(cycles[ICMP_EGRESS_CAP], cycles[9_999]);
     }
 }

@@ -218,11 +218,6 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Frames currently parked in the reorder delay line.
-    pub fn delayed(&self) -> usize {
-        self.delay_line.len()
-    }
-
     /// Offer one frame. Returns the frames to deliver *now*, in order:
     /// zero (dropped or delayed), one, two (duplicated), plus any parked
     /// frames whose delay expired on this admission.

@@ -1,12 +1,9 @@
 //! IPv4 processing: header build/parse/validate with a real internet
-//! checksum, protocol demultiplexing, and receive-side fragment
-//! reassembly.
+//! checksum and protocol demultiplexing.
 //!
 //! The paper's fast path (like every real one) assumes unfragmented
-//! datagrams; reassembly exists off the fast path for completeness and is
-//! exercised by its own tests.
-
-use std::collections::HashMap;
+//! datagrams: the fragment fields are parsed into [`IpHeader`] but
+//! nothing reassembles.
 
 use crate::msg::{internet_checksum, Message, MsgError};
 
@@ -52,7 +49,7 @@ pub struct IpHeader {
     pub header_len: usize,
     /// Total datagram length (header + payload).
     pub total_len: u16,
-    /// Identification (for reassembly).
+    /// Identification.
     pub ident: u16,
     /// Don't-fragment flag.
     pub dont_fragment: bool,
@@ -206,180 +203,6 @@ pub fn parse_header(msg: &mut Message) -> Result<IpHeader, IpError> {
     Ok(hdr)
 }
 
-/// Split a payload into fragments that fit `mtu` bytes of IP datagram
-/// each (header included), returning complete datagrams (header +
-/// piece). All fragments but the last carry `more_fragments`; offsets
-/// are 8-byte aligned as the wire format requires.
-///
-/// The receive-side inverse is [`Reassembler`]; together they complete
-/// the off-fast-path IP substrate (the fast path assumes unfragmented
-/// datagrams, as the paper's does).
-#[allow(clippy::too_many_arguments)]
-pub fn fragment(
-    payload: &[u8],
-    mtu: usize,
-    ident: u16,
-    ttl: u8,
-    protocol: u8,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-) -> Result<Vec<Vec<u8>>, IpError> {
-    if mtu < HEADER_LEN + 8 {
-        return Err(IpError::BadLength);
-    }
-    // Per-fragment payload: largest 8-byte multiple that fits.
-    let per = ((mtu - HEADER_LEN) / 8) * 8;
-    let mut out = Vec::new();
-    if payload.is_empty() {
-        let h = build_header(
-            HEADER_LEN as u16,
-            ident,
-            false,
-            false,
-            0,
-            ttl,
-            protocol,
-            src,
-            dst,
-        );
-        out.push(h.to_vec());
-        return Ok(out);
-    }
-    let mut off = 0usize;
-    while off < payload.len() {
-        let end = (off + per).min(payload.len());
-        let more = end < payload.len();
-        let piece = &payload[off..end];
-        let total = (HEADER_LEN + piece.len()) as u16;
-        let h = build_header(total, ident, false, more, off, ttl, protocol, src, dst);
-        let mut d = h.to_vec();
-        d.extend_from_slice(piece);
-        out.push(d);
-        off = end;
-    }
-    Ok(out)
-}
-
-/// Key identifying a fragment stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct FragKey {
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    protocol: u8,
-    ident: u16,
-}
-
-/// A partially reassembled datagram.
-#[derive(Debug, Default)]
-struct FragBuffer {
-    /// (offset, bytes) pieces received so far.
-    pieces: Vec<(usize, Vec<u8>)>,
-    /// Total payload length, known once the last fragment arrives.
-    total: Option<usize>,
-    /// Offer-clock value of this buffer's most recent fragment (drives
-    /// staleness eviction).
-    last_offer: u64,
-}
-
-impl FragBuffer {
-    fn ready(&self) -> Option<usize> {
-        let total = self.total?;
-        let have: usize = self.pieces.iter().map(|(_, b)| b.len()).sum();
-        // Fragments never overlap in our traffic; equality suffices.
-        (have == total).then_some(total)
-    }
-}
-
-/// Receive-side fragment reassembly (off the fast path).
-///
-/// Incomplete datagrams are bounded two ways, since a lossy or hostile
-/// wire will strand fragments that never complete (the classic
-/// fragment-cache exhaustion leak):
-///
-/// * **staleness** — a buffer that has seen no new fragment within
-///   [`TTL_OFFERS`](Reassembler::TTL_OFFERS) subsequent offers is
-///   discarded (an offer-count clock stands in for wall-clock TTL in
-///   this discrete model);
-/// * **capacity** — at most
-///   [`MAX_PENDING`](Reassembler::MAX_PENDING) incomplete datagrams are
-///   held; admitting one beyond that evicts the least-recently-touched.
-#[derive(Debug, Default)]
-pub struct Reassembler {
-    buffers: HashMap<FragKey, FragBuffer>,
-    /// Monotonic offer counter (the staleness clock).
-    clock: u64,
-    /// Incomplete datagrams discarded by TTL or capacity pressure.
-    pub evictions: u64,
-}
-
-impl Reassembler {
-    /// Most incomplete datagrams held at once.
-    pub const MAX_PENDING: usize = 64;
-    /// Offers a buffer may go without a new fragment before discard.
-    pub const TTL_OFFERS: u64 = 1024;
-
-    /// Empty reassembler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Offer a fragment; returns the full payload when complete.
-    pub fn offer(&mut self, hdr: &IpHeader, payload: &[u8]) -> Option<Vec<u8>> {
-        self.clock += 1;
-        let clock = self.clock;
-        let key = FragKey {
-            src: hdr.src,
-            dst: hdr.dst,
-            protocol: hdr.protocol,
-            ident: hdr.ident,
-        };
-        let buf = self.buffers.entry(key).or_default();
-        buf.last_offer = clock;
-        buf.pieces.push((hdr.frag_offset, payload.to_vec()));
-        if !hdr.more_fragments {
-            buf.total = Some(hdr.frag_offset + payload.len());
-        }
-        let out = if buf.ready().is_some() {
-            let mut buf = self.buffers.remove(&key)?;
-            buf.pieces.sort_by_key(|(off, _)| *off);
-            let mut out = Vec::with_capacity(buf.total.unwrap_or(0));
-            for (_, piece) in buf.pieces {
-                out.extend_from_slice(&piece);
-            }
-            Some(out)
-        } else {
-            None
-        };
-        self.expire(clock);
-        out
-    }
-
-    /// Discard stale buffers, then enforce the capacity bound by
-    /// evicting least-recently-touched entries. Deterministic: clock
-    /// values are unique, so LRU selection never depends on hash order.
-    fn expire(&mut self, clock: u64) {
-        let before = self.buffers.len();
-        self.buffers
-            .retain(|_, b| clock - b.last_offer < Self::TTL_OFFERS);
-        self.evictions += (before - self.buffers.len()) as u64;
-        while self.buffers.len() > Self::MAX_PENDING {
-            let oldest = self
-                .buffers
-                .iter()
-                .min_by_key(|(_, b)| b.last_offer)
-                .map(|(k, _)| *k);
-            let Some(k) = oldest else { break };
-            self.buffers.remove(&k);
-            self.evictions += 1;
-        }
-    }
-
-    /// Number of incomplete datagrams held.
-    pub fn pending(&self) -> usize {
-        self.buffers.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,290 +307,6 @@ mod tests {
         let mut msg = Message::from_wire(&d, 0);
         parse_header(&mut msg).unwrap();
         assert_eq!(msg.bytes(), b"ab");
-    }
-
-    #[test]
-    fn reassembly_two_fragments() {
-        let mut r = Reassembler::new();
-        let h1 = IpHeader {
-            header_len: 20,
-            total_len: 28,
-            ident: 7,
-            dont_fragment: false,
-            more_fragments: true,
-            frag_offset: 0,
-            ttl: 64,
-            protocol: PROTO_UDP,
-            src: Ipv4Addr::host(1),
-            dst: Ipv4Addr::host(2),
-        };
-        let h2 = IpHeader {
-            more_fragments: false,
-            frag_offset: 8,
-            ..h1
-        };
-        assert_eq!(r.offer(&h1, b"01234567"), None);
-        assert_eq!(r.pending(), 1);
-        let full = r.offer(&h2, b"89AB").unwrap();
-        assert_eq!(full, b"0123456789AB");
-        assert_eq!(r.pending(), 0);
-    }
-
-    #[test]
-    fn reassembly_out_of_order() {
-        let mut r = Reassembler::new();
-        let last = IpHeader {
-            header_len: 20,
-            total_len: 0,
-            ident: 9,
-            dont_fragment: false,
-            more_fragments: false,
-            frag_offset: 8,
-            ttl: 64,
-            protocol: PROTO_UDP,
-            src: Ipv4Addr::host(3),
-            dst: Ipv4Addr::host(4),
-        };
-        let first = IpHeader {
-            more_fragments: true,
-            frag_offset: 0,
-            ..last
-        };
-        assert_eq!(r.offer(&last, b"tail"), None);
-        let full = r.offer(&first, b"12345678").unwrap();
-        assert_eq!(full, b"12345678tail");
-    }
-
-    #[test]
-    fn distinct_idents_kept_separate() {
-        let mut r = Reassembler::new();
-        let mk = |ident: u16, more: bool, off: usize| IpHeader {
-            header_len: 20,
-            total_len: 0,
-            ident,
-            dont_fragment: false,
-            more_fragments: more,
-            frag_offset: off,
-            ttl: 64,
-            protocol: PROTO_UDP,
-            src: Ipv4Addr::host(1),
-            dst: Ipv4Addr::host(2),
-        };
-        r.offer(&mk(1, true, 0), b"AAAAAAAA");
-        r.offer(&mk(2, true, 0), b"BBBBBBBB");
-        assert_eq!(r.pending(), 2);
-        assert_eq!(r.offer(&mk(1, false, 8), b"a").unwrap(), b"AAAAAAAAa");
-        assert_eq!(r.pending(), 1);
-    }
-
-    fn first_frag(ident: u16) -> IpHeader {
-        IpHeader {
-            header_len: 20,
-            total_len: 0,
-            ident,
-            dont_fragment: false,
-            more_fragments: true,
-            frag_offset: 0,
-            ttl: 64,
-            protocol: PROTO_UDP,
-            src: Ipv4Addr::host(1),
-            dst: Ipv4Addr::host(2),
-        }
-    }
-
-    #[test]
-    fn orphan_fragments_do_not_accumulate_unboundedly() {
-        // Regression: a lossy wire that strands first fragments (tails
-        // never arrive) used to grow `buffers` without bound.
-        let mut r = Reassembler::new();
-        for ident in 0..10 * Reassembler::MAX_PENDING as u16 {
-            r.offer(&first_frag(ident), b"AAAAAAAA");
-            assert!(r.pending() <= Reassembler::MAX_PENDING);
-        }
-        assert_eq!(r.pending(), Reassembler::MAX_PENDING);
-        assert_eq!(r.evictions, 9 * Reassembler::MAX_PENDING as u64);
-    }
-
-    #[test]
-    fn capacity_evicts_least_recently_touched() {
-        let mut r = Reassembler::new();
-        for ident in 0..Reassembler::MAX_PENDING as u16 {
-            r.offer(&first_frag(ident), b"AAAAAAAA");
-        }
-        // Touch ident 0 so it is no longer the oldest, then overflow.
-        r.offer(
-            &IpHeader {
-                frag_offset: 8,
-                ..first_frag(0)
-            },
-            b"AAAAAAAA",
-        );
-        r.offer(&first_frag(9999), b"BBBBBBBB");
-        assert_eq!(r.evictions, 1);
-        // Ident 1 (now stalest) was evicted; ident 0 survives and can
-        // still complete.
-        let tail = IpHeader {
-            more_fragments: false,
-            frag_offset: 16,
-            ..first_frag(0)
-        };
-        let full = r.offer(&tail, b"end").unwrap();
-        assert_eq!(full.len(), 8 + 8 + 3);
-        let tail1 = IpHeader {
-            more_fragments: false,
-            frag_offset: 8,
-            ..first_frag(1)
-        };
-        assert_eq!(r.offer(&tail1, b"x"), None, "evicted buffer is gone");
-    }
-
-    #[test]
-    fn stale_buffers_expire_after_ttl_offers() {
-        let mut r = Reassembler::new();
-        r.offer(&first_frag(7), b"AAAAAAAA");
-        // A healthy fragment flow churns past while ident 7's tail never
-        // shows up: each pair below completes immediately.
-        let mut offers = 1;
-        let mut ident = 100u16;
-        while offers < Reassembler::TTL_OFFERS + 2 {
-            let h = first_frag(ident);
-            assert_eq!(r.offer(&h, b"AAAAAAAA"), None);
-            let tail = IpHeader {
-                more_fragments: false,
-                frag_offset: 8,
-                ..h
-            };
-            assert!(r.offer(&tail, b"z").is_some());
-            offers += 2;
-            ident = ident.wrapping_add(1);
-        }
-        assert_eq!(r.pending(), 0, "stale buffer should have expired");
-        assert_eq!(r.evictions, 1);
-        // A late tail for ident 7 cannot resurrect a partial datagram.
-        let late = IpHeader {
-            more_fragments: false,
-            frag_offset: 8,
-            ..first_frag(7)
-        };
-        assert_eq!(r.offer(&late, b"late"), None);
-    }
-
-    #[test]
-    fn fragment_reassemble_roundtrip() {
-        let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        let frags = fragment(
-            &payload,
-            256,
-            42,
-            DEFAULT_TTL,
-            PROTO_UDP,
-            Ipv4Addr::host(1),
-            Ipv4Addr::host(2),
-        )
-        .unwrap();
-        assert!(frags.len() > 1);
-        let mut r = Reassembler::new();
-        let mut recovered = None;
-        for f in &frags {
-            let mut msg = Message::from_wire(f, 0);
-            let hdr = parse_header(&mut msg).unwrap();
-            if let Some(full) = r.offer(&hdr, msg.bytes()) {
-                recovered = Some(full);
-            }
-        }
-        assert_eq!(recovered.unwrap(), payload);
-        assert_eq!(r.pending(), 0);
-    }
-
-    #[test]
-    fn fragment_reassemble_out_of_order_roundtrip() {
-        let payload: Vec<u8> = (0..777u32).map(|i| (i % 253) as u8).collect();
-        let mut frags = fragment(
-            &payload,
-            128,
-            7,
-            DEFAULT_TTL,
-            PROTO_UDP,
-            Ipv4Addr::host(3),
-            Ipv4Addr::host(4),
-        )
-        .unwrap();
-        frags.reverse();
-        let mut r = Reassembler::new();
-        let mut recovered = None;
-        for f in &frags {
-            let mut msg = Message::from_wire(f, 0);
-            let hdr = parse_header(&mut msg).unwrap();
-            if let Some(full) = r.offer(&hdr, msg.bytes()) {
-                recovered = Some(full);
-            }
-        }
-        assert_eq!(recovered.unwrap(), payload);
-    }
-
-    #[test]
-    fn fragment_offsets_are_aligned_and_cover() {
-        let payload = vec![0u8; 500];
-        let frags = fragment(
-            &payload,
-            120,
-            1,
-            64,
-            PROTO_UDP,
-            Ipv4Addr::host(1),
-            Ipv4Addr::host(2),
-        )
-        .unwrap();
-        let mut covered = 0usize;
-        for f in &frags {
-            let mut msg = Message::from_wire(f, 0);
-            let hdr = parse_header(&mut msg).unwrap();
-            assert_eq!(hdr.frag_offset % 8, 0);
-            assert_eq!(hdr.frag_offset, covered);
-            covered += msg.len();
-        }
-        assert_eq!(covered, 500);
-        // Only the last fragment has more_fragments == false.
-        let mut last_seen = 0;
-        for f in &frags {
-            let mut msg = Message::from_wire(f, 0);
-            let hdr = parse_header(&mut msg).unwrap();
-            if !hdr.more_fragments {
-                last_seen += 1;
-            }
-        }
-        assert_eq!(last_seen, 1);
-    }
-
-    #[test]
-    fn fragment_tiny_mtu_rejected_and_empty_payload_ok() {
-        assert_eq!(
-            fragment(
-                &[1, 2, 3],
-                20,
-                1,
-                64,
-                PROTO_UDP,
-                Ipv4Addr::host(1),
-                Ipv4Addr::host(2)
-            ),
-            Err(IpError::BadLength)
-        );
-        let frags = fragment(
-            &[],
-            256,
-            1,
-            64,
-            PROTO_UDP,
-            Ipv4Addr::host(1),
-            Ipv4Addr::host(2),
-        )
-        .unwrap();
-        assert_eq!(frags.len(), 1);
-        let mut msg = Message::from_wire(&frags[0], 0);
-        let hdr = parse_header(&mut msg).unwrap();
-        assert!(!hdr.more_fragments);
-        assert!(msg.is_empty());
     }
 
     #[test]

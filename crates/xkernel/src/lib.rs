@@ -12,10 +12,10 @@
 //! * [`msg`] — the x-kernel message tool (header push/pop over real
 //!   bytes) with instrumented reads, plus the RFC 1071 checksum.
 //! * [`fddi`], [`ip`], [`udp`], [`tcp`] — byte-exact framing: LLC/SNAP
-//!   FDDI with CRC-32 FCS, IPv4 with real header checksums and
-//!   (off-fast-path) fragmentation/reassembly, UDP with pseudo-header
-//!   checksums, and a TCP receive path with header prediction and
-//!   out-of-order reassembly (the paper's named extension).
+//!   FDDI with CRC-32 FCS, IPv4 with real header checksums, UDP with
+//!   pseudo-header checksums, and a TCP receive path with header
+//!   prediction and out-of-order reassembly (the paper's named
+//!   extension).
 //! * [`proto`] — sessions, the port demux map, stream/thread identities.
 //! * [`driver`] — the in-memory FDDI driver and packet factory (the
 //!   paper's own in-memory-driver technique).
@@ -23,11 +23,14 @@
 //!   duplicate, reorder, corrupt, truncate) applied by the driver.
 //! * [`mem`] — the instrumented memory model: address-space layout,
 //!   region-tagged loads/stores, code-segment instruction fetches.
-//! * [`engine`] — the instrumented fast paths and the [`engine::CostModel`]
-//!   whose defaults are calibrated to the paper's t_cold = 284.3 µs.
+//! * [`engine`] — the instrumented fast paths (one receive body behind
+//!   the UDP and TCP entry points, plus the send side) and the
+//!   [`engine::CostModel`] whose defaults are calibrated to the paper's
+//!   t_cold = 284.3 µs.
 //! * [`calib`] — the Section-4 controlled-cache-state experiments,
 //!   producing the bounds/weights that parameterize the analytic model.
-//! * [`mt`] — Locking vs IPS on real OS threads (functional validation).
+//! * [`mt`] — the stream→stack partition rule shared with `afs-native`,
+//!   which runs Locking and IPS on real OS threads.
 
 pub mod calib;
 pub mod driver;

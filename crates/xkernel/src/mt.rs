@@ -1,233 +1,10 @@
-//! Real-thread Locking vs IPS harness.
-//!
-//! The paper's two parallelization paradigms, executed on actual OS
-//! threads:
-//!
-//! * **Locking** — every worker shares one protocol stack (one
-//!   [`ProtocolEngine`]) behind a mutex; any worker may process any
-//!   stream's packet, paying synchronization on the shared structures.
-//! * **IPS** — each worker owns a private stack instance; streams are
-//!   partitioned across workers and packets are routed to their stack's
-//!   worker over channels; no locks are taken on the data path.
-//!
-//! On a many-core host this demonstrates the paradigms' contention
-//! behaviour for real; the *performance* results of the paper come from
-//! the discrete-event simulator in `afs-core` (as they do in the paper,
-//! whose numbers come from a simulation parameterized by measurement).
-//! This harness validates functional equivalence — both paradigms
-//! deliver every packet to the right session — and exposes contention
-//! counters.
-//!
-//! The `afs-native` crate builds on this substrate: it adds core
-//! pinning, per-worker ring run-queues, affinity-aware work stealing and
-//! per-packet cycle-model accounting, and cross-validates the resulting
-//! policy ordering against the simulator. The stream→stack partition
-//! rule ([`owner_of`]) is shared so both backends agree on ownership.
+//! The stream→stack partition rule shared by both backends.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use crossbeam::channel;
-use parking_lot::Mutex;
-
-use crate::driver::PacketFactory;
-use crate::engine::{CostModel, ProtocolEngine};
-use crate::mem::MemLayout;
-use crate::proto::{StreamId, ThreadId};
+use crate::proto::StreamId;
 
 /// The worker/stack index that owns `stream` under the static modulo
-/// partition over `n` stacks — the IPS assignment rule shared by this
-/// harness, the `afs-core` simulator and the `afs-native` backend.
+/// partition over `n` stacks — the IPS assignment rule shared by the
+/// `afs-core` simulator and the `afs-native` backend.
 pub fn owner_of(stream: StreamId, n: usize) -> usize {
     stream.0 as usize % n.max(1)
-}
-
-/// Outcome of a multi-threaded run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MtReport {
-    /// Packets successfully delivered.
-    pub delivered: u64,
-    /// Packets dropped (demux/parse failures — should be 0 here).
-    pub dropped: u64,
-    /// Times a worker found the shared-stack lock already held
-    /// (Locking only; 0 under IPS).
-    pub lock_contended: u64,
-    /// Per-stream delivered counts, indexed by stream id.
-    pub per_stream: Vec<u64>,
-}
-
-/// Run the Locking paradigm: `workers` threads share one stack.
-pub fn run_locking(workers: usize, streams: u32, packets_per_stream: u32) -> MtReport {
-    assert!(workers >= 1 && streams >= 1);
-    let mut engine = ProtocolEngine::new(CostModel::default());
-    for s in 0..streams {
-        engine.bind_stream(StreamId(s));
-    }
-    let shared = Arc::new(Mutex::new(engine));
-    let contended = Arc::new(AtomicU64::new(0));
-    let dropped = Arc::new(AtomicU64::new(0));
-
-    // Pre-build the workload and deal it round-robin to workers — the
-    // "any thread takes any packet" property of Locking.
-    let mut factory = PacketFactory::new();
-    let mut batches: Vec<Vec<(StreamId, Vec<u8>)>> = vec![Vec::new(); workers];
-    let mut i = 0usize;
-    for p in 0..packets_per_stream {
-        for s in 0..streams {
-            let _ = p;
-            batches[i % workers].push((StreamId(s), factory.frame_for(StreamId(s), 16)));
-            i += 1;
-        }
-    }
-
-    std::thread::scope(|scope| {
-        for (wid, batch) in batches.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let contended = Arc::clone(&contended);
-            let dropped = Arc::clone(&dropped);
-            scope.spawn(move || {
-                let layout = MemLayout::new();
-                let mut hier = CostModel::default().hierarchy();
-                for (slot, (stream, bytes)) in batch.into_iter().enumerate() {
-                    let frame = crate::driver::RxFrame {
-                        bytes,
-                        stream,
-                        buf_addr: layout.packet((slot % 8) as u32),
-                    };
-                    // Count contention, then take the lock for real.
-                    let mut guard = match shared.try_lock() {
-                        Some(g) => g,
-                        None => {
-                            contended.fetch_add(1, Ordering::Relaxed);
-                            shared.lock()
-                        }
-                    };
-                    if guard
-                        .receive(&mut hier, &frame, ThreadId(wid as u32))
-                        .is_err()
-                    {
-                        dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-
-    let engine = Arc::try_unwrap(shared)
-        .expect("all workers joined")
-        .into_inner();
-    let per_stream: Vec<u64> = (0..streams)
-        .map(|s| engine.table.session(StreamId(s)).map_or(0, |ss| ss.packets))
-        .collect();
-    MtReport {
-        delivered: per_stream.iter().sum(),
-        dropped: dropped.load(Ordering::Relaxed),
-        lock_contended: contended.load(Ordering::Relaxed),
-        per_stream,
-    }
-}
-
-/// Run the IPS paradigm: `workers` independent stacks, streams
-/// partitioned `stream.0 % workers`.
-pub fn run_ips(workers: usize, streams: u32, packets_per_stream: u32) -> MtReport {
-    assert!(workers >= 1 && streams >= 1);
-    let mut senders = Vec::with_capacity(workers);
-
-    std::thread::scope(|scope| {
-        let mut results: Vec<channel::Receiver<Vec<u64>>> = Vec::new();
-        for wid in 0..workers {
-            let (tx, rx) = channel::unbounded::<(StreamId, Vec<u8>)>();
-            let (res_tx, res_rx) = channel::bounded(1);
-            senders.push(tx);
-            results.push(res_rx);
-            scope.spawn(move || {
-                let mut engine = ProtocolEngine::new(CostModel::default());
-                // This stack owns the streams assigned to it.
-                for s in 0..streams {
-                    if owner_of(StreamId(s), workers) == wid {
-                        engine.bind_stream(StreamId(s));
-                    }
-                }
-                let layout = MemLayout::new();
-                let mut hier = CostModel::default().hierarchy();
-                let mut slot = 0u32;
-                while let Ok((stream, bytes)) = rx.recv() {
-                    let frame = crate::driver::RxFrame {
-                        bytes,
-                        stream,
-                        buf_addr: layout.packet(slot % 8),
-                    };
-                    slot = slot.wrapping_add(1);
-                    let _ = engine.receive(&mut hier, &frame, ThreadId(wid as u32));
-                }
-                let per_stream: Vec<u64> = (0..streams)
-                    .map(|s| engine.table.session(StreamId(s)).map_or(0, |ss| ss.packets))
-                    .collect();
-                let _ = res_tx.send(per_stream);
-            });
-        }
-
-        // Route packets to the owning stack — connection-level parallelism.
-        let mut factory = PacketFactory::new();
-        for _ in 0..packets_per_stream {
-            for s in 0..streams {
-                let frame = factory.frame_for(StreamId(s), 16);
-                senders[owner_of(StreamId(s), workers)]
-                    .send((StreamId(s), frame))
-                    .expect("worker alive");
-            }
-        }
-        drop(senders);
-
-        let mut per_stream = vec![0u64; streams as usize];
-        for res in results {
-            let partial = res.recv().expect("worker reports");
-            for (i, c) in partial.into_iter().enumerate() {
-                per_stream[i] += c;
-            }
-        }
-        MtReport {
-            delivered: per_stream.iter().sum(),
-            dropped: 0,
-            lock_contended: 0,
-            per_stream,
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn locking_delivers_everything() {
-        let r = run_locking(4, 6, 10);
-        assert_eq!(r.delivered, 60);
-        assert_eq!(r.dropped, 0);
-        assert_eq!(r.per_stream, vec![10; 6]);
-    }
-
-    #[test]
-    fn ips_delivers_everything() {
-        let r = run_ips(4, 6, 10);
-        assert_eq!(r.delivered, 60);
-        assert_eq!(r.dropped, 0);
-        assert_eq!(r.lock_contended, 0);
-        assert_eq!(r.per_stream, vec![10; 6]);
-    }
-
-    #[test]
-    fn paradigms_agree_per_stream() {
-        let a = run_locking(2, 4, 5);
-        let b = run_ips(3, 4, 5);
-        assert_eq!(a.per_stream, b.per_stream);
-    }
-
-    #[test]
-    fn single_worker_degenerate_cases() {
-        let a = run_locking(1, 2, 3);
-        assert_eq!(a.delivered, 6);
-        let b = run_ips(1, 2, 3);
-        assert_eq!(b.delivered, 6);
-    }
 }

@@ -208,7 +208,9 @@ proptest! {
             stream: StreamId(stream),
             buf_addr: MemLayout::new().packet(slot),
         };
-        let t = eng.receive(&mut hier, &frame, ThreadId(0)).expect("delivers");
+        let out = eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        prop_assert!(out.is_delivered(), "delivers");
+        let t = out.timing();
         prop_assert_eq!(t.payload_bytes, len);
         prop_assert_eq!(t.stream, StreamId(stream));
         prop_assert!(t.us > 0.0 && t.us < 1_000.0);

@@ -125,7 +125,10 @@ fn icmp_errors_scale_with_unbound_traffic() {
             stream: sid,
             buf_addr: layout.packet(i % 8),
         };
-        if eng.receive(&mut hier, &frame, ThreadId(0)).is_err() {
+        if !eng
+            .receive_outcome(&mut hier, &frame, ThreadId(0))
+            .is_delivered()
+        {
             bounced += 1;
         }
     }

@@ -9,7 +9,7 @@ use affinity_sched::prelude::*;
 use afs_xkernel::driver::{InMemoryDriver, PacketFactory, RxFrame};
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::proto::{StreamId, ThreadId, MAX_QUEUE_DEPTH};
-use afs_xkernel::{fddi, ProtocolEngine, RxError};
+use afs_xkernel::{fddi, ProtocolEngine, RxError, RxOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,8 +33,11 @@ fn random_garbage_never_panics_and_never_delivers() {
             stream: StreamId(0),
             buf_addr: layout.packet(i % 8),
         };
-        let result = eng.receive(&mut hier, &frame, ThreadId(0));
-        assert!(result.is_err(), "random garbage must not parse");
+        let out = eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        assert!(
+            matches!(out, RxOutcome::Error { .. }),
+            "random garbage must not parse"
+        );
     }
     assert_eq!(eng.table.session(StreamId(0)).unwrap().packets, 0);
 }
@@ -60,7 +63,10 @@ fn random_bitflips_in_valid_frames_never_deliver_corrupted_payloads() {
             stream: StreamId(0),
             buf_addr: layout.packet(i % 8),
         };
-        if eng.receive(&mut hier, &frame, ThreadId(0)).is_ok() {
+        if eng
+            .receive_outcome(&mut hier, &frame, ThreadId(0))
+            .is_delivered()
+        {
             delivered += 1;
         }
     }
@@ -81,18 +87,22 @@ fn drops_still_cost_processing_time() {
     let n = bytes.len();
     bytes[n - 1] ^= 0xFF; // break the FCS
     let before = hier.stats.cycles;
-    let err = eng
-        .receive(
-            &mut hier,
-            &RxFrame {
-                bytes,
-                stream: StreamId(0),
-                buf_addr: layout.packet(0),
-            },
-            ThreadId(0),
-        )
-        .unwrap_err();
-    assert_eq!(err, RxError::Fddi(fddi::FddiError::BadFcs));
+    let out = eng.receive_outcome(
+        &mut hier,
+        &RxFrame {
+            bytes,
+            stream: StreamId(0),
+            buf_addr: layout.packet(0),
+        },
+        ThreadId(0),
+    );
+    assert!(matches!(
+        out,
+        RxOutcome::Error {
+            error: RxError::Fddi(fddi::FddiError::BadFcs),
+            ..
+        }
+    ));
     let cycles = hier.stats.cycles - before;
     assert!(cycles > 2_000.0, "drop consumed only {cycles} cycles");
 }
@@ -124,7 +134,7 @@ fn user_queue_overflow_counts_drops_not_deliveries() {
             stream: StreamId(0),
             buf_addr: layout.packet(i % 8),
         };
-        let _ = eng.receive(&mut hier, &frame, ThreadId(0));
+        eng.receive_outcome(&mut hier, &frame, ThreadId(0));
     }
     let s = eng.table.session(StreamId(0)).unwrap();
     assert_eq!(s.queue_depth, MAX_QUEUE_DEPTH);
@@ -145,7 +155,10 @@ fn truncated_frames_at_every_length_are_rejected() {
             buf_addr: layout.packet(0),
         };
         assert!(
-            eng.receive(&mut hier, &frame, ThreadId(0)).is_err(),
+            matches!(
+                eng.receive_outcome(&mut hier, &frame, ThreadId(0)),
+                RxOutcome::Error { .. }
+            ),
             "truncation at {cut} accepted"
         );
     }

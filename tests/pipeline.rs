@@ -61,9 +61,9 @@ fn protocol_engine_agrees_with_wire_formats() {
             stream: StreamId(5),
             buf_addr: MemLayout::new().packet(0),
         };
-        let t = eng
-            .receive(&mut hier, &frame, ThreadId(0))
-            .expect("parse ok");
+        let out = eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        assert!(out.is_delivered(), "parse ok");
+        let t = out.timing();
         assert_eq!(t.payload_bytes, len);
         assert_eq!(t.stream, StreamId(5));
     }
@@ -180,11 +180,14 @@ fn end_to_end_determinism() {
 
 #[test]
 fn real_threads_match_simulated_demux() {
-    // The mt harness (actual OS threads) delivers exactly what the
-    // single-threaded engine would.
-    let lock = afs_xkernel::mt::run_locking(3, 5, 8);
-    let ips = afs_xkernel::mt::run_ips(2, 5, 8);
-    assert_eq!(lock.delivered, 40);
-    assert_eq!(ips.delivered, 40);
-    assert_eq!(lock.per_stream, ips.per_stream);
+    // Both paradigms on actual pinned OS threads deliver exactly what
+    // the single-threaded engine would: every packet, to its own stream.
+    use affinity_sched::native::{poisson_workload, run_native, NativeConfig, PolicySpec};
+    let workload = || poisson_workload(5, 8, 1_000.0, 16, 0xAF5);
+    let lock = run_native(&NativeConfig::new(3, PolicySpec::Locking), workload());
+    let ips = run_native(&NativeConfig::new(2, PolicySpec::Ips), workload());
+    assert_eq!(lock.outcomes.delivered, 40);
+    assert_eq!(ips.outcomes.delivered, 40);
+    assert_eq!(lock.per_stream_delivered, vec![8; 5]);
+    assert_eq!(lock.per_stream_delivered, ips.per_stream_delivered);
 }
