@@ -34,12 +34,12 @@ struct LineEntry {
     dirty: bool,
 }
 
-/// A cache set: ways ordered most-recent-first (for LRU) or
-/// oldest-last (FIFO uses insertion order too — push-front, evict-back).
-#[derive(Debug, Clone, Default)]
-struct CacheSet {
-    ways: Vec<LineEntry>,
-}
+/// Filler for slots past a set's length; never read.
+const EMPTY: LineEntry = LineEntry {
+    line_addr: 0,
+    region: Region::Code,
+    dirty: false,
+};
 
 /// Result of a lookup-and-fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,11 +53,22 @@ pub struct AccessResult {
 }
 
 /// A set-associative cache.
+///
+/// Storage is flat: set `s` owns `slots[s × assoc .. s × assoc + lens[s]]`,
+/// ways ordered most-recent-first (for LRU) or newest-fill-first (FIFO
+/// and Random insert at the front too and never reorder on a hit).
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
     replacement: Replacement,
-    sets: Vec<CacheSet>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `sets − 1` when the set count is a power of two (index by mask);
+    /// `CacheGeometry::new` admits other counts, which index by `%`.
+    set_mask: Option<u64>,
+    slots: Vec<LineEntry>,
+    /// Resident ways per set.
+    lens: Vec<u32>,
     /// Per-region resident line counts, dense-indexed by `Region::index`.
     occupancy: [u64; 6],
     /// Xorshift state for `Replacement::Random`.
@@ -105,11 +116,18 @@ impl CacheStats {
 impl Cache {
     /// Create an empty cache.
     pub fn new(geometry: CacheGeometry, replacement: Replacement) -> Self {
-        let sets = geometry.sets() as usize;
+        assert!(
+            geometry.line_bytes.is_power_of_two(),
+            "line size must be 2^k"
+        );
+        let sets = geometry.sets();
         Cache {
             geometry,
             replacement,
-            sets: vec![CacheSet::default(); sets],
+            line_shift: geometry.line_bytes.trailing_zeros(),
+            set_mask: sets.is_power_of_two().then(|| sets - 1),
+            slots: vec![EMPTY; sets as usize * geometry.associativity as usize],
+            lens: vec![0; sets as usize],
             occupancy: [0; 6],
             rand_state: 0x9e3779b97f4a7c15,
             stats: CacheStats::default(),
@@ -124,12 +142,29 @@ impl Cache {
     /// Line address for a byte address.
     #[inline]
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.geometry.line_bytes as u64
+        addr >> self.line_shift
     }
 
     #[inline]
     fn set_of(&self, line_addr: u64) -> usize {
-        (line_addr % self.geometry.sets()) as usize
+        match self.set_mask {
+            Some(mask) => (line_addr & mask) as usize,
+            None => (line_addr % self.geometry.sets()) as usize,
+        }
+    }
+
+    /// Slot index of the set's first way.
+    #[inline]
+    fn base_of(&self, set: usize) -> usize {
+        set * self.geometry.associativity as usize
+    }
+
+    /// The resident ways of the set `line_addr` maps to, most recent first.
+    #[inline]
+    fn ways_of(&self, line_addr: u64) -> &[LineEntry] {
+        let set = self.set_of(line_addr);
+        let base = self.base_of(set);
+        &self.slots[base..base + self.lens[set] as usize]
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -151,33 +186,30 @@ impl Cache {
     /// dirty. Returns hit/evicted/write-back info.
     pub fn access_rw(&mut self, addr: u64, region: Region, is_write: bool) -> AccessResult {
         let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let assoc = self.geometry.associativity as usize;
+        let set = self.set_of(line);
+        let base = self.base_of(set);
+        let occupied = self.lens[set] as usize;
 
         self.stats.accesses += 1;
         self.stats.region_accesses[region.index()] += 1;
 
-        let hit_pos = self.sets[set_idx]
-            .ways
-            .iter()
-            .position(|e| e.line_addr == line);
-        if let Some(pos) = hit_pos {
+        let ways = &mut self.slots[base..base + occupied];
+        if let Some(pos) = ways.iter().position(|e| e.line_addr == line) {
             self.stats.hits += 1;
             self.stats.region_hits[region.index()] += 1;
             // Occupancy region may change owner on re-touch (e.g. a
             // packet buffer recycled as stream state).
-            let old_region = self.sets[set_idx].ways[pos].region;
-            if old_region != region {
-                self.occupancy[old_region.index()] -= 1;
+            let e = &mut ways[pos];
+            if e.region != region {
+                self.occupancy[e.region.index()] -= 1;
                 self.occupancy[region.index()] += 1;
-                self.sets[set_idx].ways[pos].region = region;
+                e.region = region;
             }
             if is_write {
-                self.sets[set_idx].ways[pos].dirty = true;
+                e.dirty = true;
             }
-            if self.replacement == Replacement::Lru {
-                let e = self.sets[set_idx].ways.remove(pos);
-                self.sets[set_idx].ways.insert(0, e);
+            if self.replacement == Replacement::Lru && pos > 0 {
+                ways[..=pos].rotate_right(1);
             }
             return AccessResult {
                 hit: true,
@@ -186,33 +218,32 @@ impl Cache {
             };
         }
 
-        // Miss: fill, possibly evicting.
-        let occupied = self.sets[set_idx].ways.len();
+        // Miss: fill at the front, evicting when the set is full. The
+        // ways ahead of the victim (all of them when nothing is evicted)
+        // move back one slot.
         let mut wrote_back = false;
-        let evicted = if occupied >= assoc {
+        let (evicted, moved) = if occupied >= self.geometry.associativity as usize {
             let victim_pos = match self.replacement {
                 Replacement::Lru | Replacement::Fifo => occupied - 1,
                 Replacement::Random => (self.next_rand() % occupied as u64) as usize,
             };
-            let victim = self.sets[set_idx].ways.remove(victim_pos);
+            let victim = self.slots[base + victim_pos];
             self.occupancy[victim.region.index()] -= 1;
             if victim.dirty {
                 self.stats.writebacks += 1;
                 wrote_back = true;
             }
-            Some((victim.line_addr, victim.region))
+            (Some((victim.line_addr, victim.region)), victim_pos)
         } else {
-            None
+            self.lens[set] += 1;
+            (None, occupied)
         };
-
-        self.sets[set_idx].ways.insert(
-            0,
-            LineEntry {
-                line_addr: line,
-                region,
-                dirty: is_write,
-            },
-        );
+        self.slots.copy_within(base..base + moved, base + 1);
+        self.slots[base] = LineEntry {
+            line_addr: line,
+            region,
+            dirty: is_write,
+        };
         self.occupancy[region.index()] += 1;
         AccessResult {
             hit: false,
@@ -221,45 +252,96 @@ impl Cache {
         }
     }
 
+    /// Count `k` further hits on a line the caller knows is resident,
+    /// tagged `region` and most recent in its set: exactly what `k` calls
+    /// of [`Cache::access_rw`] on it would do, which is advance the
+    /// counters and nothing else.
+    pub(crate) fn charge_hits(&mut self, region: Region, k: u64) {
+        let r = region.index();
+        self.stats.accesses += k;
+        self.stats.hits += k;
+        self.stats.region_accesses[r] += k;
+        self.stats.region_hits[r] += k;
+    }
+
+    /// Whether `addr`'s line is resident as the first way of its set,
+    /// owned by `region` (and dirty if `is_write`) — the state in which
+    /// another access to it changes only counters.
+    pub(crate) fn hit_is_stateless(&self, addr: u64, region: Region, is_write: bool) -> bool {
+        let line = self.line_of(addr);
+        self.ways_of(line)
+            .first()
+            .is_some_and(|e| e.line_addr == line && e.region == region && (e.dirty || !is_write))
+    }
+
+    /// Whether the lines of `first..=last` all map to different sets:
+    /// the range spans no more consecutive lines than there are sets.
+    pub(crate) fn one_line_per_set(&self, first: u64, last: u64) -> bool {
+        self.line_of(last) - self.line_of(first) < self.lens.len() as u64
+    }
+
     /// Resident dirty-line count for one region — the lines a migration
     /// must transfer cache-to-cache rather than refetch from memory.
     pub fn dirty_occupancy(&self, region: Region) -> u64 {
-        self.sets
-            .iter()
-            .flat_map(|s| s.ways.iter())
+        let assoc = self.geometry.associativity as usize;
+        self.slots
+            .chunks_exact(assoc)
+            .zip(&self.lens)
+            .flat_map(|(ways, &len)| &ways[..len as usize])
             .filter(|e| e.region == region && e.dirty)
             .count() as u64
     }
 
     /// Whether a byte address is resident.
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set = &self.sets[self.set_of(line)];
-        set.ways.iter().any(|e| e.line_addr == line)
+        self.contains_line(self.line_of(addr))
+    }
+
+    fn contains_line(&self, line_addr: u64) -> bool {
+        self.ways_of(line_addr)
+            .iter()
+            .any(|e| e.line_addr == line_addr)
     }
 
     /// Invalidate a line (back-invalidation from an inclusive outer
     /// level). Returns true if it was resident.
     pub fn invalidate_line(&mut self, line_addr: u64) -> bool {
-        let set_idx = self.set_of(line_addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.ways.iter().position(|e| e.line_addr == line_addr) {
-            let e = set.ways.remove(pos);
-            self.occupancy[e.region.index()] -= 1;
-            true
-        } else {
-            false
-        }
+        let set = self.set_of(line_addr);
+        let base = self.base_of(set);
+        let end = base + self.lens[set] as usize;
+        let Some(pos) = self.slots[base..end]
+            .iter()
+            .position(|e| e.line_addr == line_addr)
+        else {
+            return false;
+        };
+        self.occupancy[self.slots[base + pos].region.index()] -= 1;
+        self.slots.copy_within(base + pos + 1..end, base + pos);
+        self.lens[set] -= 1;
+        true
     }
 
     /// Evict every resident line owned by `region`. Returns the number of
-    /// lines removed.
+    /// lines removed. The scan stops at the set where the count reaches
+    /// the region's occupancy, so it costs nothing for an absent region.
     pub fn purge_region(&mut self, region: Region) -> u64 {
+        let resident = self.occupancy[region.index()];
         let mut removed = 0;
-        for set in &mut self.sets {
-            let before = set.ways.len();
-            set.ways.retain(|e| e.region != region);
-            removed += (before - set.ways.len()) as u64;
+        let mut set = 0;
+        while removed < resident {
+            let base = self.base_of(set);
+            let len = self.lens[set] as usize;
+            let mut kept = 0;
+            for i in 0..len {
+                let e = self.slots[base + i];
+                if e.region != region {
+                    self.slots[base + kept] = e;
+                    kept += 1;
+                }
+            }
+            self.lens[set] = kept as u32;
+            removed += (len - kept) as u64;
+            set += 1;
         }
         self.occupancy[region.index()] -= removed;
         removed
@@ -267,9 +349,7 @@ impl Cache {
 
     /// Drop every resident line.
     pub fn flush_all(&mut self) {
-        for set in &mut self.sets {
-            set.ways.clear();
-        }
+        self.lens.fill(0);
         self.occupancy = [0; 6];
     }
 
@@ -289,13 +369,7 @@ impl Cache {
         if lines.is_empty() {
             return 1.0;
         }
-        let resident = lines
-            .iter()
-            .filter(|&&l| {
-                let set = &self.sets[self.set_of(l)];
-                set.ways.iter().any(|e| e.line_addr == l)
-            })
-            .count();
+        let resident = lines.iter().filter(|&&l| self.contains_line(l)).count();
         resident as f64 / lines.len() as f64
     }
 

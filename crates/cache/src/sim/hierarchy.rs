@@ -90,12 +90,9 @@ impl MemoryHierarchy {
         self.stats.accesses += 1;
         let mut cycles = self.platform.l1_hit_cycles;
 
-        let l1 = if mref.is_instr {
-            self.l1i.as_mut().unwrap_or(&mut self.l1d)
-        } else {
-            &mut self.l1d
-        };
-        let l1_result = l1.access_rw(mref.addr, mref.region, mref.is_write);
+        let l1_result = self
+            .l1_mut(mref.is_instr)
+            .access_rw(mref.addr, mref.region, mref.is_write);
         if l1_result.hit {
             self.stats.l1_hits += 1;
             self.stats.cycles += cycles;
@@ -121,6 +118,38 @@ impl MemoryHierarchy {
 
         self.stats.cycles += cycles;
         served
+    }
+
+    /// The L1 a reference goes to.
+    fn l1_mut(&mut self, is_instr: bool) -> &mut Cache {
+        match self.l1i.as_mut() {
+            Some(l1i) if is_instr => l1i,
+            _ => &mut self.l1d,
+        }
+    }
+
+    /// Charge `k` L1 hits like `mref` without looking anything up: the
+    /// counters and cycles `k` calls of [`MemoryHierarchy::access`] would
+    /// add when each finds its line first in its L1 set, already tagged
+    /// and (for a store) dirty — a hit that changes no cache state and
+    /// never reaches L2. Cycles are added one hit at a time, so the sum
+    /// rounds exactly as the calls would; every `CostModel` platform has
+    /// `l1_hit_cycles == 0`, which adds nothing.
+    fn charge_l1_hits(&mut self, mref: MemRef, k: u64) {
+        self.stats.accesses += k;
+        self.stats.l1_hits += k;
+        if self.platform.l1_hit_cycles != 0.0 {
+            for _ in 0..k {
+                self.stats.cycles += self.platform.l1_hit_cycles;
+            }
+        }
+        self.l1_mut(mref.is_instr).charge_hits(mref.region, k);
+    }
+
+    /// Whether `mref` would be an L1 hit that changes no cache state.
+    fn is_stateless_l1_hit(&mut self, mref: MemRef) -> bool {
+        self.l1_mut(mref.is_instr)
+            .hit_is_stateless(mref.addr, mref.region, mref.is_write)
     }
 
     /// Invalidate every L1 line covered by an evicted L2 line.
@@ -222,6 +251,75 @@ impl MemoryHierarchy {
 impl TraceSink for MemoryHierarchy {
     fn access(&mut self, mref: MemRef) {
         let _ = MemoryHierarchy::access(self, mref);
+    }
+
+    /// One lookup per L1 line of the sweep; every other reference is
+    /// charged as the L1 hit it must be.
+    ///
+    /// * In the first pass (`i < period`) addresses only rise, so the
+    ///   references that share an L1 line are consecutive: after the
+    ///   first one's real access the line is first in its set, and the
+    ///   rest of the line's references find it there.
+    /// * Later passes re-walk lines the first pass left resident,
+    ///   provided nothing the pass did could displace one of them: the
+    ///   sweep's span covers at most `sets` consecutive lines at both
+    ///   levels, so its lines fall in distinct sets of L1 and of L2, a
+    ///   fill never evicts a sweep line, and an L2 eviction (hence a
+    ///   back-invalidation) never covers one. Each is then still first
+    ///   in its L1 set. When the span is larger the later passes are
+    ///   walked reference by reference.
+    ///
+    /// Debug builds check every charged reference against the caches.
+    fn access_sweep(&mut self, first: MemRef, stride: u64, period: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        assert!(period > 0, "a sweep has a non-zero period");
+        // The reference at offset `k` of the pass, `k = i % period`.
+        let at = |k: u64| MemRef {
+            addr: first.addr + k * stride,
+            ..first
+        };
+        if stride == 0 {
+            (0..n).for_each(|_| {
+                self.access(first);
+            });
+            return;
+        }
+
+        let l1_line = self.platform.l1.line_bytes as u64;
+        let pass = n.min(period);
+        let mut i = 0;
+        while i < pass {
+            let mref = at(i);
+            self.access(mref);
+            let room = l1_line - (mref.addr & (l1_line - 1));
+            let in_line = if room <= stride {
+                1
+            } else {
+                room.div_ceil(stride).min(pass - i)
+            };
+            debug_assert!((i + 1..i + in_line).all(|j| self.is_stateless_l1_hit(at(j))));
+            self.charge_l1_hits(first, in_line - 1);
+            i += in_line;
+        }
+        if pass == n {
+            return;
+        }
+
+        let last = at(period - 1).addr;
+        if self
+            .l1_mut(first.is_instr)
+            .one_line_per_set(first.addr, last)
+            && self.l2.one_line_per_set(first.addr, last)
+        {
+            debug_assert!((pass..n).all(|j| self.is_stateless_l1_hit(at(j % period))));
+            self.charge_l1_hits(first, n - pass);
+        } else {
+            (pass..n).for_each(|j| {
+                self.access(at(j % period));
+            });
+        }
     }
 }
 

@@ -110,6 +110,20 @@ impl MemRef {
 pub trait TraceSink {
     /// Consume one reference.
     fn access(&mut self, mref: MemRef);
+
+    /// Consume a sweep: `n` references like `first`, the `i`-th at
+    /// `first.addr + (i % period) × stride` — a range walked once
+    /// (`period = n`) or a loop body re-walked cyclically (`period < n`).
+    /// This body is the definition (`period` must be non-zero unless `n`
+    /// is); an override may only get to the same state faster.
+    fn access_sweep(&mut self, first: MemRef, stride: u64, period: u64, n: u64) {
+        for i in 0..n {
+            self.access(MemRef {
+                addr: first.addr + (i % period) * stride,
+                ..first
+            });
+        }
+    }
 }
 
 /// A sink that simply buffers references (for replay / unique counting).

@@ -1,10 +1,12 @@
 //! Property-based tests for the cache models and simulator.
 //!
-//! The LRU set-associative cache is checked against a brute-force
-//! reference model on random traces; the analytic functions against
-//! their mathematical contracts (bounds, monotonicity, closed forms);
-//! the execution-time model against its interpolation invariants; and
-//! the SST fitter against exact recovery from noiseless data.
+//! The set-associative cache (LRU and FIFO) is checked against a
+//! brute-force reference model on random traces; the hierarchy's
+//! line-priced `access_sweep` against the reference-by-reference
+//! definition on random platforms; the analytic functions against their
+//! mathematical contracts (bounds, monotonicity, closed forms); the
+//! execution-time model against its interpolation invariants; and the
+//! SST fitter against exact recovery from noiseless data.
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -18,22 +20,26 @@ use afs_cache::model::footprint::SstParams;
 use afs_cache::model::hierarchy::FlushModel;
 use afs_cache::model::platform::{CacheGeometry, Platform};
 use afs_cache::sim::cache::{Cache, Replacement};
-use afs_cache::sim::trace::Region;
+use afs_cache::sim::hierarchy::{MemoryHierarchy, ServedBy};
+use afs_cache::sim::trace::{MemRef, Region, TraceSink};
 use afs_desim::time::SimDuration;
 
-/// Brute-force LRU reference: per set, a recency-ordered deque of tags.
+/// Brute-force reference: per set, a deque of tags, newest first. LRU
+/// moves a hit to the front; FIFO leaves it where its fill put it.
 struct RefLru {
     sets: Vec<VecDeque<u64>>,
     line: u64,
     assoc: usize,
+    fifo: bool,
 }
 
 impl RefLru {
-    fn new(sets: usize, line: u64, assoc: usize) -> Self {
+    fn new(sets: usize, line: u64, assoc: usize, fifo: bool) -> Self {
         RefLru {
             sets: (0..sets).map(|_| VecDeque::new()).collect(),
             line,
             assoc,
+            fifo,
         }
     }
     /// Returns hit.
@@ -42,8 +48,10 @@ impl RefLru {
         let s = (l % self.sets.len() as u64) as usize;
         let set = &mut self.sets[s];
         if let Some(pos) = set.iter().position(|&t| t == l) {
-            set.remove(pos);
-            set.push_front(l);
+            if !self.fifo {
+                set.remove(pos);
+                set.push_front(l);
+            }
             true
         } else {
             if set.len() == self.assoc {
@@ -61,12 +69,141 @@ impl RefLru {
 }
 
 fn small_geometry() -> impl Strategy<Value = (u64, u32, u32)> {
-    // (sets, line, assoc) with modest sizes for brute-force comparison.
-    (1u32..=5, 0u32..=2, 1u32..=4).prop_map(|(set_pow, line_pow, assoc)| {
-        let sets = 1u64 << set_pow;
+    // (sets, line, assoc) with modest sizes for brute-force comparison;
+    // 3 sets is the one count that indexes by `%` instead of a mask.
+    (0u32..=5, 0u32..=2, 1u32..=4).prop_map(|(set_pow, line_pow, assoc)| {
+        let sets = if set_pow == 0 { 3 } else { 1u64 << set_pow };
         let line = 16u32 << line_pow;
         (sets, line, assoc)
     })
+}
+
+/// A sink that prices a sweep by the `TraceSink` default body, i.e. by
+/// the definition: one `MemoryHierarchy::access` per reference.
+struct ByReference(MemoryHierarchy);
+
+impl TraceSink for ByReference {
+    fn access(&mut self, mref: MemRef) {
+        self.0.access(mref);
+    }
+}
+
+/// One `access_sweep` call.
+#[derive(Debug, Clone, Copy)]
+struct Sweep {
+    first: MemRef,
+    stride: u64,
+    period: u64,
+    n: u64,
+}
+
+fn sweep() -> impl Strategy<Value = Sweep> {
+    (
+        (0u8..3, 0usize..6, 0u64..8192),
+        prop_oneof![Just(4u64), Just(16u64), Just(48u64), Just(0u64)],
+        1u64..=96,
+        (0u8..3, 0u64..300),
+    )
+        .prop_map(|((kind, region, addr), stride, period, (shape, extra))| {
+            let region = Region::ALL[region];
+            let first = match kind {
+                0 => MemRef::fetch(addr),
+                1 => MemRef::read(addr, region),
+                _ => MemRef::write(addr, region),
+            };
+            // Walked once, cut short, or wrapping past the first pass.
+            let n = match shape {
+                0 => period,
+                1 => extra % period,
+                _ => period + extra,
+            };
+            Sweep {
+                first,
+                stride,
+                period,
+                n,
+            }
+        })
+}
+
+/// L1 {3, 4, 16, 64} sets × {1, 2, 4} ways × {16, 32} B, split or
+/// unified, under an L2 whose lines are at least as long.
+fn small_platform() -> impl Strategy<Value = Platform> {
+    (
+        (
+            prop_oneof![Just(3u64), Just(4u64), Just(16u64), Just(64u64)],
+            prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
+            prop_oneof![Just(16u32), Just(32u32)],
+            any::<bool>(),
+        ),
+        (
+            prop_oneof![Just(16u64), Just(64u64), Just(256u64)],
+            1u32..=2,
+            0u32..=2,
+        ),
+        prop_oneof![Just(0.0f64), Just(1.0f64), Just(0.3f64)],
+    )
+        .prop_map(
+            |((sets, assoc, line, split), (l2_sets, l2_assoc, l2_line_pow), hit)| {
+                let l2_line = line << l2_line_pow;
+                Platform {
+                    l1: CacheGeometry::new(sets * assoc as u64 * line as u64, line, assoc),
+                    l1_split: split,
+                    l2: CacheGeometry::new(
+                        l2_sets * l2_assoc as u64 * l2_line as u64,
+                        l2_line,
+                        l2_assoc,
+                    ),
+                    l1_hit_cycles: hit,
+                    ..Platform::sgi_challenge_r4400()
+                }
+            },
+        )
+}
+
+/// Everything observable about a hierarchy short of its recency order:
+/// its counters (cycles by bit pattern) and, per cache, the counters and
+/// every region's occupancy and dirty occupancy.
+fn observable(h: &MemoryHierarchy) -> String {
+    let s = h.stats;
+    let mut out = format!(
+        "{} {} {} {} {:#x}",
+        s.accesses,
+        s.l1_hits,
+        s.l2_hits,
+        s.mem_fills,
+        s.cycles.to_bits()
+    );
+    for c in [Some(&h.l1d), h.l1i.as_ref(), Some(&h.l2)]
+        .into_iter()
+        .flatten()
+    {
+        let occupancy = Region::ALL.map(|r| (c.occupancy(r), c.dirty_occupancy(r)));
+        out += &format!("\n{:?} {:?}", c.stats, occupancy);
+    }
+    out
+}
+
+#[test]
+fn purge_region_reaches_the_last_set_and_returns_at_once_when_absent() {
+    for sets in [3u64, 8] {
+        let mut c = Cache::new(CacheGeometry::new(sets * 2 * 16, 16, 2), Replacement::Lru);
+        for l in 0..sets {
+            c.access(l * 16, Region::Code);
+        }
+        // The only packet line sits in the last set the scan visits.
+        let packet = (2 * sets - 1) * 16;
+        c.access_rw(packet, Region::PacketData, true);
+        assert_eq!(c.purge_region(Region::PacketData), 1);
+        assert!(!c.contains(packet));
+        assert_eq!(c.occupancy(Region::PacketData), 0);
+        assert_eq!(c.dirty_occupancy(Region::PacketData), 0);
+        // Absent now, and a region that never was resident.
+        assert_eq!(c.purge_region(Region::PacketData), 0);
+        assert_eq!(c.purge_region(Region::Stream), 0);
+        assert_eq!(c.occupancy(Region::Code), sets);
+        assert!((0..sets).all(|l| c.contains(l * 16)));
+    }
 }
 
 proptest! {
@@ -75,11 +212,13 @@ proptest! {
     #[test]
     fn lru_cache_matches_reference(
         (sets, line, assoc) in small_geometry(),
+        fifo in any::<bool>(),
         addrs in prop::collection::vec(0u64..4096, 1..300),
     ) {
         let cap = sets * line as u64 * assoc as u64;
-        let mut real = Cache::new(CacheGeometry::new(cap, line, assoc), Replacement::Lru);
-        let mut model = RefLru::new(sets as usize, line as u64, assoc as usize);
+        let replacement = if fifo { Replacement::Fifo } else { Replacement::Lru };
+        let mut real = Cache::new(CacheGeometry::new(cap, line, assoc), replacement);
+        let mut model = RefLru::new(sets as usize, line as u64, assoc as usize, fifo);
         for &a in &addrs {
             let hit_real = real.access(a, Region::Stream).hit;
             let hit_model = model.access(a);
@@ -89,6 +228,38 @@ proptest! {
         for &a in &addrs {
             prop_assert_eq!(real.contains(a), model.contains(a));
         }
+    }
+
+    #[test]
+    fn access_sweep_equals_the_reference_by_reference_walk(
+        platform in small_platform(),
+        script in prop::collection::vec(sweep(), 1..=24),
+        suffix_seed in any::<u64>(),
+    ) {
+        let mut fast = MemoryHierarchy::new(platform);
+        let mut slow = ByReference(fast.clone());
+        for (k, s) in script.iter().enumerate() {
+            fast.access_sweep(s.first, s.stride, s.period, s.n);
+            slow.access_sweep(s.first, s.stride, s.period, s.n);
+            prop_assert_eq!(observable(&fast), observable(&slow.0), "after sweep {} = {:?}", k, s);
+        }
+        // Where a common random suffix is served reads out what the
+        // counters cannot: which lines are resident and in what order.
+        let mut x = suffix_seed | 1;
+        for k in 0..500 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = (x >> 8) % 12_288;
+            let mref = match x & 3 {
+                0 => MemRef::fetch(addr),
+                1 => MemRef::write(addr, Region::Stream),
+                _ => MemRef::read(addr, Region::NonProtocol),
+            };
+            let (a, b): (ServedBy, ServedBy) = (fast.access(mref), slow.0.access(mref));
+            prop_assert_eq!(a, b, "suffix reference {} = {:?}", k, mref);
+        }
+        prop_assert_eq!(observable(&fast), observable(&slow.0));
     }
 
     #[test]
@@ -244,9 +415,9 @@ proptest! {
         platform.l1 = CacheGeometry::new(512, 16, 1);
         platform.l1_split = false;
         platform.l2 = CacheGeometry::new(4096, 64, 1);
-        let mut h = afs_cache::sim::hierarchy::MemoryHierarchy::new(platform);
+        let mut h = MemoryHierarchy::new(platform);
         for &a in &addrs {
-            h.access(afs_cache::sim::trace::MemRef::read(a, Region::Stream));
+            h.access(MemRef::read(a, Region::Stream));
         }
         for &a in &addrs {
             if h.l1d.contains(a) {

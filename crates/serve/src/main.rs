@@ -13,13 +13,21 @@
 //!           --frontend fdir --packets 1000000 --snapshot-every 100000
 //! ```
 //!
-//! Exit status is non-zero if the ledger does not balance — the CI
-//! smoke contract.
+//! Exit status: 0 on a balanced ledger, 1 if the ledger does not
+//! balance (the CI smoke contract) or the snapshot file cannot be
+//! created, 2 on a usage error — every flag value is checked against
+//! its accepted range before any thread starts.
 
 use std::io::Write;
 use std::process::ExitCode;
 
 use afs_native::{run_serve, FrontEndKind, Pinning, PolicySpec, ServeConfig};
+use afs_xkernel::{fddi, ip, udp};
+
+/// Largest UDP payload whose IP datagram fits one FDDI frame.
+const MAX_PAYLOAD: usize = fddi::MAX_PAYLOAD - ip::HEADER_LEN - udp::HEADER_LEN;
+// `USAGE` quotes the number.
+const _: () = assert!(MAX_PAYLOAD == 4404);
 
 const USAGE: &str = "afs-serve — sustained-ingest serving over the pinned native backend
 
@@ -27,29 +35,39 @@ USAGE:
     afs-serve [OPTIONS]
 
 OPTIONS:
-    --workers <N>         worker threads (default 2)
-    --streams <N>         flow population size (default 65536)
+    --workers <N>         worker threads, >= 1 (default 2)
+    --streams <N>         flow population size, >= 1 (default 65536)
     --policy <P>          fallback policy: oblivious | locking | ips |
                           mru-load | min-reload (default min-reload)
     --frontend <F>        NIC front-end: rss | fdir | transport (default fdir)
-    --batch <N>           dequeue/dispatch batch bound (default 8)
+    --batch <N>           dequeue/dispatch batch bound, >= 1 (default 8)
     --packets <N>         total packets to offer (default 1000000)
-    --seconds <S>         virtual traffic duration; overrides --packets
-                          (packets = offered rate x S)
+    --seconds <S>         virtual traffic duration, finite and >= 0;
+                          overrides --packets (packets = offered rate x S)
     --warmup <N>          packets before the statistics window
                           (default packets/10)
     --load <F>            offered load as a multiple of rated capacity
-                          (workers / warm service time; default 1.0)
-    --pps <F>             explicit offered rate, overrides --load
-    --alpha <F>           Zipf skew (default 1.1)
-    --batch-mean <F>      mean arrival burst length (default 4.0)
-    --payload <N>         UDP payload bytes (default 64)
+                          (workers / warm service time), finite and > 0
+                          (default 1.0)
+    --pps <F>             explicit offered rate, finite and > 0;
+                          overrides --load
+    --alpha <F>           Zipf skew, finite and >= 0 (default 1.1)
+    --batch-mean <F>      mean arrival burst length, finite and >= 1
+                          (default 4.0)
+    --payload <N>         UDP payload bytes, at most 4404 — one FDDI
+                          frame (default 64)
     --queue-capacity <N>  per-worker admission bound (default from policy)
     --seed <N>            RNG seed (default 0xAF5)
     --pin                 pin workers to cores (default off)
     --snapshot-every <N>  emit a serve snapshot every N offered packets
     --snapshot-out <PATH> write snapshots to PATH instead of stdout
     -h, --help            print this help
+
+EXIT STATUS:
+    0   the run finished and its ledger balances
+    1   the ledger does not balance, or --snapshot-out cannot be created
+    2   usage error: unknown flag, missing value, or a value outside
+        the range above (one line on stderr names the flag)
 ";
 
 struct Args {
@@ -89,6 +107,20 @@ fn parse_frontend(s: &str) -> Result<FrontEndKind, String> {
         .ok_or_else(|| format!("unknown front-end '{s}' (use rss | fdir | transport)"))
 }
 
+/// `raw` as the value of `flag`, parsed and checked against what the
+/// flag accepts; the error is the one usage line the user sees.
+fn parse_value<T: std::str::FromStr>(
+    flag: &str,
+    raw: &str,
+    accepts: impl Fn(&T) -> bool,
+    range: &str,
+) -> Result<T, String> {
+    raw.parse()
+        .ok()
+        .filter(accepts)
+        .ok_or_else(|| format!("{flag} {raw}: expected {range}"))
+}
+
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         workers: 2,
@@ -112,93 +144,66 @@ fn parse_args() -> Result<Option<Args>, String> {
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
+    let value = |i: &mut usize| -> Result<&str, String> {
         *i += 1;
         argv.get(*i)
-            .cloned()
+            .map(String::as_str)
             .ok_or_else(|| format!("{} needs a value", argv[*i - 1]))
     };
+    const COUNT: &str = "an integer >= 0";
+    const AT_LEAST_ONE: &str = "an integer >= 1";
+    let positive = |x: &f64| x.is_finite() && *x > 0.0;
+    let at_least = |min: f64| move |x: &f64| x.is_finite() && *x >= min;
     while i < argv.len() {
-        match argv[i].as_str() {
+        let flag = argv[i].as_str();
+        match flag {
             "-h" | "--help" => return Ok(None),
             "--workers" => {
-                args.workers = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
+                args.workers = parse_value(flag, value(&mut i)?, |&n| n >= 1, AT_LEAST_ONE)?
             }
             "--streams" => {
-                args.streams = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--streams: {e}"))?
+                args.streams = parse_value(flag, value(&mut i)?, |&n| n >= 1, AT_LEAST_ONE)?
             }
-            "--policy" => args.policy = parse_policy(&value(&mut i)?)?,
-            "--frontend" => args.frontend = parse_frontend(&value(&mut i)?)?,
-            "--batch" => {
-                args.batch = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?
-            }
-            "--packets" => {
-                args.packets = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--packets: {e}"))?
-            }
+            "--policy" => args.policy = parse_policy(value(&mut i)?)?,
+            "--frontend" => args.frontend = parse_frontend(value(&mut i)?)?,
+            "--batch" => args.batch = parse_value(flag, value(&mut i)?, |&n| n >= 1, AT_LEAST_ONE)?,
+            "--packets" => args.packets = parse_value(flag, value(&mut i)?, |_| true, COUNT)?,
             "--seconds" => {
-                args.seconds = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--seconds: {e}"))?,
-                )
+                let range = "a finite number of seconds >= 0";
+                args.seconds = Some(parse_value(flag, value(&mut i)?, at_least(0.0), range)?)
             }
-            "--warmup" => {
-                args.warmup = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--warmup: {e}"))?,
-                )
+            "--warmup" => args.warmup = Some(parse_value(flag, value(&mut i)?, |_| true, COUNT)?),
+            "--load" => {
+                args.load = parse_value(flag, value(&mut i)?, positive, "a finite number > 0")?
             }
-            "--load" => args.load = value(&mut i)?.parse().map_err(|e| format!("--load: {e}"))?,
-            "--pps" => args.pps = Some(value(&mut i)?.parse().map_err(|e| format!("--pps: {e}"))?),
+            "--pps" => {
+                let range = "a finite rate > 0";
+                args.pps = Some(parse_value(flag, value(&mut i)?, positive, range)?)
+            }
             "--alpha" => {
-                args.alpha = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--alpha: {e}"))?
+                let range = "a finite Zipf exponent >= 0";
+                args.alpha = parse_value(flag, value(&mut i)?, at_least(0.0), range)?
             }
             "--batch-mean" => {
-                args.batch_mean = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--batch-mean: {e}"))?
+                let range = "a finite mean burst length >= 1";
+                args.batch_mean = parse_value(flag, value(&mut i)?, at_least(1.0), range)?
             }
             "--payload" => {
-                args.payload = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--payload: {e}"))?
+                let range = format!("0..={MAX_PAYLOAD} bytes (one FDDI frame)");
+                args.payload = parse_value(flag, value(&mut i)?, |&n| n <= MAX_PAYLOAD, &range)?
             }
             "--queue-capacity" => {
-                args.queue_capacity = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--queue-capacity: {e}"))?,
-                )
+                args.queue_capacity = Some(parse_value(flag, value(&mut i)?, |_| true, COUNT)?)
             }
-            "--seed" => {
-                args.seed = Some(value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?)
-            }
+            "--seed" => args.seed = Some(parse_value(flag, value(&mut i)?, |_| true, COUNT)?),
             "--pin" => args.pin = true,
             "--snapshot-every" => {
-                args.snapshot_every = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--snapshot-every: {e}"))?,
-                )
+                args.snapshot_every = Some(parse_value(flag, value(&mut i)?, |_| true, COUNT)?)
             }
-            "--snapshot-out" => args.snapshot_out = Some(value(&mut i)?),
+            "--snapshot-out" => args.snapshot_out = Some(value(&mut i)?.to_owned()),
             other => return Err(format!("unknown argument '{other}'")),
         }
         i += 1;
-    }
-    if args.workers == 0 || args.streams == 0 || args.batch == 0 {
-        return Err("--workers, --streams and --batch must be positive".into());
     }
     Ok(Some(args))
 }
@@ -211,8 +216,8 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+            eprintln!("afs-serve: {e} (--help lists every flag and its range)");
+            return ExitCode::from(2);
         }
     };
 

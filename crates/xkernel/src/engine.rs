@@ -1044,6 +1044,95 @@ mod tests {
             ]
         );
     }
+
+    /// The counters behind those nine triples, level by level and region
+    /// by region: what a bulk-charged sweep writes, and what no CSV but
+    /// `table1.csv` reads. Same script; constants captured with the
+    /// hierarchy walked one reference at a time.
+    #[test]
+    fn hierarchy_counters_are_pinned_after_the_timing_script() {
+        let mut eng = ProtocolEngine::new(CostModel::default());
+        eng.bind_stream(StreamId(0));
+        eng.bind_tcp_stream(StreamId(1), 1000);
+        let mut hier = eng.cost.hierarchy();
+        let mut f = PacketFactory::new();
+
+        for _ in 0..2 {
+            let frame = rx(&mut f, 0, 64);
+            eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        }
+        f.udp_checksums = true;
+        eng.cost.software_udp_checksum = true;
+        let frame = rx(&mut f, 0, 4096);
+        eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        f.udp_checksums = false;
+        eng.cost.software_udp_checksum = false;
+        for seq in [1000, 1032, 1000] {
+            let frame = RxFrame {
+                bytes: f.tcp_frame_for(StreamId(1), seq, b"0123456789ABCDEF"),
+                stream: StreamId(1),
+                buf_addr: MemLayout::new().packet(0),
+            };
+            eng.receive_tcp_outcome(&mut hier, &frame, ThreadId(1));
+        }
+        let frame = rx(&mut f, 7, 16);
+        eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        let mut frame = rx(&mut f, 0, 8);
+        frame.bytes[21 + 8] ^= 0xFF;
+        let body = frame.bytes.len() - fddi::FCS_LEN;
+        let fcs = fddi::crc32(&frame.bytes[..body]);
+        frame.bytes[body..].copy_from_slice(&fcs.to_be_bytes());
+        eng.receive_outcome(&mut hier, &frame, ThreadId(0));
+        let buf = MemLayout::new().packet(1);
+        eng.send(&mut hier, StreamId(0), &[0xAB; 64], ThreadId(0), buf);
+
+        let s = hier.stats;
+        assert_eq!(
+            (s.accesses, s.l1_hits, s.l2_hits, s.mem_fills),
+            (41697, 39960, 1544, 193)
+        );
+        assert_eq!(s.cycles.to_bits(), 155353.0f64.to_bits());
+        let counters = |c: &afs_cache::sim::Cache| {
+            let s = c.stats;
+            (
+                s.accesses,
+                s.hits,
+                s.writebacks,
+                s.region_accesses,
+                s.region_hits,
+            )
+        };
+        assert_eq!(
+            counters(&hier.l1d),
+            (
+                8702,
+                7717,
+                114,
+                [0, 1248, 1440, 4832, 1182, 0],
+                [0, 1208, 1320, 4294, 895, 0]
+            )
+        );
+        assert_eq!(
+            counters(hier.l1i.as_ref().expect("the R4400 L1 is split")),
+            (
+                32995,
+                32243,
+                0,
+                [32995, 0, 0, 0, 0, 0],
+                [32243, 0, 0, 0, 0, 0]
+            )
+        );
+        assert_eq!(
+            counters(&hier.l2),
+            (
+                1737,
+                1544,
+                5,
+                [752, 40, 120, 538, 287, 0],
+                [658, 35, 110, 491, 250, 0]
+            )
+        );
+    }
 }
 
 #[cfg(test)]

@@ -97,15 +97,57 @@ impl std::fmt::Display for FddiError {
 
 impl std::error::Error for FddiError {}
 
+/// The IEEE 802.3 CRC-32 polynomial, reflected.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the CRC register after
+/// byte `b` followed by `k` zero bytes, so eight input bytes fold into
+/// the register with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected), as used for the FCS.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -203,6 +245,36 @@ mod tests {
         assert_eq!(hdr.src, MacAddr::station(2));
         assert_eq!(hdr.ethertype, ETHERTYPE_IP);
         assert_eq!(msg.bytes(), payload);
+    }
+
+    /// The definition, one bit at a time: the oracle for the tables.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xFC5);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF43926);
+        // Every remainder around the 8-byte chunking, then frame-sized
+        // buffers up to past the FDDI MTU.
+        for case in 0..=70 + 256 {
+            let len = if case <= 70 {
+                case
+            } else {
+                rng.gen_range(0..=4500usize)
+            };
+            let buf: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "len {len}");
+        }
     }
 
     #[test]

@@ -186,13 +186,11 @@ impl<'a, S: TraceSink> MemCtx<'a, S> {
     /// (loops re-touch the same lines, as real loops do).
     pub fn exec(&mut self, seg: CodeSeg, instrs: u32) {
         self.instructions += instrs as u64;
-        let fetches = (instrs / IFETCH_GRANULE).max(1);
+        let fetches = (instrs / IFETCH_GRANULE).max(1) as u64;
         let lines = (seg.len / 16).max(1);
-        for i in 0..fetches {
-            let line = (i as u64) % lines;
-            self.sink.access(MemRef::fetch(seg.base + line * 16));
-            self.ifetch_refs += 1;
-        }
+        self.sink
+            .access_sweep(MemRef::fetch(seg.base), 16, lines, fetches);
+        self.ifetch_refs += fetches;
     }
 
     /// A 32-bit data load.
@@ -210,18 +208,19 @@ impl<'a, S: TraceSink> MemCtx<'a, S> {
     /// Touch `bytes` bytes starting at `addr` with word loads (used for
     /// struct reads, table walks, data checksums).
     pub fn load_range(&mut self, addr: u64, bytes: u64, region: Region) {
-        let words = bytes.div_ceil(4);
-        for w in 0..words {
-            self.load(addr + w * 4, region);
-        }
+        self.word_sweep(MemRef::read(addr, region), bytes);
     }
 
     /// Touch `bytes` bytes starting at `addr` with word stores.
     pub fn store_range(&mut self, addr: u64, bytes: u64, region: Region) {
+        self.word_sweep(MemRef::write(addr, region), bytes);
+    }
+
+    /// One reference like `first` per 32-bit word of `bytes`, walked once.
+    fn word_sweep(&mut self, first: MemRef, bytes: u64) {
         let words = bytes.div_ceil(4);
-        for w in 0..words {
-            self.store(addr + w * 4, region);
-        }
+        self.sink.access_sweep(first, 4, words, words);
+        self.data_refs += words;
     }
 
     /// Direct access to the sink (for layered helpers).
