@@ -1,0 +1,252 @@
+//! Extension E22 — native-backend cross-validation.
+//!
+//! The simulator (the paper's methodology) and the `afs-native`
+//! pinned-thread backend (real OS threads executing the instrumented
+//! receive path) run the *same* scenario matrix, and this harness checks
+//! that they agree on the paper's qualitative claims:
+//!
+//! * **Policy ordering** — mean delay obeys IPS ≤ locking-pool ≤
+//!   oblivious on *both* backends (with a small documented slack).
+//! * **Improvement band** — the relative service-time improvement of
+//!   IPS over the oblivious baseline (the cache-affinity signal) agrees
+//!   across backends within `IMPROVEMENT_TOLERANCE`.
+//! * **Native bookkeeping** — the runtime is lossless (every offered
+//!   packet is accounted for by a typed outcome) and migration counters
+//!   rank the policies the way the model says they must.
+//!
+//! `--smoke` (or `AFS_QUICK=1`) runs the single-scenario smoke matrix —
+//! the bounded CI configuration. Emits `results/ext22_native.csv`.
+
+use crate::{write_csv, Checks};
+use afs_core::crossval::{
+    default_matrix, relative_improvement, sim_matrix, smoke_matrix, CrossPolicy,
+    IMPROVEMENT_TOLERANCE, ORDERING_SLACK,
+};
+use afs_core::prelude::*;
+use afs_native::crossval::run_scenario;
+use afs_native::NativeReport;
+
+/// Both backends' numbers for one (scenario, policy) cell.
+struct Cell {
+    sim: RunReport,
+    native: NativeReport,
+}
+
+pub fn experiment(smoke: bool, checks: &mut Checks) {
+    let matrix = if smoke {
+        smoke_matrix()
+    } else {
+        default_matrix()
+    };
+    let labels: Vec<&str> = CrossPolicy::ALL.iter().map(|p| p.label()).collect();
+    println!(
+        "{} scenario(s){}; policies: {}\n",
+        matrix.len(),
+        if smoke { " (smoke)" } else { "" },
+        labels.join(" / ")
+    );
+
+    // The simulator side of every (scenario, policy) cell fans out on
+    // the AFS_JOBS parallel executor — the runs are pure. The native
+    // side stays serial below: its runs time real threads on the host's
+    // real caches, and running them concurrently would perturb the very
+    // effect being measured.
+    let sim_cells = sim_matrix(&matrix);
+
+    let mut rows: Vec<String> = Vec::new();
+
+    for (si, s) in matrix.iter().enumerate() {
+        println!(
+            "scenario {}: {} workers, {} streams, {:.0} pkts/s/stream, {} pkts/stream",
+            s.label(),
+            s.workers,
+            s.streams,
+            s.rate_pps_per_stream,
+            s.packets_per_stream
+        );
+        println!(
+            "{:<12} {:>14} {:>14} {:>14} {:>14} {:>9} {:>8}",
+            "policy", "sim delay", "native delay", "sim svc", "native svc", "migr", "steals"
+        );
+        let cells: Vec<(CrossPolicy, Cell)> = CrossPolicy::ALL
+            .iter()
+            .enumerate()
+            .map(|(pi, &p)| {
+                let sim = &sim_cells[si * CrossPolicy::ALL.len() + pi];
+                debug_assert_eq!(sim.policy, p);
+                (
+                    p,
+                    Cell {
+                        sim: sim.report.clone(),
+                        native: run_scenario(s, p),
+                    },
+                )
+            })
+            .collect();
+        for (p, c) in &cells {
+            println!(
+                "{:<12} {:>14.1} {:>14.1} {:>14.1} {:>14.1} {:>9} {:>8}",
+                p.label(),
+                c.sim.mean_delay_us,
+                c.native.mean_delay_us,
+                c.sim.mean_service_us,
+                c.native.mean_service_us,
+                c.native.stream_migrations,
+                c.native.steals
+            );
+            rows.push(format!(
+                "{},{},{:.3},{:.3},{:.3},{:.3},{},{},{},{}",
+                s.label(),
+                p.label(),
+                c.sim.mean_delay_us,
+                c.native.mean_delay_us,
+                c.sim.mean_service_us,
+                c.native.mean_service_us,
+                c.native.stream_migrations,
+                c.native.thread_migrations,
+                c.native.steals,
+                c.native.all_pinned
+            ));
+        }
+        println!();
+
+        let get = |p: CrossPolicy| &cells.iter().find(|(q, _)| *q == p).expect("cell ran").1;
+        let obl = get(CrossPolicy::Oblivious);
+        let lck = get(CrossPolicy::Locking);
+        let ips = get(CrossPolicy::Ips);
+
+        // Native bookkeeping: lossless, and every run completed.
+        for (p, c) in &cells {
+            checks.expect(
+                &format!("{} {}: native run is lossless", s.label(), p.label()),
+                c.native.outcomes.total() == c.native.offered
+                    && c.native.outcomes.delivered == c.native.offered,
+            );
+            checks.expect(
+                &format!("{} {}: both backends stable", s.label(), p.label()),
+                c.sim.stable && c.native.recorded > 0,
+            );
+        }
+
+        // Ordering on both backends.
+        checks.expect(
+            &format!(
+                "{}: sim delay ordering ips <= locking <= oblivious",
+                s.label()
+            ),
+            ips.sim.mean_delay_us <= ORDERING_SLACK * lck.sim.mean_delay_us
+                && lck.sim.mean_delay_us <= ORDERING_SLACK * obl.sim.mean_delay_us,
+        );
+        checks.expect(
+            &format!(
+                "{}: native delay ordering ips <= locking <= oblivious",
+                s.label()
+            ),
+            ips.native.mean_delay_us <= ORDERING_SLACK * lck.native.mean_delay_us
+                && lck.native.mean_delay_us <= ORDERING_SLACK * obl.native.mean_delay_us,
+        );
+
+        // The affinity signal agrees across backends.
+        let sim_impr = relative_improvement(obl.sim.mean_service_us, ips.sim.mean_service_us);
+        let native_impr =
+            relative_improvement(obl.native.mean_service_us, ips.native.mean_service_us);
+        println!(
+            "  service-time improvement of ips over oblivious: sim {:.1}%, native {:.1}%",
+            100.0 * sim_impr,
+            100.0 * native_impr
+        );
+        checks.expect(
+            &format!("{}: both backends see a positive affinity win", s.label()),
+            sim_impr > 0.0 && native_impr > 0.0,
+        );
+        checks.expect(
+            &format!(
+                "{}: improvement bands agree within {:.0} points",
+                s.label(),
+                100.0 * IMPROVEMENT_TOLERANCE
+            ),
+            (sim_impr - native_impr).abs() <= IMPROVEMENT_TOLERANCE,
+        );
+
+        // Migration telemetry ranks the policies as the model demands:
+        // both shared-stack policies bounce stream state between
+        // workers constantly; IPS pins it (rare steals aside). Under
+        // the virtual-order claim protocol (DESIGN.md §17) pooled
+        // claimants resolve by model clocks rather than ring races and
+        // steals resolve against modeled backlog, so the deterministic
+        // ratio sits near ~5-7x rather than the racy engine's >10x —
+        // the structural claim is pinned at >4x.
+        checks.expect(
+            &format!(
+                "{}: shared-stack policies migrate streams, ips pins them",
+                s.label()
+            ),
+            obl.native.stream_migrations > 4 * ips.native.stream_migrations.max(1)
+                && lck.native.stream_migrations > 4 * ips.native.stream_migrations.max(1),
+        );
+        checks.expect(
+            &format!("{}: ips steals are bounded, not a freeway", s.label()),
+            ips.native.steals < ips.native.offered / 4,
+        );
+
+        // The unified-layer policies (mru-load, min-reload): each stays
+        // within the delay slack of the oblivious baseline on both
+        // backends, shows a positive affinity win whose magnitude agrees
+        // across backends, and keeps stream state more local than the
+        // baseline.
+        for p in [CrossPolicy::MruLoad, CrossPolicy::MinReload] {
+            let new = get(p);
+            checks.expect(
+                &format!(
+                    "{} {}: no delay regression vs oblivious, both backends",
+                    s.label(),
+                    p.label()
+                ),
+                new.sim.mean_delay_us <= ORDERING_SLACK * obl.sim.mean_delay_us
+                    && new.native.mean_delay_us <= ORDERING_SLACK * obl.native.mean_delay_us,
+            );
+            let sim_impr = relative_improvement(obl.sim.mean_service_us, new.sim.mean_service_us);
+            let native_impr =
+                relative_improvement(obl.native.mean_service_us, new.native.mean_service_us);
+            println!(
+                "  service-time improvement of {} over oblivious: sim {:.1}%, native {:.1}%",
+                p.label(),
+                100.0 * sim_impr,
+                100.0 * native_impr
+            );
+            checks.expect(
+                &format!(
+                    "{} {}: positive affinity win on both backends",
+                    s.label(),
+                    p.label()
+                ),
+                sim_impr > 0.0 && native_impr > 0.0,
+            );
+            checks.expect(
+                &format!(
+                    "{} {}: improvement bands agree within {:.0} points",
+                    s.label(),
+                    p.label(),
+                    100.0 * IMPROVEMENT_TOLERANCE
+                ),
+                (sim_impr - native_impr).abs() <= IMPROVEMENT_TOLERANCE,
+            );
+            checks.expect(
+                &format!(
+                    "{} {}: keeps streams more local than oblivious",
+                    s.label(),
+                    p.label()
+                ),
+                new.native.stream_migrations < obl.native.stream_migrations,
+            );
+        }
+        println!();
+    }
+
+    write_csv(
+        "ext22_native",
+        "scenario,policy,sim_delay_us,native_delay_us,sim_service_us,native_service_us,\
+         native_stream_migrations,native_thread_migrations,native_steals,native_all_pinned",
+        &rows,
+    );
+}

@@ -2,15 +2,17 @@
 
 //! # afs-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (plus the extension
-//! experiments), each of which:
+//! One binary, `afs-bench run <id>… | all [--smoke]` and `afs-bench
+//! list`, over the static [`experiments::REGISTRY`]: one entry per
+//! table/figure of the paper (plus the extension experiments), each of
+//! which:
 //!
 //! 1. runs the workloads that generate the artifact,
 //! 2. prints the same rows/series the paper reports,
-//! 3. writes a CSV under `results/`, and
+//! 3. writes the `results/` files its registry entry owns, and
 //! 4. checks the *shape* expectations recorded in DESIGN.md §4 and
-//!    prints PASS/FAIL lines (the process exits non-zero on FAIL so the
-//!    harness can gate CI).
+//!    prints PASS/FAIL lines (the process exits 1 on a FAIL, 2 on a
+//!    usage error, so the harness can gate CI).
 //!
 //! Absolute numbers are not expected to match the paper (our substrate
 //! is a simulator, not the authors' Challenge XL); the checked claims
@@ -21,9 +23,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use afs_core::prelude::*;
-use afs_core::sweep::SweepPoint;
 
 pub mod artifacts;
+pub mod experiments;
 
 /// Standard experiment scale: the paper's 8-processor Challenge XL.
 pub const N_PROCS: usize = 8;
@@ -39,15 +41,8 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Print the experiment banner.
-pub fn banner(id: &str, title: &str, paper_note: &str) {
-    println!("================================================================");
-    println!("{id}: {title}");
-    println!("  paper: {paper_note}");
-    println!("================================================================");
-}
-
-/// Tracks shape-check outcomes and renders the final verdict.
+/// Tracks the shape-check outcomes of one experiment; the runner's
+/// `main` turns them into the verdict table and the exit code.
 #[derive(Debug, Default)]
 pub struct Checks {
     failures: u32,
@@ -76,16 +71,9 @@ impl Checks {
         self.failures
     }
 
-    /// Exit the process with a summary (non-zero on failure).
-    pub fn finish(self) {
-        println!(
-            "shape checks: {}/{} passed",
-            self.total - self.failures,
-            self.total
-        );
-        if self.failures > 0 {
-            std::process::exit(1);
-        }
+    /// Number of expectations recorded so far.
+    pub fn total(&self) -> u32 {
+        self.total
     }
 }
 
@@ -103,7 +91,7 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
 
 /// Write a pre-rendered JSON document to `results/<name>.json`.
 ///
-/// The workspace carries no serde; experiment binaries render their own
+/// The workspace carries no serde; experiments render their own
 /// rows (all keys and values are program-generated, so no escaping is
 /// needed).
 pub fn write_json(name: &str, body: &str) {
@@ -126,27 +114,20 @@ pub fn json_object(fields: &[(&str, String)]) -> String {
     out
 }
 
-/// The canonical simulation template used by the delay figures.
-///
-/// Under [`quick_mode`] the horizon shrinks ~4x for smoke runs (CI); the
-/// shape checks are tuned for the full horizon and may be noisier then.
-pub fn template(paradigm: Paradigm, k: usize) -> SystemConfig {
-    template_with(paradigm, k, quick_mode())
-}
-
 /// Whether this run was asked for the shortened smoke horizon: `AFS_QUICK`
 /// set in the environment, or a `--smoke` argument — the one switch,
-/// meaning the same for every binary. No other argument is parsed, so
-/// test harness processes (which reach this through [`template`]) can
-/// call it whatever filters they were started with.
+/// meaning the same for every experiment. The runner's `main` reads it
+/// once and hands it to each experiment as `quick`.
 pub fn quick_mode() -> bool {
     std::env::var_os("AFS_QUICK").is_some() || std::env::args().any(|a| a == "--smoke")
 }
 
-/// [`template`] with the horizon chosen explicitly instead of from the
-/// environment. The golden-artifact regression tests always pass
-/// `quick = false` so they reproduce the committed CSVs regardless of
-/// how the test run itself was invoked.
+/// The canonical simulation template used by the delay figures. With
+/// `quick` the horizon shrinks ~4x for smoke runs (CI); the shape checks
+/// are tuned for the full horizon and may be noisier then. The
+/// golden-artifact regression tests always pass `quick = false` so they
+/// reproduce the committed CSVs regardless of how the test run itself
+/// was invoked.
 pub fn template_with(paradigm: Paradigm, k: usize, quick: bool) -> SystemConfig {
     let mut cfg = SystemConfig::new(paradigm, Population::homogeneous_poisson(k, 100.0));
     cfg.n_procs = N_PROCS;
@@ -168,12 +149,18 @@ pub fn ips(policy: IpsPolicy, k: usize) -> Paradigm {
     }
 }
 
-/// Format one sweep point's delay for a table cell.
-pub fn cell(p: &SweepPoint) -> String {
-    if p.report.stable {
-        format!("{:>12.1}", p.report.mean_delay_us)
+/// Canonical Locking paradigm for the figures: one shared stack.
+pub fn locking(policy: LockPolicy) -> Paradigm {
+    Paradigm::Locking { policy }
+}
+
+/// A run's mean delay (µs), or ∞ if the run was unstable — the paper's
+/// curves shoot up at saturation. Formats as `inf` in tables and CSVs.
+pub fn delay_or_inf(r: &RunReport) -> f64 {
+    if r.stable {
+        r.mean_delay_us
     } else {
-        format!("{:>12}", "unstable")
+        f64::INFINITY
     }
 }
 
@@ -188,7 +175,7 @@ pub fn print_table(x_label: &str, rates: &[f64], series: &[Series]) {
         print!("{r:>12.0}");
         for s in series {
             match s.points.get(i) {
-                Some(p) => print!(" {}", cell(p)),
+                Some(p) => print!(" {:>12.1}", delay_or_inf(&p.report)),
                 None => print!(" {:>12}", "-"),
             }
         }
@@ -208,25 +195,16 @@ pub fn series_rows(rates: &[f64], series: &[Series]) -> (String, Vec<String>) {
         .map(|(i, r)| {
             let mut row = format!("{r}");
             for s in series {
-                match s.points.get(i) {
-                    Some(p) if p.report.stable => {
-                        let _ = write!(row, ",{:.2}", p.report.mean_delay_us);
-                    }
-                    _ => row.push_str(",inf"),
-                }
+                let delay = s
+                    .points
+                    .get(i)
+                    .map_or(f64::INFINITY, |p| delay_or_inf(&p.report));
+                let _ = write!(row, ",{delay:.2}");
             }
             row
         })
         .collect();
     (header, rows)
-}
-
-/// The rate grid used by the Locking/IPS delay figures (packets/second
-/// per stream, K = 16 → aggregate up to 44 800 pps ≈ past the knee).
-pub fn standard_rates() -> Vec<f64> {
-    vec![
-        100.0, 200.0, 400.0, 700.0, 1000.0, 1400.0, 1800.0, 2100.0, 2400.0, 2600.0, 2800.0,
-    ]
 }
 
 #[cfg(test)]
@@ -240,14 +218,8 @@ mod tests {
 
     #[test]
     fn template_is_valid() {
-        template(
-            Paradigm::Locking {
-                policy: LockPolicy::Mru,
-            },
-            4,
-        )
-        .validate();
-        template(ips(IpsPolicy::Wired, 4), 4).validate();
+        template_with(locking(LockPolicy::Mru), 4, false).validate();
+        template_with(ips(IpsPolicy::Wired, 4), 4, true).validate();
     }
 
     #[test]
@@ -261,13 +233,7 @@ mod tests {
 
     #[test]
     fn series_rows_formats_instability_as_inf() {
-        let t = template(
-            Paradigm::Locking {
-                policy: LockPolicy::Mru,
-            },
-            2,
-        );
-        let mut quick = t.clone();
+        let mut quick = template_with(locking(LockPolicy::Mru), 2, false);
         quick.horizon = SimDuration::from_millis(400);
         quick.warmup = SimDuration::from_millis(80);
         let s = rate_sweep("mru", &quick, &[100.0, 30_000.0]);
@@ -286,11 +252,5 @@ mod tests {
             ("c", "\"x\"".into()),
         ]);
         assert_eq!(o, "{\"a\": 1, \"b\": true, \"c\": \"x\"}");
-    }
-
-    #[test]
-    fn standard_rates_ascending() {
-        let r = standard_rates();
-        assert!(r.windows(2).all(|w| w[0] < w[1]));
     }
 }

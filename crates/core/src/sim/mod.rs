@@ -167,13 +167,10 @@ pub struct SchedSim<'r> {
 }
 
 impl<'r> SchedSim<'r> {
-    /// Build the model and note per-stream generators.
-    pub fn new(cfg: &'r SystemConfig) -> Self {
-        Self::with_pricer(cfg, DispatchPricer::new(&cfg.exec.model))
-    }
-
-    /// [`SchedSim::new`] with the configuration-constant fold supplied
-    /// by the caller. A sweep prices every point against the same
+    /// Build the model and note per-stream generators, around the
+    /// configuration-constant fold supplied by the caller
+    /// (`DispatchPricer::new(&cfg.exec.model)` for a single run). A
+    /// sweep prices every point against the same
     /// execution model, so fan-out layers ([`crate::sweep`],
     /// [`mod@crate::replicate`]) fold it once per *sweep* instead of once
     /// per run. The pricer is plain `Copy` data — bit-identical whether

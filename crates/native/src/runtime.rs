@@ -47,7 +47,6 @@
 //! of the arrival stream — bit-identical at any worker count and any
 //! dequeue batch, with or without a fault plan (DESIGN.md §17).
 
-use afs_core::metrics::RunReport;
 use afs_core::procfault::ProcFaultPlan;
 use afs_desim::dist::Dist;
 use afs_desim::rng::RngFactory;
@@ -469,39 +468,6 @@ pub struct NativeReport {
     pub ooo_deliveries: u64,
 }
 
-impl NativeReport {
-    /// Project this report onto the simulator's [`RunReport`] shape so
-    /// shared analysis and CSV tooling can consume either backend.
-    pub fn to_run_report(&self) -> RunReport {
-        let makespan_s = (self.makespan_us / 1e6).max(1e-12);
-        let horizon_s = (self.last_arrival_us / 1e6).max(1e-12);
-        let busy_us: f64 = self.per_worker.iter().map(|w| w.busy_us).sum();
-        let mut r = RunReport::empty();
-        r.mean_delay_us = self.mean_delay_us;
-        r.max_delay_us = self.max_delay_us;
-        r.mean_service_us = self.mean_service_us;
-        r.throughput_pps = self.outcomes.delivered as f64 / makespan_s;
-        r.offered_pps = self.offered as f64 / horizon_s;
-        r.delivered = self.outcomes.delivered;
-        r.arrivals = self.offered;
-        r.utilization = busy_us / 1e6 / (makespan_s * self.workers.max(1) as f64);
-        r.stream_migration_rate =
-            self.stream_migrations as f64 / self.outcomes.total().max(1) as f64;
-        r.thread_migration_rate =
-            self.thread_migrations as f64 / self.outcomes.total().max(1) as f64;
-        r.per_proc_served = self.per_worker.iter().map(|w| w.processed).collect();
-        r.goodput_pps = r.throughput_pps;
-        r.stable = self.outcomes.total() == self.offered;
-        r.proc_crashes = self.workers_crashed;
-        r.orphaned = self.orphaned;
-        r.requeued = self.requeued;
-        r.table_misses = self.table_misses;
-        r.rebinds = self.rebinds;
-        r.ooo_deliveries = self.ooo_deliveries;
-        r
-    }
-}
-
 /// Run the workload under `cfg`, choosing the pinner from
 /// [`NativeConfig::pinning`].
 pub fn run_native(cfg: &NativeConfig, workload: Vec<NativePacket>) -> NativeReport {
@@ -707,18 +673,6 @@ mod tests {
             assert_eq!(r.per_worker.len(), 1);
             assert_eq!(r.per_worker[0].processed, 30);
         }
-    }
-
-    #[test]
-    fn run_report_projection_is_consistent() {
-        let r = run_native(&cfg(2, PolicySpec::Locking), small_workload(4, 25));
-        let rr = r.to_run_report();
-        assert_eq!(rr.delivered, r.outcomes.delivered);
-        assert_eq!(rr.arrivals, r.offered);
-        assert!(rr.stable);
-        assert!(rr.utilization > 0.0 && rr.utilization <= 1.0);
-        assert_eq!(rr.per_proc_served.len(), 2);
-        assert_eq!(rr.per_proc_served.iter().sum::<u64>(), r.offered);
     }
 
     #[test]

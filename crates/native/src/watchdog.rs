@@ -1,7 +1,6 @@
 //! Plan-driven worker health: per-worker fault schedules extracted from
-//! the shared [`ProcFaultPlan`], the atomic health board workers and the
-//! dispatcher-side watchdog communicate through, and the pure heartbeat
-//! lag detector.
+//! the shared [`ProcFaultPlan`], and the atomic health board workers and
+//! the dispatcher-side watchdog communicate through.
 //!
 //! ## Why the plan, not wall-clock observation, drives recovery
 //!
@@ -13,9 +12,9 @@
 //! of workers the *plan* says are down. Observing host-time heartbeat
 //! lag instead would make recovery depend on CI load, destroying the
 //! determinism the cross-validation suite pins down. The heartbeat
-//! machinery still exists ([`HealthBoard::beat`], [`lagging`]) as a
-//! diagnostic: a genuinely wedged worker shows a frozen beat count, and
-//! the pure detector is unit-testable without threads.
+//! counters still exist ([`HealthBoard::beat`],
+//! [`HealthBoard::beat_snapshot`]) as a diagnostic: a genuinely wedged
+//! worker shows a frozen beat count.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -179,21 +178,6 @@ impl WorkerFaults {
     }
 }
 
-/// The pure heartbeat-lag detector: workers whose beat count did not
-/// advance between two snapshots and whose thread has not exited. On a
-/// healthy run every listed worker is inside a long service or starved
-/// of work; a worker that stays lagging across many windows is wedged.
-/// Diagnostic only — recovery is plan-driven (see module docs).
-pub fn lagging(prev: &[u64], cur: &[u64], exited: &[bool]) -> Vec<usize> {
-    prev.iter()
-        .zip(cur)
-        .zip(exited)
-        .enumerate()
-        .filter(|&(_, ((p, c), &ex))| !ex && c == p)
-        .map(|(w, _)| w)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,13 +285,5 @@ mod tests {
         assert!(!b.has_exited(2));
         b.mark_exited(2);
         assert!(b.has_exited(2));
-    }
-
-    #[test]
-    fn lag_detector_ignores_exited_workers() {
-        let prev = [5, 7, 9, 4];
-        let cur = [5, 8, 9, 4];
-        let exited = [false, false, false, true];
-        assert_eq!(lagging(&prev, &cur, &exited), vec![0, 2]);
     }
 }

@@ -1,7 +1,11 @@
 #!/bin/sh
 # Regenerates every table and figure of the paper plus the extension
-# experiments. Outputs: stdout (paper-style rows + shape checks) and
-# CSVs under results/.
+# experiments: builds the one runner, then runs each id of
+# `afs-bench list` in its own process (so a crash in one experiment
+# does not stop the rest). Outputs: stdout (paper-style rows + shape
+# checks + one verdict line per id) and the files under results/.
+# Exits with the worst status it saw: 0 all checks pass, 1 a shape
+# check failed, anything higher a crash.
 #
 # Independent simulation runs fan out across cores via the afs_core::par
 # executor; AFS_JOBS caps the worker count (AFS_JOBS=1 forces the serial
@@ -12,12 +16,12 @@ AFS_JOBS="${AFS_JOBS:-0}"
 [ "$AFS_JOBS" -ge 1 ] 2>/dev/null || AFS_JOBS=$( (nproc || sysctl -n hw.ncpu || echo 1) 2>/dev/null | head -n1 )
 export AFS_JOBS
 echo "run_experiments: AFS_JOBS=$AFS_JOBS"
-BINS="table1 table2 fig01 fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11 \
-      ext12_send_side ext13_packet_train ext14_num_stacks ext15_copying ext16_hybrid ext19_tcp ext20_stream_capacity \
-      ext21_faults ext22_native ext23_obs ext24_procfaults ext25_streams ext26_serve \
-      abl17_sensitivity abl18_procs summary"
-fail=0
-for b in $BINS; do
-  cargo run --release -q -p afs-bench --bin "$b" || fail=1
+cd "$(dirname "$0")" || exit
+cargo build --release -q -p afs-bench || exit
+worst=0
+for id in $(cargo run --release -q -p afs-bench -- list | cut -d' ' -f1); do
+  cargo run --release -q -p afs-bench -- run "$id"
+  code=$?
+  [ "$code" -gt "$worst" ] && worst=$code
 done
-exit $fail
+exit $worst
