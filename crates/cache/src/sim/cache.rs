@@ -71,6 +71,11 @@ pub struct Cache {
     lens: Vec<u32>,
     /// Per-region resident line counts, dense-indexed by `Region::index`.
     occupancy: [u64; 6],
+    /// Per region, a set no resident line of it lies below (`sets` when
+    /// none can be resident): lowered wherever a line takes the region's
+    /// tag, reset only by the region's purge and by `flush_all`. Losing
+    /// lines leaves it a valid bound.
+    low_set: [usize; 6],
     /// Xorshift state for `Replacement::Random`.
     rand_state: u64,
     /// Statistics.
@@ -129,6 +134,7 @@ impl Cache {
             slots: vec![EMPTY; sets as usize * geometry.associativity as usize],
             lens: vec![0; sets as usize],
             occupancy: [0; 6],
+            low_set: [sets as usize; 6],
             rand_state: 0x9e3779b97f4a7c15,
             stats: CacheStats::default(),
         }
@@ -204,6 +210,7 @@ impl Cache {
                 self.occupancy[e.region.index()] -= 1;
                 self.occupancy[region.index()] += 1;
                 e.region = region;
+                self.low_set[region.index()] = self.low_set[region.index()].min(set);
             }
             if is_write {
                 e.dirty = true;
@@ -245,6 +252,7 @@ impl Cache {
             dirty: is_write,
         };
         self.occupancy[region.index()] += 1;
+        self.low_set[region.index()] = self.low_set[region.index()].min(set);
         AccessResult {
             hit: false,
             evicted,
@@ -264,14 +272,36 @@ impl Cache {
         self.stats.region_hits[r] += k;
     }
 
-    /// Whether `addr`'s line is resident as the first way of its set,
-    /// owned by `region` (and dirty if `is_write`) — the state in which
-    /// another access to it changes only counters.
+    /// How many of the `n` consecutive lines from `line` are each
+    /// resident as the first way of their set, owned by `region` (and
+    /// dirty if `is_write`) — the state in which another access to the
+    /// line changes only counters. Stops at the first line that is not.
+    pub(crate) fn stateless_run(&self, line: u64, n: u64, region: Region, is_write: bool) -> u64 {
+        let assoc = self.geometry.associativity as usize;
+        let mut set = self.set_of(line);
+        let mut run = 0;
+        while run < n {
+            let e = &self.slots[set * assoc];
+            if self.lens[set] == 0
+                || e.line_addr != line + run
+                || e.region != region
+                || (is_write && !e.dirty)
+            {
+                break;
+            }
+            run += 1;
+            set += 1;
+            if set == self.lens.len() {
+                set = 0;
+            }
+        }
+        run
+    }
+
+    /// Whether another access to `addr`'s line would change only
+    /// counters: a [`Cache::stateless_run`] of one.
     pub(crate) fn hit_is_stateless(&self, addr: u64, region: Region, is_write: bool) -> bool {
-        let line = self.line_of(addr);
-        self.ways_of(line)
-            .first()
-            .is_some_and(|e| e.line_addr == line && e.region == region && (e.dirty || !is_write))
+        self.stateless_run(self.line_of(addr), 1, region, is_write) == 1
     }
 
     /// Whether the lines of `first..=last` all map to different sets:
@@ -322,12 +352,13 @@ impl Cache {
     }
 
     /// Evict every resident line owned by `region`. Returns the number of
-    /// lines removed. The scan stops at the set where the count reaches
-    /// the region's occupancy, so it costs nothing for an absent region.
+    /// lines removed. The scan starts at the region's lower-bound set and
+    /// stops at the set where the count reaches the region's occupancy,
+    /// so it costs what it removes and nothing for an absent region.
     pub fn purge_region(&mut self, region: Region) -> u64 {
         let resident = self.occupancy[region.index()];
         let mut removed = 0;
-        let mut set = 0;
+        let mut set = std::mem::replace(&mut self.low_set[region.index()], self.lens.len());
         while removed < resident {
             let base = self.base_of(set);
             let len = self.lens[set] as usize;
@@ -351,6 +382,7 @@ impl Cache {
     pub fn flush_all(&mut self) {
         self.lens.fill(0);
         self.occupancy = [0; 6];
+        self.low_set = [self.lens.len(); 6];
     }
 
     /// Resident line count for one region.

@@ -213,22 +213,16 @@ impl MemoryHierarchy {
             return;
         }
         let end = addr + bytes - 1;
-        for (cache_line_bytes, which) in [
-            (self.platform.l1.line_bytes as u64, 0u8),
-            (self.platform.l2.line_bytes as u64, 1u8),
-        ] {
-            let first = addr / cache_line_bytes;
-            let last = end / cache_line_bytes;
-            for line in first..=last {
-                if which == 0 {
-                    self.l1d.invalidate_line(line);
-                    if let Some(l1i) = self.l1i.as_mut() {
-                        l1i.invalidate_line(line);
-                    }
-                } else {
-                    self.l2.invalidate_line(line);
-                }
+        let l1_bytes = self.platform.l1.line_bytes as u64;
+        for line in addr / l1_bytes..=end / l1_bytes {
+            self.l1d.invalidate_line(line);
+            if let Some(l1i) = self.l1i.as_mut() {
+                l1i.invalidate_line(line);
             }
+        }
+        let l2_bytes = self.platform.l2.line_bytes as u64;
+        for line in addr / l2_bytes..=end / l2_bytes {
+            self.l2.invalidate_line(line);
         }
     }
 
@@ -253,13 +247,19 @@ impl TraceSink for MemoryHierarchy {
         let _ = MemoryHierarchy::access(self, mref);
     }
 
-    /// One lookup per L1 line of the sweep; every other reference is
-    /// charged as the L1 hit it must be.
+    /// One lookup per L1 line of the sweep that an access would change;
+    /// every other reference is charged as the L1 hit it must be.
     ///
     /// * In the first pass (`i < period`) addresses only rise, so the
-    ///   references that share an L1 line are consecutive: after the
-    ///   first one's real access the line is first in its set, and the
-    ///   rest of the line's references find it there.
+    ///   references that share an L1 line are consecutive. A *run probe*
+    ///   (`Cache::stateless_run`) finds how many lines from the current
+    ///   one are already first in their set with this sweep's tag and
+    ///   dirty bit: every reference into that run is a hit that moves
+    ///   only counters, so none of them changes what the probe saw. The
+    ///   line that ends a run gets a real access, which leaves it in
+    ///   that same state for the rest of its references. Hits are
+    ///   charged before the next real access, so cycles accumulate in
+    ///   reference order.
     /// * Later passes re-walk lines the first pass left resident,
     ///   provided nothing the pass did could displace one of them: the
     ///   sweep's span covers at most `sets` consecutive lines at both
@@ -287,21 +287,33 @@ impl TraceSink for MemoryHierarchy {
             return;
         }
 
-        let l1_line = self.platform.l1.line_bytes as u64;
+        let l1_shift = self.platform.l1.line_bytes.trailing_zeros();
         let pass = n.min(period);
+        let last_line = at(pass - 1).addr >> l1_shift;
         let mut i = 0;
         while i < pass {
             let mref = at(i);
-            self.access(mref);
-            let room = l1_line - (mref.addr & (l1_line - 1));
-            let in_line = if room <= stride {
-                1
+            let line = mref.addr >> l1_shift;
+            let probed = self.l1_mut(first.is_instr).stateless_run(
+                line,
+                last_line - line + 1,
+                first.region,
+                first.is_write,
+            );
+            // A line the probe refused is looked up for real, and is then
+            // a run of one for the references after `mref`.
+            let (run, hits_from) = if probed == 0 {
+                self.access(mref);
+                (1, i + 1)
             } else {
-                room.div_ceil(stride).min(pass - i)
+                (probed, i)
             };
-            debug_assert!((i + 1..i + in_line).all(|j| self.is_stateless_l1_hit(at(j))));
-            self.charge_l1_hits(first, in_line - 1);
-            i += in_line;
+            // The sweep's references up to the end of the run's last line.
+            let room = ((line + run) << l1_shift) - mref.addr;
+            let end = i + room.div_ceil(stride).min(pass - i);
+            debug_assert!((hits_from..end).all(|j| self.is_stateless_l1_hit(at(j))));
+            self.charge_l1_hits(first, end - hits_from);
+            i = end;
         }
         if pass == n {
             return;
@@ -391,6 +403,31 @@ mod tests {
             ServedBy::Memory
         );
         assert_eq!(h.access(MemRef::read(0x040, Region::Stream)), ServedBy::L1);
+    }
+
+    #[test]
+    fn purge_range_straddling_an_l2_line_is_address_exact_at_each_level() {
+        let mut h = MemoryHierarchy::new(small_platform());
+        // 16 B L1 lines under 64 B L2 lines: [0x38, 0x48) overlaps L1
+        // lines 3 and 4 and, across the 0x40 boundary, L2 lines 0 and 1.
+        for addr in [0x20, 0x30, 0x40, 0x50, 0x80] {
+            h.access(MemRef::read(addr, Region::Stream));
+        }
+        h.access(MemRef::fetch(0x44));
+        h.purge_range(0x38, 16);
+        // L1 loses exactly the two overlapped lines, in both halves...
+        for (addr, resident) in [(0x20, true), (0x30, false), (0x40, false), (0x50, true)] {
+            assert_eq!(h.l1d.contains(addr), resident, "L1D {addr:#x}");
+        }
+        assert!(!h.l1i.as_ref().unwrap().contains(0x44));
+        // ...and L2 both lines the range touches, but not the next one.
+        assert!(!h.l2.contains(0x00) && !h.l2.contains(0x40));
+        assert!(h.l2.contains(0x80));
+        assert_eq!(
+            h.access(MemRef::read(0x3c, Region::Stream)),
+            ServedBy::Memory
+        );
+        assert_eq!(h.access(MemRef::read(0x80, Region::Stream)), ServedBy::L1);
     }
 
     #[test]

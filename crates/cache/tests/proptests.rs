@@ -1,9 +1,12 @@
 //! Property-based tests for the cache models and simulator.
 //!
 //! The set-associative cache (LRU and FIFO) is checked against a
-//! brute-force reference model on random traces; the hierarchy's
-//! line-priced `access_sweep` against the reference-by-reference
-//! definition on random platforms; the analytic functions against their
+//! brute-force reference model on random traces, and its `purge_region`
+//! (which starts at a per-region lower-bound set) against a model that
+//! scans every set; the hierarchy's line-priced `access_sweep` against
+//! the reference-by-reference definition on random platforms, with the
+//! purges and flushes a worker issues between sweeps; the analytic
+//! functions against their
 //! mathematical contracts (bounds, monotonicity, closed forms); the
 //! execution-time model against its interpolation invariants; and the
 //! SST fitter against exact recovery from noiseless data.
@@ -68,6 +71,81 @@ impl RefLru {
     }
 }
 
+/// Brute-force LRU reference that also knows owners: per set,
+/// `(tag, region, dirty)` newest first. Its purge visits every set.
+struct RefOwned {
+    sets: Vec<Vec<(u64, Region, bool)>>,
+    line: u64,
+    assoc: usize,
+}
+
+impl RefOwned {
+    fn set_of(&mut self, l: u64) -> &mut Vec<(u64, Region, bool)> {
+        let s = (l % self.sets.len() as u64) as usize;
+        &mut self.sets[s]
+    }
+    /// Returns hit.
+    fn access(&mut self, addr: u64, region: Region, write: bool) -> bool {
+        let (l, assoc) = (addr / self.line, self.assoc);
+        let set = self.set_of(l);
+        let hit = set.iter().position(|e| e.0 == l);
+        let dirty = match hit {
+            Some(pos) => set.remove(pos).2 || write,
+            None => write,
+        };
+        set.truncate(assoc - usize::from(hit.is_none()));
+        set.insert(0, (l, region, dirty));
+        hit.is_some()
+    }
+    fn invalidate(&mut self, l: u64) -> bool {
+        let set = self.set_of(l);
+        let before = set.len();
+        set.retain(|e| e.0 != l);
+        set.len() < before
+    }
+    fn purge(&mut self, region: Region) -> u64 {
+        let before = self.lines().count();
+        self.sets
+            .iter_mut()
+            .for_each(|s| s.retain(|e| e.1 != region));
+        (before - self.lines().count()) as u64
+    }
+    fn lines(&self) -> impl Iterator<Item = &(u64, Region, bool)> {
+        self.sets.iter().flatten()
+    }
+    /// `(occupancy, dirty occupancy)` of a region.
+    fn occupancy(&self, region: Region) -> (u64, u64) {
+        let of = |dirty_only: bool| {
+            self.lines()
+                .filter(|e| e.1 == region && (e.2 || !dirty_only))
+                .count() as u64
+        };
+        (of(false), of(true))
+    }
+}
+
+/// One step of a `Cache` script.
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    /// An access; the same address under another region re-tags its line.
+    Access(u64, Region, bool),
+    Invalidate(u64),
+    Purge(Region),
+    FlushAll,
+}
+
+fn cache_op() -> impl Strategy<Value = CacheOp> {
+    (0u8..18, 0u64..2048, 0usize..6, any::<bool>()).prop_map(|(kind, addr, region, write)| {
+        let region = Region::ALL[region];
+        match kind {
+            0..=11 => CacheOp::Access(addr, region, write),
+            12..=13 => CacheOp::Invalidate(addr),
+            14..=16 => CacheOp::Purge(region),
+            _ => CacheOp::FlushAll,
+        }
+    })
+}
+
 fn small_geometry() -> impl Strategy<Value = (u64, u32, u32)> {
     // (sets, line, assoc) with modest sizes for brute-force comparison;
     // 3 sets is the one count that indexes by `%` instead of a mask.
@@ -124,6 +202,102 @@ fn sweep() -> impl Strategy<Value = Sweep> {
                 n,
             }
         })
+}
+
+/// One step of a hierarchy script: a sweep, or what `Worker::process`
+/// and the engine do around one — the steps named after the previous
+/// sweep are what make a sweep over warm lines the common case.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Sweep(Sweep),
+    /// The previous sweep again, over the lines it left resident.
+    Repeat,
+    /// The previous sweep's range as loads, then `len` stores from its
+    /// `skip`-th reference on (clean resident lines turning dirty).
+    ReadThenStore {
+        skip: u64,
+        len: u64,
+    },
+    /// The previous sweep under another owner (resident lines re-tagged).
+    Retag(Region),
+    PurgeRegion(Region),
+    PurgeRange {
+        addr: u64,
+        bytes: u64,
+    },
+    FlushL1,
+}
+
+/// What a step issues: sweeps, then at most one purge or flush.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Sweep(Sweep),
+    PurgeRegion(Region),
+    PurgeRange(u64, u64),
+    FlushL1,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..18, sweep(), 0usize..6, 0u64..8192, 0u64..600).prop_map(|(kind, sweep, region, a, b)| {
+        let region = Region::ALL[region];
+        match kind {
+            0..=5 => Step::Sweep(sweep),
+            6..=8 => Step::Repeat,
+            9..=10 => Step::ReadThenStore { skip: a, len: b },
+            11..=12 => Step::Retag(region),
+            13..=14 => Step::PurgeRegion(region),
+            15..=16 => Step::PurgeRange { addr: a, bytes: b },
+            _ => Step::FlushL1,
+        }
+    })
+}
+
+/// Flatten a script to the calls it makes; a step that refers to the
+/// previous sweep before there is one issues nothing.
+fn ops_of(script: &[Step]) -> Vec<Op> {
+    let mut ops = Vec::new();
+    let mut prev: Option<Sweep> = None;
+    for &step in script {
+        match (step, prev) {
+            (Step::Sweep(s), _) => {
+                prev = Some(s);
+                ops.push(Op::Sweep(s));
+            }
+            (Step::Repeat, Some(s)) => ops.push(Op::Sweep(s)),
+            (Step::ReadThenStore { skip, len }, Some(s)) => {
+                let first = MemRef::read(s.first.addr, s.first.region);
+                let skip = skip % s.period;
+                let len = 1 + len % (s.period - skip);
+                ops.push(Op::Sweep(Sweep { first, ..s }));
+                ops.push(Op::Sweep(Sweep {
+                    first: MemRef::write(first.addr + skip * s.stride, first.region),
+                    stride: s.stride,
+                    period: len,
+                    n: len,
+                }));
+            }
+            (Step::Retag(region), Some(s)) => ops.push(Op::Sweep(Sweep {
+                first: MemRef { region, ..s.first },
+                ..s
+            })),
+            (Step::PurgeRegion(r), _) => ops.push(Op::PurgeRegion(r)),
+            (Step::PurgeRange { addr, bytes }, _) => ops.push(Op::PurgeRange(addr, bytes)),
+            (Step::FlushL1, _) => ops.push(Op::FlushL1),
+            (Step::Repeat | Step::ReadThenStore { .. } | Step::Retag(_), None) => {}
+        }
+    }
+    ops
+}
+
+/// Issue `op` to a sink that prices sweeps its own way over the
+/// hierarchy `hier` finds in it.
+fn apply<S: TraceSink>(op: Op, sink: &mut S, hier: fn(&mut S) -> &mut MemoryHierarchy) {
+    match op {
+        Op::Sweep(s) => sink.access_sweep(s.first, s.stride, s.period, s.n),
+        Op::PurgeRegion(r) => hier(sink).purge_region(r),
+        Op::PurgeRange(addr, bytes) => hier(sink).purge_range(addr, bytes),
+        Op::FlushL1 => hier(sink).flush_l1(),
+    }
 }
 
 /// L1 {3, 4, 16, 64} sets × {1, 2, 4} ways × {16, 32} B, split or
@@ -233,15 +407,15 @@ proptest! {
     #[test]
     fn access_sweep_equals_the_reference_by_reference_walk(
         platform in small_platform(),
-        script in prop::collection::vec(sweep(), 1..=24),
+        script in prop::collection::vec(step(), 1..=24),
         suffix_seed in any::<u64>(),
     ) {
         let mut fast = MemoryHierarchy::new(platform);
         let mut slow = ByReference(fast.clone());
-        for (k, s) in script.iter().enumerate() {
-            fast.access_sweep(s.first, s.stride, s.period, s.n);
-            slow.access_sweep(s.first, s.stride, s.period, s.n);
-            prop_assert_eq!(observable(&fast), observable(&slow.0), "after sweep {} = {:?}", k, s);
+        for (k, op) in ops_of(&script).into_iter().enumerate() {
+            apply(op, &mut fast, |h| h);
+            apply(op, &mut slow, |s| &mut s.0);
+            prop_assert_eq!(observable(&fast), observable(&slow.0), "after op {} = {:?}", k, op);
         }
         // Where a common random suffix is served reads out what the
         // counters cannot: which lines are resident and in what order.
@@ -260,6 +434,50 @@ proptest! {
             prop_assert_eq!(a, b, "suffix reference {} = {:?}", k, mref);
         }
         prop_assert_eq!(observable(&fast), observable(&slow.0));
+    }
+
+    #[test]
+    fn purge_region_from_the_lower_bound_equals_a_scan_of_every_set(
+        (sets, line, assoc) in small_geometry(),
+        script in prop::collection::vec(cache_op(), 1..200),
+    ) {
+        let cap = sets * line as u64 * assoc as u64;
+        let mut real = Cache::new(CacheGeometry::new(cap, line, assoc), Replacement::Lru);
+        let mut model = RefOwned {
+            sets: vec![Vec::new(); sets as usize],
+            line: line as u64,
+            assoc: assoc as usize,
+        };
+        for (k, &op) in script.iter().enumerate() {
+            match op {
+                CacheOp::Access(a, r, w) => {
+                    prop_assert_eq!(real.access_rw(a, r, w).hit, model.access(a, r, w), "op {}", k);
+                }
+                CacheOp::Invalidate(a) => {
+                    let l = real.line_of(a);
+                    prop_assert_eq!(real.invalidate_line(l), model.invalidate(l), "op {}", k);
+                }
+                CacheOp::Purge(r) => {
+                    prop_assert_eq!(real.purge_region(r), model.purge(r), "op {} = {:?}", k, op);
+                }
+                CacheOp::FlushAll => {
+                    real.flush_all();
+                    model.sets.iter_mut().for_each(Vec::clear);
+                }
+            }
+            if matches!(op, CacheOp::Purge(_) | CacheOp::FlushAll) || k + 1 == script.len() {
+                for r in Region::ALL {
+                    let got = (real.occupancy(r), real.dirty_occupancy(r));
+                    prop_assert_eq!(got, model.occupancy(r), "{:?} after op {}", r, k);
+                }
+                for &prior in &script[..=k] {
+                    if let CacheOp::Access(a, ..) = prior {
+                        let resident = model.lines().any(|e| e.0 == a / line as u64);
+                        prop_assert_eq!(real.contains(a), resident, "{:#x} after op {}", a, k);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -163,11 +163,13 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     let engines: Vec<Mutex<ProtocolEngine>> = (0..if shared_stack { 1 } else { w })
         .map(|stack| {
             let mut e = ProtocolEngine::new(cfg.cost);
-            for s in (0..sessions).map(StreamId) {
-                if shared_stack || owner_of(s, w) == stack {
-                    e.bind_stream(s);
-                }
-            }
+            let owned = || {
+                (0..sessions)
+                    .map(StreamId)
+                    .filter(|&s| shared_stack || owner_of(s, w) == stack)
+            };
+            e.table.reserve(owned().count());
+            owned().for_each(|s| e.bind_stream(s));
             Mutex::new(e)
         })
         .collect();

@@ -109,6 +109,13 @@ impl SessionTable {
         Self::default()
     }
 
+    /// Make room for `n` more bindings, so binding a known population
+    /// sizes both maps once instead of growing them by rehashing.
+    pub fn reserve(&mut self, n: usize) {
+        self.ports.reserve(n);
+        self.sessions.reserve(n);
+    }
+
     /// Bind `port` to `stream`, creating its session.
     pub fn bind(&mut self, port: u16, stream: StreamId) -> Result<(), BindError> {
         match self.ports.get(&port) {
@@ -181,6 +188,19 @@ mod tests {
         t.bind(5001, StreamId(0)).unwrap();
         t.bind(5001, StreamId(0)).unwrap();
         assert_eq!(t.bind(5001, StreamId(1)), Err(BindError::PortInUse(5001)));
+    }
+
+    #[test]
+    fn reserve_changes_no_binding() {
+        let mut t = SessionTable::new();
+        t.bind(5001, StreamId(0)).unwrap();
+        t.reserve(1000);
+        assert_eq!(t.bound_ports(), 1);
+        assert_eq!(t.demux(5001), Some(StreamId(0)));
+        t.bind(5001, StreamId(0)).unwrap();
+        t.bind(5002, StreamId(1)).unwrap();
+        assert_eq!(t.bound_ports(), 2);
+        assert!(t.session(StreamId(1)).is_some());
     }
 
     #[test]
