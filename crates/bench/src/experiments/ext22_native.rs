@@ -171,7 +171,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         // Migration telemetry ranks the policies as the model demands:
         // both shared-stack policies bounce stream state between
         // workers constantly; IPS pins it (rare steals aside). Under
-        // the virtual-order claim protocol (DESIGN.md §17) pooled
+        // the virtual-order claim protocol (DESIGN.md §3, `afs-sched::claim`) pooled
         // claimants resolve by model clocks rather than ring races and
         // steals resolve against modeled backlog, so the deterministic
         // ratio sits near ~5-7x rather than the racy engine's >10x —

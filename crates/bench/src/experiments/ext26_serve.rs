@@ -11,7 +11,7 @@
 //! batches {1, 8, 64}, and **all five policy rungs** behind a
 //! Flow-Director front-end — including the locking pool and IPS
 //! stealing, which serve through the virtual-order claim protocol
-//! (DESIGN.md §17) — and records the degradation surface: goodput,
+//! (DESIGN.md §3, `afs-sched::claim`) — and records the degradation surface: goodput,
 //! drop fraction, and delay.
 //!
 //! Pinned claims:

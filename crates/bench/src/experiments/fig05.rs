@@ -16,7 +16,7 @@ use afs_cache::model::flush::flushed_fraction;
 use afs_cache::model::footprint::MVS_WORKLOAD;
 use afs_cache::model::hierarchy::FlushModel;
 use afs_cache::model::platform::Platform;
-use afs_cache::sim::cache::{Cache, Replacement};
+use afs_cache::sim::cache::Cache;
 use afs_cache::sim::synth::{measure_growth, SynthParams, SynthWorkload};
 use afs_cache::sim::trace::Region;
 use afs_desim::time::SimDuration;
@@ -24,8 +24,8 @@ use afs_desim::time::SimDuration;
 /// Preload `lines` footprint lines (one per stride) and displace them
 /// with `refs` synthetic references; return the displaced fraction.
 fn simulate_displacement(platform: &Platform, refs: u64, seed: u64) -> (f64, f64) {
-    let mut l1 = Cache::new(platform.l1, Replacement::Lru);
-    let mut l2 = Cache::new(platform.l2, Replacement::Lru);
+    let mut l1 = Cache::new(platform.l1);
+    let mut l2 = Cache::new(platform.l2);
     // A protocol-like footprint: 12 KB of contiguous lines.
     let footprint_bytes = 12 * 1024u64;
     let l1_lines: Vec<u64> = (0..footprint_bytes / platform.l1.line_bytes as u64).collect();

@@ -6,45 +6,37 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use crate::source::{product_lines, rust_files, TEST_MARKER};
 use crate::{write_json, Checks};
 
-/// The attribute that opens a source file's unit tests (spelled in two
-/// halves so this file does not trip its own rule).
-const TEST_MARKER: &str = concat!("#[cfg(", "test)]");
-
-/// Code lines of one Rust source as `(non_test, test)`. A code line is
-/// non-blank and does not start with `//`; everything from the first
-/// [`TEST_MARKER`] on is test code.
-fn code_lines(text: &str) -> (u64, u64) {
-    let (mut non_test, mut test, mut in_tests) = (0, 0, false);
-    for line in text.lines().map(str::trim_start) {
-        in_tests |= line.contains(TEST_MARKER);
-        if line.is_empty() || line.starts_with("//") {
-            continue;
-        }
-        *if in_tests { &mut test } else { &mut non_test } += 1;
-    }
-    (non_test, test)
+/// A code line is non-blank and does not start with `//`.
+fn count_code<'a>(lines: impl IntoIterator<Item = &'a str>) -> u64 {
+    lines
+        .into_iter()
+        .map(str::trim_start)
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .count() as u64
 }
 
-/// Code lines of every `.rs` file under `dir` (recursively, in sorted
-/// order), summed as `(non_test, test)`. A missing directory is empty.
-fn dir_code_lines(dir: &Path) -> (u64, u64) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return (0, 0);
+/// Code lines of one Rust source as `(non_test, test)`: the product
+/// part by the rule of [`crate::source`], everything in a `test_file`
+/// as test.
+fn code_lines(text: &str, test_file: bool) -> (u64, u64) {
+    let non_test = if test_file {
+        0
+    } else {
+        count_code(product_lines(text))
     };
-    let mut paths: Vec<PathBuf> = entries.map(|e| e.expect("dir entry").path()).collect();
-    paths.sort();
-    paths.iter().fold((0, 0), |(n, t), path| {
-        let (dn, dt) = if path.is_dir() {
-            dir_code_lines(path)
-        } else if path.extension().is_some_and(|x| x == "rs") {
-            code_lines(&std::fs::read_to_string(path).expect("read source"))
-        } else {
-            (0, 0)
-        };
-        (n + dn, t + dt)
-    })
+    (non_test, count_code(text.lines()) - non_test)
+}
+
+/// Code lines of every `.rs` file under `dir`, summed as
+/// `(non_test, test)`. A missing directory is empty.
+fn dir_code_lines(dir: &Path) -> (u64, u64) {
+    rust_files(dir)
+        .iter()
+        .map(|(_, text, test_file)| code_lines(text, *test_file))
+        .fold((0, 0), |(n, t), (dn, dt)| (n + dn, t + dt))
 }
 
 /// Write `results/size.json`: per package, `src/` by the rule of
@@ -63,8 +55,10 @@ pub fn experiment(_quick: bool, _checks: &mut Checks) {
         packages.push((format!("crates/{name}"), dir));
     }
     let mut body = format!(
-        "{{\n  \"rule\": \"code line = non-blank, not starting with //; src/ from the first \
-         {TEST_MARKER} on, tests/ and benches/ count as test\",\n  \"packages\": {{\n"
+        "{{\n  \"rule\": \"code line = non-blank, not starting with //; test = src/ from a \
+         {TEST_MARKER} that opens an inline mod on, a lone {TEST_MARKER} and the line it gates, \
+         files behind a {TEST_MARKER} mod x;, and all of tests/ and benches/\",\n  \
+         \"packages\": {{\n"
     );
     let (mut all_non_test, mut all_test) = (0, 0);
     for (i, (name, dir)) in packages.iter().enumerate() {
@@ -99,9 +93,22 @@ mod tests {
         );
         // Non-test: `use`, `fn f() {`, `g();`, `}`. Test: the marker line
         // itself and every code line after it.
-        assert_eq!(code_lines(&text), (4, 4));
+        assert_eq!(code_lines(&text, false), (4, 4));
         // No marker: everything is non-test; an empty file has no lines.
-        assert_eq!(code_lines("fn f() {}\n\n// c\n"), (1, 0));
-        assert_eq!(code_lines(""), (0, 0));
+        assert_eq!(code_lines("fn f() {}\n\n// c\n", false), (1, 0));
+        assert_eq!(code_lines("", false), (0, 0));
+        // A lone marker gates one item: it and that item are the test
+        // code, and what follows is product code again.
+        let lone = format!(
+            "mod a;\n{marker}\nmod tests;\n\n{marker}\nuse x::Y;\nfn f() {{\n    g();\n}}\n"
+        );
+        assert_eq!(code_lines(&lone, false), (4, 4));
+        // ... until a marker that opens an inline module.
+        let both = format!("{lone}{marker}\nmod more {{\n    fn t() {{}}\n}}\n");
+        assert_eq!(code_lines(&both, false), (4, 8));
+        // A file behind a marked `mod x;` is test from its first line,
+        // whatever it holds.
+        assert_eq!(code_lines(&text, true), (0, 8));
+        assert_eq!(code_lines("#![allow(x)]\nfn helper() {}\n", true), (0, 2));
     }
 }

@@ -26,6 +26,7 @@ use afs_core::prelude::*;
 
 pub mod artifacts;
 pub mod experiments;
+pub mod source;
 
 /// Standard experiment scale: the paper's 8-processor Challenge XL.
 pub const N_PROCS: usize = 8;

@@ -208,23 +208,6 @@ impl ExecTimeModel {
             + self.component_cost_us(ages.stream, w.stream);
         SimDuration::from_micros_f64(us)
     }
-
-    /// Total service time: protocol time plus fixed uncached per-packet
-    /// overhead `v` (data touching) plus paradigm overhead (locking).
-    pub fn service_time(
-        &self,
-        ages: ComponentAges,
-        v: SimDuration,
-        paradigm_overhead: SimDuration,
-    ) -> SimDuration {
-        self.protocol_time(ages) + v + paradigm_overhead
-    }
-
-    /// The classic single-footprint equation
-    /// `T(x) = t_warm + F1(x)·(t_L2 − t_warm) + F2(x)·(t_cold − t_L2)`.
-    pub fn uniform_time(&self, x: SimDuration) -> SimDuration {
-        self.protocol_time(ComponentAges::uniform(x))
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +242,8 @@ mod tests {
     fn uniform_interpolates_between_bounds() {
         let m = model();
         for &us in &[0u64, 100, 1_000, 100_000, 10_000_000] {
-            let t = m.uniform_time(SimDuration::from_micros(us)).as_micros_f64();
+            let age = ComponentAges::uniform(SimDuration::from_micros(us));
+            let t = m.protocol_time(age).as_micros_f64();
             assert!(
                 (150.0..=284.3 + 1e-6).contains(&t),
                 "T({us}us) = {t} outside bounds"
@@ -272,7 +256,8 @@ mod tests {
         let m = model();
         let mut prev = 0.0;
         for &us in &[0u64, 10, 100, 1_000, 10_000, 100_000, 1_000_000] {
-            let t = m.uniform_time(SimDuration::from_micros(us)).as_micros_f64();
+            let age = ComponentAges::uniform(SimDuration::from_micros(us));
+            let t = m.protocol_time(age).as_micros_f64();
             assert!(t >= prev, "T not monotone at {us}");
             prev = t;
         }
@@ -309,17 +294,6 @@ mod tests {
         });
         let expected = 150.0 + 0.30 * 134.3;
         assert!((t.as_micros_f64() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn service_time_adds_v_and_lock() {
-        let m = model();
-        let t = m.service_time(
-            ComponentAges::ALL_WARM,
-            SimDuration::from_micros(139),
-            SimDuration::from_micros(10),
-        );
-        assert!((t.as_micros_f64() - (150.0 + 139.0 + 10.0)).abs() < 1e-9);
     }
 
     #[test]

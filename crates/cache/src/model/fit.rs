@@ -122,22 +122,22 @@ pub fn fit_sst(obs: &[FootprintObs]) -> Result<SstParams, FitError> {
     })
 }
 
-/// Root-mean-square relative error of a parameter set on observations, in
-/// log space (the quantity the fit minimizes).
-pub fn fit_rms_log_error(params: &SstParams, obs: &[FootprintObs]) -> f64 {
-    let mut se = 0.0;
-    for o in obs {
-        let pred = params.footprint(o.refs, o.line_bytes).max(1e-12);
-        let e = pred.log10() - o.unique_lines.log10();
-        se += e * e;
-    }
-    (se / obs.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::footprint::MVS_WORKLOAD;
+
+    /// Root-mean-square error of a parameter set on observations, in log
+    /// space (the quantity the fit minimizes).
+    fn fit_rms_log_error(params: &SstParams, obs: &[FootprintObs]) -> f64 {
+        let mut se = 0.0;
+        for o in obs {
+            let pred = params.footprint(o.refs, o.line_bytes).max(1e-12);
+            let e = pred.log10() - o.unique_lines.log10();
+            se += e * e;
+        }
+        (se / obs.len() as f64).sqrt()
+    }
 
     /// Generate noiseless observations straight from the MVS model.
     fn synthetic_obs() -> Vec<FootprintObs> {

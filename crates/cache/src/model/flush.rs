@@ -85,40 +85,6 @@ pub fn ln_retention(sets: u64) -> f64 {
     f64::ln_1p(-(1.0 / sets as f64))
 }
 
-/// Poisson approximation of [`flushed_fraction`]: for `sets ≫ 1` the
-/// per-set hit count is ≈ Poisson(λ = n/sets), so
-/// `F ≈ P[Pois(λ) ≥ A] = 1 − e^{−λ} Σ_{k<A} λᵏ/k!`.
-///
-/// Used as an ablation reference (see the Criterion benches): the exact
-/// binomial evaluation is already O(A), so the approximation buys
-/// little; it is kept to document the accuracy trade-off (relative
-/// error O(1/sets)).
-pub fn flushed_fraction_poisson(n: f64, sets: u64, assoc: u32) -> f64 {
-    assert!(sets >= 1 && assoc >= 1 && n >= 0.0);
-    if n == 0.0 {
-        return 0.0;
-    }
-    let lambda = n / sets as f64;
-    let mut term = (-lambda).exp(); // k = 0
-    let mut below = term;
-    for k in 0..(assoc - 1) {
-        term *= lambda / (k as f64 + 1.0);
-        below += term;
-    }
-    (1.0 - below).clamp(0.0, 1.0)
-}
-
-/// The `n` needed for a direct-mapped cache of `sets` sets to reach
-/// displacement fraction `f` (inverse of [`flushed_fraction`] at A = 1).
-pub fn lines_for_fraction_direct(f: f64, sets: u64) -> f64 {
-    assert!((0.0..1.0).contains(&f), "fraction must be in [0,1)");
-    if f == 0.0 {
-        return 0.0;
-    }
-    let p = 1.0 / sets as f64;
-    f64::ln_1p(-f) / f64::ln_1p(-p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,42 +163,6 @@ mod tests {
         let c = flushed_fraction(100.1, 1024, 1);
         assert!(a < b && b < c);
         assert!(c - a < 1e-3);
-    }
-
-    #[test]
-    fn inverse_roundtrip_direct() {
-        let s = 8192u64;
-        for &f in &[0.01, 0.1, 0.5, 0.9, 0.999] {
-            let n = lines_for_fraction_direct(f, s);
-            let back = flushed_fraction(n, s, 1);
-            assert!((back - f).abs() < 1e-9, "f={f} back={back}");
-        }
-        assert_eq!(lines_for_fraction_direct(0.0, s), 0.0);
-    }
-
-    #[test]
-    fn poisson_approximation_tracks_exact() {
-        // At realistic set counts the approximation is within 1e-3.
-        for &sets in &[256u64, 1024, 8192] {
-            for &assoc in &[1u32, 2, 4] {
-                for &n in &[10.0, 100.0, 1_000.0, 10_000.0] {
-                    let exact = flushed_fraction(n, sets, assoc);
-                    let approx = flushed_fraction_poisson(n, sets, assoc);
-                    assert!(
-                        (exact - approx).abs() < 2e-3,
-                        "sets={sets} A={assoc} n={n}: {exact} vs {approx}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn poisson_approximation_diverges_at_tiny_sets() {
-        // The documented failure mode: few sets, the binomial matters.
-        let exact = flushed_fraction(3.0, 2, 2);
-        let approx = flushed_fraction_poisson(3.0, 2, 2);
-        assert!((exact - approx).abs() > 0.01);
     }
 
     #[test]

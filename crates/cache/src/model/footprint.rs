@@ -47,16 +47,6 @@ pub const MVS_WORKLOAD: SstParams = SstParams {
 };
 
 impl SstParams {
-    /// Is the model monotone increasing in `R` at this line size?
-    ///
-    /// The fitted power law grows like `R^(b + log d · log L)`, so it is
-    /// monotone iff `b + log₁₀d · log₁₀L ≥ 0`. The MVS constants satisfy
-    /// this for every line size below ~2 MB; wildly different parameter
-    /// sets (outside the empirical fitting domain) may not.
-    pub fn is_monotone_for(&self, line_bytes: f64) -> bool {
-        self.b + self.log_d * line_bytes.log10() >= 0.0
-    }
-
     /// Expected unique `line_bytes`-sized lines touched in `refs` references.
     ///
     /// The raw power law is clamped to the hard bound `u ≤ refs` (one new

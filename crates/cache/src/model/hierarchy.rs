@@ -79,36 +79,6 @@ impl FlushModel {
             f2: flushed_fraction(u2, p.l2.sets(), p.l2.associativity),
         }
     }
-
-    /// The intervening time after which L1 displacement reaches `frac`
-    /// (bisection; useful for characterizing the platform).
-    pub fn time_to_l1_fraction(&self, frac: f64) -> SimDuration {
-        self.time_to_fraction(frac, |d| d.f1)
-    }
-
-    /// The intervening time after which L2 displacement reaches `frac`.
-    pub fn time_to_l2_fraction(&self, frac: f64) -> SimDuration {
-        self.time_to_fraction(frac, |d| d.f2)
-    }
-
-    fn time_to_fraction(&self, frac: f64, pick: impl Fn(Displacement) -> f64) -> SimDuration {
-        assert!((0.0..1.0).contains(&frac));
-        if frac == 0.0 {
-            return SimDuration::ZERO;
-        }
-        let mut lo_us = 1e-3f64;
-        let mut hi_us = 1e9f64; // 1000 s — beyond any realistic horizon
-        for _ in 0..200 {
-            let mid = (lo_us.ln() + hi_us.ln()).mul_add(0.5, 0.0).exp();
-            let d = self.displacement(SimDuration::from_micros_f64(mid));
-            if pick(d) < frac {
-                lo_us = mid;
-            } else {
-                hi_us = mid;
-            }
-        }
-        SimDuration::from_micros_f64(hi_us)
-    }
 }
 
 #[cfg(test)]
@@ -139,41 +109,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&d.f2));
             prev = d;
         }
-    }
-
-    #[test]
-    fn l2_flushes_much_more_slowly_than_l1() {
-        // The paper: "the protocol footprint is flushed much more slowly
-        // from L2 than from L1, reflecting its much larger size."
-        let m = model();
-        let t1 = m.time_to_l1_fraction(0.5);
-        let t2 = m.time_to_l2_fraction(0.5);
-        assert!(
-            t2.as_micros_f64() > 20.0 * t1.as_micros_f64(),
-            "t_half(L2) = {t2} not ≫ t_half(L1) = {t1}"
-        );
-    }
-
-    #[test]
-    fn l1_erodes_on_millisecond_scale() {
-        let m = model();
-        let t1 = m.time_to_l1_fraction(0.5);
-        let us = t1.as_micros_f64();
-        assert!(
-            (100.0..20_000.0).contains(&us),
-            "L1 half-flush at {us} µs, expected O(ms)"
-        );
-    }
-
-    #[test]
-    fn l2_erodes_on_hundreds_of_ms_scale() {
-        let m = model();
-        let t2 = m.time_to_l2_fraction(0.5);
-        let us = t2.as_micros_f64();
-        assert!(
-            (20_000.0..5_000_000.0).contains(&us),
-            "L2 half-flush at {us} µs, expected O(100ms)"
-        );
     }
 
     #[test]

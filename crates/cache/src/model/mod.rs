@@ -12,7 +12,7 @@ pub mod pricer;
 
 pub use exec_time::{Age, ComponentAges, ComponentWeights, ExecTimeModel, TimeBounds};
 pub use fit::{fit_sst, FootprintObs};
-pub use flush::{flushed_fraction, flushed_fraction_poisson};
+pub use flush::flushed_fraction;
 pub use footprint::{LineFootprint, SstParams, MVS_WORKLOAD};
 pub use hierarchy::{Displacement, FlushModel};
 pub use platform::{CacheGeometry, Platform};

@@ -101,11 +101,6 @@ impl Platform {
         elapsed_secs * self.clock_hz / self.cycles_per_ref
     }
 
-    /// Seconds per cycle.
-    pub fn cycle_secs(&self) -> f64 {
-        1.0 / self.clock_hz
-    }
-
     /// Convert a cycle count to microseconds.
     pub fn cycles_to_us(&self, cycles: f64) -> f64 {
         cycles / self.clock_hz * 1e6

@@ -2,23 +2,12 @@
 //!
 //! Used trace-driven: the calibration harness replays instrumented
 //! protocol executions and controlled flush workloads through it, standing
-//! in for the paper's hardware measurements. Supports LRU / FIFO / random
-//! replacement (the R4400 and Challenge secondary are direct-mapped, where
-//! all three coincide).
+//! in for the paper's hardware measurements. Replacement within a set is
+//! LRU (the R4400 and Challenge secondary are direct-mapped, where the
+//! choice of policy cannot matter).
 
 use crate::model::platform::CacheGeometry;
 use crate::sim::trace::Region;
-
-/// Replacement policy within a set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Replacement {
-    /// Evict the least-recently-used way.
-    Lru,
-    /// Evict the oldest-filled way.
-    Fifo,
-    /// Evict a pseudo-random way (xorshift; deterministic per cache).
-    Random,
-}
 
 /// One resident line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,15 +41,13 @@ pub struct AccessResult {
     pub wrote_back: bool,
 }
 
-/// A set-associative cache.
+/// A set-associative cache with LRU replacement.
 ///
 /// Storage is flat: set `s` owns `slots[s × assoc .. s × assoc + lens[s]]`,
-/// ways ordered most-recent-first (for LRU) or newest-fill-first (FIFO
-/// and Random insert at the front too and never reorder on a hit).
+/// ways ordered most-recent-first.
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
-    replacement: Replacement,
     /// `log2(line_bytes)`.
     line_shift: u32,
     /// `sets − 1` when the set count is a power of two (index by mask);
@@ -76,8 +63,6 @@ pub struct Cache {
     /// tag, reset only by the region's purge and by `flush_all`. Losing
     /// lines leaves it a valid bound.
     low_set: [usize; 6],
-    /// Xorshift state for `Replacement::Random`.
-    rand_state: u64,
     /// Statistics.
     pub stats: CacheStats,
 }
@@ -97,30 +82,9 @@ pub struct CacheStats {
     pub region_hits: [u64; 6],
 }
 
-impl CacheStats {
-    /// Overall miss ratio (0 when no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            1.0 - self.hits as f64 / self.accesses as f64
-        }
-    }
-
-    /// Miss ratio for one region.
-    pub fn region_miss_ratio(&self, region: Region) -> f64 {
-        let i = region.index();
-        if self.region_accesses[i] == 0 {
-            0.0
-        } else {
-            1.0 - self.region_hits[i] as f64 / self.region_accesses[i] as f64
-        }
-    }
-}
-
 impl Cache {
     /// Create an empty cache.
-    pub fn new(geometry: CacheGeometry, replacement: Replacement) -> Self {
+    pub fn new(geometry: CacheGeometry) -> Self {
         assert!(
             geometry.line_bytes.is_power_of_two(),
             "line size must be 2^k"
@@ -128,14 +92,12 @@ impl Cache {
         let sets = geometry.sets();
         Cache {
             geometry,
-            replacement,
             line_shift: geometry.line_bytes.trailing_zeros(),
             set_mask: sets.is_power_of_two().then(|| sets - 1),
             slots: vec![EMPTY; sets as usize * geometry.associativity as usize],
             lens: vec![0; sets as usize],
             occupancy: [0; 6],
             low_set: [sets as usize; 6],
-            rand_state: 0x9e3779b97f4a7c15,
             stats: CacheStats::default(),
         }
     }
@@ -173,16 +135,6 @@ impl Cache {
         &self.slots[base..base + self.lens[set] as usize]
     }
 
-    fn next_rand(&mut self) -> u64 {
-        // Xorshift64*.
-        let mut x = self.rand_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rand_state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
     /// Access a byte address with a read, filling on miss.
     pub fn access(&mut self, addr: u64, region: Region) -> AccessResult {
         self.access_rw(addr, region, false)
@@ -215,7 +167,7 @@ impl Cache {
             if is_write {
                 e.dirty = true;
             }
-            if self.replacement == Replacement::Lru && pos > 0 {
+            if pos > 0 {
                 ways[..=pos].rotate_right(1);
             }
             return AccessResult {
@@ -225,15 +177,12 @@ impl Cache {
             };
         }
 
-        // Miss: fill at the front, evicting when the set is full. The
-        // ways ahead of the victim (all of them when nothing is evicted)
-        // move back one slot.
+        // Miss: fill at the front, evicting the last (least recent) way
+        // when the set is full. The ways ahead of the victim (all of them
+        // when nothing is evicted) move back one slot.
         let mut wrote_back = false;
         let (evicted, moved) = if occupied >= self.geometry.associativity as usize {
-            let victim_pos = match self.replacement {
-                Replacement::Lru | Replacement::Fifo => occupied - 1,
-                Replacement::Random => (self.next_rand() % occupied as u64) as usize,
-            };
+            let victim_pos = occupied - 1;
             let victim = self.slots[base + victim_pos];
             self.occupancy[victim.region.index()] -= 1;
             if victim.dirty {
@@ -418,7 +367,7 @@ mod tests {
     fn tiny(assoc: u32) -> Cache {
         // 4 sets × assoc ways × 16-byte lines.
         let cap = 4 * assoc as u64 * 16;
-        Cache::new(CacheGeometry::new(cap, 16, assoc), Replacement::Lru)
+        Cache::new(CacheGeometry::new(cap, 16, assoc))
     }
 
     #[test]
@@ -430,7 +379,6 @@ mod tests {
         assert!(r2.hit);
         assert_eq!(c.stats.accesses, 2);
         assert_eq!(c.stats.hits, 1);
-        assert!((c.stats.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -457,29 +405,6 @@ mod tests {
         let r = c.access(8 * 16, Region::Thread);
         assert_eq!(r.evicted, Some((4, Region::Global)));
         assert!(c.contains(0));
-    }
-
-    #[test]
-    fn fifo_evicts_oldest_regardless_of_touch() {
-        let cap = 4 * 2 * 16;
-        let mut c = Cache::new(CacheGeometry::new(cap, 16, 2), Replacement::Fifo);
-        c.access(0, Region::Code);
-        c.access(4 * 16, Region::Global);
-        c.access(0, Region::Code); // FIFO ignores the re-touch
-        let r = c.access(8 * 16, Region::Thread);
-        assert_eq!(r.evicted, Some((0, Region::Code)));
-    }
-
-    #[test]
-    fn random_replacement_stays_within_set() {
-        let cap = 4 * 2 * 16;
-        let mut c = Cache::new(CacheGeometry::new(cap, 16, 2), Replacement::Random);
-        c.access(0, Region::Code);
-        c.access(4 * 16, Region::Global);
-        let r = c.access(8 * 16, Region::Thread);
-        let (line, _) = r.evicted.unwrap();
-        assert!(line == 0 || line == 4);
-        assert_eq!(c.total_occupancy(), 2);
     }
 
     #[test]
@@ -519,17 +444,6 @@ mod tests {
         c.access(5 * 16, Region::NonProtocol); // displaces line 1
         assert!((c.resident_fraction(&footprint) - 0.5).abs() < 1e-12);
         assert_eq!(c.resident_fraction(&[]), 1.0);
-    }
-
-    #[test]
-    fn per_region_miss_ratio() {
-        let mut c = tiny(1);
-        c.access(0, Region::Stream); // miss
-        c.access(0, Region::Stream); // hit
-        c.access(16, Region::Code); // miss
-        assert!((c.stats.region_miss_ratio(Region::Stream) - 0.5).abs() < 1e-12);
-        assert!((c.stats.region_miss_ratio(Region::Code) - 1.0).abs() < 1e-12);
-        assert_eq!(c.stats.region_miss_ratio(Region::Thread), 0.0);
     }
 
     #[test]

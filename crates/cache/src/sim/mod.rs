@@ -7,7 +7,7 @@ pub mod hierarchy;
 pub mod synth;
 pub mod trace;
 
-pub use cache::{AccessResult, Cache, CacheStats, Replacement};
+pub use cache::{AccessResult, Cache, CacheStats};
 pub use hierarchy::{HierarchyStats, MemoryHierarchy, ServedBy};
 pub use synth::{measure_growth, SynthParams, SynthWorkload};
-pub use trace::{CountingSink, MemRef, Region, TraceBuffer, TraceSink};
+pub use trace::{MemRef, Region, TraceBuffer, TraceSink};

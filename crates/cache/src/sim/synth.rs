@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 use crate::model::fit::FootprintObs;
-use crate::sim::trace::{MemRef, Region, TraceSink};
+use crate::sim::trace::{MemRef, Region};
 
 /// Locality parameters of the synthetic stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,16 +101,6 @@ impl SynthWorkload {
         }
     }
 
-    /// Total references issued so far.
-    pub fn refs_issued(&self) -> u64 {
-        self.refs_issued
-    }
-
-    /// Unique words touched so far.
-    pub fn unique_words(&self) -> u64 {
-        self.history.len() as u64
-    }
-
     fn fresh_word(&mut self) -> u64 {
         if self.run_remaining == 0 {
             // Start a new run.
@@ -147,14 +137,6 @@ impl SynthWorkload {
             self.history[idx]
         };
         MemRef::read(addr, Region::NonProtocol)
-    }
-
-    /// Issue `n` references into a sink.
-    pub fn issue(&mut self, n: u64, sink: &mut impl TraceSink) {
-        for _ in 0..n {
-            let r = self.next_ref();
-            sink.access(r);
-        }
     }
 }
 
@@ -200,7 +182,6 @@ pub fn measure_growth(
 mod tests {
     use super::*;
     use crate::model::fit::fit_sst;
-    use crate::sim::trace::TraceBuffer;
 
     #[test]
     fn deterministic_given_seed() {
@@ -224,23 +205,6 @@ mod tests {
             assert!(!r.is_write && !r.is_instr);
             assert!(r.addr >= base);
         }
-    }
-
-    #[test]
-    fn unique_growth_is_sublinear_power_law() {
-        let mut g = SynthWorkload::new(5, 0, SynthParams::mvs_like());
-        let mut counts = Vec::new();
-        for _ in 0..4 {
-            let mut buf = TraceBuffer::new();
-            g.issue(25_000, &mut buf);
-            counts.push(g.unique_words());
-        }
-        // u(100k)/u(25k) should be ≈ 4^0.83 ≈ 3.16, certainly < 4.
-        let ratio = counts[3] as f64 / counts[0] as f64;
-        assert!(
-            (2.0..3.9).contains(&ratio),
-            "growth ratio {ratio}, counts {counts:?}"
-        );
     }
 
     #[test]
@@ -279,15 +243,6 @@ mod tests {
         // The interaction term should be negative (spatial × temporal),
         // matching the sign of the MVS constants.
         assert!(p.log_d < 0.05, "log_d = {}", p.log_d);
-    }
-
-    #[test]
-    fn issue_counts_match() {
-        let mut g = SynthWorkload::new(9, 0, SynthParams::mvs_like());
-        let mut buf = TraceBuffer::new();
-        g.issue(1234, &mut buf);
-        assert_eq!(buf.len(), 1234);
-        assert_eq!(g.refs_issued(), 1234);
     }
 
     #[test]

@@ -166,29 +166,6 @@ impl TraceSink for TraceBuffer {
     }
 }
 
-/// A sink that counts references without storing them.
-#[derive(Debug, Default, Clone)]
-pub struct CountingSink {
-    /// Total references seen.
-    pub count: u64,
-    /// Writes seen.
-    pub writes: u64,
-    /// Instruction fetches seen.
-    pub fetches: u64,
-}
-
-impl TraceSink for CountingSink {
-    fn access(&mut self, mref: MemRef) {
-        self.count += 1;
-        if mref.is_write {
-            self.writes += 1;
-        }
-        if mref.is_instr {
-            self.fetches += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,17 +192,6 @@ mod tests {
         assert_eq!(buf.unique_lines(16), 2);
         assert_eq!(buf.unique_lines(32), 1);
         assert_eq!(buf.unique_lines(4), 5);
-    }
-
-    #[test]
-    fn counting_sink_tallies() {
-        let mut c = CountingSink::default();
-        c.access(MemRef::read(0, Region::Global));
-        c.access(MemRef::write(8, Region::Global));
-        c.access(MemRef::fetch(0x1000));
-        assert_eq!(c.count, 3);
-        assert_eq!(c.writes, 1);
-        assert_eq!(c.fetches, 1);
     }
 
     #[test]

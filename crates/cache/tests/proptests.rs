@@ -22,7 +22,7 @@ use afs_cache::model::flush::flushed_fraction;
 use afs_cache::model::footprint::SstParams;
 use afs_cache::model::hierarchy::FlushModel;
 use afs_cache::model::platform::{CacheGeometry, Platform};
-use afs_cache::sim::cache::{Cache, Replacement};
+use afs_cache::sim::cache::Cache;
 use afs_cache::sim::hierarchy::{MemoryHierarchy, ServedBy};
 use afs_cache::sim::trace::{MemRef, Region, TraceSink};
 use afs_desim::time::SimDuration;
@@ -33,16 +33,14 @@ struct RefLru {
     sets: Vec<VecDeque<u64>>,
     line: u64,
     assoc: usize,
-    fifo: bool,
 }
 
 impl RefLru {
-    fn new(sets: usize, line: u64, assoc: usize, fifo: bool) -> Self {
+    fn new(sets: usize, line: u64, assoc: usize) -> Self {
         RefLru {
             sets: (0..sets).map(|_| VecDeque::new()).collect(),
             line,
             assoc,
-            fifo,
         }
     }
     /// Returns hit.
@@ -51,10 +49,8 @@ impl RefLru {
         let s = (l % self.sets.len() as u64) as usize;
         let set = &mut self.sets[s];
         if let Some(pos) = set.iter().position(|&t| t == l) {
-            if !self.fifo {
-                set.remove(pos);
-                set.push_front(l);
-            }
+            set.remove(pos);
+            set.push_front(l);
             true
         } else {
             if set.len() == self.assoc {
@@ -361,7 +357,7 @@ fn observable(h: &MemoryHierarchy) -> String {
 #[test]
 fn purge_region_reaches_the_last_set_and_returns_at_once_when_absent() {
     for sets in [3u64, 8] {
-        let mut c = Cache::new(CacheGeometry::new(sets * 2 * 16, 16, 2), Replacement::Lru);
+        let mut c = Cache::new(CacheGeometry::new(sets * 2 * 16, 16, 2));
         for l in 0..sets {
             c.access(l * 16, Region::Code);
         }
@@ -386,13 +382,11 @@ proptest! {
     #[test]
     fn lru_cache_matches_reference(
         (sets, line, assoc) in small_geometry(),
-        fifo in any::<bool>(),
         addrs in prop::collection::vec(0u64..4096, 1..300),
     ) {
         let cap = sets * line as u64 * assoc as u64;
-        let replacement = if fifo { Replacement::Fifo } else { Replacement::Lru };
-        let mut real = Cache::new(CacheGeometry::new(cap, line, assoc), replacement);
-        let mut model = RefLru::new(sets as usize, line as u64, assoc as usize, fifo);
+        let mut real = Cache::new(CacheGeometry::new(cap, line, assoc));
+        let mut model = RefLru::new(sets as usize, line as u64, assoc as usize);
         for &a in &addrs {
             let hit_real = real.access(a, Region::Stream).hit;
             let hit_model = model.access(a);
@@ -442,7 +436,7 @@ proptest! {
         script in prop::collection::vec(cache_op(), 1..200),
     ) {
         let cap = sets * line as u64 * assoc as u64;
-        let mut real = Cache::new(CacheGeometry::new(cap, line, assoc), Replacement::Lru);
+        let mut real = Cache::new(CacheGeometry::new(cap, line, assoc));
         let mut model = RefOwned {
             sets: vec![Vec::new(); sets as usize],
             line: line as u64,
@@ -484,7 +478,7 @@ proptest! {
     fn cache_occupancy_is_bounded_and_consistent(
         addrs in prop::collection::vec(0u64..100_000, 1..400),
     ) {
-        let mut c = Cache::new(CacheGeometry::new(4096, 16, 2), Replacement::Lru);
+        let mut c = Cache::new(CacheGeometry::new(4096, 16, 2));
         for &a in &addrs {
             c.access(a, Region::NonProtocol);
             prop_assert!(c.total_occupancy() <= 256); // 4096/16 lines
@@ -529,9 +523,10 @@ proptest! {
         let u = p.footprint(r, line);
         prop_assert!(u >= 0.0 && u <= r, "u = {u} outside [0, {r}]");
         // Monotone in R — guaranteed only inside the model's validity
-        // domain (b + log d · log L >= 0), which the MVS constants
-        // satisfy for all realistic line sizes.
-        prop_assume!(p.is_monotone_for(line));
+        // domain (the power law grows like R^(b + log d · log L), so
+        // b + log d · log L >= 0), which the MVS constants satisfy for
+        // all realistic line sizes.
+        prop_assume!(b + log_d * line.log10() >= 0.0);
         let u2 = p.footprint(r * 2.0, line);
         prop_assert!(u2 >= u - 1e-9);
     }

@@ -1,6 +1,5 @@
-//! Derived analyses: percent-delay-reduction curves (Figures 10/11),
-//! crossover detection (the MRU/Wired trade-offs), and shape checks used
-//! by the integration tests.
+//! Derived analyses: crossover detection (the MRU/Wired trade-offs),
+//! dominance between delay curves, and MSER-5 warm-up validation.
 
 use afs_desim::time::SimDuration;
 use afs_desim::warmup::mser5;
@@ -36,36 +35,6 @@ pub fn validate_warmup(cfg: &SystemConfig) -> Option<WarmupCheck> {
         recommended,
         adequate: configured >= recommended,
     })
-}
-
-/// Percentage reduction in mean delay of `improved` relative to
-/// `baseline`, point by point (positive = improvement). Points where
-/// either run is unstable yield `None`.
-pub fn percent_reduction(baseline: &Series, improved: &Series) -> Vec<Option<f64>> {
-    baseline
-        .points
-        .iter()
-        .zip(&improved.points)
-        .map(|(b, i)| {
-            debug_assert!((b.rate_per_stream - i.rate_per_stream).abs() < 1e-9);
-            if b.report.stable && i.report.stable && b.report.mean_delay_us > 0.0 {
-                Some(100.0 * (1.0 - i.report.mean_delay_us / b.report.mean_delay_us))
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
-/// The largest reduction over a percent-reduction curve.
-pub fn peak_reduction(reductions: &[Option<f64>]) -> Option<f64> {
-    reductions
-        .iter()
-        .flatten()
-        .copied()
-        .fold(None, |acc: Option<f64>, r| {
-            Some(acc.map_or(r, |a| a.max(r)))
-        })
 }
 
 /// Where curve `a` stops beating curve `b`: returns the index of the
@@ -167,17 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn percent_reduction_basics() {
-        let base = series("base", &[(200.0, true), (400.0, true), (800.0, false)]);
-        let imp = series("mru", &[(150.0, true), (200.0, true), (300.0, true)]);
-        let r = percent_reduction(&base, &imp);
-        assert!((r[0].unwrap() - 25.0).abs() < 1e-9);
-        assert!((r[1].unwrap() - 50.0).abs() < 1e-9);
-        assert_eq!(r[2], None);
-        assert!((peak_reduction(&r).unwrap() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn crossover_detection() {
         // a wins early, b wins late.
         let a = series("mru", &[(100.0, true), (200.0, true), (900.0, true)]);
@@ -205,12 +163,6 @@ mod tests {
         assert!(dominates(&wobbly, &bad, 0.0));
         assert!(!dominates(&wobbly, &good, 0.0), "2% worse without slack");
         assert!(dominates(&wobbly, &good, 0.05), "2% within 5% slack");
-    }
-
-    #[test]
-    fn peak_of_empty_is_none() {
-        assert_eq!(peak_reduction(&[None, None]), None);
-        assert_eq!(peak_reduction(&[]), None);
     }
 
     #[test]

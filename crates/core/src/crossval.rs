@@ -600,7 +600,7 @@ mod tests {
 
     #[test]
     fn locking_rung_frontend_plan_defers_to_claim_arbitration() {
-        // Since the claim protocol (DESIGN.md §17), a `SharedQueue`
+        // Since the claim protocol (DESIGN.md §3, `afs-sched::claim`), a `SharedQueue`
         // steering fallback is a valid plan: a table miss returns
         // `Route::Shared` and the backend's pooled claim table names
         // the claimant. Every rung's plan validates.

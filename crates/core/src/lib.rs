@@ -87,6 +87,6 @@ pub mod prelude {
     pub use crate::sim::{run, run_observed};
     pub use crate::sweep::{capacity_search, rate_sweep, Series};
     pub use afs_desim::time::{SimDuration, SimTime};
-    pub use afs_obs::{MemRecorder, NullRecorder, Recorder};
+    pub use afs_obs::{MemRecorder, Recorder};
     pub use afs_workload::{ArrivalGen, Population};
 }

@@ -397,53 +397,6 @@ pub struct RunReport {
     pub rebinds: u64,
 }
 
-impl RunReport {
-    /// An all-zero report: the starting point for backends (such as
-    /// `afs-native`) that fill a report from their own accounting rather
-    /// than through a [`Collector`]. Ratios default to their vacuous
-    /// values (`stable: true`, infinite CI half-width, no p95).
-    pub fn empty() -> Self {
-        RunReport {
-            mean_delay_us: 0.0,
-            delay_ci_half_us: f64::INFINITY,
-            p95_delay_us: None,
-            max_delay_us: 0.0,
-            mean_service_us: 0.0,
-            throughput_pps: 0.0,
-            offered_pps: 0.0,
-            delivered: 0,
-            arrivals: 0,
-            utilization: 0.0,
-            mean_f1: 0.0,
-            mean_f2: 0.0,
-            stream_migration_rate: 0.0,
-            thread_migration_rate: 0.0,
-            per_stream_delay_us: Vec::new(),
-            per_proc_served: Vec::new(),
-            littles_gap: 0.0,
-            stable: true,
-            goodput_pps: 0.0,
-            drop_rate: 0.0,
-            wire_drops: 0,
-            queue_drops: 0,
-            shed_at_source: 0,
-            corrupted: 0,
-            proc_crashes: 0,
-            proc_stalls: 0,
-            orphaned: 0,
-            requeued: 0,
-            wasted_service_frac: 0.0,
-            offered_total: 0,
-            completed_total: 0,
-            shed_total: 0,
-            in_flight: 0,
-            ooo_deliveries: 0,
-            table_misses: 0,
-            rebinds: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,13 +10,12 @@
 //! verification and for the figures where run-to-run variability itself
 //! matters (burst response).
 
-use afs_cache::model::pricer::DispatchPricer;
 use afs_desim::stats::{ConfInterval, Welford};
 
 use crate::config::SystemConfig;
 use crate::metrics::RunReport;
 use crate::par;
-use crate::sim::run_with_pricer;
+use crate::sim::run;
 
 /// Cross-replication summary of one scalar metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,13 +82,6 @@ pub struct ReplicationSummary {
     pub reports: Vec<RunReport>,
 }
 
-impl ReplicationSummary {
-    /// True when every replication was stable.
-    pub fn all_stable(&self) -> bool {
-        self.stable_count == self.replications
-    }
-}
-
 /// Run `n` independent replications of `cfg`, deriving each seed from
 /// the configuration's seed. Metrics are summarized over the *stable*
 /// replications (an unstable replication's delay is meaningless).
@@ -108,17 +100,13 @@ pub fn replicate(cfg: &SystemConfig, n: usize) -> ReplicationSummary {
 pub fn replicate_jobs(jobs: usize, cfg: &SystemConfig, n: usize) -> ReplicationSummary {
     assert!(n >= 2, "need at least two replications for an interval");
     let indices: Vec<u64> = (0..n as u64).collect();
-    // Replications differ only in seed, so the pricer's policy-table
-    // fold is shared across all of them (it depends only on the
-    // execution-time model).
-    let pricer = DispatchPricer::new(&cfg.exec.model);
     let reports = par::parallel_map_jobs(jobs, &indices, |&i| {
         let mut c = cfg.clone();
         // Distinct, deterministic seeds per replication.
         c.seed = cfg
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1));
-        run_with_pricer(&c, &pricer)
+        run(&c)
     });
     let mut delay = Welford::new();
     let mut service = Welford::new();
@@ -165,7 +153,7 @@ mod tests {
     fn replications_differ_but_agree() {
         let s = replicate(&quick(), 5);
         assert_eq!(s.replications, 5);
-        assert!(s.all_stable());
+        assert_eq!(s.stable_count, 5);
         // Different seeds → different sample paths.
         let delays: Vec<f64> = s.reports.iter().map(|r| r.mean_delay_us).collect();
         let all_same = delays.windows(2).all(|w| w[0] == w[1]);
@@ -205,7 +193,6 @@ mod tests {
         cfg.population = Population::homogeneous_poisson(8, 9_000.0); // overload
         let s = replicate(&cfg, 3);
         assert_eq!(s.stable_count, 0);
-        assert!(!s.all_stable());
         assert_eq!(s.mean_delay_us.mean, 0.0);
     }
 

@@ -123,16 +123,17 @@ impl<'r> SchedSim<'r> {
         w
     }
 
-    /// Resolve the queue an arriving packet joins — front-end steer, the
-    /// Locking policy's routing rule, or the stream's IPS stack — exactly
-    /// once per packet (see [`Self::route_via_frontend`] for why twice
-    /// would be wrong).
+    /// Resolve the queue a packet joins at `now` — its arrival on the
+    /// enqueue path, the crash instant for an orphan: front-end steer,
+    /// the Locking policy's routing rule, or the stream's IPS stack,
+    /// exactly once per decision (see [`Self::route_via_frontend`] for
+    /// why twice would be wrong).
     fn target_of(&mut self, now: SimTime, pkt: &Packet) -> Target {
         if self.frontend.is_some() {
             return Target::Proc(self.route_via_frontend(now, pkt.seq, pkt.stream));
         }
         match &self.cfg.paradigm {
-            Paradigm::Locking { .. } => match self.lock_route_at(pkt.arrival, pkt.stream) {
+            Paradigm::Locking { .. } => match self.lock_route_at(now, pkt.stream) {
                 Route::Worker(p) => Target::Proc(p),
                 Route::Shared => Target::Shared,
             },
@@ -258,12 +259,10 @@ impl<'r> SchedSim<'r> {
             });
         }
 
-        // Reclaim the in-flight packet, if any: cancel its completion,
-        // release its stack/thread, and remember which stack it ran on
-        // (an IPS orphan returns to the head of its own stack queue).
-        let activity = self.procs.take_activity(p);
-        let mut in_flight: Option<(Packet, Option<u32>)> = None;
-        if let ProcActivity::Protocol { packet, stack, .. } = activity {
+        // Reclaim the in-flight packet, if any: cancel its completion
+        // and release its stack/thread.
+        let mut in_flight = None;
+        if let ProcActivity::Protocol { packet, stack, .. } = self.procs.take_activity(p) {
             if let Some(id) = self.pending_completion[p].take() {
                 sched.cancel(id);
             }
@@ -276,7 +275,7 @@ impl<'r> SchedSim<'r> {
             }
             self.pending_thread[p] = None;
             self.pending_pooled[p] = false;
-            in_flight = Some((packet, stack));
+            in_flight = Some(packet);
         }
 
         // Cache death: the crashed processor loses its protocol code
@@ -287,87 +286,47 @@ impl<'r> SchedSim<'r> {
         self.threads.evict_proc(p);
         self.stacks.loc.evict_proc(p);
 
-        // Orphan recovery. The in-flight packet goes back to the *front*
-        // of its target queue (it was already at the head once); drained
-        // backlog keeps its relative order at the back.
+        // Orphan recovery: the in-flight packet first, then the drained
+        // backlog in its queue order.
         let drained: Vec<Packet> = self.proc_q[p].drain(..).collect();
-        let recording = self.collector.recording(now);
-        let t_us = now.as_micros_f64();
-        if let Some((pkt, stack)) = in_flight {
-            let queue = match stack {
-                Some(w) => {
-                    self.stacks.queue[w as usize].push_front(pkt);
-                    w
-                }
-                None if self.frontend.is_some() => {
-                    // The NIC re-steers the orphan over the degraded
-                    // view (the dead worker is masked out of next_live
-                    // and the fallback router alike).
-                    let q = self.route_via_frontend(now, pkt.seq, pkt.stream);
-                    self.proc_q[q].push_back(pkt);
-                    q as u32
-                }
-                None => match self.lock_route_at(now, pkt.stream) {
-                    Route::Shared => {
-                        self.global_q.push_front(pkt);
-                        SHARED_QUEUE
-                    }
-                    Route::Worker(q) => {
-                        self.proc_q[q].push_back(pkt);
-                        q as u32
-                    }
-                },
-            };
-            if recording {
-                self.collector.orphaned += 1;
-                self.collector.requeued += 1;
-            }
-            if let Some(rec) = self.obs.as_deref_mut() {
-                rec.record(ObsEvent::Orphaned {
-                    t_us,
-                    seq: pkt.seq,
-                    worker: p as u32,
-                });
-                rec.record(ObsEvent::Requeue {
-                    t_us,
-                    seq: pkt.seq,
-                    queue,
-                });
-            }
+        if let Some(pkt) = in_flight {
+            self.requeue_orphan(now, pkt, p, true);
         }
         for pkt in drained {
-            let queue = if self.frontend.is_some() {
-                let q = self.route_via_frontend(now, pkt.seq, pkt.stream);
-                self.proc_q[q].push_back(pkt);
-                q as u32
-            } else {
-                match self.lock_route_at(now, pkt.stream) {
-                    Route::Shared => {
-                        self.global_q.push_back(pkt);
-                        SHARED_QUEUE
-                    }
-                    Route::Worker(q) => {
-                        self.proc_q[q].push_back(pkt);
-                        q as u32
-                    }
-                }
-            };
-            if recording {
-                self.collector.orphaned += 1;
-                self.collector.requeued += 1;
-            }
-            if let Some(rec) = self.obs.as_deref_mut() {
-                rec.record(ObsEvent::Orphaned {
-                    t_us,
-                    seq: pkt.seq,
-                    worker: p as u32,
-                });
-                rec.record(ObsEvent::Requeue {
-                    t_us,
-                    seq: pkt.seq,
-                    queue,
-                });
-            }
+            self.requeue_orphan(now, pkt, p, false);
+        }
+    }
+
+    /// Re-route one orphan of crashed processor `dead` over the degraded
+    /// view (the dead worker is masked out of the front-end's `next_live`
+    /// and the policy's router alike) and account for it. `at_front` is
+    /// the in-flight packet: it was at the head once, so it re-enters its
+    /// IPS stack queue or the global FIFO at the head. Per-processor
+    /// queues take every orphan at the back.
+    fn requeue_orphan(&mut self, now: SimTime, pkt: Packet, dead: usize, at_front: bool) {
+        let target = self.target_of(now, &pkt);
+        let (queue, id) = self.queue_of(target);
+        if at_front && !matches!(target, Target::Proc(_)) {
+            queue.push_front(pkt);
+        } else {
+            queue.push_back(pkt);
+        }
+        if self.collector.recording(now) {
+            self.collector.orphaned += 1;
+            self.collector.requeued += 1;
+        }
+        if let Some(rec) = self.obs.as_deref_mut() {
+            let t_us = now.as_micros_f64();
+            rec.record(ObsEvent::Orphaned {
+                t_us,
+                seq: pkt.seq,
+                worker: dead as u32,
+            });
+            rec.record(ObsEvent::Requeue {
+                t_us,
+                seq: pkt.seq,
+                queue: id,
+            });
         }
     }
 

@@ -167,15 +167,9 @@ pub struct SchedSim<'r> {
 }
 
 impl<'r> SchedSim<'r> {
-    /// Build the model and note per-stream generators, around the
-    /// configuration-constant fold supplied by the caller
-    /// (`DispatchPricer::new(&cfg.exec.model)` for a single run). A
-    /// sweep prices every point against the same
-    /// execution model, so fan-out layers ([`crate::sweep`],
-    /// [`mod@crate::replicate`]) fold it once per *sweep* instead of once
-    /// per run. The pricer is plain `Copy` data — bit-identical whether
-    /// folded here or there.
-    pub fn with_pricer(cfg: &'r SystemConfig, pricer: DispatchPricer) -> Self {
+    /// Build the model: fold `cfg.exec.model` into the run's pricer and
+    /// seed the per-stream generators.
+    fn new(cfg: &'r SystemConfig) -> Self {
         cfg.validate();
         let n = cfg.n_procs;
         let k = cfg.population.len();
@@ -225,7 +219,7 @@ impl<'r> SchedSim<'r> {
             collector: Collector::new(SimTime::from_micros_f64(warm_us), k),
             obs: None,
             next_seq: 0,
-            pricer,
+            pricer: DispatchPricer::new(&cfg.exec.model),
             cfg,
         }
     }
@@ -248,18 +242,17 @@ impl<'r> SchedSim<'r> {
     }
 }
 
-/// The one run loop behind every public entry point: build the model
-/// around `pricer`, optionally capture the per-packet delay series,
-/// optionally attach `rec` (which also attaches the engine probe), run
-/// to the horizon and report. The series is empty unless captured, the
-/// probe default unless recorded.
+/// The one run loop behind every public entry point: build the model,
+/// optionally capture the per-packet delay series, optionally attach
+/// `rec` (which also attaches the engine probe), run to the horizon and
+/// report. The series is empty unless captured, the probe default unless
+/// recorded.
 fn run_inner<'r>(
     cfg: &'r SystemConfig,
-    pricer: DispatchPricer,
     capture: bool,
     rec: Option<&'r mut dyn Recorder>,
 ) -> (RunReport, Vec<f64>, EngineProbe) {
-    let mut engine = Engine::new(SchedSim::with_pricer(cfg, pricer));
+    let mut engine = Engine::new(SchedSim::new(cfg));
     if capture {
         engine.model_mut().collector.capture_series();
     }
@@ -289,23 +282,14 @@ fn run_inner<'r>(
 /// The run is a pure function of `(cfg, cfg.seed)`: identical inputs
 /// produce a bit-identical report on any thread.
 pub fn run(cfg: &SystemConfig) -> RunReport {
-    run_with_pricer(cfg, &DispatchPricer::new(&cfg.exec.model))
-}
-
-/// [`run`] with the execution-model fold supplied by the caller: sweep
-/// layers build one [`DispatchPricer`] per template and reuse it across
-/// every point instead of re-folding the same model per run. The report
-/// is bit-identical to [`run`]'s — the pricer is a pure function of
-/// `cfg.exec.model`, which rate rescaling never touches.
-pub fn run_with_pricer(cfg: &SystemConfig, pricer: &DispatchPricer) -> RunReport {
-    run_inner(cfg, *pricer, false, None).0
+    run_inner(cfg, false, None).0
 }
 
 /// Run a configuration; optionally also return the full per-packet delay
 /// series (µs, completion order, warm-up included) for output analysis
 /// such as MSER-5 warm-up validation.
 pub fn run_with_series(cfg: &SystemConfig, capture: bool) -> (RunReport, Vec<f64>) {
-    let (report, series, _) = run_inner(cfg, DispatchPricer::new(&cfg.exec.model), capture, None);
+    let (report, series, _) = run_inner(cfg, capture, None);
     (report, series)
 }
 
@@ -318,7 +302,7 @@ pub fn run_observed<'r>(
     cfg: &'r SystemConfig,
     rec: &'r mut dyn Recorder,
 ) -> (RunReport, EngineProbe) {
-    let (report, _, probe) = run_inner(cfg, DispatchPricer::new(&cfg.exec.model), false, Some(rec));
+    let (report, _, probe) = run_inner(cfg, false, Some(rec));
     (report, probe)
 }
 

@@ -270,7 +270,7 @@ mod tests {
         );
         cfg.copy_us_per_byte = 1.0 / 32.0;
         for s in &mut cfg.population.streams {
-            s.sizes = afs_workload::SizeDist::fddi_max();
+            s.sizes = afs_workload::SizeDist(afs_desim::Dist::constant(4432.0));
         }
         let r = run(&cfg);
         cfg.copy_us_per_byte = 0.0;
@@ -739,8 +739,6 @@ mod obs_tests {
         assert!(rec.counters.dispatched > 0);
         // Every public entry point is the same run behind a different
         // signature.
-        let priced = run_with_pricer(&cfg, &DispatchPricer::new(&cfg.exec.model));
-        assert_eq!(plain, priced, "a caller-supplied pricer changed the run");
         let (captured, series) = run_with_series(&cfg, true);
         assert_eq!(plain, captured, "capturing the series changed the run");
         assert!(!series.is_empty());
@@ -1286,8 +1284,7 @@ mod frontend_tests {
         let mut cfg = frontend_cfg(FlowDirector, 512, 32, 256, true);
         cfg.queue_bound = 4;
         cfg.drop_policy = crate::config::DropPolicy::TailDrop;
-        let pricer = DispatchPricer::new(&cfg.exec.model);
-        let mut engine = Engine::new(SchedSim::with_pricer(&cfg, pricer));
+        let mut engine = Engine::new(SchedSim::new(&cfg));
         engine_prime(&mut engine);
         engine.run_until(SimTime::ZERO + cfg.horizon);
         let end = engine.now();

@@ -30,7 +30,7 @@
 use afs_desim::time::{SimDuration, SimTime};
 
 use afs_cache::model::exec_time::Age;
-use afs_sched::{HashedLru, LruStats};
+use afs_sched::HashedLru;
 
 /// A packet waiting for or receiving service.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -433,15 +433,6 @@ impl StreamTable {
             }
         }
     }
-
-    /// Hashed-cache hit/miss/eviction counters (`None` for the dense
-    /// representation, which never misses).
-    pub fn cache_stats(&self) -> Option<LruStats> {
-        match self {
-            StreamTable::Dense(_) => None,
-            StreamTable::Hashed(t) => Some(t.stats),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -499,7 +490,7 @@ mod tests {
         let mut p = Procs::new(1);
         p.note_protocol_end(0, t(500), 500.0);
         match p.code_age(0, t(500)) {
-            Age::Elapsed(d) => assert!(d.is_zero()),
+            Age::Elapsed(d) => assert_eq!(d, SimDuration::ZERO),
             other => panic!("{other:?}"),
         }
     }
@@ -557,8 +548,6 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        assert_eq!(dense.cache_stats(), None);
-        assert_eq!(hashed.cache_stats().unwrap().inserts, 2);
     }
 
     #[test]
@@ -567,7 +556,6 @@ mod tests {
         t.record(0, 0, 1.0);
         t.record(1, 1, 2.0);
         t.record(2, 2, 3.0); // capacity 2: evicts stream 0
-        assert_eq!(t.cache_stats().unwrap().evictions, 1);
         assert_eq!(t.last_proc(0), None);
         assert_eq!(t.age_on(0, 0, 9.0), Age::Cold);
         assert!(!t.migrates_to(0, 1), "an absent stream migrates nowhere");

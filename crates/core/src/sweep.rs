@@ -1,15 +1,10 @@
 //! Parameter sweeps and capacity search — the machinery behind every
 //! delay-vs-rate figure and throughput-capacity claim.
 
-use afs_desim::time::SimDuration;
-use afs_workload::Population;
-
-use afs_cache::model::pricer::DispatchPricer;
-
-use crate::config::{Paradigm, SystemConfig};
+use crate::config::SystemConfig;
 use crate::metrics::RunReport;
 use crate::par;
-use crate::sim::run_with_pricer;
+use crate::sim::run;
 
 /// One point of a rate sweep.
 #[derive(Debug, Clone)]
@@ -62,7 +57,8 @@ impl Series {
 /// Sweep per-stream arrival rate over `rates` for a fixed paradigm.
 ///
 /// `base_population` supplies the stream count and arrival-process
-/// *shape*; each point rescales its rate via [`Population::with_rate`].
+/// *shape*; each point rescales its rate via
+/// [`Population::with_rate`](afs_workload::Population::with_rate).
 ///
 /// Points run in parallel on the [`crate::par`] executor (`AFS_JOBS`
 /// workers): each is an independent run of a rate-rescaled clone of the
@@ -81,17 +77,11 @@ pub fn rate_sweep_jobs(
     template: &SystemConfig,
     rates: &[f64],
 ) -> Series {
-    // Every point shares the template's execution-time model, so the
-    // policy-table fold (log-space cache constants, per-component cold
-    // and remote costs) happens once per sweep instead of once per run.
-    // `DispatchPricer` is plain `Copy` data, safely shared across the
-    // executor's workers.
-    let pricer = DispatchPricer::new(&template.exec.model);
     let points = par::parallel_map_jobs(jobs, rates, |&r| {
         let mut cfg = template.clone();
         cfg.population = cfg.population.clone().with_rate(r);
         let offered = cfg.population.total_rate_per_sec();
-        let report = run_with_pricer(&cfg, &pricer);
+        let report = run(&cfg);
         SweepPoint {
             rate_per_stream: r,
             offered_pps: offered,
@@ -116,13 +106,10 @@ pub fn rate_sweep_jobs(
 /// [`crate::par::parallel_map`] instead.
 pub fn capacity_search(template: &SystemConfig, lo: f64, hi: f64, tol: f64) -> f64 {
     assert!(lo > 0.0 && hi > lo && tol > 0.0);
-    // One pricer fold for the whole bisection (the probes differ only
-    // in arrival rate, never in the execution-time model).
-    let pricer = DispatchPricer::new(&template.exec.model);
     let stable_at = |rate: f64| -> bool {
         let mut cfg = template.clone();
         cfg.population = cfg.population.clone().with_rate(rate);
-        run_with_pricer(&cfg, &pricer).report_stability()
+        run(&cfg).report_stability()
     };
     let mut lo = lo;
     let mut hi = hi;
@@ -157,60 +144,22 @@ impl RunReport {
     }
 }
 
-/// Convenience: a short-horizon template for tests and quick sweeps.
-pub fn quick_template(paradigm: Paradigm, population: Population) -> SystemConfig {
-    let mut cfg = SystemConfig::new(paradigm, population);
-    cfg.warmup = SimDuration::from_millis(100);
-    cfg.horizon = SimDuration::from_millis(900);
-    cfg
-}
-
-/// Emit a series table in the bench harness's standard format.
-pub fn format_series(series: &[Series], x_label: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(out, "{x_label:>12}");
-    for s in series {
-        let _ = write!(out, " {:>16}", s.label);
-    }
-    let _ = writeln!(out);
-    let n = series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-    for i in 0..n {
-        let x = series
-            .iter()
-            .find_map(|s| s.points.get(i).map(|p| p.rate_per_stream))
-            .unwrap_or(f64::NAN);
-        let _ = write!(out, "{x:>12.1}");
-        for s in series {
-            match s.points.get(i) {
-                Some(p) if p.report.stable => {
-                    let _ = write!(out, " {:>16.1}", p.report.mean_delay_us);
-                }
-                Some(_) => {
-                    let _ = write!(out, " {:>16}", "unstable");
-                }
-                None => {
-                    let _ = write!(out, " {:>16}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LockPolicy;
+    use crate::config::{LockPolicy, Paradigm};
+    use afs_desim::time::SimDuration;
+    use afs_workload::Population;
 
     fn template() -> SystemConfig {
-        let mut cfg = quick_template(
+        let mut cfg = SystemConfig::new(
             Paradigm::Locking {
                 policy: LockPolicy::Mru,
             },
             Population::homogeneous_poisson(8, 100.0),
         );
+        cfg.warmup = SimDuration::from_millis(100);
+        cfg.horizon = SimDuration::from_millis(900);
         cfg.n_procs = 4;
         cfg
     }
@@ -231,13 +180,5 @@ mod tests {
         let cap = capacity_search(&template(), 100.0, 6000.0, 0.2);
         assert!(cap >= 100.0, "cap {cap}");
         assert!(cap < 6000.0, "cap {cap}");
-    }
-
-    #[test]
-    fn format_series_renders() {
-        let s = rate_sweep("mru", &template(), &[50.0]);
-        let txt = format_series(&[s], "rate/stream");
-        assert!(txt.contains("mru"));
-        assert!(txt.contains("rate/stream"));
     }
 }

@@ -25,44 +25,6 @@ pub enum Dist {
         /// Mean of the distribution.
         mean: f64,
     },
-    /// Uniform on `[lo, hi)`.
-    Uniform {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Exclusive upper bound.
-        hi: f64,
-    },
-    /// Pareto with shape `alpha > 0`, scale `xm > 0`, truncated at `cap`
-    /// (samples above `cap` are clamped). Heavy-tailed burst lengths.
-    BoundedPareto {
-        /// Tail index (smaller = heavier tail).
-        alpha: f64,
-        /// Scale: the minimum value.
-        xm: f64,
-        /// Truncation point (samples are clamped here).
-        cap: f64,
-    },
-    /// Two-point mixture: `value_a` with probability `p_a`, else `value_b`.
-    /// Used for bimodal packet-size mixes (small acks vs full-MTU data).
-    TwoPoint {
-        /// First branch's value.
-        value_a: f64,
-        /// Probability of the first branch.
-        p_a: f64,
-        /// Second branch's value.
-        value_b: f64,
-    },
-    /// Hyperexponential with two branches: branch 1 (mean `mean_a`) chosen
-    /// with probability `p_a`, else branch 2 (mean `mean_b`). Gives
-    /// squared coefficient of variation > 1 for bursty service.
-    Hyper2 {
-        /// Probability of the first branch.
-        p_a: f64,
-        /// First branch's exponential mean.
-        mean_a: f64,
-        /// Second branch's exponential mean.
-        mean_b: f64,
-    },
     /// Empirical distribution: draw uniformly from recorded samples
     /// (e.g. a measured packet-size or interarrival trace).
     Empirical {
@@ -87,18 +49,6 @@ impl Dist {
         Dist::Exponential { mean }
     }
 
-    /// Uniform on `[lo, hi)`.
-    pub fn uniform(lo: f64, hi: f64) -> Self {
-        assert!(lo >= 0.0 && hi > lo && hi.is_finite(), "invalid range");
-        Dist::Uniform { lo, hi }
-    }
-
-    /// Bounded Pareto.
-    pub fn bounded_pareto(alpha: f64, xm: f64, cap: f64) -> Self {
-        assert!(alpha > 0.0 && xm > 0.0 && cap >= xm, "invalid pareto");
-        Dist::BoundedPareto { alpha, xm, cap }
-    }
-
     /// Empirical distribution over recorded samples.
     pub fn empirical(samples: Vec<f64>) -> Self {
         assert!(!samples.is_empty(), "empirical needs at least one sample");
@@ -116,28 +66,6 @@ impl Dist {
         match *self {
             Dist::Deterministic { value } => value,
             Dist::Exponential { mean } => mean,
-            Dist::Uniform { lo, hi } => 0.5 * (lo + hi),
-            Dist::BoundedPareto { alpha, xm, cap } => {
-                // Mean of Pareto clamped at cap: E[min(X, cap)].
-                if (alpha - 1.0).abs() < 1e-12 {
-                    xm * (1.0 + (cap / xm).ln()) - 0.0
-                } else {
-                    let a = alpha;
-                    // E[min(X,c)] = (a*xm/(a-1)) * (1 - (xm/c)^(a-1)) + c*(xm/c)^a
-                    let r = xm / cap;
-                    (a * xm / (a - 1.0)) * (1.0 - r.powf(a - 1.0)) + cap * r.powf(a)
-                }
-            }
-            Dist::TwoPoint {
-                value_a,
-                p_a,
-                value_b,
-            } => p_a * value_a + (1.0 - p_a) * value_b,
-            Dist::Hyper2 {
-                p_a,
-                mean_a,
-                mean_b,
-            } => p_a * mean_a + (1.0 - p_a) * mean_b,
             Dist::Empirical { ref samples } => samples.iter().sum::<f64>() / samples.len() as f64,
         }
     }
@@ -151,34 +79,6 @@ impl Dist {
                 // Inverse CDF; guard u == 0 to avoid ln(0).
                 let u = u.max(f64::MIN_POSITIVE);
                 -mean * u.ln()
-            }
-            Dist::Uniform { lo, hi } => lo + u * (hi - lo),
-            Dist::BoundedPareto { alpha, xm, cap } => {
-                let u = u.min(1.0 - 1e-16);
-                (xm / (1.0 - u).powf(1.0 / alpha)).min(cap)
-            }
-            Dist::TwoPoint {
-                value_a,
-                p_a,
-                value_b,
-            } => {
-                if u < p_a {
-                    value_a
-                } else {
-                    value_b
-                }
-            }
-            Dist::Hyper2 {
-                p_a,
-                mean_a,
-                mean_b,
-            } => {
-                // Two uniforms folded into one draw: use the branch choice
-                // from the high bits conceptually — here we just draw again
-                // for the exponential to keep the code honest.
-                let mean = if u < p_a { mean_a } else { mean_b };
-                let v = unit_uniform(rng).max(f64::MIN_POSITIVE);
-                -mean * v.ln()
             }
             Dist::Empirical { ref samples } => {
                 let idx = (u * samples.len() as f64) as usize;
@@ -196,32 +96,14 @@ impl Dist {
 /// A discrete positive-integer distribution (batch / train sizes).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CountDist {
-    /// Always `n` (n ≥ 1).
-    Constant {
-        /// The constant count.
-        n: u64,
-    },
     /// Geometric on {1, 2, …} with success probability `p` (mean `1/p`).
     Geometric {
         /// Per-trial success probability.
         p: f64,
     },
-    /// Uniform integer on `[lo, hi]` inclusive.
-    UniformInt {
-        /// Inclusive lower bound.
-        lo: u64,
-        /// Inclusive upper bound.
-        hi: u64,
-    },
 }
 
 impl CountDist {
-    /// A point mass at `n`.
-    pub fn constant(n: u64) -> Self {
-        assert!(n >= 1, "counts must be >= 1");
-        CountDist::Constant { n }
-    }
-
     /// Geometric with the given mean ≥ 1.
     pub fn geometric_with_mean(mean: f64) -> Self {
         assert!(mean >= 1.0, "geometric mean must be >= 1");
@@ -231,23 +113,19 @@ impl CountDist {
     /// Expected value.
     pub fn mean(&self) -> f64 {
         match *self {
-            CountDist::Constant { n } => n as f64,
             CountDist::Geometric { p } => 1.0 / p,
-            CountDist::UniformInt { lo, hi } => 0.5 * (lo + hi) as f64,
         }
     }
 
     /// Draw one sample (always ≥ 1).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match *self {
-            CountDist::Constant { n } => n,
             CountDist::Geometric { p } => {
                 let u = unit_uniform(rng).max(f64::MIN_POSITIVE);
                 // Inverse CDF of the {1,2,...} geometric.
                 let n = (u.ln() / (1.0 - p).ln()).ceil();
                 (n as u64).max(1)
             }
-            CountDist::UniformInt { lo, hi } => rng.gen_range(lo..=hi),
         }
     }
 }
@@ -280,57 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Dist::uniform(10.0, 20.0);
-        let mut rng = RngFactory::new(5).stream("u");
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng);
-            assert!((10.0..20.0).contains(&x));
-        }
-        let m = sample_mean(&d, 100_000);
-        assert!((m - 15.0).abs() < 0.1, "sample mean {m}");
-    }
-
-    #[test]
-    fn bounded_pareto_respects_cap() {
-        let d = Dist::bounded_pareto(1.2, 1.0, 50.0);
-        let mut rng = RngFactory::new(9).stream("p");
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((1.0..=50.0).contains(&x));
-        }
-        let m = sample_mean(&d, 400_000);
-        assert!(
-            (m - d.mean()).abs() / d.mean() < 0.05,
-            "sample {m} vs analytic {}",
-            d.mean()
-        );
-    }
-
-    #[test]
-    fn two_point_mixture() {
-        let d = Dist::TwoPoint {
-            value_a: 1.0,
-            p_a: 0.8,
-            value_b: 100.0,
-        };
-        assert!((d.mean() - (0.8 + 20.0)).abs() < 1e-12);
-        let m = sample_mean(&d, 200_000);
-        assert!((m - d.mean()).abs() < 0.5, "sample mean {m}");
-    }
-
-    #[test]
-    fn hyper2_mean_converges() {
-        let d = Dist::Hyper2 {
-            p_a: 0.9,
-            mean_a: 10.0,
-            mean_b: 500.0,
-        };
-        let m = sample_mean(&d, 400_000);
-        assert!((m - d.mean()).abs() / d.mean() < 0.05, "sample mean {m}");
-    }
-
-    #[test]
     fn geometric_counts() {
         let d = CountDist::geometric_with_mean(8.0);
         let mut rng = RngFactory::new(3).stream("g");
@@ -343,19 +170,6 @@ mod tests {
         }
         let m = sum as f64 / n as f64;
         assert!((m - 8.0).abs() < 0.1, "sample mean {m}");
-    }
-
-    #[test]
-    fn uniform_int_inclusive() {
-        let d = CountDist::UniformInt { lo: 2, hi: 4 };
-        let mut rng = RngFactory::new(3).stream("ui");
-        let mut seen = [false; 5];
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng) as usize;
-            assert!((2..=4).contains(&x));
-            seen[x] = true;
-        }
-        assert!(seen[2] && seen[3] && seen[4]);
     }
 
     #[test]

@@ -166,23 +166,6 @@ impl<M: Simulate> Engine<M> {
         self.events_handled
     }
 
-    /// Deliver a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        match self.sched.queue.pop() {
-            Some((time, event)) => {
-                debug_assert!(time >= self.sched.now, "clock went backwards");
-                self.sched.now = time;
-                self.events_handled += 1;
-                self.model.handle(time, event, &mut self.sched);
-                if let Some(p) = &mut self.probe {
-                    p.on_step(time.as_micros_f64(), self.sched.queue.len());
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Run until the event set drains.
     pub fn run(&mut self) -> StopReason {
         self.run_until(SimTime::MAX)
@@ -322,15 +305,5 @@ mod tests {
         assert!(e.probe().is_none());
         // The chain keeps exactly one event pending until the last one.
         assert_eq!(p.max_pending, 1);
-    }
-
-    #[test]
-    fn step_returns_false_when_empty() {
-        let mut e = Engine::new(Chain {
-            remaining: 0,
-            gap: SimDuration::ZERO,
-            seen: Vec::new(),
-        });
-        assert!(!e.step());
     }
 }

@@ -411,9 +411,8 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest live event **iff** its time is at
     /// or before `horizon`. Returns `None` both when the queue is
     /// drained and when the earliest event is past the horizon
-    /// (distinguish via [`EventQueue::is_empty`]). This fuses the
-    /// `peek_time` + `pop` pair the engine's bounded run loop would
-    /// otherwise issue into a single scan.
+    /// (distinguish via [`EventQueue::is_empty`]): one scan where the
+    /// engine's bounded run loop would otherwise peek, then pop.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         if !self.find_min() {
             return None;
@@ -440,19 +439,6 @@ impl<E> EventQueue<E> {
             self.rebuild();
         }
         (s.time, payload)
-    }
-
-    /// Time of the earliest live event, if any, without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if !self.find_min() {
-            return None;
-        }
-        Some(
-            self.buckets[self.cur_bucket]
-                .last()
-                .expect("find_min positioned a minimum")
-                .time,
-        )
     }
 
     /// Number of live (scheduled, not cancelled) events.
@@ -531,17 +517,6 @@ mod tests {
         assert_eq!(q.pop(), Some((t(1), "a")));
         assert!(!q.cancel(a));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_skips_tombstones() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1), "a");
-        q.push(t(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(2)));
-        assert_eq!(q.pop(), Some((t(2), "b")));
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

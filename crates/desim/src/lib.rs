@@ -19,8 +19,8 @@
 //!   horizon / event-budget stop conditions.
 //! * [`rng`] — named deterministic RNG substreams supporting
 //!   common-random-number comparisons across scheduling policies.
-//! * [`dist`] — inverse-CDF samplers (exponential, bounded Pareto,
-//!   hyperexponential, …) and discrete count distributions.
+//! * [`dist`] — inverse-CDF samplers (deterministic, exponential,
+//!   empirical) and the geometric count distribution.
 //! * [`stats`] — Welford accumulators, time-weighted averages, quantile
 //!   histograms, batch-means confidence intervals and a Little's-law
 //!   consistency check.

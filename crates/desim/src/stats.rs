@@ -8,7 +8,7 @@
 //!   the method of non-overlapping batch means.
 //! * [`littles_law_gap`] — consistency check `L = λ·W` for a completed run.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Streaming mean and variance (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -63,11 +63,6 @@ impl Welford {
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation (`NaN`-free input assumed).
@@ -207,15 +202,6 @@ impl Histogram {
         self.total
     }
 
-    /// Fraction of observations that fell past the last bin.
-    pub fn overflow_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.overflow as f64 / self.total as f64
-        }
-    }
-
     /// Approximate `q`-quantile (bin upper edge), `q ∈ [0, 1]`.
     ///
     /// Returns `None` when empty or when the quantile falls in the
@@ -256,17 +242,6 @@ pub struct ConfInterval {
     pub mean: f64,
     /// Half-width of the interval.
     pub half_width: f64,
-}
-
-impl ConfInterval {
-    /// Relative half-width (`half_width / |mean|`, infinite at mean 0).
-    pub fn relative_width(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
 }
 
 /// Two-sided Student-t 0.975 quantiles for small d.o.f.; 1.96 beyond.
@@ -341,11 +316,6 @@ pub fn littles_law_gap(l: f64, lambda_per_sec: f64, w_secs: f64) -> f64 {
         return 0.0;
     }
     (l - rhs).abs() / denom
-}
-
-/// Convenience: mean of a duration sample expressed in µs.
-pub fn mean_us(acc: &Welford) -> SimDuration {
-    SimDuration::from_micros_f64(acc.mean().max(0.0))
 }
 
 #[cfg(test)]
@@ -443,7 +413,6 @@ mod tests {
         let mut h = Histogram::new(1.0, 10);
         h.add(5.0);
         h.add(100.0);
-        assert!((h.overflow_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(h.quantile(0.9), None, "quantile in overflow tail");
         assert!(h.quantile(0.5).is_some());
     }
@@ -465,7 +434,6 @@ mod tests {
             ci.half_width
         );
         assert!(ci.half_width < 0.05);
-        assert!(ci.relative_width() < 0.1);
     }
 
     #[test]

@@ -381,12 +381,7 @@ proptest! {
     #[test]
     fn distributions_sample_in_support(seed in any::<u64>(), mean in 0.1f64..1e5) {
         let mut rng = RngFactory::new(seed).stream("prop");
-        let dists = [
-            Dist::constant(mean),
-            Dist::exponential(mean),
-            Dist::uniform(mean * 0.5, mean * 1.5),
-            Dist::bounded_pareto(1.5, mean * 0.1, mean * 100.0),
-        ];
+        let dists = [Dist::constant(mean), Dist::exponential(mean)];
         for d in &dists {
             for _ in 0..50 {
                 let x = d.sample(&mut rng);

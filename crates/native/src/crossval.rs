@@ -126,20 +126,11 @@ pub fn native_stream_workload(s: &StreamScenario) -> Vec<NativePacket> {
     )
 }
 
-/// Run one `(scenario, front-end, policy)` cell on the native backend.
-/// The report's reordering count is filled from the merged trace (the
+/// Run one `(scenario, front-end, policy)` cell on the native backend
+/// with the unified observability trace captured — the entry point
+/// `ext25_streams` and the differential reordering tests use. The
+/// report's reordering count is filled from the merged trace (the
 /// dispatcher cannot observe completion order; the checker can).
-pub fn run_stream_scenario(
-    s: &StreamScenario,
-    kind: FrontEndKind,
-    policy: CrossPolicy,
-) -> NativeReport {
-    run_stream_scenario_recorded(s, kind, policy).0
-}
-
-/// [`run_stream_scenario`] with the unified observability trace
-/// captured — the entry point `ext25_streams` and the differential
-/// reordering tests use.
 pub fn run_stream_scenario_recorded(
     s: &StreamScenario,
     kind: FrontEndKind,

@@ -9,9 +9,9 @@
 //!    crash window sees that worker masked out of routing and claiming;
 //! 2. **completion feedback** — modeled completions at or before the
 //!    arrival are fed back to a learning front-end;
-//! 3. **steer** — the NIC front-end (with the flow-run memo) or, with
-//!    no front-end, the layout's router, over the dispatcher's
-//!    deterministic virtual-load model;
+//! 3. **steer** — the NIC front-end or, with no front-end, the
+//!    layout's router, over the dispatcher's deterministic virtual-load
+//!    model, recomputed for every packet;
 //! 4. **admit** — `None` = every arrival is admitted and a full ring
 //!    blocks the dispatcher; `Some(capacity)` = virtual-domain taildrop
 //!    against the modeled backlog;
@@ -35,7 +35,7 @@ use afs_core::exec::ExecParams;
 use afs_desim::rng::RngFactory;
 use afs_desim::stats::Welford;
 use afs_obs::{MemRecorder, ObsEvent, Recorder as _};
-use afs_sched::{ClaimTable, FrontEndKind, FrontEndState, Route, RouterState, SchedView as _};
+use afs_sched::{ClaimTable, FrontEndState, Route, RouterState, SchedView as _};
 use afs_xkernel::mt::owner_of;
 use afs_xkernel::{lock_overhead_cycles, ProtocolEngine, StreamId};
 use parking_lot::Mutex;
@@ -290,17 +290,6 @@ struct Dispatcher<'a> {
     /// schedules a `(vfinish, seq, flow, worker)` entry on the router
     /// model's drain clock.
     feedback: BinaryHeap<Reverse<(u64, u64, u32, u32)>>,
-    /// Flow-run fusion (batch > 1): the last steering decision, kept
-    /// while reusing it for the same flow is provably what the
-    /// front-end would recompute — RSS is a pure hash of (flow, salt,
-    /// live mask); transport-friendly sticks to its last placement
-    /// while it stays live; a Flow-Director table *hit* repeats while
-    /// no completion feedback or liveness change could have moved the
-    /// binding. Miss paths are never fused (the fallback consumes
-    /// placement-RNG draws / mutates first-placement state). Off at
-    /// batch == 1 so the per-packet path recomputes every decision.
-    fuse: bool,
-    memo: Option<(u32, usize)>,
     /// Deterministic owner tracking (see `Job::prev_stream_owner`),
     /// stamped in virtual order by `enqueue`.
     prev_stream: Vec<u32>,
@@ -356,8 +345,6 @@ impl<'a> Dispatcher<'a> {
             rstate,
             fes,
             feedback: BinaryHeap::with_capacity(feedback_reserve),
-            fuse: cfg.batch > 1,
-            memo: None,
             prev_stream: vec![PREV_NONE; flows as usize],
             prev_thread: vec![PREV_NONE; w],
             stealing: claims.is_some() && !cfg.layout.pooled_queue,
@@ -441,7 +428,6 @@ impl<'a> Dispatcher<'a> {
     }
 
     fn set_live(&mut self, worker: usize, live: bool) {
-        self.memo = None;
         self.rstate.set_live(worker, live);
         if let Some(tbl) = self.claims.as_mut() {
             tbl.set_live(worker, live);
@@ -462,9 +448,6 @@ impl<'a> Dispatcher<'a> {
             }
             self.feedback.pop();
             fes.note_complete(flow, worker);
-            // The table learned (an insert can evict any binding,
-            // including the memoized flow's).
-            self.memo = None;
         }
     }
 
@@ -480,9 +463,9 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Stage 3. Returns the route and, when a front-end decision was
-    /// computed afresh, the worker the flow's previous packet went to
-    /// (the `from` side of a possible rebind).
+    /// Stage 3. Returns the route and, under a front-end, the worker the
+    /// flow's previous packet went to (the `from` side of a possible
+    /// rebind).
     fn steer(&mut self, flow: u32, t: f64, seq: u64) -> (Route, Option<usize>) {
         let view = self.rstate.view_at(t);
         let place = &mut self.place;
@@ -491,25 +474,10 @@ impl<'a> Dispatcher<'a> {
             let router = &self.sh.cfg.layout.router;
             return (router.route(&view, flow, &mut draw, &self.pricer), None);
         };
-        if let Some((_, target)) = self.memo.filter(|&(f, _)| f == flow) {
-            return (Route::Worker(target), None);
-        }
         let prev = fes.previous_route(flow);
         let misses_before = fes.table_misses();
         let route = fes.route_flow(&view, flow, &mut draw, &self.pricer);
-        let missed = fes.table_misses() > misses_before;
-        // Only a hit is stable to repeat: a miss consumed fallback
-        // state on the way to its placement (and a pooled-fallback miss
-        // names no worker at all).
-        let reusable = match fes.plan().config.kind {
-            FrontEndKind::Rss | FrontEndKind::TransportFriendly => true,
-            FrontEndKind::FlowDirector => !missed,
-        };
-        self.memo = match route {
-            Route::Worker(p) if self.fuse && reusable => Some((flow, p)),
-            _ => None,
-        };
-        if missed {
+        if fes.table_misses() > misses_before {
             self.trace(ObsEvent::TableMiss {
                 t_us: t,
                 seq,
@@ -681,8 +649,6 @@ impl<'a> Dispatcher<'a> {
             }
             self.set_live(p, false);
         }
-        // Orphans are re-steered one by one, never fused.
-        self.fuse = false;
         let mut orphans: Vec<(u32, Job)> = std::mem::take(&mut *self.sh.escrow.lock());
         for &p in &permanent {
             while let Some(job) = self.sh.queues[p].pop() {

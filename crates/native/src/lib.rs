@@ -29,8 +29,8 @@
 //! * [`crossval`] — the native mapping of the shared scenario matrix
 //!   defined in `afs_core::crossval`.
 //! * [`watchdog`] — plan-driven worker health (crash/stall/slowdown
-//!   schedules on the virtual clock), the shared health board, and the
-//!   heartbeat-lag diagnostic backing orphan-work recovery.
+//!   schedules on the virtual clock) and the shared health board whose
+//!   crash and exit flags sequence orphan-work recovery.
 //!
 //! The runtime also speaks the unified `afs-obs` observability schema:
 //! [`runtime::run_native_recorded`] has every worker record

@@ -45,7 +45,7 @@
 //! pop their own ring in FIFO order. Victim selection, migration
 //! accounting and previous-owner stamping are therefore pure functions
 //! of the arrival stream — bit-identical at any worker count and any
-//! dequeue batch, with or without a fault plan (DESIGN.md §17).
+//! dequeue batch, with or without a fault plan (DESIGN.md §3, `afs-sched::claim`).
 
 use afs_core::procfault::ProcFaultPlan;
 use afs_desim::dist::Dist;
@@ -131,19 +131,15 @@ pub struct NativeConfig {
     /// workload generator must be built with the same `m`
     /// ([`zipf_workload`] takes it as a parameter).
     pub session_space: Option<u32>,
-    /// Dequeue/dispatch batch bound. `1` (the default) is the historical
-    /// per-packet path. `> 1` turns on (a) train pops: a worker claims up
-    /// to `batch` already-published packets from its ring in one
-    /// synchronized [`RingQueue::pop_batch`][crate::ring::RingQueue::pop_batch] operation, and (b) flow-run
-    /// fusion: the dispatcher reuses the previous front-end steering
-    /// decision across a run of consecutive same-flow arrivals whenever
-    /// that reuse is provably the decision the front-end would have made
-    /// (see DESIGN.md §9 for the per-kind proof obligations). Both are
-    /// result-transparent — `RunReport`s and ledgers are bit-identical
-    /// across batch sizes, which the differential tests pin. Every
-    /// layout honours the bound: pooled and stealing arbitration happen
-    /// dispatcher-side in the claim table (DESIGN.md §17), so train
-    /// pops never change an arbitration outcome.
+    /// Dequeue batch bound. `1` (the default) is the historical
+    /// per-packet path. `> 1` turns on train pops: a worker claims up to
+    /// `batch` already-published packets from its ring in one
+    /// synchronized [`RingQueue::pop_batch`][crate::ring::RingQueue::pop_batch]
+    /// operation. Result-transparent — `RunReport`s and ledgers are
+    /// bit-identical across batch sizes, which the differential tests
+    /// pin. Every layout honours the bound: steering is recomputed per
+    /// packet and pooled and stealing arbitration happen dispatcher-side
+    /// in the claim table, so train pops never change a placement.
     pub batch: usize,
 }
 

@@ -28,7 +28,7 @@
 //!   uses only the virtual-domain fields of the final [`ServeReport`]).
 //!
 //! All five policy rungs serve; the work-conserving ones ride the claim
-//! protocol (DESIGN.md §17) exactly as they do under replay.
+//! protocol (DESIGN.md §3, `afs-sched::claim`) exactly as they do under replay.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -415,7 +415,7 @@ mod tests {
     #[test]
     fn ledger_balances_for_every_frontend_and_fallback() {
         // All five policy rungs, including the claim-arbitrated
-        // locking pool and IPS stealing (DESIGN.md §17).
+        // locking pool and IPS stealing (DESIGN.md §3, `afs-sched::claim`).
         for kind in [
             FrontEndKind::Rss,
             FrontEndKind::FlowDirector,

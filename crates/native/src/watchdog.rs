@@ -11,12 +11,9 @@
 //! `crash_at` is fatal), and the watchdog routes orphans around the set
 //! of workers the *plan* says are down. Observing host-time heartbeat
 //! lag instead would make recovery depend on CI load, destroying the
-//! determinism the cross-validation suite pins down. The heartbeat
-//! counters still exist ([`HealthBoard::beat`],
-//! [`HealthBoard::beat_snapshot`]) as a diagnostic: a genuinely wedged
-//! worker shows a frozen beat count.
+//! determinism the cross-validation suite pins down.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use afs_core::procfault::ProcFaultPlan;
 
@@ -26,42 +23,26 @@ pub const UP: u32 = 0;
 pub const DOWN: u32 = 1;
 
 /// Shared per-worker health state: the crash flags workers publish and
-/// the watchdog consumes, exit flags that sequence orphan recovery
-/// after the owner has stopped touching its ring, and free-running
-/// heartbeat counters for the lag diagnostic.
+/// the watchdog consumes, and exit flags that sequence orphan recovery
+/// after the owner has stopped touching its ring.
 #[derive(Debug)]
 pub struct HealthBoard {
     health: Vec<AtomicU32>,
     exited: Vec<AtomicBool>,
-    beats: Vec<AtomicU64>,
 }
 
 impl HealthBoard {
-    /// A board with every worker up, running and unbeaten.
+    /// A board with every worker up and running.
     pub fn new(workers: usize) -> Self {
         HealthBoard {
             health: (0..workers).map(|_| AtomicU32::new(UP)).collect(),
             exited: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-            beats: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     /// Worker count on the board.
     pub fn workers(&self) -> usize {
         self.health.len()
-    }
-
-    /// Bump worker `w`'s heartbeat (once per scheduling-loop pass).
-    pub fn beat(&self, w: usize) {
-        self.beats[w].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of every worker's heartbeat counter.
-    pub fn beat_snapshot(&self) -> Vec<u64> {
-        self.beats
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Worker `w` declares itself crashed.
@@ -276,9 +257,6 @@ mod tests {
     fn board_roundtrip() {
         let b = HealthBoard::new(3);
         assert_eq!(b.downs(), 0);
-        b.beat(1);
-        b.beat(1);
-        assert_eq!(b.beat_snapshot(), vec![0, 2, 0]);
         b.mark_down(2);
         assert!(b.is_down(2) && !b.is_down(0));
         assert_eq!(b.downs(), 1);

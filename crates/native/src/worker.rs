@@ -92,7 +92,7 @@ pub(crate) struct Shared<'a> {
     /// Set by the watchdog once every orphan is back in a live ring;
     /// live workers hold their exit on it so recovered work is drained.
     pub(crate) recovery_done: &'a AtomicBool,
-    /// Shared health state (crash flags, exit flags, heartbeats).
+    /// Shared health state (crash flags, exit flags).
     pub(crate) board: &'a HealthBoard,
     /// Fatal jobs parked for the watchdog, tagged with the dead worker.
     pub(crate) escrow: &'a Mutex<Vec<(u32, Job)>>,
@@ -194,7 +194,6 @@ impl<'a> Worker<'a> {
         let batch = self.sh.cfg.batch.max(1);
         let mut train: Vec<Job> = Vec::with_capacity(batch);
         'main: loop {
-            self.sh.board.beat(self.wid);
             let depth = self.sh.queues[self.wid].len();
             self.out.stats.max_queue_depth = self.out.stats.max_queue_depth.max(depth);
             if self.pop_train(&mut train, batch) {

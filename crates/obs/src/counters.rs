@@ -280,11 +280,6 @@ impl Counters {
         ratio(self.steals, self.dispatched)
     }
 
-    /// Flush charges per dispatch.
-    pub fn flush_rate(&self) -> f64 {
-        ratio(self.flushes, self.dispatched)
-    }
-
     /// Fold `other` into `self` (commutative up to per-worker vec
     /// length; used to merge per-worker recorders).
     pub fn merge(&mut self, other: &Counters) {

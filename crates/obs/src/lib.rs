@@ -26,8 +26,7 @@
 //! Modules:
 //!
 //! * [`event`] — the [`ObsEvent`] schema and merge ordering.
-//! * [`recorder`] — the [`Recorder`] trait, [`NullRecorder`],
-//!   [`MemRecorder`].
+//! * [`recorder`] — the [`Recorder`] trait and [`MemRecorder`].
 //! * [`counters`] — [`Counters`]/[`WorkerLane`] aggregation.
 //! * [`hist`] — [`LogHistogram`], the HDR-style fixed-footprint
 //!   histogram behind the delay/service/depth percentiles.
@@ -56,7 +55,7 @@ pub use event::{ChargeKind, ObsEvent, SHARED_QUEUE};
 pub use hist::LogHistogram;
 pub use order::{SequenceChecker, SequenceReport};
 pub use profile::EngineProbe;
-pub use recorder::{MemRecorder, NullRecorder, Recorder};
+pub use recorder::{MemRecorder, Recorder};
 pub use serve::ServeSnapshot;
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! The `Recorder` trait and the built-in sinks.
 //!
 //! Backends emit [`ObsEvent`]s through a `&mut dyn Recorder`; what the
-//! recorder does with them is its own business. [`NullRecorder`] ignores
-//! everything (and backends skip recording entirely when no recorder is
-//! attached, so the un-observed hot path pays nothing). [`MemRecorder`]
-//! keeps the full event stream plus live [`Counters`] — it preallocates
-//! its event buffer so steady-state recording does not allocate.
+//! recorder does with them is its own business. Backends hold an
+//! `Option` of one and skip recording entirely when none is attached, so
+//! the un-observed hot path pays nothing. [`MemRecorder`] keeps the full
+//! event stream plus live [`Counters`] — it preallocates its event
+//! buffer so steady-state recording does not allocate.
 
 use crate::counters::Counters;
 use crate::event::ObsEvent;
@@ -19,14 +19,6 @@ use crate::event::ObsEvent;
 pub trait Recorder {
     /// Record one event.
     fn record(&mut self, ev: ObsEvent);
-}
-
-/// A recorder that discards everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&mut self, _ev: ObsEvent) {}
 }
 
 /// In-memory recorder: the full event stream plus folded [`Counters`].
@@ -116,12 +108,6 @@ mod tests {
             queue: 0,
             depth: 1,
         }
-    }
-
-    #[test]
-    fn null_recorder_is_a_no_op() {
-        let mut r = NullRecorder;
-        r.record(ev(0.0, 0));
     }
 
     #[test]

@@ -58,22 +58,6 @@ impl ServeSnapshot {
             self.rss_kb,
         );
     }
-
-    /// One-line human summary for terminal streaming.
-    pub fn summary_line(&self) -> String {
-        let backlog = self.admitted.saturating_sub(self.processed);
-        format!(
-            "t={:.1}s offered={} admitted={} dropped={} processed={} backlog={} v={:.0}µs rss={}KiB",
-            self.wall_s,
-            self.offered,
-            self.admitted,
-            self.dropped,
-            self.processed,
-            backlog,
-            self.arrival_us,
-            self.rss_kb,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -105,10 +89,5 @@ mod tests {
             a,
             "{\"e\":\"serve\",\"wall_s\":1.250,\"offered\":1000,\"admitted\":990,\"dropped\":10,\"processed\":960,\"arrival_us\":123456.789,\"vclock_min\":120000.000,\"vclock_max\":123000.500,\"rss_kb\":20480}\n"
         );
-    }
-
-    #[test]
-    fn summary_reports_backlog() {
-        assert!(snap().summary_line().contains("backlog=30"));
     }
 }

@@ -200,14 +200,6 @@ impl FrontEndState {
         }
     }
 
-    /// Learning-table evictions (Flow Director only).
-    pub fn table_evictions(&self) -> u64 {
-        match self.plan.config.kind {
-            FrontEndKind::FlowDirector => self.table.stats.evictions,
-            _ => 0,
-        }
-    }
-
     #[inline]
     fn last_routed(&self, flow: u32) -> Option<usize> {
         match self.last_route.get(flow as usize) {
@@ -383,8 +375,7 @@ mod tests {
         ));
         fe.note_complete(0, 1);
         fe.note_complete(1, 1); // capacity 1: evicts flow 0's binding
-        assert_eq!(fe.table_evictions(), 1);
-        // Flow 0 misses again and falls back to its static owner.
+                                // Flow 0 misses again and falls back to its static owner.
         assert_eq!(fe.route(&v, 0, &mut no_draw, &p), 0);
         assert_eq!(fe.table_misses(), 1);
     }

@@ -68,4 +68,4 @@ pub use policy::{
 };
 pub use router::{Router, RouterState};
 pub use spec::{NativeLayout, PolicySpec, DEFAULT_MRU_LOAD_BOUND};
-pub use view::{MaskedView, SchedView};
+pub use view::SchedView;

@@ -285,15 +285,6 @@ impl<V: Copy> HashedLru<V> {
         Some(v)
     }
 
-    /// The key that would be evicted next (the least recently used).
-    pub fn lru_key(&self) -> Option<u64> {
-        if self.tail == NIL {
-            None
-        } else {
-            Some(self.slab[self.tail as usize].key)
-        }
-    }
-
     /// Visit every resident entry's value mutably, in slab (insertion
     /// slot) order — a deterministic order independent of recency.
     /// Used for whole-table state transitions such as a processor
@@ -351,7 +342,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.peek(1), Some(11));
         // 2 is now LRU.
-        assert_eq!(t.lru_key(), Some(2));
+        assert_eq!(t.keys_mru_first().last(), Some(&2));
     }
 
     #[test]

@@ -459,54 +459,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn empty_mask_preserves_draw_order_exactly() {
-        // Satellite regression: wrapping a view in an all-live
-        // `MaskedView` must leave every decision AND every RNG draw
-        // bit-identical — the fault layer is free when no fault fired.
-        use crate::view::MaskedView;
-        let pricer = DispatchPricer::new(&test_model());
-        let mut v = TestView::idle(4);
-        v.idle = vec![true, false, true, true];
-        v.ends = vec![Some(3), None, Some(9), None];
-        v.depths = vec![2, 0, 1, 3];
-        v.last[5] = Some(1);
-        v.vclocks = vec![10, 40, 20, 30];
-        let dead = vec![false; 4];
-
-        let mut raw_draws = Vec::new();
-        let mut masked_draws = Vec::new();
-        for seed in 0..8usize {
-            let masked = MaskedView::new(&v, &dead);
-            let mut raw_draw = |n: usize| {
-                raw_draws.push(n);
-                seed % n
-            };
-            let mut masked_draw = |n: usize| {
-                masked_draws.push(n);
-                seed % n
-            };
-            assert_eq!(
-                random_idle(&v, &mut raw_draw),
-                random_idle(&masked, &mut masked_draw)
-            );
-            assert_eq!(newest_idle(&v), newest_idle(&masked));
-            assert_eq!(shallowest_queue(&v), shallowest_queue(&masked));
-            assert_eq!(mru_load_route(&v, 5, 1), mru_load_route(&masked, 5, 1));
-            assert_eq!(
-                min_reload_route(&v, 5, &pricer),
-                min_reload_route(&masked, 5, &pricer)
-            );
-            assert_eq!(
-                StealPolicy::default().steal(&v, 0),
-                StealPolicy::default().steal(&masked, 0)
-            );
-            assert_eq!(next_live(&v, seed), seed % 4);
-        }
-        assert_eq!(raw_draws, masked_draws, "draw sequences must match");
-        assert!(!raw_draws.is_empty());
-    }
-
-    #[test]
     fn masked_workers_are_skipped_without_extra_draws() {
         let mut v = TestView::idle(4);
         v.live = vec![true, false, true, true];

@@ -60,11 +60,6 @@ impl PolicySpec {
         PolicySpec::MinReload,
     ];
 
-    /// The paper's original three-rung comparison (the cells committed
-    /// before the unified layer existed).
-    pub const CLASSIC: [PolicySpec; 3] =
-        [PolicySpec::Oblivious, PolicySpec::Locking, PolicySpec::Ips];
-
     /// Short label for tables and CSV columns.
     pub fn label(&self) -> &'static str {
         match self {
@@ -175,7 +170,6 @@ mod tests {
             assert!(seen.insert(p.label()), "duplicate label {}", p.label());
         }
         assert_eq!(PolicySpec::ALL.len(), 5);
-        assert_eq!(PolicySpec::CLASSIC.len(), 3);
     }
 
     #[test]

@@ -79,65 +79,3 @@ pub trait SchedView {
         1.0
     }
 }
-
-/// A [`SchedView`] wrapper that force-masks a set of workers dead.
-///
-/// Backends use it to re-route orphaned work through the *policy's own*
-/// decisions over a degraded view: the inner view is unchanged except
-/// that masked workers report not-live (and not-idle, so idle-set scans
-/// skip them too). With an all-false mask every method delegates
-/// verbatim, so wrapping is behaviorally free.
-pub struct MaskedView<'a> {
-    inner: &'a dyn SchedView,
-    dead: &'a [bool],
-}
-
-impl<'a> MaskedView<'a> {
-    /// Wrap `inner`, masking worker `w` wherever `dead[w]` is true
-    /// (workers past the slice's end are unmasked).
-    pub fn new(inner: &'a dyn SchedView, dead: &'a [bool]) -> Self {
-        MaskedView { inner, dead }
-    }
-
-    fn masked(&self, w: usize) -> bool {
-        self.dead.get(w).copied().unwrap_or(false)
-    }
-}
-
-impl SchedView for MaskedView<'_> {
-    fn n_workers(&self) -> usize {
-        self.inner.n_workers()
-    }
-
-    fn is_idle(&self, w: usize) -> bool {
-        !self.masked(w) && self.inner.is_idle(w)
-    }
-
-    fn last_protocol_end(&self, w: usize) -> Option<u64> {
-        self.inner.last_protocol_end(w)
-    }
-
-    fn queue_depth(&self, w: usize) -> usize {
-        self.inner.queue_depth(w)
-    }
-
-    fn last_worker(&self, entity: u32) -> Option<usize> {
-        self.inner.last_worker(entity)
-    }
-
-    fn ages_on(&self, w: usize, entity: u32) -> ComponentAges {
-        self.inner.ages_on(w, entity)
-    }
-
-    fn vclock_bits(&self, w: usize) -> u64 {
-        self.inner.vclock_bits(w)
-    }
-
-    fn is_live(&self, w: usize) -> bool {
-        !self.masked(w) && self.inner.is_live(w)
-    }
-
-    fn service_scale(&self, w: usize) -> f64 {
-        self.inner.service_scale(w)
-    }
-}

@@ -1,5 +1,5 @@
 //! Exhaustive small-scale interleaving tests for the virtual-order
-//! claim protocol (DESIGN.md §17), in the spirit of
+//! claim protocol (DESIGN.md §3, `afs-sched::claim`), in the spirit of
 //! `crates/native/tests/interleave.rs`: instead of sampling a few
 //! arrival patterns, enumerate *every* pattern on a small grid and
 //! check each resolved schedule against an independent oracle or a

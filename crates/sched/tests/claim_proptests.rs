@@ -1,4 +1,4 @@
-//! Property tests for the virtual-order claim protocol (DESIGN.md §17):
+//! Property tests for the virtual-order claim protocol (DESIGN.md §3, `afs-sched::claim`):
 //! on randomized arrival streams, both claim modes must conserve jobs,
 //! respect per-owner FIFO and per-claimant service spacing, replay
 //! bit-identically, resolve independently of how the arrival stream is

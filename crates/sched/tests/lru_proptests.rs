@@ -134,7 +134,11 @@ fn run_ops(cap: usize, ops: &[Op]) -> (HashedLru<u32>, Vec<u64>) {
         );
         assert_eq!(table.len(), oracle.deque.len(), "len drift at step {step}");
         assert_eq!(table.stats, oracle.stats, "counter drift at step {step}");
-        assert_eq!(table.lru_key(), oracle.deque.back().map(|&(k, _)| k));
+        assert_eq!(
+            table.keys_mru_first().last(),
+            oracle.deque.back().map(|(k, _)| k),
+            "eviction victim drift at step {step}"
+        );
     }
     let keys = table.keys_mru_first();
     assert_eq!(keys, oracle.keys_mru_first(), "recency order drift");

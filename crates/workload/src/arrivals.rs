@@ -220,7 +220,7 @@ mod tests {
         let mut zeros = 0;
         let mut g = ArrivalGen::bursty(500.0, 8.0);
         for _ in 0..10_000 {
-            if g.next_gap(&mut rng).is_zero() {
+            if g.next_gap(&mut rng) == SimDuration::ZERO {
                 zeros += 1;
             }
         }

@@ -9,8 +9,7 @@
 //!   burstiness) and Jain–Routhier packet-train generators, all with
 //!   exact mean-rate accounting.
 //! * [`population`] — stream sets (homogeneous, hot/cold mixes) and
-//!   packet-size distributions (tiny, FDDI-max, bimodal), with offered-ρ
-//!   helpers.
+//!   the packet-size distribution each stream draws from.
 
 pub mod arrivals;
 pub mod population;

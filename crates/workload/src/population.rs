@@ -25,28 +25,6 @@ impl SizeDist {
     pub fn tiny() -> Self {
         SizeDist(Dist::constant(1.0))
     }
-
-    /// Full-MTU FDDI packets (4432 bytes) — the paper's worst case for
-    /// data-touching overhead.
-    pub fn fddi_max() -> Self {
-        SizeDist(Dist::constant(4432.0))
-    }
-
-    /// A bimodal mix: fraction `p_small` of `small`-byte packets, rest
-    /// full-MTU. Approximates measured LAN mixes.
-    pub fn bimodal(p_small: f64, small: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p_small));
-        SizeDist(Dist::TwoPoint {
-            value_a: small,
-            p_a: p_small,
-            value_b: 4432.0,
-        })
-    }
-
-    /// Mean payload bytes.
-    pub fn mean_bytes(&self) -> f64 {
-        self.0.mean()
-    }
 }
 
 /// Normalized Zipf popularity weights for ranks `1..=k`: weight of
@@ -186,12 +164,6 @@ impl Population {
         self.streams.iter().map(|s| s.arrivals.rate_per_sec()).sum()
     }
 
-    /// Offered utilization against `n_procs` servers of mean service time
-    /// `service_us` — the `ρ` that must stay below 1 for stability.
-    pub fn offered_rho(&self, n_procs: usize, service_us: f64) -> f64 {
-        self.total_rate_per_sec() * service_us / 1e6 / n_procs as f64
-    }
-
     /// Replace every stream's rate, keeping processes/sizes (for sweeps).
     pub fn with_rate(mut self, rate_per_sec: f64) -> Self {
         for s in &mut self.streams {
@@ -223,13 +195,6 @@ mod tests {
         let p = Population::homogeneous_poisson(16, 250.0);
         assert_eq!(p.len(), 16);
         assert!((p.total_rate_per_sec() - 4000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn offered_rho() {
-        // 4000 pkts/s × 200 µs over 8 processors = 0.1 utilization.
-        let p = Population::homogeneous_poisson(16, 250.0);
-        assert!((p.offered_rho(8, 200.0) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -280,14 +245,6 @@ mod tests {
             ArrivalGen::Batch { batch, .. } => assert!((batch.mean() - 8.0).abs() < 1e-12),
             other => panic!("expected batch arrivals, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn size_dists() {
-        assert_eq!(SizeDist::tiny().mean_bytes(), 1.0);
-        assert_eq!(SizeDist::fddi_max().mean_bytes(), 4432.0);
-        let m = SizeDist::bimodal(0.9, 64.0).mean_bytes();
-        assert!((m - (0.9 * 64.0 + 0.1 * 4432.0)).abs() < 1e-9);
     }
 
     #[test]

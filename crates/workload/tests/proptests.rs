@@ -68,21 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn offered_rho_linear(
-        k in 1usize..32,
-        rate in 10.0f64..5_000.0,
-        svc in 10.0f64..500.0,
-        n in 1usize..16,
-    ) {
-        let p = Population::homogeneous_poisson(k, rate);
-        let rho = p.offered_rho(n, svc);
-        let expect = rate * k as f64 * svc / 1e6 / n as f64;
-        prop_assert!((rho - expect).abs() < 1e-9 * (1.0 + expect));
-        // Linearity in service time.
-        prop_assert!((p.offered_rho(n, svc * 2.0) - 2.0 * rho).abs() < 1e-9 * (1.0 + rho));
-    }
-
-    #[test]
     fn generators_deterministic_per_seed(gen in gen_strategy(), seed in any::<u64>()) {
         let mut a = gen.clone();
         let mut b = gen;

@@ -5,15 +5,12 @@
 //! together much faster than the single FDDI network attachment on our
 //! machine. Data is not received from the actual FDDI network."* We do
 //! the same: [`PacketFactory`] fabricates byte-exact UDP/IP/FDDI frames
-//! for a set of streams, and [`InMemoryDriver`] hands them to the
-//! protocol engine from a ring of simulated packet buffers.
+//! for a set of streams, and callers hand them to the protocol engine as
+//! [`RxFrame`]s placed in the simulated packet buffers of
+//! [`MemLayout`](crate::mem::MemLayout).
 
-use std::collections::VecDeque;
-
-use crate::fault::{FaultInjector, FaultStats};
 use crate::fddi::{self, MacAddr};
 use crate::ip::{self, Ipv4Addr};
-use crate::mem::MemLayout;
 use crate::proto::StreamId;
 use crate::tcp;
 use crate::udp;
@@ -175,104 +172,6 @@ pub struct RxFrame {
     pub buf_addr: u64,
 }
 
-/// The in-memory driver: a receive ring of simulated buffers, with an
-/// optional fault-injection stage between the wire and the ring.
-#[derive(Debug)]
-pub struct InMemoryDriver {
-    layout: MemLayout,
-    ring: VecDeque<RxFrame>,
-    next_slot: u32,
-    slots: u32,
-    injector: Option<FaultInjector>,
-    /// Frames dropped because the ring was full.
-    pub drops: u64,
-}
-
-impl InMemoryDriver {
-    /// A driver with `slots` receive buffers and a clean wire.
-    pub fn new(layout: MemLayout, slots: u32) -> Self {
-        assert!(slots >= 1);
-        InMemoryDriver {
-            layout,
-            ring: VecDeque::new(),
-            next_slot: 0,
-            slots,
-            injector: None,
-            drops: 0,
-        }
-    }
-
-    /// Install a fault injector between the wire and the ring. Every
-    /// subsequent [`dma_in`](Self::dma_in) passes through it.
-    pub fn with_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Injected-fault counters, if an injector is installed.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.injector.as_ref().map(|i| i.stats)
-    }
-
-    /// "DMA" a frame into the next ring buffer, routing it through the
-    /// fault injector (if any) first. A frame the injector eats on the
-    /// wire still returns `true` — the DMA itself succeeded. Returns
-    /// false (and counts a drop) only when the ring overflows.
-    pub fn dma_in(&mut self, bytes: Vec<u8>, stream: StreamId) -> bool {
-        let offered = RxFrame {
-            bytes,
-            stream,
-            buf_addr: 0,
-        };
-        match self.injector.as_mut() {
-            None => self.push_frame(offered),
-            Some(inj) => {
-                let mut ok = true;
-                for f in inj.admit(offered) {
-                    ok &= self.push_frame(f);
-                }
-                ok
-            }
-        }
-    }
-
-    /// Release any frames the injector is still delaying into the ring
-    /// (end of a run).
-    pub fn flush_faults(&mut self) -> usize {
-        let Some(inj) = self.injector.as_mut() else {
-            return 0;
-        };
-        let held = inj.flush();
-        let n = held.len();
-        for f in held {
-            self.push_frame(f);
-        }
-        n
-    }
-
-    fn push_frame(&mut self, mut frame: RxFrame) -> bool {
-        if self.ring.len() >= self.slots as usize {
-            self.drops += 1;
-            return false;
-        }
-        let slot = self.next_slot % self.slots;
-        self.next_slot = self.next_slot.wrapping_add(1);
-        frame.buf_addr = self.layout.packet(slot);
-        self.ring.push_back(frame);
-        true
-    }
-
-    /// Take the oldest received frame.
-    pub fn next_frame(&mut self) -> Option<RxFrame> {
-        self.ring.pop_front()
-    }
-
-    /// Frames currently queued.
-    pub fn pending(&self) -> usize {
-        self.ring.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,46 +279,6 @@ mod tests {
         let f2 = f.frame_for(StreamId(0), 8);
         let id = |fr: &[u8]| u16::from_be_bytes([fr[25], fr[26]]); // 21 hdr + 4
         assert_eq!(id(&f2), id(&f1).wrapping_add(1));
-    }
-
-    #[test]
-    fn driver_ring_rotates_slots_and_drops_when_full() {
-        let layout = MemLayout::new();
-        let mut d = InMemoryDriver::new(layout, 2);
-        assert!(d.dma_in(vec![1], StreamId(0)));
-        assert!(d.dma_in(vec![2], StreamId(1)));
-        assert!(!d.dma_in(vec![3], StreamId(2)));
-        assert_eq!(d.drops, 1);
-        let a = d.next_frame().unwrap();
-        let b = d.next_frame().unwrap();
-        assert_eq!(a.bytes, vec![1]);
-        assert_ne!(a.buf_addr, b.buf_addr);
-        assert!(d.next_frame().is_none());
-        // Freed capacity accepts new frames in recycled slots.
-        assert!(d.dma_in(vec![4], StreamId(0)));
-        assert_eq!(d.pending(), 1);
-    }
-
-    #[test]
-    fn driver_with_lossy_injector_delivers_fewer_frames() {
-        use crate::fault::{FaultInjector, FaultPlan};
-        use afs_desim::rng::RngFactory;
-        let plan = FaultPlan {
-            drop_p: 0.5,
-            ..FaultPlan::none()
-        };
-        let factory = RngFactory::new(7);
-        let mut d = InMemoryDriver::new(MemLayout::new(), 1024)
-            .with_injector(FaultInjector::from_factory(plan, &factory));
-        for i in 0..200u32 {
-            d.dma_in(vec![0u8; 16], StreamId(i % 4));
-        }
-        d.flush_faults();
-        let stats = d.fault_stats().unwrap();
-        assert_eq!(stats.examined, 200);
-        assert!(stats.drops > 0);
-        assert_eq!(d.pending() as u64, 200 - stats.drops);
-        assert_eq!(d.drops, 0, "ring never overflowed");
     }
 
     #[test]

@@ -179,8 +179,8 @@ pub fn build_frame(
 
 /// Parse and strip the FDDI header and FCS of `msg` **without**
 /// instrumentation — used by builders and tests. The instrumented
-/// receive path lives in [`crate::engine`]; it performs the same field
-/// reads through [`Message::read_u8`]-style accessors.
+/// receive path lives in [`crate::engine`]; it charges the header reads
+/// to the memory model and then parses with this function.
 pub fn parse_frame(msg: &mut Message) -> Result<FddiHeader, FddiError> {
     if msg.len() < HEADER_LEN + FCS_LEN {
         return Err(FddiError::Runt);

@@ -129,12 +129,6 @@ impl Message {
         Ok(())
     }
 
-    /// Un-pop: move the head back `n` bytes (used by reassembly).
-    pub fn unpop(&mut self, n: usize) {
-        assert!(n <= self.head, "unpop past start of buffer");
-        self.head -= n;
-    }
-
     /// Push an `n`-byte header in front of the head and return a mutable
     /// slice to fill it.
     pub fn push(&mut self, n: usize) -> Result<&mut [u8], MsgError> {
@@ -154,31 +148,6 @@ impl Message {
     }
 
     // ---- Instrumented reads (issue PacketData references) -------------
-
-    /// Read byte `off` past the head, charging one packet-data load.
-    pub fn read_u8<S: TraceSink>(
-        &self,
-        ctx: &mut MemCtx<'_, S>,
-        off: usize,
-    ) -> Result<u8, MsgError> {
-        let b = self.bytes().get(off).copied().ok_or(MsgError::Truncated)?;
-        ctx.load(self.head_addr() + off as u64, Region::PacketData);
-        Ok(b)
-    }
-
-    /// Big-endian u16 at `off` past the head (one load — same word).
-    pub fn read_u16<S: TraceSink>(
-        &self,
-        ctx: &mut MemCtx<'_, S>,
-        off: usize,
-    ) -> Result<u16, MsgError> {
-        let s = self.bytes();
-        if off + 2 > s.len() {
-            return Err(MsgError::Truncated);
-        }
-        ctx.load(self.head_addr() + off as u64, Region::PacketData);
-        Ok(u16::from_be_bytes([s[off], s[off + 1]]))
-    }
 
     /// Big-endian u32 at `off` past the head.
     pub fn read_u32<S: TraceSink>(
@@ -278,14 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn unpop_restores_header() {
-        let mut m = Message::from_wire(&[9, 8, 7, 6], 0);
-        m.pop(2).unwrap();
-        m.unpop(2);
-        assert_eq!(m.bytes(), &[9, 8, 7, 6]);
-    }
-
-    #[test]
     fn push_headers_in_front() {
         let mut m = Message::for_send(b"payload", 0);
         {
@@ -324,13 +285,11 @@ mod tests {
         let mut buf = TraceBuffer::new();
         {
             let mut ctx = MemCtx::new(&mut buf);
-            assert_eq!(m.read_u8(&mut ctx, 0).unwrap(), 0xDE);
-            assert_eq!(m.read_u16(&mut ctx, 0).unwrap(), 0xDEAD);
             assert_eq!(m.read_u32(&mut ctx, 0).unwrap(), 0xDEADBEEF);
-            assert_eq!(m.read_u16(&mut ctx, 4).unwrap(), 0x0102);
+            assert_eq!(m.read_u32(&mut ctx, 2).unwrap(), 0xBEEF0102);
             assert_eq!(m.read_u32(&mut ctx, 3), Err(MsgError::Truncated));
         }
-        assert_eq!(buf.len(), 4);
+        assert_eq!(buf.len(), 2);
         assert!(buf
             .refs
             .iter()

@@ -142,21 +142,6 @@ impl SessionTable {
     pub fn session_mut(&mut self, stream: StreamId) -> Option<&mut SessionState> {
         self.sessions.get_mut(&stream)
     }
-
-    /// Number of bound ports.
-    pub fn bound_ports(&self) -> usize {
-        self.ports.len()
-    }
-
-    /// Remove a binding and its session.
-    pub fn unbind(&mut self, port: u16) -> Option<StreamId> {
-        let stream = self.ports.remove(&port)?;
-        // Only drop the session when no other port references the stream.
-        if !self.ports.values().any(|&s| s == stream) {
-            self.sessions.remove(&stream);
-        }
-        Some(stream)
-    }
 }
 
 /// Names of the receive-graph layers, bottom-up — used by reports.
@@ -179,7 +164,6 @@ mod tests {
         assert_eq!(t.demux(5001), Some(StreamId(0)));
         assert_eq!(t.demux(5002), Some(StreamId(1)));
         assert_eq!(t.demux(9999), None);
-        assert_eq!(t.bound_ports(), 2);
     }
 
     #[test]
@@ -195,11 +179,11 @@ mod tests {
         let mut t = SessionTable::new();
         t.bind(5001, StreamId(0)).unwrap();
         t.reserve(1000);
-        assert_eq!(t.bound_ports(), 1);
         assert_eq!(t.demux(5001), Some(StreamId(0)));
+        assert_eq!(t.demux(5002), None);
         t.bind(5001, StreamId(0)).unwrap();
         t.bind(5002, StreamId(1)).unwrap();
-        assert_eq!(t.bound_ports(), 2);
+        assert_eq!(t.demux(5002), Some(StreamId(1)));
         assert!(t.session(StreamId(1)).is_some());
     }
 
@@ -225,24 +209,5 @@ mod tests {
         assert!(!s.deliver(Ipv4Addr::host(1), 1, 1));
         assert_eq!(s.queue_drops, 1);
         assert_eq!(s.packets, MAX_QUEUE_DEPTH as u64);
-    }
-
-    #[test]
-    fn unbind_cleans_up() {
-        let mut t = SessionTable::new();
-        t.bind(5001, StreamId(0)).unwrap();
-        t.session_mut(StreamId(0)).unwrap().packets = 3;
-        assert_eq!(t.unbind(5001), Some(StreamId(0)));
-        assert!(t.session(StreamId(0)).is_none());
-        assert_eq!(t.unbind(5001), None);
-    }
-
-    #[test]
-    fn unbind_keeps_session_with_other_ports() {
-        let mut t = SessionTable::new();
-        t.bind(1, StreamId(0)).unwrap();
-        t.bind(2, StreamId(0)).unwrap();
-        t.unbind(1);
-        assert!(t.session(StreamId(0)).is_some());
     }
 }

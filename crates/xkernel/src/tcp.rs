@@ -29,10 +29,6 @@ pub mod flags {
     pub const PSH: u8 = 0x08;
     /// Reset the connection.
     pub const RST: u8 = 0x04;
-    /// Synchronize sequence numbers.
-    pub const SYN: u8 = 0x02;
-    /// No more data from sender.
-    pub const FIN: u8 = 0x01;
 }
 
 /// Parsed TCP header.
@@ -174,8 +170,6 @@ pub struct TcpSession {
     pub slow_path_hits: u64,
     /// Duplicate/overlapping segments dropped.
     pub duplicates: u64,
-    /// ACKs owed to the sender (delayed-ACK counter).
-    pub acks_pending: u32,
     /// Out-of-order segments awaiting the gap fill, keyed by sequence.
     reorder: BTreeMap<u32, Vec<u8>>,
 }
@@ -204,7 +198,6 @@ impl TcpSession {
             fast_path_hits: 0,
             slow_path_hits: 0,
             duplicates: 0,
-            acks_pending: 0,
             reorder: BTreeMap::new(),
         }
     }
@@ -245,14 +238,12 @@ impl TcpSession {
                 self.delivered_bytes += seg.len() as u64;
                 total += seg.len();
             }
-            self.acks_pending += 1;
             Ok(TcpDisposition::Delivered { bytes: total })
         } else if offset < 0 {
             // Entirely old data (retransmission already delivered).
             let end_off = offset + payload.len() as i32;
             if end_off <= 0 {
                 self.duplicates += 1;
-                self.acks_pending += 1; // dup-ACK
                 Ok(TcpDisposition::Duplicate)
             } else {
                 // Partial overlap: deliver only the new suffix, in order.
@@ -260,24 +251,14 @@ impl TcpSession {
                 self.fast_path_hits += 1;
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(new.len() as u32);
                 self.delivered_bytes += new.len() as u64;
-                self.acks_pending += 1;
                 Ok(TcpDisposition::Delivered { bytes: new.len() })
             }
         } else {
             // Future data: park it (last writer wins on exact-seq dups).
             self.slow_path_hits += 1;
             self.reorder.insert(hdr.seq, payload.to_vec());
-            self.acks_pending += 1; // dup-ACK asking for the gap
             Ok(TcpDisposition::Queued)
         }
-    }
-
-    /// Drain the delayed-ACK counter, returning how many ACK segments a
-    /// sender-side would emit (one per two segments, plus any forced).
-    pub fn take_acks(&mut self) -> u32 {
-        let acks = self.acks_pending.div_ceil(2);
-        self.acks_pending = 0;
-        acks
     }
 }
 
@@ -440,18 +421,5 @@ mod tests {
         );
         assert_eq!(s.fast_path_hits, 0);
         assert_eq!(s.rcv_nxt, 0);
-    }
-
-    #[test]
-    fn delayed_acks_one_per_two_segments() {
-        let mut s = TcpSession::new(0);
-        let mut seq = 0u32;
-        for _ in 0..7 {
-            let (h, p) = seg(seq, b"ABCD");
-            s.receive(&h, &p).unwrap();
-            seq += 4;
-        }
-        assert_eq!(s.take_acks(), 4); // ceil(7/2)
-        assert_eq!(s.take_acks(), 0);
     }
 }

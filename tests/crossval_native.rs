@@ -88,7 +88,7 @@ fn backends_agree_on_policy_structure() {
         // Migration telemetry: the shared-stack policies bounce stream
         // state across workers; IPS pins it modulo rare steals. The
         // bound is looser than it was under the host-racy engine: the
-        // virtual-order claim protocol (DESIGN.md §17) both calms the
+        // virtual-order claim protocol (DESIGN.md §3, `afs-sched::claim`) both calms the
         // shared-stack rungs (the pooled claimant is the argmin of the
         // model clocks, not whichever worker won a ring race) and
         // resolves steals against modeled backlog instead of

@@ -2,11 +2,11 @@
 //!
 //! Every layer must reject malformed traffic cleanly (count it, charge
 //! processing time for it, never panic, never corrupt session state) and
-//! resource exhaustion (driver ring, user queues) must degrade into
-//! counted drops — the behaviours a protocol stack is actually judged on.
+//! resource exhaustion (user queues) must degrade into counted
+//! drops — the behaviours a protocol stack is actually judged on.
 
 use affinity_sched::prelude::*;
-use afs_xkernel::driver::{InMemoryDriver, PacketFactory, RxFrame};
+use afs_xkernel::driver::{PacketFactory, RxFrame};
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::proto::{StreamId, ThreadId, MAX_QUEUE_DEPTH};
 use afs_xkernel::{fddi, ProtocolEngine, RxError, RxOutcome};
@@ -105,21 +105,6 @@ fn drops_still_cost_processing_time() {
     ));
     let cycles = hier.stats.cycles - before;
     assert!(cycles > 2_000.0, "drop consumed only {cycles} cycles");
-}
-
-#[test]
-fn driver_ring_overflow_counts_drops() {
-    let layout = MemLayout::new();
-    let mut driver = InMemoryDriver::new(layout, 4);
-    let mut factory = PacketFactory::new();
-    for _ in 0..10 {
-        driver.dma_in(factory.frame_for(StreamId(0), 8), StreamId(0));
-    }
-    assert_eq!(driver.pending(), 4);
-    assert_eq!(driver.drops, 6);
-    // Draining frees capacity again.
-    while driver.next_frame().is_some() {}
-    assert!(driver.dma_in(factory.frame_for(StreamId(0), 8), StreamId(0)));
 }
 
 #[test]

@@ -124,7 +124,7 @@ fn cache_sim_analytic_agreement_smoke() {
     // A compressed version of the Figure 5 cross-validation.
     use afs_cache::model::fit::fit_sst;
     use afs_cache::model::flush::flushed_fraction;
-    use afs_cache::sim::cache::{Cache, Replacement};
+    use afs_cache::sim::cache::Cache;
     use afs_cache::sim::synth::{measure_growth, SynthParams, SynthWorkload};
     let platform = afs_cache::model::platform::Platform::sgi_challenge_r4400();
     let obs = measure_growth(
@@ -135,7 +135,7 @@ fn cache_sim_analytic_agreement_smoke() {
     );
     let fitted = fit_sst(&obs).expect("fit");
 
-    let mut l1 = Cache::new(platform.l1, Replacement::Lru);
+    let mut l1 = Cache::new(platform.l1);
     let lines: Vec<u64> = (0..512).collect();
     for &l in &lines {
         l1.access(l * 16, Region::Code);
