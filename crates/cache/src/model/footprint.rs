@@ -144,6 +144,12 @@ impl LineFootprint {
         let u = 10f64.powf(log_u);
         u.min(refs)
     }
+
+    /// The power law's exponent `s` in `u ∝ refsˢ` — what `footprint`
+    /// follows wherever neither clamp (`refs < 1`, `u ≤ refs`) binds.
+    pub(crate) fn exponent(&self) -> f64 {
+        self.b + self.cross
+    }
 }
 
 #[cfg(test)]

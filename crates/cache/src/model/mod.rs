@@ -16,4 +16,4 @@ pub use flush::flushed_fraction;
 pub use footprint::{LineFootprint, SstParams, MVS_WORKLOAD};
 pub use hierarchy::{Displacement, FlushModel};
 pub use platform::{CacheGeometry, Platform};
-pub use pricer::{Component, DispatchPricer};
+pub use pricer::DispatchPricer;

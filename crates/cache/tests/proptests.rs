@@ -8,8 +8,10 @@
 //! purges and flushes a worker issues between sweeps; the analytic
 //! functions against their
 //! mathematical contracts (bounds, monotonicity, closed forms); the
-//! execution-time model against its interpolation invariants; and the
-//! SST fitter against exact recovery from noiseless data.
+//! execution-time model against its interpolation invariants; the
+//! table-driven dispatch pricer against that model, tick for tick, on
+//! random direct-mapped platforms, workloads, bounds and weights; and
+//! the SST fitter against exact recovery from noiseless data.
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -22,6 +24,7 @@ use afs_cache::model::flush::flushed_fraction;
 use afs_cache::model::footprint::SstParams;
 use afs_cache::model::hierarchy::FlushModel;
 use afs_cache::model::platform::{CacheGeometry, Platform};
+use afs_cache::model::pricer::DispatchPricer;
 use afs_cache::sim::cache::Cache;
 use afs_cache::sim::hierarchy::{MemoryHierarchy, ServedBy};
 use afs_cache::sim::trace::{MemRef, Region, TraceSink};
@@ -588,6 +591,68 @@ proptest! {
             })
             .as_micros_f64();
         prop_assert!(t_remote >= t_cold - 1e-9);
+    }
+
+    /// The pricer's table is per configuration: tick equality must hold
+    /// for any direct-mapped geometry, clock, SST workload (`W` over the
+    /// ×0.02 – ×512 range `abl17_sensitivity` sweeps; `b` up to exponents
+    /// ≥ 1, where the table stays empty), bounds and weights — whichever
+    /// intervals the build admits, leaves empty, or never reaches.
+    #[test]
+    fn pricer_ticks_match_the_model_on_direct_mapped_platforms(
+        (l1_sets_pow, l1_line_pow, l2_sets_pow, l2_line_extra) in
+            (6u32..=14, 4u32..=6, 10u32..=16, 0u32..=3),
+        (split, clock_mhz, cycles_per_ref) in (any::<bool>(), 25.0f64..1000.0, 1.0f64..10.0),
+        (w_log, a, b, log_d) in (-1.7f64..2.7, 0.0f64..0.1, 0.3f64..1.2, -0.3f64..0.0),
+        (warm, l2_extra, cold_extra) in (50.0f64..2000.0, 0.0f64..500.0, 0.0f64..2000.0),
+        (wc, wt_frac) in (0.0f64..1.0, 0.0f64..1.0),
+        seed in any::<u64>(),
+    ) {
+        let (l1_line, l2_line) = (1u32 << l1_line_pow, 1u32 << (l1_line_pow + l2_line_extra));
+        let platform = Platform {
+            clock_hz: clock_mhz * 1e6,
+            cycles_per_ref,
+            l1: CacheGeometry::new((1u64 << l1_sets_pow) * u64::from(l1_line), l1_line, 1),
+            l1_split: split,
+            l2: CacheGeometry::new((1u64 << l2_sets_pow) * u64::from(l2_line), l2_line, 1),
+            ..Platform::sgi_challenge_r4400()
+        };
+        let workload = SstParams { w: 2.19827 * 10f64.powf(w_log), a, b, log_d };
+        let wt = (1.0 - wc) * wt_frac;
+        let model = ExecTimeModel::new(
+            TimeBounds::new(warm, warm + l2_extra, warm + l2_extra + cold_extra),
+            FlushModel::new(platform, workload),
+            ComponentWeights::new(wc, wt, 1.0 - wc - wt),
+        );
+        let pricer = DispatchPricer::new(&model);
+        // splitmix64 over the case's seed: 48 triples, every age kind,
+        // `Elapsed` log-uniform over 1 ns – 2 000 s.
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut age = || match next() % 8 {
+            0 => Age::Warm,
+            1 => Age::Cold,
+            2 => Age::Remote,
+            _ => {
+                let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                Age::Elapsed(SimDuration::from_ticks((2e12f64.ln() * unit).exp() as u64))
+            }
+        };
+        for i in 0..48 {
+            let code_global = age();
+            let thread = if i % 3 == 0 { code_global } else { age() };
+            let ages = ComponentAges { code_global, thread, stream: age() };
+            prop_assert_eq!(
+                pricer.price(ages).0,
+                model.protocol_time(ages),
+                "tick diverged for {:?}", ages
+            );
+        }
     }
 
     #[test]

@@ -190,15 +190,16 @@ impl<'r> SchedSim<'r> {
             }
         };
 
-        // One F1/F2 evaluation for the code/global component, shared by
-        // the dispatch telemetry and the service-time pricing below
-        // (the model previously evaluated the same displacement twice).
-        let code_disp = match code_age {
-            Age::Elapsed(x) => Some(self.pricer.displacement(x)),
-            _ => None,
+        // One pricing call: the service time, and the code/global
+        // displacement it read for the dispatch telemetry.
+        let ages = ComponentAges {
+            code_global: code_age,
+            thread: thread_age,
+            stream: stream_age,
         };
+        let (mut proto, code_disp) = self.pricer.price(ages);
         match (code_age, code_disp) {
-            (Age::Elapsed(_), Some(d)) => {
+            (_, Some(d)) => {
                 self.collector.f1_at_dispatch.add(d.f1);
                 self.collector.f2_at_dispatch.add(d.f2);
             }
@@ -208,13 +209,6 @@ impl<'r> SchedSim<'r> {
             }
             _ => {}
         }
-
-        let ages = ComponentAges {
-            code_global: code_age,
-            thread: thread_age,
-            stream: stream_age,
-        };
-        let mut proto = self.pricer.protocol_time_shared(ages, code_disp);
         if pkt.corrupt {
             // Partial traversal: the checksum rejects the packet part-way
             // through the path. The fraction of the (already reduced —

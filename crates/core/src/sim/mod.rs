@@ -95,8 +95,8 @@ pub struct SchedSim<'r> {
     /// deep copy of the population and policy tables.
     cfg: &'r SystemConfig,
     /// Configuration-constant folding of `cfg.exec.model` (reload spans,
-    /// cold/remote component costs, SST line constants) — bit-identical
-    /// to the plain model, evaluated once per run instead of per packet.
+    /// cold/remote component costs, SST line constants) and its `F1/F2`
+    /// table — tick-identical to the plain model, built once per run.
     pricer: DispatchPricer,
     procs: Procs,
     /// Protocol thread locations (Locking). Under per-processor pools

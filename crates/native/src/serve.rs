@@ -34,7 +34,6 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use afs_cache::model::pricer::DispatchPricer;
 use afs_core::exec::ExecParams;
 use afs_obs::ServeSnapshot;
 use afs_sched::{FrontEndKind, FrontEndPlan, PolicySpec};
@@ -115,13 +114,12 @@ impl ServeConfig {
     }
 
     /// The configuration's rated service capacity, packets per second:
-    /// `workers / t_warm` with `t_warm` the pricer's all-warm modeled
+    /// `workers / t_warm` with `t_warm` the calibrated model's all-warm
     /// per-packet service time. The optimistic bound — cold reloads and
     /// migrations only lower it — which makes it the natural unit for
     /// offered-load sweeps (`offered = load × rated capacity`).
     pub fn rated_capacity_pps(&self) -> f64 {
-        let pricer = DispatchPricer::new(&ExecParams::calibrated().model);
-        self.native.workers as f64 * 1e6 / pricer.t_warm_us()
+        self.native.workers as f64 * 1e6 / ExecParams::calibrated().model.bounds.t_warm_us
     }
 }
 
