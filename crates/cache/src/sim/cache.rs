@@ -30,6 +30,24 @@ const EMPTY: LineEntry = LineEntry {
     dirty: false,
 };
 
+/// `log2` of the sets one mutation stamp covers.
+const BLOCK_SHIFT: u32 = 4;
+/// Entries of the direct-mapped run memo.
+const MEMO_ENTRIES: usize = 32;
+/// Shortest run worth an entry: a shorter one is cheaper walked.
+const MEMO_MIN_RUN: u64 = 4;
+
+/// A run [`Cache::stateless_run`] walked: the `n` lines from `key`'s
+/// line each held the stateless-hit state for `key`'s owner and store
+/// flag when the mutation clock read `clock`.
+#[derive(Debug, Clone, Copy)]
+struct RunMemo {
+    /// `(first line, region, is_write)`, as asked.
+    key: (u64, Region, bool),
+    n: u64,
+    clock: u64,
+}
+
 /// Result of a lookup-and-fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
@@ -63,6 +81,20 @@ pub struct Cache {
     /// tag, reset only by the region's purge and by `flush_all`. Losing
     /// lines leaves it a valid bound.
     low_set: [usize; 6],
+    /// Mutation clock: advanced by every change to `slots` or `lens`.
+    clock: u64,
+    /// Per block of `1 << BLOCK_SHIFT` sets, the clock of its last
+    /// mutation. No slot or length of a set changes without its block's
+    /// stamp advancing past every clock a memo entry can hold, so a block
+    /// whose stamp is no later than an entry's clock is as the entry's
+    /// walk saw it.
+    stamps: Vec<u64>,
+    /// Runs `stateless_run` has walked, indexed by a hash of their first
+    /// line. Never invalidated: a stale entry fails the stamp comparison.
+    memo: [Option<RunMemo>; MEMO_ENTRIES],
+    /// Lines `stateless_run` has walked rather than answered from `memo`.
+    #[cfg(test)]
+    pub(crate) walked: u64,
     /// Statistics.
     pub stats: CacheStats,
 }
@@ -98,6 +130,11 @@ impl Cache {
             lens: vec![0; sets as usize],
             occupancy: [0; 6],
             low_set: [sets as usize; 6],
+            clock: 0,
+            stamps: vec![0; (sets as usize).div_ceil(1 << BLOCK_SHIFT)],
+            memo: [None; MEMO_ENTRIES],
+            #[cfg(test)]
+            walked: 0,
             stats: CacheStats::default(),
         }
     }
@@ -135,6 +172,13 @@ impl Cache {
         &self.slots[base..base + self.lens[set] as usize]
     }
 
+    /// Record a change to a slot or the length of `set`.
+    #[inline]
+    fn touch(&mut self, set: usize) {
+        self.clock += 1;
+        self.stamps[set >> BLOCK_SHIFT] = self.clock;
+    }
+
     /// Access a byte address with a read, filling on miss.
     pub fn access(&mut self, addr: u64, region: Region) -> AccessResult {
         self.access_rw(addr, region, false)
@@ -158,6 +202,8 @@ impl Cache {
             // Occupancy region may change owner on re-touch (e.g. a
             // packet buffer recycled as stream state).
             let e = &mut ways[pos];
+            // Anything but the stateless hit changes the set.
+            let mutates = e.region != region || (is_write && !e.dirty) || pos > 0;
             if e.region != region {
                 self.occupancy[e.region.index()] -= 1;
                 self.occupancy[region.index()] += 1;
@@ -169,6 +215,9 @@ impl Cache {
             }
             if pos > 0 {
                 ways[..=pos].rotate_right(1);
+            }
+            if mutates {
+                self.touch(set);
             }
             return AccessResult {
                 hit: true,
@@ -202,6 +251,7 @@ impl Cache {
         };
         self.occupancy[region.index()] += 1;
         self.low_set[region.index()] = self.low_set[region.index()].min(set);
+        self.touch(set);
         AccessResult {
             hit: false,
             evicted,
@@ -225,9 +275,54 @@ impl Cache {
     /// resident as the first way of their set, owned by `region` (and
     /// dirty if `is_write`) — the state in which another access to the
     /// line changes only counters. Stops at the first line that is not.
-    pub(crate) fn stateless_run(&self, line: u64, n: u64, region: Region, is_write: bool) -> u64 {
+    ///
+    /// [`Cache::walk_run`] is the definition. A run it found is kept in
+    /// `memo`, and asking for it again costs one stamp comparison per
+    /// block it spans for as long as none of those blocks has changed.
+    /// A query longer than the stored run gets the stored length: the
+    /// caller asks again from the line after it, and a real access is
+    /// ground truth, so reporting a run short is always safe.
+    pub(crate) fn stateless_run(
+        &mut self,
+        line: u64,
+        n: u64,
+        region: Region,
+        is_write: bool,
+    ) -> u64 {
+        let key = (line, region, is_write);
+        let set = self.set_of(line);
+        // Fibonacci hashing: the top five bits of the product.
+        let slot = (line.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 59) as usize;
+        // A cold sweep's probes are refused by their first line: that one
+        // look answers them, and only a run that has begun asks the memo.
+        let mut run = self.walk_run(set, line, n.min(1), region, is_write);
+        if run == 1 {
+            if let Some(m) = self.memo[slot].filter(|m| m.key == key) {
+                let len = n.min(m.n);
+                let blocks = set >> BLOCK_SHIFT..(set + len as usize).div_ceil(1 << BLOCK_SHIFT);
+                if self.stamps[blocks].iter().all(|&stamp| stamp <= m.clock) {
+                    debug_assert_eq!(len, self.walk_run(set, line, len, region, is_write));
+                    return len;
+                }
+            }
+            run = self.walk_run(set, line, n, region, is_write);
+        }
+        #[cfg(test)]
+        {
+            self.walked += (run + 1).min(n);
+        }
+        // A run that wraps past the last set is not stored: its blocks
+        // are not one range.
+        if run >= MEMO_MIN_RUN && set + run as usize <= self.lens.len() {
+            let clock = self.clock;
+            self.memo[slot] = Some(RunMemo { key, n: run, clock });
+        }
+        run
+    }
+
+    /// [`Cache::stateless_run`] by its definition: one slot read per line.
+    fn walk_run(&self, mut set: usize, line: u64, n: u64, region: Region, is_write: bool) -> u64 {
         let assoc = self.geometry.associativity as usize;
-        let mut set = self.set_of(line);
         let mut run = 0;
         while run < n {
             let e = &self.slots[set * assoc];
@@ -248,9 +343,10 @@ impl Cache {
     }
 
     /// Whether another access to `addr`'s line would change only
-    /// counters: a [`Cache::stateless_run`] of one.
+    /// counters: a [`Cache::walk_run`] of one.
     pub(crate) fn hit_is_stateless(&self, addr: u64, region: Region, is_write: bool) -> bool {
-        self.stateless_run(self.line_of(addr), 1, region, is_write) == 1
+        let line = self.line_of(addr);
+        self.walk_run(self.set_of(line), line, 1, region, is_write) == 1
     }
 
     /// Whether the lines of `first..=last` all map to different sets:
@@ -297,6 +393,7 @@ impl Cache {
         self.occupancy[self.slots[base + pos].region.index()] -= 1;
         self.slots.copy_within(base + pos + 1..end, base + pos);
         self.lens[set] -= 1;
+        self.touch(set);
         true
     }
 
@@ -319,8 +416,11 @@ impl Cache {
                     kept += 1;
                 }
             }
-            self.lens[set] = kept as u32;
-            removed += (len - kept) as u64;
+            if kept < len {
+                self.lens[set] = kept as u32;
+                removed += (len - kept) as u64;
+                self.touch(set);
+            }
             set += 1;
         }
         self.occupancy[region.index()] -= removed;
@@ -330,6 +430,8 @@ impl Cache {
     /// Drop every resident line.
     pub fn flush_all(&mut self) {
         self.lens.fill(0);
+        self.clock += 1;
+        self.stamps.fill(self.clock);
         self.occupancy = [0; 6];
         self.low_set = [self.lens.len(); 6];
     }
@@ -486,6 +588,253 @@ mod tests {
         assert!(!c.contains(0));
         assert!(c.contains(32));
         assert_eq!(c.purge_region(Region::Stream), 0);
+    }
+
+    const SETS: u64 = 64;
+    /// First line and length of the run the stamp tests memoise: block 1
+    /// of a 64-set cache (sets 16..32), exactly.
+    const RUN: (u64, u64) = (16, 16);
+    /// A line of the run, and one two blocks away from it.
+    const INSIDE: u64 = 20;
+    const OUTSIDE: u64 = 40;
+
+    /// 64 sets (four stamp blocks) × `assoc` ways, lines 0..64 resident
+    /// as clean `Stream` lines, one per set.
+    fn full_of_stream(assoc: u32) -> Cache {
+        let mut c = Cache::new(CacheGeometry::new(SETS * assoc as u64 * 16, 16, assoc));
+        for l in 0..SETS {
+            c.access(l * 16, Region::Stream);
+        }
+        c
+    }
+
+    /// Ask for `n` lines from `line` as `Stream` loads: the answer, which
+    /// is checked against the walk, and whether answering it walked.
+    fn ask(c: &mut Cache, line: u64, n: u64) -> (u64, bool) {
+        let before = c.walked;
+        let got = c.stateless_run(line, n, Region::Stream, false);
+        let set = c.set_of(line);
+        assert!(got <= c.walk_run(set, line, n, Region::Stream, false));
+        assert_eq!(got, c.walk_run(set, line, got, Region::Stream, false));
+        (got, c.walked > before)
+    }
+
+    /// Which block a mutator must stamp.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Stamps {
+        /// The block of the set it is aimed at.
+        ItsBlock,
+        /// None: it changes no slot and no length.
+        Nothing,
+        /// All of them.
+        EveryBlock,
+    }
+
+    #[test]
+    fn every_mutator_stamps_its_block() {
+        // `(cache, line)`: act on the set `line` maps to; `line + SETS` is
+        // the other tag of that set.
+        type Op = fn(&mut Cache, u64);
+        let nop: Op = |_, _| {};
+        let second_way: Op = |c, l| {
+            c.access((l + SETS) * 16, Region::PacketData);
+            c.access(l * 16, Region::Stream);
+        };
+        let conflicting_fill: Op = |c, l| {
+            assert!(!c.access((l + SETS) * 16, Region::Global).hit);
+        };
+        let cases: [(&str, u32, Op, Op, Stamps); 13] = [
+            ("miss fill", 2, nop, conflicting_fill, Stamps::ItsBlock),
+            ("evicting fill", 1, nop, conflicting_fill, Stamps::ItsBlock),
+            (
+                "re-tag hit",
+                1,
+                nop,
+                |c, l| assert!(c.access(l * 16, Region::Global).hit),
+                Stamps::ItsBlock,
+            ),
+            (
+                "first store to a clean line",
+                1,
+                nop,
+                |c, l| assert!(c.access_rw(l * 16, Region::Stream, true).hit),
+                Stamps::ItsBlock,
+            ),
+            (
+                "way reorder",
+                2,
+                second_way,
+                |c, l| assert!(c.access((l + SETS) * 16, Region::PacketData).hit),
+                Stamps::ItsBlock,
+            ),
+            (
+                "invalidate_line hit",
+                1,
+                nop,
+                |c, l| assert!(c.invalidate_line(l)),
+                Stamps::ItsBlock,
+            ),
+            (
+                "invalidate_line of the second way",
+                2,
+                second_way,
+                |c, l| assert!(c.invalidate_line(l + SETS)),
+                Stamps::ItsBlock,
+            ),
+            (
+                "invalidate_line miss",
+                1,
+                nop,
+                |c, l| assert!(!c.invalidate_line(l + SETS)),
+                Stamps::Nothing,
+            ),
+            (
+                "purge_region",
+                2,
+                second_way,
+                |c, _| assert_eq!(c.purge_region(Region::PacketData), 1),
+                Stamps::ItsBlock,
+            ),
+            (
+                "purge_region of an absent region",
+                1,
+                nop,
+                |c, _| assert_eq!(c.purge_region(Region::PacketData), 0),
+                Stamps::Nothing,
+            ),
+            (
+                "stateless hit",
+                1,
+                nop,
+                |c, l| assert!(c.access(l * 16, Region::Stream).hit),
+                Stamps::Nothing,
+            ),
+            (
+                "charge_hits",
+                1,
+                nop,
+                |c, _| c.charge_hits(Region::Stream, 7),
+                Stamps::Nothing,
+            ),
+            (
+                "flush_all",
+                1,
+                nop,
+                |c, _| c.flush_all(),
+                Stamps::EveryBlock,
+            ),
+        ];
+        for (name, assoc, before, mutate, stamps) in cases {
+            for target in [INSIDE, OUTSIDE] {
+                let mut c = full_of_stream(assoc);
+                before(&mut c, target);
+                assert_eq!(
+                    ask(&mut c, RUN.0, RUN.1),
+                    (RUN.1, true),
+                    "{name}: first ask"
+                );
+                assert_eq!(
+                    ask(&mut c, RUN.0, RUN.1),
+                    (RUN.1, false),
+                    "{name}: memoised"
+                );
+                let before_it = c.stamps.clone();
+                mutate(&mut c, target);
+                // The invariant itself, block by block...
+                let its_block = target as usize >> BLOCK_SHIFT;
+                for (block, (was, is)) in before_it.iter().zip(&c.stamps).enumerate() {
+                    let advanced = match stamps {
+                        Stamps::ItsBlock => block == its_block,
+                        Stamps::Nothing => false,
+                        Stamps::EveryBlock => true,
+                    };
+                    assert_eq!(is > was, advanced, "{name} at line {target}: block {block}");
+                    assert!(is <= &c.clock);
+                }
+                // ...and what the probe makes of it.
+                let declines = match stamps {
+                    Stamps::ItsBlock => target == INSIDE,
+                    Stamps::Nothing => false,
+                    Stamps::EveryBlock => true,
+                };
+                let (run, walked) = ask(&mut c, RUN.0, RUN.1);
+                assert_eq!(walked, declines, "{name} at line {target}");
+                // The walk refreshed the entry: what is left of the run is
+                // answered from it again, if it is long enough to keep.
+                let again = ask(&mut c, RUN.0, RUN.1);
+                assert_eq!(again, (run, run < MEMO_MIN_RUN), "{name} at line {target}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_memoised_run_answers_shorter_and_longer_queries() {
+        let mut c = full_of_stream(1);
+        assert_eq!(ask(&mut c, 16, 32), (32, true));
+        // A prefix, from the entry; a longer query gets the stored length
+        // (short of the 48 a walk would find), also without a walk.
+        assert_eq!(ask(&mut c, 16, 8), (8, false));
+        assert_eq!(ask(&mut c, 16, 48), (32, false));
+        // A change in the stored run's second block (sets 32..48) leaves
+        // a prefix inside its first one answerable.
+        c.access(OUTSIDE * 16, Region::Global);
+        assert_eq!(ask(&mut c, 16, 16), (16, false));
+        assert_eq!(ask(&mut c, 16, 32), (24, true));
+        assert_eq!(ask(&mut c, 16, 32), (24, false));
+        // Another owner or a store is another run, walked on its own.
+        assert_eq!(c.stateless_run(16, 32, Region::Global, false), 0);
+        assert_eq!(c.stateless_run(16, 32, Region::Stream, true), 0);
+        assert_eq!(ask(&mut c, 16, 32), (24, false));
+        // Runs shorter than the minimum are walked every time.
+        assert_eq!(ask(&mut c, 38, 9), (2, true));
+        assert_eq!(ask(&mut c, 38, 9), (2, true));
+        assert_eq!(ask(&mut c, 16, 0), (0, false));
+    }
+
+    #[test]
+    fn a_run_that_wraps_past_the_last_set_is_walked_every_time() {
+        let mut c = full_of_stream(1);
+        for l in SETS..SETS + 8 {
+            c.access(l * 16, Region::Stream);
+        }
+        // Lines 56..72 sit in sets 56..64 and 0..8; line 72 is not
+        // resident. `n` far past the set count changes nothing.
+        for n in [16, 1000] {
+            assert_eq!(ask(&mut c, 56, n), (16, true));
+            assert_eq!(ask(&mut c, 56, n), (16, true));
+        }
+        // Every set holds the line the run wants: a run stops at `sets`.
+        let mut c = full_of_stream(1);
+        assert_eq!(ask(&mut c, 0, 1000), (SETS, true));
+        assert_eq!(ask(&mut c, 0, 1000), (SETS, false));
+        assert_eq!(ask(&mut c, 1, 1000), (SETS - 1, true));
+        // Ending in the last set is not wrapping.
+        assert_eq!(ask(&mut c, 56, 8), (8, true));
+        assert_eq!(ask(&mut c, 56, 8), (8, false));
+    }
+
+    #[test]
+    fn stamps_cover_a_set_count_that_is_not_a_power_of_two() {
+        // 40 sets: two whole blocks and one of eight sets, indexed by `%`.
+        let mut c = Cache::new(CacheGeometry::new(40 * 16, 16, 1));
+        for l in 40..80 {
+            c.access(l * 16, Region::Stream);
+        }
+        assert_eq!(c.stamps.len(), 3);
+        assert_eq!(ask(&mut c, 70, 10), (10, true));
+        assert_eq!(ask(&mut c, 70, 10), (10, false));
+        assert_eq!(ask(&mut c, 44, 20), (20, true));
+        // Set 39, the last of the short block; then set 20.
+        c.access(39 * 16, Region::Global);
+        assert_eq!(ask(&mut c, 44, 20), (20, false));
+        assert_eq!(ask(&mut c, 70, 10), (9, true));
+        c.invalidate_line(60);
+        assert_eq!(ask(&mut c, 44, 20), (16, true));
+        // Wrapping from set 39 to set 0 (line 80).
+        c.access(79 * 16, Region::Stream);
+        c.access(80 * 16, Region::Stream);
+        assert_eq!(ask(&mut c, 75, 10), (6, true));
+        assert_eq!(ask(&mut c, 75, 10), (6, true));
     }
 
     #[test]

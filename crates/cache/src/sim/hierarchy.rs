@@ -272,6 +272,8 @@ impl TraceSink for MemoryHierarchy {
         }
 
         let l1_shift = self.platform.l1.line_bytes.trailing_zeros();
+        // Every engine stride is 4 or 16: shift, and divide only for others.
+        let stride_shift = stride.is_power_of_two().then(|| stride.trailing_zeros());
         let pass = n.min(period);
         let last_line = at(pass - 1).addr >> l1_shift;
         let mut i = 0;
@@ -294,7 +296,11 @@ impl TraceSink for MemoryHierarchy {
             };
             // The sweep's references up to the end of the run's last line.
             let room = ((line + run) << l1_shift) - mref.addr;
-            let end = i + room.div_ceil(stride).min(pass - i);
+            let refs = match stride_shift {
+                Some(shift) => (room + stride - 1) >> shift,
+                None => room.div_ceil(stride),
+            };
+            let end = i + refs.min(pass - i);
             debug_assert!((hits_from..end).all(|j| self.is_stateless_l1_hit(at(j))));
             self.charge_l1_hits(first, end - hits_from);
             i = end;
@@ -458,6 +464,102 @@ mod tests {
         // a was evicted from L2 → must also be gone from L1 (inclusion).
         assert!(!h.l1d.contains(a), "inclusion violated");
         let _ = b;
+    }
+
+    /// Lines the run probes of both L1s have walked so far.
+    fn walked(h: &MemoryHierarchy) -> u64 {
+        h.l1d.walked + h.l1i.as_ref().map_or(0, |c| c.walked)
+    }
+
+    /// Lines walked by one more single-pass sweep of `n` references.
+    fn walks(h: &mut MemoryHierarchy, first: MemRef, stride: u64, n: u64) -> u64 {
+        let before = walked(h);
+        h.access_sweep(first, stride, n, n);
+        walked(h) - before
+    }
+
+    #[test]
+    fn a_sweep_over_untouched_blocks_walks_no_line() {
+        // R4400: 1024-set L1s, 64 stamp blocks each.
+        let mut h = MemoryHierarchy::new(Platform::sgi_challenge_r4400());
+        // A 160-line code segment, six passes a packet.
+        let code = |h: &mut MemoryHierarchy| {
+            let before = walked(h);
+            h.access_sweep(MemRef::fetch(0x4_0000), 16, 160, 960);
+            walked(h) - before
+        };
+        assert_eq!(code(&mut h), 160, "cold: one refused probe per line");
+        assert_eq!(code(&mut h), 160, "warm: the run is walked once, and kept");
+        let priced = h.stats;
+        assert_eq!(code(&mut h), 0);
+        assert_eq!(code(&mut h), 0);
+        assert_eq!(h.stats.accesses, priced.accesses + 2 * 960);
+        assert_eq!(h.stats.l1_hits, priced.l1_hits + 2 * 960);
+
+        // Stream state (13 lines from set 0 of L1D) stays verified while a
+        // DMA-cold packet buffer is filled eight blocks away from it...
+        let stream = MemRef::read(0x10_0000, Region::Stream);
+        let packet = MemRef::write(0x10_0800, Region::PacketData);
+        assert_eq!(walks(&mut h, stream, 4, 52), 13);
+        assert_eq!(walks(&mut h, stream, 4, 52), 13);
+        for _ in 0..3 {
+            h.purge_region(Region::PacketData);
+            assert_eq!(walks(&mut h, packet, 4, 64), 16);
+            assert_eq!(walks(&mut h, stream, 4, 52), 0);
+            assert_eq!(code(&mut h), 0);
+        }
+        // ...and is walked again once its own lines have been purged and
+        // refilled.
+        h.purge_range(stream.addr, 52 * 4);
+        assert_eq!(walks(&mut h, stream, 4, 52), 13);
+        assert_eq!(walks(&mut h, stream, 4, 52), 13);
+        assert_eq!(walks(&mut h, stream, 4, 52), 0);
+    }
+
+    #[test]
+    fn purges_and_back_invalidations_stamp_the_l1_blocks_they_reach() {
+        let stream = MemRef::read(0x10_0000, Region::Stream);
+        let far = MemRef::read(0x10_2000, Region::Stream);
+        let warm = || {
+            let mut h = MemoryHierarchy::new(Platform::sgi_challenge_r4400());
+            for first in [stream, far] {
+                for _ in 0..3 {
+                    h.access_sweep(first, 4, 64, 64);
+                }
+                assert_eq!(walks(&mut h, first, 4, 64), 0);
+            }
+            h
+        };
+        // `purge_range` of one line of the run, then of a line far from it.
+        let mut h = warm();
+        h.purge_range(far.addr + 32, 4);
+        assert_eq!(walks(&mut h, stream, 4, 64), 0);
+        assert!(walks(&mut h, far, 4, 64) > 0);
+        assert_eq!(walks(&mut h, far, 4, 64), 16, "refilled: walked once more");
+        assert_eq!(walks(&mut h, far, 4, 64), 0);
+        // An L2 conflict evicts the L2 line under the run's lines 8..16
+        // (128 B over 16 B), and inclusion takes them out of L1D.
+        let mut h = warm();
+        let l2_bytes = h.platform().l2.capacity_bytes;
+        h.access(MemRef::read(
+            stream.addr + 128 + l2_bytes,
+            Region::NonProtocol,
+        ));
+        assert!(!h.l1d.contains(stream.addr + 128));
+        assert_eq!(walks(&mut h, far, 4, 64), 0);
+        let stats = h.stats;
+        assert!(walks(&mut h, stream, 4, 64) > 0);
+        assert_eq!(h.stats.l1_hits - stats.l1_hits, 64 - 8);
+        // `purge_region` and `flush_l1` reach every block the region
+        // (every line) lives in.
+        let mut h = warm();
+        h.purge_region(Region::PacketData);
+        assert_eq!(walks(&mut h, stream, 4, 64), 0);
+        h.purge_region(Region::Stream);
+        assert_eq!(walks(&mut h, stream, 4, 64), 16);
+        let mut h = warm();
+        h.flush_l1();
+        assert_eq!(walks(&mut h, far, 4, 64), 16);
     }
 
     #[test]

@@ -209,6 +209,9 @@ fn sweep() -> impl Strategy<Value = Sweep> {
 #[derive(Debug, Clone, Copy)]
 enum Step {
     Sweep(Sweep),
+    /// A sweep that does not become the previous one: fills, evictions
+    /// and re-tags among the previous sweep's lines and beside them.
+    Interfere(Sweep),
     /// The previous sweep again, over the lines it left resident.
     Repeat,
     /// The previous sweep's range as loads, then `len` stores from its
@@ -217,8 +220,27 @@ enum Step {
         skip: u64,
         len: u64,
     },
-    /// The previous sweep under another owner (resident lines re-tagged).
-    Retag(Region),
+    /// The previous sweep from its `skip`-th reference on under another
+    /// owner (resident lines re-tagged).
+    Retag {
+        region: Region,
+        skip: u64,
+    },
+    /// The previous sweep from its `skip`-th reference on, 4 KiB up: the
+    /// same sets of every power-of-two L1 here but the largest, so it
+    /// evicts the tail of the previous sweep's lines or, with two ways
+    /// or more, takes turns with them as most recent way (hits that only
+    /// reorder a set) — and leaves the first line, which a run probe
+    /// looks at before anything else, as it was.
+    Alias {
+        skip: u64,
+    },
+    /// `bytes` of the previous sweep's range purged from its `skip`-th
+    /// reference on.
+    PurgeInside {
+        skip: u64,
+        bytes: u64,
+    },
     PurgeRegion(Region),
     PurgeRange {
         addr: u64,
@@ -237,18 +259,67 @@ enum Op {
 }
 
 fn step() -> impl Strategy<Value = Step> {
-    (0u8..18, sweep(), 0usize..6, 0u64..8192, 0u64..600).prop_map(|(kind, sweep, region, a, b)| {
+    (0u8..22, sweep(), 0usize..6, 0u64..8192, 0u64..600).prop_map(|(kind, sweep, region, a, b)| {
         let region = Region::ALL[region];
         match kind {
             0..=5 => Step::Sweep(sweep),
             6..=8 => Step::Repeat,
             9..=10 => Step::ReadThenStore { skip: a, len: b },
-            11..=12 => Step::Retag(region),
+            11 => Step::Retag { region, skip: 0 },
+            12 => Step::Retag { region, skip: a },
             13..=14 => Step::PurgeRegion(region),
             15..=16 => Step::PurgeRange { addr: a, bytes: b },
-            _ => Step::FlushL1,
+            17 => Step::FlushL1,
+            18..=19 => Step::Alias { skip: a },
+            _ => Step::PurgeInside { skip: a, bytes: b },
         }
     })
+}
+
+/// One sweep asked four times over, each repeat after nothing at all
+/// (one in three), an alias of its tail or a purge inside it (one in six
+/// each), or one step of any other kind. A script of lone steps rarely probes the same run twice, so it
+/// would pass with a run memo that never answers; here the second
+/// repeat onward finds a memoised run, which the step before it has or
+/// has not made stale.
+fn train() -> impl Strategy<Value = Vec<Step>> {
+    let gap = || {
+        (0u8..6, 0u64..8192, 0u64..600, step()).prop_map(|(kind, skip, bytes, step)| match step {
+            _ if kind < 2 => None,
+            _ if kind == 2 => Some(Step::Alias { skip }),
+            _ if kind == 3 => Some(Step::PurgeInside { skip, bytes }),
+            Step::Sweep(s) => Some(Step::Interfere(s)),
+            other => Some(other),
+        })
+    };
+    (sweep(), gap(), gap(), gap()).prop_map(|(s, a, b, c)| {
+        let mut steps = vec![Step::Sweep(s)];
+        for gap in [a, b, c] {
+            steps.extend(gap);
+            steps.push(Step::Repeat);
+        }
+        steps
+    })
+}
+
+/// A script: lone steps and trains, mixed.
+fn script() -> impl Strategy<Value = Vec<Step>> {
+    let part = prop_oneof![step().prop_map(|s| vec![s]), train()];
+    prop::collection::vec(part, 1..=12).prop_map(|parts| parts.concat())
+}
+
+/// One pass of `s` from its `skip`-th reference on, `up` bytes higher.
+fn tail(s: Sweep, skip: u64, up: u64) -> Sweep {
+    let skip = skip % s.period;
+    Sweep {
+        first: MemRef {
+            addr: s.first.addr + up + skip * s.stride,
+            ..s.first
+        },
+        stride: s.stride,
+        period: s.period - skip,
+        n: s.period - skip,
+    }
 }
 
 /// Flatten a script to the calls it makes; a step that refers to the
@@ -262,7 +333,7 @@ fn ops_of(script: &[Step]) -> Vec<Op> {
                 prev = Some(s);
                 ops.push(Op::Sweep(s));
             }
-            (Step::Repeat, Some(s)) => ops.push(Op::Sweep(s)),
+            (Step::Interfere(s), _) | (Step::Repeat, Some(s)) => ops.push(Op::Sweep(s)),
             (Step::ReadThenStore { skip, len }, Some(s)) => {
                 let first = MemRef::read(s.first.addr, s.first.region);
                 let skip = skip % s.period;
@@ -275,14 +346,32 @@ fn ops_of(script: &[Step]) -> Vec<Op> {
                     n: len,
                 }));
             }
-            (Step::Retag(region), Some(s)) => ops.push(Op::Sweep(Sweep {
-                first: MemRef { region, ..s.first },
-                ..s
-            })),
+            (Step::Retag { region, skip }, Some(s)) => {
+                let tail = tail(s, skip, 0);
+                ops.push(Op::Sweep(Sweep {
+                    first: MemRef {
+                        region,
+                        ..tail.first
+                    },
+                    ..tail
+                }));
+            }
+            (Step::Alias { skip }, Some(s)) => ops.push(Op::Sweep(tail(s, skip, 4096))),
+            (Step::PurgeInside { skip, bytes }, Some(s)) => ops.push(Op::PurgeRange(
+                s.first.addr + skip % s.period * s.stride,
+                1 + bytes % 64,
+            )),
             (Step::PurgeRegion(r), _) => ops.push(Op::PurgeRegion(r)),
             (Step::PurgeRange { addr, bytes }, _) => ops.push(Op::PurgeRange(addr, bytes)),
             (Step::FlushL1, _) => ops.push(Op::FlushL1),
-            (Step::Repeat | Step::ReadThenStore { .. } | Step::Retag(_), None) => {}
+            (
+                Step::Repeat
+                | Step::ReadThenStore { .. }
+                | Step::Retag { .. }
+                | Step::Alias { .. }
+                | Step::PurgeInside { .. },
+                None,
+            ) => {}
         }
     }
     ops
@@ -299,12 +388,19 @@ fn apply<S: TraceSink>(op: Op, sink: &mut S, hier: fn(&mut S) -> &mut MemoryHier
     }
 }
 
-/// L1 {3, 4, 16, 64} sets × {1, 2, 4} ways × {16, 32} B, split or
-/// unified, under an L2 whose lines are at least as long.
+/// L1 {3, 4, 16, 64, 256} sets (one to sixteen stamp blocks) × {1, 2, 4}
+/// ways × {16, 32} B, split or unified, under an L2 whose lines are at
+/// least as long.
 fn small_platform() -> impl Strategy<Value = Platform> {
     (
         (
-            prop_oneof![Just(3u64), Just(4u64), Just(16u64), Just(64u64)],
+            prop_oneof![
+                Just(3u64),
+                Just(4u64),
+                Just(16u64),
+                Just(64u64),
+                Just(256u64)
+            ],
             prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
             prop_oneof![Just(16u32), Just(32u32)],
             any::<bool>(),
@@ -399,38 +495,6 @@ proptest! {
         for &a in &addrs {
             prop_assert_eq!(real.contains(a), model.contains(a));
         }
-    }
-
-    #[test]
-    fn access_sweep_equals_the_reference_by_reference_walk(
-        platform in small_platform(),
-        script in prop::collection::vec(step(), 1..=24),
-        suffix_seed in any::<u64>(),
-    ) {
-        let mut fast = MemoryHierarchy::new(platform);
-        let mut slow = ByReference(fast.clone());
-        for (k, op) in ops_of(&script).into_iter().enumerate() {
-            apply(op, &mut fast, |h| h);
-            apply(op, &mut slow, |s| &mut s.0);
-            prop_assert_eq!(observable(&fast), observable(&slow.0), "after op {} = {:?}", k, op);
-        }
-        // Where a common random suffix is served reads out what the
-        // counters cannot: which lines are resident and in what order.
-        let mut x = suffix_seed | 1;
-        for k in 0..500 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let addr = (x >> 8) % 12_288;
-            let mref = match x & 3 {
-                0 => MemRef::fetch(addr),
-                1 => MemRef::write(addr, Region::Stream),
-                _ => MemRef::read(addr, Region::NonProtocol),
-            };
-            let (a, b): (ServedBy, ServedBy) = (fast.access(mref), slow.0.access(mref));
-            prop_assert_eq!(a, b, "suffix reference {} = {:?}", k, mref);
-        }
-        prop_assert_eq!(observable(&fast), observable(&slow.0));
     }
 
     #[test]
@@ -702,5 +766,44 @@ proptest! {
                 prop_assert!(h.l2.contains(a), "inclusion violated at {a:#x}");
             }
         }
+    }
+}
+
+proptest! {
+    // A memo answer over a run a step has quietly changed needs a train,
+    // a geometry the sweep fits and the right step between two repeats:
+    // about one case in a hundred, so this property gets more of them.
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn access_sweep_equals_the_reference_by_reference_walk(
+        platform in small_platform(),
+        script in script(),
+        suffix_seed in any::<u64>(),
+    ) {
+        let mut fast = MemoryHierarchy::new(platform);
+        let mut slow = ByReference(fast.clone());
+        for (k, op) in ops_of(&script).into_iter().enumerate() {
+            apply(op, &mut fast, |h| h);
+            apply(op, &mut slow, |s| &mut s.0);
+            prop_assert_eq!(observable(&fast), observable(&slow.0), "after op {} = {:?}", k, op);
+        }
+        // Where a common random suffix is served reads out what the
+        // counters cannot: which lines are resident and in what order.
+        let mut x = suffix_seed | 1;
+        for k in 0..500 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = (x >> 8) % 12_288;
+            let mref = match x & 3 {
+                0 => MemRef::fetch(addr),
+                1 => MemRef::write(addr, Region::Stream),
+                _ => MemRef::read(addr, Region::NonProtocol),
+            };
+            let (a, b): (ServedBy, ServedBy) = (fast.access(mref), slow.0.access(mref));
+            prop_assert_eq!(a, b, "suffix reference {} = {:?}", k, mref);
+        }
+        prop_assert_eq!(observable(&fast), observable(&slow.0));
     }
 }

@@ -10,6 +10,7 @@
 //! affinity policies try to preserve.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ip::Ipv4Addr;
 
@@ -75,6 +76,28 @@ impl SessionState {
     }
 }
 
+/// Hasher for the table's integer keys: the key's bytes as one integer,
+/// one multiplication (Fibonacci hashing) and a fold of the high half
+/// into the low bits the map indexes by, instead of SipHash. Only `bind`
+/// inserts keys, and it takes them from the run's own configuration; a
+/// port off the wire is only looked up, so it cannot lengthen a probe
+/// sequence.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        let key = bytes.iter().fold(self.0, |k, &b| k << 8 | u64::from(b));
+        let x = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
 /// The UDP demux map plus session storage.
 ///
 /// Ports map to streams; each stream owns one session. In the IPS
@@ -82,8 +105,8 @@ impl SessionState {
 /// (no sharing, no locking); under Locking a single table is shared.
 #[derive(Debug, Default)]
 pub struct SessionTable {
-    ports: HashMap<u16, StreamId>,
-    sessions: HashMap<StreamId, SessionState>,
+    ports: IntMap<u16, StreamId>,
+    sessions: IntMap<StreamId, SessionState>,
 }
 
 /// Errors from session-table operations.
@@ -118,14 +141,11 @@ impl SessionTable {
 
     /// Bind `port` to `stream`, creating its session.
     pub fn bind(&mut self, port: u16, stream: StreamId) -> Result<(), BindError> {
-        match self.ports.get(&port) {
-            Some(&existing) if existing != stream => Err(BindError::PortInUse(port)),
-            _ => {
-                self.ports.insert(port, stream);
-                self.sessions.entry(stream).or_default();
-                Ok(())
-            }
+        if *self.ports.entry(port).or_insert(stream) != stream {
+            return Err(BindError::PortInUse(port));
         }
+        self.sessions.entry(stream).or_default();
+        Ok(())
     }
 
     /// Demultiplex a destination port to its stream.

@@ -8,7 +8,12 @@
 //! sequence (the stream range purged for a flow that fell out of the
 //! resident set, `purge_region(PacketData)`, eight rotating buffer
 //! slots, `consume`) on the R4400 platform, over a 200-packet flow
-//! script made of same-flow trains.
+//! script made of same-flow trains — and, for the run memo behind the
+//! probe (`Cache::stateless_run` answers a run it has verified from
+//! per-block mutation stamps), over a 400-packet script of long trains
+//! in which every flow switch purges the stream range: the traffic the
+//! memo exists for, most packets finding every run but the packet
+//! buffer's as the previous packet left it.
 //!
 //! The engine's receive entry points take `&mut MemoryHierarchy`, so
 //! there is no by-reference sink to hand them here. The reference side
@@ -24,11 +29,31 @@ use affinity_sched::xkernel::driver::{PacketFactory, RxFrame};
 use affinity_sched::xkernel::mem::MemLayout;
 use affinity_sched::xkernel::{CostModel, PacketTiming, ProtocolEngine, StreamId, ThreadId};
 
-const PACKETS: usize = 200;
 const FLOWS: u32 = 6;
-/// Flows whose stream state the worker still counts as resident.
-const RESIDENT: usize = 2;
 const TCP_ISN: u32 = 1000;
+
+/// A flow script and the worker's resident-set bound it is served under.
+#[derive(Clone, Copy)]
+struct Script {
+    packets: usize,
+    /// Trains are 1..=`max_train` packets of one flow.
+    max_train: usize,
+    /// Flows whose stream state the worker still counts as resident.
+    resident: usize,
+}
+
+/// Short trains over a resident set of two: what the first four pins use.
+const MIXED: Script = Script {
+    packets: 200,
+    max_train: 6,
+    resident: 2,
+};
+/// Long same-flow trains (mean 8), every flow switch a cold reload.
+const LONG_TRAINS: Script = Script {
+    packets: 400,
+    max_train: 15,
+    resident: 1,
+};
 
 /// FNV-1a over 64-bit words.
 struct Digest(u64);
@@ -85,9 +110,9 @@ impl Digest {
     }
 }
 
-/// The flow of each packet: trains of 1–6 packets of one flow, the next
-/// train's flow and length drawn from a fixed LCG.
-fn flow_script() -> Vec<u32> {
+/// The flow of each packet: trains of one flow, the next train's flow
+/// and length drawn from a fixed LCG.
+fn flow_script(script: Script) -> Vec<u32> {
     let mut x = 0x2545_f491_4f6c_dd1du64;
     let mut next = || {
         x = x
@@ -95,10 +120,16 @@ fn flow_script() -> Vec<u32> {
             .wrapping_add(1442695040888963407);
         x >> 33
     };
-    let mut flows = Vec::with_capacity(PACKETS);
-    while flows.len() < PACKETS {
-        let (flow, train) = (next() as u32 % FLOWS, 1 + next() as usize % 6);
-        flows.extend(std::iter::repeat_n(flow, train.min(PACKETS - flows.len())));
+    let mut flows = Vec::with_capacity(script.packets);
+    while flows.len() < script.packets {
+        let (flow, train) = (
+            next() as u32 % FLOWS,
+            1 + next() as usize % script.max_train,
+        );
+        flows.extend(std::iter::repeat_n(
+            flow,
+            train.min(script.packets - flows.len()),
+        ));
     }
     flows
 }
@@ -115,7 +146,7 @@ struct Priced {
 }
 
 /// `Worker::process`'s hierarchy-visible sequence, on one worker.
-fn serve(tcp: bool, payload: usize) -> Priced {
+fn serve(tcp: bool, payload: usize, script: Script) -> Priced {
     let mut cost = CostModel::default();
     // 4 KiB packets are the data-touching shape: checksummed end to end.
     let checksummed = payload > 64;
@@ -138,7 +169,7 @@ fn serve(tcp: bool, payload: usize) -> Priced {
     let mut digest = Digest::new();
     let mut resident: Vec<u32> = Vec::new();
     let mut sent = [0u32; FLOWS as usize];
-    for (slot, flow) in flow_script().into_iter().enumerate() {
+    for (slot, flow) in flow_script(script).into_iter().enumerate() {
         let stream = StreamId(flow);
         // A flow outside the bounded resident set reloads its state cold.
         if !resident.contains(&flow) {
@@ -146,7 +177,7 @@ fn serve(tcp: bool, payload: usize) -> Priced {
         }
         resident.retain(|&f| f != flow);
         resident.insert(0, flow);
-        resident.truncate(RESIDENT);
+        resident.truncate(script.resident);
         // Packet buffers arrive DMA-cold.
         hier.purge_region(Region::PacketData);
 
@@ -182,22 +213,27 @@ fn serve(tcp: bool, payload: usize) -> Priced {
 
 #[test]
 fn udp_64_byte_packets_price_as_the_reference_walk() {
-    assert_eq!(serve(false, 64), UDP_64);
+    assert_eq!(serve(false, 64, MIXED), UDP_64);
 }
 
 #[test]
 fn udp_4_kib_packets_price_as_the_reference_walk() {
-    assert_eq!(serve(false, 4096), UDP_4K);
+    assert_eq!(serve(false, 4096, MIXED), UDP_4K);
 }
 
 #[test]
 fn tcp_64_byte_segments_price_as_the_reference_walk() {
-    assert_eq!(serve(true, 64), TCP_64);
+    assert_eq!(serve(true, 64, MIXED), TCP_64);
 }
 
 #[test]
 fn tcp_4_kib_segments_price_as_the_reference_walk() {
-    assert_eq!(serve(true, 4096), TCP_4K);
+    assert_eq!(serve(true, 4096, MIXED), TCP_4K);
+}
+
+#[test]
+fn long_same_flow_trains_price_as_the_reference_walk() {
+    assert_eq!(serve(false, 64, LONG_TRAINS), UDP_64_LONG_TRAINS);
 }
 
 const UDP_64: Priced = Priced {
@@ -219,4 +255,9 @@ const TCP_4K: Priced = Priced {
     counters: [1_276_200, 1_212_808, 55_828, 7_564],
     cycles: 4_327_772.0,
     digest: 14778715113831647704,
+};
+const UDP_64_LONG_TRAINS: Priced = Priced {
+    counters: [1_914_800, 1_904_991, 8_451, 1_358],
+    cycles: 6_145_014.0,
+    digest: 11027787333182140326,
 };
