@@ -218,7 +218,14 @@ mod tests {
             fast.udp_checksums = checksums;
             let mut ident = 0u16;
             let mut buf = Vec::new();
-            for (stream, payload_len) in [(0u32, 0usize), (3, 32), (7, 64), (41, 1400)] {
+            for (stream, payload_len) in [
+                (0u32, 0usize),
+                (3, 32),
+                (7, 64),
+                (41, 1400),
+                (12, 4096),
+                (63, 4404),
+            ] {
                 fast.frame_into(StreamId(stream), payload_len, &mut buf);
                 // Reference: the original builder composition.
                 ident = ident.wrapping_add(1);

@@ -102,8 +102,9 @@ const CRC_POLY: u32 = 0xEDB8_8320;
 
 /// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the CRC register after
 /// byte `b` followed by `k` zero bytes, so eight input bytes fold into
-/// the register with eight independent lookups.
-static CRC_TABLES: [[u32; 256]; 8] = {
+/// the register with eight independent lookups. Cache-line aligned, so
+/// each 1 KiB table spans 16 host lines rather than 17.
+static CRC_TABLES: LineAligned = LineAligned({
     let mut t = [[0u32; 256]; 8];
     let mut b = 0;
     while b < 256 {
@@ -127,12 +128,33 @@ static CRC_TABLES: [[u32; 256]; 8] = {
         k += 1;
     }
     t
-};
+});
+
+#[repr(align(64))]
+struct LineAligned([[u32; 256]; 8]);
+
+/// Inputs at least this long take the carry-less folding kernel on CPUs
+/// that have one; shorter ones (the 113-byte bodies of 64-byte
+/// payloads among them) stay on the table.
+const FOLD_MIN_LEN: usize = 128;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), as used for the FCS.
+///
+/// Two kernels compute the same value: the slicing-by-8 table, and on
+/// x86-64 CPUs with PCLMULQDQ and SSE4.1 a carry-less folding kernel for
+/// inputs of 128 bytes or more.
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc: u32 = 0xFFFF_FFFF;
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= FOLD_MIN_LEN {
+        return !crc32_long(data);
+    }
+    !crc32_table(0xFFFF_FFFF, data)
+}
+
+/// Advance the CRC register `crc` over `data` with the slicing tables.
+#[inline(always)]
+fn crc32_table(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES.0;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -149,7 +171,136 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// The CRC register after `data` from the initial one: the folding
+/// kernel where the CPU has it, the table otherwise. Out of line, so the
+/// short-frame path of [`crc32`] stays the table loop alone.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+fn crc32_long(data: &[u8]) -> u32 {
+    if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
+        // SAFETY: both target features of `fold::crc32` were detected on
+        // the running CPU just above.
+        unsafe { fold::crc32(0xFFFF_FFFF, data) }
+    } else {
+        crc32_table(0xFFFF_FFFF, data)
+    }
+}
+
+/// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel, 2009): four 128-bit accumulators fold 64 bytes a step, one
+/// folds 16, then 128 → 64 bits and a Barrett reduction to 32. Every
+/// constant is a residue of `x` modulo the polynomial, in the reflected
+/// bit order, so a 64-bit half times `Kₙ` moves it `n` bits down the
+/// message.
+#[cfg(target_arch = "x86_64")]
+mod fold {
+    use super::{crc32_table, CRC_POLY};
+    use std::arch::x86_64::*;
+
+    /// `P`, the 33-bit generator polynomial, in the normal bit order.
+    const P: u64 = 1 << 32 | CRC_POLY.reverse_bits() as u64;
+
+    /// The low 33 bits of `v`, bit-reversed.
+    const fn reflect33(v: u64) -> u64 {
+        v.reverse_bits() >> 31
+    }
+
+    /// `xⁿ mod P` and the low bits of `⌊xⁿ / P⌋`, by multiplying by `x`
+    /// `n` times: each step that reduces by `P` is a quotient bit.
+    const fn divide(n: u32) -> (u32, u64) {
+        let (mut r, mut q, mut i) = (1u64, 0u64, 0);
+        while i < n {
+            r <<= 1;
+            q <<= 1;
+            if r >> 32 != 0 {
+                r ^= P;
+                q |= 1;
+            }
+            i += 1;
+        }
+        (r as u32, q)
+    }
+
+    /// `Kₙ = reflect₃₂(xⁿ mod P) ≪ 1`.
+    const fn k(n: u32) -> u64 {
+        (divide(n).0.reverse_bits() as u64) << 1
+    }
+
+    /// 64-byte fold: a line's low halves move 512 + 32 bits, high 512 − 32.
+    pub(super) const K544: u64 = k(544);
+    pub(super) const K480: u64 = k(480);
+    /// 16-byte fold, and (`K96` alone) 128 → 64 bits.
+    pub(super) const K160: u64 = k(160);
+    pub(super) const K96: u64 = k(96);
+    /// 64 → 32 bits.
+    pub(super) const K64: u64 = k(64);
+    /// `μ = reflect₃₃(⌊x⁶⁴ / P⌋)`, the Barrett constant.
+    pub(super) const MU: u64 = reflect33(divide(64).1);
+    /// `P′ = reflect₃₃(P)`.
+    pub(super) const P_REFLECTED: u64 = reflect33(P);
+
+    /// One 16-byte block as a register, low byte first.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load(b: &[u8]) -> __m128i {
+        let v = u128::from_le_bytes(b[..16].try_into().expect("16 bytes"));
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    /// `x` moved on by the distance of `k` (low half by `k`'s low
+    /// constant, high half by its high one), plus `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn step(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// The CRC register after `data` (at least 64 bytes) from `crc`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(crc: u32, data: &[u8]) -> u32 {
+        let k_line = _mm_set_epi64x(K480 as i64, K544 as i64);
+        let k_block = _mm_set_epi64x(K96 as i64, K160 as i64);
+        let mut lines = data.chunks_exact(64);
+        let first = lines.next().expect("at least one 64-byte line");
+        let mut x = [0, 1, 2, 3].map(|i| load(&first[16 * i..]));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(crc as i32));
+        for line in &mut lines {
+            for (xi, b) in x.iter_mut().zip(line.chunks_exact(16)) {
+                *xi = step(*xi, k_line, load(b));
+            }
+        }
+        let mut acc = x[0];
+        for &xi in &x[1..] {
+            acc = step(acc, k_block, xi);
+        }
+        let mut blocks = lines.remainder().chunks_exact(16);
+        for b in &mut blocks {
+            acc = step(acc, k_block, load(b));
+        }
+        // 128 → 64 bits (appending the 32 zero bits the CRC implies),
+        // then the Barrett reduction to the 32-bit register.
+        let mask32 = _mm_set_epi32(0, 0, 0, -1);
+        let k_low = _mm_set_epi64x(0, K64 as i64);
+        let acc = _mm_xor_si128(
+            _mm_srli_si128::<8>(acc),
+            _mm_clmulepi64_si128::<0x10>(acc, k_block),
+        );
+        let acc = _mm_xor_si128(
+            _mm_srli_si128::<4>(acc),
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, mask32), k_low),
+        );
+        let barrett = _mm_set_epi64x(MU as i64, P_REFLECTED as i64);
+        let t = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, mask32), barrett);
+        let t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, mask32), barrett);
+        let crc = _mm_extract_epi32::<1>(_mm_xor_si128(acc, t)) as u32;
+        crc32_table(crc, blocks.remainder())
+    }
 }
 
 /// Build a complete wire frame around `payload`.
@@ -202,8 +353,11 @@ pub fn parse_frame(msg: &mut Message) -> Result<FddiHeader, FddiError> {
     }
     let ethertype = u16::from_be_bytes([bytes[19], bytes[20]]);
 
-    // Verify FCS over everything before the trailer.
+    // Enforce the MTU, then verify FCS over everything before the trailer.
     let body_len = msg.len() - FCS_LEN;
+    if body_len > HEADER_LEN + MAX_PAYLOAD {
+        return Err(FddiError::Oversize);
+    }
     let expect = u32::from_be_bytes([
         bytes[body_len],
         bytes[body_len + 1],
@@ -259,22 +413,50 @@ mod tests {
         !crc
     }
 
+    /// `data`'s CRC-32 through `crc32` and through the table kernel
+    /// alone (the path of every CPU without the folding kernel), each
+    /// checked against the oracle.
+    fn assert_both_kernels(data: &[u8], what: &str) {
+        let expect = crc32_bitwise(data);
+        assert_eq!(crc32(data), expect, "crc32, {what}");
+        assert_eq!(!crc32_table(!0, data), expect, "table, {what}");
+    }
+
     #[test]
     fn crc32_matches_the_bitwise_oracle() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xFC5);
         assert_eq!(crc32_bitwise(b"123456789"), 0xCBF43926);
-        // Every remainder around the 8-byte chunking, then frame-sized
-        // buffers up to past the FDDI MTU.
-        for case in 0..=70 + 256 {
-            let len = if case <= 70 {
-                case
-            } else {
-                rng.gen_range(0..=4500usize)
-            };
-            let buf: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "len {len}");
+        // Every length on both sides of the folding threshold (every
+        // 64-byte line, 16-byte block and byte-tail remainder), at every
+        // start offset inside a larger buffer so blocks are unaligned.
+        let random: Vec<u8> = (0..320 + 16).map(|_| rng.gen()).collect();
+        for len in 0..=320 {
+            for off in 0..16 {
+                assert_both_kernels(&random[off..off + len], &format!("len {len} off {off}"));
+            }
+            assert_both_kernels(&vec![0x00; len], &format!("zeros, len {len}"));
+            assert_both_kernels(&vec![0xFF; len], &format!("ones, len {len}"));
         }
+        // Frame-sized buffers up to past the FDDI MTU.
+        for _ in 0..256 {
+            let len = rng.gen_range(0..=4500usize);
+            let buf: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            assert_both_kernels(&buf, &format!("len {len}"));
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn folding_constants_are_the_published_ones() {
+        // Gopal et al. / Linux `crc32-pclmul_asm.S`.
+        assert_eq!(fold::K544, 0x1_5444_2bd4);
+        assert_eq!(fold::K480, 0x1_c6e4_1596);
+        assert_eq!(fold::K160, 0x1_7519_97d0);
+        assert_eq!(fold::K96, 0x0_ccaa_009e);
+        assert_eq!(fold::K64, 0x1_63cd_6124);
+        assert_eq!(fold::MU, 0x1_f701_1641);
+        assert_eq!(fold::P_REFLECTED, 0x1_db71_0641);
     }
 
     #[test]
@@ -354,6 +536,25 @@ mod tests {
         let mut msg = Message::from_wire(&frame, 0);
         parse_frame(&mut msg).unwrap();
         assert_eq!(msg.len(), MAX_PAYLOAD);
+    }
+
+    #[test]
+    fn oversize_frame_rejected_on_receive() {
+        // One byte past the MTU, with a correct FCS: only the MTU check
+        // can fail it.
+        let mut frame = build_frame(
+            MacAddr::station(1),
+            MacAddr::station(2),
+            ETHERTYPE_IP,
+            &vec![0xABu8; MAX_PAYLOAD],
+        )
+        .unwrap();
+        frame.truncate(frame.len() - FCS_LEN);
+        frame.push(0xAB);
+        let fcs = crc32(&frame);
+        frame.extend_from_slice(&fcs.to_be_bytes());
+        let mut msg = Message::from_wire(&frame, 0);
+        assert_eq!(parse_frame(&mut msg), Err(FddiError::Oversize));
     }
 
     #[test]
