@@ -164,10 +164,9 @@ impl Cache {
         set * self.geometry.associativity as usize
     }
 
-    /// The resident ways of the set `line_addr` maps to, most recent first.
+    /// The resident ways of `set`, most recent first.
     #[inline]
-    fn ways_of(&self, line_addr: u64) -> &[LineEntry] {
-        let set = self.set_of(line_addr);
+    fn ways(&self, set: usize) -> &[LineEntry] {
         let base = self.base_of(set);
         &self.slots[base..base + self.lens[set] as usize]
     }
@@ -226,14 +225,26 @@ impl Cache {
             };
         }
 
-        // Miss: fill at the front, evicting the last (least recent) way
-        // when the set is full. The ways ahead of the victim (all of them
-        // when nothing is evicted) move back one slot.
+        self.fill(line, set, region, is_write)
+    }
+
+    /// The miss branch of [`Cache::access_rw`], less its access counters:
+    /// fill `line`, which no way of `set` holds, at the front of the set,
+    /// evicting the last (least recent) way when the set is full.
+    fn fill(&mut self, line: u64, set: usize, region: Region, is_write: bool) -> AccessResult {
+        debug_assert!(!self.contains_line(line), "line {line} is resident");
+        let base = self.base_of(set);
+        let occupied = self.lens[set] as usize;
         let mut wrote_back = false;
         let (evicted, moved) = if occupied >= self.geometry.associativity as usize {
             let victim_pos = occupied - 1;
             let victim = self.slots[base + victim_pos];
-            self.occupancy[victim.region.index()] -= 1;
+            // The victim's owner loses a line and the filled line's gains
+            // one, which changes nothing when they are the same.
+            if victim.region != region {
+                self.occupancy[victim.region.index()] -= 1;
+                self.occupancy[region.index()] += 1;
+            }
             if victim.dirty {
                 self.stats.writebacks += 1;
                 wrote_back = true;
@@ -241,15 +252,19 @@ impl Cache {
             (Some((victim.line_addr, victim.region)), victim_pos)
         } else {
             self.lens[set] += 1;
+            self.occupancy[region.index()] += 1;
             (None, occupied)
         };
-        self.slots.copy_within(base..base + moved, base + 1);
+        // The ways ahead of the victim (all of them when nothing is
+        // evicted) move back one slot; a direct-mapped set has none.
+        if moved > 0 {
+            self.slots.copy_within(base..base + moved, base + 1);
+        }
         self.slots[base] = LineEntry {
             line_addr: line,
             region,
             dirty: is_write,
         };
-        self.occupancy[region.index()] += 1;
         self.low_set[region.index()] = self.low_set[region.index()].min(set);
         self.touch(set);
         AccessResult {
@@ -259,16 +274,28 @@ impl Cache {
         }
     }
 
-    /// Count `k` further hits on a line the caller knows is resident,
-    /// tagged `region` and most recent in its set: exactly what `k` calls
-    /// of [`Cache::access_rw`] on it would do, which is advance the
-    /// counters and nothing else.
-    pub(crate) fn charge_hits(&mut self, region: Region, k: u64) {
+    /// Fill `line` as a miss of [`Cache::access_rw`] would, if no way of
+    /// its set holds it, counting no access: the caller books the misses
+    /// it made here with [`Cache::charge`]. Returns whether it filled.
+    pub(crate) fn fill_absent(&mut self, line: u64, region: Region, is_write: bool) -> bool {
+        let set = self.set_of(line);
+        if self.ways(set).iter().any(|e| e.line_addr == line) {
+            return false;
+        }
+        self.fill(line, set, region, is_write);
+        true
+    }
+
+    /// Count `misses` accesses that [`Cache::fill_absent`] filled and
+    /// `hits` further hits on lines the caller knows are resident, tagged
+    /// `region` and most recent in their sets: exactly the counters those
+    /// calls of [`Cache::access_rw`] would advance, and nothing else.
+    pub(crate) fn charge(&mut self, region: Region, misses: u64, hits: u64) {
         let r = region.index();
-        self.stats.accesses += k;
-        self.stats.hits += k;
-        self.stats.region_accesses[r] += k;
-        self.stats.region_hits[r] += k;
+        self.stats.accesses += misses + hits;
+        self.stats.hits += hits;
+        self.stats.region_accesses[r] += misses + hits;
+        self.stats.region_hits[r] += hits;
     }
 
     /// How many of the `n` consecutive lines from `line` are each
@@ -373,7 +400,7 @@ impl Cache {
     }
 
     fn contains_line(&self, line_addr: u64) -> bool {
-        self.ways_of(line_addr)
+        self.ways(self.set_of(line_addr))
             .iter()
             .any(|e| e.line_addr == line_addr)
     }
@@ -643,7 +670,7 @@ mod tests {
         let conflicting_fill: Op = |c, l| {
             assert!(!c.access((l + SETS) * 16, Region::Global).hit);
         };
-        let cases: [(&str, u32, Op, Op, Stamps); 13] = [
+        let cases: [(&str, u32, Op, Op, Stamps); 15] = [
             ("miss fill", 2, nop, conflicting_fill, Stamps::ItsBlock),
             ("evicting fill", 1, nop, conflicting_fill, Stamps::ItsBlock),
             (
@@ -710,11 +737,25 @@ mod tests {
                 Stamps::Nothing,
             ),
             (
-                "charge_hits",
+                "charge",
                 1,
                 nop,
-                |c, _| c.charge_hits(Region::Stream, 7),
+                |c, _| c.charge(Region::Stream, 3, 7),
                 Stamps::Nothing,
+            ),
+            (
+                "fill_absent of a resident line",
+                1,
+                nop,
+                |c, l| assert!(!c.fill_absent(l, Region::Global, true)),
+                Stamps::Nothing,
+            ),
+            (
+                "fill_absent",
+                2,
+                nop,
+                |c, l| assert!(c.fill_absent(l + SETS, Region::Global, false)),
+                Stamps::ItsBlock,
             ),
             (
                 "flush_all",

@@ -127,12 +127,77 @@ impl MemoryHierarchy {
     fn charge_l1_hits(&mut self, mref: MemRef, k: u64) {
         self.stats.accesses += k;
         self.stats.l1_hits += k;
-        if self.platform.l1_hit_cycles != 0.0 {
-            for _ in 0..k {
-                self.stats.cycles += self.platform.l1_hit_cycles;
+        add_hit_cycles(&mut self.stats.cycles, self.platform.l1_hit_cycles, k);
+        self.l1_mut(mref.is_instr).charge(mref.region, 0, k);
+    }
+
+    /// Reload a streak of L1-absent lines in one pass: from reference `i`
+    /// of the first pass up to the first line that some way of its L1 set
+    /// holds, or the end of the pass. Each line gets the miss branch of
+    /// [`MemoryHierarchy::access`], and its other references are the L1
+    /// hits they then are. `end_of(j, line)` is the first reference from
+    /// the `j`-th on that lies at or past `line`. Returns the reference
+    /// after the last one charged, which is `i` itself when its line is
+    /// resident.
+    ///
+    /// L2 takes one real access per L2 line. The later L1 lines of that
+    /// L2 line find it first in its set with the sweep's owner and dirty
+    /// bit, since nothing in between changes L2 (an L1 fill does not, a
+    /// back-invalidation touches only L1), so they are L2 hits that move
+    /// counters only. Counters are booked once per streak; cycles are
+    /// added per access and per hit, in reference order.
+    fn reload_streak(
+        &mut self,
+        first: MemRef,
+        mut i: u64,
+        pass: u64,
+        at: impl Fn(u64) -> MemRef,
+        end_of: impl Fn(u64, u64) -> u64,
+    ) -> u64 {
+        let p = self.platform;
+        let (region, is_write) = (first.region, first.is_write);
+        let l1_shift = p.l1.line_bytes.trailing_zeros();
+        let l2_shift = p.l2.line_bytes.trailing_zeros();
+        // What `access` charges an L1 miss, summed in its order.
+        let l2_cycles = p.l1_hit_cycles + p.l2_hit_penalty_cycles;
+        let mem_cycles = l2_cycles + p.mem_penalty_cycles;
+        let (start, mut lines, mut l2_hits, mut l2_repeats) = (i, 0, 0, 0);
+        let mut l2_line = None;
+        while i < pass {
+            let addr = at(i).addr;
+            let line = addr >> l1_shift;
+            let l1 = self.l1_mut(first.is_instr);
+            if !l1.fill_absent(line, region, is_write) {
+                break;
             }
+            let l2_hit = if l2_line == Some(addr >> l2_shift) {
+                debug_assert!(self.l2.hit_is_stateless(addr, region, is_write));
+                l2_repeats += 1;
+                true
+            } else {
+                l2_line = Some(addr >> l2_shift);
+                let l2_result = self.l2.access_rw(addr, region, is_write);
+                if let Some((victim, _)) = l2_result.evicted {
+                    self.back_invalidate(victim);
+                }
+                l2_result.hit
+            };
+            l2_hits += u64::from(l2_hit);
+            self.stats.cycles += if l2_hit { l2_cycles } else { mem_cycles };
+            let end = end_of(i, line + 1);
+            debug_assert!((i + 1..end).all(|j| self.is_stateless_l1_hit(at(j))));
+            add_hit_cycles(&mut self.stats.cycles, p.l1_hit_cycles, end - i - 1);
+            lines += 1;
+            i = end;
         }
-        self.l1_mut(mref.is_instr).charge_hits(mref.region, k);
+        let hits = i - start - lines;
+        self.stats.accesses += lines + hits;
+        self.stats.l1_hits += hits;
+        self.stats.l2_hits += l2_hits;
+        self.stats.mem_fills += lines - l2_hits;
+        self.l1_mut(first.is_instr).charge(region, lines, hits);
+        self.l2.charge(region, 0, l2_repeats);
+        i
     }
 
     /// Whether `mref` would be an L1 hit that changes no cache state.
@@ -226,6 +291,15 @@ impl MemoryHierarchy {
     }
 }
 
+/// Add the cycles of `k` L1 hits to `cycles`, one hit at a time.
+fn add_hit_cycles(cycles: &mut f64, l1_hit_cycles: f64, k: u64) {
+    if l1_hit_cycles != 0.0 {
+        for _ in 0..k {
+            *cycles += l1_hit_cycles;
+        }
+    }
+}
+
 impl TraceSink for MemoryHierarchy {
     fn access(&mut self, mref: MemRef) {
         let _ = MemoryHierarchy::access(self, mref);
@@ -241,9 +315,11 @@ impl TraceSink for MemoryHierarchy {
     ///   dirty bit: every reference into that run is a hit that moves
     ///   only counters, so none of them changes what the probe saw. The
     ///   line that ends a run gets a real access, which leaves it in
-    ///   that same state for the rest of its references. Hits are
-    ///   charged before the next real access, so cycles accumulate in
-    ///   reference order.
+    ///   that same state for the rest of its references — or, when no
+    ///   way of its L1 set holds it, starts a streak that reloads it and
+    ///   the absent lines after it in one pass
+    ///   (`MemoryHierarchy::reload_streak`). Hits are charged before the
+    ///   next real access, so cycles accumulate in reference order.
     /// * Later passes re-walk lines the first pass left resident,
     ///   provided nothing the pass did could displace one of them: the
     ///   sweep's span covers at most `sets` consecutive lines at both
@@ -276,6 +352,16 @@ impl TraceSink for MemoryHierarchy {
         let stride_shift = stride.is_power_of_two().then(|| stride.trailing_zeros());
         let pass = n.min(period);
         let last_line = at(pass - 1).addr >> l1_shift;
+        // The first reference of the pass from the `i`-th on that lies at
+        // or past line `next`.
+        let end_of = |i: u64, next: u64| {
+            let room = (next << l1_shift) - at(i).addr;
+            let refs = match stride_shift {
+                Some(shift) => (room + stride - 1) >> shift,
+                None => room.div_ceil(stride),
+            };
+            i + refs.min(pass - i)
+        };
         let mut i = 0;
         while i < pass {
             let mref = at(i);
@@ -286,21 +372,22 @@ impl TraceSink for MemoryHierarchy {
                 first.region,
                 first.is_write,
             );
-            // A line the probe refused is looked up for real, and is then
-            // a run of one for the references after `mref`.
-            let (run, hits_from) = if probed == 0 {
-                self.access(mref);
-                (1, i + 1)
-            } else {
-                (probed, i)
+            let (run, hits_from) = match probed {
+                // A refused line no way of its set holds starts a streak;
+                // one that is resident is looked up for real, and is then
+                // a run of one for the references after `mref`.
+                0 => {
+                    let end = self.reload_streak(first, i, pass, at, end_of);
+                    if end > i {
+                        i = end;
+                        continue;
+                    }
+                    self.access(mref);
+                    (1, i + 1)
+                }
+                run => (run, i),
             };
-            // The sweep's references up to the end of the run's last line.
-            let room = ((line + run) << l1_shift) - mref.addr;
-            let refs = match stride_shift {
-                Some(shift) => (room + stride - 1) >> shift,
-                None => room.div_ceil(stride),
-            };
-            let end = i + refs.min(pass - i);
+            let end = end_of(i, line + run);
             debug_assert!((hits_from..end).all(|j| self.is_stateless_l1_hit(at(j))));
             self.charge_l1_hits(first, end - hits_from);
             i = end;
@@ -488,7 +575,7 @@ mod tests {
             h.access_sweep(MemRef::fetch(0x4_0000), 16, 160, 960);
             walked(h) - before
         };
-        assert_eq!(code(&mut h), 160, "cold: one refused probe per line");
+        assert_eq!(code(&mut h), 1, "cold: one refused probe, then one streak");
         assert_eq!(code(&mut h), 160, "warm: the run is walked once, and kept");
         let priced = h.stats;
         assert_eq!(code(&mut h), 0);
@@ -497,21 +584,22 @@ mod tests {
         assert_eq!(h.stats.l1_hits, priced.l1_hits + 2 * 960);
 
         // Stream state (13 lines from set 0 of L1D) stays verified while a
-        // DMA-cold packet buffer is filled eight blocks away from it...
+        // DMA-cold packet buffer, one streak each time, is filled eight
+        // blocks away from it...
         let stream = MemRef::read(0x10_0000, Region::Stream);
         let packet = MemRef::write(0x10_0800, Region::PacketData);
-        assert_eq!(walks(&mut h, stream, 4, 52), 13);
+        assert_eq!(walks(&mut h, stream, 4, 52), 1);
         assert_eq!(walks(&mut h, stream, 4, 52), 13);
         for _ in 0..3 {
             h.purge_region(Region::PacketData);
-            assert_eq!(walks(&mut h, packet, 4, 64), 16);
+            assert_eq!(walks(&mut h, packet, 4, 64), 1);
             assert_eq!(walks(&mut h, stream, 4, 52), 0);
             assert_eq!(code(&mut h), 0);
         }
         // ...and is walked again once its own lines have been purged and
         // refilled.
         h.purge_range(stream.addr, 52 * 4);
-        assert_eq!(walks(&mut h, stream, 4, 52), 13);
+        assert_eq!(walks(&mut h, stream, 4, 52), 1);
         assert_eq!(walks(&mut h, stream, 4, 52), 13);
         assert_eq!(walks(&mut h, stream, 4, 52), 0);
     }
@@ -534,7 +622,9 @@ mod tests {
         let mut h = warm();
         h.purge_range(far.addr + 32, 4);
         assert_eq!(walks(&mut h, stream, 4, 64), 0);
-        assert!(walks(&mut h, far, 4, 64) > 0);
+        // The run's first two lines (and a look past them), the purged
+        // line's refused probe and streak, the last thirteen lines.
+        assert_eq!(walks(&mut h, far, 4, 64), 3 + 1 + 13);
         assert_eq!(walks(&mut h, far, 4, 64), 16, "refilled: walked once more");
         assert_eq!(walks(&mut h, far, 4, 64), 0);
         // An L2 conflict evicts the L2 line under the run's lines 8..16
@@ -548,18 +638,67 @@ mod tests {
         assert!(!h.l1d.contains(stream.addr + 128));
         assert_eq!(walks(&mut h, far, 4, 64), 0);
         let stats = h.stats;
-        assert!(walks(&mut h, stream, 4, 64) > 0);
+        // Lines 0..8 and the look past them, then one streak for 8..16:
+        // a memory fill of their L2 line, which the other seven then hit.
+        assert_eq!(walks(&mut h, stream, 4, 64), 9 + 1);
         assert_eq!(h.stats.l1_hits - stats.l1_hits, 64 - 8);
+        assert_eq!(h.stats.mem_fills - stats.mem_fills, 1);
+        assert_eq!(h.stats.l2_hits - stats.l2_hits, 7);
+        assert_eq!(walks(&mut h, stream, 4, 64), 16);
+        assert_eq!(walks(&mut h, stream, 4, 64), 0);
         // `purge_region` and `flush_l1` reach every block the region
         // (every line) lives in.
         let mut h = warm();
         h.purge_region(Region::PacketData);
         assert_eq!(walks(&mut h, stream, 4, 64), 0);
         h.purge_region(Region::Stream);
+        assert_eq!(walks(&mut h, stream, 4, 64), 1);
         assert_eq!(walks(&mut h, stream, 4, 64), 16);
         let mut h = warm();
         h.flush_l1();
+        assert_eq!(walks(&mut h, far, 4, 64), 1);
         assert_eq!(walks(&mut h, far, 4, 64), 16);
+        assert_eq!(walks(&mut h, far, 4, 64), 0);
+    }
+
+    #[test]
+    fn a_streak_over_l2_resident_lines_books_what_the_reference_walk_books() {
+        // 16 B L1 lines under 64 B L2 lines; an L1 hit costs a cycle.
+        let mut h = MemoryHierarchy::new(small_platform());
+        let stores = MemRef::write(0x1000, Region::Stream);
+        let at = |j: u64| MemRef {
+            addr: stores.addr + 4 * j,
+            ..stores
+        };
+        // Twelve lines over three L2 lines, displaced from L1 (one L1
+        // period up, another L2 set) and, under the last L2 line, from L2
+        // too (one L2 period up, the same L1 set as line 8).
+        h.access_sweep(stores, 4, 48, 48);
+        h.access_sweep(MemRef::read(0x1100, Region::Thread), 4, 48, 48);
+        h.access(MemRef::read(0x1080 + 2048, Region::NonProtocol));
+        assert!((0..12).all(|l| !h.l1d.contains(at(4 * l).addr)));
+
+        let mut reference = h.clone();
+        (0..48).for_each(|j| {
+            reference.access(at(j));
+        });
+        let before = (h.stats, walked(&h));
+        h.access_sweep(stores, 4, 48, 48);
+        assert_eq!(walked(&h) - before.1, 1, "one refused probe, one streak");
+        // Eight L2 hits, a memory fill that evicts the conflicting line,
+        // and three hits under it.
+        assert_eq!(h.stats.l2_hits - before.0.l2_hits, 11);
+        assert_eq!(h.stats.mem_fills - before.0.mem_fills, 1);
+        let booked = |h: &MemoryHierarchy| {
+            let s = h.stats;
+            let caches = [&h.l1d, h.l1i.as_ref().unwrap(), &h.l2].map(|c| {
+                let resident = Region::ALL.map(|r| (c.occupancy(r), c.dirty_occupancy(r)));
+                format!("{:?} {resident:?}", c.stats)
+            });
+            let counters = [s.accesses, s.l1_hits, s.l2_hits, s.mem_fills];
+            (counters, s.cycles.to_bits(), caches)
+        };
+        assert_eq!(booked(&h), booked(&reference));
     }
 
     #[test]

@@ -235,6 +235,13 @@ enum Step {
     Alias {
         skip: u64,
     },
+    /// The previous sweep, `periods` × [`L1_PERIODS`] bytes up: with one
+    /// way it evicts every line of the previous sweep from L1, whose
+    /// repeat is then a streak of L1-absent lines, reloaded from L2 or,
+    /// where the copy took their L2 sets too, from memory.
+    Shifted {
+        periods: u64,
+    },
     /// `bytes` of the previous sweep's range purged from its `skip`-th
     /// reference on.
     PurgeInside {
@@ -248,6 +255,10 @@ enum Step {
     },
     FlushL1,
 }
+
+/// A whole number of L1 periods (sets × line bytes) on every platform
+/// [`small_platform`] draws: 3 × 8 KiB.
+const L1_PERIODS: u64 = 24_576;
 
 /// What a step issues: sweeps, then at most one purge or flush.
 #[derive(Debug, Clone, Copy)]
@@ -281,7 +292,11 @@ fn step() -> impl Strategy<Value = Step> {
 /// each), or one step of any other kind. A script of lone steps rarely probes the same run twice, so it
 /// would pass with a run memo that never answers; here the second
 /// repeat onward finds a memoised run, which the step before it has or
-/// has not made stale.
+/// has not made stale. One train in four instead alternates the sweep
+/// with a copy shifted by whole L1 periods, so that every repeat is a
+/// streak: its L2 lines are shared by two to four L1 lines when the L2
+/// line is longer, and on a small L2 the copy's lines are evicted in the
+/// middle of it.
 fn train() -> impl Strategy<Value = Vec<Step>> {
     let gap = || {
         (0u8..6, 0u64..8192, 0u64..600, step()).prop_map(|(kind, skip, bytes, step)| match step {
@@ -292,9 +307,13 @@ fn train() -> impl Strategy<Value = Vec<Step>> {
             other => Some(other),
         })
     };
-    (sweep(), gap(), gap(), gap()).prop_map(|(s, a, b, c)| {
+    (sweep(), gap(), gap(), gap(), 0u8..4, 1u64..=4).prop_map(|(s, a, b, c, shape, periods)| {
+        let gaps = match shape {
+            0 => [Some(Step::Shifted { periods }); 3],
+            _ => [a, b, c],
+        };
         let mut steps = vec![Step::Sweep(s)];
-        for gap in [a, b, c] {
+        for gap in gaps {
             steps.extend(gap);
             steps.push(Step::Repeat);
         }
@@ -357,6 +376,13 @@ fn ops_of(script: &[Step]) -> Vec<Op> {
                 }));
             }
             (Step::Alias { skip }, Some(s)) => ops.push(Op::Sweep(tail(s, skip, 4096))),
+            (Step::Shifted { periods }, Some(s)) => ops.push(Op::Sweep(Sweep {
+                first: MemRef {
+                    addr: s.first.addr + periods * L1_PERIODS,
+                    ..s.first
+                },
+                ..s
+            })),
             (Step::PurgeInside { skip, bytes }, Some(s)) => ops.push(Op::PurgeRange(
                 s.first.addr + skip % s.period * s.stride,
                 1 + bytes % 64,
@@ -369,6 +395,7 @@ fn ops_of(script: &[Step]) -> Vec<Op> {
                 | Step::ReadThenStore { .. }
                 | Step::Retag { .. }
                 | Step::Alias { .. }
+                | Step::Shifted { .. }
                 | Step::PurgeInside { .. },
                 None,
             ) => {}

@@ -54,12 +54,21 @@ impl CodeSeg {
 /// per-entity areas (thread stacks, stream state) are strided within
 /// their window. Window bases are **staggered modulo the L1 period**
 /// (1024 sets × 16 B = 16 KiB) so that the steady-state footprints of
-/// code, globals, thread, stream and packet buffers occupy disjoint L1
-/// set ranges — as a real kernel's link map and allocator coloring
-/// arrange. Entity strides are a multiple of the L1 period, so two
-/// streams' states conflict with *each other* (only one can be L1-hot at
-/// a time — exactly the effect stream migration exercises) but never
-/// with unrelated regions.
+/// code, globals, thread stacks and stream state occupy disjoint L1 set
+/// ranges — as a real kernel's link map and allocator coloring arrange.
+/// Entity strides are a multiple of the L1 period, so two streams'
+/// states conflict with *each other* (only one can be L1-hot at a time —
+/// exactly the effect stream migration exercises) but never with code,
+/// globals or stacks.
+///
+/// Packet buffers are the exception. Their window starts at set 1008,
+/// inside the stream range (sets 848..1023), so a buffer's first 256
+/// bytes share the last 16 stream sets of L1; in L2 (a 1 MiB period) the
+/// buffer in slot `s` shares them with stream `s` (mod 64). A buffer
+/// longer than 256 bytes wraps on into the code range. A DMA-cold 64 B
+/// packet costs one memory fill for its own buffer line; reloading the
+/// stream lines a buffer displaced from L2 adds the rest of the ≈1.4
+/// fills a packet that the recorded replay measures.
 #[derive(Debug, Clone, Copy)]
 pub struct MemLayout {
     code_base: u64,
@@ -84,13 +93,15 @@ impl MemLayout {
             // is ≡ 0, so the offsets below pick the starting set. The
             // budget: ≤ 12 032 B of code (752 sets, incl. the TCP
             // segment), 40 sets of globals, 40 of thread stack, 176 of
-            // stream state — 1 008 of the 1 024 sets, with the packet
-            // window in the remainder (packet data is DMA-cold anyway).
+            // stream state — 1 008 of the 1 024 sets, the other 16 the
+            // gaps after the globals and the stacks. Packet buffers get
+            // no sets of their own: their window starts inside the stream
+            // range.
             code_base: 0x1000_0000,            // sets    0..751  (code)
             global_base: 0x2000_0000 + 0x2F00, // sets  752..791  (globals)
             thread_base: 0x3000_0000 + 0x3200, // sets  800..839  (stacks)
             stream_base: 0x4000_0000 + 0x3500, // sets  848..1023 (sessions)
-            packet_base: 0x5000_0000 + 0x3F00, // sets 1008..     (buffers)
+            packet_base: 0x5000_0000 + 0x3F00, // sets 1008..     (buffers, over sessions)
         }
     }
 

@@ -13,7 +13,11 @@
 //! per-block mutation stamps), over a 400-packet script of long trains
 //! in which every flow switch purges the stream range: the traffic the
 //! memo exists for, most packets finding every run but the packet
-//! buffer's as the previous packet left it.
+//! buffer's as the previous packet left it — and, for the streak that
+//! reloads L1-absent lines in one pass, over 16 flows in trains of one
+//! that are never purged: every flow switch finds its stream state
+//! displaced from L1 by the previous flow's but still held in L2, which
+//! is the recorded replay's shape.
 //!
 //! The engine's receive entry points take `&mut MemoryHierarchy`, so
 //! there is no by-reference sink to hand them here. The reference side
@@ -29,13 +33,13 @@ use affinity_sched::xkernel::driver::{PacketFactory, RxFrame};
 use affinity_sched::xkernel::mem::MemLayout;
 use affinity_sched::xkernel::{CostModel, PacketTiming, ProtocolEngine, StreamId, ThreadId};
 
-const FLOWS: u32 = 6;
 const TCP_ISN: u32 = 1000;
 
 /// A flow script and the worker's resident-set bound it is served under.
 #[derive(Clone, Copy)]
 struct Script {
     packets: usize,
+    flows: u32,
     /// Trains are 1..=`max_train` packets of one flow.
     max_train: usize,
     /// Flows whose stream state the worker still counts as resident.
@@ -45,14 +49,25 @@ struct Script {
 /// Short trains over a resident set of two: what the first four pins use.
 const MIXED: Script = Script {
     packets: 200,
+    flows: 6,
     max_train: 6,
     resident: 2,
 };
 /// Long same-flow trains (mean 8), every flow switch a cold reload.
 const LONG_TRAINS: Script = Script {
     packets: 400,
+    flows: 6,
     max_train: 15,
     resident: 1,
+};
+/// Trains of one over 16 flows, all of them resident: no flow's state is
+/// ever purged (a first packet's purge finds nothing), so a flow switch
+/// reloads it from L2.
+const INTERLEAVED: Script = Script {
+    packets: 320,
+    flows: 16,
+    max_train: 1,
+    resident: 16,
 };
 
 /// FNV-1a over 64-bit words.
@@ -123,7 +138,7 @@ fn flow_script(script: Script) -> Vec<u32> {
     let mut flows = Vec::with_capacity(script.packets);
     while flows.len() < script.packets {
         let (flow, train) = (
-            next() as u32 % FLOWS,
+            next() as u32 % script.flows,
             1 + next() as usize % script.max_train,
         );
         flows.extend(std::iter::repeat_n(
@@ -152,7 +167,7 @@ fn serve(tcp: bool, payload: usize, script: Script) -> Priced {
     let checksummed = payload > 64;
     cost.software_udp_checksum = checksummed;
     let mut engine = ProtocolEngine::new(cost);
-    for s in (0..FLOWS).map(StreamId) {
+    for s in (0..script.flows).map(StreamId) {
         if tcp {
             engine.bind_tcp_stream(s, TCP_ISN);
         } else {
@@ -168,7 +183,7 @@ fn serve(tcp: bool, payload: usize, script: Script) -> Priced {
 
     let mut digest = Digest::new();
     let mut resident: Vec<u32> = Vec::new();
-    let mut sent = [0u32; FLOWS as usize];
+    let mut sent = vec![0u32; script.flows as usize];
     for (slot, flow) in flow_script(script).into_iter().enumerate() {
         let stream = StreamId(flow);
         // A flow outside the bounded resident set reloads its state cold.
@@ -236,6 +251,11 @@ fn long_same_flow_trains_price_as_the_reference_walk() {
     assert_eq!(serve(false, 64, LONG_TRAINS), UDP_64_LONG_TRAINS);
 }
 
+#[test]
+fn interleaved_flows_reloading_from_l2_price_as_the_reference_walk() {
+    assert_eq!(serve(false, 64, INTERLEAVED), UDP_64_INTERLEAVED);
+}
+
 const UDP_64: Priced = Priced {
     counters: [957_400, 947_384, 8_883, 1_133],
     cycles: 3_135_645.0,
@@ -260,4 +280,9 @@ const UDP_64_LONG_TRAINS: Priced = Priced {
     counters: [1_914_800, 1_904_991, 8_451, 1_358],
     cycles: 6_145_014.0,
     digest: 11027787333182140326,
+};
+const UDP_64_INTERLEAVED: Priced = Priced {
+    counters: [1_531_840, 1_477_074, 53_877, 889],
+    cycles: 5_281_689.0,
+    digest: 7900482393404874049,
 };
