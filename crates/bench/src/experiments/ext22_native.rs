@@ -19,12 +19,11 @@
 
 use crate::{write_csv, Checks};
 use afs_core::crossval::{
-    default_matrix, relative_improvement, sim_matrix, smoke_matrix, IMPROVEMENT_TOLERANCE,
-    ORDERING_SLACK,
+    default_matrix, relative_improvement, smoke_matrix, IMPROVEMENT_TOLERANCE, ORDERING_SLACK,
 };
 use afs_core::prelude::*;
-use afs_native::crossval::run_scenario;
-use afs_native::{NativeReport, PolicySpec};
+use afs_native::crossval::{native_config, native_workload};
+use afs_native::{run_native, NativeReport, PolicySpec};
 
 /// Both backends' numbers for one (scenario, policy) cell.
 struct Cell {
@@ -46,16 +45,21 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         labels.join(" / ")
     );
 
-    // The simulator side of every (scenario, policy) cell fans out on
-    // the AFS_JOBS parallel executor — the runs are pure. The native
-    // side stays serial below: its runs time real threads on the host's
-    // real caches, and running them concurrently would perturb the very
-    // effect being measured.
-    let sim_cells = sim_matrix(&matrix);
+    // The simulator side of every (scenario, policy) cell, in the order
+    // the loop below reads them, fans out on the AFS_JOBS parallel
+    // executor — the runs are pure. The native side stays serial below:
+    // its runs time real threads on the host's real caches, and running
+    // them concurrently would perturb the very effect being measured.
+    let none = FaultLoad::none();
+    let cells: Vec<_> = matrix
+        .iter()
+        .flat_map(|s| PolicySpec::ALL.map(|p| (s, p)))
+        .collect();
+    let mut sims = parallel_map(&cells, |&(s, p)| run(&s.sim_config(p, &none))).into_iter();
 
     let mut rows: Vec<String> = Vec::new();
 
-    for (si, s) in matrix.iter().enumerate() {
+    for s in &matrix {
         println!(
             "scenario {}: {} workers, {} streams, {:.0} pkts/s/stream, {} pkts/stream",
             s.label(),
@@ -69,18 +73,11 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             "policy", "sim delay", "native delay", "sim svc", "native svc", "migr", "steals"
         );
         let cells: Vec<(PolicySpec, Cell)> = PolicySpec::ALL
-            .iter()
-            .enumerate()
-            .map(|(pi, &p)| {
-                let sim = &sim_cells[si * PolicySpec::ALL.len() + pi];
-                debug_assert_eq!(sim.policy, p);
-                (
-                    p,
-                    Cell {
-                        sim: sim.report.clone(),
-                        native: run_scenario(s, p),
-                    },
-                )
+            .into_iter()
+            .zip(sims.by_ref())
+            .map(|(p, sim)| {
+                let native = run_native(&native_config(s, p, &none), native_workload(s));
+                (p, Cell { sim, native })
             })
             .collect();
         for (p, c) in &cells {

@@ -14,7 +14,7 @@
 //!   `results/fig06.csv` bytes — the policy ordering and the affinity
 //!   win re-emerge from trace data alone.
 //! * **Native** — runs the cross-validation scenario matrix through
-//!   `run_scenario_recorded` and derives the same per-policy delays from
+//!   `run_native_recorded` and derives the same per-policy delays from
 //!   the merged vclock-stamped trace, checking the IPS-over-oblivious
 //!   affinity win on real threads, again from trace data alone.
 //!
@@ -31,7 +31,8 @@ use afs_core::crossval::{default_matrix, smoke_matrix, ORDERING_SLACK};
 use afs_core::prelude::*;
 use afs_core::sim::run_observed;
 use afs_desim::stats::Welford;
-use afs_native::crossval::run_scenario_recorded;
+use afs_native::crossval::{native_config, native_workload};
+use afs_native::run_native_recorded;
 use afs_obs::{Counters, ObsEvent};
 use afs_sched::PolicySpec;
 
@@ -274,7 +275,8 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
     for s in &matrix {
         let mut delays = Vec::new();
         for p in PolicySpec::ALL {
-            let (report, rec) = run_scenario_recorded(s, p);
+            let cfg = native_config(s, p, &FaultLoad::none());
+            let (report, rec) = run_native_recorded(&cfg, native_workload(s));
             let cut = report.last_arrival_us * 0.2; // NativeConfig::new warmup_frac
             let mut w = Welford::new();
             for ev in &rec.events {

@@ -24,11 +24,11 @@
 use crate::{write_csv, Checks};
 use afs_core::crossval::{
     fault_levels, procfault_scenario, procfault_smoke_scenario, relative_improvement,
-    sim_fault_matrix, IMPROVEMENT_TOLERANCE,
+    IMPROVEMENT_TOLERANCE,
 };
 use afs_core::prelude::*;
-use afs_native::crossval::run_fault_scenario_recorded;
-use afs_native::{NativeReport, PolicySpec};
+use afs_native::crossval::{native_config, native_workload};
+use afs_native::{run_native_recorded, NativeReport, PolicySpec};
 use afs_obs::MemRecorder;
 
 /// Both backends' numbers for one (fault level, policy) cell.
@@ -63,14 +63,19 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             .join(" / ")
     );
 
-    // Simulator cells are pure and fan out on the AFS_JOBS executor;
-    // the native cells run serially (real threads, shared host caches).
-    let sim_cells = sim_fault_matrix(&s, &levels);
+    // Simulator cells, in the order the loop below reads them, are pure
+    // and fan out on the AFS_JOBS executor; the native cells run
+    // serially (real threads, shared host caches).
+    let cells: Vec<_> = levels
+        .iter()
+        .flat_map(|(_, load)| PolicySpec::ALL.map(|p| (load, p)))
+        .collect();
+    let mut sims = parallel_map(&cells, |&(load, p)| run(&s.sim_config(p, load))).into_iter();
 
     let mut rows: Vec<String> = Vec::new();
     let mut by_level: Vec<(&str, Vec<(PolicySpec, Cell)>)> = Vec::new();
 
-    for (li, (level, load)) in levels.iter().enumerate() {
+    for (level, load) in &levels {
         println!("fault level: {level}");
         println!(
             "{:<12} {:>12} {:>12} {:>12} {:>12} {:>7} {:>7} {:>9} {:>9}",
@@ -85,21 +90,12 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             "requeued"
         );
         let cells: Vec<(PolicySpec, Cell)> = PolicySpec::ALL
-            .iter()
-            .enumerate()
-            .map(|(pi, &p)| {
-                let sim = &sim_cells[li * PolicySpec::ALL.len() + pi];
-                debug_assert_eq!(sim.policy, p);
-                debug_assert_eq!(sim.level, *level);
-                let (native, trace) = run_fault_scenario_recorded(&s, p, load);
-                (
-                    p,
-                    Cell {
-                        sim: sim.report.clone(),
-                        native,
-                        trace,
-                    },
-                )
+            .into_iter()
+            .zip(sims.by_ref())
+            .map(|(p, sim)| {
+                let (native, trace) =
+                    run_native_recorded(&native_config(&s, p, load), native_workload(&s));
+                (p, Cell { sim, native, trace })
             })
             .collect();
         for (p, c) in &cells {

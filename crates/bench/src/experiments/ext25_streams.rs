@@ -26,8 +26,7 @@
 
 use crate::{write_csv, Checks};
 use afs_core::crossval::{
-    sim_stream_matrix, stream_matrix, stream_pathology_scenario, stream_smoke_matrix,
-    StreamScenario, STREAM_POLICIES,
+    stream_matrix, stream_pathology_scenario, stream_smoke_matrix, StreamScenario, STREAM_POLICIES,
 };
 use afs_core::prelude::*;
 use afs_native::crossval::run_stream_scenario_recorded;
@@ -63,13 +62,16 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
     }
     println!();
 
-    // Simulator cells are pure and fan out on the AFS_JOBS executor
-    // (row-major: scenarios × front-ends × policies); the native cells
-    // run serially (real threads, shared host caches).
-    let sim_cells = sim_stream_matrix(&scenarios);
+    // Simulator cells, in the order the loop below reads them, are pure
+    // and fan out on the AFS_JOBS executor; the native cells run
+    // serially (real threads, shared host caches).
+    let cells: Vec<_> = scenarios
+        .iter()
+        .flat_map(|s| steering_cells().map(move |(kind, policy)| (s, kind, policy)))
+        .collect();
+    let mut sims = parallel_map(&cells, |&(s, k, p)| run(&s.sim_config(k, p))).into_iter();
 
     let mut rows: Vec<String> = Vec::new();
-    let mut si = 0usize;
 
     for s in &scenarios {
         println!("scenario {}", s.label());
@@ -86,50 +88,40 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             "sim rebd",
             "nat rebd"
         );
-        for kind in FrontEndKind::ALL {
-            for &policy in &STREAM_POLICIES {
-                let sim = &sim_cells[si];
-                si += 1;
-                debug_assert_eq!(sim.frontend, kind);
-                debug_assert_eq!(sim.policy, policy);
-                let (native, trace) = run_stream_scenario_recorded(s, kind, policy);
-                let c = Cell {
-                    sim: sim.report.clone(),
-                    native,
-                    trace,
-                };
-                println!(
-                    "{:<10} {:<10} {:>11.1} {:>11.1} {:>9} {:>9} {:>10} {:>10} {:>9} {:>9}",
-                    kind.label(),
-                    policy.label(),
-                    c.sim.mean_delay_us,
-                    c.native.mean_delay_us,
-                    c.sim.ooo_deliveries,
-                    c.native.ooo_deliveries,
-                    c.sim.table_misses,
-                    c.native.table_misses,
-                    c.sim.rebinds,
-                    c.native.rebinds,
-                );
-                rows.push(format!(
-                    "{},{},{},{},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{},{}",
-                    s.label(),
-                    s.streams,
-                    kind.label(),
-                    policy.label(),
-                    c.sim.mean_delay_us,
-                    c.native.mean_delay_us,
-                    c.sim.mean_service_us,
-                    c.native.mean_service_us,
-                    c.sim.ooo_deliveries,
-                    c.native.ooo_deliveries,
-                    c.sim.table_misses,
-                    c.native.table_misses,
-                    c.sim.rebinds,
-                    c.native.rebinds,
-                ));
-                check_cell(checks, s, kind, policy, &c);
-            }
+        for ((kind, policy), sim) in steering_cells().zip(sims.by_ref()) {
+            let (native, trace) = run_stream_scenario_recorded(s, kind, policy);
+            let c = Cell { sim, native, trace };
+            println!(
+                "{:<10} {:<10} {:>11.1} {:>11.1} {:>9} {:>9} {:>10} {:>10} {:>9} {:>9}",
+                kind.label(),
+                policy.label(),
+                c.sim.mean_delay_us,
+                c.native.mean_delay_us,
+                c.sim.ooo_deliveries,
+                c.native.ooo_deliveries,
+                c.sim.table_misses,
+                c.native.table_misses,
+                c.sim.rebinds,
+                c.native.rebinds,
+            );
+            rows.push(format!(
+                "{},{},{},{},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{},{}",
+                s.label(),
+                s.streams,
+                kind.label(),
+                policy.label(),
+                c.sim.mean_delay_us,
+                c.native.mean_delay_us,
+                c.sim.mean_service_us,
+                c.native.mean_service_us,
+                c.sim.ooo_deliveries,
+                c.native.ooo_deliveries,
+                c.sim.table_misses,
+                c.native.table_misses,
+                c.sim.rebinds,
+                c.native.rebinds,
+            ));
+            check_cell(checks, s, kind, policy, &c);
         }
         println!();
     }
@@ -172,6 +164,13 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
          sim_rebinds,native_rebinds",
         &rows,
     );
+}
+
+/// The `(front-end, policy)` cells of one scenario, in run and print order.
+fn steering_cells() -> impl Iterator<Item = (FrontEndKind, PolicySpec)> {
+    FrontEndKind::ALL
+        .into_iter()
+        .flat_map(|kind| STREAM_POLICIES.map(|policy| (kind, policy)))
 }
 
 /// Conservation + structural-order checks for one cell.

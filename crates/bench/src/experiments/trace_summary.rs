@@ -16,7 +16,8 @@
 use crate::{locking, template_with, Checks};
 use afs_core::crossval::smoke_matrix;
 use afs_core::prelude::*;
-use afs_native::crossval::{run_scenario, run_scenario_recorded};
+use afs_native::crossval::{native_config, native_workload};
+use afs_native::{run_native, run_native_recorded};
 use afs_obs::summary;
 use afs_sched::PolicySpec;
 
@@ -63,8 +64,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
     // ------------------------------------------------------------------
     let scenario = &smoke_matrix()[0];
     for p in PolicySpec::ALL {
-        let plain = run_scenario(scenario, p);
-        let (report, rec) = run_scenario_recorded(scenario, p);
+        let cfg = native_config(scenario, p, &FaultLoad::none());
+        let plain = run_native(&cfg, native_workload(scenario));
+        let (report, rec) = run_native_recorded(&cfg, native_workload(scenario));
         println!("native {} {}", scenario.label(), p.label());
         println!("  {}", summary::render(&rec.counters));
         println!(

@@ -27,6 +27,11 @@
 //! * [`analysis`] — percent-delay-reduction curves, crossover detection
 //!   (Figures 10/11 and the policy trade-offs), and MSER-5 warm-up
 //!   validation.
+//! * [`procfault`] — seeded processor-fault plans (crash, revive,
+//!   stall, slow core) both backends execute.
+//! * [`crossval`] — the scenarios both backends run, their simulator
+//!   configurations, the one fault-plan draw, and every sim ↔ native
+//!   agreement band.
 //!
 //! The simulator also emits the unified `afs-obs` observability schema:
 //! [`sim::run_observed`] streams every scheduling event (enqueue,
@@ -65,8 +70,6 @@ pub mod state;
 pub mod sweep;
 
 pub use config::{DropPolicy, FaultProfile, IpsPolicy, LockPolicy, Paradigm, SystemConfig};
-pub use crossval::{sim_matrix, CrossvalScenario, SimCell};
-pub use crossval::{sim_stream_matrix, SimStreamCell, StreamScenario, STREAM_POLICIES};
 pub use exec::ExecParams;
 pub use metrics::RunReport;
 pub use par::{jobs_from_env, parallel_map, parallel_map_jobs};

@@ -4,23 +4,30 @@
 //! simulator mapping; this module supplies the native mapping so
 //! `ext22_native` and `tests/crossval_native.rs` can run the *same*
 //! scenario through both backends and compare the policy structure.
+//! A cell is `run_native{,_recorded}(&native_config(..), native_workload(..))`.
 
-use afs_core::crossval::{CrossvalScenario, StreamScenario, FAULT_PLAN_SALT};
-use afs_core::procfault::{FaultLoad, ProcFaultPlan};
+use afs_core::crossval::{CrossvalScenario, StreamScenario};
+use afs_core::procfault::FaultLoad;
 use afs_obs::{MemRecorder, SequenceChecker};
 use afs_sched::{FrontEndKind, PolicySpec};
 
 use crate::runtime::{
-    poisson_workload, run_native, run_native_recorded, zipf_workload, NativeConfig, NativePacket,
-    NativeReport,
+    poisson_workload, run_native_recorded, zipf_workload, NativeConfig, NativePacket, NativeReport,
 };
 
-/// The native configuration for one policy rung of a scenario. The
-/// policy→layout mapping is the canonical one in `afs-sched`
-/// (`PolicySpec::native_layout`), shared with the simulator side.
-pub fn native_config(s: &CrossvalScenario, policy: PolicySpec) -> NativeConfig {
+/// The native configuration for one `(policy, fault level)` cell of a
+/// scenario. The policy→layout mapping is the canonical one in
+/// `afs-sched` (`PolicySpec::native_layout`), shared with the simulator
+/// side. The fault plan is the simulator's
+/// ([`CrossvalScenario::fault_plan`]) over the post-warm-up portion of
+/// the arrival horizon — each backend's own measurement span, since
+/// their clocks differ; [`FaultLoad::none`] leaves it empty.
+pub fn native_config(s: &CrossvalScenario, policy: PolicySpec, load: &FaultLoad) -> NativeConfig {
     let mut cfg = NativeConfig::new(s.workers, policy);
     cfg.seed = s.seed ^ 0xA71;
+    // Expected last arrival on the virtual clock, µs.
+    let horizon_us = s.packets_per_stream as f64 / s.rate_pps_per_stream * 1e6;
+    cfg.faults = s.fault_plan((cfg.warmup_frac * horizon_us, horizon_us), load);
     cfg
 }
 
@@ -34,53 +41,6 @@ pub fn native_workload(s: &CrossvalScenario) -> Vec<NativePacket> {
         s.payload_bytes,
         s.seed,
     )
-}
-
-/// Run one (scenario, policy) cell on the native backend.
-pub fn run_scenario(s: &CrossvalScenario, policy: PolicySpec) -> NativeReport {
-    run_native(&native_config(s, policy), native_workload(s))
-}
-
-/// [`run_scenario`] with the unified observability trace captured — the
-/// entry point the differential tests and `ext23_obs` use to compare
-/// trace-derived metrics across backends.
-pub fn run_scenario_recorded(
-    s: &CrossvalScenario,
-    policy: PolicySpec,
-) -> (NativeReport, MemRecorder) {
-    run_native_recorded(&native_config(s, policy), native_workload(s))
-}
-
-/// [`native_config`] plus a seeded processor-fault plan spanning the
-/// post-warm-up portion of the arrival horizon — the native half of the
-/// ext24 fault sweep. The plan seed matches the simulator side
-/// ([`afs_core::crossval::sim_fault_config`]); the window is each
-/// backend's own measurement span, since their clocks differ.
-pub fn native_fault_config(
-    s: &CrossvalScenario,
-    policy: PolicySpec,
-    load: &FaultLoad,
-) -> NativeConfig {
-    let mut cfg = native_config(s, policy);
-    // Expected last arrival on the virtual clock, µs.
-    let horizon_us = s.packets_per_stream as f64 / s.rate_pps_per_stream * 1e6;
-    cfg.faults = ProcFaultPlan::seeded(
-        s.seed ^ FAULT_PLAN_SALT,
-        s.workers,
-        (cfg.warmup_frac * horizon_us, horizon_us),
-        load,
-    );
-    cfg
-}
-
-/// Run one (scenario, policy, fault-level) cell on the native backend,
-/// with the observability trace captured for conservation checks.
-pub fn run_fault_scenario_recorded(
-    s: &CrossvalScenario,
-    policy: PolicySpec,
-    load: &FaultLoad,
-) -> (NativeReport, MemRecorder) {
-    run_native_recorded(&native_fault_config(s, policy, load), native_workload(s))
 }
 
 /// Bound on distinct engine sessions for the million-stream scenarios.
@@ -142,6 +102,35 @@ pub fn run_stream_scenario_recorded(
     );
     report.ooo_deliveries = SequenceChecker::check(&rec.events).ooo_deliveries;
     (report, rec)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use afs_core::crossval::{fault_levels, procfault_smoke_scenario};
+    use std::mem::discriminant;
+
+    #[test]
+    fn both_backends_get_the_same_fault_structure() {
+        let s = procfault_smoke_scenario();
+        let p = PolicySpec::Oblivious;
+        for (level, load) in fault_levels() {
+            let sim = s.sim_config(p, &load).proc_faults;
+            let native = native_config(&s, p, &load).faults;
+            assert_eq!(sim.faults.len(), native.faults.len(), "{level}: plan sizes");
+            for (a, b) in sim.faults.iter().zip(&native.faults) {
+                assert_eq!(a.proc, b.proc, "{level}: victims");
+                assert_eq!(
+                    discriminant(&a.kind),
+                    discriminant(&b.kind),
+                    "{level}: kinds"
+                );
+            }
+            let clean = level == "none";
+            assert_eq!(sim.is_noop(), clean, "{level}: sim plan");
+            assert_eq!(native.is_noop(), clean, "{level}: native plan");
+        }
+    }
 }
 
 #[cfg(test)]

@@ -36,8 +36,9 @@
 //! * [`serve`] — [`ServeSnapshot`], the live serving-run gauge line.
 //! * [`summary`] — compact text summary for experiment output.
 //! * [`profile`] — [`EngineProbe`] hooks for the desim engine.
-//! * [`tolerance`] — documented backend-agreement tolerances used by the
-//!   differential tests.
+//!
+//! How closely the backends' traces must agree is cross-validation
+//! policy, not schema: those bands live in `afs_core::crossval`.
 
 pub mod counters;
 pub mod event;
@@ -48,7 +49,6 @@ pub mod profile;
 pub mod recorder;
 pub mod serve;
 pub mod summary;
-pub mod tolerance;
 
 pub use counters::{Counters, WorkerLane};
 pub use event::{ChargeKind, ObsEvent, SHARED_QUEUE};

@@ -29,7 +29,9 @@ pub enum Router {
     /// A uniformly random worker (one draw per packet) — the oblivious
     /// placement.
     RandomWorker,
-    /// The single shared (pooled) ring; workers pop it min-vclock-first.
+    /// The work-conserving shared pool: no worker is named at routing
+    /// time; the dispatcher's [`ClaimTable::pooled`](crate::ClaimTable::pooled)
+    /// names the claimant and pushes the packet to that worker's ring.
     SharedQueue,
     /// The stream's static owner, `stream mod workers` (the IPS
     /// partition).

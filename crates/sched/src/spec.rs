@@ -31,8 +31,9 @@ pub enum PolicySpec {
     /// `Locking/baseline`).
     Oblivious,
     /// One shared stack behind locks with a work-conserving shared run
-    /// pool and per-processor threads (native: shared ring + per-worker
-    /// threads; simulator: `Locking/pools`, the paper's footnote 7).
+    /// pool and per-processor threads (native: a pool claimed in virtual
+    /// order on the dispatcher + per-worker threads; simulator:
+    /// `Locking/pools`, the paper's footnote 7).
     Locking,
     /// Independent per-processor protocol stacks with affinity-preserving
     /// scheduling (native: pinned per-worker pools + bounded stealing;
@@ -147,7 +148,9 @@ pub struct NativeLayout {
     /// One shared locked engine (`true`) vs. one lock-free engine per
     /// worker (`false`).
     pub shared_stack: bool,
-    /// One shared ring all workers pop (`true`) vs. per-worker rings.
+    /// A work-conserving shared pool (`true`) vs. per-worker queues.
+    /// Every layout has one ring per worker; a pooled packet's worker is
+    /// named on the dispatcher by [`ClaimTable::pooled`](crate::ClaimTable::pooled).
     pub pooled_queue: bool,
     /// Pool threads rotate across packets (`true`, the Baseline's
     /// shared FIFO pool) vs. each worker running its own thread.

@@ -26,8 +26,7 @@
 //!   affinity-aware work stealing, cross-validated against the
 //!   simulator (`core::crossval`).
 //! * [`obs`] — the unified observability layer: structured per-message
-//!   events, aggregate counters and histograms, trace sinks, and the
-//!   documented tolerances for the backend differential tests.
+//!   events, aggregate counters and histograms, and trace sinks.
 //! * [`sched`] — the shared scheduling-decision layer both backends
 //!   consume: policy rungs, routers, steal policies, and the NIC
 //!   front-ends (RSS / Flow-Director / transport-friendly steering)

@@ -14,17 +14,25 @@ use affinity_sched::core::crossval::{
 };
 use affinity_sched::core::metrics::RunReport;
 use affinity_sched::core::sim::run;
-use affinity_sched::native::crossval::{run_scenario, run_stream_scenario_recorded};
-use affinity_sched::native::{FrontEndKind, NativeReport};
+use affinity_sched::native::crossval::{
+    native_config, native_workload, run_stream_scenario_recorded,
+};
+use affinity_sched::native::{run_native, FaultLoad, FrontEndKind, NativeReport};
 use affinity_sched::sched::PolicySpec;
 
 /// Run the whole smoke matrix once through both backends — every rung
 /// of [`PolicySpec::ALL`], the classic trio plus the policies added on
 /// the unified `afs-sched` layer.
 fn run_matrix() -> Vec<[(RunReport, NativeReport); 5]> {
+    let none = FaultLoad::none();
     smoke_matrix()
         .iter()
-        .map(|s| PolicySpec::ALL.map(|p| (run(&s.sim_config(p)), run_scenario(s, p))))
+        .map(|s| {
+            PolicySpec::ALL.map(|p| {
+                let native = run_native(&native_config(s, p, &none), native_workload(s));
+                (run(&s.sim_config(p, &none)), native)
+            })
+        })
         .collect()
 }
 

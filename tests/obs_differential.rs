@@ -7,18 +7,19 @@
 //! migration, flush charges, steals — are directly comparable. The
 //! backends price time differently by design, but the *rates* are
 //! properties of the scheduling policy, not of the clock; they must
-//! agree within the tolerances documented in `afs_obs::tolerance`.
+//! agree within the tolerances documented in `afs_core::crossval`.
 //!
 //! The suite also locks down recorder purity (attaching a recorder must
 //! not change a deterministic run's report — including the full-horizon
 //! fig06 golden cells) and internal trace consistency on both backends.
 
-use affinity_sched::core::crossval::{smoke_matrix, CrossvalScenario};
-use affinity_sched::core::sim::{run, run_observed};
-use affinity_sched::native::crossval::{run_scenario, run_scenario_recorded};
-use affinity_sched::obs::tolerance::{
-    FLUSH_RATE_TOL, STEAL_RATE_MAX, STREAM_MIGRATION_RATE_TOL, THREAD_MIGRATION_RATE_TOL,
+use affinity_sched::core::crossval::{
+    smoke_matrix, CrossvalScenario, FLUSH_RATE_TOL, STEAL_RATE_MAX, STREAM_MIGRATION_RATE_TOL,
+    THREAD_MIGRATION_RATE_TOL,
 };
+use affinity_sched::core::sim::{run, run_observed};
+use affinity_sched::native::crossval::{native_config, native_workload};
+use affinity_sched::native::{run_native, run_native_recorded, FaultLoad};
 use affinity_sched::obs::{Counters, MemRecorder};
 use affinity_sched::sched::PolicySpec;
 
@@ -46,8 +47,9 @@ fn rates(c: &Counters) -> Rates {
 /// Run one (scenario, policy) cell through both backends with the
 /// recorder attached and return the two traces' counters.
 fn both(s: &CrossvalScenario, p: PolicySpec) -> (Counters, Counters) {
+    let none = FaultLoad::none();
     let mut sim_rec = MemRecorder::new();
-    let (sim_report, _probe) = run_observed(&s.sim_config(p), &mut sim_rec);
+    let (sim_report, _probe) = run_observed(&s.sim_config(p, &none), &mut sim_rec);
     assert!(
         sim_report.stable,
         "{} {}: sim run unstable",
@@ -55,7 +57,8 @@ fn both(s: &CrossvalScenario, p: PolicySpec) -> (Counters, Counters) {
         p.label()
     );
 
-    let (nat_report, nat_rec) = run_scenario_recorded(s, p);
+    let (nat_report, nat_rec) =
+        run_native_recorded(&native_config(s, p, &none), native_workload(s));
     assert_eq!(
         nat_rec.counters.enqueued,
         nat_report.offered,
@@ -143,9 +146,10 @@ fn traces_are_internally_consistent_on_both_backends() {
 fn recorder_attach_does_not_change_the_simulator_report() {
     for s in smoke_matrix() {
         for p in PolicySpec::ALL {
-            let plain = run(&s.sim_config(p));
+            let cfg = s.sim_config(p, &FaultLoad::none());
+            let plain = run(&cfg);
             let mut rec = MemRecorder::new();
-            let (observed, _probe) = run_observed(&s.sim_config(p), &mut rec);
+            let (observed, _probe) = run_observed(&cfg, &mut rec);
             assert_eq!(
                 plain,
                 observed,
@@ -165,8 +169,9 @@ fn recorder_attach_does_not_change_native_accounting() {
     // must be identical with and without the recorder.
     let s = &smoke_matrix()[0];
     for p in PolicySpec::ALL {
-        let plain = run_scenario(s, p);
-        let (recorded, _rec) = run_scenario_recorded(s, p);
+        let cfg = native_config(s, p, &FaultLoad::none());
+        let plain = run_native(&cfg, native_workload(s));
+        let (recorded, _rec) = run_native_recorded(&cfg, native_workload(s));
         let ctx = format!("{} {}", s.label(), p.label());
         assert_eq!(plain.offered, recorded.offered, "{ctx}: offered drifted");
         assert_eq!(plain.outcomes, recorded.outcomes, "{ctx}: outcomes drifted");

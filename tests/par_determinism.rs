@@ -1,6 +1,6 @@
 //! Determinism contract of the parallel experiment executor: for any
 //! worker count, every fan-out layer (`rate_sweep`, `replicate`, the
-//! crossval sim matrix) must produce output *bit-identical* to the
+//! crossval experiments' cell lists) must produce output *bit-identical* to the
 //! serial path. This is what lets the committed golden artifacts stay
 //! byte-for-byte stable while the experiments run on all cores.
 //!
@@ -12,12 +12,15 @@
 use afs_bench::template_with;
 use afs_core::config::{LockPolicy, Paradigm, SystemConfig};
 use afs_core::crossval::{
-    fault_levels, procfault_smoke_scenario, sim_fault_matrix_jobs, sim_matrix_jobs,
-    sim_stream_matrix_jobs, smoke_matrix, stream_smoke_matrix,
+    fault_levels, procfault_smoke_scenario, smoke_matrix, stream_smoke_matrix, STREAM_POLICIES,
 };
 use afs_core::metrics::RunReport;
+use afs_core::par::parallel_map_jobs;
+use afs_core::procfault::FaultLoad;
 use afs_core::replicate::replicate_jobs;
+use afs_core::sim::run;
 use afs_core::sweep::rate_sweep_jobs;
+use afs_sched::{FrontEndKind, PolicySpec};
 
 /// The worker counts compared against the serial reference. `1` pins
 /// the degenerate executor (single worker, but still the parallel code
@@ -95,28 +98,40 @@ fn fig06_cells_parallel_sweep_is_bit_identical() {
     }
 }
 
-/// The ext22 cross-validation matrix's simulator side, serial vs
-/// parallel: cell order and every report bit-identical.
-#[test]
-fn crossval_sim_matrix_parallel_is_bit_identical() {
-    let matrix = smoke_matrix();
-    let serial = sim_matrix_jobs(1, &matrix);
+/// Simulate `cells` serially, then through the executor at every
+/// [`JOB_COUNTS`]: every report bit-identical, in cell order. Returns
+/// the serial reports for the caller's non-vacuity checks.
+fn sim_cells_are_bit_identical<T: Sync + std::fmt::Debug>(
+    name: &str,
+    cells: &[T],
+    config: impl Fn(&T) -> SystemConfig + Sync,
+) -> Vec<RunReport> {
+    let sim = |cell: &T| run(&config(cell));
+    let serial: Vec<RunReport> = cells.iter().map(sim).collect();
     for jobs in JOB_COUNTS {
-        let par = sim_matrix_jobs(jobs, &matrix);
+        let par = parallel_map_jobs(jobs, cells, sim);
         assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a.policy, b.policy, "cell order must be row-major");
-            assert_eq!(a.scenario.seed, b.scenario.seed);
-            assert_reports_identical(
-                &a.report,
-                &b.report,
-                &format!("ext22 {} {:?} jobs {jobs}", a.scenario.label(), a.policy),
-            );
+        for ((cell, a), b) in cells.iter().zip(&serial).zip(&par) {
+            assert_reports_identical(a, b, &format!("{name} {cell:?} jobs {jobs}"));
         }
     }
+    serial
 }
 
-/// The ext24 fault matrix's simulator side — crash, stall and slow-core
+/// The ext22 cross-validation cells' simulator side (smoke matrix ×
+/// every rung), serial vs parallel: every report bit-identical.
+#[test]
+fn crossval_sim_matrix_parallel_is_bit_identical() {
+    let cells: Vec<_> = smoke_matrix()
+        .into_iter()
+        .flat_map(|s| PolicySpec::ALL.map(|p| (s, p)))
+        .collect();
+    sim_cells_are_bit_identical("ext22", &cells, |(s, p)| {
+        s.sim_config(*p, &FaultLoad::none())
+    });
+}
+
+/// The ext24 fault cells' simulator side — crash, stall and slow-core
 /// injection over every policy rung — serial vs parallel: a faulted run
 /// is still a pure function of `(config, seed)`, so every cell
 /// (including its orphan/requeue accounting) must come back
@@ -124,30 +139,21 @@ fn crossval_sim_matrix_parallel_is_bit_identical() {
 #[test]
 fn ext24_fault_matrix_parallel_is_bit_identical() {
     let s = procfault_smoke_scenario();
-    let levels = fault_levels();
-    let serial = sim_fault_matrix_jobs(1, &s, &levels);
+    let cells: Vec<_> = fault_levels()
+        .into_iter()
+        .flat_map(|(level, load)| PolicySpec::ALL.map(|p| (level, load, p)))
+        .collect();
+    let serial =
+        sim_cells_are_bit_identical("ext24", &cells, |(_, load, p)| s.sim_config(*p, load));
     // The faulted levels actually fire in this scenario; otherwise the
     // test degenerates into the clean ext22 case above.
     assert!(
-        serial.iter().any(|c| c.report.proc_crashes > 0),
+        serial.iter().any(|r| r.proc_crashes > 0),
         "smoke scenario must exercise the fault machinery"
     );
-    for jobs in JOB_COUNTS {
-        let par = sim_fault_matrix_jobs(jobs, &s, &levels);
-        assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a.level, b.level, "cell order must be row-major");
-            assert_eq!(a.policy, b.policy, "cell order must be row-major");
-            assert_reports_identical(
-                &a.report,
-                &b.report,
-                &format!("ext24 {} {:?} jobs {jobs}", a.level, a.policy),
-            );
-        }
-    }
 }
 
-/// The ext25 stream matrix's simulator side — NIC front-ends steering a
+/// The ext25 stream cells' simulator side — NIC front-ends steering a
 /// Zipf flow population through bounded learning tables and hashed-LRU
 /// stream caches — serial vs parallel: steering, reordering and
 /// eviction accounting are all part of the pure `(config, seed)`
@@ -155,36 +161,25 @@ fn ext24_fault_matrix_parallel_is_bit_identical() {
 /// `AFS_JOBS` worker count.
 #[test]
 fn ext25_stream_matrix_parallel_is_bit_identical() {
-    let scenarios = stream_smoke_matrix();
-    let serial = sim_stream_matrix_jobs(1, &scenarios);
+    let cells: Vec<_> = stream_smoke_matrix()
+        .into_iter()
+        .flat_map(|s| {
+            FrontEndKind::ALL
+                .into_iter()
+                .flat_map(move |k| STREAM_POLICIES.map(|p| (s, k, p)))
+        })
+        .collect();
+    let serial = sim_cells_are_bit_identical("ext25", &cells, |(s, k, p)| s.sim_config(*k, *p));
     // The front-end machinery must actually fire; otherwise this test
     // degenerates into the clean ext22 case above.
     assert!(
-        serial.iter().any(|c| c.report.table_misses > 0),
+        serial.iter().any(|r| r.table_misses > 0),
         "stream smoke matrix must exercise the steering tables"
     );
     assert!(
-        serial.iter().any(|c| c.report.ooo_deliveries > 0),
+        serial.iter().any(|r| r.ooo_deliveries > 0),
         "stream smoke matrix must exercise the reordering counter"
     );
-    for jobs in JOB_COUNTS {
-        let par = sim_stream_matrix_jobs(jobs, &scenarios);
-        assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a.frontend, b.frontend, "cell order must be row-major");
-            assert_eq!(a.policy, b.policy, "cell order must be row-major");
-            assert_reports_identical(
-                &a.report,
-                &b.report,
-                &format!(
-                    "ext25 {} {} {:?} jobs {jobs}",
-                    a.scenario.label(),
-                    a.frontend.label(),
-                    a.policy
-                ),
-            );
-        }
-    }
 }
 
 /// The native backend's arbitration telemetry under executor fan-out:
@@ -196,8 +191,7 @@ fn ext25_stream_matrix_parallel_is_bit_identical() {
 /// `AFS_JOBS` worker count.
 #[test]
 fn native_claim_telemetry_parallel_is_bit_identical() {
-    use affinity_sched::core::par::parallel_map_jobs;
-    use affinity_sched::native::{run_native, zipf_workload, NativeConfig, Pinning, PolicySpec};
+    use affinity_sched::native::{run_native, zipf_workload, NativeConfig, Pinning};
 
     let cells: Vec<(PolicySpec, usize)> = [PolicySpec::Locking, PolicySpec::Ips]
         .into_iter()

@@ -150,7 +150,7 @@ fn smoke_crossval_cells_are_bit_identical_to_pre_refactor() {
             .into_iter()
             .find(|p| p.label() == label)
             .expect("classic policy present");
-        let r = run(&s.sim_config(p));
+        let r = run(&s.sim_config(p, &FaultLoad::none()));
         assert_eq!(
             r.mean_delay_us.to_bits(),
             delay,
