@@ -46,8 +46,10 @@ pub fn native_workload(s: &CrossvalScenario) -> Vec<NativePacket> {
 /// Bound on distinct engine sessions for the million-stream scenarios.
 ///
 /// Native sessions demux by UDP port, a u16 space the driver fills from
-/// `PORT_BASE` — so the backend can carry at most ~60 000 *sessions*,
-/// while the NIC front-end steers the full flow population. Flows fold
+/// `PORT_BASE` — so the backend can carry at most
+/// [`PORT_STREAMS`][afs_xkernel::driver::PORT_STREAMS] = 60 536
+/// *sessions* (a run needing more panics at start), while the NIC
+/// front-end steers the full flow population. Flows fold
 /// onto `flow % m` sessions (the fold is the identity for populations
 /// under the bound), exactly how a real host carries 10⁵–10⁶ flows over
 /// a bounded session table.

@@ -36,6 +36,7 @@ use afs_desim::rng::RngFactory;
 use afs_desim::stats::Welford;
 use afs_obs::{MemRecorder, ObsEvent, Recorder as _};
 use afs_sched::{ClaimTable, FrontEndState, Route, RouterState, SchedView as _};
+use afs_xkernel::driver::{PacketFactory, PORT_STREAMS};
 use afs_xkernel::mt::owner_of;
 use afs_xkernel::{lock_overhead_cycles, ProtocolEngine, StreamId};
 use parking_lot::Mutex;
@@ -49,6 +50,7 @@ use crate::worker::{Job, Shared, Worker, WorkerResult, PREV_NONE};
 
 /// One packet handed to the dispatcher by its arrival source.
 pub(crate) struct Arrival {
+    /// The frame; empty on a serving run until stage 6 builds it.
     pub(crate) bytes: Vec<u8>,
     pub(crate) stream: StreamId,
     pub(crate) arrival_us: f64,
@@ -66,8 +68,9 @@ pub(crate) struct Pipeline<'a> {
     pub(crate) admit: Option<usize>,
     /// Where to merge the run's observability trace, if recording.
     pub(crate) obs: Option<&'a mut MemRecorder>,
-    /// Frame-buffer pool spent and tail-dropped buffers return to.
-    pub(crate) pool: Option<&'a RingQueue<Vec<u8>>>,
+    /// `Some(payload bytes)`: the arrivals are descriptors, and stage 6
+    /// builds each placed packet's frame into a pooled buffer.
+    pub(crate) frames: Option<usize>,
     /// Called on the dispatcher thread after every offered packet.
     pub(crate) tick: Option<&'a mut Tick<'a>>,
 }
@@ -155,6 +158,11 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     // Session space: flows fold onto `flow % sessions` engine sessions
     // (the identity when unbounded).
     let sessions = cfg.session_space.map_or(p.flows, |m| m.min(p.flows.max(1)));
+    assert!(
+        sessions <= PORT_STREAMS,
+        "{sessions} sessions exceed the {PORT_STREAMS} distinct UDP ports; \
+         bound NativeConfig::session_space"
+    );
     // Engines: one shared stack for the locked policies, one per worker
     // for IPS. Sessions bind to the stack that owns them.
     let shared_stack = cfg.layout.shared_stack;
@@ -166,7 +174,6 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
                     .map(StreamId)
                     .filter(|&s| shared_stack || owner_of(s, w) == stack)
             };
-            e.table.reserve(owned().count());
             owned().for_each(|s| e.bind_stream(s));
             Mutex::new(e)
         })
@@ -185,6 +192,18 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     let worker_faults: Vec<WorkerFaults> = (0..w)
         .map(|i| WorkerFaults::from_plan(&cfg.faults, i))
         .collect();
+    // The frame-buffer pool: every buffer that can be out at once — a
+    // full ring per worker, a train in service per worker, the one
+    // stage 6 is filling — plus slack, minted now so the steady state
+    // never allocates. A staged or dropped packet holds none.
+    let pool = p.frames.map(|payload_bytes| {
+        let n = w * cfg.queue_capacity + w * cfg.batch.max(1) + 64;
+        let pool = RingQueue::with_capacity(n);
+        for _ in 0..n {
+            let _ = pool.push(Vec::with_capacity(payload_bytes + 64));
+        }
+        pool
+    });
     let sh = Shared {
         cfg,
         engines: &engines,
@@ -196,13 +215,13 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
         escrow: &escrow,
         lock_cycles: lock_overhead_cycles(&cfg.cost),
         sessions: sessions.max(1),
-        recycle: p.pool,
+        recycle: pool.as_ref(),
         progress: p.tick.is_some().then_some(&progress),
     };
     let record_obs = p.obs.is_some();
+    let mut d = Dispatcher::new(sh, &p, &worker_faults);
     let mut tick = p.tick;
     let mut results: Vec<WorkerResult> = Vec::with_capacity(w);
-    let mut d = Dispatcher::new(sh, p.flows, p.admit, &worker_faults, record_obs);
     std::thread::scope(|scope| {
         let handles: Vec<_> = worker_faults
             .iter()
@@ -270,6 +289,14 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
 
 const NO_POOL: &str = "a shared-pool route requires a pooled layout";
 
+/// The `seq`-th offered packet's frame, as the serving generator would
+/// have built it: its factory's per-call ident counter gives that
+/// packet ident `seq + 1`.
+fn frame_of(seq: u64, session: StreamId, payload_bytes: usize, out: &mut Vec<u8>) {
+    let ident = (seq as u16).wrapping_add(1);
+    PacketFactory::new().frame_at(ident, session, payload_bytes, out);
+}
+
 /// Dispatcher-thread state: the routing models, the claim table and the
 /// deterministic owner tracking. One method per stage.
 struct Dispatcher<'a> {
@@ -298,19 +325,15 @@ struct Dispatcher<'a> {
     stealing: bool,
     staged: HashMap<u64, Job>,
     resolved: Vec<afs_sched::Claim>,
+    /// See [`Pipeline::frames`].
+    frames: Option<usize>,
     rec: Option<MemRecorder>,
     ledger: Ledger,
 }
 
 impl<'a> Dispatcher<'a> {
-    fn new(
-        sh: Shared<'a>,
-        flows: u32,
-        admit: Option<usize>,
-        worker_faults: &'a [WorkerFaults],
-        record_obs: bool,
-    ) -> Self {
-        let cfg = sh.cfg;
+    fn new(sh: Shared<'a>, p: &Pipeline<'_>, worker_faults: &'a [WorkerFaults]) -> Self {
+        let (cfg, flows, admit) = (sh.cfg, p.flows, p.admit);
         let w = cfg.workers;
         let pricer = DispatchPricer::new(&ExecParams::calibrated().model);
         let t_warm = pricer.t_warm_us();
@@ -331,8 +354,13 @@ impl<'a> Dispatcher<'a> {
         // A worker's undelivered completions are spaced one estimated
         // service apart on its drain clock, so there are never more of
         // them than its modeled backlog — which admission holds at or
-        // under the bound. The heap never outgrows this reserve.
-        let feedback_reserve = admit.map_or(0, |cap| w * (cap + 2));
+        // under the bound. The heap never outgrows this reserve. Staged
+        // claims are jobs not yet started on the claim model's clocks,
+        // which drain at the same rate, and stay under the same bound;
+        // at twice it, the map clears the tombstones removals leave by
+        // rehashing in place instead of growing.
+        let backlog_reserve = admit.map_or(0, |cap| w * (cap + 2));
+        let stealing = claims.is_some() && !cfg.layout.pooled_queue;
         Dispatcher {
             sh,
             admit,
@@ -341,14 +369,15 @@ impl<'a> Dispatcher<'a> {
             pricer,
             rstate,
             fes,
-            feedback: BinaryHeap::with_capacity(feedback_reserve),
+            feedback: BinaryHeap::with_capacity(backlog_reserve),
             prev_stream: vec![PREV_NONE; flows as usize],
             prev_thread: vec![PREV_NONE; w],
-            stealing: claims.is_some() && !cfg.layout.pooled_queue,
+            stealing,
             claims,
-            staged: HashMap::new(),
+            staged: HashMap::with_capacity(if stealing { 2 * backlog_reserve } else { 0 }),
             resolved: Vec::new(),
-            rec: record_obs.then(MemRecorder::new),
+            frames: p.frames,
+            rec: p.obs.is_some().then(MemRecorder::new),
             ledger: Ledger::default(),
         }
     }
@@ -369,9 +398,6 @@ impl<'a> Dispatcher<'a> {
         let (route, rebind_from) = self.steer(flow, t, seq);
         if !self.admits(route, t) {
             self.ledger.dropped += 1;
-            if let Some(pool) = self.sh.recycle {
-                let _ = pool.push(a.bytes);
-            }
             return;
         }
         self.ledger.admitted += 1;
@@ -582,13 +608,25 @@ impl<'a> Dispatcher<'a> {
     /// order for orphans the watchdog requeues at `requeued_at` — so
     /// previous-owner stamping, ring content and the trace are pure
     /// functions of the arrival stream at any worker count and any
-    /// batch size.
+    /// batch size. On a serving run it also builds the frame, so only
+    /// a placed packet ever holds a buffer.
     fn enqueue(&mut self, mut job: Job, claimant: usize, requeued_at: Option<f64>) {
         let me = claimant as u32;
         let (seq, stream, arrival_us) = (job.seq, job.pkt.stream.0, job.pkt.arrival_us);
         let tid = job.thread.map_or(claimant, |pool| pool as usize);
         job.prev_stream_owner = std::mem::replace(&mut self.prev_stream[stream as usize], me);
         job.prev_thread_owner = std::mem::replace(&mut self.prev_thread[tid], me);
+        if let (Some(payload_bytes), Some(pool)) = (self.frames, self.sh.recycle) {
+            // Every buffer out means a worker is about to hand one back.
+            job.pkt.bytes = loop {
+                match pool.pop() {
+                    Some(b) => break b,
+                    None => std::thread::yield_now(),
+                }
+            };
+            let session = StreamId(stream % self.sh.sessions);
+            frame_of(seq, session, payload_bytes, &mut job.pkt.bytes);
+        }
         let ring = &self.sh.queues[claimant];
         // Admitted ⇒ delivered: a full ring blocks the dispatcher until
         // the worker drains (back-pressure, never loss).
@@ -679,6 +717,29 @@ impl<'a> Dispatcher<'a> {
             });
             self.enqueue(job, target, Some(t_us));
             self.ledger.requeued += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::zipf_workload;
+
+    #[test]
+    fn stage_6_frames_equal_the_generators_across_the_ident_wrap() {
+        let (sessions, payload_bytes) = (7, 16);
+        let packets = zipf_workload(100, 65_538, 1e5, 1.1, 4.0, Some(sessions), payload_bytes, 3);
+        for seq in 65_534..65_538u64 {
+            let p = &packets[seq as usize];
+            let mut frame = Vec::new();
+            frame_of(
+                seq,
+                StreamId(p.stream.0 % sessions),
+                payload_bytes,
+                &mut frame,
+            );
+            assert_eq!(frame, p.bytes, "seq {seq}");
         }
     }
 }

@@ -127,7 +127,9 @@ pub struct NativeConfig {
     /// stream, the legacy layout). `Some(m)` demultiplexes flows onto
     /// `flow % m` UDP sessions — how a real host carries 10⁵–10⁶ flows
     /// over a bounded session table (and over the driver's 16-bit port
-    /// space, which caps distinct native sessions near 60 000). The
+    /// space, which carries at most
+    /// [`PORT_STREAMS`][afs_xkernel::driver::PORT_STREAMS] = 60 536
+    /// distinct sessions; a run needing more panics at start). The
     /// workload generator must be built with the same `m`
     /// ([`zipf_workload`] takes it as a parameter).
     pub session_space: Option<u32>,
@@ -326,6 +328,16 @@ impl ZipfPacketGen {
     /// (cleared first; allocation-free once the buffer's capacity covers
     /// the frame). Returns the packet's flow id and arrival stamp.
     pub fn next_into(&mut self, buf: &mut Vec<u8>) -> (StreamId, f64) {
+        let (flow, t) = self.next_arrival();
+        self.factory
+            .frame_into(StreamId(flow.0 % self.sessions), self.payload_bytes, buf);
+        (flow, t)
+    }
+
+    /// [`next_into`](Self::next_into) without the frame: the packet's
+    /// flow id and arrival stamp. A serving run draws only these and
+    /// builds the frames of the packets it places.
+    pub(crate) fn next_arrival(&mut self) -> (StreamId, f64) {
         if self.pending == 0 {
             self.t += self.gap.sample(&mut self.gaps_rng);
             // Categorical flow draw by cumulative weight (binary search).
@@ -345,11 +357,6 @@ impl ZipfPacketGen {
             self.pending = burst;
         }
         self.pending -= 1;
-        self.factory.frame_into(
-            StreamId(self.pending_flow % self.sessions),
-            self.payload_bytes,
-            buf,
-        );
         (StreamId(self.pending_flow), self.t)
     }
 }
@@ -512,7 +519,7 @@ fn replay(
         flows,
         admit: None,
         obs,
-        pool: None,
+        frames: None,
         tick: None,
     };
     let t = dispatch(pipeline, arrivals);
@@ -764,6 +771,18 @@ mod tests {
         assert!(steal_events.iter().all(|&(from, to)| from == 0 && to == 1));
         // Stolen packets pay the handoff lock.
         assert_eq!(rec.counters.lock_charges, r.steals);
+    }
+
+    #[test]
+    #[should_panic(expected = "60537 sessions exceed the 60536 distinct UDP ports")]
+    fn a_session_space_past_the_port_space_is_rejected() {
+        // No session fold, and a flow id one past the port space.
+        let last = NativePacket {
+            bytes: Vec::new(),
+            stream: StreamId(afs_xkernel::driver::PORT_STREAMS),
+            arrival_us: 1.0,
+        };
+        run_native(&cfg(1, PolicySpec::Locking), vec![last]);
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //!
 //! * **The arrival source** is an open-loop Zipf × compound-Poisson
 //!   generator ([`crate::runtime::ZipfPacketGen`]) instead of a
-//!   materialized `Vec`, so run length does not bound memory. Frame
-//!   buffers live in a fixed-size object pool ([`RingQueue<Vec<u8>>`]):
-//!   the source pops a spent buffer and refills it in place
-//!   ([`ZipfPacketGen::next_into`]), the processing worker returns it
-//!   after the engine's borrow ends. Every per-flow table is pre-sized,
-//!   so after warm-up the per-packet path never calls the allocator —
-//!   pinned by the counting-allocator test in `tests/alloc_free.rs`.
+//!   materialized `Vec`, so run length does not bound memory. It yields
+//!   descriptors (flow, arrival stamp); the dispatcher builds a frame
+//!   only for a packet it places (stage 6, DESIGN.md §9), byte-identical
+//!   to the generator's own, into a buffer from a fixed pool sized for
+//!   the rings, and the processing worker returns the buffer after the
+//!   engine's borrow ends. A dropped packet never touches a buffer.
+//!   Every per-flow table is pre-sized, so after warm-up the per-packet
+//!   path never calls the allocator — pinned by the counting-allocator
+//!   test in `tests/alloc_free.rs`.
 //! * **The admission bound** is [`NativeConfig::queue_capacity`] instead
 //!   of none: a packet whose steered worker already holds that many
 //!   modeled-backlog packets on the router's drain clock is tail-dropped
@@ -40,7 +42,6 @@ use afs_sched::{FrontEndKind, FrontEndPlan, PolicySpec};
 
 use crate::crossval::NATIVE_SESSION_SPACE;
 use crate::dispatch::{dispatch, Arrival, Ledger, Pipeline, Tick};
-use crate::ring::RingQueue;
 use crate::runtime::{NativeConfig, OutcomeTotals, WorkerStats, ZipfPacketGen};
 
 /// Default Flow-Director steering-table capacity for serving runs
@@ -218,13 +219,12 @@ pub fn current_rss_kb() -> u64 {
 /// line per interval) when both a sink and
 /// [`ServeConfig::snapshot_every`] are given.
 ///
-/// Serving as a run of the shared pipeline: an open-loop generator
-/// refilling pooled frame buffers as the arrival source, the modeled
+/// Serving as a run of the shared pipeline: an open-loop generator of
+/// packet descriptors as the arrival source, the modeled
 /// backlog bound [`NativeConfig::queue_capacity`] as the admission
 /// bound, and no recorder.
 pub fn run_serve(cfg: &ServeConfig, mut sink: Option<&mut dyn Write>) -> ServeReport {
     let n = &cfg.native;
-    let w = n.workers;
     assert!(cfg.streams >= 1 && cfg.offered_pps > 0.0 && cfg.batch_mean >= 1.0);
     let plan = n
         .frontend
@@ -234,28 +234,6 @@ pub fn run_serve(cfg: &ServeConfig, mut sink: Option<&mut dyn Write>) -> ServeRe
         "fault plans are a replay-path feature; the serving path has no watchdog"
     );
     let t0 = Instant::now();
-
-    // The frame-buffer object pool: sized to cover every buffer that
-    // can be in flight at once (ring slots + in-service trains + the
-    // dispatcher's hand) and minted eagerly at setup, each with the
-    // full frame capacity (49 header bytes + payload, with slack), so
-    // the steady-state loop never calls the allocator — not even on a
-    // host-scheduling hiccup that drains the pool deeper than any
-    // previous instant. A stealing layout stages admitted packets
-    // (buffers and all) in the claim table until the model resolves
-    // their claimant, so its in-flight population can transiently reach
-    // a second ring's worth on top of the physical rings. The other
-    // rungs keep the original sizing — the allocation-free pin in
-    // `tests/alloc_free.rs` measures exactly that footprint.
-    let batch = n.batch.max(1);
-    let rings = if n.layout.steal.is_some() { 2 } else { 1 };
-    let max_bufs = rings * w * n.queue_capacity + w * batch + 64;
-    let pool: RingQueue<Vec<u8>> = RingQueue::with_capacity(max_bufs);
-    for _ in 0..max_bufs {
-        pool.push(Vec::with_capacity(cfg.payload_bytes + 64))
-            .expect("pool ring sized for the full population");
-    }
-
     let mut gen = ZipfPacketGen::new(
         cfg.streams,
         cfg.offered_pps,
@@ -267,17 +245,7 @@ pub fn run_serve(cfg: &ServeConfig, mut sink: Option<&mut dyn Write>) -> ServeRe
     );
     let mut offered = 0u64;
     let arrivals = std::iter::from_fn(|| {
-        // A spent buffer from the pre-minted population. With every
-        // buffer in flight the dispatcher waits for a worker to hand
-        // one back — backpressure through the pool, the same
-        // degradation contract as a full ring.
-        let mut bytes = loop {
-            match pool.pop() {
-                Some(b) => break b,
-                None => std::thread::yield_now(),
-            }
-        };
-        let (stream, arrival_us) = gen.next_into(&mut bytes);
+        let (stream, arrival_us) = gen.next_arrival();
         offered += 1;
         if offered == cfg.warmup_packets {
             if let Some(hook) = cfg.on_steady {
@@ -285,7 +253,7 @@ pub fn run_serve(cfg: &ServeConfig, mut sink: Option<&mut dyn Write>) -> ServeRe
             }
         }
         Some(Arrival {
-            bytes,
+            bytes: Vec::new(),
             stream,
             arrival_us,
             record: offered > cfg.warmup_packets,
@@ -312,7 +280,7 @@ pub fn run_serve(cfg: &ServeConfig, mut sink: Option<&mut dyn Write>) -> ServeRe
         flows: cfg.streams,
         admit: Some(n.queue_capacity),
         obs: None,
-        pool: Some(&pool),
+        frames: Some(cfg.payload_bytes),
         tick,
     };
     let t = dispatch(pipeline, arrivals);
@@ -328,8 +296,8 @@ pub fn run_serve(cfg: &ServeConfig, mut sink: Option<&mut dyn Write>) -> ServeRe
     ServeReport {
         policy: n.spec.label(),
         frontend: plan.config.kind.label(),
-        workers: w,
-        batch,
+        workers: n.workers,
+        batch: n.batch.max(1),
         offered: t.ledger.offered,
         admitted: t.ledger.admitted,
         dropped: t.ledger.dropped,

@@ -99,8 +99,8 @@ pub(crate) struct Shared<'a> {
     /// sessions (the identity when `session_space` is unset).
     pub(crate) sessions: u32,
     /// Frame-buffer pool: after a frame is processed its byte buffer is
-    /// returned here for the arrival source to refill (allocation-free
-    /// steady state). `None` drops buffers.
+    /// returned here for stage 6 to refill (allocation-free steady
+    /// state). `None` drops buffers.
     pub(crate) recycle: Option<&'a RingQueue<Vec<u8>>>,
     /// Live progress gauge: incremented once per processed packet.
     pub(crate) progress: Option<&'a AtomicU64>,

@@ -22,9 +22,14 @@ pub const HOST_ADDR: Ipv4Addr = Ipv4Addr(0x0A00_0001); // 10.0.0.1
 /// The receiving host's station address.
 pub const HOST_MAC: MacAddr = MacAddr([0x02, 0x00, 0, 0, 0, 1]);
 
-/// Destination UDP port for a stream.
+/// Streams the port space carries: ids `0..PORT_STREAMS` (60 536) take
+/// the distinct ports `PORT_BASE..=65 535`.
+pub const PORT_STREAMS: u32 = (u16::MAX - PORT_BASE) as u32 + 1;
+
+/// Destination UDP port for a stream. Ids from [`PORT_STREAMS`] on wrap
+/// onto ports already taken.
 pub fn port_of(stream: StreamId) -> u16 {
-    PORT_BASE + stream.0 as u16
+    PORT_BASE.wrapping_add(stream.0 as u16)
 }
 
 /// Source host address for a stream (each stream has its own peer).
@@ -106,11 +111,17 @@ impl PacketFactory {
     /// payload pattern, same checksums, same ident sequence — which the
     /// byte-identity test below pins against the layer builders.
     pub fn frame_into(&mut self, stream: StreamId, payload_len: usize, out: &mut Vec<u8>) {
+        self.ident = self.ident.wrapping_add(1);
+        self.frame_at(self.ident, stream, payload_len, out);
+    }
+
+    /// [`frame_into`](Self::frame_into)'s frame with IP ident `ident`,
+    /// leaving the factory's own ident sequence where it was.
+    pub fn frame_at(&self, ident: u16, stream: StreamId, payload_len: usize, out: &mut Vec<u8>) {
         assert!(
             ip::HEADER_LEN + udp::HEADER_LEN + payload_len <= fddi::MAX_PAYLOAD,
             "factory payloads fit the FDDI MTU"
         );
-        self.ident = self.ident.wrapping_add(1);
         let src = peer_of(stream);
         out.clear();
         // FDDI header (the layout of `fddi::build_frame`).
@@ -126,7 +137,7 @@ impl PacketFactory {
         let total = (ip::HEADER_LEN + udp::HEADER_LEN + payload_len) as u16;
         let iph = ip::build_header(
             total,
-            self.ident,
+            ident,
             true,
             false,
             0,

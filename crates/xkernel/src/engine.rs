@@ -534,7 +534,7 @@ impl ProtocolEngine {
             self.touch_stream(&mut ctx, stream, cost.stream_write_bytes);
             let payload = msg.len();
             let accepted = match segment {
-                None => self.deliver(stream, ih.src, src_port, payload),
+                None => self.deliver(dst_port, ih.src, src_port, payload),
                 Some(th) => {
                     let Some(session) = self.tcp_sessions.get_mut(&stream) else {
                         break 'rx Verdict::NoSession { port: dst_port };
@@ -549,7 +549,7 @@ impl ProtocolEngine {
                     };
                     if let tcp::TcpDisposition::Delivered { bytes } = d {
                         if bytes > 0 {
-                            self.deliver(stream, ih.src, src_port, bytes);
+                            self.deliver(dst_port, ih.src, src_port, bytes);
                         }
                     }
                     disposition = Some(d);
@@ -724,18 +724,12 @@ impl ProtocolEngine {
         );
     }
 
-    /// Hand `bytes` of payload to `stream`'s user queue; false when the
-    /// queue is full and the payload was shed.
-    fn deliver(
-        &mut self,
-        stream: StreamId,
-        src: ip::Ipv4Addr,
-        src_port: u16,
-        bytes: usize,
-    ) -> bool {
+    /// Hand `bytes` of payload to the user queue of `port`'s session;
+    /// false when the queue is full and the payload was shed.
+    fn deliver(&mut self, port: u16, src: ip::Ipv4Addr, src_port: u16, bytes: usize) -> bool {
         self.table
-            .session_mut(stream)
-            .expect("demuxed stream has a session")
+            .port_session_mut(port)
+            .expect("a demuxed port has a session")
             .deliver(src, src_port, bytes)
     }
 

@@ -9,9 +9,7 @@
 //! per-stream (`Stream`) state whose cache residency the paper's
 //! affinity policies try to preserve.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
+use crate::driver::port_of;
 use crate::ip::Ipv4Addr;
 
 /// Identifies one stream (connection) end-to-end.
@@ -76,37 +74,32 @@ impl SessionState {
     }
 }
 
-/// Hasher for the table's integer keys: the key's bytes as one integer,
-/// one multiplication (Fibonacci hashing) and a fold of the high half
-/// into the low bits the map indexes by, instead of SipHash. Only `bind`
-/// inserts keys, and it takes them from the run's own configuration; a
-/// port off the wire is only looked up, so it cannot lengthen a probe
-/// sequence.
-#[derive(Default)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        let key = bytes.iter().fold(self.0, |k, &b| k << 8 | u64::from(b));
-        let x = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = x ^ (x >> 32);
-    }
-}
-
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-
 /// The UDP demux map plus session storage.
 ///
-/// Ports map to streams; each stream owns one session. In the IPS
-/// paradigm every independent stack instance holds its own `SessionTable`
-/// (no sharing, no locking); under Locking a single table is shared.
-#[derive(Debug, Default)]
+/// Each bound port owns one session, opened for one stream. Demux is an
+/// index: a slot per port of the u16 space holds 0 (unbound) or one
+/// plus the session's place in compact storage, which holds only the
+/// sessions this table bound. The slots come in pages of 4 096
+/// ports, each allocated zeroed by the first bind into it, so binding
+/// `n` ports costs `n` pushes plus the pages they fall in — an IPS
+/// stack that owns `1/w` of the streams stores `1/w` of the sessions.
+/// A stream's session is the one at its own port ([`port_of`]). In the
+/// IPS paradigm every independent stack instance holds its own
+/// `SessionTable` (no sharing, no locking); under Locking a single
+/// table is shared.
+#[derive(Default)]
 pub struct SessionTable {
-    ports: IntMap<u16, StreamId>,
-    sessions: IntMap<StreamId, SessionState>,
+    slots: [Option<Box<[u32; PAGE]>>; (1 << 16) / PAGE],
+    sessions: Vec<(StreamId, SessionState)>,
+}
+
+/// Ports per page of [`SessionTable`] slots.
+const PAGE: usize = 4096;
+
+impl std::fmt::Debug for SessionTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(&self.sessions).finish()
+    }
 }
 
 /// Errors from session-table operations.
@@ -132,35 +125,51 @@ impl SessionTable {
         Self::default()
     }
 
-    /// Make room for `n` more bindings, so binding a known population
-    /// sizes both maps once instead of growing them by rehashing.
-    pub fn reserve(&mut self, n: usize) {
-        self.ports.reserve(n);
-        self.sessions.reserve(n);
+    /// Bind `port` to `stream`, opening the port's session. Rebinding a
+    /// port to its own stream is a no-op.
+    pub fn bind(&mut self, port: u16, stream: StreamId) -> Result<(), BindError> {
+        match self.slot(port) {
+            None => {
+                self.sessions.push((stream, SessionState::default()));
+                let page =
+                    self.slots[port as usize / PAGE].get_or_insert_with(|| Box::new([0; PAGE]));
+                page[port as usize % PAGE] = self.sessions.len() as u32;
+                Ok(())
+            }
+            Some(i) if self.sessions[i].0 == stream => Ok(()),
+            Some(_) => Err(BindError::PortInUse(port)),
+        }
     }
 
-    /// Bind `port` to `stream`, creating its session.
-    pub fn bind(&mut self, port: u16, stream: StreamId) -> Result<(), BindError> {
-        if *self.ports.entry(port).or_insert(stream) != stream {
-            return Err(BindError::PortInUse(port));
-        }
-        self.sessions.entry(stream).or_default();
-        Ok(())
+    fn slot(&self, port: u16) -> Option<usize> {
+        let page = self.slots[port as usize / PAGE].as_ref()?;
+        page[port as usize % PAGE]
+            .checked_sub(1)
+            .map(|i| i as usize)
     }
 
     /// Demultiplex a destination port to its stream.
     pub fn demux(&self, port: u16) -> Option<StreamId> {
-        self.ports.get(&port).copied()
+        self.slot(port).map(|i| self.sessions[i].0)
     }
 
-    /// Session state for a stream.
+    /// The session `port` owns.
+    pub(crate) fn port_session_mut(&mut self, port: u16) -> Option<&mut SessionState> {
+        self.slot(port).map(|i| &mut self.sessions[i].1)
+    }
+
+    /// Session state for a stream: its own port's session, if that port
+    /// is bound to it.
     pub fn session(&self, stream: StreamId) -> Option<&SessionState> {
-        self.sessions.get(&stream)
+        let (s, state) = &self.sessions[self.slot(port_of(stream))?];
+        (*s == stream).then_some(state)
     }
 
-    /// Mutable session state for a stream.
+    /// Mutable session state for a stream (see [`session`](Self::session)).
     pub fn session_mut(&mut self, stream: StreamId) -> Option<&mut SessionState> {
-        self.sessions.get_mut(&stream)
+        let i = self.slot(port_of(stream))?;
+        let (s, state) = &mut self.sessions[i];
+        (*s == stream).then_some(state)
     }
 }
 
@@ -192,19 +201,6 @@ mod tests {
         t.bind(5001, StreamId(0)).unwrap();
         t.bind(5001, StreamId(0)).unwrap();
         assert_eq!(t.bind(5001, StreamId(1)), Err(BindError::PortInUse(5001)));
-    }
-
-    #[test]
-    fn reserve_changes_no_binding() {
-        let mut t = SessionTable::new();
-        t.bind(5001, StreamId(0)).unwrap();
-        t.reserve(1000);
-        assert_eq!(t.demux(5001), Some(StreamId(0)));
-        assert_eq!(t.demux(5002), None);
-        t.bind(5001, StreamId(0)).unwrap();
-        t.bind(5002, StreamId(1)).unwrap();
-        assert_eq!(t.demux(5002), Some(StreamId(1)));
-        assert!(t.session(StreamId(1)).is_some());
     }
 
     #[test]

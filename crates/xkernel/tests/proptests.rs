@@ -2,12 +2,14 @@
 //! round-trips with arbitrary payloads, corruption detection, message
 //! push/pop inverses, and checksum algebra.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use afs_xkernel::driver::{self, PacketFactory, RxFrame};
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::msg::{internet_checksum, ones_complement_sum, Message};
-use afs_xkernel::proto::StreamId;
+use afs_xkernel::proto::{BindError, SessionState, SessionTable, StreamId};
 use afs_xkernel::{fddi, ip, udp, CostModel, ProtocolEngine, ThreadId};
 
 proptest! {
@@ -214,6 +216,69 @@ proptest! {
         prop_assert_eq!(t.payload_bytes, len);
         prop_assert_eq!(t.stream, StreamId(stream));
         prop_assert!(t.us > 0.0 && t.us < 1_000.0);
+    }
+
+    /// The port-indexed session table against a map oracle: one session
+    /// per bound port, a stream's session is the one at its own port.
+    /// The stream pool puts home ports at both ends of the u16 space
+    /// (60 535 → 65 535, 60 536 → 0) and folds ids a port-space apart
+    /// onto one port (0 and 65 536), so `PortInUse`, idempotent rebinds
+    /// and lookups of streams whose port another stream holds all occur.
+    #[test]
+    fn session_table_matches_a_map_oracle(
+        ops in prop::collection::vec((0u8..5, 0usize..8, 0u8..8, any::<u16>()), 1..200),
+    ) {
+        const STREAMS: [u32; 8] = [0, 1, 2, 3, 60_535, 60_536, 65_536, u32::MAX];
+        let mut table = SessionTable::new();
+        let mut oracle: HashMap<u16, (StreamId, SessionState)> = HashMap::new();
+        for (op, si, port_pick, random_port) in ops {
+            let stream = StreamId(STREAMS[si]);
+            let port = match port_pick {
+                0..=2 => driver::port_of(stream),
+                3 => 0,
+                4 => u16::MAX,
+                5 => driver::PORT_BASE + u16::from(port_pick),
+                _ => random_port,
+            };
+            let home = |o: &HashMap<u16, (StreamId, SessionState)>| {
+                o.get(&driver::port_of(stream))
+                    .filter(|(s, _)| *s == stream)
+                    .map(|(_, st)| st.clone())
+            };
+            match op {
+                0 => {
+                    let expect = match oracle.get(&port) {
+                        None => {
+                            oracle.insert(port, (stream, SessionState::default()));
+                            Ok(())
+                        }
+                        Some((s, _)) if *s == stream => Ok(()),
+                        Some(_) => Err(BindError::PortInUse(port)),
+                    };
+                    prop_assert_eq!(table.bind(port, stream), expect);
+                }
+                1 => prop_assert_eq!(table.demux(port), oracle.get(&port).map(|(s, _)| *s)),
+                2 => prop_assert_eq!(table.session(stream).cloned(), home(&oracle)),
+                _ => {
+                    let want = oracle
+                        .get_mut(&driver::port_of(stream))
+                        .filter(|(s, _)| *s == stream)
+                        .map(|(_, st)| st);
+                    let got = table.session_mut(stream);
+                    prop_assert_eq!(got.is_some(), want.is_some());
+                    if let (Some(got), Some(want)) = (got, want) {
+                        let (a, b) = if op == 3 {
+                            let peer = ip::Ipv4Addr::host(random_port.into());
+                            (got.deliver(peer, port, 64), want.deliver(peer, port, 64))
+                        } else {
+                            (got.consume(), want.consume())
+                        };
+                        prop_assert_eq!(a, b);
+                    }
+                    prop_assert_eq!(table.session(stream).cloned(), home(&oracle));
+                }
+            }
+        }
     }
 
     #[test]
