@@ -81,7 +81,8 @@ pub struct Cache {
     /// tag, reset only by the region's purge and by `flush_all`. Losing
     /// lines leaves it a valid bound.
     low_set: [usize; 6],
-    /// Mutation clock: advanced by every change to `slots` or `lens`.
+    /// Mutation clock: advanced by every call that changes `slots` or
+    /// `lens`, once for all the sets it changes.
     clock: u64,
     /// Per block of `1 << BLOCK_SHIFT` sets, the clock of its last
     /// mutation. No slot or length of a set changes without its block's
@@ -95,6 +96,9 @@ pub struct Cache {
     /// Lines `stateless_run` has walked rather than answered from `memo`.
     #[cfg(test)]
     pub(crate) walked: u64,
+    /// Runs `fill_run` has filled.
+    #[cfg(test)]
+    pub(crate) runs: u64,
     /// Statistics.
     pub stats: CacheStats,
 }
@@ -135,6 +139,8 @@ impl Cache {
             memo: [None; MEMO_ENTRIES],
             #[cfg(test)]
             walked: 0,
+            #[cfg(test)]
+            runs: 0,
             stats: CacheStats::default(),
         }
     }
@@ -171,11 +177,20 @@ impl Cache {
         &self.slots[base..base + self.lens[set] as usize]
     }
 
-    /// Record a change to a slot or the length of `set`.
+    /// Record a change to slots or lengths of the `n` sets from `set` on,
+    /// wrapping past the last: one clock tick, stamped on every block
+    /// they span.
     #[inline]
-    fn touch(&mut self, set: usize) {
+    fn touch(&mut self, set: usize, n: u64) {
         self.clock += 1;
-        self.stamps[set >> BLOCK_SHIFT] = self.clock;
+        let sets = self.lens.len();
+        let end = set + n.min(sets as u64) as usize;
+        if end <= sets {
+            self.stamps[set >> BLOCK_SHIFT..=(end - 1) >> BLOCK_SHIFT].fill(self.clock);
+        } else {
+            self.stamps[set >> BLOCK_SHIFT..].fill(self.clock);
+            self.stamps[..=(end - sets - 1) >> BLOCK_SHIFT].fill(self.clock);
+        }
     }
 
     /// Access a byte address with a read, filling on miss.
@@ -216,7 +231,7 @@ impl Cache {
                 ways[..=pos].rotate_right(1);
             }
             if mutates {
-                self.touch(set);
+                self.touch(set, 1);
             }
             return AccessResult {
                 hit: true,
@@ -229,30 +244,42 @@ impl Cache {
     }
 
     /// The miss branch of [`Cache::access_rw`], less its access counters:
-    /// fill `line`, which no way of `set` holds, at the front of the set,
-    /// evicting the last (least recent) way when the set is full.
+    /// fill `line`, which no way of `set` holds.
     fn fill(&mut self, line: u64, set: usize, region: Region, is_write: bool) -> AccessResult {
         debug_assert!(!self.contains_line(line), "line {line} is resident");
+        let victim = self.place(line, set, region, is_write);
+        let mut lost = [0; 6];
+        if let Some(v) = victim {
+            lost[v.region.index()] = 1;
+        }
+        self.book_fills(set, 1, region, lost);
+        AccessResult {
+            hit: false,
+            evicted: victim.map(|v| (v.line_addr, v.region)),
+            wrote_back: victim.is_some_and(|v| v.dirty),
+        }
+    }
+
+    /// A miss's one step: put `line`, which no way of `set` holds, at the
+    /// front of the set, evicting the last (least recent) way when the set
+    /// is full. Counts the victim's write-back and returns it; the caller
+    /// books the rest with [`Cache::book_fills`].
+    #[inline(always)]
+    fn place(
+        &mut self,
+        line: u64,
+        set: usize,
+        region: Region,
+        is_write: bool,
+    ) -> Option<LineEntry> {
         let base = self.base_of(set);
         let occupied = self.lens[set] as usize;
-        let mut wrote_back = false;
-        let (evicted, moved) = if occupied >= self.geometry.associativity as usize {
-            let victim_pos = occupied - 1;
-            let victim = self.slots[base + victim_pos];
-            // The victim's owner loses a line and the filled line's gains
-            // one, which changes nothing when they are the same.
-            if victim.region != region {
-                self.occupancy[victim.region.index()] -= 1;
-                self.occupancy[region.index()] += 1;
-            }
-            if victim.dirty {
-                self.stats.writebacks += 1;
-                wrote_back = true;
-            }
-            (Some((victim.line_addr, victim.region)), victim_pos)
+        let (victim, moved) = if occupied >= self.geometry.associativity as usize {
+            let victim = self.slots[base + occupied - 1];
+            self.stats.writebacks += u64::from(victim.dirty);
+            (Some(victim), occupied - 1)
         } else {
             self.lens[set] += 1;
-            self.occupancy[region.index()] += 1;
             (None, occupied)
         };
         // The ways ahead of the victim (all of them when nothing is
@@ -265,28 +292,57 @@ impl Cache {
             region,
             dirty: is_write,
         };
-        self.low_set[region.index()] = self.low_set[region.index()].min(set);
-        self.touch(set);
-        AccessResult {
-            hit: false,
-            evicted,
-            wrote_back,
-        }
+        victim
     }
 
-    /// Fill `line` as a miss of [`Cache::access_rw`] would, if no way of
-    /// its set holds it, counting no access: the caller books the misses
-    /// it made here with [`Cache::charge`]. Returns whether it filled.
-    pub(crate) fn fill_absent(&mut self, line: u64, region: Region, is_write: bool) -> bool {
-        let set = self.set_of(line);
-        if self.ways(set).iter().any(|e| e.line_addr == line) {
-            return false;
+    /// Book `filled` lines of `region` placed into the sets from `set` on,
+    /// whose victims' owners lost `lost` lines between them: occupancy, the
+    /// region's lower bound and the stamps, once for the run.
+    fn book_fills(&mut self, set: usize, filled: u64, region: Region, lost: [u64; 6]) {
+        let r = region.index();
+        self.occupancy[r] += filled;
+        for (resident, lost) in self.occupancy.iter_mut().zip(lost) {
+            *resident -= lost;
         }
-        self.fill(line, set, region, is_write);
-        true
+        // A run that wrapped past the last set filled set 0.
+        let low = if set as u64 + filled > self.lens.len() as u64 {
+            0
+        } else {
+            set
+        };
+        self.low_set[r] = self.low_set[r].min(low);
+        self.touch(set, filled);
     }
 
-    /// Count `misses` accesses that [`Cache::fill_absent`] filled and
+    /// Fill the lines from `line` on as misses of [`Cache::access_rw`]
+    /// would, each when its turn comes, up to `n` of them and stopping at
+    /// the first that some way of its set holds; count no access (the
+    /// caller books the misses with [`Cache::charge`]). Returns how many
+    /// it filled. The run is booked once, not once per line.
+    pub(crate) fn fill_run(&mut self, line: u64, n: u64, region: Region, is_write: bool) -> u64 {
+        let first = self.set_of(line);
+        let (mut set, mut lost, mut filled) = (first, [0; 6], 0);
+        while filled < n && !self.ways(set).iter().any(|e| e.line_addr == line + filled) {
+            if let Some(v) = self.place(line + filled, set, region, is_write) {
+                lost[v.region.index()] += 1;
+            }
+            filled += 1;
+            set += 1;
+            if set == self.lens.len() {
+                set = 0;
+            }
+        }
+        if filled > 0 {
+            self.book_fills(first, filled, region, lost);
+            #[cfg(test)]
+            {
+                self.runs += 1;
+            }
+        }
+        filled
+    }
+
+    /// Count `misses` accesses that [`Cache::fill_run`] filled and
     /// `hits` further hits on lines the caller knows are resident, tagged
     /// `region` and most recent in their sets: exactly the counters those
     /// calls of [`Cache::access_rw`] would advance, and nothing else.
@@ -405,31 +461,48 @@ impl Cache {
             .any(|e| e.line_addr == line_addr)
     }
 
-    /// Invalidate a line (back-invalidation from an inclusive outer
-    /// level). Returns true if it was resident.
-    pub fn invalidate_line(&mut self, line_addr: u64) -> bool {
-        let set = self.set_of(line_addr);
-        let base = self.base_of(set);
-        let end = base + self.lens[set] as usize;
-        let Some(pos) = self.slots[base..end]
-            .iter()
-            .position(|e| e.line_addr == line_addr)
-        else {
-            return false;
-        };
-        self.occupancy[self.slots[base + pos].region.index()] -= 1;
-        self.slots.copy_within(base + pos + 1..end, base + pos);
-        self.lens[set] -= 1;
-        self.touch(set);
-        true
+    /// Invalidate the `n` lines from `line_addr` on (back-invalidation
+    /// from an inclusive outer level, or a purge of an address range),
+    /// visiting their sets in order and removing each line where it lies;
+    /// occupancy and the clock are booked once for the run. Returns how
+    /// many were resident.
+    pub fn invalidate_run(&mut self, line_addr: u64, n: u64) -> u64 {
+        let assoc = self.geometry.associativity as usize;
+        let clock = self.clock + 1;
+        let (mut set, mut removed) = (self.set_of(line_addr), [0; 6]);
+        for line in line_addr..line_addr + n {
+            let (base, len) = (set * assoc, self.lens[set] as usize);
+            let ways = &self.slots[base..base + len];
+            if let Some(pos) = ways.iter().position(|e| e.line_addr == line) {
+                removed[ways[pos].region.index()] += 1;
+                self.slots
+                    .copy_within(base + pos + 1..base + len, base + pos);
+                self.lens[set] -= 1;
+                self.stamps[set >> BLOCK_SHIFT] = clock;
+            }
+            set += 1;
+            if set == self.lens.len() {
+                set = 0;
+            }
+        }
+        let total = removed.iter().sum();
+        if total > 0 {
+            self.clock = clock;
+            for (resident, removed) in self.occupancy.iter_mut().zip(removed) {
+                *resident -= removed;
+            }
+        }
+        total
     }
 
     /// Evict every resident line owned by `region`. Returns the number of
     /// lines removed. The scan starts at the region's lower-bound set and
     /// stops at the set where the count reaches the region's occupancy,
-    /// so it costs what it removes and nothing for an absent region.
+    /// so it costs what it removes and nothing for an absent region; the
+    /// clock ticks once for the purge.
     pub fn purge_region(&mut self, region: Region) -> u64 {
         let resident = self.occupancy[region.index()];
+        let clock = self.clock + 1;
         let mut removed = 0;
         let mut set = std::mem::replace(&mut self.low_set[region.index()], self.lens.len());
         while removed < resident {
@@ -446,9 +519,12 @@ impl Cache {
             if kept < len {
                 self.lens[set] = kept as u32;
                 removed += (len - kept) as u64;
-                self.touch(set);
+                self.stamps[set >> BLOCK_SHIFT] = clock;
             }
             set += 1;
+        }
+        if removed > 0 {
+            self.clock = clock;
         }
         self.occupancy[region.index()] -= removed;
         removed
@@ -551,12 +627,38 @@ mod tests {
         let mut c = tiny(1);
         c.access(0, Region::Stream);
         c.access(16, Region::Stream);
-        assert!(c.invalidate_line(0));
-        assert!(!c.invalidate_line(0));
+        assert_eq!(c.invalidate_run(0, 1), 1);
+        assert_eq!(c.invalidate_run(0, 1), 0);
         assert_eq!(c.total_occupancy(), 1);
         c.flush_all();
         assert_eq!(c.total_occupancy(), 0);
         assert!(!c.contains(16));
+    }
+
+    #[test]
+    fn an_invalidated_run_wraps_and_takes_only_its_own_lines() {
+        // 4 sets × 2 ways, each set holding lines s and s + 4: even lines
+        // stream state, odd ones a thread's.
+        let mut c = tiny(2);
+        let owner = |l: u64| [Region::Stream, Region::Thread][l as usize % 2];
+        for l in 0..8 {
+            c.access(l * 16, owner(l));
+        }
+        // Lines 3..7 sit in sets 3, 0, 1, 2: past the last set and on.
+        assert_eq!(c.invalidate_run(3, 4), 4);
+        assert_eq!(c.occupancy(Region::Stream), 2);
+        assert_eq!(c.occupancy(Region::Thread), 2);
+        for l in 0..8 {
+            assert_eq!(c.contains(l * 16), !(3..7).contains(&l), "line {l}");
+        }
+        // What is left of each set is still a set: a hit, then a fill
+        // beside it that evicts nothing.
+        assert!(c.access(0, Region::Stream).hit);
+        assert_eq!(c.access(4 * 16, Region::Stream).evicted, None);
+        // A run longer than the cache visits each set more than once.
+        assert_eq!(c.invalidate_run(0, 9), 5);
+        assert_eq!(c.total_occupancy(), 0);
+        assert_eq!(c.invalidate_run(0, 9), 0);
     }
 
     #[test]
@@ -646,15 +748,29 @@ mod tests {
         (got, c.walked > before)
     }
 
-    /// Which block a mutator must stamp.
+    /// Which blocks a mutator must stamp.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Stamps {
-        /// The block of the set it is aimed at.
-        ItsBlock,
+        /// Those of the `n` sets from the one it is aimed at, wrapping
+        /// past the last.
+        Sets(u64),
         /// None: it changes no slot and no length.
         Nothing,
         /// All of them.
         EveryBlock,
+    }
+
+    impl Stamps {
+        /// Whether a mutation aimed at `target`'s set stamps `block`.
+        fn covers(self, target: u64, block: usize) -> bool {
+            match self {
+                Stamps::Sets(n) => {
+                    (0..n).any(|k| ((target + k) % SETS) as usize >> BLOCK_SHIFT == block)
+                }
+                Stamps::Nothing => false,
+                Stamps::EveryBlock => true,
+            }
+        }
     }
 
     #[test]
@@ -670,49 +786,65 @@ mod tests {
         let conflicting_fill: Op = |c, l| {
             assert!(!c.access((l + SETS) * 16, Region::Global).hit);
         };
-        let cases: [(&str, u32, Op, Op, Stamps); 15] = [
-            ("miss fill", 2, nop, conflicting_fill, Stamps::ItsBlock),
-            ("evicting fill", 1, nop, conflicting_fill, Stamps::ItsBlock),
+        let its_block = Stamps::Sets(1);
+        let cases: [(&str, u32, Op, Op, Stamps); 20] = [
+            ("miss fill", 2, nop, conflicting_fill, its_block),
+            ("evicting fill", 1, nop, conflicting_fill, its_block),
             (
                 "re-tag hit",
                 1,
                 nop,
                 |c, l| assert!(c.access(l * 16, Region::Global).hit),
-                Stamps::ItsBlock,
+                its_block,
             ),
             (
                 "first store to a clean line",
                 1,
                 nop,
                 |c, l| assert!(c.access_rw(l * 16, Region::Stream, true).hit),
-                Stamps::ItsBlock,
+                its_block,
             ),
             (
                 "way reorder",
                 2,
                 second_way,
                 |c, l| assert!(c.access((l + SETS) * 16, Region::PacketData).hit),
-                Stamps::ItsBlock,
+                its_block,
             ),
             (
-                "invalidate_line hit",
+                "invalidate_run of one resident line",
                 1,
                 nop,
-                |c, l| assert!(c.invalidate_line(l)),
-                Stamps::ItsBlock,
+                |c, l| assert_eq!(c.invalidate_run(l, 1), 1),
+                its_block,
             ),
             (
-                "invalidate_line of the second way",
+                "invalidate_run of the second way",
                 2,
                 second_way,
-                |c, l| assert!(c.invalidate_line(l + SETS)),
-                Stamps::ItsBlock,
+                |c, l| assert_eq!(c.invalidate_run(l + SETS, 1), 1),
+                its_block,
             ),
             (
-                "invalidate_line miss",
+                "invalidate_run over two blocks",
                 1,
                 nop,
-                |c, l| assert!(!c.invalidate_line(l + SETS)),
+                |c, l| assert_eq!(c.invalidate_run(l, 16), 16),
+                Stamps::Sets(16),
+            ),
+            (
+                "invalidate_run past the last set",
+                1,
+                // Lines 64..80 resident in block 0, after the last set.
+                |c, _| (SETS..SETS + 16).for_each(|l| assert!(!c.access(l * 16, Region::Code).hit)),
+                |c, l| assert_eq!(c.invalidate_run(l, 40), 40),
+                Stamps::Sets(40),
+            ),
+            (
+                "invalidate_run of absent lines",
+                1,
+                nop,
+                |c, l| assert_eq!(c.invalidate_run(l + SETS, 16), 0),
                 Stamps::Nothing,
             ),
             (
@@ -720,7 +852,7 @@ mod tests {
                 2,
                 second_way,
                 |c, _| assert_eq!(c.purge_region(Region::PacketData), 1),
-                Stamps::ItsBlock,
+                its_block,
             ),
             (
                 "purge_region of an absent region",
@@ -744,18 +876,40 @@ mod tests {
                 Stamps::Nothing,
             ),
             (
-                "fill_absent of a resident line",
+                "fill_run of a resident line",
                 1,
                 nop,
-                |c, l| assert!(!c.fill_absent(l, Region::Global, true)),
+                |c, l| assert_eq!(c.fill_run(l, 1, Region::Global, true), 0),
                 Stamps::Nothing,
             ),
             (
-                "fill_absent",
+                "fill_run of one line",
                 2,
                 nop,
-                |c, l| assert!(c.fill_absent(l + SETS, Region::Global, false)),
-                Stamps::ItsBlock,
+                |c, l| assert_eq!(c.fill_run(l + SETS, 1, Region::Global, false), 1),
+                its_block,
+            ),
+            (
+                "fill_run over two blocks",
+                1,
+                nop,
+                |c, l| assert_eq!(c.fill_run(l + SETS, 16, Region::Global, false), 16),
+                Stamps::Sets(16),
+            ),
+            (
+                "fill_run up to a resident line",
+                1,
+                // Past the memoised run, which ends at set 32.
+                |c, l| assert!(!c.access((l + 12 + SETS) * 16, Region::Thread).hit),
+                |c, l| assert_eq!(c.fill_run(l + SETS, 16, Region::Global, true), 12),
+                Stamps::Sets(12),
+            ),
+            (
+                "fill_run past the last set",
+                2,
+                nop,
+                |c, l| assert_eq!(c.fill_run(l + SETS, 40, Region::Global, false), 40),
+                Stamps::Sets(40),
             ),
             (
                 "flush_all",
@@ -782,22 +936,13 @@ mod tests {
                 let before_it = c.stamps.clone();
                 mutate(&mut c, target);
                 // The invariant itself, block by block...
-                let its_block = target as usize >> BLOCK_SHIFT;
                 for (block, (was, is)) in before_it.iter().zip(&c.stamps).enumerate() {
-                    let advanced = match stamps {
-                        Stamps::ItsBlock => block == its_block,
-                        Stamps::Nothing => false,
-                        Stamps::EveryBlock => true,
-                    };
+                    let advanced = stamps.covers(target, block);
                     assert_eq!(is > was, advanced, "{name} at line {target}: block {block}");
                     assert!(is <= &c.clock);
                 }
                 // ...and what the probe makes of it.
-                let declines = match stamps {
-                    Stamps::ItsBlock => target == INSIDE,
-                    Stamps::Nothing => false,
-                    Stamps::EveryBlock => true,
-                };
+                let declines = stamps.covers(target, RUN.0 as usize >> BLOCK_SHIFT);
                 let (run, walked) = ask(&mut c, RUN.0, RUN.1);
                 assert_eq!(walked, declines, "{name} at line {target}");
                 // The walk refreshed the entry: what is left of the run is
@@ -869,7 +1014,7 @@ mod tests {
         c.access(39 * 16, Region::Global);
         assert_eq!(ask(&mut c, 44, 20), (20, false));
         assert_eq!(ask(&mut c, 70, 10), (9, true));
-        c.invalidate_line(60);
+        c.invalidate_run(60, 1);
         assert_eq!(ask(&mut c, 44, 20), (16, true));
         // Wrapping from set 39 to set 0 (line 80).
         c.access(79 * 16, Region::Stream);

@@ -140,64 +140,128 @@ impl MemoryHierarchy {
     /// after the last one charged, which is `i` itself when its line is
     /// resident.
     ///
-    /// L2 takes one real access per L2 line. The later L1 lines of that
-    /// L2 line find it first in its set with the sweep's owner and dirty
-    /// bit, since nothing in between changes L2 (an L1 fill does not, a
-    /// back-invalidation touches only L1), so they are L2 hits that move
-    /// counters only. Counters are booked once per streak; cycles are
-    /// added per access and per hit, in reference order.
+    /// L2 takes one real access per L2 line, made by the fill of its
+    /// first streak line. The later L1 lines of that L2 line find it first
+    /// in its set with the sweep's owner and dirty bit, since nothing in
+    /// between changes L2 (an L1 fill does not, a back-invalidation
+    /// touches only L1), so they are L2 hits that move counters only.
+    ///
+    /// A `dense` sweep (stride at most an L1 line) touches every line of
+    /// its span, and its L1 fills go by *runs of sets*
+    /// (`Cache::fill_run`, which tests each line for absence when its turn
+    /// comes and books the run once). An L2 access that hits changes no L1
+    /// line and no L1 fill changes L2, so those accesses can follow the
+    /// fills of later lines; only one that misses, whose eviction may
+    /// back-invalidate, must come before the next fill. A run therefore
+    /// goes on through every L2 line that L2 holds (an L2 hit evicts
+    /// nothing, so what L2 holds cannot change before its turn) and ends
+    /// at the first line of the first one it does not hold, whose access
+    /// comes last — or after as many lines as L1 has sets, which bounds
+    /// the look-ahead a run cut short by a resident line has wasted. A
+    /// sparser sweep's runs are one line long. Counters are booked once
+    /// per streak; cycles are added per access and per hit, in reference
+    /// order.
     fn reload_streak(
         &mut self,
         first: MemRef,
-        mut i: u64,
+        i: u64,
         pass: u64,
+        dense: bool,
         at: impl Fn(u64) -> MemRef,
         end_of: impl Fn(u64, u64) -> u64,
     ) -> u64 {
         let p = self.platform;
         let (region, is_write) = (first.region, first.is_write);
         let l1_shift = p.l1.line_bytes.trailing_zeros();
-        let l2_shift = p.l2.line_bytes.trailing_zeros();
+        // L1 line `l` lies in L2 line `l >> l2_of`.
+        let l2_of = p.l2.line_bytes.trailing_zeros() - l1_shift;
         // What `access` charges an L1 miss, summed in its order.
         let l2_cycles = p.l1_hit_cycles + p.l2_hit_penalty_cycles;
         let mem_cycles = l2_cycles + p.mem_penalty_cycles;
-        let (start, mut lines, mut l2_hits, mut l2_repeats) = (i, 0, 0, 0);
+        let last_line = at(pass - 1).addr >> l1_shift;
+        let mut line = at(i).addr >> l1_shift;
+        // The L2 line of the last real L2 access.
         let mut l2_line = None;
-        while i < pass {
-            let addr = at(i).addr;
-            let line = addr >> l1_shift;
-            let l1 = self.l1_mut(first.is_instr);
-            if !l1.fill_absent(line, region, is_write) {
+        let (mut j, mut lines, mut accesses, mut l2_hits) = (i, 0, 0, 0);
+        loop {
+            // The run's last line: the first line of the first L2 line
+            // whose real access L2 would miss, or the pass's last line, at
+            // most one line per L1 set from `line`.
+            let cap = match dense {
+                true => last_line.min(line + p.l1.sets() - 1),
+                false => line,
+            };
+            let mut run_last = line;
+            for l2 in line >> l2_of..=cap >> l2_of {
+                if l2_line != Some(l2) && !self.l2.contains(l2 << (l2_of + l1_shift)) {
+                    run_last = (l2 << l2_of).max(line);
+                    break;
+                }
+                run_last = (((l2 + 1) << l2_of) - 1).min(cap);
+            }
+            let want = run_last - line + 1;
+            let filled = self
+                .l1_mut(first.is_instr)
+                .fill_run(line, want, region, is_write);
+            if filled == 0 {
                 break;
             }
-            let l2_hit = if l2_line == Some(addr >> l2_shift) {
-                debug_assert!(self.l2.hit_is_stateless(addr, region, is_write));
-                l2_repeats += 1;
-                true
-            } else {
-                l2_line = Some(addr >> l2_shift);
-                let l2_result = self.l2.access_rw(addr, region, is_write);
+            let (filled_last, end) = (line + filled - 1, end_of(j, line + filled));
+            debug_assert!((j..end).all(|k| self.is_stateless_l1_hit(at(k))));
+            // One real access per L2 line not yet accessed, made by its
+            // first line in the run, in order.
+            let mut missed = false;
+            for l2 in line >> l2_of..=filled_last >> l2_of {
+                if l2_line == Some(l2) {
+                    continue;
+                }
+                l2_line = Some(l2);
+                let head = (l2 << l2_of).max(line);
+                let l2_result = self.l2.access_rw(head << l1_shift, region, is_write);
+                debug_assert!(l2_result.hit || head == filled_last);
                 if let Some((victim, _)) = l2_result.evicted {
                     self.back_invalidate(victim);
                 }
-                l2_result.hit
-            };
-            l2_hits += u64::from(l2_hit);
-            self.stats.cycles += if l2_hit { l2_cycles } else { mem_cycles };
-            let end = end_of(i, line + 1);
-            debug_assert!((i + 1..end).all(|j| self.is_stateless_l1_hit(at(j))));
-            add_hit_cycles(&mut self.stats.cycles, p.l1_hit_cycles, end - i - 1);
-            lines += 1;
-            i = end;
+                accesses += 1;
+                l2_hits += u64::from(l2_result.hit);
+                missed = !l2_result.hit;
+            }
+            debug_assert!(
+                !self
+                    .l2
+                    .one_line_per_set(line << l1_shift, filled_last << l1_shift)
+                    || (line..=filled_last).all(|l| self.l2.hit_is_stateless(
+                        l << l1_shift,
+                        region,
+                        is_write
+                    ))
+            );
+            for k in 0..filled {
+                self.stats.cycles += if missed && k == filled - 1 {
+                    mem_cycles
+                } else {
+                    l2_cycles
+                };
+                if p.l1_hit_cycles != 0.0 {
+                    let next = end_of(j, line + k + 1);
+                    add_hit_cycles(&mut self.stats.cycles, p.l1_hit_cycles, next - j - 1);
+                    j = next;
+                }
+            }
+            (j, lines) = (end, lines + filled);
+            if filled < want || j == pass {
+                break;
+            }
+            line = at(j).addr >> l1_shift;
         }
-        let hits = i - start - lines;
+        let (hits, repeats) = (j - i - lines, lines - accesses);
         self.stats.accesses += lines + hits;
         self.stats.l1_hits += hits;
-        self.stats.l2_hits += l2_hits;
-        self.stats.mem_fills += lines - l2_hits;
+        self.stats.l2_hits += repeats + l2_hits;
+        self.stats.mem_fills += accesses - l2_hits;
         self.l1_mut(first.is_instr).charge(region, lines, hits);
-        self.l2.charge(region, 0, l2_repeats);
-        i
+        self.l2.charge(region, 0, repeats);
+        j
     }
 
     /// Whether `mref` would be an L1 hit that changes no cache state.
@@ -211,14 +275,15 @@ impl MemoryHierarchy {
         let l2_bytes = self.platform.l2.line_bytes as u64;
         let l1_bytes = self.platform.l1.line_bytes as u64;
         debug_assert!(l2_bytes >= l1_bytes);
-        let first_l1_line = l2_line * (l2_bytes / l1_bytes);
         let count = l2_bytes / l1_bytes;
-        for i in 0..count {
-            let line = first_l1_line + i;
-            self.l1d.invalidate_line(line);
-            if let Some(l1i) = self.l1i.as_mut() {
-                l1i.invalidate_line(line);
-            }
+        self.invalidate_l1(l2_line * count, count);
+    }
+
+    /// Invalidate the `n` L1 lines from `line` on in both halves.
+    fn invalidate_l1(&mut self, line: u64, n: u64) {
+        self.l1d.invalidate_run(line, n);
+        if let Some(l1i) = self.l1i.as_mut() {
+            l1i.invalidate_run(line, n);
         }
     }
 
@@ -261,23 +326,18 @@ impl MemoryHierarchy {
     /// address granularity: when another processor takes ownership of a
     /// stream's session or a thread's stack, this processor's copies of
     /// exactly those lines are invalidated, while unrelated state in the
-    /// same region class stays resident.
+    /// same region class stays resident. Each cache clears the range as
+    /// one run of sets (`Cache::invalidate_run`).
     pub fn purge_range(&mut self, addr: u64, bytes: u64) {
         if bytes == 0 {
             return;
         }
         let end = addr + bytes - 1;
-        let l1_bytes = self.platform.l1.line_bytes as u64;
-        for line in addr / l1_bytes..=end / l1_bytes {
-            self.l1d.invalidate_line(line);
-            if let Some(l1i) = self.l1i.as_mut() {
-                l1i.invalidate_line(line);
-            }
-        }
-        let l2_bytes = self.platform.l2.line_bytes as u64;
-        for line in addr / l2_bytes..=end / l2_bytes {
-            self.l2.invalidate_line(line);
-        }
+        let lines = |bytes: u64| (addr / bytes, end / bytes - addr / bytes + 1);
+        let (l1_line, l1_lines) = lines(self.platform.l1.line_bytes as u64);
+        self.invalidate_l1(l1_line, l1_lines);
+        let (l2_line, l2_lines) = lines(self.platform.l2.line_bytes as u64);
+        self.l2.invalidate_run(l2_line, l2_lines);
     }
 
     /// Reset counters without touching contents.
@@ -351,6 +411,7 @@ impl TraceSink for MemoryHierarchy {
         // Every engine stride is 4 or 16: shift, and divide only for others.
         let stride_shift = stride.is_power_of_two().then(|| stride.trailing_zeros());
         let pass = n.min(period);
+        let dense = stride <= 1 << l1_shift;
         let last_line = at(pass - 1).addr >> l1_shift;
         // The first reference of the pass from the `i`-th on that lies at
         // or past line `next`.
@@ -377,7 +438,7 @@ impl TraceSink for MemoryHierarchy {
                 // one that is resident is looked up for real, and is then
                 // a run of one for the references after `mref`.
                 0 => {
-                    let end = self.reload_streak(first, i, pass, at, end_of);
+                    let end = self.reload_streak(first, i, pass, dense, at, end_of);
                     if end > i {
                         i = end;
                         continue;
@@ -682,22 +743,60 @@ mod tests {
         (0..48).for_each(|j| {
             reference.access(at(j));
         });
-        let before = (h.stats, walked(&h));
+        let before = (h.stats, walked(&h), h.l1d.runs);
         h.access_sweep(stores, 4, 48, 48);
         assert_eq!(walked(&h) - before.1, 1, "one refused probe, one streak");
+        // One run through the two L2 lines L2 holds, up to the first line
+        // of the one it does not; one run after that line's L2 access.
+        assert_eq!(h.l1d.runs - before.2, 2);
         // Eight L2 hits, a memory fill that evicts the conflicting line,
         // and three hits under it.
         assert_eq!(h.stats.l2_hits - before.0.l2_hits, 11);
         assert_eq!(h.stats.mem_fills - before.0.mem_fills, 1);
-        let booked = |h: &MemoryHierarchy| {
-            let s = h.stats;
-            let caches = [&h.l1d, h.l1i.as_ref().unwrap(), &h.l2].map(|c| {
-                let resident = Region::ALL.map(|r| (c.occupancy(r), c.dirty_occupancy(r)));
-                format!("{:?} {resident:?}", c.stats)
+        assert_eq!(booked(&h), booked(&reference));
+    }
+
+    /// Every counter, the cycles by bit pattern, and per cache its
+    /// counters and each region's (dirty) occupancy.
+    fn booked(h: &MemoryHierarchy) -> ([u64; 4], u64, [String; 3]) {
+        let s = h.stats;
+        let caches = [&h.l1d, h.l1i.as_ref().unwrap(), &h.l2].map(|c| {
+            let resident = Region::ALL.map(|r| (c.occupancy(r), c.dirty_occupancy(r)));
+            format!("{:?} {resident:?}", c.stats)
+        });
+        let counters = [s.accesses, s.l1_hits, s.l2_hits, s.mem_fills];
+        (counters, s.cycles.to_bits(), caches)
+    }
+
+    #[test]
+    fn a_streak_fills_no_set_before_the_l2_access_that_back_invalidates_it() {
+        // 16 B L1 lines under 64 B L2 lines: stores over lines 0..8 (L1
+        // sets 0..8) under two L2 lines, the second in L2 set 1.
+        let mut h = MemoryHierarchy::new(small_platform());
+        let stores = MemRef::write(0x1000, Region::Stream);
+        h.access_sweep(stores, 4, 32, 32);
+        // One L2 period up, a thread's dirty lines take the second L2
+        // line's L2 set and L1 sets 4..8; one L1 period up, loads take L1
+        // sets 0..4 under another L2 set.
+        h.access_sweep(MemRef::write(0x1840, Region::Thread), 4, 16, 16);
+        h.access_sweep(MemRef::read(0x1100, Region::Global), 4, 16, 16);
+        assert!((0..8).all(|l| !h.l1d.contains(stores.addr + 16 * l)));
+        assert_eq!(h.l1d.dirty_occupancy(Region::Thread), 4);
+
+        let mut reference = h.clone();
+        (0..32).for_each(|j| {
+            reference.access(MemRef {
+                addr: stores.addr + 4 * j,
+                ..stores
             });
-            let counters = [s.accesses, s.l1_hits, s.l2_hits, s.mem_fills];
-            (counters, s.cycles.to_bits(), caches)
-        };
+        });
+        let before = h.l1d.stats.writebacks;
+        h.access_sweep(stores, 4, 32, 32);
+        // Line 4 evicts the thread's dirty line from set 4 and then makes
+        // the L2 access whose eviction back-invalidates the other three,
+        // which lines 5..8 therefore do not write back.
+        assert_eq!(h.l1d.stats.writebacks - before, 1);
+        assert_eq!(h.l1d.occupancy(Region::Thread), 0);
         assert_eq!(booked(&h), booked(&reference));
     }
 

@@ -1,9 +1,9 @@
 //! Property-based tests for the cache models and simulator.
 //!
 //! The set-associative cache (LRU and FIFO) is checked against a
-//! brute-force reference model on random traces, and its `purge_region`
+//! brute-force reference model on random traces, its `purge_region`
 //! (which starts at a per-region lower-bound set) against a model that
-//! scans every set; the hierarchy's line-priced `access_sweep` against
+//! scans every set and its `invalidate_run` against one line at a time; the hierarchy's line-priced `access_sweep` against
 //! the reference-by-reference definition on random platforms, with the
 //! purges and flushes a worker issues between sweeps; the analytic
 //! functions against their
@@ -128,21 +128,26 @@ impl RefOwned {
 enum CacheOp {
     /// An access; the same address under another region re-tags its line.
     Access(u64, Region, bool),
-    Invalidate(u64),
+    /// `invalidate_run` of `n` lines from the line of an address: past
+    /// the last set and round again on the smaller geometries.
+    Invalidate(u64, u64),
     Purge(Region),
     FlushAll,
 }
 
 fn cache_op() -> impl Strategy<Value = CacheOp> {
-    (0u8..18, 0u64..2048, 0usize..6, any::<bool>()).prop_map(|(kind, addr, region, write)| {
-        let region = Region::ALL[region];
-        match kind {
-            0..=11 => CacheOp::Access(addr, region, write),
-            12..=13 => CacheOp::Invalidate(addr),
-            14..=16 => CacheOp::Purge(region),
-            _ => CacheOp::FlushAll,
-        }
-    })
+    (0u8..18, 0u64..2048, 0usize..6, any::<bool>(), 0u64..80).prop_map(
+        |(kind, addr, region, write, n)| {
+            let region = Region::ALL[region];
+            match kind {
+                0..=11 => CacheOp::Access(addr, region, write),
+                12 => CacheOp::Invalidate(addr, 1),
+                13 => CacheOp::Invalidate(addr, n),
+                14..=16 => CacheOp::Purge(region),
+                _ => CacheOp::FlushAll,
+            }
+        },
+    )
 }
 
 fn small_geometry() -> impl Strategy<Value = (u64, u32, u32)> {
@@ -156,7 +161,8 @@ fn small_geometry() -> impl Strategy<Value = (u64, u32, u32)> {
 }
 
 /// A sink that prices a sweep by the `TraceSink` default body, i.e. by
-/// the definition: one `MemoryHierarchy::access` per reference.
+/// the definition: one `MemoryHierarchy::access` per reference (and, in
+/// `apply`, purges a range one line at a time).
 struct ByReference(MemoryHierarchy);
 
 impl TraceSink for ByReference {
@@ -405,11 +411,33 @@ fn ops_of(script: &[Step]) -> Vec<Op> {
 }
 
 /// Issue `op` to a sink that prices sweeps its own way over the
-/// hierarchy `hier` finds in it.
-fn apply<S: TraceSink>(op: Op, sink: &mut S, hier: fn(&mut S) -> &mut MemoryHierarchy) {
+/// hierarchy `hier` finds in it. `by_line` purges a range by its
+/// definition, one line of one cache at a time, instead of by the
+/// hierarchy's runs of sets.
+fn apply<S: TraceSink>(
+    op: Op,
+    sink: &mut S,
+    hier: fn(&mut S) -> &mut MemoryHierarchy,
+    by_line: bool,
+) {
     match op {
         Op::Sweep(s) => sink.access_sweep(s.first, s.stride, s.period, s.n),
         Op::PurgeRegion(r) => hier(sink).purge_region(r),
+        Op::PurgeRange(addr, bytes) if by_line && bytes > 0 => {
+            let h = hier(sink);
+            let (l1, l2) = (h.platform().l1.line_bytes, h.platform().l2.line_bytes);
+            for (cache, line_bytes) in [
+                (Some(&mut h.l1d), l1),
+                (h.l1i.as_mut(), l1),
+                (Some(&mut h.l2), l2),
+            ] {
+                let Some(cache) = cache else { continue };
+                let line_bytes = u64::from(line_bytes);
+                for line in addr / line_bytes..=(addr + bytes - 1) / line_bytes {
+                    cache.invalidate_run(line, 1);
+                }
+            }
+        }
         Op::PurgeRange(addr, bytes) => hier(sink).purge_range(addr, bytes),
         Op::FlushL1 => hier(sink).flush_l1(),
     }
@@ -541,9 +569,10 @@ proptest! {
                 CacheOp::Access(a, r, w) => {
                     prop_assert_eq!(real.access_rw(a, r, w).hit, model.access(a, r, w), "op {}", k);
                 }
-                CacheOp::Invalidate(a) => {
+                CacheOp::Invalidate(a, n) => {
                     let l = real.line_of(a);
-                    prop_assert_eq!(real.invalidate_line(l), model.invalidate(l), "op {}", k);
+                    let resident = (l..l + n).filter(|&l| model.invalidate(l)).count() as u64;
+                    prop_assert_eq!(real.invalidate_run(l, n), resident, "op {} = {:?}", k, op);
                 }
                 CacheOp::Purge(r) => {
                     prop_assert_eq!(real.purge_region(r), model.purge(r), "op {} = {:?}", k, op);
@@ -553,7 +582,9 @@ proptest! {
                     model.sets.iter_mut().for_each(Vec::clear);
                 }
             }
-            if matches!(op, CacheOp::Purge(_) | CacheOp::FlushAll) || k + 1 == script.len() {
+            if matches!(op, CacheOp::Invalidate(..) | CacheOp::Purge(_) | CacheOp::FlushAll)
+                || k + 1 == script.len()
+            {
                 for r in Region::ALL {
                     let got = (real.occupancy(r), real.dirty_occupancy(r));
                     prop_assert_eq!(got, model.occupancy(r), "{:?} after op {}", r, k);
@@ -811,8 +842,8 @@ proptest! {
         let mut fast = MemoryHierarchy::new(platform);
         let mut slow = ByReference(fast.clone());
         for (k, op) in ops_of(&script).into_iter().enumerate() {
-            apply(op, &mut fast, |h| h);
-            apply(op, &mut slow, |s| &mut s.0);
+            apply(op, &mut fast, |h| h, false);
+            apply(op, &mut slow, |s| &mut s.0, true);
             prop_assert_eq!(observable(&fast), observable(&slow.0), "after op {} = {:?}", k, op);
         }
         // Where a common random suffix is served reads out what the
