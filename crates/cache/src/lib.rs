@@ -13,8 +13,8 @@
 //!   per-component (code/thread/stream) aging. A least-squares fitter
 //!   recovers SST constants from measured `(R, L, u)` triples.
 //! * [`sim`] — the executable side. A region-tagged, trace-driven
-//!   set-associative cache hierarchy (split direct-mapped L1 over an
-//!   inclusive unified L2 with back-invalidation) standing in for the
+//!   direct-mapped cache hierarchy (split L1 over an inclusive unified
+//!   L2 with back-invalidation, 2^k sets at each level) standing in for the
 //!   paper's hardware, plus a synthetic power-law workload generator used
 //!   to cross-validate the analytic displacement curves.
 

@@ -50,6 +50,10 @@ impl CacheGeometry {
 }
 
 /// A two-level cache hierarchy on one processor, plus timing parameters.
+///
+/// The analytic models (`FlushModel`, the dispatch pricer) take any
+/// geometry. The trace-driven `MemoryHierarchy` simulates only the
+/// machine it prices: a split L1 and direct-mapped caches with 2^k sets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Platform {
     /// Processor clock in Hz.
@@ -66,9 +70,9 @@ pub struct Platform {
     pub l1_split: bool,
     /// Secondary (unified) cache geometry.
     pub l2: CacheGeometry,
-    /// L1 hit time in cycles (pipelined loads; effectively 1).
-    pub l1_hit_cycles: f64,
-    /// Additional cycles for an L1 miss that hits in L2.
+    /// Additional cycles for an L1 miss that hits in L2. An L1 hit has no
+    /// cost of its own: loads that hit L1 do not stall the R4400 pipeline,
+    /// so its time is in the CPI the engine charges per instruction.
     pub l2_hit_penalty_cycles: f64,
     /// Additional cycles for an L2 miss served from memory.
     pub mem_penalty_cycles: f64,
@@ -87,7 +91,6 @@ impl Platform {
             l1: CacheGeometry::new(16 * 1024, 16, 1),
             l1_split: true,
             l2: CacheGeometry::new(1024 * 1024, 128, 1),
-            l1_hit_cycles: 1.0,
             l2_hit_penalty_cycles: 12.0,
             mem_penalty_cycles: 100.0,
             remote_penalty_cycles: 130.0,

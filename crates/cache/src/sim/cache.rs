@@ -1,10 +1,11 @@
-//! A set-associative cache with per-region occupancy tracking.
+//! A direct-mapped cache with per-region occupancy tracking.
 //!
 //! Used trace-driven: the calibration harness replays instrumented
 //! protocol executions and controlled flush workloads through it, standing
-//! in for the paper's hardware measurements. Replacement within a set is
-//! LRU (the R4400 and Challenge secondary are direct-mapped, where the
-//! choice of policy cannot matter).
+//! in for the paper's hardware measurements. The R4400 primaries and the
+//! Challenge secondary are direct-mapped with 2^k sets, and so is this
+//! cache: set-associative geometries are priced by the analytic
+//! `FlushModel` (`model::hierarchy`), never simulated.
 
 use crate::model::platform::CacheGeometry;
 use crate::sim::trace::Region;
@@ -23,9 +24,12 @@ struct LineEntry {
     dirty: bool,
 }
 
-/// Filler for slots past a set's length; never read.
+/// The content of a set no line occupies. Its tag is one no line
+/// reaches (a line address is a byte address shifted right by at least
+/// one bit), so no lookup matches it; it is clean, so no write-back and
+/// no dirty count sees it.
 const EMPTY: LineEntry = LineEntry {
-    line_addr: 0,
+    line_addr: u64::MAX,
     region: Region::Code,
     dirty: false,
 };
@@ -59,21 +63,15 @@ pub struct AccessResult {
     pub wrote_back: bool,
 }
 
-/// A set-associative cache with LRU replacement.
-///
-/// Storage is flat: set `s` owns `slots[s × assoc .. s × assoc + lens[s]]`,
-/// ways ordered most-recent-first.
+/// A direct-mapped cache: set `s` is `slots[s]`, [`EMPTY`] when no line
+/// occupies it.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    geometry: CacheGeometry,
     /// `log2(line_bytes)`.
     line_shift: u32,
-    /// `sets − 1` when the set count is a power of two (index by mask);
-    /// `CacheGeometry::new` admits other counts, which index by `%`.
-    set_mask: Option<u64>,
+    /// `sets − 1`: a line's set is its address under this mask.
+    set_mask: usize,
     slots: Vec<LineEntry>,
-    /// Resident ways per set.
-    lens: Vec<u32>,
     /// Per-region resident line counts, dense-indexed by `Region::index`.
     occupancy: [u64; 6],
     /// Per region, a set no resident line of it lies below (`sets` when
@@ -81,14 +79,13 @@ pub struct Cache {
     /// tag, reset only by the region's purge and by `flush_all`. Losing
     /// lines leaves it a valid bound.
     low_set: [usize; 6],
-    /// Mutation clock: advanced by every call that changes `slots` or
-    /// `lens`, once for all the sets it changes.
+    /// Mutation clock: advanced by every call that changes `slots`, once
+    /// for all the sets it changes.
     clock: u64,
     /// Per block of `1 << BLOCK_SHIFT` sets, the clock of its last
-    /// mutation. No slot or length of a set changes without its block's
-    /// stamp advancing past every clock a memo entry can hold, so a block
-    /// whose stamp is no later than an entry's clock is as the entry's
-    /// walk saw it.
+    /// mutation. No slot changes without its block's stamp advancing past
+    /// every clock a memo entry can hold, so a block whose stamp is no
+    /// later than an entry's clock is as the entry's walk saw it.
     stamps: Vec<u64>,
     /// Runs `stateless_run` has walked, indexed by a hash of their first
     /// line. Never invalidated: a stale entry fails the stamp comparison.
@@ -119,23 +116,31 @@ pub struct CacheStats {
 }
 
 impl Cache {
-    /// Create an empty cache.
+    /// Create an empty cache. The geometry must be direct-mapped with
+    /// 2^k sets of lines of at least two bytes.
     pub fn new(geometry: CacheGeometry) -> Self {
         assert!(
-            geometry.line_bytes.is_power_of_two(),
-            "line size must be 2^k"
+            geometry.line_bytes.is_power_of_two() && geometry.line_bytes > 1,
+            "line size must be 2^k, k ≥ 1"
         );
-        let sets = geometry.sets();
+        assert!(
+            geometry.associativity == 1,
+            "the trace-driven cache is direct-mapped; {}-way geometries are priced by the analytic model (FlushModel)",
+            geometry.associativity
+        );
+        let sets = geometry.sets() as usize;
+        assert!(
+            sets.is_power_of_two(),
+            "the trace-driven cache has 2^k sets; {sets} sets are priced by the analytic model (FlushModel)"
+        );
         Cache {
-            geometry,
             line_shift: geometry.line_bytes.trailing_zeros(),
-            set_mask: sets.is_power_of_two().then(|| sets - 1),
-            slots: vec![EMPTY; sets as usize * geometry.associativity as usize],
-            lens: vec![0; sets as usize],
+            set_mask: sets - 1,
+            slots: vec![EMPTY; sets],
             occupancy: [0; 6],
-            low_set: [sets as usize; 6],
+            low_set: [sets; 6],
             clock: 0,
-            stamps: vec![0; (sets as usize).div_ceil(1 << BLOCK_SHIFT)],
+            stamps: vec![0; sets.div_ceil(1 << BLOCK_SHIFT)],
             memo: [None; MEMO_ENTRIES],
             #[cfg(test)]
             walked: 0,
@@ -143,11 +148,6 @@ impl Cache {
             runs: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// The cache geometry.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
     }
 
     /// Line address for a byte address.
@@ -158,32 +158,16 @@ impl Cache {
 
     #[inline]
     fn set_of(&self, line_addr: u64) -> usize {
-        match self.set_mask {
-            Some(mask) => (line_addr & mask) as usize,
-            None => (line_addr % self.geometry.sets()) as usize,
-        }
+        line_addr as usize & self.set_mask
     }
 
-    /// Slot index of the set's first way.
-    #[inline]
-    fn base_of(&self, set: usize) -> usize {
-        set * self.geometry.associativity as usize
-    }
-
-    /// The resident ways of `set`, most recent first.
-    #[inline]
-    fn ways(&self, set: usize) -> &[LineEntry] {
-        let base = self.base_of(set);
-        &self.slots[base..base + self.lens[set] as usize]
-    }
-
-    /// Record a change to slots or lengths of the `n` sets from `set` on,
+    /// Record a change to the slots of the `n` sets from `set` on,
     /// wrapping past the last: one clock tick, stamped on every block
     /// they span.
     #[inline]
     fn touch(&mut self, set: usize, n: u64) {
         self.clock += 1;
-        let sets = self.lens.len();
+        let sets = self.slots.len();
         let end = set + n.min(sets as u64) as usize;
         if end <= sets {
             self.stamps[set >> BLOCK_SHIFT..=(end - 1) >> BLOCK_SHIFT].fill(self.clock);
@@ -203,33 +187,25 @@ impl Cache {
     pub fn access_rw(&mut self, addr: u64, region: Region, is_write: bool) -> AccessResult {
         let line = self.line_of(addr);
         let set = self.set_of(line);
-        let base = self.base_of(set);
-        let occupied = self.lens[set] as usize;
 
         self.stats.accesses += 1;
         self.stats.region_accesses[region.index()] += 1;
 
-        let ways = &mut self.slots[base..base + occupied];
-        if let Some(pos) = ways.iter().position(|e| e.line_addr == line) {
+        let e = &mut self.slots[set];
+        if e.line_addr == line {
             self.stats.hits += 1;
             self.stats.region_hits[region.index()] += 1;
+            // Anything but the stateless hit changes the set.
+            let mutates = e.region != region || (is_write && !e.dirty);
             // Occupancy region may change owner on re-touch (e.g. a
             // packet buffer recycled as stream state).
-            let e = &mut ways[pos];
-            // Anything but the stateless hit changes the set.
-            let mutates = e.region != region || (is_write && !e.dirty) || pos > 0;
             if e.region != region {
                 self.occupancy[e.region.index()] -= 1;
                 self.occupancy[region.index()] += 1;
                 e.region = region;
                 self.low_set[region.index()] = self.low_set[region.index()].min(set);
             }
-            if is_write {
-                e.dirty = true;
-            }
-            if pos > 0 {
-                ways[..=pos].rotate_right(1);
-            }
+            e.dirty |= is_write;
             if mutates {
                 self.touch(set, 1);
             }
@@ -244,7 +220,7 @@ impl Cache {
     }
 
     /// The miss branch of [`Cache::access_rw`], less its access counters:
-    /// fill `line`, which no way of `set` holds.
+    /// fill `line`, which `set` does not hold.
     fn fill(&mut self, line: u64, set: usize, region: Region, is_write: bool) -> AccessResult {
         debug_assert!(!self.contains_line(line), "line {line} is resident");
         let victim = self.place(line, set, region, is_write);
@@ -260,10 +236,10 @@ impl Cache {
         }
     }
 
-    /// A miss's one step: put `line`, which no way of `set` holds, at the
-    /// front of the set, evicting the last (least recent) way when the set
-    /// is full. Counts the victim's write-back and returns it; the caller
-    /// books the rest with [`Cache::book_fills`].
+    /// A miss's one step: put `line`, which `set` does not hold, in the
+    /// set, evicting the line there if any. Counts the victim's
+    /// write-back and returns it; the caller books the rest with
+    /// [`Cache::book_fills`].
     #[inline(always)]
     fn place(
         &mut self,
@@ -272,27 +248,14 @@ impl Cache {
         region: Region,
         is_write: bool,
     ) -> Option<LineEntry> {
-        let base = self.base_of(set);
-        let occupied = self.lens[set] as usize;
-        let (victim, moved) = if occupied >= self.geometry.associativity as usize {
-            let victim = self.slots[base + occupied - 1];
-            self.stats.writebacks += u64::from(victim.dirty);
-            (Some(victim), occupied - 1)
-        } else {
-            self.lens[set] += 1;
-            (None, occupied)
-        };
-        // The ways ahead of the victim (all of them when nothing is
-        // evicted) move back one slot; a direct-mapped set has none.
-        if moved > 0 {
-            self.slots.copy_within(base..base + moved, base + 1);
-        }
-        self.slots[base] = LineEntry {
+        let filled = LineEntry {
             line_addr: line,
             region,
             dirty: is_write,
         };
-        victim
+        let victim = std::mem::replace(&mut self.slots[set], filled);
+        self.stats.writebacks += u64::from(victim.dirty);
+        (victim.line_addr != EMPTY.line_addr).then_some(victim)
     }
 
     /// Book `filled` lines of `region` placed into the sets from `set` on,
@@ -305,7 +268,7 @@ impl Cache {
             *resident -= lost;
         }
         // A run that wrapped past the last set filled set 0.
-        let low = if set as u64 + filled > self.lens.len() as u64 {
+        let low = if set as u64 + filled > self.slots.len() as u64 {
             0
         } else {
             set
@@ -316,21 +279,18 @@ impl Cache {
 
     /// Fill the lines from `line` on as misses of [`Cache::access_rw`]
     /// would, each when its turn comes, up to `n` of them and stopping at
-    /// the first that some way of its set holds; count no access (the
-    /// caller books the misses with [`Cache::charge`]). Returns how many
-    /// it filled. The run is booked once, not once per line.
+    /// the first that its set holds; count no access (the caller books
+    /// the misses with [`Cache::charge`]). Returns how many it filled.
+    /// The run is booked once, not once per line.
     pub(crate) fn fill_run(&mut self, line: u64, n: u64, region: Region, is_write: bool) -> u64 {
         let first = self.set_of(line);
         let (mut set, mut lost, mut filled) = (first, [0; 6], 0);
-        while filled < n && !self.ways(set).iter().any(|e| e.line_addr == line + filled) {
+        while filled < n && self.slots[set].line_addr != line + filled {
             if let Some(v) = self.place(line + filled, set, region, is_write) {
                 lost[v.region.index()] += 1;
             }
             filled += 1;
-            set += 1;
-            if set == self.lens.len() {
-                set = 0;
-            }
+            set = (set + 1) & self.set_mask;
         }
         if filled > 0 {
             self.book_fills(first, filled, region, lost);
@@ -343,9 +303,9 @@ impl Cache {
     }
 
     /// Count `misses` accesses that [`Cache::fill_run`] filled and
-    /// `hits` further hits on lines the caller knows are resident, tagged
-    /// `region` and most recent in their sets: exactly the counters those
-    /// calls of [`Cache::access_rw`] would advance, and nothing else.
+    /// `hits` further hits on lines the caller knows are resident and
+    /// tagged `region`: exactly the counters those calls of
+    /// [`Cache::access_rw`] would advance, and nothing else.
     pub(crate) fn charge(&mut self, region: Region, misses: u64, hits: u64) {
         let r = region.index();
         self.stats.accesses += misses + hits;
@@ -355,9 +315,9 @@ impl Cache {
     }
 
     /// How many of the `n` consecutive lines from `line` are each
-    /// resident as the first way of their set, owned by `region` (and
-    /// dirty if `is_write`) — the state in which another access to the
-    /// line changes only counters. Stops at the first line that is not.
+    /// resident, owned by `region` (and dirty if `is_write`) — the state
+    /// in which another access to the line changes only counters. Stops
+    /// at the first line that is not.
     ///
     /// [`Cache::walk_run`] is the definition. A run it found is kept in
     /// `memo`, and asking for it again costs one stamp comparison per
@@ -396,7 +356,7 @@ impl Cache {
         }
         // A run that wraps past the last set is not stored: its blocks
         // are not one range.
-        if run >= MEMO_MIN_RUN && set + run as usize <= self.lens.len() {
+        if run >= MEMO_MIN_RUN && set + run as usize <= self.slots.len() {
             let clock = self.clock;
             self.memo[slot] = Some(RunMemo { key, n: run, clock });
         }
@@ -405,22 +365,14 @@ impl Cache {
 
     /// [`Cache::stateless_run`] by its definition: one slot read per line.
     fn walk_run(&self, mut set: usize, line: u64, n: u64, region: Region, is_write: bool) -> u64 {
-        let assoc = self.geometry.associativity as usize;
         let mut run = 0;
         while run < n {
-            let e = &self.slots[set * assoc];
-            if self.lens[set] == 0
-                || e.line_addr != line + run
-                || e.region != region
-                || (is_write && !e.dirty)
-            {
+            let e = &self.slots[set];
+            if e.line_addr != line + run || e.region != region || (is_write && !e.dirty) {
                 break;
             }
             run += 1;
-            set += 1;
-            if set == self.lens.len() {
-                set = 0;
-            }
+            set = (set + 1) & self.set_mask;
         }
         run
     }
@@ -435,17 +387,15 @@ impl Cache {
     /// Whether the lines of `first..=last` all map to different sets:
     /// the range spans no more consecutive lines than there are sets.
     pub(crate) fn one_line_per_set(&self, first: u64, last: u64) -> bool {
-        self.line_of(last) - self.line_of(first) < self.lens.len() as u64
+        self.line_of(last) - self.line_of(first) < self.slots.len() as u64
     }
 
     /// Resident dirty-line count for one region — the lines a migration
     /// must transfer cache-to-cache rather than refetch from memory.
     pub fn dirty_occupancy(&self, region: Region) -> u64 {
-        let assoc = self.geometry.associativity as usize;
+        // An empty set is clean.
         self.slots
-            .chunks_exact(assoc)
-            .zip(&self.lens)
-            .flat_map(|(ways, &len)| &ways[..len as usize])
+            .iter()
             .filter(|e| e.region == region && e.dirty)
             .count() as u64
     }
@@ -456,34 +406,25 @@ impl Cache {
     }
 
     fn contains_line(&self, line_addr: u64) -> bool {
-        self.ways(self.set_of(line_addr))
-            .iter()
-            .any(|e| e.line_addr == line_addr)
+        self.slots[self.set_of(line_addr)].line_addr == line_addr
     }
 
     /// Invalidate the `n` lines from `line_addr` on (back-invalidation
     /// from an inclusive outer level, or a purge of an address range),
-    /// visiting their sets in order and removing each line where it lies;
-    /// occupancy and the clock are booked once for the run. Returns how
-    /// many were resident.
+    /// visiting their sets in order and emptying each set that holds its
+    /// line; occupancy and the clock are booked once for the run. Returns
+    /// how many were resident.
     pub fn invalidate_run(&mut self, line_addr: u64, n: u64) -> u64 {
-        let assoc = self.geometry.associativity as usize;
         let clock = self.clock + 1;
         let (mut set, mut removed) = (self.set_of(line_addr), [0; 6]);
         for line in line_addr..line_addr + n {
-            let (base, len) = (set * assoc, self.lens[set] as usize);
-            let ways = &self.slots[base..base + len];
-            if let Some(pos) = ways.iter().position(|e| e.line_addr == line) {
-                removed[ways[pos].region.index()] += 1;
-                self.slots
-                    .copy_within(base + pos + 1..base + len, base + pos);
-                self.lens[set] -= 1;
+            let e = &mut self.slots[set];
+            if e.line_addr == line {
+                removed[e.region.index()] += 1;
+                *e = EMPTY;
                 self.stamps[set >> BLOCK_SHIFT] = clock;
             }
-            set += 1;
-            if set == self.lens.len() {
-                set = 0;
-            }
+            set = (set + 1) & self.set_mask;
         }
         let total = removed.iter().sum();
         if total > 0 {
@@ -501,24 +442,15 @@ impl Cache {
     /// so it costs what it removes and nothing for an absent region; the
     /// clock ticks once for the purge.
     pub fn purge_region(&mut self, region: Region) -> u64 {
-        let resident = self.occupancy[region.index()];
-        let clock = self.clock + 1;
+        let r = region.index();
+        let (resident, clock) = (self.occupancy[r], self.clock + 1);
         let mut removed = 0;
-        let mut set = std::mem::replace(&mut self.low_set[region.index()], self.lens.len());
+        let mut set = std::mem::replace(&mut self.low_set[r], self.slots.len());
         while removed < resident {
-            let base = self.base_of(set);
-            let len = self.lens[set] as usize;
-            let mut kept = 0;
-            for i in 0..len {
-                let e = self.slots[base + i];
-                if e.region != region {
-                    self.slots[base + kept] = e;
-                    kept += 1;
-                }
-            }
-            if kept < len {
-                self.lens[set] = kept as u32;
-                removed += (len - kept) as u64;
+            let e = &mut self.slots[set];
+            if e.region == region && e.line_addr != EMPTY.line_addr {
+                *e = EMPTY;
+                removed += 1;
                 self.stamps[set >> BLOCK_SHIFT] = clock;
             }
             set += 1;
@@ -526,17 +458,17 @@ impl Cache {
         if removed > 0 {
             self.clock = clock;
         }
-        self.occupancy[region.index()] -= removed;
+        self.occupancy[r] -= removed;
         removed
     }
 
     /// Drop every resident line.
     pub fn flush_all(&mut self) {
-        self.lens.fill(0);
+        self.slots.fill(EMPTY);
         self.clock += 1;
         self.stamps.fill(self.clock);
         self.occupancy = [0; 6];
-        self.low_set = [self.lens.len(); 6];
+        self.low_set = [self.slots.len(); 6];
     }
 
     /// Resident line count for one region.
@@ -569,15 +501,26 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn tiny(assoc: u32) -> Cache {
-        // 4 sets × assoc ways × 16-byte lines.
-        let cap = 4 * assoc as u64 * 16;
-        Cache::new(CacheGeometry::new(cap, 16, assoc))
+    fn tiny() -> Cache {
+        // 4 sets × 16-byte lines.
+        Cache::new(CacheGeometry::new(4 * 16, 16, 1))
+    }
+
+    #[test]
+    #[should_panic(expected = "2-way geometries are priced by the analytic model")]
+    fn a_set_associative_geometry_is_refused() {
+        Cache::new(CacheGeometry::new(4 * 2 * 16, 16, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "40 sets are priced by the analytic model")]
+    fn a_set_count_that_is_not_a_power_of_two_is_refused() {
+        Cache::new(CacheGeometry::new(40 * 16, 16, 1));
     }
 
     #[test]
     fn miss_then_hit() {
-        let mut c = tiny(1);
+        let mut c = tiny();
         let r1 = c.access(0x100, Region::Stream);
         assert!(!r1.hit);
         let r2 = c.access(0x104, Region::Stream); // same 16B line
@@ -588,7 +531,7 @@ mod tests {
 
     #[test]
     fn direct_mapped_conflict_evicts() {
-        let mut c = tiny(1);
+        let mut c = tiny();
         // Lines 0 and 4 map to set 0 (4 sets).
         c.access(0, Region::Stream);
         let r = c.access(4 * 16, Region::NonProtocol);
@@ -601,20 +544,8 @@ mod tests {
     }
 
     #[test]
-    fn lru_keeps_recently_used() {
-        let mut c = tiny(2);
-        // Set 0 lines: 0, 4, 8 (2-way).
-        c.access(0, Region::Code);
-        c.access(4 * 16, Region::Global);
-        c.access(0, Region::Code); // touch line 0 again → 4*16 is LRU
-        let r = c.access(8 * 16, Region::Thread);
-        assert_eq!(r.evicted, Some((4, Region::Global)));
-        assert!(c.contains(0));
-    }
-
-    #[test]
     fn occupancy_tracks_region_change_on_retouch() {
-        let mut c = tiny(1);
+        let mut c = tiny();
         c.access(0x20, Region::PacketData);
         assert_eq!(c.occupancy(Region::PacketData), 1);
         c.access(0x20, Region::Stream);
@@ -624,7 +555,7 @@ mod tests {
 
     #[test]
     fn invalidate_and_flush() {
-        let mut c = tiny(1);
+        let mut c = tiny();
         c.access(0, Region::Stream);
         c.access(16, Region::Stream);
         assert_eq!(c.invalidate_run(0, 1), 1);
@@ -637,33 +568,33 @@ mod tests {
 
     #[test]
     fn an_invalidated_run_wraps_and_takes_only_its_own_lines() {
-        // 4 sets × 2 ways, each set holding lines s and s + 4: even lines
-        // stream state, odd ones a thread's.
-        let mut c = tiny(2);
+        // Sets 0..4 hold lines 4, 5, 2, 3: even lines stream state, odd
+        // ones a thread's.
+        let mut c = tiny();
         let owner = |l: u64| [Region::Stream, Region::Thread][l as usize % 2];
-        for l in 0..8 {
+        for l in [4, 5, 2, 3] {
             c.access(l * 16, owner(l));
         }
         // Lines 3..7 sit in sets 3, 0, 1, 2: past the last set and on.
-        assert_eq!(c.invalidate_run(3, 4), 4);
-        assert_eq!(c.occupancy(Region::Stream), 2);
-        assert_eq!(c.occupancy(Region::Thread), 2);
+        // Set 2 holds line 2, not line 6, and keeps it.
+        assert_eq!(c.invalidate_run(3, 4), 3);
+        assert_eq!(c.occupancy(Region::Stream), 1);
+        assert_eq!(c.occupancy(Region::Thread), 0);
         for l in 0..8 {
-            assert_eq!(c.contains(l * 16), !(3..7).contains(&l), "line {l}");
+            assert_eq!(c.contains(l * 16), l == 2, "line {l}");
         }
-        // What is left of each set is still a set: a hit, then a fill
-        // beside it that evicts nothing.
-        assert!(c.access(0, Region::Stream).hit);
+        // An emptied set is empty: a fill that evicts nothing.
+        assert!(c.access(2 * 16, Region::Stream).hit);
         assert_eq!(c.access(4 * 16, Region::Stream).evicted, None);
         // A run longer than the cache visits each set more than once.
-        assert_eq!(c.invalidate_run(0, 9), 5);
+        assert_eq!(c.invalidate_run(0, 9), 2);
         assert_eq!(c.total_occupancy(), 0);
         assert_eq!(c.invalidate_run(0, 9), 0);
     }
 
     #[test]
     fn resident_fraction_measures_displacement() {
-        let mut c = tiny(1);
+        let mut c = tiny();
         // Preload footprint lines 0..4 (one per set).
         let footprint: Vec<u64> = (0..4).collect();
         for &l in &footprint {
@@ -679,7 +610,7 @@ mod tests {
 
     #[test]
     fn dirty_tracking_and_writebacks() {
-        let mut c = tiny(1);
+        let mut c = tiny();
         // Clean fill, then dirty it, then conflict-evict.
         c.access(0, Region::Stream);
         assert_eq!(c.dirty_occupancy(Region::Stream), 0);
@@ -697,7 +628,7 @@ mod tests {
 
     #[test]
     fn write_miss_fills_dirty() {
-        let mut c = tiny(1);
+        let mut c = tiny();
         c.access_rw(0x10, Region::Thread, true);
         assert_eq!(c.dirty_occupancy(Region::Thread), 1);
         // A read hit does not clean it.
@@ -707,7 +638,7 @@ mod tests {
 
     #[test]
     fn purge_region_removes_only_that_region() {
-        let mut c = tiny(2);
+        let mut c = tiny();
         c.access(0, Region::Stream);
         c.access(16, Region::Stream);
         c.access(32, Region::Code);
@@ -720,17 +651,23 @@ mod tests {
     }
 
     const SETS: u64 = 64;
-    /// First line and length of the run the stamp tests memoise: block 1
-    /// of a 64-set cache (sets 16..32), exactly.
-    const RUN: (u64, u64) = (16, 16);
+    /// First line and length of the run the stamp tests memoise: the
+    /// first twelve sets of block 1 of a 64-set cache (sets 16..28).
+    const RUN: (u64, u64) = (16, 12);
     /// A line of the run, and one two blocks away from it.
     const INSIDE: u64 = 20;
     const OUTSIDE: u64 = 40;
 
-    /// 64 sets (four stamp blocks) × `assoc` ways, lines 0..64 resident
-    /// as clean `Stream` lines, one per set.
-    fn full_of_stream(assoc: u32) -> Cache {
-        let mut c = Cache::new(CacheGeometry::new(SETS * assoc as u64 * 16, 16, assoc));
+    /// The last set of `line`'s block, which no memoised run covers: where
+    /// a row prepares a line of its own without breaking the run.
+    fn spare(line: u64) -> u64 {
+        line | ((1 << BLOCK_SHIFT) - 1)
+    }
+
+    /// 64 sets (four stamp blocks), lines 0..64 resident as clean
+    /// `Stream` lines, one per set.
+    fn full_of_stream() -> Cache {
+        let mut c = Cache::new(CacheGeometry::new(SETS * 16, 16, 1));
         for l in 0..SETS {
             c.access(l * 16, Region::Stream);
         }
@@ -754,7 +691,7 @@ mod tests {
         /// Those of the `n` sets from the one it is aimed at, wrapping
         /// past the last.
         Sets(u64),
-        /// None: it changes no slot and no length.
+        /// None: it changes no slot.
         Nothing,
         /// All of them.
         EveryBlock,
@@ -779,62 +716,46 @@ mod tests {
         // the other tag of that set.
         type Op = fn(&mut Cache, u64);
         let nop: Op = |_, _| {};
-        let second_way: Op = |c, l| {
-            c.access((l + SETS) * 16, Region::PacketData);
-            c.access(l * 16, Region::Stream);
-        };
-        let conflicting_fill: Op = |c, l| {
-            assert!(!c.access((l + SETS) * 16, Region::Global).hit);
-        };
         let its_block = Stamps::Sets(1);
-        let cases: [(&str, u32, Op, Op, Stamps); 20] = [
-            ("miss fill", 2, nop, conflicting_fill, its_block),
-            ("evicting fill", 1, nop, conflicting_fill, its_block),
+        let cases: [(&str, Op, Op, Stamps); 18] = [
+            (
+                "fill of an empty set",
+                |c, l| assert_eq!(c.invalidate_run(spare(l), 1), 1),
+                |c, l| assert_eq!(c.access(spare(l) * 16, Region::Global).evicted, None),
+                its_block,
+            ),
+            (
+                "evicting fill",
+                nop,
+                |c, l| assert!(!c.access((l + SETS) * 16, Region::Global).hit),
+                its_block,
+            ),
             (
                 "re-tag hit",
-                1,
                 nop,
                 |c, l| assert!(c.access(l * 16, Region::Global).hit),
                 its_block,
             ),
             (
                 "first store to a clean line",
-                1,
                 nop,
                 |c, l| assert!(c.access_rw(l * 16, Region::Stream, true).hit),
                 its_block,
             ),
             (
-                "way reorder",
-                2,
-                second_way,
-                |c, l| assert!(c.access((l + SETS) * 16, Region::PacketData).hit),
-                its_block,
-            ),
-            (
                 "invalidate_run of one resident line",
-                1,
                 nop,
                 |c, l| assert_eq!(c.invalidate_run(l, 1), 1),
                 its_block,
             ),
             (
-                "invalidate_run of the second way",
-                2,
-                second_way,
-                |c, l| assert_eq!(c.invalidate_run(l + SETS, 1), 1),
-                its_block,
-            ),
-            (
                 "invalidate_run over two blocks",
-                1,
                 nop,
                 |c, l| assert_eq!(c.invalidate_run(l, 16), 16),
                 Stamps::Sets(16),
             ),
             (
                 "invalidate_run past the last set",
-                1,
                 // Lines 64..80 resident in block 0, after the last set.
                 |c, _| (SETS..SETS + 16).for_each(|l| assert!(!c.access(l * 16, Region::Code).hit)),
                 |c, l| assert_eq!(c.invalidate_run(l, 40), 40),
@@ -842,86 +763,70 @@ mod tests {
             ),
             (
                 "invalidate_run of absent lines",
-                1,
                 nop,
                 |c, l| assert_eq!(c.invalidate_run(l + SETS, 16), 0),
                 Stamps::Nothing,
             ),
             (
                 "purge_region",
-                2,
-                second_way,
+                |c, l| assert!(!c.access((spare(l) + SETS) * 16, Region::PacketData).hit),
                 |c, _| assert_eq!(c.purge_region(Region::PacketData), 1),
                 its_block,
             ),
             (
                 "purge_region of an absent region",
-                1,
                 nop,
                 |c, _| assert_eq!(c.purge_region(Region::PacketData), 0),
                 Stamps::Nothing,
             ),
             (
                 "stateless hit",
-                1,
                 nop,
                 |c, l| assert!(c.access(l * 16, Region::Stream).hit),
                 Stamps::Nothing,
             ),
             (
                 "charge",
-                1,
                 nop,
                 |c, _| c.charge(Region::Stream, 3, 7),
                 Stamps::Nothing,
             ),
             (
                 "fill_run of a resident line",
-                1,
                 nop,
                 |c, l| assert_eq!(c.fill_run(l, 1, Region::Global, true), 0),
                 Stamps::Nothing,
             ),
             (
                 "fill_run of one line",
-                2,
                 nop,
                 |c, l| assert_eq!(c.fill_run(l + SETS, 1, Region::Global, false), 1),
                 its_block,
             ),
             (
                 "fill_run over two blocks",
-                1,
                 nop,
                 |c, l| assert_eq!(c.fill_run(l + SETS, 16, Region::Global, false), 16),
                 Stamps::Sets(16),
             ),
             (
                 "fill_run up to a resident line",
-                1,
-                // Past the memoised run, which ends at set 32.
+                // Past the memoised run, which ends at set 28.
                 |c, l| assert!(!c.access((l + 12 + SETS) * 16, Region::Thread).hit),
                 |c, l| assert_eq!(c.fill_run(l + SETS, 16, Region::Global, true), 12),
                 Stamps::Sets(12),
             ),
             (
                 "fill_run past the last set",
-                2,
                 nop,
                 |c, l| assert_eq!(c.fill_run(l + SETS, 40, Region::Global, false), 40),
                 Stamps::Sets(40),
             ),
-            (
-                "flush_all",
-                1,
-                nop,
-                |c, _| c.flush_all(),
-                Stamps::EveryBlock,
-            ),
+            ("flush_all", nop, |c, _| c.flush_all(), Stamps::EveryBlock),
         ];
-        for (name, assoc, before, mutate, stamps) in cases {
+        for (name, before, mutate, stamps) in cases {
             for target in [INSIDE, OUTSIDE] {
-                let mut c = full_of_stream(assoc);
+                let mut c = full_of_stream();
                 before(&mut c, target);
                 assert_eq!(
                     ask(&mut c, RUN.0, RUN.1),
@@ -955,7 +860,7 @@ mod tests {
 
     #[test]
     fn a_memoised_run_answers_shorter_and_longer_queries() {
-        let mut c = full_of_stream(1);
+        let mut c = full_of_stream();
         assert_eq!(ask(&mut c, 16, 32), (32, true));
         // A prefix, from the entry; a longer query gets the stored length
         // (short of the 48 a walk would find), also without a walk.
@@ -979,7 +884,7 @@ mod tests {
 
     #[test]
     fn a_run_that_wraps_past_the_last_set_is_walked_every_time() {
-        let mut c = full_of_stream(1);
+        let mut c = full_of_stream();
         for l in SETS..SETS + 8 {
             c.access(l * 16, Region::Stream);
         }
@@ -990,7 +895,7 @@ mod tests {
             assert_eq!(ask(&mut c, 56, n), (16, true));
         }
         // Every set holds the line the run wants: a run stops at `sets`.
-        let mut c = full_of_stream(1);
+        let mut c = full_of_stream();
         assert_eq!(ask(&mut c, 0, 1000), (SETS, true));
         assert_eq!(ask(&mut c, 0, 1000), (SETS, false));
         assert_eq!(ask(&mut c, 1, 1000), (SETS - 1, true));
@@ -1000,32 +905,8 @@ mod tests {
     }
 
     #[test]
-    fn stamps_cover_a_set_count_that_is_not_a_power_of_two() {
-        // 40 sets: two whole blocks and one of eight sets, indexed by `%`.
-        let mut c = Cache::new(CacheGeometry::new(40 * 16, 16, 1));
-        for l in 40..80 {
-            c.access(l * 16, Region::Stream);
-        }
-        assert_eq!(c.stamps.len(), 3);
-        assert_eq!(ask(&mut c, 70, 10), (10, true));
-        assert_eq!(ask(&mut c, 70, 10), (10, false));
-        assert_eq!(ask(&mut c, 44, 20), (20, true));
-        // Set 39, the last of the short block; then set 20.
-        c.access(39 * 16, Region::Global);
-        assert_eq!(ask(&mut c, 44, 20), (20, false));
-        assert_eq!(ask(&mut c, 70, 10), (9, true));
-        c.invalidate_run(60, 1);
-        assert_eq!(ask(&mut c, 44, 20), (16, true));
-        // Wrapping from set 39 to set 0 (line 80).
-        c.access(79 * 16, Region::Stream);
-        c.access(80 * 16, Region::Stream);
-        assert_eq!(ask(&mut c, 75, 10), (6, true));
-        assert_eq!(ask(&mut c, 75, 10), (6, true));
-    }
-
-    #[test]
     fn stats_reset_preserves_contents() {
-        let mut c = tiny(1);
+        let mut c = tiny();
         c.access(0, Region::Stream);
         c.reset_stats();
         assert_eq!(c.stats.accesses, 0);

@@ -1,4 +1,4 @@
-//! Trace-driven simulation: region-tagged references, a set-associative
+//! Trace-driven simulation: region-tagged references, a direct-mapped
 //! cache, the two-level hierarchy with inclusion and cycle accounting,
 //! and a synthetic SST-like workload generator for cross-validation.
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the cache models and simulator.
 //!
-//! The set-associative cache (LRU and FIFO) is checked against a
-//! brute-force reference model on random traces, its `purge_region`
+//! The direct-mapped cache is checked against a brute-force reference
+//! model (one way per set) on random traces, its `purge_region`
 //! (which starts at a per-region lower-bound set) against a model that
 //! scans every set and its `invalidate_run` against one line at a time; the hierarchy's line-priced `access_sweep` against
 //! the reference-by-reference definition on random platforms, with the
@@ -30,8 +30,8 @@ use afs_cache::sim::hierarchy::{MemoryHierarchy, ServedBy};
 use afs_cache::sim::trace::{MemRef, Region, TraceSink};
 use afs_desim::time::SimDuration;
 
-/// Brute-force reference: per set, a deque of tags, newest first. LRU
-/// moves a hit to the front; FIFO leaves it where its fill put it.
+/// Brute-force reference: per set, a deque of tags, newest first, as
+/// long as the set has ways (one, for every cache simulated here).
 struct RefLru {
     sets: Vec<VecDeque<u64>>,
     line: u64,
@@ -150,14 +150,10 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
     )
 }
 
-fn small_geometry() -> impl Strategy<Value = (u64, u32, u32)> {
-    // (sets, line, assoc) with modest sizes for brute-force comparison;
-    // 3 sets is the one count that indexes by `%` instead of a mask.
-    (0u32..=5, 0u32..=2, 1u32..=4).prop_map(|(set_pow, line_pow, assoc)| {
-        let sets = if set_pow == 0 { 3 } else { 1u64 << set_pow };
-        let line = 16u32 << line_pow;
-        (sets, line, assoc)
-    })
+fn small_geometry() -> impl Strategy<Value = (u64, u32)> {
+    // (sets, line), direct-mapped, with modest sizes for brute-force
+    // comparison.
+    (1u32..=5, 0u32..=2).prop_map(|(set_pow, line_pow)| (1u64 << set_pow, 16u32 << line_pow))
 }
 
 /// A sink that prices a sweep by the `TraceSink` default body, i.e. by
@@ -183,7 +179,13 @@ struct Sweep {
 fn sweep() -> impl Strategy<Value = Sweep> {
     (
         (0u8..3, 0usize..6, 0u64..8192),
-        prop_oneof![Just(4u64), Just(16u64), Just(48u64), Just(0u64)],
+        prop_oneof![
+            Just(4u64),
+            Just(16u64),
+            Just(32u64),
+            Just(48u64),
+            Just(0u64)
+        ],
         1u64..=96,
         (0u8..3, 0u64..300),
     )
@@ -233,16 +235,14 @@ enum Step {
         skip: u64,
     },
     /// The previous sweep from its `skip`-th reference on, 4 KiB up: the
-    /// same sets of every power-of-two L1 here but the largest, so it
-    /// evicts the tail of the previous sweep's lines or, with two ways
-    /// or more, takes turns with them as most recent way (hits that only
-    /// reorder a set) — and leaves the first line, which a run probe
-    /// looks at before anything else, as it was.
+    /// same sets of every L1 here but the largest, so it evicts the tail
+    /// of the previous sweep's lines — and leaves the first line, which a
+    /// run probe looks at before anything else, as it was.
     Alias {
         skip: u64,
     },
-    /// The previous sweep, `periods` × [`L1_PERIODS`] bytes up: with one
-    /// way it evicts every line of the previous sweep from L1, whose
+    /// The previous sweep, `periods` × [`L1_PERIODS`] bytes up: it evicts
+    /// every line of the previous sweep from L1, whose
     /// repeat is then a streak of L1-absent lines, reloaded from L2 or,
     /// where the copy took their L2 sets too, from memory.
     Shifted {
@@ -263,8 +263,8 @@ enum Step {
 }
 
 /// A whole number of L1 periods (sets × line bytes) on every platform
-/// [`small_platform`] draws: 3 × 8 KiB.
-const L1_PERIODS: u64 = 24_576;
+/// [`small_platform`] draws: 8 KiB.
+const L1_PERIODS: u64 = 8_192;
 
 /// What a step issues: sweeps, then at most one purge or flush.
 #[derive(Debug, Clone, Copy)]
@@ -426,12 +426,7 @@ fn apply<S: TraceSink>(
         Op::PurgeRange(addr, bytes) if by_line && bytes > 0 => {
             let h = hier(sink);
             let (l1, l2) = (h.platform().l1.line_bytes, h.platform().l2.line_bytes);
-            for (cache, line_bytes) in [
-                (Some(&mut h.l1d), l1),
-                (h.l1i.as_mut(), l1),
-                (Some(&mut h.l2), l2),
-            ] {
-                let Some(cache) = cache else { continue };
+            for (cache, line_bytes) in [(&mut h.l1d, l1), (&mut h.l1i, l1), (&mut h.l2, l2)] {
                 let line_bytes = u64::from(line_bytes);
                 for line in addr / line_bytes..=(addr + bytes - 1) / line_bytes {
                     cache.invalidate_run(line, 1);
@@ -443,49 +438,39 @@ fn apply<S: TraceSink>(
     }
 }
 
-/// L1 {3, 4, 16, 64, 256} sets (one to sixteen stamp blocks) × {1, 2, 4}
-/// ways × {16, 32} B, split or unified, under an L2 whose lines are at
-/// least as long.
+/// Split L1s of {4, 16, 64, 256} sets (one to sixteen stamp blocks) ×
+/// {16, 32} B under an L2 whose lines are one, two or four times as
+/// long, all direct-mapped. The penalties are drawn fractional too, so
+/// that cycles summed in another order than the walk's change bits.
 fn small_platform() -> impl Strategy<Value = Platform> {
     (
         (
-            prop_oneof![
-                Just(3u64),
-                Just(4u64),
-                Just(16u64),
-                Just(64u64),
-                Just(256u64)
-            ],
-            prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
+            prop_oneof![Just(4u64), Just(16u64), Just(64u64), Just(256u64)],
             prop_oneof![Just(16u32), Just(32u32)],
-            any::<bool>(),
         ),
         (
             prop_oneof![Just(16u64), Just(64u64), Just(256u64)],
-            1u32..=2,
             0u32..=2,
         ),
-        prop_oneof![Just(0.0f64), Just(1.0f64), Just(0.3f64)],
+        (
+            prop_oneof![Just(12.0f64), Just(8.3f64), Just(0.1f64)],
+            prop_oneof![Just(100.0f64), Just(49.1f64), Just(0.7f64)],
+        ),
     )
-        .prop_map(
-            |((sets, assoc, line, split), (l2_sets, l2_assoc, l2_line_pow), hit)| {
-                let l2_line = line << l2_line_pow;
-                Platform {
-                    l1: CacheGeometry::new(sets * assoc as u64 * line as u64, line, assoc),
-                    l1_split: split,
-                    l2: CacheGeometry::new(
-                        l2_sets * l2_assoc as u64 * l2_line as u64,
-                        l2_line,
-                        l2_assoc,
-                    ),
-                    l1_hit_cycles: hit,
-                    ..Platform::sgi_challenge_r4400()
-                }
-            },
-        )
+        .prop_map(|((sets, line), (l2_sets, l2_line_pow), (l2_hit, mem))| {
+            let l2_line = line << l2_line_pow;
+            Platform {
+                l1: CacheGeometry::new(sets * line as u64, line, 1),
+                l1_split: true,
+                l2: CacheGeometry::new(l2_sets * l2_line as u64, l2_line, 1),
+                l2_hit_penalty_cycles: l2_hit,
+                mem_penalty_cycles: mem,
+                ..Platform::sgi_challenge_r4400()
+            }
+        })
 }
 
-/// Everything observable about a hierarchy short of its recency order:
+/// Everything observable about a hierarchy short of which lines it holds:
 /// its counters (cycles by bit pattern) and, per cache, the counters and
 /// every region's occupancy and dirty occupancy.
 fn observable(h: &MemoryHierarchy) -> String {
@@ -498,10 +483,7 @@ fn observable(h: &MemoryHierarchy) -> String {
         s.mem_fills,
         s.cycles.to_bits()
     );
-    for c in [Some(&h.l1d), h.l1i.as_ref(), Some(&h.l2)]
-        .into_iter()
-        .flatten()
-    {
+    for c in [&h.l1d, &h.l1i, &h.l2] {
         let occupancy = Region::ALL.map(|r| (c.occupancy(r), c.dirty_occupancy(r)));
         out += &format!("\n{:?} {:?}", c.stats, occupancy);
     }
@@ -510,13 +492,13 @@ fn observable(h: &MemoryHierarchy) -> String {
 
 #[test]
 fn purge_region_reaches_the_last_set_and_returns_at_once_when_absent() {
-    for sets in [3u64, 8] {
-        let mut c = Cache::new(CacheGeometry::new(sets * 2 * 16, 16, 2));
-        for l in 0..sets {
+    for sets in [4u64, 8] {
+        let mut c = Cache::new(CacheGeometry::new(sets * 16, 16, 1));
+        for l in 0..sets - 1 {
             c.access(l * 16, Region::Code);
         }
         // The only packet line sits in the last set the scan visits.
-        let packet = (2 * sets - 1) * 16;
+        let packet = (sets - 1) * 16;
         c.access_rw(packet, Region::PacketData, true);
         assert_eq!(c.purge_region(Region::PacketData), 1);
         assert!(!c.contains(packet));
@@ -525,8 +507,8 @@ fn purge_region_reaches_the_last_set_and_returns_at_once_when_absent() {
         // Absent now, and a region that never was resident.
         assert_eq!(c.purge_region(Region::PacketData), 0);
         assert_eq!(c.purge_region(Region::Stream), 0);
-        assert_eq!(c.occupancy(Region::Code), sets);
-        assert!((0..sets).all(|l| c.contains(l * 16)));
+        assert_eq!(c.occupancy(Region::Code), sets - 1);
+        assert!((0..sets - 1).all(|l| c.contains(l * 16)));
     }
 }
 
@@ -535,12 +517,11 @@ proptest! {
 
     #[test]
     fn lru_cache_matches_reference(
-        (sets, line, assoc) in small_geometry(),
+        (sets, line) in small_geometry(),
         addrs in prop::collection::vec(0u64..4096, 1..300),
     ) {
-        let cap = sets * line as u64 * assoc as u64;
-        let mut real = Cache::new(CacheGeometry::new(cap, line, assoc));
-        let mut model = RefLru::new(sets as usize, line as u64, assoc as usize);
+        let mut real = Cache::new(CacheGeometry::new(sets * line as u64, line, 1));
+        let mut model = RefLru::new(sets as usize, line as u64, 1);
         for &a in &addrs {
             let hit_real = real.access(a, Region::Stream).hit;
             let hit_model = model.access(a);
@@ -554,15 +535,14 @@ proptest! {
 
     #[test]
     fn purge_region_from_the_lower_bound_equals_a_scan_of_every_set(
-        (sets, line, assoc) in small_geometry(),
+        (sets, line) in small_geometry(),
         script in prop::collection::vec(cache_op(), 1..200),
     ) {
-        let cap = sets * line as u64 * assoc as u64;
-        let mut real = Cache::new(CacheGeometry::new(cap, line, assoc));
+        let mut real = Cache::new(CacheGeometry::new(sets * line as u64, line, 1));
         let mut model = RefOwned {
             sets: vec![Vec::new(); sets as usize],
             line: line as u64,
-            assoc: assoc as usize,
+            assoc: 1,
         };
         for (k, &op) in script.iter().enumerate() {
             match op {
@@ -603,7 +583,7 @@ proptest! {
     fn cache_occupancy_is_bounded_and_consistent(
         addrs in prop::collection::vec(0u64..100_000, 1..400),
     ) {
-        let mut c = Cache::new(CacheGeometry::new(4096, 16, 2));
+        let mut c = Cache::new(CacheGeometry::new(4096, 16, 1));
         for &a in &addrs {
             c.access(a, Region::NonProtocol);
             prop_assert!(c.total_occupancy() <= 256); // 4096/16 lines
@@ -810,17 +790,19 @@ proptest! {
     fn back_invalidation_preserves_inclusion(
         addrs in prop::collection::vec(0u64..65_536, 1..500),
     ) {
-        // Small hierarchy: every L1-resident line must also be in L2.
+        // Small hierarchy: every line either L1 holds must also be in L2.
         let mut platform = Platform::sgi_challenge_r4400();
         platform.l1 = CacheGeometry::new(512, 16, 1);
-        platform.l1_split = false;
         platform.l2 = CacheGeometry::new(4096, 64, 1);
         let mut h = MemoryHierarchy::new(platform);
         for &a in &addrs {
-            h.access(MemRef::read(a, Region::Stream));
+            h.access(match a % 3 {
+                0 => MemRef::fetch(a),
+                _ => MemRef::read(a, Region::Stream),
+            });
         }
         for &a in &addrs {
-            if h.l1d.contains(a) {
+            if h.l1d.contains(a) || h.l1i.contains(a) {
                 prop_assert!(h.l2.contains(a), "inclusion violated at {a:#x}");
             }
         }
@@ -847,7 +829,7 @@ proptest! {
             prop_assert_eq!(observable(&fast), observable(&slow.0), "after op {} = {:?}", k, op);
         }
         // Where a common random suffix is served reads out what the
-        // counters cannot: which lines are resident and in what order.
+        // counters cannot: which lines are resident.
         let mut x = suffix_seed | 1;
         for k in 0..500 {
             x ^= x << 13;

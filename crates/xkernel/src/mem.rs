@@ -15,9 +15,8 @@
 //! ```
 //!
 //! with the L1 hit time folded into the CPI (loads that hit L1 do not
-//! stall the R4400 pipeline). The hierarchy is therefore configured with
-//! `l1_hit_cycles = 0` here, and the engine charges `instructions × CPI`
-//! explicitly.
+//! stall the R4400 pipeline). The hierarchy therefore charges only miss
+//! penalties, and the engine charges `instructions × CPI` explicitly.
 //!
 //! [`MemoryHierarchy`]: afs_cache::sim::MemoryHierarchy
 

@@ -105,10 +105,7 @@ impl Digest {
         ] {
             self.word(w);
         }
-        for c in [Some(&h.l1d), h.l1i.as_ref(), Some(&h.l2)]
-            .into_iter()
-            .flatten()
-        {
+        for c in [&h.l1d, &h.l1i, &h.l2] {
             let s = c.stats;
             for w in [s.accesses, s.hits, s.writebacks] {
                 self.word(w);
