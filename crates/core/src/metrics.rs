@@ -10,7 +10,8 @@ pub struct Collector {
     warmup: SimTime,
     /// Packet delays (µs), post-warmup.
     pub delay: Welford,
-    /// Batch-means accumulator over the same delays.
+    /// Batch-means accumulator over the same delays (streamed: at most 32
+    /// batch sums, however long the run).
     pub delay_batches: BatchMeans,
     /// Delay histogram (bin 25 µs, 4000 bins → 100 ms span).
     pub delay_hist: Histogram,
@@ -290,7 +291,10 @@ impl Collector {
 pub struct RunReport {
     /// Mean packet delay (queueing + service), µs.
     pub mean_delay_us: f64,
-    /// Half-width of the 95 % batch-means CI on the mean delay.
+    /// Half-width of the 95 % batch-means CI on the mean delay: the
+    /// Student-t interval over 16–31 closed batches of one power-of-two
+    /// size, streamed by [`BatchMeans`] (the delays after the last closed
+    /// batch are left out); infinite below 16 post-warm-up delays.
     pub delay_ci_half_us: f64,
     /// 95th-percentile delay (None if it fell past the histogram).
     pub p95_delay_us: Option<f64>,

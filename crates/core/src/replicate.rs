@@ -10,7 +10,7 @@
 //! verification and for the figures where run-to-run variability itself
 //! matters (burst response).
 
-use afs_desim::stats::{ConfInterval, Welford};
+use afs_desim::stats::{t_975, ConfInterval, Welford};
 
 use crate::config::SystemConfig;
 use crate::metrics::RunReport;
@@ -33,21 +33,7 @@ pub struct MetricSummary {
 impl MetricSummary {
     fn from(acc: &Welford) -> Self {
         let n = acc.count() as f64;
-        // Student-t 0.975 quantile via the same table BatchMeans uses
-        // (approximate beyond 30 d.o.f.).
-        let t = match acc.count() {
-            0 | 1 => f64::INFINITY,
-            2 => 12.706,
-            3 => 4.303,
-            4 => 3.182,
-            5 => 2.776,
-            6 => 2.571,
-            7 => 2.447,
-            8 => 2.365,
-            9 => 2.306,
-            10 => 2.262,
-            _ => 2.0,
-        };
+        let t = t_975((acc.count() as usize).saturating_sub(1));
         MetricSummary {
             mean: acc.mean(),
             ci_half: t * (acc.variance() / n).sqrt(),
@@ -194,6 +180,22 @@ mod tests {
         let s = replicate(&cfg, 3);
         assert_eq!(s.stable_count, 0);
         assert_eq!(s.mean_delay_us.mean, 0.0);
+    }
+
+    #[test]
+    fn replication_interval_uses_the_student_t_table_past_ten() {
+        // 11 and 31 replications: 10 and 30 degrees of freedom, where the
+        // table reads 2.228 and 2.042 (a flat 2.0 made these intervals
+        // 2–10 % too narrow).
+        for (n, t) in [(11u32, 2.228), (31, 2.042)] {
+            let mut acc = Welford::new();
+            for i in 0..n {
+                acc.add(100.0 + f64::from(i % 5));
+            }
+            let s = MetricSummary::from(&acc);
+            let se = (acc.variance() / f64::from(n)).sqrt();
+            assert_eq!(s.ci_half, t * se, "{n} replications");
+        }
     }
 
     #[test]

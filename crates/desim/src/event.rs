@@ -26,6 +26,15 @@
 //! case is the fast path: binary-search insert, pop from the back,
 //! no hashing anywhere.
 //!
+//! A bucket's `Vec` grows to the busiest its day has been, and the scan
+//! comes back to that day once a year. When the scan leaves a day whose
+//! bucket holds more than `2·len + 8` slots, the bucket shrinks to
+//! `2·len`, so retained slots stay a constant multiple of the live
+//! events plus the bucket count, however long the run. On a skewed live
+//! set (a Zipf flow population: day width set by the rare flows, each
+//! day filled in turn by the frequent ones) keeping those capacities
+//! made the queue's memory grow with the horizon, not the live count.
+//!
 //! # Cancellation
 //!
 //! `cancel` is O(1): event ids are `(slot index, generation)` pairs into
@@ -363,6 +372,11 @@ impl<E> EventQueue<E> {
                 if (s.time.ticks() as u128) < self.cur_top {
                     return true;
                 }
+            }
+            // Leaving the day: give back what its busiest stretch grew
+            // the bucket to, so retained slots track the live events.
+            if b.capacity() > 2 * b.len() + 8 {
+                b.shrink_to(2 * b.len());
             }
             self.cur_bucket = (self.cur_bucket + 1) & self.mask;
             self.cur_top += self.width as u128;
@@ -709,6 +723,55 @@ mod tests {
         q.push(t(1), 999);
         assert_eq!(q.pop(), Some((t(1), 999)));
         assert_eq!(q.pop(), Some((t(1400), 400)));
+    }
+
+    /// A hold model (pop the minimum, push it back later) whose live set
+    /// is skewed the way a Zipf flow population makes it: a few hot
+    /// events re-arm within about a day, so each day the scan reaches
+    /// fills with them, while the rest spread over the year and set the
+    /// day width. Over several calendar years every bucket has had a busy
+    /// day; the slots retained must still track the live events.
+    #[test]
+    fn hold_model_keeps_bucket_capacity_proportional_to_live_events() {
+        use crate::rng::RngFactory;
+        use rand::Rng;
+        const LIVE: usize = 10_000;
+        const HOT: usize = 32;
+        const COLD_SPAN: u64 = 1 << 24;
+        let mut rng = RngFactory::new(34).stream("hold");
+        let mut q = EventQueue::new();
+        for i in 0..LIVE {
+            let span = if i < HOT { 1 } else { COLD_SPAN };
+            q.push(SimTime::from_ticks(rng.gen_range(0..span)), i < HOT);
+        }
+        let width = q.width;
+        let year = width * q.n_buckets() as u64;
+        let capacity = |q: &EventQueue<bool>| q.buckets.iter().map(Vec::capacity).sum::<usize>();
+        let bound = 4 * (q.len() + q.n_buckets());
+        let mut peak = 0;
+        let mut pops = 0u64;
+        let mut now = SimTime::ZERO;
+        while now.ticks() < 3 * year {
+            let (t, hot) = q.pop().unwrap();
+            now = t;
+            let span = if hot { 2 * width } else { COLD_SPAN };
+            q.push(
+                SimTime::from_ticks(now.ticks() + rng.gen_range(1..span)),
+                hot,
+            );
+            pops += 1;
+            // Sampled: summing 8 192 capacities per pop would outweigh the run.
+            if pops % 4096 == 0 {
+                peak = peak.max(capacity(&q));
+            }
+        }
+        assert_eq!(q.len(), LIVE);
+        assert!(
+            peak <= bound,
+            "bucket capacity peaked at {peak} slots for {} live events in {} buckets",
+            q.len(),
+            q.n_buckets()
+        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //!   (queue lengths, utilizations).
 //! * [`Histogram`] — fixed-width bins with tail overflow; quantile reads.
 //! * [`BatchMeans`] — confidence intervals for correlated output series by
-//!   the method of non-overlapping batch means.
+//!   the method of non-overlapping batch means, streamed: at most
+//!   `2·num_batches` batch sums, however long the run.
+//! * [`t_975`] — the one Student-t table, shared by batch means and
+//!   independent replications.
 //! * [`littles_law_gap`] — consistency check `L = λ·W` for a completed run.
 
 use crate::time::SimTime;
@@ -223,16 +226,35 @@ impl Histogram {
     }
 }
 
-/// Confidence interval via the method of non-overlapping batch means.
+/// Confidence interval via the method of non-overlapping batch means, in
+/// memory that does not grow with the number of observations.
 ///
-/// Observations are grouped into `num_batches` equal batches in arrival
-/// order; the batch means are treated as approximately i.i.d. normal and a
-/// Student-t interval is formed. Standard practice for steady-state
-/// simulation output, which is serially correlated.
+/// Observations are grouped in arrival order into batches of `2^j`
+/// values. At most `2·num_batches` batch sums are held: when that many
+/// batches are closed, adjacent pairs merge and `j` grows by one. So once
+/// there are `n ≥ num_batches` observations, `j` is the smallest power
+/// for which `k = ⌊n / 2^j⌋ < 2·num_batches`, and the interval is formed
+/// over those `k ∈ [num_batches, 2·num_batches)` closed batches; the
+/// open tail (fewer than `2^j` values) is left out. A batch's sum is the
+/// balanced pairwise sum of its values (left half + right half, down to
+/// single values), whether the batch filled at its size or was merged
+/// from two halves. The `k` batch means (sum / `2^j`, exact) go through
+/// a [`Welford`], and the interval is `mean ± t₀.₉₇₅(k − 1)·√(var / k)`.
+/// The batch means are treated as approximately i.i.d. normal: standard
+/// practice for steady-state simulation output, which is serially
+/// correlated.
 #[derive(Debug, Clone)]
 pub struct BatchMeans {
-    values: Vec<f64>,
     num_batches: usize,
+    /// Closed batch sums, oldest first, each over `2^shift` values.
+    sums: Vec<f64>,
+    /// `j`: log2 of the batch size.
+    shift: u32,
+    /// Values in the open batch (< `2^shift`).
+    open_len: usize,
+    /// The open batch as a binary counter of pairwise sums: while bit `i`
+    /// of `open_len` is set, `partial[i]` sums a block of `2^i` values.
+    partial: [f64; 64],
 }
 
 /// A symmetric confidence interval `mean ± half_width`.
@@ -244,8 +266,9 @@ pub struct ConfInterval {
     pub half_width: f64,
 }
 
-/// Two-sided Student-t 0.975 quantiles for small d.o.f.; 1.96 beyond.
-fn t_975(df: usize) -> f64 {
+/// Two-sided Student-t 0.975 quantile for `df` degrees of freedom, from a
+/// table up to 30; 1.96 beyond; infinite at 0.
+pub fn t_975(df: usize) -> f64 {
     const TABLE: [f64; 30] = [
         12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
         2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
@@ -261,44 +284,66 @@ fn t_975(df: usize) -> f64 {
 }
 
 impl BatchMeans {
-    /// Accumulate into `num_batches` batches (≥ 2).
+    /// Accumulate into between `num_batches` (≥ 2) and `2·num_batches`
+    /// batches.
     pub fn new(num_batches: usize) -> Self {
         assert!(num_batches >= 2);
         BatchMeans {
-            values: Vec::new(),
             num_batches,
+            sums: Vec::with_capacity(2 * num_batches),
+            shift: 0,
+            open_len: 0,
+            partial: [0.0; 64],
         }
     }
 
     /// Record one observation.
     pub fn add(&mut self, x: f64) {
-        self.values.push(x);
+        // Carry `x` up the counter: each set bit is a finished block that
+        // is the left half of the next one.
+        let mut carry = x;
+        let mut level = 0;
+        while (self.open_len >> level) & 1 == 1 {
+            carry += self.partial[level];
+            level += 1;
+        }
+        if level < self.shift as usize {
+            self.partial[level] = carry;
+            self.open_len += 1;
+            return;
+        }
+        self.open_len = 0;
+        self.sums.push(carry);
+        if self.sums.len() == 2 * self.num_batches {
+            for i in 0..self.num_batches {
+                self.sums[i] = self.sums[2 * i] + self.sums[2 * i + 1];
+            }
+            self.sums.truncate(self.num_batches);
+            self.shift += 1;
+        }
     }
 
     /// Number of observations so far.
     pub fn count(&self) -> usize {
-        self.values.len()
+        (self.sums.len() << self.shift) + self.open_len
     }
 
     /// 95 % confidence interval for the steady-state mean, or `None` when
     /// there are fewer than `num_batches` observations.
     pub fn interval(&self) -> Option<ConfInterval> {
-        let b = self.num_batches;
-        let n = self.values.len();
-        if n < b {
+        let k = self.sums.len();
+        if k < self.num_batches {
             return None;
         }
-        let per = n / b; // drop the ragged tail
+        let size = (1u64 << self.shift) as f64;
         let mut means = Welford::new();
-        for i in 0..b {
-            let chunk = &self.values[i * per..(i + 1) * per];
-            let m = chunk.iter().sum::<f64>() / per as f64;
-            means.add(m);
+        for &s in &self.sums {
+            means.add(s / size);
         }
-        let se = (means.variance() / b as f64).sqrt();
+        let se = (means.variance() / k as f64).sqrt();
         Some(ConfInterval {
             mean: means.mean(),
-            half_width: t_975(b - 1) * se,
+            half_width: t_975(k - 1) * se,
         })
     }
 }
@@ -443,6 +488,106 @@ mod tests {
             bm.add(1.0);
         }
         assert!(bm.interval().is_none());
+    }
+
+    /// The documented rule from a stored series: the smallest batch size
+    /// `2^j` leaving fewer than `2·b` whole batches, each batch summed
+    /// pairwise, the tail left out, the batch means through a `Welford`.
+    fn reference_interval(xs: &[f64], b: usize) -> Option<ConfInterval> {
+        fn pairwise(xs: &[f64]) -> f64 {
+            if xs.len() == 1 {
+                xs[0]
+            } else {
+                let (l, r) = xs.split_at(xs.len() / 2);
+                pairwise(l) + pairwise(r)
+            }
+        }
+        if xs.len() < b {
+            return None;
+        }
+        let mut size = 1;
+        while xs.len() / size >= 2 * b {
+            size *= 2;
+        }
+        let k = xs.len() / size;
+        let mut means = Welford::new();
+        for batch in xs[..k * size].chunks(size) {
+            means.add(pairwise(batch) / size as f64);
+        }
+        Some(ConfInterval {
+            mean: means.mean(),
+            half_width: t_975(k - 1) * (means.variance() / k as f64).sqrt(),
+        })
+    }
+
+    #[test]
+    fn batch_means_equals_the_stored_series_rule_bit_for_bit() {
+        use crate::rng::RngFactory;
+        use rand::Rng;
+        let mut rng = RngFactory::new(34).stream("bm-oracle");
+        let big = 1 << 17;
+        let xs: Vec<f64> = (0..=big).map(|_| rng.gen::<f64>() * 1e3 + 0.1).collect();
+        for n in [15, 16, 31, 32, 33, 1_000, big - 1, big, big + 1] {
+            let mut bm = BatchMeans::new(16);
+            for &x in &xs[..n] {
+                bm.add(x);
+            }
+            assert_eq!(bm.count(), n);
+            let got = bm.interval();
+            let want = reference_interval(&xs[..n], 16);
+            assert_eq!(got.is_some(), n >= 16, "n = {n}");
+            let bits =
+                |c: Option<ConfInterval>| c.map(|c| (c.mean.to_bits(), c.half_width.to_bits()));
+            assert_eq!(bits(got), bits(want), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn batch_means_holds_at_most_two_sums_per_batch() {
+        let mut bm = BatchMeans::new(16);
+        for i in 0..1_000_000u32 {
+            bm.add(f64::from(i % 97));
+            assert!(
+                bm.sums.len() < 32,
+                "{} sums after {} adds",
+                bm.sums.len(),
+                i + 1
+            );
+        }
+        assert!(bm.sums.len() >= 16);
+        assert!(bm.sums.capacity() <= 32);
+        assert_eq!(bm.count(), 1_000_000);
+    }
+
+    #[test]
+    fn batch_means_widens_for_a_correlated_series() {
+        use crate::rng::RngFactory;
+        use rand::Rng;
+        // AR(1), φ = 0.9, around μ = 10: the mean's variance is ≈ (1+φ)/(1−φ)
+        // = 19 times the i.i.d. formula's, which batch means must see.
+        let (mu, phi) = (10.0, 0.9);
+        let mut rng = RngFactory::new(9).stream("ar1");
+        let mut bm = BatchMeans::new(16);
+        let mut naive = Welford::new();
+        let mut x = mu;
+        for _ in 0..1_000_000 {
+            x = mu + phi * (x - mu) + (rng.gen::<f64>() - 0.5);
+            bm.add(x);
+            naive.add(x);
+        }
+        let ci = bm.interval().unwrap();
+        let naive_half = 1.96 * (naive.variance() / naive.count() as f64).sqrt();
+        assert!(
+            (ci.mean - mu).abs() <= ci.half_width,
+            "mean {} ± {} misses {mu}",
+            ci.mean,
+            ci.half_width
+        );
+        assert!(
+            ci.half_width >= 2.0 * naive_half,
+            "batch half-width {} vs i.i.d. {naive_half}",
+            ci.half_width
+        );
     }
 
     #[test]

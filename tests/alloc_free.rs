@@ -21,11 +21,23 @@
 //! contention, so no lazily created parking structures); the
 //! multi-worker cases exercise the lock path as well, whose parking
 //! allocations are forced during warm-up by sustained contention.
+//!
+//! The simulator rows pin the other half of a long run's memory: a
+//! simulated run's heap is a function of its live state, not of its
+//! horizon. The allocator also keeps a per-thread heap gauge (bytes live
+//! since the gauge opened, and their peak); one configuration is run at
+//! several horizons on the test's own thread, and the peak must not
+//! grow with the horizon. Streaming batch means and a calendar queue
+//! that gives a day's slots back when its scan leaves the day are what
+//! make it so.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use affinity_sched::core::crossval::stream_matrix;
+use affinity_sched::core::prelude::*;
 use affinity_sched::native::{run_serve, FrontEndKind, Pinning, PolicySpec, ServeConfig};
 
 struct CountingAlloc;
@@ -37,30 +49,65 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// the other's armed window.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// This thread's heap gauge while one is open: bytes allocated minus
+    /// bytes freed since it opened, and the largest that difference was.
+    static HEAP: Cell<Option<(isize, isize)>> = const { Cell::new(None) };
+}
+
+/// Book `delta` bytes on this thread's gauge, if one is open.
+fn book(delta: isize) {
+    // `try_with`: the gauge is gone while the thread is torn down.
+    let _ = HEAP.try_with(|h| {
+        if let Some((live, peak)) = h.get() {
+            let live = live + delta;
+            h.set(Some((live, peak.max(live))));
+        }
+    });
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        unsafe { System.alloc(layout) }
+        // SAFETY: forwarded as received; our caller keeps `GlobalAlloc`'s contract.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            book(layout.size() as isize);
+        }
+        p
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        unsafe { System.alloc_zeroed(layout) }
+        // SAFETY: forwarded as received; our caller keeps `GlobalAlloc`'s contract.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            book(layout.size() as isize);
+        }
+        p
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        unsafe { System.realloc(ptr, layout, new_size) }
+        // SAFETY: `ptr` came from this allocator, which is `System`'s; the
+        // rest is forwarded as received.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            book(new_size as isize - layout.size() as isize);
+        }
+        p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
+        unsafe { System.dealloc(ptr, layout) };
+        book(-(layout.size() as isize));
     }
 }
 
@@ -142,4 +189,89 @@ fn steady_state_serving_allocates_nothing_with_staged_steal_claims() {
 #[test]
 fn steady_state_serving_allocates_nothing_with_pooled_claims() {
     short_and_long(2, PolicySpec::Locking);
+}
+
+/// Peak bytes `f` holds live at once on this thread, over what was live
+/// when it started. A simulator run is single-threaded, so this is the
+/// run's whole heap.
+fn peak_heap<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    HEAP.with(|h| h.set(Some((0, 0))));
+    let out = f();
+    let (_, peak) = HEAP.with(|h| h.replace(None)).expect("gauge open");
+    (peak as usize, out)
+}
+
+/// Slack between horizons' peaks. A run's peak comes as its report is
+/// built, on top of what the run holds at its horizon: the day buckets
+/// near the scan and the queue backlogs then differ between horizons by
+/// up to ≈2.5 KiB (10⁴ flows, 100 k vs 400 k packets). That is the live
+/// state at one instant; a store that grows with the horizon moves the
+/// peak by megabytes (the Locking/MRU row read 1.2 / 4.3 / 16.9 MB while
+/// batch means stored every delay).
+const HEAP_SLACK: usize = 4 * 1024;
+
+/// Runs `cfg_at(m)` for each multiplier and asserts one peak heap.
+fn peak_heap_is_flat(label: &str, multipliers: &[u64], cfg_at: impl Fn(u64) -> SystemConfig) {
+    // Off the serving rows' armed windows, which count every thread.
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut peaks = Vec::new();
+    let mut delivered = 0;
+    for &m in multipliers {
+        let cfg = cfg_at(m);
+        let (peak, report) = peak_heap(|| run(&cfg));
+        assert!(report.stable, "{label} ×{m}: unstable run");
+        assert!(
+            report.delivered > delivered,
+            "{label} ×{m}: the horizon must grow"
+        );
+        delivered = report.delivered;
+        peaks.push((m, peak));
+    }
+    let lo = peaks.iter().map(|&(_, p)| p).min().unwrap();
+    let hi = peaks.iter().map(|&(_, p)| p).max().unwrap();
+    assert!(
+        hi - lo <= HEAP_SLACK,
+        "{label}: peak heap grows with the horizon (multiplier, bytes): {peaks:?}"
+    );
+}
+
+/// Measured seconds of the shortest simulator horizon: bounded under the
+/// debug tier-1 command.
+const SIM_SECONDS: f64 = if cfg!(debug_assertions) { 0.25 } else { 10.0 };
+
+/// The paper's base case, Locking/MRU over 16 streams, at 1×, 4× and
+/// 16× the horizon: every post-warm-up delay feeds batch means.
+#[test]
+fn simulated_heap_does_not_grow_with_the_horizon_locking_mru() {
+    peak_heap_is_flat("locking/mru", &[1, 4, 16], |m| {
+        let mut cfg = SystemConfig::new(
+            Paradigm::Locking {
+                policy: LockPolicy::Mru,
+            },
+            Population::homogeneous_poisson(16, 700.0),
+        );
+        cfg.warmup = SimDuration::from_millis(100);
+        cfg.horizon = cfg.warmup + SimDuration::from_secs_f64(SIM_SECONDS * m as f64);
+        cfg
+    });
+}
+
+/// A 10⁴-flow Zipf population behind Flow Director with the min-reload
+/// fallback, at 1× and 4× the packets: one pending arrival per flow keeps
+/// the event queue in calendar mode, with the skewed days the Zipf rates
+/// make.
+#[test]
+fn simulated_heap_does_not_grow_with_the_horizon_fdir_flows() {
+    let s = stream_matrix()[1];
+    assert_eq!(s.streams, 10_000);
+    let packets = if cfg!(debug_assertions) {
+        100_000
+    } else {
+        200_000
+    };
+    peak_heap_is_flat("fdir+min-reload, 10^4 flows", &[1, 4], |m| {
+        let mut s = s;
+        s.total_packets = packets * m;
+        s.sim_config(FrontEndKind::FlowDirector, PolicySpec::MinReload)
+    });
 }

@@ -9,6 +9,13 @@
 //! and bit for bit, the reports captured at the parent commit (3ef27fa,
 //! the libm-only pricer) — everything but `mean_f1`/`mean_f2`, which
 //! average the displacements the table read and may move by ≤ 1e-8.
+//!
+//! One field per cell was re-captured since: `delay_ci_half_us`, when
+//! batch means became streaming (16–31 closed batches of a power-of-two
+//! size instead of 16 equal batches of every stored delay). The
+//! estimator changed, not the run: every other field is the 3ef27fa
+//! capture. Locking/MRU 0.566 → 0.573 µs, IPS 2.045 → 2.315 µs, the
+//! faulted FDir cell 131.5 → 124.3 µs.
 
 use affinity_sched::cache::model::{Age, ComponentAges, DispatchPricer};
 use affinity_sched::core::crossval::stream_smoke_matrix;
@@ -249,7 +256,7 @@ fn fdir_min_reload_faulted_cell() -> SystemConfig {
 const LOCKING_MRU: Captured = Captured {
     fields: [
         0x406bea5502eb7f53, // mean_delay_us
-        0x3fe219dd0657268f, // delay_ci_half_us
+        0x3fe259a2fac4b90a, // delay_ci_half_us
         0x4071300000000000, // p95_delay_us
         0x4076c6624dd2f1aa, // max_delay_us
         0x406be3e03e2f8008, // mean_service_us
@@ -290,7 +297,7 @@ const LOCKING_MRU: Captured = Captured {
 const IPS: Captured = Captured {
     fields: [
         0x406f7fc7f1aaad4a, // mean_delay_us
-        0x40005b84f6e7402c, // delay_ci_half_us
+        0x4002846ee0e771b1, // delay_ci_half_us
         0x407a900000000000, // p95_delay_us
         0x40894dac083126e9, // max_delay_us
         0x406a17da2f80fc6d, // mean_service_us
@@ -331,7 +338,7 @@ const IPS: Captured = Captured {
 const FDIR_MIN_RELOAD_FAULTED: Captured = Captured {
     fields: [
         0x408f47f96c8b0911, // mean_delay_us
-        0x40606f7b6d8948de, // delay_ci_half_us
+        0x405f1659adece6a0, // delay_ci_half_us
         0x40a7a20000000000, // p95_delay_us
         0x40bd10228f5c28f6, // max_delay_us
         0x40696606d6fa5c05, // mean_service_us
