@@ -63,7 +63,7 @@ pub struct AccessResult {
     pub wrote_back: bool,
 }
 
-/// A direct-mapped cache: set `s` is `slots[s]`, [`EMPTY`] when no line
+/// A direct-mapped cache: set `s` is `slots[s]`, `EMPTY` when no line
 /// occupies it.
 #[derive(Debug, Clone)]
 pub struct Cache {

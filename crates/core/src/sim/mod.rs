@@ -195,12 +195,14 @@ impl<'r> SchedSim<'r> {
                 .iter()
                 .map(|s| s.arrivals.clone())
                 .collect(),
-            arr_rngs: (0..k)
-                .map(|s| factory.stream_indexed("arrivals", s as u64))
-                .collect(),
-            size_rngs: (0..k)
-                .map(|s| factory.stream_indexed("sizes", s as u64))
-                .collect(),
+            arr_rngs: {
+                let arrivals = factory.family("arrivals");
+                (0..k).map(|s| arrivals.stream(s as u64)).collect()
+            },
+            size_rngs: {
+                let sizes = factory.family("sizes");
+                (0..k).map(|s| sizes.stream(s as u64)).collect()
+            },
             warmup_reset: false,
             midpoint: SimTime::from_micros_f64((warm_us + hor_us) * 0.5),
             policy_rng: factory.stream("policy"),

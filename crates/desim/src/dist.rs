@@ -49,18 +49,6 @@ impl Dist {
         Dist::Exponential { mean }
     }
 
-    /// Empirical distribution over recorded samples.
-    pub fn empirical(samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty(), "empirical needs at least one sample");
-        assert!(
-            samples.iter().all(|x| x.is_finite() && *x >= 0.0),
-            "empirical samples must be finite and non-negative"
-        );
-        Dist::Empirical {
-            samples: std::sync::Arc::new(samples),
-        }
-    }
-
     /// The mean of the distribution (exact, not sampled).
     pub fn mean(&self) -> f64 {
         match *self {
@@ -174,7 +162,9 @@ mod tests {
 
     #[test]
     fn empirical_draws_only_recorded_values_and_matches_mean() {
-        let d = Dist::empirical(vec![1.0, 5.0, 10.0, 100.0]);
+        let d = Dist::Empirical {
+            samples: std::sync::Arc::new(vec![1.0, 5.0, 10.0, 100.0]),
+        };
         assert_eq!(d.mean(), 29.0);
         let mut rng = RngFactory::new(11).stream("e");
         let mut seen = std::collections::BTreeSet::new();
@@ -186,12 +176,6 @@ mod tests {
         assert_eq!(seen.len(), 4, "all samples eventually drawn");
         let m = sample_mean(&d, 400_000);
         assert!((m - 29.0).abs() < 0.5, "sample mean {m}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn empirical_rejects_empty() {
-        Dist::empirical(vec![]);
     }
 
     #[test]

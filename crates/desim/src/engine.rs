@@ -201,8 +201,9 @@ impl<M: Simulate> Engine<M> {
                 None if self.sched.queue.is_empty() => return StopReason::Drained,
                 None => {
                     // Advance the clock to the horizon so elapsed-time
-                    // metrics cover the full requested window.
-                    self.sched.now = horizon;
+                    // metrics cover the full requested window — never
+                    // back, when the horizon is one already passed.
+                    self.sched.now = self.sched.now.max(horizon);
                     return StopReason::Horizon;
                 }
             }
@@ -262,6 +263,20 @@ mod tests {
         // Resuming picks up where it left off.
         assert_eq!(e.run_until(SimTime::from_micros(40)), StopReason::Horizon);
         assert_eq!(e.model().seen.len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn scheduling_before_a_passed_horizon_panics() {
+        let mut e = chain(10, 100);
+        e.run_until(SimTime::from_micros(50));
+        assert_eq!(e.run_until(SimTime::from_micros(10)), StopReason::Horizon);
+        assert_eq!(
+            e.now(),
+            SimTime::from_micros(50),
+            "the clock never runs back"
+        );
+        e.scheduler().schedule_at(SimTime::from_micros(20), 0);
     }
 
     #[test]

@@ -1,58 +1,59 @@
-//! The pending-event set: a bucketed **calendar queue** with stable FIFO
-//! ordering for simultaneous events and O(1) lazy cancellation.
+//! The pending-event set: a calendar queue whose days are linked lists
+//! threaded through one slot arena, FIFO-stable for simultaneous events,
+//! with O(1) cancellation.
 //!
-//! Determinism matters more than raw speed here: two events scheduled for
-//! the same instant are delivered in the order they were scheduled, so a
-//! simulation run is a pure function of (configuration, master seed).
-//! Pop order is the total order `(time, insertion seq)` ascending — the
-//! same contract the previous binary-heap implementation satisfied — and
-//! because that order is total (seqs are unique), it is independent of
-//! the queue's internal layout: bucket count, bucket width and resize
-//! instants cannot change what is popped, only how fast.
+//! Determinism matters more than raw speed here: a simulation run must
+//! be a pure function of (configuration, master seed). Pop order is the
+//! total order `(time, seq)` ascending, where `seq` counts pushes — two
+//! events scheduled for the same instant fire in the order they were
+//! scheduled.
 //!
 //! # Structure
 //!
-//! A classic calendar queue (Brown 1988): `nbuckets` (a power of two)
-//! "days", each `width` ticks long, wrapping around a "year" of
-//! `nbuckets × width` ticks. An event at time `t` lives in bucket
-//! `(t / width) mod nbuckets`. Each bucket is a `Vec` kept sorted
-//! *descending* by `(time, seq)` so the bucket minimum pops from the
-//! back in O(1). Pop scans forward from the current day and delivers the
-//! bucket head that falls inside the day's current-year window
-//! `[cur_top − width, cur_top)`; a full fruitless year falls back to a
-//! direct minimum search that re-anchors the scan. Small queues
-//! (`live ≤ COMPACT_MIN_HEAP`) collapse to a single sorted bucket — for
-//! the simulator's typical handful of pending events that degenerate
-//! case is the fast path: binary-search insert, pop from the back,
-//! no hashing anywhere.
+//! Every pending event owns one slot of an arena, the slot its
+//! [`EventId`] names: its `(time, seq)` key, a generation, its payload
+//! and `(prev, next)` links. A Brown (1988) calendar of `days` (a power
+//! of two) days, each `width` (a power of two) ticks long, wraps around a
+//! year of `days × width` ticks; day `d` is an unordered doubly-linked
+//! list through the arena of the events with `(t / width) mod days == d`,
+//! and costs the calendar one `u32` head. The scan stands on one day,
+//! whose window ends at `cur_top`; the events due before `cur_top` sit in
+//! `today`, one run sorted descending by `(time, seq)`.
 //!
-//! A bucket's `Vec` grows to the busiest its day has been, and the scan
-//! comes back to that day once a year. When the scan leaves a day whose
-//! bucket holds more than `2·len + 8` slots, the bucket shrinks to
-//! `2·len`, so retained slots stay a constant multiple of the live
-//! events plus the bucket count, however long the run. On a skewed live
-//! set (a Zipf flow population: day width set by the rare flows, each
-//! day filled in turn by the frequent ones) keeping those capacities
-//! made the queue's memory grow with the horizon, not the live count.
+//! * `push` of an event due before `cur_top` is a sorted insert into
+//!   `today`; any later one is an O(1) link onto its day.
+//! * `cancel` unlinks a linked event in O(1), or removes a `today` entry
+//!   found by binary search; either way its slot is free at once.
+//! * `pop` takes the back of `today`. When `today` is empty the scan
+//!   steps to the next day and sorts that day's due events into `today`;
+//!   a whole year with nothing due re-anchors it on the earliest event.
+//! * A resize — to `days` ≈ the live count and `width` ≈ the mean gap
+//!   between live events, whenever the live count doubles or quarters
+//!   against `days` — re-links the live slots in place.
 //!
-//! # Cancellation
+//! At or below `COMPACT_MAX` live events the queue is `today` alone (its
+//! window never ends): a binary-search insert, a pop from the back, no
+//! day arithmetic — the simulator's usual handful of pending events.
 //!
-//! `cancel` is O(1): event ids are `(slot index, generation)` pairs into
-//! a slab of generation counters, so validity is one array compare — no
-//! hash set on the hot path. A cancelled event's physical entry stays in
-//! its bucket as a tombstone (generation mismatch) and is dropped when a
-//! scan reaches it; once tombstones outnumber live events the buckets
-//! are compacted (the PR-4 memory bound `retained ≤ 2·live +
-//! COMPACT_MIN_HEAP` is preserved).
+//! # Exactness
+//!
+//! One invariant: `today` holds exactly the live events before `cur_top`,
+//! and every linked event is at or after it. So the back of `today` is
+//! the minimum of all live events, and when `today` runs dry the next
+//! window's events all hang on the next day's list. Because `(time,
+//! seq)` is a total order (seqs are unique), what pops is independent of
+//! the layout: day count, width and resize instants change only how fast.
+
+use core::cmp::Reverse;
 
 use crate::time::SimTime;
 
 /// Opaque handle to a scheduled event, usable for cancellation.
 ///
 /// Internally `(generation << 32) | slot`: the slot indexes the queue's
-/// generation slab and the generation (odd while the event is pending)
-/// detects stale handles, so cancel-after-fire and double-cancel are
-/// rejected with a single compare.
+/// arena and the generation (odd while the event is pending) detects
+/// stale handles, so cancel-after-fire and double-cancel are rejected
+/// with a single compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
@@ -73,69 +74,73 @@ impl EventId {
     }
 }
 
-/// One scheduled event as stored in a bucket: 24 bytes of ordering key
-/// and identity. The payload itself lives out-of-band in the queue's
-/// slot-indexed `payloads` table, so sorted inserts move only these
-/// small keys and never copy payloads around.
-struct Slot {
+/// End of a day list or of the free list.
+const NIL: u32 = u32::MAX;
+/// The `prev` of a slot whose event sits in `today`, not on a day list.
+const TODAY: u32 = u32::MAX - 1;
+
+/// The live count at or below which the queue is `today` alone.
+const COMPACT_MAX: usize = 64;
+
+/// One arena slot: a pending event, or a link of the free list.
+struct Slot<E> {
     time: SimTime,
-    /// Insertion sequence number: the FIFO tie-breaker for equal times.
+    /// Push sequence number: the FIFO tie-breaker for equal times.
     seq: u64,
-    /// The id handed out for this entry; stale (generation mismatch
-    /// against the slab) once cancelled or fired ⇒ tombstone.
-    id: EventId,
+    /// Odd while the event is pending, even while the slot is free.
+    gen: u32,
+    /// Day-list neighbours (`NIL` at either end). `prev` is `TODAY`
+    /// while the event sits in `today`; `next` links the free list
+    /// while the slot is free.
+    prev: u32,
+    next: u32,
+    /// `Some` exactly while the event is pending.
+    payload: Option<E>,
 }
 
-impl Slot {
+/// An entry of the sorted `today` run: the key, copied so the binary
+/// search stays in one array, and the slot.
+struct Due {
+    time: SimTime,
+    seq: u64,
+    slot: u32,
+}
+
+impl Due {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
     }
 }
 
-/// A time-ordered event queue (bucketed calendar queue).
+/// A time-ordered event queue (a calendar queue over a slot arena).
 ///
 /// * `push` schedules a payload at an absolute time and returns an
 ///   [`EventId`].
-/// * `cancel` lazily removes a scheduled event (tombstoned; skipped on
-///   scan).
+/// * `cancel` removes a scheduled event.
 /// * `pop` yields events in `(time, insertion order)` order.
 pub struct EventQueue<E> {
-    /// `nbuckets` power-of-two day buckets, each sorted descending by
-    /// `(time, seq)` — the bucket minimum is at the back.
-    buckets: Vec<Vec<Slot>>,
-    /// `nbuckets − 1`, for masking day indices.
-    mask: usize,
-    /// Ticks per day bucket (≥ 1; meaningless while `mask == 0`).
-    /// Always a power of two so the day of a timestamp is a shift, not
-    /// a division — `push` and every scan compute it.
-    width: u64,
-    /// `log2(width)`: `day(t) = t >> width_shift`.
+    /// One slot per event id; free slots are threaded through `next`.
+    slots: Vec<Slot<E>>,
+    /// First free slot (`NIL`: none).
+    free: u32,
+    /// First slot of each day's list (`NIL`: empty); one day while
+    /// compact.
+    heads: Vec<u32>,
+    /// `log2(width)`: `day(t) = (t >> width_shift) mod days`.
     width_shift: u32,
-    /// The day the scan is currently on.
-    cur_bucket: usize,
-    /// Exclusive upper edge (in ticks) of `cur_bucket`'s window in the
-    /// current year. `u128` so year advances can never overflow. The
-    /// scan invariant: no live event is earlier than `cur_top − width`.
+    /// The day the scan stands on.
+    cur_day: usize,
+    /// Exclusive end (in ticks) of the scan's window; `u128::MAX` while
+    /// compact, so that every event is due.
     cur_top: u128,
+    /// The live events before `cur_top`, sorted descending by `(time,
+    /// seq)`: the next event is at the back.
+    today: Vec<Due>,
     /// Scheduled-and-not-cancelled events.
     live: usize,
-    /// Cancelled entries still physically present in some bucket.
-    tombstones: usize,
-    /// Generation per id slot; odd = pending, even = free.
-    slab: Vec<u32>,
-    /// Payload per id slot (`Some` exactly while the slot is pending).
-    payloads: Vec<Option<E>>,
-    /// Free id slots.
-    free: Vec<u32>,
     next_seq: u64,
 }
-
-/// Tombstones are compacted away only once the queue is at least this
-/// large; below it the dead entries cost less than a rebuild. Doubles as
-/// the live count at which the single sorted bucket splits into a true
-/// multi-bucket calendar.
-const COMPACT_MIN_HEAP: usize = 64;
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
@@ -147,17 +152,14 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: vec![Vec::new()],
-            mask: 0,
-            width: 1,
+            slots: Vec::new(),
+            free: NIL,
+            heads: vec![NIL],
             width_shift: 0,
-            cur_bucket: 0,
-            cur_top: 1,
+            cur_day: 0,
+            cur_top: u128::MAX,
+            today: Vec::new(),
             live: 0,
-            tombstones: 0,
-            slab: Vec::new(),
-            payloads: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -166,55 +168,53 @@ impl<E> EventQueue<E> {
     /// event?
     #[inline]
     fn is_live(&self, id: EventId) -> bool {
-        self.slab.get(id.slot()).copied() == Some(id.gen())
+        self.slots.get(id.slot()).is_some_and(|s| s.gen == id.gen())
     }
 
-    /// Day bucket holding time `t`.
+    /// The calendar day holding time `t`.
     #[inline]
-    fn bucket_of(&self, t: SimTime) -> usize {
-        ((t.ticks() >> self.width_shift) as usize) & self.mask
+    fn day_of(&self, t: SimTime) -> usize {
+        ((t.ticks() >> self.width_shift) as usize) & (self.heads.len() - 1)
     }
 
     /// Schedule `payload` to fire at absolute time `time`.
     pub fn push(&mut self, time: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = match self.free.pop() {
-            Some(slot) => {
-                let gen = self.slab[slot as usize].wrapping_add(1);
-                self.slab[slot as usize] = gen;
-                self.payloads[slot as usize] = Some(payload);
-                EventId::new(slot, gen)
+        let slot = match self.free {
+            NIL => {
+                self.slots.push(Slot {
+                    time,
+                    seq,
+                    gen: 0,
+                    prev: NIL,
+                    next: NIL,
+                    payload: None,
+                });
+                (self.slots.len() - 1) as u32
             }
-            None => {
-                let slot = self.slab.len() as u32;
-                self.slab.push(1);
-                self.payloads.push(Some(payload));
-                EventId::new(slot, 1)
+            free => {
+                self.free = self.slots[free as usize].next;
+                free
             }
         };
-        let b = if self.mask == 0 {
-            0
+        let s = &mut self.slots[slot as usize];
+        s.time = time;
+        s.seq = seq;
+        s.gen = s.gen.wrapping_add(1);
+        s.payload = Some(payload);
+        let id = EventId::new(slot, s.gen);
+        if (time.ticks() as u128) < self.cur_top {
+            let key = (time, seq);
+            let at = self.today.partition_point(|d| d.key() > key);
+            self.today.insert(at, Due { time, seq, slot });
+            self.slots[slot as usize].prev = TODAY;
         } else {
-            // An event earlier than the scan's window start would be
-            // missed for up to a year; rewind the scan to its day.
-            // (The engine never schedules into the past, but the queue
-            // does not rely on that.)
-            let day = time.ticks() >> self.width_shift;
-            let top = (day as u128 + 1) << self.width_shift;
-            if top < self.cur_top {
-                self.cur_top = top;
-                self.cur_bucket = (day as usize) & self.mask;
-            }
-            (day as usize) & self.mask
-        };
-        let bucket = &mut self.buckets[b];
-        let key = (time, seq);
-        let at = bucket.partition_point(|s| s.key() > key);
-        bucket.insert(at, Slot { time, seq, id });
+            self.link(slot);
+        }
         self.live += 1;
-        if self.live > COMPACT_MIN_HEAP && self.live > 2 * (self.mask + 1) {
-            self.rebuild();
+        if self.live > COMPACT_MAX && self.live > 2 * self.heads.len() {
+            self.resize();
         }
         id
     }
@@ -223,198 +223,182 @@ impl<E> EventQueue<E> {
     ///
     /// Returns `true` if the event was still pending. Cancelling an
     /// already-fired or already-cancelled event returns `false` and has
-    /// no other effect.
-    ///
-    /// Cancellation is lazy — the bucket entry becomes a tombstone — but
-    /// once tombstones outnumber live events the buckets are compacted,
-    /// so a cancel-heavy workload holds O(live) memory instead of
-    /// growing without bound until the dead entries happen to be
-    /// scanned.
+    /// no other effect. The event's slot is free for the next push at
+    /// once, so a cancel-heavy workload holds only its live events.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if !self.is_live(id) {
             return false;
         }
-        self.slab[id.slot()] = id.gen().wrapping_add(1);
-        self.payloads[id.slot()] = None;
-        self.free.push(id.slot() as u32);
-        self.live -= 1;
-        self.tombstones += 1;
-        let physical = self.live + self.tombstones;
-        if physical >= COMPACT_MIN_HEAP && physical > 2 * self.live {
-            if self.shrink_due() {
-                self.rebuild();
-            } else {
-                self.compact();
-            }
-        } else if self.shrink_due() {
-            self.rebuild();
+        let s = &self.slots[id.slot()];
+        if s.prev == TODAY {
+            let key = (s.time, s.seq);
+            let at = self.today.partition_point(|d| d.key() > key);
+            self.today.remove(at);
+        } else {
+            self.unlink(id.slot() as u32);
         }
+        self.release(id.slot() as u32);
         true
     }
 
-    /// Should the calendar drop to fewer buckets?
-    #[inline]
-    fn shrink_due(&self) -> bool {
-        self.mask > 0 && 4 * self.live < self.mask + 1
-    }
-
-    /// Drop every tombstone in place (bucket layout unchanged). O(n);
-    /// amortized O(1) per cancel because at least half the entries are
-    /// discarded each time. Pop order is unaffected: it is fixed by the
-    /// total `(time, seq)` order, not by physical layout.
-    fn compact(&mut self) {
-        for b in &mut self.buckets {
-            b.retain(|s| self.slab.get(s.id.slot()).copied() == Some(s.id.gen()));
+    /// Put `slot` at the head of its day's list.
+    fn link(&mut self, slot: u32) {
+        let day = self.day_of(self.slots[slot as usize].time);
+        let next = self.heads[day];
+        if next != NIL {
+            self.slots[next as usize].prev = slot;
         }
-        self.tombstones = 0;
+        let s = &mut self.slots[slot as usize];
+        s.prev = NIL;
+        s.next = next;
+        self.heads[day] = slot;
     }
 
-    /// Re-bucket every live event for the current size: one sorted
-    /// bucket while small, otherwise ~one event per bucket with the
-    /// width set to the mean inter-event gap. Also discards all
-    /// tombstones. Deterministically triggered by live-count thresholds
-    /// only — and even if the parameters were chosen badly, pop order
-    /// would be unaffected (the `(time, seq)` order is total).
-    fn rebuild(&mut self) {
-        let mut slots: Vec<Slot> = Vec::with_capacity(self.live);
-        for b in &mut self.buckets {
-            for s in b.drain(..) {
-                if self.slab.get(s.id.slot()).copied() == Some(s.id.gen()) {
-                    slots.push(s);
-                }
+    /// Take `slot` off its day's list.
+    fn unlink(&mut self, slot: u32) {
+        let s = &self.slots[slot as usize];
+        let (prev, next) = (s.prev, s.next);
+        match prev {
+            NIL => {
+                let day = self.day_of(s.time);
+                self.heads[day] = next;
             }
+            prev => self.slots[prev as usize].next = next,
         }
-        self.tombstones = 0;
-        debug_assert_eq!(slots.len(), self.live);
-        let nbuckets = if self.live <= COMPACT_MIN_HEAP {
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        }
+    }
+
+    /// Hand `slot`, already off `today` and its day list, to the free
+    /// list and return its payload; shrink the calendar once the live
+    /// count falls to a quarter of the days.
+    fn release(&mut self, slot: u32) -> E {
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        s.next = self.free;
+        self.free = slot;
+        let payload = s.payload.take().expect("pending slot holds a payload");
+        self.live -= 1;
+        if self.heads.len() > 1 && 4 * self.live < self.heads.len() {
+            self.resize();
+        }
+        payload
+    }
+
+    /// Put the scan on the day holding tick `t`.
+    fn anchor(&mut self, t: u64) {
+        let day = t >> self.width_shift;
+        self.cur_day = (day as usize) & (self.heads.len() - 1);
+        self.cur_top = (day as u128 + 1) << self.width_shift;
+    }
+
+    /// Move `slot` into `today` if it is due before `cur_top` (unsorted:
+    /// the caller sorts), onto its day's list otherwise.
+    fn settle(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        if (s.time.ticks() as u128) < self.cur_top {
+            s.prev = TODAY;
+            self.today.push(Due {
+                time: s.time,
+                seq: s.seq,
+                slot,
+            });
+        } else {
+            self.link(slot);
+        }
+    }
+
+    /// Lay the live events out for the live count: `today` alone at or
+    /// below `COMPACT_MAX`, otherwise about one day per live event with
+    /// the mean gap between them, rounded up to a power of two, as the
+    /// width. Re-links the slots in place.
+    fn resize(&mut self) {
+        let days = if self.live <= COMPACT_MAX {
             1
         } else {
             self.live.next_power_of_two()
         };
-        self.buckets.truncate(nbuckets);
-        self.buckets.resize_with(nbuckets, Vec::new);
-        self.mask = nbuckets - 1;
-        if slots.is_empty() {
-            self.width = 1;
+        self.heads.clear();
+        self.heads.resize(days, NIL);
+        self.today.clear();
+        if days == 1 {
             self.width_shift = 0;
-            self.cur_bucket = 0;
-            self.cur_top = 1;
-            return;
-        }
-        let mut min_t = u64::MAX;
-        let mut max_t = 0u64;
-        for s in &slots {
-            min_t = min_t.min(s.time.ticks());
-            max_t = max_t.max(s.time.ticks());
-        }
-        // Mean inter-event gap as the day width, rounded up to a power
-        // of two so day extraction is a shift: with next_power_of_two
-        // buckets this spreads the live set over about half a year to a
-        // year.
-        self.width = ((max_t - min_t) / slots.len() as u64)
-            .max(1)
-            .next_power_of_two();
-        self.width_shift = self.width.trailing_zeros();
-        if self.mask == 0 {
-            // Single sorted bucket: sort once, descending.
-            slots.sort_unstable_by_key(|s| core::cmp::Reverse(s.key()));
-            self.buckets[0] = slots;
-            self.cur_bucket = 0;
-            self.cur_top = 1;
+            self.cur_day = 0;
+            self.cur_top = u128::MAX;
         } else {
-            for s in slots {
-                let b = self.bucket_of(s.time);
-                self.buckets[b].push(s);
-            }
-            for b in &mut self.buckets {
-                b.sort_unstable_by_key(|s| core::cmp::Reverse(s.key()));
-            }
-            // Anchor the scan at the earliest event's day.
-            let day = min_t >> self.width_shift;
-            self.cur_bucket = (day as usize) & self.mask;
-            self.cur_top = (day as u128 + 1) << self.width_shift;
+            let (min_t, max_t) = self
+                .slots
+                .iter()
+                .filter(|s| s.payload.is_some())
+                .fold((u64::MAX, 0), |(lo, hi), s| {
+                    (lo.min(s.time.ticks()), hi.max(s.time.ticks()))
+                });
+            let width = ((max_t - min_t) / self.live as u64)
+                .max(1)
+                .next_power_of_two();
+            self.width_shift = width.trailing_zeros();
+            self.anchor(min_t);
         }
+        for slot in 0..self.slots.len() as u32 {
+            if self.slots[slot as usize].payload.is_some() {
+                self.settle(slot);
+            }
+        }
+        self.today.sort_unstable_by_key(|d| Reverse(d.key()));
     }
 
-    /// Advance the scan until the global minimum live event sits at the
-    /// back of `buckets[cur_bucket]`. Returns `false` iff no live event
-    /// remains. Removes any tombstone it touches.
+    /// Make the back of `today` the earliest live event. Returns `false`
+    /// iff no live event remains.
     fn find_min(&mut self) -> bool {
+        if !self.today.is_empty() {
+            return true;
+        }
         if self.live == 0 {
             return false;
         }
-        // Single-bucket fast path: the back is the minimum.
-        if self.mask == 0 {
-            let slab = &self.slab;
-            let b = &mut self.buckets[0];
-            while let Some(s) = b.last() {
-                if slab.get(s.id.slot()).copied() == Some(s.id.gen()) {
-                    return true;
-                }
-                b.pop();
-                self.tombstones -= 1;
-            }
-            unreachable!("live > 0 but no live entry in single bucket");
-        }
-        let nbuckets = self.mask + 1;
-        let mut advanced = 0usize;
-        loop {
-            let slab = &self.slab;
-            let b = &mut self.buckets[self.cur_bucket];
-            while let Some(s) = b.last() {
-                if slab.get(s.id.slot()).copied() == Some(s.id.gen()) {
-                    break;
-                }
-                b.pop();
-                self.tombstones -= 1;
-            }
-            if let Some(s) = b.last() {
-                if (s.time.ticks() as u128) < self.cur_top {
-                    return true;
-                }
-            }
-            // Leaving the day: give back what its busiest stretch grew
-            // the bucket to, so retained slots track the live events.
-            if b.capacity() > 2 * b.len() + 8 {
-                b.shrink_to(2 * b.len());
-            }
-            self.cur_bucket = (self.cur_bucket + 1) & self.mask;
-            self.cur_top += self.width as u128;
-            advanced += 1;
-            if advanced >= nbuckets {
-                // A whole year with nothing due: the live set is sparse
-                // relative to the calendar. Find the minimum directly
-                // and re-anchor the scan on its day. Ties cannot span
-                // buckets (equal times share a day), so comparing bucket
-                // heads by (time, seq) preserves FIFO.
-                let mut best: Option<(u64, u64, usize)> = None;
-                for i in 0..self.buckets.len() {
-                    let b = &mut self.buckets[i];
-                    while let Some(s) = b.last() {
-                        if self.slab.get(s.id.slot()).copied() == Some(s.id.gen()) {
-                            break;
-                        }
-                        b.pop();
-                        self.tombstones -= 1;
-                    }
-                    if let Some(s) = b.last() {
-                        let k = (s.time.ticks(), s.seq);
-                        if best.is_none_or(|(t, q, _)| k < (t, q)) {
-                            best = Some((k.0, k.1, i));
-                        }
-                    }
-                }
-                let (min_t, _, bi) = best.expect("live > 0 but no live entry in any bucket");
-                let day = min_t >> self.width_shift;
-                self.cur_bucket = bi;
-                self.cur_top = (day as u128 + 1) << self.width_shift;
-                debug_assert_eq!((day as usize) & self.mask, bi);
+        // `today` is dry, so every live event is linked at or after
+        // `cur_top` — the queue is a calendar (compact, all are due).
+        debug_assert!(self.heads.len() > 1);
+        let mask = self.heads.len() - 1;
+        for _ in 0..self.heads.len() {
+            self.cur_day = (self.cur_day + 1) & mask;
+            self.cur_top += 1u128 << self.width_shift;
+            self.take_day();
+            if !self.today.is_empty() {
                 return true;
             }
         }
+        // A whole year with nothing due: the live set is sparse against
+        // the calendar. Re-anchor the scan on the earliest event's day.
+        let min_t = self
+            .slots
+            .iter()
+            .filter(|s| s.payload.is_some())
+            .map(|s| s.time.ticks())
+            .min()
+            .expect("live > 0 but no pending slot");
+        self.anchor(min_t);
+        self.take_day();
+        true
     }
 
-    /// Remove and return the earliest live event, skipping tombstones.
+    /// Move the scan day's events due before `cur_top` off its list
+    /// into `today`, sorted.
+    fn take_day(&mut self) {
+        let mut at = self.heads[self.cur_day];
+        while at != NIL {
+            let next = self.slots[at as usize].next;
+            if (self.slots[at as usize].time.ticks() as u128) < self.cur_top {
+                self.unlink(at);
+                self.settle(at);
+            }
+            at = next;
+        }
+        self.today.sort_unstable_by_key(|d| Reverse(d.key()));
+    }
+
+    /// Remove and return the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if !self.find_min() {
             return None;
@@ -428,31 +412,17 @@ impl<E> EventQueue<E> {
     /// (distinguish via [`EventQueue::is_empty`]): one scan where the
     /// engine's bounded run loop would otherwise peek, then pop.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if !self.find_min() {
-            return None;
-        }
-        let b = &self.buckets[self.cur_bucket];
-        if b.last().expect("find_min positioned a minimum").time > horizon {
+        if !self.find_min() || self.today.last().is_some_and(|d| d.time > horizon) {
             return None;
         }
         Some(self.take_min())
     }
 
-    /// Pop the minimum that [`EventQueue::find_min`] positioned.
+    /// Pop the minimum that [`EventQueue::find_min`] put at the back of
+    /// `today`.
     fn take_min(&mut self) -> (SimTime, E) {
-        let s = self.buckets[self.cur_bucket]
-            .pop()
-            .expect("find_min positioned a minimum");
-        self.slab[s.id.slot()] = s.id.gen().wrapping_add(1);
-        let payload = self.payloads[s.id.slot()]
-            .take()
-            .expect("pending slot holds a payload");
-        self.free.push(s.id.slot() as u32);
-        self.live -= 1;
-        if self.shrink_due() {
-            self.rebuild();
-        }
-        (s.time, payload)
+        let due = self.today.pop().expect("find_min positioned a minimum");
+        (due.time, self.release(due.slot))
     }
 
     /// Number of live (scheduled, not cancelled) events.
@@ -465,17 +435,26 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Entries physically held by the queue, tombstones included —
-    /// `retained() - len()` is the current tombstone count. Exposed so
-    /// memory-behavior tests (and diagnostics) can observe compaction.
+    /// Entries the queue's structure holds, counted by walking it:
+    /// `today` plus every day list. Equal to [`EventQueue::len`] while
+    /// every cancel and pop unhooks its event; exposed so memory tests
+    /// can see that nothing dead stays reachable.
     pub fn retained(&self) -> usize {
-        self.live + self.tombstones
+        let mut n = self.today.len();
+        for &head in &self.heads {
+            let mut at = head;
+            while at != NIL {
+                n += 1;
+                at = self.slots[at as usize].next;
+            }
+        }
+        n
     }
 
-    /// Current number of day buckets (1 while the queue is small).
-    /// Exposed for resize-behavior tests and diagnostics.
+    /// Current number of calendar days (1 while the queue is compact).
+    /// Exposed for resize-behavior tests.
     pub fn n_buckets(&self) -> usize {
-        self.mask + 1
+        self.heads.len()
     }
 }
 
@@ -547,7 +526,7 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.push(t(1), "a");
         q.cancel(a);
-        // The new event reuses a's slab slot with a bumped generation;
+        // The new event reuses a's arena slot with a bumped generation;
         // the stale handle must not be able to cancel it.
         let b = q.push(t(2), "b");
         assert_eq!(b.slot(), a.slot());
@@ -567,24 +546,17 @@ mod tests {
     }
 
     #[test]
-    fn cancel_heavy_compacts_tombstones() {
+    fn cancel_heavy_holds_only_live_events() {
         let mut q = EventQueue::new();
         let ids: Vec<_> = (0..10_000).map(|i| q.push(t(i), i)).collect();
-        // Cancel all but every 100th event, scattered across the heap.
+        // Cancel all but every 100th event, scattered across the calendar.
         for (i, &id) in ids.iter().enumerate() {
             if i % 100 != 0 {
                 q.cancel(id);
             }
         }
         assert_eq!(q.len(), 100);
-        // Compaction bounds physical memory: at most 2× live (+ the
-        // below-threshold slack), not the 10 000 entries pushed.
-        assert!(
-            q.retained() <= 2 * q.len() + COMPACT_MIN_HEAP,
-            "retained {} for {} live events",
-            q.retained(),
-            q.len()
-        );
+        assert_eq!(q.retained(), q.len(), "a cancel leaves nothing behind");
         // Survivors pop in exactly the original time order.
         for i in (0..10_000).step_by(100) {
             assert_eq!(q.pop(), Some((t(i), i)));
@@ -597,8 +569,8 @@ mod tests {
         let mut q = EventQueue::new();
         let mut expected = Vec::new();
         let mut peak_live = 0usize;
-        // Waves of push-many / cancel-most / pop-some, with colliding
-        // timestamps, exercising compaction mid-stream.
+        // Waves of push-many / cancel-most, with colliding timestamps,
+        // cancelling out of `today` and off day lists alike.
         for wave in 0u64..50 {
             let ids: Vec<_> = (0u64..200)
                 .map(|i| q.push(t(wave * 10 + i % 7), (wave, i)))
@@ -613,12 +585,7 @@ mod tests {
                 }
             }
             peak_live = peak_live.max(q.len());
-            assert!(
-                q.retained() <= 2 * q.len() + COMPACT_MIN_HEAP,
-                "wave {wave}: retained {} for {} live",
-                q.retained(),
-                q.len()
-            );
+            assert_eq!(q.retained(), q.len(), "wave {wave}");
         }
         // Same (time, insertion order) sort the queue guarantees.
         expected.sort_by_key(|&(time, (wave, i))| (time, wave, i));
@@ -628,21 +595,6 @@ mod tests {
         }
         assert_eq!(popped, expected);
         assert!(peak_live >= 20, "test must actually hold live events");
-    }
-
-    #[test]
-    fn small_heaps_skip_compaction() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..COMPACT_MIN_HEAP as u64 - 4)
-            .map(|i| q.push(t(i), i))
-            .collect();
-        for &id in &ids[1..] {
-            q.cancel(id);
-        }
-        // Below the threshold the tombstones simply sit in the bucket.
-        assert_eq!(q.retained(), COMPACT_MIN_HEAP - 4);
-        assert_eq!(q.pop(), Some((t(0), 0)));
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -663,7 +615,7 @@ mod tests {
         for i in 0..1000u64 {
             ids.push(q.push(t(1 + i * 37 % 997), i));
         }
-        assert!(q.n_buckets() > 1, "large queue must split into buckets");
+        assert!(q.n_buckets() > 1, "large queue must split into days");
         // Drain most of it: the calendar must shrink back down and the
         // pop order must still be the global (time, seq) sort.
         let mut last = (SimTime::ZERO, 0u64);
@@ -677,13 +629,13 @@ mod tests {
             last = key;
         }
         assert_eq!(q.len(), 10);
-        assert_eq!(q.n_buckets(), 1, "drained queue collapses to one bucket");
+        assert_eq!(q.n_buckets(), 1, "drained queue is compact again");
     }
 
     #[test]
     fn bimodal_cluster_gap_crosses_year_boundary() {
         // Two clusters much further apart than one calendar year
-        // (nbuckets × width): after the first cluster drains, the scan
+        // (days × width): after the first cluster drains, the scan
         // wraps a whole fruitless year and must fall back to the direct
         // minimum search. Pop order must still be the global sort.
         let mut q = EventQueue::new();
@@ -706,14 +658,14 @@ mod tests {
     }
 
     #[test]
-    fn push_earlier_than_scan_rewinds() {
+    fn push_earlier_than_scan_pops_first() {
         let mut q = EventQueue::new();
         for i in 0..600u64 {
             q.push(t(1000 + i), i);
         }
         assert!(q.n_buckets() > 1);
         // Advance the scan deep into the calendar (not far enough to
-        // shrink back to a single bucket)…
+        // shrink back to the compact run)…
         for _ in 0..400 {
             q.pop();
         }
@@ -727,12 +679,13 @@ mod tests {
 
     /// A hold model (pop the minimum, push it back later) whose live set
     /// is skewed the way a Zipf flow population makes it: a few hot
-    /// events re-arm within about a day, so each day the scan reaches
-    /// fills with them, while the rest spread over the year and set the
-    /// day width. Over several calendar years every bucket has had a busy
-    /// day; the slots retained must still track the live events.
+    /// events re-arm within about a day, while the rest spread over the
+    /// year and set the day width. Beside it a timer is re-armed every
+    /// step and its previous arming cancelled, alternately due today and
+    /// linked a year out, and cancelled before the next pop. Over several calendar years the arena must
+    /// stay at the peak live count: a cancelled slot is reused at once.
     #[test]
-    fn hold_model_keeps_bucket_capacity_proportional_to_live_events() {
+    fn hold_model_keeps_arena_slots_at_the_live_count() {
         use crate::rng::RngFactory;
         use rand::Rng;
         const LIVE: usize = 10_000;
@@ -744,14 +697,16 @@ mod tests {
             let span = if i < HOT { 1 } else { COLD_SPAN };
             q.push(SimTime::from_ticks(rng.gen_range(0..span)), i < HOT);
         }
-        let width = q.width;
+        let width = 1u64 << q.width_shift;
         let year = width * q.n_buckets() as u64;
-        let capacity = |q: &EventQueue<bool>| q.buckets.iter().map(Vec::capacity).sum::<usize>();
-        let bound = 4 * (q.len() + q.n_buckets());
-        let mut peak = 0;
-        let mut pops = 0u64;
+        let mut timer = None;
+        let mut cancels = 0u64;
         let mut now = SimTime::ZERO;
         while now.ticks() < 3 * year {
+            if let Some(armed) = timer.take() {
+                assert!(q.cancel(armed));
+                cancels += 1;
+            }
             let (t, hot) = q.pop().unwrap();
             now = t;
             let span = if hot { 2 * width } else { COLD_SPAN };
@@ -759,18 +714,15 @@ mod tests {
                 SimTime::from_ticks(now.ticks() + rng.gen_range(1..span)),
                 hot,
             );
-            pops += 1;
-            // Sampled: summing 8 192 capacities per pop would outweigh the run.
-            if pops % 4096 == 0 {
-                peak = peak.max(capacity(&q));
-            }
+            let ahead = if cancels.is_multiple_of(2) { 1 } else { year };
+            timer = Some(q.push(SimTime::from_ticks(now.ticks() + ahead), false));
         }
-        assert_eq!(q.len(), LIVE);
+        assert_eq!(q.len(), LIVE + 1);
         assert!(
-            peak <= bound,
-            "bucket capacity peaked at {peak} slots for {} live events in {} buckets",
-            q.len(),
-            q.n_buckets()
+            q.slots.len() <= LIVE + 1,
+            "{} arena slots for {} live events after {cancels} cancels",
+            q.slots.len(),
+            q.len()
         );
     }
 

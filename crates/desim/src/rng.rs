@@ -58,20 +58,37 @@ impl RngFactory {
         splitmix64(self.master_seed ^ fnv1a(name.as_bytes()))
     }
 
-    /// Derive the substream seed for an indexed family member, e.g. one
-    /// stream per connection: `seed_for_indexed("arrivals", k)`.
-    pub fn seed_for_indexed(&self, name: &str, index: u64) -> u64 {
-        splitmix64(self.seed_for(name) ^ splitmix64(index.wrapping_add(1)))
-    }
-
     /// A ready-to-use RNG for `name`.
     pub fn stream(&self, name: &str) -> StdRng {
         StdRng::seed_from_u64(self.seed_for(name))
     }
 
-    /// A ready-to-use RNG for family member `index` of `name`.
-    pub fn stream_indexed(&self, name: &str, index: u64) -> StdRng {
-        StdRng::seed_from_u64(self.seed_for_indexed(name, index))
+    /// The indexed family of streams named `name`, e.g. one stream per
+    /// connection: `family("arrivals").stream(k)`. The name is hashed
+    /// once, here, however many members are drawn.
+    pub fn family(&self, name: &str) -> RngFamily {
+        RngFamily {
+            seed: self.seed_for(name),
+        }
+    }
+}
+
+/// An indexed family of independent streams under one name (see
+/// [`RngFactory::family`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RngFamily {
+    seed: u64,
+}
+
+impl RngFamily {
+    /// Derive the substream seed for member `index`.
+    fn seed_for(&self, index: u64) -> u64 {
+        splitmix64(self.seed ^ splitmix64(index.wrapping_add(1)))
+    }
+
+    /// A ready-to-use RNG for member `index`.
+    pub fn stream(&self, index: u64) -> StdRng {
+        StdRng::seed_from_u64(self.seed_for(index))
     }
 }
 
@@ -116,8 +133,8 @@ mod tests {
 
     #[test]
     fn indexed_family_members_are_distinct() {
-        let f = RngFactory::new(7);
-        let seeds: Vec<u64> = (0..100).map(|i| f.seed_for_indexed("s", i)).collect();
+        let family = RngFactory::new(7).family("s");
+        let seeds: Vec<u64> = (0..100).map(|i| family.seed_for(i)).collect();
         let mut sorted = seeds.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -127,7 +144,29 @@ mod tests {
     #[test]
     fn index_zero_differs_from_base() {
         let f = RngFactory::new(7);
-        assert_ne!(f.seed_for("s"), f.seed_for_indexed("s", 0));
+        assert_ne!(f.seed_for("s"), f.family("s").seed_for(0));
+    }
+
+    /// A family member draws what the per-member derivation the family
+    /// replaced drew: the name hashed again for every index.
+    #[test]
+    fn family_streams_draw_what_per_member_hashing_drew() {
+        fn stream_indexed(f: &RngFactory, name: &str, index: u64) -> StdRng {
+            let seed = splitmix64(f.seed_for(name) ^ splitmix64(index.wrapping_add(1)));
+            StdRng::seed_from_u64(seed)
+        }
+        let f = RngFactory::new(0x5eed);
+        for name in ["arrivals", "sizes", "policy"] {
+            let family = f.family(name);
+            for i in 0..10_000 {
+                let (mut a, mut b) = (family.stream(i), stream_indexed(&f, name, i));
+                assert_eq!(
+                    [a.next_u64(), a.next_u64()],
+                    [b.next_u64(), b.next_u64()],
+                    "{name}[{i}]"
+                );
+            }
+        }
     }
 
     #[test]

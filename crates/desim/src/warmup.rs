@@ -60,11 +60,11 @@ pub fn mser5(series: &[f64]) -> Option<WarmupEstimate> {
         }
     }
     let (d, mser) = best?;
-    let retained = &series[d * BATCH..];
+    let steady = &series[d * BATCH..];
     Some(WarmupEstimate {
         truncate_at: d * BATCH,
         mser,
-        steady_mean: retained.iter().sum::<f64>() / retained.len() as f64,
+        steady_mean: steady.iter().sum::<f64>() / steady.len() as f64,
     })
 }
 

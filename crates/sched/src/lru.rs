@@ -90,10 +90,10 @@ impl<V: Copy> HashedLru<V> {
         assert!(capacity >= 1, "LRU capacity must be at least 1");
         // Load factor ≤ 1: buckets is the capacity rounded up to a
         // power of two, so chains stay short at any fill level.
-        let n_buckets = capacity.next_power_of_two().max(8);
+        let buckets = capacity.next_power_of_two().max(8);
         HashedLru {
-            buckets: vec![NIL; n_buckets],
-            mask: (n_buckets - 1) as u64,
+            buckets: vec![NIL; buckets],
+            mask: (buckets - 1) as u64,
             slab: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             head: NIL,

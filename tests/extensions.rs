@@ -85,7 +85,9 @@ fn empirical_packet_sizes_flow_through_copy_costs() {
     let mean_size = sizes.iter().sum::<f64>() / sizes.len() as f64;
     let mut population = Population::homogeneous_poisson(8, 300.0);
     for s in &mut population.streams {
-        s.sizes = SizeDist(afs_desim::Dist::empirical(sizes.clone()));
+        s.sizes = SizeDist(afs_desim::Dist::Empirical {
+            samples: std::sync::Arc::new(sizes.clone()),
+        });
     }
     let mut with_copy = quick(
         Paradigm::Locking {
