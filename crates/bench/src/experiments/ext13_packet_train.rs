@@ -8,17 +8,10 @@
 
 use crate::{ips, locking, template_with, write_csv, Checks, K_STREAMS};
 use afs_core::prelude::*;
-use afs_workload::{ArrivalGen, SizeDist, StreamSpec};
+use afs_workload::ArrivalGen;
 
 fn train_population(k: usize, rate: f64, cars: f64, inter_car_us: f64) -> Population {
-    Population {
-        streams: (0..k)
-            .map(|_| StreamSpec {
-                arrivals: ArrivalGen::train(rate, cars, inter_car_us),
-                sizes: SizeDist::tiny(),
-            })
-            .collect(),
-    }
+    Population::from_arrivals((0..k).map(|_| ArrivalGen::train(rate, cars, inter_car_us)))
 }
 
 pub fn experiment(quick: bool, checks: &mut Checks) {

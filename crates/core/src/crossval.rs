@@ -284,7 +284,8 @@ impl StreamScenario {
     pub fn sim_config(&self, kind: afs_sched::FrontEndKind, policy: PolicySpec) -> SystemConfig {
         let mut cfg = SystemConfig::new(policy.sim_paradigm(self.workers), self.population());
         cfg.n_procs = self.workers;
-        cfg.seed = self.seed ^ 0xC105_5A1E;
+        // The native seed: both backends then offer the same packets.
+        cfg.seed = self.seed;
         cfg.frontend = Some(self.frontend_plan(kind, policy));
         cfg.stream_cache = Some(self.cache_capacity);
         let measure_s = self.total_packets as f64 / self.aggregate_rate_pps;
@@ -388,15 +389,19 @@ pub const IMPROVEMENT_TOLERANCE: f64 = 0.15;
 /// Documented multiplicative band on front-end *steering telemetry*
 /// between backends: table-miss and first-placement counts must agree
 /// within this factor (`max/min ≤ factor`) for the same stream
-/// scenario. The counts cannot match exactly — each backend draws its
-/// own arrival randomness, and Flow-Director churn depends on
-/// completion timing, which the two methodologies price differently —
-/// but both look up the *same* bounded tables over the *same* Zipf
-/// population, so the miss volume must land in the same band. The
+/// scenario. Both backends offer the same packets (one Zipf source, one
+/// seed) to the same bounded tables, yet the counts differ for two
+/// reasons. The simulator's horizon adds its 150 ms warm-up to the
+/// native packet budget, so it steers a longer prefix of the same
+/// sequence: 36 % more packets at the smoke cell, 6–8 % on the full
+/// matrix. And Flow-Director churn depends on completion timing, which
+/// the two methodologies price differently. The widest ratio is 1.30
+/// (smoke cell, Flow-Director with the oblivious miss path; ≤ 1.12 on
+/// the full `ext25` matrix), and the band leaves 15 % above it. The
 /// structural facts (RSS/transport-friendly deliver in order, the
 /// learning table far below the population misses, Flow-Director
 /// reorders at the pathology cell) are required exactly.
-pub const STEERING_AGREEMENT_FACTOR: f64 = 2.5;
+pub const STEERING_AGREEMENT_FACTOR: f64 = 1.5;
 
 /// Absolute tolerance on the per-dispatch stream-migration rate
 /// (equivalently the affinity-hit rate, its complement). Affinity

@@ -137,9 +137,8 @@ impl<'r> SchedSim<'r> {
                 Route::Worker(p) => Target::Proc(p),
                 Route::Shared => Target::Shared,
             },
-            Paradigm::Ips { .. } => {
-                Target::Stack(self.stream_to_stack[pkt.stream as usize] as usize)
-            }
+            // IPS: streams take the stacks round-robin.
+            Paradigm::Ips { .. } => Target::Stack(pkt.stream as usize % self.stacks.len()),
         }
     }
 
@@ -405,11 +404,12 @@ impl<'r> Simulate for SchedSim<'r> {
 
         match event {
             Event::Arrival { stream } => {
-                let s = stream as usize;
-                let size = self.cfg.population.streams[s]
+                // The stream's own spec, or a Zipf population's one.
+                let spec = self.cfg.population.zipf.map_or(stream as usize, |_| 0);
+                let size = self.cfg.population.streams[spec]
                     .sizes
                     .0
-                    .sample(&mut self.size_rngs[s]);
+                    .sample(&mut self.size_rngs[spec]);
                 let mut pkt = Packet {
                     seq: 0, // assigned per admitted copy below
                     stream,
@@ -444,8 +444,8 @@ impl<'r> Simulate for SchedSim<'r> {
                     self.next_seq += 1;
                     self.admit(now, pkt);
                 }
-                let gap = self.gens[s].next_gap(&mut self.arr_rngs[s]);
-                sched.schedule_in(now, gap, Event::Arrival { stream });
+                let (stream, at) = self.arrivals.next(now, stream);
+                sched.schedule_at(at, Event::Arrival { stream });
                 self.try_dispatch(now, sched);
             }
             Event::Completion { proc } => {

@@ -10,7 +10,8 @@
 //!
 //! * `Arrival(stream)` — a packet joins the appropriate queue (global
 //!   FIFO, per-processor wired queue, or per-stack queue) and the next
-//!   arrival of that stream is scheduled.
+//!   arrival is scheduled: that stream's, or for a Zipf population the
+//!   one source's next packet, of whichever flow it draws.
 //! * `Completion(proc)` — the processor finishes its packet, all
 //!   affinity bookkeeping is updated, and dispatch runs again.
 //!
@@ -51,9 +52,9 @@ use rand::rngs::StdRng;
 use afs_cache::model::pricer::DispatchPricer;
 use afs_desim::engine::Engine;
 use afs_desim::rng::RngFactory;
-use afs_desim::time::{SimDuration, SimTime};
+use afs_desim::time::SimTime;
 use afs_obs::{EngineProbe, Recorder};
-use afs_workload::ArrivalGen;
+use afs_workload::{ArrivalGen, Population, ZipfArrivals};
 
 use afs_sched::FrontEndState;
 
@@ -64,6 +65,8 @@ use crate::config::{Paradigm, SystemConfig};
 use crate::config::IpsPolicy;
 use crate::metrics::{Collector, RunReport};
 use crate::state::{LocTable, Packet, Procs, StreamTable};
+#[cfg(test)]
+use afs_desim::time::SimDuration;
 
 /// IPS stack state, field-major like the rest of the hot state: the
 /// per-stack queues, the running flags the dispatch scan reads, and the
@@ -86,6 +89,54 @@ impl Stacks {
 
     fn len(&self) -> usize {
         self.running.len()
+    }
+}
+
+/// The population's arrival processes: a generator and an RNG per
+/// stream, or a Zipf population's one source, which holds one pending
+/// arrival for all its flows.
+enum Arrivals {
+    PerStream {
+        gens: Vec<ArrivalGen>,
+        rngs: Vec<StdRng>,
+    },
+    Zipf(ZipfArrivals),
+}
+
+impl Arrivals {
+    fn new(pop: &Population, seed: u64, factory: &RngFactory) -> Self {
+        let Some(spec) = pop.zipf else {
+            let rngs = factory.family("arrivals");
+            return Arrivals::PerStream {
+                gens: pop.streams.iter().map(|s| s.arrivals.clone()).collect(),
+                rngs: (0..pop.len()).map(|s| rngs.stream(s as u64)).collect(),
+            };
+        };
+        Arrivals::Zipf(ZipfArrivals::new(spec, seed))
+    }
+
+    /// The first arrivals: one per stream, or the source's first.
+    fn first(&mut self) -> Vec<(u32, SimTime)> {
+        let sources = match self {
+            Arrivals::PerStream { gens, .. } => gens.len() as u32,
+            Arrivals::Zipf(_) => 1,
+        };
+        (0..sources).map(|s| self.next(SimTime::ZERO, s)).collect()
+    }
+
+    /// The arrival that follows `stream`'s at `now`: that stream's next
+    /// packet, or the source's next packet of any flow.
+    fn next(&mut self, now: SimTime, stream: u32) -> (u32, SimTime) {
+        match self {
+            Arrivals::PerStream { gens, rngs } => {
+                let s = stream as usize;
+                (stream, now + gens[s].next_gap(&mut rngs[s]))
+            }
+            Arrivals::Zipf(source) => {
+                let (flow, t_us) = source.next_arrival();
+                (flow, SimTime::from_micros_f64(t_us))
+            }
+        }
     }
 }
 
@@ -124,8 +175,6 @@ pub struct SchedSim<'r> {
     ooo_seen: Vec<u64>,
     /// Completions below their stream's high-water mark (whole run).
     ooo_deliveries: u64,
-    /// IPS: stream → stack assignment (round-robin).
-    stream_to_stack: Vec<u32>,
     /// IPS stacks.
     stacks: Stacks,
     /// Locking: the global FIFO.
@@ -135,9 +184,10 @@ pub struct SchedSim<'r> {
     proc_q: Vec<VecDeque<Packet>>,
     /// IPS round-robin scan offset (fairness across stacks).
     stack_scan: usize,
-    /// Per-stream arrival generators and RNGs.
-    gens: Vec<ArrivalGen>,
-    arr_rngs: Vec<StdRng>,
+    /// Where the next arrivals come from.
+    arrivals: Arrivals,
+    /// One size RNG per entry of the population's `streams` (a Zipf
+    /// population's flows share its one entry).
     size_rngs: Vec<StdRng>,
     /// Whether backlog statistics were reset at warm-up.
     warmup_reset: bool,
@@ -184,24 +234,15 @@ impl<'r> SchedSim<'r> {
             frontend: cfg.frontend.map(FrontEndState::new),
             ooo_seen: vec![u64::MAX; k],
             ooo_deliveries: 0,
-            stream_to_stack: (0..k).map(|s| (s % n_stacks.max(1)) as u32).collect(),
             stacks: Stacks::new(n_stacks),
             global_q: VecDeque::new(),
             proc_q: vec![VecDeque::new(); n],
             stack_scan: 0,
-            gens: cfg
-                .population
-                .streams
-                .iter()
-                .map(|s| s.arrivals.clone())
-                .collect(),
-            arr_rngs: {
-                let arrivals = factory.family("arrivals");
-                (0..k).map(|s| arrivals.stream(s as u64)).collect()
-            },
+            arrivals: Arrivals::new(&cfg.population, cfg.seed, &factory),
             size_rngs: {
                 let sizes = factory.family("sizes");
-                (0..k).map(|s| sizes.stream(s as u64)).collect()
+                let specs = cfg.population.streams.len();
+                (0..specs).map(|s| sizes.stream(s as u64)).collect()
             },
             warmup_reset: false,
             midpoint: SimTime::from_micros_f64((warm_us + hor_us) * 0.5),
@@ -276,24 +317,15 @@ pub fn run_observed<'r>(
     run_inner(cfg, Some(rec))
 }
 
-/// Prime helper: schedules every stream's first arrival plus the
+/// Prime helper: schedules the first arrivals plus the
 /// processor-fault plan's injection (and recovery) events.
 fn engine_prime(engine: &mut Engine<SchedSim<'_>>) {
     // Split borrows: scheduler and model are distinct fields, so prime
-    // through a small dance — collect the gaps first.
-    let gaps: Vec<(u32, SimDuration)> = {
-        let model = engine.model_mut();
-        (0..model.gens.len())
-            .map(|s| {
-                let gap = model.gens[s].next_gap(&mut model.arr_rngs[s]);
-                (s as u32, gap)
-            })
-            .collect()
-    };
-    for (stream, gap) in gaps {
+    // through a small dance — collect the arrivals first.
+    for (stream, at) in engine.model_mut().arrivals.first() {
         engine
             .scheduler()
-            .schedule_at(SimTime::ZERO + gap, Event::Arrival { stream });
+            .schedule_at(at, Event::Arrival { stream });
     }
     // Processor faults are plan-driven, so both the injection and its
     // recovery (stall end, crash revive) are known up front. An empty

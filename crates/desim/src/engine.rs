@@ -18,7 +18,7 @@
 //!     fn handle(&mut self, now: SimTime, _ev: (), sched: &mut Scheduler<()>) {
 //!         self.fired += 1;
 //!         if self.fired < 10 {
-//!             sched.schedule_in(now, SimDuration::from_micros(5), ());
+//!             sched.schedule_at(now + SimDuration::from_micros(5), ());
 //!         }
 //!     }
 //! }
@@ -33,7 +33,7 @@
 use afs_obs::EngineProbe;
 
 use crate::event::{EventId, EventQueue};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A discrete-event model: a state machine advanced one event at a time.
 pub trait Simulate {
@@ -71,11 +71,6 @@ impl<E> Scheduler<E> {
             self.now
         );
         self.queue.push(at, event)
-    }
-
-    /// Schedule `event` to fire `delay` after `now`.
-    pub fn schedule_in(&mut self, now: SimTime, delay: SimDuration, event: E) -> EventId {
-        self.schedule_at(now + delay, event)
     }
 
     /// Cancel a pending event. Returns `true` if it was still pending.
@@ -214,6 +209,7 @@ impl<M: Simulate> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     /// A model that fires a chain of `n` events spaced `gap` apart and
     /// records delivery times.
@@ -229,7 +225,7 @@ mod tests {
             self.seen.push(now);
             if self.remaining > 0 {
                 self.remaining -= 1;
-                sched.schedule_in(now, self.gap, ev + 1);
+                sched.schedule_at(now + self.gap, ev + 1);
             }
         }
     }

@@ -52,11 +52,10 @@ use afs_desim::dist::Dist;
 use afs_desim::rng::RngFactory;
 use afs_obs::MemRecorder;
 use afs_sched::{NativeLayout, PolicySpec};
+use afs_workload::{ZipfArrivals, ZipfSpec};
 use afs_xkernel::driver::PacketFactory;
 use afs_xkernel::engine::CostModel;
 use afs_xkernel::StreamId;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::dispatch::{dispatch, Arrival, Pipeline};
 use crate::pin::{CorePinner, NoopPinner, OsPinner};
@@ -215,13 +214,10 @@ pub fn poisson_workload(
 /// `aggregate_rate_pps` across `streams` flows whose per-flow shares
 /// follow [`afs_workload::zipf_weights`]`(streams, alpha)`. Arrivals
 /// come in geometric batches of mean `batch_mean` (1 = pure Poisson);
-/// each batch belongs to one flow drawn categorically by weight. By
-/// Poisson superposition this is the same law as the simulator's
-/// [`afs_workload::Population::zipf_bursty`] — the superposed per-flow
-/// compound-Poisson processes *are* an aggregate compound-Poisson
-/// process whose batch marks are weight-distributed — generated in one
-/// stream instead of 10⁵ so the native replay scales to million-flow
-/// populations.
+/// each batch belongs to one flow drawn categorically by weight. Every
+/// draw comes from [`afs_workload::ZipfArrivals`], the one source the
+/// simulator's [`afs_workload::Population::zipf_bursty`] runs too: from
+/// the same seed both backends offer the same `(flow, t)` sequence.
 ///
 /// `session_space` must equal the run's
 /// [`NativeConfig::session_space`]: each frame's UDP port encodes the
@@ -263,27 +259,17 @@ pub fn zipf_workload(
 
 /// Streaming form of [`zipf_workload`]: draws one packet at a time so a
 /// serving loop can run open-ended in bounded memory instead of
-/// materializing `Vec::with_capacity(total_packets)` up front. The draw
-/// order (gap, categorical flow, full geometric burst — then emit the
-/// burst's packets) matches the batch builder's exactly, so for the same
-/// parameters the n-th packet from this generator is byte- and
-/// stamp-identical to `zipf_workload(..)[n]`; [`zipf_workload`] is
+/// materializing `Vec::with_capacity(total_packets)` up front. It is the
+/// Zipf source ([`afs_workload::ZipfArrivals`]) plus a frame builder, so
+/// for the same parameters the n-th packet from this generator is byte-
+/// and stamp-identical to `zipf_workload(..)[n]`; [`zipf_workload`] is
 /// itself implemented on top of this type to keep that true by
 /// construction.
 pub struct ZipfPacketGen {
-    cum: Vec<f64>,
+    arrivals: ZipfArrivals,
     sessions: u32,
     payload_bytes: usize,
-    gaps_rng: StdRng,
-    flow_rng: StdRng,
-    batch_rng: StdRng,
-    gap: Dist,
-    p_more: f64,
-    batch_mean: f64,
     factory: PacketFactory,
-    t: f64,
-    pending_flow: u32,
-    pending: u64,
 }
 
 impl ZipfPacketGen {
@@ -298,29 +284,17 @@ impl ZipfPacketGen {
         payload_bytes: usize,
         seed: u64,
     ) -> Self {
-        assert!(streams >= 1 && aggregate_rate_pps > 0.0 && batch_mean >= 1.0);
-        let weights = afs_workload::zipf_weights(streams as usize, alpha);
-        let mut cum = Vec::with_capacity(weights.len());
-        let mut acc = 0.0f64;
-        for w in &weights {
-            acc += w;
-            cum.push(acc);
-        }
-        let factory = RngFactory::new(seed);
+        let spec = ZipfSpec {
+            flows: streams,
+            aggregate_rate_pps,
+            alpha,
+            batch_mean,
+        };
         ZipfPacketGen {
-            cum,
+            arrivals: ZipfArrivals::new(spec, seed),
             sessions: session_space.unwrap_or(streams).max(1),
             payload_bytes,
-            gaps_rng: factory.stream("native-zipf-gaps"),
-            flow_rng: factory.stream("native-zipf-flows"),
-            batch_rng: factory.stream("native-zipf-batches"),
-            gap: Dist::exponential(batch_mean * 1e6 / aggregate_rate_pps),
-            p_more: 1.0 - 1.0 / batch_mean,
-            batch_mean,
             factory: PacketFactory::new(),
-            t: 0.0,
-            pending_flow: 0,
-            pending: 0,
         }
     }
 
@@ -338,26 +312,8 @@ impl ZipfPacketGen {
     /// flow id and arrival stamp. A serving run draws only these and
     /// builds the frames of the packets it places.
     pub(crate) fn next_arrival(&mut self) -> (StreamId, f64) {
-        if self.pending == 0 {
-            self.t += self.gap.sample(&mut self.gaps_rng);
-            // Categorical flow draw by cumulative weight (binary search).
-            let u: f64 = self.flow_rng.gen_range(0.0..1.0);
-            self.pending_flow = self
-                .cum
-                .partition_point(|&c| c <= u)
-                .min(self.cum.len() - 1) as u32;
-            // Geometric batch on {1, 2, …} with mean `batch_mean`: the
-            // whole burst arrives back-to-back on the wire, all of one
-            // flow — the arrival pattern that turns a mid-burst rebind
-            // into reordering.
-            let mut burst = 1u64;
-            while self.batch_mean > 1.0 && self.batch_rng.gen_range(0.0..1.0) < self.p_more {
-                burst += 1;
-            }
-            self.pending = burst;
-        }
-        self.pending -= 1;
-        (StreamId(self.pending_flow), self.t)
+        let (flow, t) = self.arrivals.next_arrival();
+        (StreamId(flow), t)
     }
 }
 

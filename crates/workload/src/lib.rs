@@ -15,4 +15,4 @@ pub mod arrivals;
 pub mod population;
 
 pub use arrivals::ArrivalGen;
-pub use population::{zipf_weights, Population, SizeDist, StreamSpec};
+pub use population::{zipf_weights, Population, SizeDist, StreamSpec, ZipfArrivals, ZipfSpec};

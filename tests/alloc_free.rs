@@ -27,9 +27,8 @@
 //! horizon. The allocator also keeps a per-thread heap gauge (bytes live
 //! since the gauge opened, and their peak); one configuration is run at
 //! several horizons on the test's own thread, and the peak must not
-//! grow with the horizon. Streaming batch means and a calendar queue
-//! that gives a day's slots back when its scan leaves the day are what
-//! make it so.
+//! grow with the horizon. Streaming batch means, and an event queue that
+//! reuses a cancelled or popped slot at once, are what make it so.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -202,12 +201,11 @@ fn peak_heap<R>(f: impl FnOnce() -> R) -> (usize, R) {
 }
 
 /// Slack between horizons' peaks. A run's peak comes as its report is
-/// built, on top of what the run holds at its horizon: the day buckets
-/// near the scan and the queue backlogs then differ between horizons by
-/// up to ≈2.5 KiB (10⁴ flows, 100 k vs 400 k packets). That is the live
-/// state at one instant; a store that grows with the horizon moves the
-/// peak by megabytes (the Locking/MRU row read 1.2 / 4.3 / 16.9 MB while
-/// batch means stored every delay).
+/// built, on top of what the run holds at its horizon: the queue
+/// backlogs then differ between horizons by a few KiB at most. That is
+/// the live state at one instant; a store that grows with the horizon
+/// moves the peak by megabytes (the Locking/MRU row read 1.2 / 4.3 /
+/// 16.9 MB while batch means stored every delay).
 const HEAP_SLACK: usize = 4 * 1024;
 
 /// Runs `cfg_at(m)` for each multiplier and asserts one peak heap.
@@ -257,9 +255,9 @@ fn simulated_heap_does_not_grow_with_the_horizon_locking_mru() {
 }
 
 /// A 10⁴-flow Zipf population behind Flow Director with the min-reload
-/// fallback, at 1× and 4× the packets: one pending arrival per flow keeps
-/// the event queue in calendar mode, with the skewed days the Zipf rates
-/// make.
+/// fallback, at 1× and 4× the packets: the per-flow state (steering
+/// table, stream cache, order high-water marks) must not grow with the
+/// horizon either. Its arrivals are one source, one pending event.
 #[test]
 fn simulated_heap_does_not_grow_with_the_horizon_fdir_flows() {
     let s = stream_matrix()[1];

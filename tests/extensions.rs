@@ -4,7 +4,7 @@
 
 use affinity_sched::prelude::*;
 use afs_cache::model::exec_time::{ComponentWeights, TimeBounds};
-use afs_workload::{ArrivalGen, SizeDist, StreamSpec};
+use afs_workload::{ArrivalGen, SizeDist};
 
 fn quick(paradigm: Paradigm, population: Population) -> SystemConfig {
     let mut cfg = SystemConfig::new(paradigm, population);
@@ -48,14 +48,7 @@ fn replayed_trace_drives_the_simulator_deterministically() {
     // A recorded gap trace (bursty: pairs of back-to-back packets) as
     // the offered workload.
     let gaps = vec![0.0, 2_000.0, 0.0, 6_000.0, 0.0, 4_000.0];
-    let population = Population {
-        streams: (0..6)
-            .map(|_| StreamSpec {
-                arrivals: ArrivalGen::replay(gaps.clone()),
-                sizes: SizeDist::tiny(),
-            })
-            .collect(),
-    };
+    let population = Population::from_arrivals((0..6).map(|_| ArrivalGen::replay(gaps.clone())));
     let expected_rate = population.total_rate_per_sec();
     let cfg = quick(
         Paradigm::Locking {

@@ -16,6 +16,13 @@
 //! estimator changed, not the run: every other field is the 3ef27fa
 //! capture. Locking/MRU 0.566 → 0.573 µs, IPS 2.045 → 2.315 µs, the
 //! faulted FDir cell 131.5 → 124.3 µs.
+//!
+//! The faulted FDir cell was re-captured whole once more, when its
+//! Zipf flows became one arrival source seeded like the native
+//! workload: the offered packets changed, so every field moved (mean
+//! delay 1 001.0 → 975.1 µs, 4 831 → 4 789 arrivals). The pricer did
+//! not change; the two Locking and IPS cells are still the 3ef27fa
+//! capture.
 
 use affinity_sched::cache::model::{Age, ComponentAges, DispatchPricer};
 use affinity_sched::core::crossval::stream_smoke_matrix;
@@ -337,43 +344,43 @@ const IPS: Captured = Captured {
 
 const FDIR_MIN_RELOAD_FAULTED: Captured = Captured {
     fields: [
-        0x408f47f96c8b0911, // mean_delay_us
-        0x405f1659adece6a0, // delay_ci_half_us
-        0x40a7a20000000000, // p95_delay_us
-        0x40bd10228f5c28f6, // max_delay_us
-        0x40696606d6fa5c05, // mean_service_us
-        0x40c684cccc7f6d19, // throughput_pps
-        0x40c6a53332e5642c, // offered_pps
-        0x00000000000011ed, // delivered
-        0x00000000000012df, // arrivals
-        0x3fe25a10c0361eb5, // utilization
-        0x3fb33efb5eab09e0, // stream_migration_rate
+        0x408e78b5479f34db, // mean_delay_us
+        0x406a90ba7f07a9fd, // delay_ci_half_us
+        0x40a6120000000000, // p95_delay_us
+        0x40bed5a5e353f7cf, // max_delay_us
+        0x4068c07752bf7752, // mean_service_us
+        0x40c666cccc7fd42e, // throughput_pps
+        0x40c672cccc7faaf2, // offered_pps
+        0x00000000000011a0, // delivered
+        0x00000000000012b5, // arrivals
+        0x3fe1b3a43854eae4, // utilization
+        0x3fb3b01d0cb58f6f, // stream_migration_rate
         0x0000000000000000, // thread_migration_rate
-        0xbad3657864b94967, // per_stream_delay_us
-        0xc360868c79c91cdf, // per_proc_served
-        0x3f7c6e58d4cbaa6d, // littles_gap
+        0xfd9b686f8f4f83ea, // per_stream_delay_us
+        0x59c284827793fa9d, // per_proc_served
+        0x3f74f2f649d80ba9, // littles_gap
         0x0000000000000001, // stable
-        0x40c582cccc82e394, // goodput_pps
+        0x40c52666661dbaaa, // goodput_pps
         0x0000000000000000, // drop_rate
         0x0000000000000000, // wire_drops
         0x0000000000000000, // queue_drops
         0x0000000000000000, // shed_at_source
-        0x00000000000000d7, // corrupted
+        0x000000000000010b, // corrupted
         0x0000000000000000, // proc_crashes
         0x0000000000000000, // proc_stalls
         0x0000000000000000, // orphaned
         0x0000000000000000, // requeued
-        0x3f990fa5560a0861, // wasted_service_frac
-        0x00000000000019d6, // offered_total
-        0x00000000000019b2, // completed_total
+        0x3f9fae06e4dabdfa, // wasted_service_frac
+        0x0000000000001a26, // offered_total
+        0x0000000000001a1c, // completed_total
         0x0000000000000000, // shed_total
-        0x0000000000000024, // in_flight
-        0x0000000000000259, // ooo_deliveries
-        0x0000000000000be6, // table_misses
-        0x000000000000094c, // rebinds
+        0x000000000000000a, // in_flight
+        0x00000000000001dd, // ooo_deliveries
+        0x0000000000000acc, // table_misses
+        0x000000000000084c, // rebinds
     ],
-    mean_f1: 0.09906471544973829,
-    mean_f2: 0.011354688809754916,
+    mean_f1: 0.09740456788069152,
+    mean_f2: 0.011202279643220181,
 };
 
 #[test]

@@ -12,10 +12,13 @@
 //! * The native aggregate sampler (`zipf_workload`: one categorical
 //!   draw per batch over the cumulative weights) reproduces the head
 //!   flow's mass and the tail half's mass across several seeds.
-//! * The simulator's per-flow superposition (each stream an independent
-//!   Poisson process at its Zipf rate) reproduces the same masses in
-//!   its event trace — the two backends realize the *same law* through
-//!   entirely different mechanisms (superposition theorem).
+//! * The simulator reproduces the same masses in its event trace. It
+//!   runs the same aggregate source (`afs_workload::ZipfArrivals`), one
+//!   pending arrival for the whole population, which stands for the
+//!   superposition of independent per-flow Poisson processes at their
+//!   Zipf rates (superposition theorem). `tests/zipf_source.rs` checks
+//!   that the two backends offer the same packets; this file checks
+//!   that what they offer is the law.
 //! * Both samplers are deterministic functions of the seed.
 
 use affinity_sched::core::config::{LockPolicy, Paradigm, SystemConfig};
