@@ -4,6 +4,21 @@
 use afs_desim::stats::{littles_law_gap, BatchMeans, Histogram, TimeWeighted, Welford};
 use afs_desim::time::{SimDuration, SimTime};
 
+/// A running mean, updated as [`Welford::add`] updates its mean, so the
+/// two agree bit for bit: a per-flow slot of 16 bytes, not 40.
+#[derive(Debug, Clone, Copy, Default)]
+struct StreamMean {
+    n: u64,
+    mean: f64,
+}
+
+impl StreamMean {
+    fn add(&mut self, x: f64) {
+        self.n += 1;
+        self.mean += (x - self.mean) / self.n as f64;
+    }
+}
+
 /// Collected during a run (post-warmup unless noted).
 #[derive(Debug)]
 pub struct Collector {
@@ -21,8 +36,8 @@ pub struct Collector {
     pub f1_at_dispatch: Welford,
     /// F2 at dispatch.
     pub f2_at_dispatch: Welford,
-    /// Per-stream delay accumulators.
-    pub per_stream_delay: Vec<Welford>,
+    /// Per-stream delay means (the report reads nothing else).
+    per_stream_delay: Vec<StreamMean>,
     /// Packets whose stream state migrated between processors.
     pub stream_migrations: u64,
     /// Packets whose thread stack migrated.
@@ -89,7 +104,7 @@ impl Collector {
             service: Welford::new(),
             f1_at_dispatch: Welford::new(),
             f2_at_dispatch: Welford::new(),
-            per_stream_delay: vec![Welford::new(); n_streams],
+            per_stream_delay: vec![StreamMean::default(); n_streams],
             stream_migrations: 0,
             thread_migrations: 0,
             delivered: 0,
@@ -185,8 +200,8 @@ impl Collector {
         self.delay_batches.add(d);
         self.delay_hist.add(d);
         self.service.add(service.as_micros_f64());
-        if let Some(w) = self.per_stream_delay.get_mut(stream as usize) {
-            w.add(d);
+        if let Some(m) = self.per_stream_delay.get_mut(stream as usize) {
+            m.add(d);
         }
         self.delivered += 1;
         self.proto_busy_us += service.as_micros_f64();
@@ -252,7 +267,7 @@ impl Collector {
             mean_f2: self.f2_at_dispatch.mean(),
             stream_migration_rate: self.stream_migrations as f64 / self.delivered.max(1) as f64,
             thread_migration_rate: self.thread_migrations as f64 / self.delivered.max(1) as f64,
-            per_stream_delay_us: self.per_stream_delay.iter().map(|w| w.mean()).collect(),
+            per_stream_delay_us: self.per_stream_delay.iter().map(|m| m.mean).collect(),
             per_proc_served: Vec::new(), // filled by the simulator
 
             littles_gap: littles_law_gap(backlog_avg, throughput, self.delay.mean() / 1e6),
@@ -393,6 +408,20 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    #[test]
+    fn stream_mean_is_welford_mean_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+        let (mut m, mut w) = (StreamMean::default(), Welford::new());
+        assert_eq!(m.mean.to_bits(), w.mean().to_bits());
+        for _ in 0..10_000 {
+            let x = rng.gen::<f64>() * 10f64.powi(rng.gen_range(-3..6));
+            m.add(x);
+            w.add(x);
+            assert_eq!(m.mean.to_bits(), w.mean().to_bits(), "after {x}");
+        }
     }
 
     #[test]

@@ -264,9 +264,9 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
         engines,
         sessions,
     };
-    // Fold the dispatcher's and each worker's trace slice into one
+    // Merge the dispatcher's and each worker's trace slice into one
     // stream, sorted by the deterministic merge key (virtual time, seq,
-    // causal rank) — worker order does not affect the merged trace.
+    // causal rank); ties keep slice order: dispatcher, then worker 0, 1, …
     let mut slices: Vec<MemRecorder> = rec.into_iter().collect();
     for r in results {
         totals.delay.merge(&r.delay);
@@ -280,9 +280,7 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
         slices.extend(r.rec);
     }
     if let Some(out) = p.obs {
-        for slice in slices {
-            out.absorb(slice);
-        }
+        out.merge(slices);
     }
     totals
 }

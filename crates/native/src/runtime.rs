@@ -439,7 +439,9 @@ pub fn run_native(cfg: &NativeConfig, workload: Vec<NativePacket>) -> NativeRepo
 /// merged into one deterministic-ordered stream on join.
 ///
 /// All events are stamped with *virtual* time — arrival stamps and
-/// worker vclocks — so host wall-clock never leaks into a trace.
+/// worker vclocks — so host wall-clock never leaks into a trace. One
+/// value is host-order: a worker's `QueueDepth` sample is its ring's
+/// length when it pops the packet.
 pub fn run_native_recorded(
     cfg: &NativeConfig,
     workload: Vec<NativePacket>,

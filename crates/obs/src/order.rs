@@ -22,7 +22,7 @@
 //! re-sorts. Simulator traces arrive in emission (virtual-time) order;
 //! native per-worker traces must be merged by
 //! [`ObsEvent::merge_key`](crate::ObsEvent::merge_key) first, which is
-//! exactly what [`MemRecorder::sort_events`](crate::MemRecorder) does.
+//! exactly what [`MemRecorder::merge`](crate::MemRecorder::merge) does.
 
 use crate::event::ObsEvent;
 

@@ -28,7 +28,8 @@ pub trait Recorder {
 /// is reported in [`MemRecorder::dropped_events`]).
 #[derive(Debug, Default, Clone)]
 pub struct MemRecorder {
-    /// Retained events, in emission order (see [`MemRecorder::sort_events`]).
+    /// Retained events, in emission order (merge order after
+    /// [`MemRecorder::merge`]).
     pub events: Vec<ObsEvent>,
     /// Counters folded from *every* event, including unretained ones.
     pub counters: Counters,
@@ -62,27 +63,80 @@ impl MemRecorder {
         self.dropped
     }
 
-    /// Sort retained events by the deterministic merge key
-    /// `(virtual time, seq, causal rank)`. Used after folding several
-    /// per-worker recorders into one trace.
-    pub fn sort_events(&mut self) {
-        self.events.sort_by_key(|e| e.merge_key());
-    }
-
-    /// Fold another recorder's events and counters into this one, then
-    /// re-sort into deterministic merge order.
-    pub fn absorb(&mut self, other: MemRecorder) {
-        self.counters.merge(&other.counters);
-        self.dropped += other.dropped;
-        for ev in other.events {
-            if self.events.len() < self.cap {
-                self.events.push(ev);
-            } else {
-                self.dropped += 1;
+    /// Fold per-thread trace slices, in the order given, into this
+    /// recorder's trace, in deterministic merge order (see
+    /// [`ObsEvent::merge_key`]).
+    ///
+    /// The result is the stable sort, by merge key, of this recorder's
+    /// events followed by every slice's events, of which at most the
+    /// first `cap` are retained (the rest count as dropped). A stable
+    /// merge of stably sorted runs is exactly that sort, ties still
+    /// broken by slice order; so each run is scanned once and sorted
+    /// only if it is out of order, and the runs are merged from the
+    /// back into the largest one's own buffer, which grows by the
+    /// others' length. Only sorting an out-of-order run takes scratch.
+    pub fn merge(&mut self, slices: Vec<MemRecorder>) {
+        let mut room = self.cap.saturating_sub(self.events.len());
+        let mut runs = Vec::with_capacity(slices.len() + 1);
+        runs.push(std::mem::take(&mut self.events));
+        for s in slices {
+            self.counters.merge(&s.counters);
+            let mut run = s.events;
+            let kept = run.len().min(room);
+            self.dropped += s.dropped + (run.len() - kept) as u64;
+            run.truncate(kept);
+            room -= kept;
+            runs.push(run);
+        }
+        for run in &mut runs {
+            if !run.is_sorted_by_key(ObsEvent::merge_key) {
+                run.sort_by_key(ObsEvent::merge_key);
             }
         }
-        self.sort_events();
+        self.events = merge_runs(runs);
     }
+}
+
+/// Stable merge of sorted runs, ties to the earlier run, into the
+/// longest run's buffer: filled from the back, its own unread events
+/// are never overwritten, and once the other runs are spent the rest
+/// is already in place.
+fn merge_runs(mut runs: Vec<Vec<ObsEvent>>) -> Vec<ObsEvent> {
+    let total: usize = runs.iter().map(Vec::len).sum();
+    let big = (0..runs.len()).max_by_key(|&i| runs[i].len()).unwrap_or(0);
+    let mut out = std::mem::take(&mut runs[big]);
+    let Some(&fill) = out.first() else {
+        return out;
+    };
+    // Unmerged events left in each run; `big`'s are `out[..ends[big]]`.
+    let mut ends: Vec<usize> = runs.iter().map(Vec::len).collect();
+    ends[big] = out.len();
+    out.reserve_exact(total - out.len());
+    out.resize(total, fill);
+    for w in (0..total).rev() {
+        if ends[big] == w + 1 {
+            break;
+        }
+        let tail = |i: usize| {
+            let run = if i == big { &out[..] } else { &runs[i][..] };
+            ends[i].checked_sub(1).map(|j| run[j].merge_key())
+        };
+        // The last of the greatest tails: a later run's event goes later.
+        let (mut from, mut best) = (big, None);
+        for i in 0..runs.len() {
+            let key = tail(i);
+            if key.is_some() && key >= best {
+                (from, best) = (i, key);
+            }
+        }
+        ends[from] -= 1;
+        out[w] = if from == big {
+            out[ends[big]]
+        } else {
+            runs[from][ends[from]]
+        };
+    }
+    out
 }
 
 impl Recorder for MemRecorder {
@@ -131,17 +185,14 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_and_sorts() {
+    fn merge_sorts_and_folds_counters() {
         let mut a = MemRecorder::new();
         let mut b = MemRecorder::new();
         a.record(ev(2.0, 2));
         b.record(ev(1.0, 1));
-        a.absorb(b);
-        assert_eq!(a.events.len(), 2);
-        assert_eq!(a.counters.enqueued, 2);
-        assert!(a
-            .events
-            .windows(2)
-            .all(|w| w[0].merge_key() <= w[1].merge_key()));
+        let mut out = MemRecorder::new();
+        out.merge(vec![a, b]);
+        assert_eq!(out.events, [ev(1.0, 1), ev(2.0, 2)]);
+        assert_eq!(out.counters.enqueued, 2);
     }
 }

@@ -29,6 +29,9 @@
 //! several horizons on the test's own thread, and the peak must not
 //! grow with the horizon. Streaming batch means, and an event queue that
 //! reuses a cancelled or popped slot at once, are what make it so.
+//!
+//! The same gauge pins a recorded native run's trace merge: folding the
+//! per-thread slices into one trace holds the trace once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,6 +41,7 @@ use std::sync::{Mutex, PoisonError};
 use affinity_sched::core::crossval::stream_matrix;
 use affinity_sched::core::prelude::*;
 use affinity_sched::native::{run_serve, FrontEndKind, Pinning, PolicySpec, ServeConfig};
+use affinity_sched::obs::{MemRecorder, ObsEvent, Recorder};
 
 struct CountingAlloc;
 
@@ -272,4 +276,39 @@ fn simulated_heap_does_not_grow_with_the_horizon_fdir_flows() {
         s.total_packets = packets * m;
         s.sim_config(FrontEndKind::FlowDirector, PolicySpec::MinReload)
     });
+}
+
+/// Merging a recorded run's trace slices grows the longest slice's
+/// buffer by the others' length and copies nothing else: sorted slices
+/// of n and 4n events merge within n events' bytes above the inputs.
+/// A copy into a third vector, re-sorted per slice, needs five or more
+/// times n events plus the sort's scratch.
+#[test]
+fn merging_trace_slices_holds_the_trace_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let n = 20_000;
+    // Interleaved keys: a slice stamps its event `i` at `i · step`.
+    let slice = |len: usize, step: usize| {
+        let mut r = MemRecorder::with_event_capacity(len);
+        for i in 0..len {
+            r.record(ObsEvent::Enqueue {
+                t_us: (i * step) as f64,
+                seq: i as u64,
+                stream: step as u32,
+                queue: 0,
+                depth: 1,
+            });
+        }
+        r
+    };
+    let slices = vec![slice(n, 4), slice(4 * n, 1)];
+    let mut out = MemRecorder::new();
+    let (peak, ()) = peak_heap(|| out.merge(slices));
+    assert_eq!(out.events.len(), 5 * n);
+    assert!(out.events.is_sorted_by_key(ObsEvent::merge_key));
+    let bound = n * std::mem::size_of::<ObsEvent>() + HEAP_SLACK;
+    assert!(
+        peak <= bound,
+        "merge peaked {peak} B above its inputs (bound {bound} B)"
+    );
 }
