@@ -181,9 +181,8 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     // Run queues: one per worker in *every* layout. The shared pool and
     // stealing are arbitrated dispatcher-side by the claim table, so a
     // pooled packet lands directly on its claimant's ring.
-    let queues: Vec<RingQueue<Job>> = (0..w)
-        .map(|_| RingQueue::with_capacity(cfg.queue_capacity))
-        .collect();
+    let depth = ring_depth(cfg.batch);
+    let queues: Vec<RingQueue<Job>> = (0..w).map(|_| RingQueue::with_capacity(depth)).collect();
     let vclocks: Vec<AtomicU64> = (0..w).map(|_| AtomicU64::new(0)).collect();
     let (done, recovery_done) = (AtomicBool::new(false), AtomicBool::new(false));
     let board = HealthBoard::new(w);
@@ -197,7 +196,7 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     // stage 6 is filling — plus slack, minted now so the steady state
     // never allocates. A staged or dropped packet holds none.
     let pool = p.frames.map(|payload_bytes| {
-        let n = w * cfg.queue_capacity + w * cfg.batch.max(1) + 64;
+        let n = w * depth + w * cfg.batch.max(1) + 64;
         let pool = RingQueue::with_capacity(n);
         for _ in 0..n {
             let _ = pool.push(Vec::with_capacity(payload_bytes + 64));
@@ -283,6 +282,16 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
         out.merge(slices);
     }
     totals
+}
+
+/// Each worker ring's depth: a pipeline's worth of trains, never less
+/// than 64, as a power of two. It depends on `batch` alone. Admission
+/// is decided on the modeled backlog and claims on the virtual clock,
+/// and a full ring blocks the dispatcher, so the depth never changes a
+/// result; it only bounds how far the dispatcher runs ahead, and so how
+/// many frames are in flight.
+fn ring_depth(batch: usize) -> usize {
+    (4 * batch.max(1)).max(64).next_power_of_two()
 }
 
 const NO_POOL: &str = "a shared-pool route requires a pooled layout";

@@ -93,7 +93,12 @@ pub struct NativeConfig {
     pub layout: NativeLayout,
     /// Core-pinning mode.
     pub pinning: Pinning,
-    /// Per-ring capacity (the dispatcher blocks when full — lossless).
+    /// The serving path's admission bound: a packet whose steered
+    /// worker already holds this many modeled-backlog packets is
+    /// tail-dropped ([`crate::run_serve`]). Replay admits everything and
+    /// does not read it. It does not size the host rings: each worker's
+    /// ring holds a pipeline's worth of trains, set by
+    /// [`NativeConfig::batch`], and a full ring blocks the dispatcher.
     pub queue_capacity: usize,
     /// Protocol cost model (defaults are the paper's calibration).
     pub cost: CostModel,
@@ -339,8 +344,6 @@ pub struct WorkerStats {
     pub stream_migrations: u64,
     /// Packets whose thread stack last ran on a different worker.
     pub thread_migrations: u64,
-    /// Deepest run-queue backlog it observed on its own queue.
-    pub max_queue_depth: usize,
     /// Modeled busy time (cycle charge), µs.
     pub busy_us: f64,
     /// Final virtual-clock reading, µs.
@@ -439,9 +442,11 @@ pub fn run_native(cfg: &NativeConfig, workload: Vec<NativePacket>) -> NativeRepo
 /// merged into one deterministic-ordered stream on join.
 ///
 /// All events are stamped with *virtual* time — arrival stamps and
-/// worker vclocks — so host wall-clock never leaks into a trace. One
-/// value is host-order: a worker's `QueueDepth` sample is its ring's
-/// length when it pops the packet.
+/// worker vclocks — so host wall-clock never leaks into a trace. The
+/// depth samples are host-order: the dispatcher's `Enqueue` depth and a
+/// worker's `QueueDepth` are ring lengths read as the packet goes in or
+/// starts, so they are bounded by the ring depth, which follows
+/// [`NativeConfig::batch`] alone, not by [`NativeConfig::queue_capacity`].
 pub fn run_native_recorded(
     cfg: &NativeConfig,
     workload: Vec<NativePacket>,
@@ -633,8 +638,7 @@ mod tests {
                 arrival_us: t,
             });
         }
-        let mut c = cfg(2, PolicySpec::Ips);
-        c.queue_capacity = 16; // keep the ring backlog visible to thieves
+        let c = cfg(2, PolicySpec::Ips);
         let r = run_native(&c, workload);
         assert_eq!(r.outcomes.total(), 200);
         assert_eq!(r.outcomes.delivered, 200);
@@ -680,18 +684,11 @@ mod tests {
     fn recording_does_not_change_the_deterministic_report() {
         // IPS without stealing is deterministic (per-queue FIFO, no
         // cross-worker races), so the recorder must reproduce the
-        // unobserved report exactly — except `max_queue_depth`, which
-        // samples queue length at pop time and therefore races against
-        // the dispatcher's pushes at host speed.
+        // unobserved report exactly.
         let w = small_workload(4, 30);
         let c = ips_no_steal(2);
-        let mut plain = run_native(&c, w.clone());
-        let (mut recorded, rec) = run_native_recorded(&c, w);
-        for r in [&mut plain, &mut recorded] {
-            for ws in &mut r.per_worker {
-                ws.max_queue_depth = 0;
-            }
-        }
+        let plain = run_native(&c, w.clone());
+        let (recorded, rec) = run_native_recorded(&c, w);
         assert_eq!(plain, recorded);
         assert_eq!(rec.counters.steals, 0);
         assert_eq!(rec.counters.lock_charges, 0, "IPS owner path is lock-free");
@@ -712,8 +709,7 @@ mod tests {
                 arrival_us: t,
             });
         }
-        let mut c = cfg(2, PolicySpec::Ips);
-        c.queue_capacity = 16;
+        let c = cfg(2, PolicySpec::Ips);
         let (r, rec) = run_native_recorded(&c, workload);
         assert!(r.steals > 0);
         let steal_events: Vec<_> = rec

@@ -11,8 +11,9 @@
 //!   descriptors (flow, arrival stamp); the dispatcher builds a frame
 //!   only for a packet it places (stage 6, DESIGN.md §9), byte-identical
 //!   to the generator's own, into a buffer from a fixed pool sized for
-//!   the rings, and the processing worker returns the buffer after the
-//!   engine's borrow ends. A dropped packet never touches a buffer.
+//!   the pipeline — a ring of a few trains per worker, set by
+//!   [`NativeConfig::batch`] — and the processing worker returns the
+//!   buffer after the engine's borrow ends. A dropped packet never touches a buffer.
 //!   Every per-flow table is pre-sized, so after warm-up the per-packet
 //!   path never calls the allocator — pinned by the counting-allocator
 //!   test in `tests/alloc_free.rs`.
@@ -23,7 +24,8 @@
 //!   model rather than a racy host-side ring occupancy, so the drop
 //!   ledger (`offered = admitted + dropped`) is a pure function of the
 //!   seed. Admitted packets are never lost: the physical ring push
-//!   blocks (backpressure) until the worker drains.
+//!   blocks (backpressure) until the worker drains. The bound is
+//!   modeled only; it sizes no ring and no buffer pool.
 //! * **No recorder**; instead, at a configurable packet interval the
 //!   dispatcher publishes an [`afs_obs::ServeSnapshot`] JSONL line (wall
 //!   time and RSS are explicitly host gauges; every committed artifact

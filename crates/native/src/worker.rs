@@ -194,8 +194,6 @@ impl<'a> Worker<'a> {
         let batch = self.sh.cfg.batch.max(1);
         let mut train: Vec<Job> = Vec::with_capacity(batch);
         'main: loop {
-            let depth = self.sh.queues[self.wid].len();
-            self.out.stats.max_queue_depth = self.out.stats.max_queue_depth.max(depth);
             if self.pop_train(&mut train, batch) {
                 let mut jobs = train.drain(..);
                 while let Some(job) = jobs.next() {
@@ -290,7 +288,12 @@ impl<'a> Worker<'a> {
     fn process(&mut self, mut job: Job) {
         let me = self.wid as u32;
         let cost = &self.sh.cfg.cost;
-        let qdepth = self.sh.queues[self.wid].len() as u32;
+        // A host-order sample for the trace's depth gauge, bounded by the
+        // ring depth; an unrecorded run never reads the cursors.
+        let qdepth = match self.out.rec {
+            Some(_) => self.sh.queues[self.wid].len() as u32,
+            None => 0,
+        };
         // Push the virtual service start through any stall window (and
         // the reboot window of a crash-with-revive) containing it. The
         // vclock is monotone, so each window is crossed at most once —

@@ -6,9 +6,7 @@
 //! steering counters, and the per-stream delivery counts all match
 //! exactly.
 //!
-//! Two per-worker gauges are normalized out before comparison:
-//! `max_queue_depth` (a documented-racy host-side sample whose value
-//! depends on dispatcher/worker interleaving, not on results) and
+//! One per-worker gauge is normalized out before comparison:
 //! `lock_contended` (`try_lock` contention is host scheduling, not
 //! modeled time). Everything else must be equal to the bit.
 
@@ -18,7 +16,6 @@ use afs_native::{run_native, FrontEndKind, NativeReport, Pinning};
 
 fn normalized(mut r: NativeReport) -> NativeReport {
     for w in &mut r.per_worker {
-        w.max_queue_depth = 0;
         w.lock_contended = 0;
     }
     r

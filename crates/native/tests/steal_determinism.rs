@@ -7,9 +7,8 @@
 //! only reproduce at a single worker — with and without a seeded
 //! processor-fault plan.
 //!
-//! Normalization zeroes the two documented host-racy gauges
-//! (`max_queue_depth`, `lock_contended`); everything else must match
-//! to the bit.
+//! Normalization zeroes the documented host-racy gauge
+//! (`lock_contended`); everything else must match to the bit.
 
 use afs_core::procfault::{FaultLoad, ProcFaultPlan};
 use afs_native::{
@@ -29,7 +28,6 @@ fn workload() -> Vec<NativePacket> {
 
 fn normalized(mut r: NativeReport) -> NativeReport {
     for w in &mut r.per_worker {
-        w.max_queue_depth = 0;
         w.lock_contended = 0;
     }
     r

@@ -56,7 +56,9 @@ OPTIONS:
                           (default 4.0)
     --payload <N>         UDP payload bytes, at most 4404 — one FDDI
                           frame (default 64)
-    --queue-capacity <N>  per-worker admission bound (default from policy)
+    --queue-capacity <N>  per-worker admission bound on the modeled
+                          backlog; sizes no ring or buffer pool
+                          (default 1024)
     --seed <N>            RNG seed (default 0xAF5)
     --pin                 pin workers to cores (default off)
     --snapshot-every <N>  emit a serve snapshot every N offered packets

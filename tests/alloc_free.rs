@@ -31,7 +31,9 @@
 //! reuses a cancelled or popped slot at once, are what make it so.
 //!
 //! The same gauge pins a recorded native run's trace merge: folding the
-//! per-thread slices into one trace holds the trace once.
+//! per-thread slices into one trace holds the trace once. It also pins
+//! what a serving run mints up front: the rings and the frame pool hold
+//! the pipeline, so they do not grow with the admission bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -202,6 +204,41 @@ fn peak_heap<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let out = f();
     let (_, peak) = HEAP.with(|h| h.replace(None)).expect("gauge open");
     (peak as usize, out)
+}
+
+/// Peak heap of a short serving run on the calling thread, which is the
+/// dispatcher: it mints the rings and the frame pool. 4 KiB payloads at
+/// `batch` 64, one worker, admission bound `queue_capacity`.
+fn serving_peak_heap(queue_capacity: usize) -> usize {
+    let mut cfg = ServeConfig::new(1, 20_000, FrontEndKind::FlowDirector, PolicySpec::MinReload);
+    cfg.native.pinning = Pinning::Off;
+    cfg.native.batch = 64;
+    cfg.native.queue_capacity = queue_capacity;
+    cfg.payload_bytes = 4_096;
+    cfg.total_packets = 2_000;
+    cfg.warmup_packets = 400;
+    cfg.snapshot_every = None;
+    let (peak, report) = peak_heap(|| run_serve(&cfg, None));
+    assert!(report.ledger_balanced(), "serving ledger must balance");
+    assert_eq!(report.offered, cfg.total_packets);
+    peak
+}
+
+/// The admission bound is a modeled backlog, not a host buffer: raising
+/// it 8× may grow the serving run's peak heap by the structures that
+/// follow the modeled backlog (the completion-feedback heap's reserve),
+/// never by rings or frame buffers. With the rings sized by the bound
+/// the pool alone grew by 7 168 buffers of 4 160 B, ≈29.8 MB.
+#[test]
+fn serving_heap_does_not_follow_the_admission_bound() {
+    // Off the serving rows' armed windows, which count every thread.
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let at_1k = serving_peak_heap(1_024);
+    let at_8k = serving_peak_heap(8_192);
+    assert!(
+        at_8k < at_1k + (1 << 20),
+        "peak heap grows with queue_capacity: {at_1k} B at 1 024, {at_8k} B at 8 192"
+    );
 }
 
 /// Slack between horizons' peaks. A run's peak comes as its report is

@@ -20,8 +20,8 @@
 //! demultiplex differently. (The bytes themselves, ident wrap included,
 //! are pinned by the unit test beside `dispatch::frame_of`.)
 //!
-//! Two per-worker gauges are host-racy by documentation and normalized
-//! out: `max_queue_depth` and `lock_contended`.
+//! One per-worker gauge is host-racy by documentation and normalized
+//! out: `lock_contended`.
 
 use affinity_sched::native::{
     run_native, run_serve, zipf_workload, FrontEndKind, Pinning, PolicySpec, ServeConfig,
@@ -43,8 +43,8 @@ fn cell(kind: FrontEndKind, policy: PolicySpec, batch: usize, payload_bytes: usi
     cfg
 }
 
-/// A worker's telemetry with the two racy gauges dropped and the f64
-/// clocks as bit patterns.
+/// A worker's telemetry with the racy `lock_contended` and the host's
+/// `pinned` dropped, and the f64 clocks as bit patterns.
 fn pinned_fields(w: &WorkerStats) -> [u64; 9] {
     [
         w.worker as u64,
