@@ -1,6 +1,5 @@
-//! The pending-event set: a calendar queue whose days are linked lists
-//! threaded through one slot arena, FIFO-stable for simultaneous events,
-//! with O(1) cancellation.
+//! The pending-event set: a 4-ary min-heap over one slot arena,
+//! FIFO-stable for simultaneous events, with O(log n) cancellation.
 //!
 //! Determinism matters more than raw speed here: a simulation run must
 //! be a pure function of (configuration, master seed). Pop order is the
@@ -11,40 +10,26 @@
 //! # Structure
 //!
 //! Every pending event owns one slot of an arena, the slot its
-//! [`EventId`] names: its `(time, seq)` key, a generation, its payload
-//! and `(prev, next)` links. A Brown (1988) calendar of `days` (a power
-//! of two) days, each `width` (a power of two) ticks long, wraps around a
-//! year of `days × width` ticks; day `d` is an unordered doubly-linked
-//! list through the arena of the events with `(t / width) mod days == d`,
-//! and costs the calendar one `u32` head. The scan stands on one day,
-//! whose window ends at `cur_top`; the events due before `cur_top` sit in
-//! `today`, one run sorted descending by `(time, seq)`.
+//! [`EventId`] names: a generation, its payload and the index of its
+//! entry in the heap. The heap is one array of `{ key, slot }` entries,
+//! `key = time << 64 | seq` packed into a `u128`, so an order test is one
+//! integer compare and the entries of a node's four children share a
+//! cache line or two.
 //!
-//! * `push` of an event due before `cur_top` is a sorted insert into
-//!   `today`; any later one is an O(1) link onto its day.
-//! * `cancel` unlinks a linked event in O(1), or removes a `today` entry
-//!   found by binary search; either way its slot is free at once.
-//! * `pop` takes the back of `today`. When `today` is empty the scan
-//!   steps to the next day and sorts that day's due events into `today`;
-//!   a whole year with nothing due re-anchors it on the earliest event.
-//! * A resize — to `days` ≈ the live count and `width` ≈ the mean gap
-//!   between live events, whenever the live count doubles or quarters
-//!   against `days` — re-links the live slots in place.
+//! * `push` appends an entry and sifts it up.
+//! * `pop` takes the root, moves the last entry there and sifts it down.
+//! * `cancel` finds its entry through the slot, moves the last entry
+//!   into the hole and sifts that one up or down, whichever its key asks.
 //!
-//! At or below `COMPACT_MAX` live events the queue is `today` alone (its
-//! window never ends): a binary-search insert, a pop from the back, no
-//! day arithmetic — the simulator's usual handful of pending events.
+//! Every move of an entry rewrites its slot's heap index, and a popped
+//! or cancelled event's slot is free for the next push at once.
 //!
 //! # Exactness
 //!
-//! One invariant: `today` holds exactly the live events before `cur_top`,
-//! and every linked event is at or after it. So the back of `today` is
-//! the minimum of all live events, and when `today` runs dry the next
-//! window's events all hang on the next day's list. Because `(time,
-//! seq)` is a total order (seqs are unique), what pops is independent of
-//! the layout: day count, width and resize instants change only how fast.
-
-use core::cmp::Reverse;
+//! Keys are unique (seqs are), so `(time, seq)` is a total order and the
+//! heap's root is always the one live event that order puts first. What
+//! pops is therefore independent of the heap's shape or the instants of
+//! its moves.
 
 use crate::time::SimTime;
 
@@ -74,71 +59,52 @@ impl EventId {
     }
 }
 
-/// End of a day list or of the free list.
+/// End of the free list.
 const NIL: u32 = u32::MAX;
-/// The `prev` of a slot whose event sits in `today`, not on a day list.
-const TODAY: u32 = u32::MAX - 1;
 
-/// The live count at or below which the queue is `today` alone.
-const COMPACT_MAX: usize = 64;
+/// Children per heap node.
+const ARITY: usize = 4;
 
 /// One arena slot: a pending event, or a link of the free list.
 struct Slot<E> {
-    time: SimTime,
-    /// Push sequence number: the FIFO tie-breaker for equal times.
-    seq: u64,
     /// Odd while the event is pending, even while the slot is free.
     gen: u32,
-    /// Day-list neighbours (`NIL` at either end). `prev` is `TODAY`
-    /// while the event sits in `today`; `next` links the free list
-    /// while the slot is free.
-    prev: u32,
-    next: u32,
+    /// While pending, the index of the event's entry in the heap; while
+    /// free, the next free slot (`NIL`: none).
+    link: u32,
     /// `Some` exactly while the event is pending.
     payload: Option<E>,
 }
 
-/// An entry of the sorted `today` run: the key, copied so the binary
-/// search stays in one array, and the slot.
-struct Due {
-    time: SimTime,
-    seq: u64,
+/// A heap entry: the event's `(time, seq)` key and its slot.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// `time.ticks() << 64 | seq`.
+    key: u128,
     slot: u32,
 }
 
-impl Due {
+impl Entry {
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn time(&self) -> SimTime {
+        SimTime::from_ticks((self.key >> 64) as u64)
     }
 }
 
-/// A time-ordered event queue (a calendar queue over a slot arena).
+/// A time-ordered event queue (a 4-ary indexed heap over a slot arena).
 ///
 /// * `push` schedules a payload at an absolute time and returns an
 ///   [`EventId`].
 /// * `cancel` removes a scheduled event.
 /// * `pop` yields events in `(time, insertion order)` order.
 pub struct EventQueue<E> {
-    /// One slot per event id; free slots are threaded through `next`.
+    /// One entry per live event; every parent's key is below its
+    /// children's.
+    heap: Vec<Entry>,
+    /// One slot per event id; free slots are threaded through `link`.
     slots: Vec<Slot<E>>,
     /// First free slot (`NIL`: none).
     free: u32,
-    /// First slot of each day's list (`NIL`: empty); one day while
-    /// compact.
-    heads: Vec<u32>,
-    /// `log2(width)`: `day(t) = (t >> width_shift) mod days`.
-    width_shift: u32,
-    /// The day the scan stands on.
-    cur_day: usize,
-    /// Exclusive end (in ticks) of the scan's window; `u128::MAX` while
-    /// compact, so that every event is due.
-    cur_top: u128,
-    /// The live events before `cur_top`, sorted descending by `(time,
-    /// seq)`: the next event is at the back.
-    today: Vec<Due>,
-    /// Scheduled-and-not-cancelled events.
-    live: usize,
     next_seq: u64,
 }
 
@@ -152,29 +118,11 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
+            heap: Vec::new(),
             slots: Vec::new(),
             free: NIL,
-            heads: vec![NIL],
-            width_shift: 0,
-            cur_day: 0,
-            cur_top: u128::MAX,
-            today: Vec::new(),
-            live: 0,
             next_seq: 0,
         }
-    }
-
-    /// Is `id` a currently pending (scheduled, not cancelled, not fired)
-    /// event?
-    #[inline]
-    fn is_live(&self, id: EventId) -> bool {
-        self.slots.get(id.slot()).is_some_and(|s| s.gen == id.gen())
-    }
-
-    /// The calendar day holding time `t`.
-    #[inline]
-    fn day_of(&self, t: SimTime) -> usize {
-        ((t.ticks() >> self.width_shift) as usize) & (self.heads.len() - 1)
     }
 
     /// Schedule `payload` to fire at absolute time `time`.
@@ -184,38 +132,24 @@ impl<E> EventQueue<E> {
         let slot = match self.free {
             NIL => {
                 self.slots.push(Slot {
-                    time,
-                    seq,
                     gen: 0,
-                    prev: NIL,
-                    next: NIL,
+                    link: NIL,
                     payload: None,
                 });
                 (self.slots.len() - 1) as u32
             }
             free => {
-                self.free = self.slots[free as usize].next;
+                self.free = self.slots[free as usize].link;
                 free
             }
         };
         let s = &mut self.slots[slot as usize];
-        s.time = time;
-        s.seq = seq;
         s.gen = s.gen.wrapping_add(1);
         s.payload = Some(payload);
         let id = EventId::new(slot, s.gen);
-        if (time.ticks() as u128) < self.cur_top {
-            let key = (time, seq);
-            let at = self.today.partition_point(|d| d.key() > key);
-            self.today.insert(at, Due { time, seq, slot });
-            self.slots[slot as usize].prev = TODAY;
-        } else {
-            self.link(slot);
-        }
-        self.live += 1;
-        if self.live > COMPACT_MAX && self.live > 2 * self.heads.len() {
-            self.resize();
-        }
+        let key = ((time.ticks() as u128) << 64) | seq as u128;
+        self.heap.push(Entry { key, slot });
+        self.sift_up(self.heap.len() - 1);
         id
     }
 
@@ -226,181 +160,20 @@ impl<E> EventQueue<E> {
     /// no other effect. The event's slot is free for the next push at
     /// once, so a cancel-heavy workload holds only its live events.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.is_live(id) {
-            return false;
-        }
-        let s = &self.slots[id.slot()];
-        if s.prev == TODAY {
-            let key = (s.time, s.seq);
-            let at = self.today.partition_point(|d| d.key() > key);
-            self.today.remove(at);
-        } else {
-            self.unlink(id.slot() as u32);
-        }
-        self.release(id.slot() as u32);
-        true
-    }
-
-    /// Put `slot` at the head of its day's list.
-    fn link(&mut self, slot: u32) {
-        let day = self.day_of(self.slots[slot as usize].time);
-        let next = self.heads[day];
-        if next != NIL {
-            self.slots[next as usize].prev = slot;
-        }
-        let s = &mut self.slots[slot as usize];
-        s.prev = NIL;
-        s.next = next;
-        self.heads[day] = slot;
-    }
-
-    /// Take `slot` off its day's list.
-    fn unlink(&mut self, slot: u32) {
-        let s = &self.slots[slot as usize];
-        let (prev, next) = (s.prev, s.next);
-        match prev {
-            NIL => {
-                let day = self.day_of(s.time);
-                self.heads[day] = next;
+        match self.slots.get(id.slot()) {
+            Some(s) if s.gen == id.gen() => {
+                let at = s.link as usize;
+                let entry = self.remove(at);
+                self.release(entry.slot);
+                true
             }
-            prev => self.slots[prev as usize].next = next,
+            _ => false,
         }
-        if next != NIL {
-            self.slots[next as usize].prev = prev;
-        }
-    }
-
-    /// Hand `slot`, already off `today` and its day list, to the free
-    /// list and return its payload; shrink the calendar once the live
-    /// count falls to a quarter of the days.
-    fn release(&mut self, slot: u32) -> E {
-        let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1);
-        s.next = self.free;
-        self.free = slot;
-        let payload = s.payload.take().expect("pending slot holds a payload");
-        self.live -= 1;
-        if self.heads.len() > 1 && 4 * self.live < self.heads.len() {
-            self.resize();
-        }
-        payload
-    }
-
-    /// Put the scan on the day holding tick `t`.
-    fn anchor(&mut self, t: u64) {
-        let day = t >> self.width_shift;
-        self.cur_day = (day as usize) & (self.heads.len() - 1);
-        self.cur_top = (day as u128 + 1) << self.width_shift;
-    }
-
-    /// Move `slot` into `today` if it is due before `cur_top` (unsorted:
-    /// the caller sorts), onto its day's list otherwise.
-    fn settle(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        if (s.time.ticks() as u128) < self.cur_top {
-            s.prev = TODAY;
-            self.today.push(Due {
-                time: s.time,
-                seq: s.seq,
-                slot,
-            });
-        } else {
-            self.link(slot);
-        }
-    }
-
-    /// Lay the live events out for the live count: `today` alone at or
-    /// below `COMPACT_MAX`, otherwise about one day per live event with
-    /// the mean gap between them, rounded up to a power of two, as the
-    /// width. Re-links the slots in place.
-    fn resize(&mut self) {
-        let days = if self.live <= COMPACT_MAX {
-            1
-        } else {
-            self.live.next_power_of_two()
-        };
-        self.heads.clear();
-        self.heads.resize(days, NIL);
-        self.today.clear();
-        if days == 1 {
-            self.width_shift = 0;
-            self.cur_day = 0;
-            self.cur_top = u128::MAX;
-        } else {
-            let (min_t, max_t) = self
-                .slots
-                .iter()
-                .filter(|s| s.payload.is_some())
-                .fold((u64::MAX, 0), |(lo, hi), s| {
-                    (lo.min(s.time.ticks()), hi.max(s.time.ticks()))
-                });
-            let width = ((max_t - min_t) / self.live as u64)
-                .max(1)
-                .next_power_of_two();
-            self.width_shift = width.trailing_zeros();
-            self.anchor(min_t);
-        }
-        for slot in 0..self.slots.len() as u32 {
-            if self.slots[slot as usize].payload.is_some() {
-                self.settle(slot);
-            }
-        }
-        self.today.sort_unstable_by_key(|d| Reverse(d.key()));
-    }
-
-    /// Make the back of `today` the earliest live event. Returns `false`
-    /// iff no live event remains.
-    fn find_min(&mut self) -> bool {
-        if !self.today.is_empty() {
-            return true;
-        }
-        if self.live == 0 {
-            return false;
-        }
-        // `today` is dry, so every live event is linked at or after
-        // `cur_top` — the queue is a calendar (compact, all are due).
-        debug_assert!(self.heads.len() > 1);
-        let mask = self.heads.len() - 1;
-        for _ in 0..self.heads.len() {
-            self.cur_day = (self.cur_day + 1) & mask;
-            self.cur_top += 1u128 << self.width_shift;
-            self.take_day();
-            if !self.today.is_empty() {
-                return true;
-            }
-        }
-        // A whole year with nothing due: the live set is sparse against
-        // the calendar. Re-anchor the scan on the earliest event's day.
-        let min_t = self
-            .slots
-            .iter()
-            .filter(|s| s.payload.is_some())
-            .map(|s| s.time.ticks())
-            .min()
-            .expect("live > 0 but no pending slot");
-        self.anchor(min_t);
-        self.take_day();
-        true
-    }
-
-    /// Move the scan day's events due before `cur_top` off its list
-    /// into `today`, sorted.
-    fn take_day(&mut self) {
-        let mut at = self.heads[self.cur_day];
-        while at != NIL {
-            let next = self.slots[at as usize].next;
-            if (self.slots[at as usize].time.ticks() as u128) < self.cur_top {
-                self.unlink(at);
-                self.settle(at);
-            }
-            at = next;
-        }
-        self.today.sort_unstable_by_key(|d| Reverse(d.key()));
     }
 
     /// Remove and return the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.find_min() {
+        if self.heap.is_empty() {
             return None;
         }
         Some(self.take_min())
@@ -409,52 +182,102 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest live event **iff** its time is at
     /// or before `horizon`. Returns `None` both when the queue is
     /// drained and when the earliest event is past the horizon
-    /// (distinguish via [`EventQueue::is_empty`]): one scan where the
-    /// engine's bounded run loop would otherwise peek, then pop.
+    /// (distinguish via [`EventQueue::is_empty`]): one look at the root
+    /// where the engine's bounded run loop would otherwise peek, then pop.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if !self.find_min() || self.today.last().is_some_and(|d| d.time > horizon) {
+        if self.heap.first().is_none_or(|e| e.time() > horizon) {
             return None;
         }
         Some(self.take_min())
     }
 
-    /// Pop the minimum that [`EventQueue::find_min`] put at the back of
-    /// `today`.
-    fn take_min(&mut self) -> (SimTime, E) {
-        let due = self.today.pop().expect("find_min positioned a minimum");
-        (due.time, self.release(due.slot))
-    }
-
     /// Number of live (scheduled, not cancelled) events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// True when no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
-    /// Entries the queue's structure holds, counted by walking it:
-    /// `today` plus every day list. Equal to [`EventQueue::len`] while
-    /// every cancel and pop unhooks its event; exposed so memory tests
-    /// can see that nothing dead stays reachable.
-    pub fn retained(&self) -> usize {
-        let mut n = self.today.len();
-        for &head in &self.heads {
-            let mut at = head;
-            while at != NIL {
-                n += 1;
-                at = self.slots[at as usize].next;
-            }
+    /// Pop the root of a non-empty heap.
+    fn take_min(&mut self) -> (SimTime, E) {
+        let min = self.remove(0);
+        (min.time(), self.release(min.slot))
+    }
+
+    /// Take the entry at heap index `at` out, filling the hole with the
+    /// last entry and sifting that one to its place.
+    fn remove(&mut self, at: usize) -> Entry {
+        let last = self.heap.pop().expect("remove from a non-empty heap");
+        if at == self.heap.len() {
+            return last;
         }
-        n
+        let removed = self.heap[at];
+        self.heap[at] = last;
+        if at > 0 && last.key < self.heap[(at - 1) / ARITY].key {
+            self.sift_up(at);
+        } else {
+            self.sift_down(at);
+        }
+        removed
     }
 
-    /// Current number of calendar days (1 while the queue is compact).
-    /// Exposed for resize-behavior tests.
-    pub fn n_buckets(&self) -> usize {
-        self.heads.len()
+    /// Put `entry` at heap index `at` and point its slot there.
+    #[inline]
+    fn place(&mut self, at: usize, entry: Entry) {
+        self.slots[entry.slot as usize].link = at as u32;
+        self.heap[at] = entry;
+    }
+
+    /// Move the entry at `at` up past every parent with a larger key.
+    fn sift_up(&mut self, mut at: usize) {
+        let entry = self.heap[at];
+        while at > 0 {
+            let parent = (at - 1) / ARITY;
+            if self.heap[parent].key < entry.key {
+                break;
+            }
+            self.place(at, self.heap[parent]);
+            at = parent;
+        }
+        self.place(at, entry);
+    }
+
+    /// Move the entry at `at` down past every smallest child with a
+    /// smaller key.
+    fn sift_down(&mut self, mut at: usize) {
+        let entry = self.heap[at];
+        let n = self.heap.len();
+        loop {
+            let first = ARITY * at + 1;
+            if first >= n {
+                break;
+            }
+            let mut min = first;
+            for child in first + 1..(first + ARITY).min(n) {
+                if self.heap[child].key < self.heap[min].key {
+                    min = child;
+                }
+            }
+            if entry.key < self.heap[min].key {
+                break;
+            }
+            self.place(at, self.heap[min]);
+            at = min;
+        }
+        self.place(at, entry);
+    }
+
+    /// Hand `slot`, whose entry has left the heap, to the free list and
+    /// return its payload.
+    fn release(&mut self, slot: u32) -> E {
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        s.link = self.free;
+        self.free = slot;
+        s.payload.take().expect("pending slot holds a payload")
     }
 }
 
@@ -465,6 +288,23 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    /// Every parent orders before its children, and every live slot
+    /// names its entry's heap index.
+    fn assert_indexed_heap<E>(q: &EventQueue<E>) {
+        for (at, e) in q.heap.iter().enumerate() {
+            assert_eq!(
+                q.slots[e.slot as usize].link as usize, at,
+                "slot of entry {at}"
+            );
+            if at > 0 {
+                assert!(
+                    q.heap[(at - 1) / ARITY].key < e.key,
+                    "entry {at} above its parent"
+                );
+            }
+        }
     }
 
     #[test]
@@ -549,14 +389,14 @@ mod tests {
     fn cancel_heavy_holds_only_live_events() {
         let mut q = EventQueue::new();
         let ids: Vec<_> = (0..10_000).map(|i| q.push(t(i), i)).collect();
-        // Cancel all but every 100th event, scattered across the calendar.
+        // Cancel all but every 100th event, scattered across the heap.
         for (i, &id) in ids.iter().enumerate() {
             if i % 100 != 0 {
                 q.cancel(id);
             }
         }
         assert_eq!(q.len(), 100);
-        assert_eq!(q.retained(), q.len(), "a cancel leaves nothing behind");
+        assert_indexed_heap(&q);
         // Survivors pop in exactly the original time order.
         for i in (0..10_000).step_by(100) {
             assert_eq!(q.pop(), Some((t(i), i)));
@@ -570,7 +410,7 @@ mod tests {
         let mut expected = Vec::new();
         let mut peak_live = 0usize;
         // Waves of push-many / cancel-most, with colliding timestamps,
-        // cancelling out of `today` and off day lists alike.
+        // cancelling the root, leaves and interior entries alike.
         for wave in 0u64..50 {
             let ids: Vec<_> = (0u64..200)
                 .map(|i| q.push(t(wave * 10 + i % 7), (wave, i)))
@@ -585,7 +425,7 @@ mod tests {
                 }
             }
             peak_live = peak_live.max(q.len());
-            assert_eq!(q.retained(), q.len(), "wave {wave}");
+            assert_indexed_heap(&q);
         }
         // Same (time, insertion order) sort the queue guarantees.
         expected.sort_by_key(|&(time, (wave, i))| (time, wave, i));
@@ -608,16 +448,12 @@ mod tests {
     }
 
     #[test]
-    fn grows_into_calendar_and_shrinks_back() {
+    fn scattered_population_drains_in_order() {
         let mut q = EventQueue::new();
-        assert_eq!(q.n_buckets(), 1);
-        let mut ids = Vec::new();
         for i in 0..1000u64 {
-            ids.push(q.push(t(1 + i * 37 % 997), i));
+            q.push(t(1 + i * 37 % 997), i);
         }
-        assert!(q.n_buckets() > 1, "large queue must split into days");
-        // Drain most of it: the calendar must shrink back down and the
-        // pop order must still be the global (time, seq) sort.
+        // Drain most of it: the pop order is the global (time, seq) sort.
         let mut last = (SimTime::ZERO, 0u64);
         for _ in 0..990 {
             let (time, i) = q.pop().unwrap();
@@ -629,15 +465,13 @@ mod tests {
             last = key;
         }
         assert_eq!(q.len(), 10);
-        assert_eq!(q.n_buckets(), 1, "drained queue is compact again");
+        assert_indexed_heap(&q);
     }
 
     #[test]
-    fn bimodal_cluster_gap_crosses_year_boundary() {
-        // Two clusters much further apart than one calendar year
-        // (days × width): after the first cluster drains, the scan
-        // wraps a whole fruitless year and must fall back to the direct
-        // minimum search. Pop order must still be the global sort.
+    fn distant_clusters_pop_in_order() {
+        // Two clusters far apart in time, pushed one after the other:
+        // pop order is the global sort.
         let mut q = EventQueue::new();
         for i in 0..120u64 {
             q.push(t(i), i);
@@ -645,7 +479,6 @@ mod tests {
         for i in 0..120u64 {
             q.push(t(1_000_000 + i), 1000 + i);
         }
-        assert!(q.n_buckets() > 1);
         let mut prev = None;
         for _ in 0..240 {
             let (time, v) = q.pop().unwrap();
@@ -658,20 +491,17 @@ mod tests {
     }
 
     #[test]
-    fn push_earlier_than_scan_pops_first() {
+    fn push_earlier_than_every_pending_pops_first() {
         let mut q = EventQueue::new();
         for i in 0..600u64 {
             q.push(t(1000 + i), i);
         }
-        assert!(q.n_buckets() > 1);
-        // Advance the scan deep into the calendar (not far enough to
-        // shrink back to the compact run)…
         for _ in 0..400 {
             q.pop();
         }
-        assert!(q.n_buckets() > 1);
-        // …then schedule before every remaining event (legal for the
-        // queue even though the engine never schedules into the past).
+        // Schedule before every remaining event, and before the last pop
+        // (legal for the queue even though the engine never schedules
+        // into the past).
         q.push(t(1), 999);
         assert_eq!(q.pop(), Some((t(1), 999)));
         assert_eq!(q.pop(), Some((t(1400), 400)));
@@ -679,42 +509,43 @@ mod tests {
 
     /// A hold model (pop the minimum, push it back later) whose live set
     /// is skewed the way a Zipf flow population makes it: a few hot
-    /// events re-arm within about a day, while the rest spread over the
-    /// year and set the day width. Beside it a timer is re-armed every
-    /// step and its previous arming cancelled, alternately due today and
-    /// linked a year out, and cancelled before the next pop. Over several calendar years the arena must
-    /// stay at the peak live count: a cancelled slot is reused at once.
+    /// events re-arm within `HOT_SPAN`, while the rest spread over
+    /// `COLD_SPAN`. Beside it a timer is re-armed every step and its
+    /// previous arming cancelled, alternately due a tick ahead (near the
+    /// root) and `SPAN` ahead (deep in the heap), and cancelled before
+    /// the next pop. Over several `SPAN`s the arena must stay at the
+    /// peak live count: a cancelled slot is reused at once.
     #[test]
     fn hold_model_keeps_arena_slots_at_the_live_count() {
         use crate::rng::RngFactory;
         use rand::Rng;
         const LIVE: usize = 10_000;
         const HOT: usize = 32;
+        const HOT_SPAN: u64 = 1 << 12;
         const COLD_SPAN: u64 = 1 << 24;
+        const SPAN: u64 = 1 << 25;
         let mut rng = RngFactory::new(34).stream("hold");
         let mut q = EventQueue::new();
         for i in 0..LIVE {
             let span = if i < HOT { 1 } else { COLD_SPAN };
             q.push(SimTime::from_ticks(rng.gen_range(0..span)), i < HOT);
         }
-        let width = 1u64 << q.width_shift;
-        let year = width * q.n_buckets() as u64;
         let mut timer = None;
         let mut cancels = 0u64;
         let mut now = SimTime::ZERO;
-        while now.ticks() < 3 * year {
+        while now.ticks() < 3 * SPAN {
             if let Some(armed) = timer.take() {
                 assert!(q.cancel(armed));
                 cancels += 1;
             }
             let (t, hot) = q.pop().unwrap();
             now = t;
-            let span = if hot { 2 * width } else { COLD_SPAN };
+            let span = if hot { HOT_SPAN } else { COLD_SPAN };
             q.push(
                 SimTime::from_ticks(now.ticks() + rng.gen_range(1..span)),
                 hot,
             );
-            let ahead = if cancels.is_multiple_of(2) { 1 } else { year };
+            let ahead = if cancels.is_multiple_of(2) { 1 } else { SPAN };
             timer = Some(q.push(SimTime::from_ticks(now.ticks() + ahead), false));
         }
         assert_eq!(q.len(), LIVE + 1);
@@ -724,6 +555,31 @@ mod tests {
             q.slots.len(),
             q.len()
         );
+    }
+
+    /// The one cancel whose hole is refilled from below its parent: the
+    /// heap's last entry orders before the cancelled entry's parent, so
+    /// it must sift up, not down.
+    #[test]
+    fn cancel_sifts_the_moved_entry_up_past_the_holes_parent() {
+        let mut q = EventQueue::new();
+        // Each push keys at or after its parent's, so entry i stays at
+        // heap index i: root 0; 100 over four 200s at 5..=8; 10 over 20
+        // at 9, the last entry.
+        let times = [0, 100, 10, 10, 10, 200, 200, 200, 200, 20];
+        let ids: Vec<_> = times.iter().map(|&us| q.push(t(us), us)).collect();
+        for (at, e) in q.heap.iter().enumerate() {
+            assert_eq!(e.slot as usize, at, "push order is heap order");
+        }
+        // Entry 5's parent is entry 1 (100); the last entry (20) fills
+        // its hole.
+        assert!(q.cancel(ids[5]));
+        assert_indexed_heap(&q);
+        let mut popped = Vec::new();
+        while let Some((_, us)) = q.pop() {
+            popped.push(us);
+        }
+        assert_eq!(popped, [0, 10, 10, 10, 20, 100, 200, 200, 200]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   [`SimDuration`]); integer nanosecond ticks, so event ordering is
 //!   exact and runs are bit-reproducible.
 //! * [`event`] — a stable (FIFO-on-ties) time-ordered event queue with
-//!   O(1) cancellation: a calendar threaded through one slot arena.
+//!   O(log n) cancellation: a 4-ary indexed heap over one slot arena.
 //! * [`engine`] — the [`Simulate`] trait and the [`Engine`] driver with
 //!   horizon / event-budget stop conditions.
 //! * [`rng`] — named deterministic RNG substreams supporting

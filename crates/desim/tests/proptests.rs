@@ -50,9 +50,9 @@ impl ModelQueue {
 
 /// Reference model #2: a real `BinaryHeap` ordered by `(time, seq)`
 /// ascending, with lazily-applied cancellation — the exact structure
-/// (and contract) of the pre-calendar event core. Differential target
-/// for the calendar queue: whatever the bucket layout, width, or resize
-/// instants do internally, pop order must match this heap bit-for-bit.
+/// (and contract) of the first event core. Differential target for the
+/// indexed 4-ary heap: whatever its eager cancels and sifts do
+/// internally, pop order must match this heap bit-for-bit.
 #[derive(Default)]
 struct HeapModel {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
@@ -205,8 +205,8 @@ proptest! {
 
     #[test]
     fn resize_boundaries_preserve_pop_order(
-        // Live counts that straddle both the single-bucket threshold
-        // (64) and several power-of-two calendar sizes.
+        // Live counts from one heap level to five (a 4-ary heap fills
+        // levels at 1, 5, 21, 85 and 341 entries).
         n_push in 1usize..300,
         drain in 1usize..300,
         spread in prop_oneof![Just(1u64), Just(37), Just(1009), Just(250_007)],
@@ -218,13 +218,12 @@ proptest! {
             real.push(SimTime::from_micros(t), i as u32);
             heap.push(t, i as u32);
         }
-        // Partial drain crosses shrink thresholds; then a second growth
-        // wave crosses the split threshold again from a scanned state.
+        // A partial drain empties levels; then a second growth wave
+        // refills them from a drained state.
         for _ in 0..drain.min(n_push) {
             let got = real.pop().map(|(t, p)| (t.ticks() / 1000, p));
             prop_assert_eq!(got, heap.pop());
         }
-        prop_assert!(real.n_buckets() >= 1);
         for i in 0..n_push {
             let t = (i as u64).wrapping_mul(40_503) % (spread * 4);
             real.push(SimTime::from_micros(t), (n_push + i) as u32);
@@ -239,7 +238,6 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(real.n_buckets(), 1, "empty queue collapses to one bucket");
     }
 
     #[test]
@@ -261,14 +259,6 @@ proptest! {
                 prop_assert_eq!(real.cancel(id), heap.cancel(seq));
             }
         }
-        // The PR-4 memory bound survives the calendar rewrite: dead
-        // entries never exceed live ones beyond the small-queue slack.
-        prop_assert!(
-            real.retained() <= 2 * real.len() + 64,
-            "retained {} for {} live",
-            real.retained(),
-            real.len(),
-        );
         // Horizon-bounded pops agree with the model: deliver while the
         // model head is at or before the horizon, then stop.
         let horizon = (t_max as f64 * horizon_frac) as u64;

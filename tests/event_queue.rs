@@ -1,15 +1,15 @@
 //! `EventQueue` against an ordered-map reference at flow scale.
 //!
 //! The queue must pop in the total `(time, push order)` order whatever
-//! its layout does, so a `BTreeMap<(time, seq), _>` — whose first key is
+//! its heap's shape, so a `BTreeMap<(time, seq), _>` — whose first key is
 //! the next event by definition — is the reference. Every operation is
 //! applied to both and every pop compared. The live set is a Zipf hold
 //! model: one pending arrival per flow, flow `i` re-arming a mean of
 //! `(i + 1)` base gaps later, the shape a Flow-Director population of
 //! 10⁴ (debug) or 10⁵ (release) flows gives the simulator. Around it the
-//! test cancels events out of the current day and off day lists, pushes
-//! before the scan's window, moves the whole live set years ahead of the
-//! calendar, and crosses between the compact run and the calendar both ways.
+//! test cancels events near the root and deep in the heap, pushes before
+//! the last pop, moves the whole live set far ahead, and grows and
+//! drains the heap through a few to a few hundred live events.
 
 use std::collections::BTreeMap;
 
@@ -113,8 +113,7 @@ fn gap(rng: &mut StdRng, flow: u32) -> u64 {
 }
 
 /// The Zipf hold model with cancels of every kind, pushes before the
-/// window and a jump of the whole live set past a calendar year, then
-/// drained down through the compact run.
+/// last pop and a jump of the whole live set far ahead, then drained.
 #[test]
 fn zipf_hold_model_pops_in_reference_order() {
     let mut rng = RngFactory::new(35).stream("event_queue");
@@ -123,7 +122,6 @@ fn zipf_hold_model_pops_in_reference_order() {
         let t = gap(&mut rng, flow);
         pair.push(t, flow);
     }
-    assert!(pair.queue.n_buckets() > 1, "flow scale is a calendar");
     // The live span: the rarest flow's mean gap.
     let span = (BASE_GAP * FLOWS as f64) as u64;
     let mut today_timer = None;
@@ -137,11 +135,11 @@ fn zipf_hold_model_pops_in_reference_order() {
             pair.push(t, flow);
         }
         match step % 16 {
-            // A timer a tick ahead sits in the current day's sorted run;
-            // cancelled before the next pop.
+            // A timer a tick ahead sits near the root; cancelled before
+            // the next pop.
             1 | 9 => today_timer = Some(pair.push(now + 1, ONE_SHOT)),
-            // Cancel an arbitrary live event, almost always one linked
-            // on a later day, and re-arm its flow.
+            // Cancel an arbitrary live event, almost always one deep in
+            // the heap, and re-arm its flow.
             3 | 7 | 11 => {
                 let probe = now + rng.gen_range(0..2 * span);
                 if let Some(key) = pair.live_at_or_after(probe) {
@@ -152,7 +150,7 @@ fn zipf_hold_model_pops_in_reference_order() {
                     }
                 }
             }
-            // Before the window: earlier than the last pop.
+            // Earlier than the last pop.
             5 => {
                 pair.push(
                     now.saturating_sub(rng.gen_range(0..4 * BASE_GAP as u64)),
@@ -168,9 +166,8 @@ fn zipf_hold_model_pops_in_reference_order() {
             _ => {}
         }
     }
-    // Every flow jumps far beyond a calendar year. The live count holds,
-    // so no resize re-fits the year to the span: once the last flow has
-    // jumped, the scan wraps a whole fruitless year before it finds one.
+    // Every flow jumps far beyond the live span, one pop at a time, so
+    // for a while the heap holds two clusters 2⁴⁰ ticks apart.
     let jump = pair.now + (1u64 << 40);
     for _ in 0..pair.reference.len() {
         let (_, flow) = pair.pop().expect("live");
@@ -193,14 +190,13 @@ fn zipf_hold_model_pops_in_reference_order() {
     pair.drain();
 }
 
-/// Repeated growth past the compact run's 64 events into a calendar and
-/// shrinks back, with cancels on both sides of each crossing.
+/// Repeated growth to a few hundred live events and drains back to a
+/// few, with cancels between each growth and drain.
 #[test]
 fn compact_calendar_crossings_pop_in_reference_order() {
     let mut rng = RngFactory::new(35).stream("crossings");
     let mut pair = Pair::new();
     let mut keys = Vec::new();
-    let (mut compact, mut calendar) = (0, 0);
     for round in 0..200u64 {
         let grow = rng.gen_range(1..300);
         let spread = [1u64, 50, 10_000, 1 << 30][round as usize % 4];
@@ -208,24 +204,18 @@ fn compact_calendar_crossings_pop_in_reference_order() {
             let t = pair.now + rng.gen_range(0..spread);
             keys.push(pair.push(t, ONE_SHOT));
         }
-        calendar += (pair.queue.n_buckets() > 1) as u32;
         for _ in 0..grow / 3 {
             let key = keys.swap_remove(rng.gen_range(0..keys.len()));
             if pair.reference.contains_key(&key) {
                 pair.cancel(key);
             }
         }
-        // Drain to a random level either side of the compact run's 64.
+        // Drain to a random level under 100.
         let level = rng.gen_range(0..100);
         while pair.reference.len() > level {
             pair.pop();
         }
-        compact += (pair.queue.n_buckets() == 1) as u32;
         keys.retain(|k| pair.reference.contains_key(k));
     }
-    assert!(
-        compact > 20 && calendar > 20,
-        "{calendar} rounds grew into a calendar, {compact} drained into the compact run"
-    );
     pair.drain();
 }

@@ -81,14 +81,6 @@ const TEST_SUPPORT: &[(&str, &str)] = &[
         "crates/xkernel/tests/proptests.rs: the reassembly queue must drain",
     ),
     (
-        "EventQueue::retained",
-        "crates/desim/tests/proptests.rs: nothing a cancel removed stays reachable in the queue",
-    ),
-    (
-        "EventQueue::n_buckets",
-        "crates/desim/tests/proptests.rs: crossing the resize thresholds, and an empty queue is compact",
-    ),
-    (
         "build_datagram",
         "the layer-builder reference PacketFactory::frame_into is pinned against, and tests/proptests.rs",
     ),
