@@ -186,6 +186,13 @@ pub struct NativePacket {
 /// `rate_pps_per_stream`, merged into one global arrival order the
 /// dispatcher replays. Deterministic for a fixed seed (each source draws
 /// from its own named RNG stream).
+///
+/// Every arrival is drawn first, stream by stream (stream `s` from
+/// `native-arrivals-{s}`), so generation index `i` is packet
+/// `i % packets_per_stream` of stream `i / packets_per_stream`. The
+/// arrivals are then stably sorted by `f64::total_cmp`, so equal stamps
+/// keep generation order. Only then is each frame built, in arrival
+/// order and at its final size, with IP ident `i + 1` (mod 2¹⁶).
 pub fn poisson_workload(
     streams: u32,
     packets_per_stream: u32,
@@ -197,22 +204,33 @@ pub fn poisson_workload(
     let mean_interarrival_us = 1e6 / rate_pps_per_stream;
     let factory = RngFactory::new(seed);
     let exp = Dist::exponential(mean_interarrival_us);
-    let mut packets = PacketFactory::new();
-    let mut all = Vec::with_capacity(streams as usize * packets_per_stream as usize);
+    // (arrival stamp, generation index)
+    let mut arrivals: Vec<(f64, usize)> =
+        Vec::with_capacity(streams as usize * packets_per_stream as usize);
     for s in 0..streams {
         let mut rng = factory.stream(&format!("native-arrivals-{s}"));
         let mut t = 0.0f64;
         for _ in 0..packets_per_stream {
             t += exp.sample(&mut rng);
-            all.push(NativePacket {
-                bytes: packets.frame_for(StreamId(s), payload_bytes),
-                stream: StreamId(s),
-                arrival_us: t,
-            });
+            arrivals.push((t, arrivals.len()));
         }
     }
-    all.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us));
-    all
+    arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let packets = PacketFactory::new();
+    arrivals
+        .into_iter()
+        .map(|(arrival_us, i)| {
+            let stream = StreamId((i / packets_per_stream as usize) as u32);
+            let ident = (i as u16).wrapping_add(1);
+            let mut bytes = Vec::new();
+            packets.frame_at(ident, stream, payload_bytes, &mut bytes);
+            NativePacket {
+                bytes,
+                stream,
+                arrival_us,
+            }
+        })
+        .collect()
 }
 
 /// Build a Zipf-popularity workload: `total_packets` packets offered at

@@ -96,7 +96,8 @@ impl PacketFactory {
     }
 
     /// Build one complete FDDI frame carrying a UDP datagram of
-    /// `payload_len` bytes for `stream`.
+    /// `payload_len` bytes for `stream`, in one allocation of exactly
+    /// the frame's length.
     pub fn frame_for(&mut self, stream: StreamId, payload_len: usize) -> Vec<u8> {
         let mut out = Vec::new();
         self.frame_into(stream, payload_len, &mut out);
@@ -116,27 +117,18 @@ impl PacketFactory {
     }
 
     /// [`frame_into`](Self::frame_into)'s frame with IP ident `ident`,
-    /// leaving the factory's own ident sequence where it was.
+    /// leaving the factory's own ident sequence where it was. `out` is
+    /// reserved exactly to the frame's length: an empty buffer is
+    /// allocated once, and one that already has room keeps its capacity.
     pub fn frame_at(&self, ident: u16, stream: StreamId, payload_len: usize, out: &mut Vec<u8>) {
+        let udp_len = udp::HEADER_LEN + payload_len;
         assert!(
-            ip::HEADER_LEN + udp::HEADER_LEN + payload_len <= fddi::MAX_PAYLOAD,
+            ip::HEADER_LEN + udp_len <= fddi::MAX_PAYLOAD,
             "factory payloads fit the FDDI MTU"
         );
         let src = peer_of(stream);
-        out.clear();
-        // FDDI header (the layout of `fddi::build_frame`).
-        out.push(fddi::FC_LLC);
-        out.extend_from_slice(&HOST_MAC.0);
-        out.extend_from_slice(&MacAddr::station(100 + stream.0).0);
-        out.push(fddi::LLC_SNAP_SAP);
-        out.push(fddi::LLC_SNAP_SAP);
-        out.push(fddi::LLC_UI);
-        out.extend_from_slice(&[0, 0, 0]); // SNAP OUI
-        out.extend_from_slice(&fddi::ETHERTYPE_IP.to_be_bytes());
-        // IP header.
-        let total = (ip::HEADER_LEN + udp::HEADER_LEN + payload_len) as u16;
         let iph = ip::build_header(
-            total,
+            (ip::HEADER_LEN + udp_len) as u16,
             ident,
             true,
             false,
@@ -146,24 +138,54 @@ impl PacketFactory {
             src,
             HOST_ADDR,
         );
-        out.extend_from_slice(&iph);
-        // UDP header + patterned payload (the layout of
-        // `udp::build_datagram`).
-        let udp_start = out.len();
-        out.extend_from_slice(&(1024 + stream.0 as u16).to_be_bytes());
-        out.extend_from_slice(&port_of(stream).to_be_bytes());
-        out.extend_from_slice(&((udp::HEADER_LEN + payload_len) as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0]);
-        out.extend((0..payload_len).map(|i| (i & 0xFF) as u8));
+        // FDDI (the layout of `fddi::build_frame`), IP, then UDP (the
+        // layout of `udp::build_datagram`) with a zero checksum.
+        let mut hdr = [0u8; HEADERS_LEN];
+        hdr[0] = fddi::FC_LLC;
+        hdr[1..7].copy_from_slice(&HOST_MAC.0);
+        hdr[7..13].copy_from_slice(&MacAddr::station(100 + stream.0).0);
+        hdr[13..16].copy_from_slice(&[fddi::LLC_SNAP_SAP, fddi::LLC_SNAP_SAP, fddi::LLC_UI]);
+        // hdr[16..19]: the SNAP OUI, zero.
+        hdr[19..21].copy_from_slice(&fddi::ETHERTYPE_IP.to_be_bytes());
+        hdr[fddi::HEADER_LEN..UDP_START].copy_from_slice(&iph);
+        hdr[UDP_START..UDP_START + 2].copy_from_slice(&(1024 + stream.0 as u16).to_be_bytes());
+        hdr[UDP_START + 2..UDP_START + 4].copy_from_slice(&port_of(stream).to_be_bytes());
+        hdr[UDP_START + 4..UDP_START + 6].copy_from_slice(&(udp_len as u16).to_be_bytes());
+        out.clear();
+        out.reserve_exact(HEADERS_LEN + payload_len + fddi::FCS_LEN);
+        out.extend_from_slice(&hdr);
+        // Payload byte `i` is `i mod 256`.
+        let mut left = payload_len;
+        while left > 0 {
+            let n = left.min(PATTERN.len());
+            out.extend_from_slice(&PATTERN[..n]);
+            left -= n;
+        }
         if self.udp_checksums {
-            let c = udp::udp_checksum(src, HOST_ADDR, &out[udp_start..]);
-            out[udp_start + 6..udp_start + 8].copy_from_slice(&c.to_be_bytes());
+            let c = udp::udp_checksum(src, HOST_ADDR, &out[UDP_START..]);
+            out[UDP_START + 6..UDP_START + 8].copy_from_slice(&c.to_be_bytes());
         }
         // FCS over everything so far.
         let fcs = fddi::crc32(out);
         out.extend_from_slice(&fcs.to_be_bytes());
     }
 }
+
+/// FDDI, IP and UDP header bytes of a factory frame.
+const HEADERS_LEN: usize = fddi::HEADER_LEN + ip::HEADER_LEN + udp::HEADER_LEN;
+/// Where the UDP header starts in a factory frame.
+const UDP_START: usize = fddi::HEADER_LEN + ip::HEADER_LEN;
+
+/// The payload pattern, one period of it: byte `i` is `i`.
+static PATTERN: [u8; 256] = {
+    let mut p = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        p[i] = i as u8;
+        i += 1;
+    }
+    p
+};
 
 impl Default for PacketFactory {
     fn default() -> Self {

@@ -133,16 +133,16 @@ static CRC_TABLES: LineAligned = LineAligned({
 #[repr(align(64))]
 struct LineAligned([[u32; 256]; 8]);
 
-/// Inputs at least this long take the carry-less folding kernel on CPUs
-/// that have one; shorter ones (the 113-byte bodies of 64-byte
-/// payloads among them) stay on the table.
-const FOLD_MIN_LEN: usize = 128;
+/// Inputs at least this long, one 64-byte line, take the carry-less
+/// folding kernel on CPUs that have one (the 113-byte bodies of 64-byte
+/// payloads among them); shorter ones stay on the table.
+const FOLD_MIN_LEN: usize = 64;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), as used for the FCS.
 ///
 /// Two kernels compute the same value: the slicing-by-8 table, and on
 /// x86-64 CPUs with PCLMULQDQ and SSE4.1 a carry-less folding kernel for
-/// inputs of 128 bytes or more.
+/// inputs of 64 bytes or more.
 pub fn crc32(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if data.len() >= FOLD_MIN_LEN {

@@ -34,6 +34,9 @@
 //! per-thread slices into one trace holds the trace once. It also pins
 //! what a serving run mints up front: the rings and the frame pool hold
 //! the pipeline, so they do not grow with the admission bound.
+//!
+//! The counter also pins a replay's input: building a replay workload
+//! allocates each frame once, at its final size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -42,8 +45,12 @@ use std::sync::{Mutex, PoisonError};
 
 use affinity_sched::core::crossval::stream_matrix;
 use affinity_sched::core::prelude::*;
-use affinity_sched::native::{run_serve, FrontEndKind, Pinning, PolicySpec, ServeConfig};
+use affinity_sched::native::{
+    poisson_workload, run_serve, zipf_workload, FrontEndKind, Pinning, PolicySpec, ServeConfig,
+};
 use affinity_sched::obs::{MemRecorder, ObsEvent, Recorder};
+use affinity_sched::xkernel::driver::PacketFactory;
+use affinity_sched::xkernel::StreamId;
 
 struct CountingAlloc;
 
@@ -348,4 +355,39 @@ fn merging_trace_slices_holds_the_trace_once() {
         peak <= bound,
         "merge peaked {peak} B above its inputs (bound {bound} B)"
     );
+}
+
+/// A replay workload's frames are built once each, at their final
+/// length: `N` frames cost `N` allocations plus the workload's own few
+/// (the key and packet vectors, one RNG stream name per source). Grown
+/// from empty, a 64 B frame took five (8 → 16 → 32 → 64 → 128 bytes).
+#[test]
+fn building_a_replay_workload_allocates_each_frame_once() {
+    let (streams, per_stream) = (16, 500);
+    let n = (streams * per_stream) as u64;
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    ALLOCS.store(0, Ordering::SeqCst);
+    arm();
+    let packets = poisson_workload(streams, per_stream, 2_000.0, 64, 7);
+    ARMED.store(false, Ordering::SeqCst);
+    let count = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(packets.len() as u64, n);
+    assert!(
+        count <= n + 64,
+        "{n} frames took {count} allocations (bound {})",
+        n + 64
+    );
+    let exact = |what: &str, bytes: &Vec<u8>| {
+        assert_eq!(bytes.capacity(), bytes.len(), "{what}: frame capacity");
+    };
+    for p in &packets {
+        exact("poisson_workload", &p.bytes);
+    }
+    for p in &zipf_workload(64, 2_000, 30_000.0, 1.1, 4.0, None, 64, 11) {
+        exact("zipf_workload", &p.bytes);
+    }
+    let mut factory = PacketFactory::new();
+    for payload in [0, 64, 1_400, 4_096] {
+        exact("frame_for", &factory.frame_for(StreamId(3), payload));
+    }
 }
