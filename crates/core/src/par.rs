@@ -16,7 +16,7 @@
 //!
 //! ## Execution model
 //!
-//! Workers are crossbeam scoped threads sharing one atomic work cursor
+//! Workers are `std::thread::scope` threads sharing one atomic work cursor
 //! (a degenerate work-stealing deque: since run order is irrelevant,
 //! a single shared FIFO cursor gives the same load balance without
 //! per-worker deques). Each worker claims the next unclaimed index,
@@ -102,9 +102,10 @@ where
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let f = &f;
-    crossbeam::thread::scope(|s| {
+    // A worker's panic resurfaces from `scope` once every thread joined.
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -113,8 +114,7 @@ where
                 *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
-    })
-    .expect("parallel_map worker panicked");
+    });
 
     slots
         .into_iter()

@@ -29,6 +29,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use afs_cache::model::pricer::DispatchPricer;
 use afs_core::exec::ExecParams;
@@ -39,14 +40,13 @@ use afs_sched::{ClaimTable, FrontEndState, Route, RouterState, SchedView as _};
 use afs_xkernel::driver::{PacketFactory, PORT_STREAMS};
 use afs_xkernel::mt::owner_of;
 use afs_xkernel::{lock_overhead_cycles, ProtocolEngine, StreamId};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::ring::RingQueue;
 use crate::runtime::{NativeConfig, OutcomeTotals, WorkerStats};
 use crate::watchdog::{HealthBoard, WorkerFaults};
-use crate::worker::{Job, Shared, Worker, WorkerResult, PREV_NONE};
+use crate::worker::{lock, Job, Shared, Worker, WorkerResult, PREV_NONE};
 
 /// One packet handed to the dispatcher by its arrival source.
 pub(crate) struct Arrival {
@@ -120,7 +120,7 @@ impl Totals {
             .map(|s| {
                 self.engines
                     .iter()
-                    .filter_map(|e| e.lock().table.session(StreamId(s)).map(|ss| ss.packets))
+                    .filter_map(|e| lock(e).table.session(StreamId(s)).map(|ss| ss.packets))
                     .sum()
             })
             .collect()
@@ -644,7 +644,7 @@ impl<'a> Dispatcher<'a> {
             // last arrival). Park the job in escrow — the watchdog
             // re-routes it with the other orphans.
             if self.sh.board.is_down(claimant) {
-                self.sh.escrow.lock().push((me, job));
+                lock(self.sh.escrow).push((me, job));
                 break;
             }
             std::thread::yield_now();
@@ -691,7 +691,7 @@ impl<'a> Dispatcher<'a> {
             }
             self.set_live(p, false);
         }
-        let mut orphans: Vec<(u32, Job)> = std::mem::take(&mut *self.sh.escrow.lock());
+        let mut orphans: Vec<(u32, Job)> = std::mem::take(&mut *lock(self.sh.escrow));
         for &p in &permanent {
             while let Some(job) = self.sh.queues[p].pop() {
                 orphans.push((p as u32, job));

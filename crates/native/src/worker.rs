@@ -21,6 +21,7 @@
 //!   the statistics, the trace and the published gauges.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use afs_cache::sim::{MemoryHierarchy, Region};
 use afs_desim::stats::Welford;
@@ -29,7 +30,6 @@ use afs_sched::HashedLru;
 use afs_xkernel::driver::RxFrame;
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::{DropReason, ProtocolEngine, RxOutcome, StreamId, ThreadId};
-use parking_lot::Mutex;
 
 use crate::dispatch::Arrival;
 use crate::ring::RingQueue;
@@ -74,6 +74,21 @@ pub(crate) struct Job {
 
 /// `Job::prev_*_owner`: deterministic first touch (no previous owner).
 pub(crate) const PREV_NONE: u32 = u32::MAX - 1;
+
+/// Lock `m` even if a thread panicked holding it: a dead worker must
+/// not wedge the dispatcher, the watchdog or the report.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] without waiting: `None` only while another thread holds `m`.
+pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
 
 /// What the dispatcher shares with every worker thread.
 #[derive(Clone, Copy)]
@@ -250,7 +265,7 @@ impl<'a> Worker<'a> {
             });
         }
         self.sh.board.mark_down(self.wid);
-        let mut escrow = self.sh.escrow.lock();
+        let mut escrow = lock(self.sh.escrow);
         escrow.push((me, job));
         escrow.extend(rest.map(|j| (me, j)));
     }
@@ -365,9 +380,9 @@ impl<'a> Worker<'a> {
         let start_cycles = self.hier.stats.cycles;
         let outcome = {
             let engine = &self.sh.engines[stack];
-            let mut guard = engine.try_lock().unwrap_or_else(|| {
+            let mut guard = try_lock(engine).unwrap_or_else(|| {
                 self.out.stats.lock_contended += 1;
-                engine.lock()
+                lock(engine)
             });
             if locked {
                 self.hier.charge_cycles(self.sh.lock_cycles);
@@ -493,5 +508,30 @@ impl<'a> Worker<'a> {
         if let Some(p) = self.sh.progress {
             p.fetch_add(1, Ordering::Relaxed);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_outlives_a_panicked_holder_and_try_lock_yields_only_to_a_holder() {
+        let m = Mutex::new(5u32);
+        let holder_panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                *lock(&m) += 1;
+                let _held = lock(&m);
+                panic!("a worker dies holding the stack");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(holder_panicked && m.is_poisoned());
+        assert_eq!(*lock(&m), 6);
+        assert_eq!(try_lock(&m).map(|g| *g), Some(6));
+        // `WouldBlock` is the one answer that counts as contention.
+        let _held = lock(&m);
+        assert!(try_lock(&m).is_none());
     }
 }

@@ -50,8 +50,9 @@ fn batched_dispatch_is_bit_identical_across_the_stream_matrix() {
 
 /// The router-dispatched (no front-end) layouts must also be
 /// unaffected — including the stealing and shared-pool rungs, whose
-/// arbitration is dispatcher-side claim resolution (DESIGN.md §17) and
-/// therefore independent of how many packets a worker pops per train.
+/// arbitration is dispatcher-side claim resolution (DESIGN.md §3,
+/// `crates/sched`, the claim protocol) and therefore independent of
+/// how many packets a worker pops per train.
 #[test]
 fn batched_dispatch_is_bit_identical_on_legacy_layouts() {
     use afs_native::{zipf_workload, NativeConfig, PolicySpec};

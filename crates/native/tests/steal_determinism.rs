@@ -1,11 +1,11 @@
-//! The determinism the claim protocol buys (DESIGN.md §17): with the
-//! stealing (IPS) or locking-pool rungs active, the native backend's
-//! steal schedule is a pure function of the arrival stream. At every
-//! worker count in {1, 2, 4, 8} and every dequeue batch in {1, 8, 64},
-//! repeat runs produce bit-identical normalized reports — including
-//! `stream_migrations` and the steal counters the racy engine could
-//! only reproduce at a single worker — with and without a seeded
-//! processor-fault plan.
+//! The determinism the claim protocol buys (DESIGN.md §3,
+//! `crates/sched`): with the stealing (IPS) or locking-pool rungs
+//! active, the native backend's steal schedule is a pure function of
+//! the arrival stream. At every worker count in {1, 2, 4, 8} and every
+//! dequeue batch in {1, 8, 64}, repeat runs produce bit-identical
+//! normalized reports — including `stream_migrations` and the steal
+//! counters the racy engine could only reproduce at a single worker —
+//! with and without a seeded processor-fault plan.
 //!
 //! Normalization zeroes the documented host-racy gauge
 //! (`lock_contended`); everything else must match to the bit.

@@ -3,7 +3,7 @@
 //!
 //! An x-kernel message travels *down* a protocol graph on send (each layer
 //! pushes its header in front) and *up* on receive (each layer pops its
-//! header off). We model this with a `BytesMut` and a head offset: pops
+//! header off). We model this with a `Vec<u8>` and a head offset: pops
 //! are O(1), pushes into reserved headroom are O(1).
 //!
 //! Each message is bound to a simulated packet-buffer address, so header
@@ -11,7 +11,6 @@
 //! byte `i` of the wire frame lives at `base_addr + i`.
 
 use afs_cache::sim::trace::{Region, TraceSink};
-use bytes::{BufMut, BytesMut};
 
 use crate::mem::MemCtx;
 
@@ -21,7 +20,7 @@ pub const DEFAULT_HEADROOM: usize = 64;
 /// A protocol message: wire bytes plus a moving head pointer.
 #[derive(Debug, Clone)]
 pub struct Message {
-    buf: BytesMut,
+    buf: Vec<u8>,
     head: usize,
     /// Simulated base address of byte 0 of the *frame* (head = frame
     /// start when the driver hands the message up).
@@ -54,7 +53,7 @@ impl Default for Message {
     /// scratch message for one receive.
     fn default() -> Self {
         Message {
-            buf: BytesMut::new(),
+            buf: Vec::new(),
             head: 0,
             base_addr: 0,
         }
@@ -65,10 +64,8 @@ impl Message {
     /// Wrap received wire bytes (head at 0), bound to a simulated buffer
     /// address.
     pub fn from_wire(frame: &[u8], base_addr: u64) -> Self {
-        let mut buf = BytesMut::with_capacity(frame.len());
-        buf.put_slice(frame);
         Message {
-            buf,
+            buf: frame.to_vec(),
             head: 0,
             base_addr,
         }
@@ -81,7 +78,7 @@ impl Message {
     /// the receive path's steady-state contract.
     pub fn reset_from_wire(&mut self, frame: &[u8], base_addr: u64) {
         self.buf.clear();
-        self.buf.put_slice(frame);
+        self.buf.extend_from_slice(frame);
         self.head = 0;
         self.base_addr = base_addr;
     }
@@ -89,9 +86,9 @@ impl Message {
     /// Create an outgoing message holding `payload`, with headroom for
     /// headers to be pushed in front.
     pub fn for_send(payload: &[u8], base_addr: u64) -> Self {
-        let mut buf = BytesMut::with_capacity(DEFAULT_HEADROOM + payload.len());
-        buf.put_bytes(0, DEFAULT_HEADROOM);
-        buf.put_slice(payload);
+        let mut buf = Vec::with_capacity(DEFAULT_HEADROOM + payload.len());
+        buf.resize(DEFAULT_HEADROOM, 0);
+        buf.extend_from_slice(payload);
         Message {
             buf,
             head: DEFAULT_HEADROOM,

@@ -184,11 +184,11 @@ fn ext25_stream_matrix_parallel_is_bit_identical() {
 
 /// The native backend's arbitration telemetry under executor fan-out:
 /// `stream_migrations` and the steal counter are resolved by the
-/// virtual-order claim protocol (DESIGN.md §17), so a native cell is a
-/// pure function of its config — running the claim-arbitrated rungs at
-/// every backend worker count in {1, 2, 4, 8} inside the parallel
-/// executor must reproduce the serial counters bit-for-bit for any
-/// `AFS_JOBS` worker count.
+/// virtual-order claim protocol (DESIGN.md §3, `crates/sched`), so a
+/// native cell is a pure function of its config — running the
+/// claim-arbitrated rungs at every backend worker count in {1, 2, 4, 8}
+/// inside the parallel executor must reproduce the serial counters
+/// bit-for-bit for any `AFS_JOBS` worker count.
 #[test]
 fn native_claim_telemetry_parallel_is_bit_identical() {
     use affinity_sched::native::{run_native, zipf_workload, NativeConfig, Pinning};

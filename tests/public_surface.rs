@@ -11,6 +11,11 @@
 //! The vendored stubs (`vendor/*/src`) are scanned too. A stub stands in
 //! for a crates.io API, so any workspace code calls it, test code
 //! included; the stub's own unit tests do not.
+//!
+//! Nothing depended on without a user, either: every `[dependencies]`
+//! and `[dev-dependencies]` key of the root and `crates/*` manifests,
+//! `-` read as `_`, must be a whole word in some `.rs` file of its own
+//! package (`src/`, `tests/`, `benches/`, `examples/`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -286,5 +291,51 @@ fn every_public_item_has_a_non_test_caller() {
          TEST_SUPPORT with the test that needs them:\n{}",
         offenders.len(),
         offenders.join("\n")
+    );
+}
+
+/// The `[dependencies]` and `[dev-dependencies]` keys of a manifest,
+/// in file order.
+fn dependency_keys(manifest: &str) -> Vec<&str> {
+    let mut in_deps = false;
+    let mut keys = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_deps = matches!(line, "[dependencies]" | "[dev-dependencies]");
+        } else if in_deps && !line.is_empty() && !line.starts_with('#') {
+            let end = line.find(['.', '=', ' ']).unwrap_or(line.len());
+            keys.push(&line[..end]);
+        }
+    }
+    keys
+}
+
+#[test]
+fn every_dependency_is_named_in_its_package() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut packages = vec![root.clone()];
+    packages.extend(member_dirs(&root.join("crates"), ""));
+    let mut unused = Vec::new();
+    for package in &packages {
+        let manifest = std::fs::read_to_string(package.join("Cargo.toml"))
+            .unwrap_or_else(|e| panic!("read {}: {e}", package.display()));
+        let dirs = ["src", "tests", "benches", "examples"].map(|d| package.join(d));
+        let files = files_under(&dirs);
+        let words: BTreeSet<&str> = files
+            .iter()
+            .flat_map(|(_, text, _)| text.split(|c| !is_ident(c)))
+            .collect();
+        for key in dependency_keys(&manifest) {
+            if !words.contains(key.replace('-', "_").as_str()) {
+                let shown = package.strip_prefix(&root).unwrap_or(package);
+                unused.push(format!("{}: {key}", shown.join("Cargo.toml").display()));
+            }
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "{} dependency edge(s) no .rs file of the package names — delete them:\n{}",
+        unused.len(),
+        unused.join("\n")
     );
 }
