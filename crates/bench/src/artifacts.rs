@@ -12,6 +12,8 @@
 use std::fmt::Write as _;
 
 use afs_core::prelude::*;
+use afs_native::{run_native_recorded, zipf_workload, NativeConfig, NativeReport, Pinning};
+use afs_sched::PolicySpec;
 use afs_xkernel::{calibrate, Calibration, CostModel};
 
 use crate::{series_rows, template_with, write_csv};
@@ -177,6 +179,26 @@ pub fn obs_trace_golden() -> (RunReport, String) {
 
 /// File name of the committed golden trace under `results/`.
 pub const OBS_TRACE_GOLDEN_FILE: &str = "ext23_trace_golden.jsonl";
+
+/// The native golden trace (E23): a recorded three-worker IPS run with
+/// stealing over a small overloaded Zipf replay, rendered as JSONL.
+/// Every stamp is virtual and every queue depth is counted from the
+/// merged trace, so the bytes are a function of the configuration and
+/// the seed alone — at any dequeue batch. Committed under
+/// `results/ext23_native_trace_golden.jsonl` and diffed byte-for-byte by
+/// `tests/golden_artifacts.rs`.
+pub fn native_obs_trace_golden() -> (NativeReport, String) {
+    const SEED: u64 = 0x6017_DE23;
+    let mut cfg = NativeConfig::new(3, PolicySpec::Ips);
+    cfg.pinning = Pinning::Off;
+    cfg.seed = SEED;
+    let workload = zipf_workload(16, 400, 30_000.0, 1.1, 4.0, None, 64, SEED);
+    let (report, rec) = run_native_recorded(&cfg, workload);
+    (report, afs_obs::jsonl::render(&rec.events))
+}
+
+/// File name of the committed native golden trace under `results/`.
+pub const NATIVE_TRACE_GOLDEN_FILE: &str = "ext23_native_trace_golden.jsonl";
 
 #[cfg(test)]
 mod tests {

@@ -21,11 +21,14 @@
 //! `--smoke` (or `AFS_QUICK=1`) restricts the rate grid and scenario
 //! matrix but keeps the full fig06 horizon, so every cell it does run
 //! stays comparable to the committed CSV. Emits `results/ext23_obs.csv`
-//! and the golden trace `results/ext23_trace_golden.jsonl`.
+//! and the golden traces `results/ext23_trace_golden.jsonl` (simulator)
+//! and `results/ext23_native_trace_golden.jsonl` (native).
 
 use std::fs;
 
-use crate::artifacts::{obs_trace_golden, OBS_TRACE_GOLDEN_FILE};
+use crate::artifacts::{
+    native_obs_trace_golden, obs_trace_golden, NATIVE_TRACE_GOLDEN_FILE, OBS_TRACE_GOLDEN_FILE,
+};
 use crate::{locking, results_dir, template_with, write_csv, Checks};
 use afs_core::crossval::{default_matrix, smoke_matrix, ORDERING_SLACK};
 use afs_core::prelude::*;
@@ -353,5 +356,29 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         "\n  wrote {} ({} events)",
         path.display(),
         golden_trace.lines().count()
+    );
+
+    // The native golden: a recorded IPS-stealing run replays to the same
+    // bytes, queue depths included.
+    let (native_report, native_trace) = native_obs_trace_golden();
+    let (_, native_replay) = native_obs_trace_golden();
+    checks.expect(
+        "native golden trace: identical seed+config => byte-identical JSONL",
+        native_trace == native_replay,
+    );
+    checks.expect(
+        &format!(
+            "native golden trace: {} steals in {} lines (>= 1, <= 2000)",
+            native_report.steals,
+            native_trace.lines().count()
+        ),
+        native_report.steals >= 1 && native_trace.lines().count() <= 2_000,
+    );
+    let path = results_dir().join(NATIVE_TRACE_GOLDEN_FILE);
+    fs::write(&path, &native_trace).expect("write native golden trace");
+    println!(
+        "  wrote {} ({} events)",
+        path.display(),
+        native_trace.lines().count()
     );
 }

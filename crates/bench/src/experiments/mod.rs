@@ -218,7 +218,11 @@ pub static REGISTRY: &[Experiment] = &[
         id: "ext23_obs",
         title: "Observability: fig06 policy curves derived from traces alone",
         paper: "the per-message event stream must carry the whole affinity story (Sec 6.1)",
-        files: &["ext23_obs.csv", "ext23_trace_golden.jsonl"],
+        files: &[
+            "ext23_obs.csv",
+            "ext23_trace_golden.jsonl",
+            "ext23_native_trace_golden.jsonl",
+        ],
         run: ext23_obs::experiment,
     },
     Experiment {

@@ -266,6 +266,7 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     // Merge the dispatcher's and each worker's trace slice into one
     // stream, sorted by the deterministic merge key (virtual time, seq,
     // causal rank); ties keep slice order: dispatcher, then worker 0, 1, …
+    // Then stamp every queue depth from that one order.
     let mut slices: Vec<MemRecorder> = rec.into_iter().collect();
     for r in results {
         totals.delay.merge(&r.delay);
@@ -280,6 +281,12 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     }
     if let Some(out) = p.obs {
         out.merge(slices);
+        // A drained run leaves every queue empty, and none went below.
+        let tally = out.stamp_queue_depths();
+        debug_assert!(
+            tally.low == 0 && tally.end.iter().all(|&n| n == 0),
+            "{tally:?}"
+        );
     }
     totals
 }
@@ -659,14 +666,13 @@ impl<'a> Dispatcher<'a> {
                 // Stamped with the message's arrival (the recorder
                 // sorts by the virtual merge key at the end, so
                 // late-resolved staged jobs land in their causal
-                // place); depth is a racy sample (workers pop
-                // concurrently), which is all a depth gauge promises.
+                // place); the depth is stamped from the merged trace.
                 None => ObsEvent::Enqueue {
                     t_us: arrival_us,
                     seq,
                     stream,
                     queue: me,
-                    depth: ring.len() as u32,
+                    depth: 0,
                 },
             });
         }

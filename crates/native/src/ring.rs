@@ -1,15 +1,19 @@
 //! Bounded lock-free ring run-queue.
 //!
-//! Each worker owns one of these as its run queue; the dispatcher is the
-//! only producer, while consumers are the owning worker plus — under the
-//! IPS policy — thieves executing a bounded steal. That makes the
-//! consumer side genuinely multi-consumer, so the queue implements the
-//! bounded MPMC array-queue algorithm (per-cell sequence numbers, in the
-//! style of Vyukov's bounded queue): each cell carries an atomic
-//! sequence stamp that encodes, relative to the head/tail counters,
-//! whether the cell is empty-for-lap-N or full-for-lap-N. Producers and
-//! consumers claim a position with a CAS on their counter and then
-//! publish the cell with a release store of the next stamp.
+//! Each worker owns one of these as its run queue, which the dispatcher
+//! fills and only that worker pops: steals are claims the dispatcher
+//! resolves before a job reaches any ring. The queue is still MPMC, for
+//! two reasons. The serving frame pool is one too, and every worker
+//! pushes its spent buffers back into it. And the dispatcher pops a
+//! job ring itself, once its worker has exited (orphan recovery) or
+//! while it unwinds, when a live worker may be popping the same ring.
+//! So the queue implements the bounded MPMC array-queue algorithm
+//! (per-cell sequence numbers, in the style of Vyukov's bounded queue):
+//! each cell carries an atomic sequence stamp that encodes, relative to
+//! the head/tail counters, whether the cell is empty-for-lap-N or
+//! full-for-lap-N. Producers and consumers claim a position with a CAS
+//! on their counter and then publish the cell with a release store of
+//! the next stamp.
 //!
 //! Properties the interleaving tests (`tests/interleave.rs`) check:
 //!
@@ -209,8 +213,8 @@ impl<T> RingQueue<T> {
     }
 
     /// Approximate occupancy (exact when quiescent; a racy snapshot
-    /// under concurrency — used only for steal heuristics and depth
-    /// telemetry).
+    /// under concurrency). It backs [`is_empty`](Self::is_empty), a
+    /// worker's exit check; no schedule or trace value reads it.
     pub fn len(&self) -> usize {
         let tail = self.enqueue_pos.load(Ordering::Relaxed);
         let head = self.dequeue_pos.load(Ordering::Relaxed);

@@ -460,11 +460,10 @@ pub fn run_native(cfg: &NativeConfig, workload: Vec<NativePacket>) -> NativeRepo
 /// merged into one deterministic-ordered stream on join.
 ///
 /// All events are stamped with *virtual* time — arrival stamps and
-/// worker vclocks — so host wall-clock never leaks into a trace. The
-/// depth samples are host-order: the dispatcher's `Enqueue` depth and a
-/// worker's `QueueDepth` are ring lengths read as the packet goes in or
-/// starts, so they are bounded by the ring depth, which follows
-/// [`NativeConfig::batch`] alone, not by [`NativeConfig::queue_capacity`].
+/// worker vclocks — so host wall-clock never leaks into a trace. Queue
+/// depths are counted from the merged trace by
+/// [`MemRecorder::stamp_queue_depths`], never read off a ring: no trace
+/// value reads host state.
 pub fn run_native_recorded(
     cfg: &NativeConfig,
     workload: Vec<NativePacket>,

@@ -140,7 +140,6 @@ struct Served {
     stream_migrated: bool,
     thread_migrated: bool,
     locked: bool,
-    qdepth: u32,
     outcome: RxOutcome,
 }
 
@@ -303,12 +302,6 @@ impl<'a> Worker<'a> {
     fn process(&mut self, mut job: Job) {
         let me = self.wid as u32;
         let cost = &self.sh.cfg.cost;
-        // A host-order sample for the trace's depth gauge, bounded by the
-        // ring depth; an unrecorded run never reads the cursors.
-        let qdepth = match self.out.rec {
-            Some(_) => self.sh.queues[self.wid].len() as u32,
-            None => 0,
-        };
         // Push the virtual service start through any stall window (and
         // the reboot window of a crash-with-revive) containing it. The
         // vclock is monotone, so each window is crossed at most once —
@@ -418,7 +411,6 @@ impl<'a> Worker<'a> {
                 stream_migrated,
                 thread_migrated,
                 locked,
-                qdepth,
                 outcome,
             },
         );
@@ -473,10 +465,11 @@ impl<'a> Worker<'a> {
                     });
                 }
             }
+            // Its depth is stamped from the merged trace.
             r.record(ObsEvent::QueueDepth {
                 t_us: s.start_v,
                 queue: job.stolen_from.unwrap_or(me),
-                depth: s.qdepth,
+                depth: 0,
             });
             r.record(ObsEvent::Complete {
                 t_us: self.vclock,

@@ -56,7 +56,11 @@ pub enum ObsEvent {
         stream: u32,
         /// Queue it landed in (worker/processor index, or [`SHARED_QUEUE`]).
         queue: u32,
-        /// Queue depth *after* the insert.
+        /// Queue depth *after* the insert, counting this message (the
+        /// one definition is [`crate::depth`]'s; the native backend's
+        /// is stamped by [`MemRecorder::stamp_queue_depths`]).
+        ///
+        /// [`MemRecorder::stamp_queue_depths`]: crate::MemRecorder::stamp_queue_depths
         depth: u32,
     },
     /// A worker began servicing a message.
@@ -144,13 +148,18 @@ pub enum ObsEvent {
         /// whose cost is already folded into the service time.
         amount_us: f64,
     },
-    /// A sampled queue-depth observation.
+    /// A queue-depth sample, emitted by each dispatch.
     QueueDepth {
         /// Virtual timestamp (µs).
         t_us: f64,
-        /// Queue sampled (worker/processor index, or [`SHARED_QUEUE`]).
+        /// Queue sampled (worker/processor index, or [`SHARED_QUEUE`]);
+        /// on the native backend, the victim of a steal.
         queue: u32,
-        /// Depth at the sample point.
+        /// Depth just after the dispatch that emitted the sample (the
+        /// one definition is [`crate::depth`]'s; the native backend's
+        /// is stamped by [`MemRecorder::stamp_queue_depths`]).
+        ///
+        /// [`MemRecorder::stamp_queue_depths`]: crate::MemRecorder::stamp_queue_depths
         depth: u32,
     },
     /// A worker left service (processor fault: crash or stall window).

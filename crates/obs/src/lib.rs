@@ -28,6 +28,8 @@
 //! * [`event`] — the [`ObsEvent`] schema and merge ordering.
 //! * [`recorder`] — the [`Recorder`] trait and [`MemRecorder`].
 //! * [`counters`] — [`Counters`]/[`WorkerLane`] aggregation.
+//! * [`depth`] — the one queue-depth definition, stamped onto a merged
+//!   native trace by [`MemRecorder::stamp_queue_depths`].
 //! * [`hist`] — [`LogHistogram`], the HDR-style fixed-footprint
 //!   histogram behind the delay/service/depth percentiles.
 //! * [`jsonl`] — deterministic JSONL trace rendering.
@@ -41,6 +43,7 @@
 //! policy, not schema: those bands live in `afs_core::crossval`.
 
 pub mod counters;
+pub mod depth;
 pub mod event;
 pub mod hist;
 pub mod jsonl;
@@ -51,6 +54,7 @@ pub mod serve;
 pub mod summary;
 
 pub use counters::{Counters, WorkerLane};
+pub use depth::QueueTally;
 pub use event::{ChargeKind, ObsEvent, SHARED_QUEUE};
 pub use hist::LogHistogram;
 pub use order::{SequenceChecker, SequenceReport};

@@ -326,7 +326,9 @@ fn simulated_heap_does_not_grow_with_the_horizon_fdir_flows() {
 /// buffer by the others' length and copies nothing else: sorted slices
 /// of n and 4n events merge within n events' bytes above the inputs.
 /// A copy into a third vector, re-sorted per slice, needs five or more
-/// times n events plus the sort's scratch.
+/// times n events plus the sort's scratch. Stamping the merged trace's
+/// queue depths, as a recorded native run does next, keeps a count per
+/// queue and fits in the same bound.
 #[test]
 fn merging_trace_slices_holds_the_trace_once() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -347,9 +349,14 @@ fn merging_trace_slices_holds_the_trace_once() {
     };
     let slices = vec![slice(n, 4), slice(4 * n, 1)];
     let mut out = MemRecorder::new();
-    let (peak, ()) = peak_heap(|| out.merge(slices));
+    let (peak, tally) = peak_heap(|| {
+        out.merge(slices);
+        out.stamp_queue_depths()
+    });
     assert_eq!(out.events.len(), 5 * n);
     assert!(out.events.is_sorted_by_key(ObsEvent::merge_key));
+    assert_eq!(tally.end, [5 * n as i64]);
+    assert_eq!(out.counters.max_queue_depth, 5 * n as u64);
     let bound = n * std::mem::size_of::<ObsEvent>() + HEAP_SLACK;
     assert!(
         peak <= bound,

@@ -1,5 +1,5 @@
 //! Golden regression: the committed `results/` CSVs for fig06, fig07
-//! and table1 are the contract. Regenerating their rows through the
+//! and table1, and the E23 golden traces, are the contract. Regenerating their rows through the
 //! shared `afs_bench::artifacts` module must reproduce the committed
 //! files byte for byte — if a simulator change perturbs these numbers
 //! it has to be intentional, visible in review as a CSV diff, not a
@@ -59,6 +59,29 @@ fn fig07_csv_is_bit_for_bit_stable() {
     assert_golden(&artifacts::fig07(false).artifact);
 }
 
+/// `got` must be the committed `results/<file>`, byte for byte.
+fn assert_golden_trace(file: &str, got: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("results")
+        .join(file);
+    let want = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    if got != want {
+        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(
+                g,
+                w,
+                "results/{file} line {} drifted from the committed golden trace",
+                i + 1
+            );
+        }
+        panic!(
+            "results/{file} changed length: regenerated {} lines, committed {}",
+            got.lines().count(),
+            want.lines().count()
+        );
+    }
+}
+
 /// Seeded-replay regression for the observability layer: regenerating
 /// the E23 golden trace must reproduce the committed JSONL byte for
 /// byte. This pins the event schema, the deterministic emission order
@@ -66,27 +89,22 @@ fn fig07_csv_is_bit_for_bit_stable() {
 /// simulator traces (or when) shows up as a reviewable artifact diff.
 #[test]
 fn obs_golden_trace_is_bit_for_bit_stable() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("results")
-        .join(artifacts::OBS_TRACE_GOLDEN_FILE);
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let (report, got) = artifacts::obs_trace_golden();
     assert!(report.delivered > 0, "golden trace run delivered nothing");
-    if got != want {
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            assert_eq!(
-                g,
-                w,
-                "results/{} line {} drifted from the committed golden trace",
-                artifacts::OBS_TRACE_GOLDEN_FILE,
-                i + 1
-            );
-        }
-        panic!(
-            "results/{} changed length: regenerated {} lines, committed {}",
-            artifacts::OBS_TRACE_GOLDEN_FILE,
-            got.lines().count(),
-            want.lines().count()
-        );
-    }
+    assert_golden_trace(artifacts::OBS_TRACE_GOLDEN_FILE, &got);
+}
+
+/// The same for a recorded native run on real threads: a small
+/// three-worker IPS run that steals. Its stamps are virtual and its
+/// queue depths are counted from the merged trace, so no host
+/// interleaving can move a byte.
+#[test]
+fn native_golden_trace_is_bit_for_bit_stable() {
+    let (report, got) = artifacts::native_obs_trace_golden();
+    assert!(report.steals >= 1, "the native golden run must steal");
+    assert!(
+        got.lines().count() <= 2_000,
+        "the native golden trace must stay small"
+    );
+    assert_golden_trace(artifacts::NATIVE_TRACE_GOLDEN_FILE, &got);
 }

@@ -9,9 +9,7 @@
 //! that ties across slices are common (each event carries a unique tag,
 //! so a tie broken the wrong way shows), about half of them out of
 //! order, some capped; the recorder merged into is capped or not and
-//! may already hold events. Both paths run on the same slices: two
-//! recorded native runs of one (config, seed) need not render the same
-//! trace, since a worker's queue depth is sampled in host order.
+//! may already hold events. Both paths run on the same slices.
 
 use affinity_sched::obs::{ChargeKind, Counters, MemRecorder, ObsEvent, Recorder};
 use rand::rngs::StdRng;
