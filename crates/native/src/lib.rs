@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(clippy::too_many_lines)]
 
 //! # afs-native — the pinned-thread execution backend
@@ -18,8 +19,8 @@
 //!
 //! * [`pin`] — best-effort core pinning (`sched_setaffinity` behind the
 //!   [`pin::CorePinner`] trait; unprivileged CI degrades gracefully).
-//! * [`ring`] — the bounded lock-free ring each worker uses as its run
-//!   queue.
+//! * [`ring`] — the bounded FIFO (a `Mutex<VecDeque>`) each worker uses
+//!   as its run queue.
 //! * [`runtime`] — configuration, workload generators, report types and
 //!   the replay entry points ([`run_native`], [`run_native_recorded`]):
 //!   a pre-generated workload, lossless back-pressure, optional trace.

@@ -78,6 +78,10 @@ fn set_affinity_linux(core: usize) -> Result<(), PinError> {
     }
     let mut mask = [0u64; MASK_WORDS];
     mask[core / 64] = 1u64 << (core % 64);
+    // SAFETY: `mask` is a live array of `MASK_WORDS` words and the size
+    // passed is exactly its byte length, so the kernel reads only within
+    // it; pid 0 names the calling thread.
+    #[allow(unsafe_code)]
     let rc = unsafe { sched_setaffinity(0, MASK_WORDS * 8, mask.as_ptr()) };
     if rc == 0 {
         Ok(())

@@ -1,4 +1,4 @@
-//! Bounded lock-free ring run-queue.
+//! Bounded FIFO run-queue.
 //!
 //! Each worker owns one of these as its run queue, which the dispatcher
 //! fills and only that worker pops: steals are claims the dispatcher
@@ -7,235 +7,91 @@
 //! pushes its spent buffers back into it. And the dispatcher pops a
 //! job ring itself, once its worker has exited (orphan recovery) or
 //! while it unwinds, when a live worker may be popping the same ring.
-//! So the queue implements the bounded MPMC array-queue algorithm
-//! (per-cell sequence numbers, in the style of Vyukov's bounded queue):
-//! each cell carries an atomic sequence stamp that encodes, relative to
-//! the head/tail counters, whether the cell is empty-for-lap-N or
-//! full-for-lap-N. Producers and consumers claim a position with a CAS
-//! on their counter and then publish the cell with a release store of
-//! the next stamp.
 //!
-//! Properties the interleaving tests (`tests/interleave.rs`) check:
-//!
-//! * no packet is lost: everything pushed is popped exactly once;
-//! * no packet is double-delivered, even with concurrent consumers;
-//! * `push` fails (returning the value) only when the queue is full,
-//!   `pop` returns `None` only when it is (transiently) empty.
+//! So it is std's: a `VecDeque` behind a `Mutex`, allocated once at its
+//! rounded-up capacity and never grown. Every operation, a batch pop
+//! included, is one lock acquisition, and no schedule or trace value
+//! reads the queue's state. The real-thread stress tests in the
+//! workspace's `tests/ring_queue.rs` check that nothing pushed is lost
+//! or popped twice, and that with one producer each consumer sees the
+//! pushed order.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::Mutex;
 
-struct Cell<T> {
-    /// Lap stamp: `index` when empty and writable by the producer that
-    /// claims position `index`; `index + 1` when filled and readable by
-    /// the consumer that claims position `index`; `index + capacity`
-    /// once consumed (empty for the next lap).
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
+use crate::worker::lock;
 
-/// Bounded multi-producer/multi-consumer ring queue.
+/// Bounded multi-producer/multi-consumer FIFO queue.
 pub struct RingQueue<T> {
-    mask: usize,
-    cells: Box<[Cell<T>]>,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
+    capacity: usize,
+    items: Mutex<VecDeque<T>>,
 }
-
-// SAFETY: cells are only touched by the thread that won the CAS on the
-// corresponding position counter, and the seq stamps order the handoff
-// (release on publish, acquire on claim) — so sending T between threads
-// is the only requirement.
-unsafe impl<T: Send> Send for RingQueue<T> {}
-unsafe impl<T: Send> Sync for RingQueue<T> {}
 
 impl<T> RingQueue<T> {
     /// A queue holding at least `capacity` items (rounded up to a power
     /// of two, minimum 2).
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let cells: Box<[Cell<T>]> = (0..cap)
-            .map(|i| Cell {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
+        let capacity = capacity.max(2).next_power_of_two();
         RingQueue {
-            mask: cap - 1,
-            cells,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
+            capacity,
+            items: Mutex::new(VecDeque::with_capacity(capacity)),
         }
     }
 
     /// The rounded-up capacity.
     pub fn capacity(&self) -> usize {
-        self.mask + 1
+        self.capacity
     }
 
     /// Enqueue `value`; on a full queue the value is handed back so the
     /// caller can retry (the dispatcher blocks — the runtime is
     /// lossless by construction).
     pub fn push(&self, value: T) -> Result<(), T> {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let cell = &self.cells[pos & self.mask];
-            let seq = cell.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos as isize;
-            if dif == 0 {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS makes this thread the
-                        // unique owner of the cell for this lap.
-                        unsafe { (*cell.value.get()).write(value) };
-                        cell.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if dif < 0 {
-                // The cell still holds last lap's value: full.
-                return Err(value);
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
+        let mut items = lock(&self.items);
+        if items.len() == self.capacity {
+            return Err(value);
         }
+        items.push_back(value);
+        Ok(())
     }
 
-    /// Dequeue the oldest item, or `None` when the queue is empty (or a
-    /// producer has claimed a slot but not yet published it).
+    /// Dequeue the oldest item, or `None` when the queue is empty.
     pub fn pop(&self) -> Option<T> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let cell = &self.cells[pos & self.mask];
-            let seq = cell.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos.wrapping_add(1) as isize;
-            if dif == 0 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS makes this thread the
-                        // unique reader of the published value.
-                        let value = unsafe { (*cell.value.get()).assume_init_read() };
-                        cell.seq
-                            .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(value);
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if dif < 0 {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
+        lock(&self.items).pop_front()
     }
 
-    /// Dequeue up to `max` items in **one** synchronized claim,
+    /// Dequeue up to `max` items under **one** lock acquisition,
     /// appending them to `out` in FIFO order and returning how many were
     /// taken.
     ///
-    /// The batch is claimed with a single CAS on the dequeue counter, so
-    /// a train of `k` packets costs one synchronization instead of `k` —
-    /// the amortization the sustained-ingest serving path rides on.
     /// Items come out in exactly the order `k` single [`pop`](Self::pop)
     /// calls would have produced; the batch boundary never reorders or
     /// splits the FIFO stream, which is what keeps batched runs
     /// bit-identical to per-packet runs on per-worker queues.
-    ///
-    /// Only items already *published* at claim time are taken: the scan
-    /// stops at the first cell a producer has claimed but not yet
-    /// released, so the claim can never wait on a slow producer.
     pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        loop {
-            let pos = self.dequeue_pos.load(Ordering::Relaxed);
-            // Scan forward over published cells: cell `pos + i` is ready
-            // exactly when its lap stamp is `pos + i + 1`.
-            let mut k = 0usize;
-            while k < max {
-                let cell = &self.cells[pos.wrapping_add(k) & self.mask];
-                let seq = cell.seq.load(Ordering::Acquire);
-                if seq != pos.wrapping_add(k).wrapping_add(1) {
-                    break;
-                }
-                k += 1;
-            }
-            if k == 0 {
-                // Either empty, or our view of the counter is stale and
-                // the head cell was consumed under us: distinguish by
-                // re-reading the counter.
-                if self.dequeue_pos.load(Ordering::Relaxed) == pos {
-                    return 0;
-                }
-                continue;
-            }
-            // Claim all `k` cells at once. A concurrent consumer moved
-            // the counter ⇒ retry from its new value.
-            if self
-                .dequeue_pos
-                .compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(k),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                )
-                .is_err()
-            {
-                continue;
-            }
-            // SAFETY: winning the CAS makes this thread the unique
-            // reader of cells pos..pos+k for this lap; each cell was
-            // observed published (seq == pos+i+1) with Acquire above.
-            for i in 0..k {
-                let cell = &self.cells[pos.wrapping_add(i) & self.mask];
-                let value = unsafe { (*cell.value.get()).assume_init_read() };
-                cell.seq.store(
-                    pos.wrapping_add(i).wrapping_add(self.mask + 1),
-                    Ordering::Release,
-                );
-                out.push(value);
-            }
-            return k;
-        }
+        let mut items = lock(&self.items);
+        let k = max.min(items.len());
+        out.extend(items.drain(..k));
+        k
     }
 
-    /// Approximate occupancy (exact when quiescent; a racy snapshot
-    /// under concurrency). It backs [`is_empty`](Self::is_empty), a
-    /// worker's exit check; no schedule or trace value reads it.
+    /// Occupancy at the instant of the call. It backs
+    /// [`is_empty`](Self::is_empty), a worker's exit check; no schedule
+    /// or trace value reads it.
     pub fn len(&self) -> usize {
-        let tail = self.enqueue_pos.load(Ordering::Relaxed);
-        let head = self.dequeue_pos.load(Ordering::Relaxed);
-        tail.wrapping_sub(head).min(self.capacity())
+        lock(&self.items).len()
     }
 
-    /// Whether the queue looks empty (same caveats as [`len`](Self::len)).
+    /// Whether the queue is empty (see [`len`](Self::len)).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl<T> Drop for RingQueue<T> {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn fifo_within_capacity() {

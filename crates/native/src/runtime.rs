@@ -139,7 +139,7 @@ pub struct NativeConfig {
     pub session_space: Option<u32>,
     /// Dequeue batch bound. `1` (the default) is the historical
     /// per-packet path. `> 1` turns on train pops: a worker claims up to
-    /// `batch` already-published packets from its ring in one
+    /// `batch` queued packets from its ring in one
     /// synchronized [`RingQueue::pop_batch`][crate::ring::RingQueue::pop_batch]
     /// operation. Result-transparent — `RunReport`s and ledgers are
     /// bit-identical across batch sizes, which the differential tests

@@ -6,7 +6,7 @@
 //! there is no worker-side victim scan or shared-pool gate here. The
 //! loop is `pop_train → fatal_check → process → account`:
 //!
-//! * **pop_train** claims up to [`NativeConfig::batch`] published
+//! * **pop_train** claims up to [`NativeConfig::batch`] queued
 //!   packets in one ring operation — legal for every layout, because a
 //!   train pop can only drain what arbitration already decided.
 //! * **fatal_check** asks the fault plan whether starting the next job
@@ -235,12 +235,7 @@ impl<'a> Worker<'a> {
 
     /// Claim the next train off our ring; `false` when it was empty.
     fn pop_train(&self, train: &mut Vec<Job>, batch: usize) -> bool {
-        let queue = &self.sh.queues[self.wid];
-        if batch > 1 {
-            return queue.pop_batch(train, batch) > 0;
-        }
-        train.extend(queue.pop());
-        !train.is_empty()
+        self.sh.queues[self.wid].pop_batch(train, batch) > 0
     }
 
     /// Would starting `job` at the current virtual instant kill us?

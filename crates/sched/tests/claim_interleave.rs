@@ -1,9 +1,8 @@
 //! Exhaustive small-scale interleaving tests for the virtual-order
-//! claim protocol (DESIGN.md §3, `afs-sched::claim`), in the spirit of
-//! `crates/native/tests/interleave.rs`: instead of sampling a few
-//! arrival patterns, enumerate *every* pattern on a small grid and
-//! check each resolved schedule against an independent oracle or a
-//! battery of structural invariants.
+//! claim protocol (DESIGN.md §3, `afs-sched::claim`): instead of
+//! sampling a few arrival patterns, enumerate *every* pattern on a
+//! small grid and check each resolved schedule against an independent
+//! oracle or a battery of structural invariants.
 //!
 //! The pooled grid is checked against an inline re-implementation of
 //! the virtual-time FIFO multi-server (argmin over live workers of
