@@ -1,9 +1,9 @@
 //! The one dispatcher behind every native entry point.
 //!
-//! [`dispatch`] builds the protocol stacks, the per-worker rings and the
-//! health board, spawns the pinned [`Worker`]s, and then runs every
-//! arrival through the same stages, in this order (DESIGN.md §9 states
-//! each stage's contract):
+//! [`dispatch`] builds the protocol stacks and the per-worker rings,
+//! spawns the pinned [`Worker`]s, and then runs every arrival through
+//! the same stages, in this order (DESIGN.md §9 states each stage's
+//! contract):
 //!
 //! 1. **liveness mask** — plan-driven: an arrival inside a worker's
 //!    crash window sees that worker masked out of routing and claiming;
@@ -19,8 +19,8 @@
 //!    from the [`afs_sched::NativeLayout`] alone;
 //! 6. **enqueue** — previous-owner stamping, the blocking ring push and
 //!    the placement trace events, in claim order;
-//! 7. **watchdog recovery** — after the last arrival, orphans of
-//!    permanently crashed workers re-enter at stage 3.
+//! 7. **recovery** — after the last arrival, the workers the plan kills
+//!    for good are joined for their orphans, which re-enter at stage 3.
 //!
 //! Replay and serve differ only in what they hand this function: the
 //! arrival source, the admission bound, and whether a recorder is
@@ -45,7 +45,7 @@ use rand::Rng;
 
 use crate::ring::RingQueue;
 use crate::runtime::{NativeConfig, OutcomeTotals, WorkerStats};
-use crate::watchdog::{HealthBoard, WorkerFaults};
+use crate::watchdog::WorkerFaults;
 use crate::worker::{lock, Job, Shared, Worker, WorkerResult, PREV_NONE};
 
 /// One packet handed to the dispatcher by its arrival source.
@@ -129,18 +129,12 @@ impl Totals {
 
 /// Releases the workers when the dispatcher is done with them — or
 /// unwinds: without the flags they would spin forever inside the scope
-/// and a dispatcher panic would never reach the caller.
+/// and a dispatcher panic would never reach the caller. Every worker,
+/// dead or alive, drains its own ring before it exits.
 struct ReleaseWorkers<'a>(Shared<'a>);
 
 impl Drop for ReleaseWorkers<'_> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            // Live workers exit only once every ring is empty; nobody
-            // will ever drain what a dead worker left behind.
-            for q in self.0.queues {
-                while q.pop().is_some() {}
-            }
-        }
         self.0.done.store(true, Ordering::Release);
         self.0.recovery_done.store(true, Ordering::Release);
     }
@@ -185,8 +179,6 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     let queues: Vec<RingQueue<Job>> = (0..w).map(|_| RingQueue::with_capacity(depth)).collect();
     let vclocks: Vec<AtomicU64> = (0..w).map(|_| AtomicU64::new(0)).collect();
     let (done, recovery_done) = (AtomicBool::new(false), AtomicBool::new(false));
-    let board = HealthBoard::new(w);
-    let escrow: Mutex<Vec<(u32, Job)>> = Mutex::new(Vec::new());
     let progress = AtomicU64::new(0);
     let worker_faults: Vec<WorkerFaults> = (0..w)
         .map(|i| WorkerFaults::from_plan(&cfg.faults, i))
@@ -210,8 +202,6 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
         vclocks: &vclocks,
         done: &done,
         recovery_done: &recovery_done,
-        board: &board,
-        escrow: &escrow,
         lock_cycles: lock_overhead_cycles(&cfg.cost),
         sessions: sessions.max(1),
         recycle: pool.as_ref(),
@@ -220,15 +210,18 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     let record_obs = p.obs.is_some();
     let mut d = Dispatcher::new(sh, &p, &worker_faults);
     let mut tick = p.tick;
-    let mut results: Vec<WorkerResult> = Vec::with_capacity(w);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = worker_faults
+    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+        let mut handles: Vec<Option<_>> = worker_faults
             .iter()
             .enumerate()
             .map(|(wid, faults)| {
-                scope.spawn(move || Worker::new(wid, sh, faults, record_obs).run())
+                Some(scope.spawn(move || Worker::new(wid, sh, faults, record_obs).run()))
             })
             .collect();
+        let mut join = |wid: usize| {
+            let handle = handles[wid].take();
+            handle.map(|h| h.join().expect("worker panicked"))
+        };
         let release = ReleaseWorkers(sh);
         for (seq, arrival) in arrivals.enumerate() {
             d.on_arrival(seq as u64, arrival);
@@ -238,13 +231,24 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
         }
         d.flush_claims();
         done.store(true, Ordering::Release);
-        d.recover();
+        // A worker the plan kills for good drains its own ring and exits
+        // once the arrivals are done: join it for its orphans.
+        let mut results: Vec<Option<WorkerResult>> = (0..w)
+            .map(|wid| match worker_faults[wid].crash {
+                Some((_, None)) => join(wid),
+                _ => None,
+            })
+            .collect();
+        d.recover(results.iter_mut().flatten());
         drop(release);
-        results.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked")),
-        );
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(wid, r)| {
+                r.or_else(|| join(wid))
+                    .expect("every worker is joined once")
+            })
+            .collect()
     });
 
     let Dispatcher {
@@ -259,7 +263,7 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
         per_worker: Vec::with_capacity(w),
         table_misses: fes.as_ref().map_or(0, |f| f.table_misses()),
         rebinds: fes.as_ref().map_or(0, |f| f.rebinds),
-        workers_crashed: board.downs(),
+        workers_crashed: results.iter().filter(|r| r.orphans.is_some()).count() as u64,
         engines,
         sessions,
     };
@@ -619,7 +623,7 @@ impl<'a> Dispatcher<'a> {
     /// Stage 6: the single point where a job becomes visible to a
     /// worker. Called strictly in placement order — arrival order for
     /// routed jobs, claim-resolution order for arbitrated ones, seq
-    /// order for orphans the watchdog requeues at `requeued_at` — so
+    /// order for orphans recovery requeues at `requeued_at` — so
     /// previous-owner stamping, ring content and the trace are pure
     /// functions of the arrival stream at any worker count and any
     /// batch size. On a serving run it also builds the frame, so only
@@ -641,19 +645,11 @@ impl<'a> Dispatcher<'a> {
             let session = StreamId(stream % self.sh.sessions);
             frame_of(seq, session, payload_bytes, &mut job.pkt.bytes);
         }
-        let ring = &self.sh.queues[claimant];
         // Admitted ⇒ delivered: a full ring blocks the dispatcher until
-        // the worker drains (back-pressure, never loss).
-        while let Err(back) = ring.push(job) {
+        // the worker drains (back-pressure, never loss). A dead worker
+        // drains too, into its orphans.
+        while let Err(back) = self.sh.queues[claimant].push(job) {
             job = back;
-            // A crashed worker stopped draining its ring; blocking on
-            // it would wedge the run (the watchdog only runs after the
-            // last arrival). Park the job in escrow — the watchdog
-            // re-routes it with the other orphans.
-            if self.sh.board.is_down(claimant) {
-                lock(self.sh.escrow).push((me, job));
-                break;
-            }
             std::thread::yield_now();
         }
         if let Some(r) = self.rec.as_mut() {
@@ -678,33 +674,23 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Stage 7, the watchdog (runs on the dispatcher thread): once
-    /// every worker with a permanent plan crash has stopped touching
-    /// its ring, recover the orphans — escrowed in-flight fatal jobs
-    /// plus whatever is stranded in dead rings — and re-dispatch each
-    /// one through stages 3, 5 and 6 over the degraded view.
-    /// `recovery_done` holds live workers in their loops until every
-    /// orphan is back in a live ring, so recovered work is drained.
-    /// Without a permanent crash in the plan there is nothing to wait
-    /// for and nothing orphaned.
-    fn recover(&mut self) {
-        let permanent: Vec<usize> = (0..self.worker_faults.len())
-            .filter(|&i| matches!(self.worker_faults[i].crash, Some((_, None))))
-            .collect();
-        for &p in &permanent {
-            while !self.sh.board.has_exited(p) {
-                std::thread::yield_now();
-            }
-            self.set_live(p, false);
+    /// Stage 7, recovery (runs on the dispatcher thread): given the
+    /// joined workers with a permanent plan crash, mask them dead and
+    /// re-dispatch their orphans — every job that reached a dead
+    /// worker's ring from its fatal job on — through stages 3, 5 and 6
+    /// over the degraded view. `recovery_done` holds live workers in
+    /// their loops until every orphan is back in a live ring, so
+    /// recovered work is drained. Without a permanent crash in the
+    /// plan there is nothing orphaned.
+    fn recover<'r>(&mut self, dead: impl Iterator<Item = &'r mut WorkerResult>) {
+        let mut orphans: Vec<(u32, Job)> = Vec::new();
+        for r in dead {
+            let wid = r.stats.worker;
+            self.set_live(wid, false);
+            let jobs = r.orphans.iter_mut().flat_map(std::mem::take);
+            orphans.extend(jobs.map(|job| (wid as u32, job)));
         }
-        let mut orphans: Vec<(u32, Job)> = std::mem::take(&mut *lock(self.sh.escrow));
-        for &p in &permanent {
-            while let Some(job) = self.sh.queues[p].pop() {
-                orphans.push((p as u32, job));
-            }
-        }
-        // Deterministic recovery order regardless of which worker
-        // escrowed first on the host clock.
+        // One order across the dead workers, whatever their pop order.
         orphans.sort_by_key(|(_, j)| j.seq);
         for (dead, job) in orphans {
             self.ledger.orphaned += 1;

@@ -29,9 +29,8 @@
 //!   bounded memory, with deterministic taildrop under overload.
 //! * [`crossval`] — the native mapping of the shared scenario matrix
 //!   defined in `afs_core::crossval`.
-//! * [`watchdog`] — plan-driven worker health (crash/stall/slowdown
-//!   schedules on the virtual clock) and the shared health board whose
-//!   crash and exit flags sequence orphan-work recovery.
+//! * [`watchdog`] — plan-driven worker health: each worker's
+//!   crash/stall/slowdown schedule on the virtual clock.
 //!
 //! The runtime also speaks the unified `afs-obs` observability schema:
 //! [`runtime::run_native_recorded`] has every worker record
@@ -65,4 +64,4 @@ pub use runtime::{
     NativeReport, OutcomeTotals, Pinning, WorkerStats, ZipfPacketGen,
 };
 pub use serve::{current_rss_kb, run_serve, ServeConfig, ServeReport};
-pub use watchdog::{HealthBoard, WorkerFaults};
+pub use watchdog::WorkerFaults;

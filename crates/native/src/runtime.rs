@@ -356,8 +356,6 @@ pub struct WorkerStats {
     pub delivered: u64,
     /// Packets it stole from other workers' queues (IPS only).
     pub steals: u64,
-    /// Times it found the shared-stack lock already held.
-    pub lock_contended: u64,
     /// Packets whose stream state last ran on a different worker.
     pub stream_migrations: u64,
     /// Packets whose thread stack last ran on a different worker.
@@ -424,10 +422,10 @@ pub struct NativeReport {
     pub all_pinned: bool,
     /// Workers that crashed (permanent plan crashes that fired).
     pub workers_crashed: u64,
-    /// Packets orphaned on crashed workers (in flight at the crash or
-    /// stranded in the dead worker's ring).
+    /// Packets orphaned on crashed workers: every job that reached a
+    /// dead worker's ring from its fatal job on.
     pub orphaned: u64,
-    /// Orphans the watchdog re-dispatched; always equals `orphaned` —
+    /// Orphans recovery re-dispatched; always equals `orphaned` —
     /// the conservation invariant the fault tests pin down.
     pub requeued: u64,
     /// Per-worker telemetry.

@@ -1,6 +1,5 @@
 //! Plan-driven worker health: per-worker fault schedules extracted from
-//! the shared [`ProcFaultPlan`], and the atomic health board workers and
-//! the dispatcher-side watchdog communicate through.
+//! the shared [`ProcFaultPlan`], consulted on the virtual clock.
 //!
 //! ## Why the plan, not wall-clock observation, drives recovery
 //!
@@ -8,69 +7,14 @@
 //! its vclock, not the host scheduler's mood. Fault injection follows
 //! the same rule — a worker crashes when its **virtual** clock reaches
 //! the plan's crash instant (the next packet it would start at or after
-//! `crash_at` is fatal), and the watchdog routes orphans around the set
-//! of workers the *plan* says are down. Observing host-time heartbeat
-//! lag instead would make recovery depend on CI load, destroying the
-//! determinism the cross-validation suite pins down.
-
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+//! `crash_at` is fatal), and recovery routes orphans around the set of
+//! workers the *plan* says are down. Observing host-time heartbeat lag
+//! instead would make recovery depend on CI load, destroying the
+//! determinism the cross-validation suite pins down. No flag is shared:
+//! a dead worker keeps its orphans, and the dispatcher joins it for
+//! them once the arrivals are done.
 
 use afs_core::procfault::ProcFaultPlan;
-
-/// Health-board state: healthy / schedulable.
-pub const UP: u32 = 0;
-/// Health-board state: permanently crashed (orphans need recovery).
-pub const DOWN: u32 = 1;
-
-/// Shared per-worker health state: the crash flags workers publish and
-/// the watchdog consumes, and exit flags that sequence orphan recovery
-/// after the owner has stopped touching its ring.
-#[derive(Debug)]
-pub struct HealthBoard {
-    health: Vec<AtomicU32>,
-    exited: Vec<AtomicBool>,
-}
-
-impl HealthBoard {
-    /// A board with every worker up and running.
-    pub fn new(workers: usize) -> Self {
-        HealthBoard {
-            health: (0..workers).map(|_| AtomicU32::new(UP)).collect(),
-            exited: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    /// Worker count on the board.
-    pub fn workers(&self) -> usize {
-        self.health.len()
-    }
-
-    /// Worker `w` declares itself crashed.
-    pub fn mark_down(&self, w: usize) {
-        self.health[w].store(DOWN, Ordering::Release);
-    }
-
-    /// Is worker `w` crashed?
-    pub fn is_down(&self, w: usize) -> bool {
-        self.health[w].load(Ordering::Acquire) == DOWN
-    }
-
-    /// Count of crashed workers.
-    pub fn downs(&self) -> u64 {
-        (0..self.workers()).filter(|&w| self.is_down(w)).count() as u64
-    }
-
-    /// Worker `w` declares its thread is about to return (it will never
-    /// touch its ring again — the watchdog may drain it).
-    pub fn mark_exited(&self, w: usize) {
-        self.exited[w].store(true, Ordering::Release);
-    }
-
-    /// Has worker `w`'s thread stopped?
-    pub fn has_exited(&self, w: usize) -> bool {
-        self.exited[w].load(Ordering::Acquire)
-    }
-}
 
 /// One worker's slice of a [`ProcFaultPlan`], pre-resolved so the hot
 /// loop consults plain fields instead of scanning the plan.
@@ -251,17 +195,5 @@ mod tests {
         };
         assert_eq!(wf.scale_service(39.0, 10.0), 10.0);
         assert_eq!(wf.scale_service(40.0, 10.0), 25.0);
-    }
-
-    #[test]
-    fn board_roundtrip() {
-        let b = HealthBoard::new(3);
-        assert_eq!(b.downs(), 0);
-        b.mark_down(2);
-        assert!(b.is_down(2) && !b.is_down(0));
-        assert_eq!(b.downs(), 1);
-        assert!(!b.has_exited(2));
-        b.mark_exited(2);
-        assert!(b.has_exited(2));
     }
 }

@@ -4,24 +4,25 @@
 //! the dispatcher; a worker only ever pops its own ring, FIFO. Pool and
 //! steal arbitration happened dispatcher-side (the claim table), so
 //! there is no worker-side victim scan or shared-pool gate here. The
-//! loop is `pop_train → fatal_check → process → account`:
+//! loop is `pop_train → serve → process → account`:
 //!
 //! * **pop_train** claims up to [`NativeConfig::batch`] queued
 //!   packets in one ring operation — legal for every layout, because a
 //!   train pop can only drain what arbitration already decided.
-//! * **fatal_check** asks the fault plan whether starting the next job
-//!   would carry the virtual clock past this worker's permanent crash
-//!   instant; if so the worker dies and the job (with the rest of its
-//!   train) is escrowed for the watchdog.
+//! * **serve** displaces the job's start through the fault plan and
+//!   asks whether it reaches this worker's permanent crash instant; if
+//!   so the worker dies there. A dead worker keeps draining its own
+//!   ring, but every job it pops, the fatal one first, becomes an
+//!   orphan it hands back on join for the dispatcher to re-route.
 //! * **process** runs the real receive path over this worker's private
-//!   [`MemoryHierarchy`]: fault displacement, migration purges driven by
-//!   the dispatcher-stamped previous owners, the stack lock (charged
-//!   where the policy pays it), and the modeled service time.
+//!   [`MemoryHierarchy`]: migration purges driven by the
+//!   dispatcher-stamped previous owners, the stack lock (charged where
+//!   the policy pays it), and the modeled service time.
 //! * **account** advances the virtual clock and books the packet into
 //!   the statistics, the trace and the published gauges.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use afs_cache::sim::{MemoryHierarchy, Region};
 use afs_desim::stats::Welford;
@@ -34,7 +35,7 @@ use afs_xkernel::{DropReason, ProtocolEngine, RxOutcome, StreamId, ThreadId};
 use crate::dispatch::Arrival;
 use crate::ring::RingQueue;
 use crate::runtime::{NativeConfig, OutcomeTotals, WorkerStats};
-use crate::watchdog::{HealthBoard, WorkerFaults};
+use crate::watchdog::{Displaced, WorkerFaults};
 
 /// A queued unit of work: an arrival plus the dispatcher's stamps.
 pub(crate) struct Job {
@@ -58,7 +59,7 @@ pub(crate) struct Job {
     /// directly, and when it does not (shared pool, stealing) the claim
     /// table resolves the claimant in total virtual order before the
     /// job reaches any ring. Orphans recovered from a failed worker are
-    /// re-stamped when the watchdog requeues them. Migration detection
+    /// re-stamped when recovery requeues them. Migration detection
     /// — and through the cache purges it drives, every modeled service
     /// time — is therefore a pure function of the workload in *every*
     /// configuration; there is no racy fallback.
@@ -75,19 +76,10 @@ pub(crate) struct Job {
 /// `Job::prev_*_owner`: deterministic first touch (no previous owner).
 pub(crate) const PREV_NONE: u32 = u32::MAX - 1;
 
-/// Lock `m` even if a thread panicked holding it: a dead worker must
-/// not wedge the dispatcher, the watchdog or the report.
+/// Lock `m` even if a thread panicked holding it: a panicked worker
+/// must not wedge the dispatcher, the other workers or the report.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`lock`] without waiting: `None` only while another thread holds `m`.
-pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    match m.try_lock() {
-        Ok(guard) => Some(guard),
-        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
 }
 
 /// What the dispatcher shares with every worker thread.
@@ -102,13 +94,9 @@ pub(crate) struct Shared<'a> {
     pub(crate) vclocks: &'a [AtomicU64],
     /// Set once the arrival stream is exhausted.
     pub(crate) done: &'a AtomicBool,
-    /// Set by the watchdog once every orphan is back in a live ring;
-    /// live workers hold their exit on it so recovered work is drained.
+    /// Set once every orphan is back in a live ring; live workers hold
+    /// their exit on it so recovered work is drained.
     pub(crate) recovery_done: &'a AtomicBool,
-    /// Shared health state (crash flags, exit flags).
-    pub(crate) board: &'a HealthBoard,
-    /// Fatal jobs parked for the watchdog, tagged with the dead worker.
-    pub(crate) escrow: &'a Mutex<Vec<(u32, Job)>>,
     pub(crate) lock_cycles: f64,
     /// Engine session space: flows fold onto `flow % sessions` bound
     /// sessions (the identity when `session_space` is unset).
@@ -131,6 +119,9 @@ pub(crate) struct WorkerResult {
     /// This worker's slice of the observability trace (present only on
     /// a recorded run).
     pub(crate) rec: Option<MemRecorder>,
+    /// `Some` once the plan has killed this worker: every job it popped
+    /// from its fatal job on, unserved, in pop order.
+    pub(crate) orphans: Option<Vec<Job>>,
 }
 
 /// What `process` measured for one packet, handed to `account`.
@@ -199,23 +190,19 @@ impl<'a> Worker<'a> {
                 wait: Welford::new(),
                 outcomes: OutcomeTotals::default(),
                 rec: record_obs.then(MemRecorder::new),
+                orphans: None,
             },
         }
     }
 
-    /// Drain the ring until the run is over (or the plan kills us).
+    /// Drain the ring until the run is over.
     pub(crate) fn run(mut self) -> WorkerResult {
         let batch = self.sh.cfg.batch.max(1);
         let mut train: Vec<Job> = Vec::with_capacity(batch);
-        'main: loop {
+        loop {
             if self.pop_train(&mut train, batch) {
-                let mut jobs = train.drain(..);
-                while let Some(job) = jobs.next() {
-                    if let Some(crash_at) = self.fatal_check(&job) {
-                        self.die(crash_at, job, jobs);
-                        break 'main;
-                    }
-                    self.process(job);
+                for job in train.drain(..) {
+                    self.serve(job);
                 }
                 continue;
             }
@@ -225,10 +212,8 @@ impl<'a> Worker<'a> {
             std::thread::yield_now();
         }
         // Park the published clock at infinity so live snapshot readers
-        // see an exited worker as never-again-busy; then let the
-        // watchdog know this thread will never touch a ring again.
+        // see an exited worker as never-again-busy.
         self.sh.vclocks[self.wid].store(f64::INFINITY.to_bits(), Ordering::Release);
-        self.sh.board.mark_exited(self.wid);
         self.out.stats.vclock_us = self.vclock;
         self.out
     }
@@ -238,45 +223,41 @@ impl<'a> Worker<'a> {
         self.sh.queues[self.wid].pop_batch(train, batch) > 0
     }
 
-    /// Would starting `job` at the current virtual instant kill us?
-    /// Displacement first: a stall window can push the start past the
-    /// crash instant, and the crash wins. Returns the crash instant.
-    fn fatal_check(&self, job: &Job) -> Option<f64> {
-        let start = self.faults.displace(self.vclock.max(job.pkt.arrival_us));
-        self.faults.fatal_at(start.start_v)
-    }
-
-    /// The worker dies at `crash_at`: park the fatal job with the
-    /// watchdog, which re-routes it once we have exited. The rest of
-    /// the claimed train is already off the ring, so it orphans with
-    /// the fatal job — the watchdog re-routes the lot in seq order.
-    fn die(&mut self, crash_at: f64, job: Job, rest: impl Iterator<Item = Job>) {
-        let me = self.wid as u32;
+    /// Serve one popped job, or orphan it. The start is displaced
+    /// first, through any stall window (and the reboot window of a
+    /// crash-with-revive) containing it: a stall can push it past the
+    /// permanent crash instant, and the crash wins. The job whose start
+    /// reaches that instant kills the worker; from then on every job it
+    /// pops is an orphan.
+    fn serve(&mut self, job: Job) {
+        if let Some(orphans) = self.out.orphans.as_mut() {
+            orphans.push(job);
+            return;
+        }
+        let disp = self.faults.displace(self.vclock.max(job.pkt.arrival_us));
+        let Some(crash_at) = self.faults.fatal_at(disp.start_v) else {
+            self.process(job, disp);
+            return;
+        };
         if let Some(r) = self.out.rec.as_mut() {
             r.record(ObsEvent::WorkerDown {
                 t_us: crash_at,
-                worker: me,
+                worker: self.wid as u32,
             });
         }
-        self.sh.board.mark_down(self.wid);
-        let mut escrow = lock(self.sh.escrow);
-        escrow.push((me, job));
-        escrow.extend(rest.map(|j| (me, j)));
+        self.out.orphans = Some(vec![job]);
     }
 
-    /// With the ring empty: is the run over for this worker? A worker
-    /// the plan permanently kills exits as soon as its own work is gone
-    /// — the watchdog waits on that exit before draining its ring, so
-    /// it must not gate on global emptiness. Live workers additionally
-    /// hold until orphan recovery finished, so requeued work is drained.
+    /// With the ring empty: is the run over for this worker? Only this
+    /// worker pops its ring, so once the arrivals are done an empty ring
+    /// stays empty, except for the orphans recovery places. A worker the
+    /// plan kills for good is never a recovery target, and recovery
+    /// joins it for its orphans, so it exits without waiting on it.
     fn may_exit(&self) -> bool {
-        if !self.sh.done.load(Ordering::Acquire) {
-            return false;
-        }
-        if matches!(self.faults.crash, Some((_, None))) {
-            return self.sh.queues[self.wid].is_empty();
-        }
-        self.sh.recovery_done.load(Ordering::Acquire) && self.sh.queues.iter().all(|q| q.is_empty())
+        self.sh.done.load(Ordering::Acquire)
+            && (matches!(self.faults.crash, Some((_, None)))
+                || self.sh.recovery_done.load(Ordering::Acquire))
+            && self.sh.queues[self.wid].is_empty()
     }
 
     /// Touch an entity the dispatcher stamped with its previous owner:
@@ -291,17 +272,14 @@ impl<'a> Worker<'a> {
         prev_owner != PREV_NONE
     }
 
-    /// One packet's full processing: fault displacement, migration
-    /// purges, lock acquisition (with overhead charge where the policy
-    /// pays it) and the real receive path.
-    fn process(&mut self, mut job: Job) {
+    /// One packet's full processing from its displaced start: fault
+    /// events, migration purges, lock acquisition (with overhead charge
+    /// where the policy pays it) and the real receive path.
+    fn process(&mut self, mut job: Job, disp: Displaced) {
         let me = self.wid as u32;
         let cost = &self.sh.cfg.cost;
-        // Push the virtual service start through any stall window (and
-        // the reboot window of a crash-with-revive) containing it. The
-        // vclock is monotone, so each window is crossed at most once —
-        // no dedup flags needed for the events.
-        let disp = self.faults.displace(self.vclock.max(job.pkt.arrival_us));
+        // The vclock is monotone, so each window is crossed at most
+        // once — no dedup flags needed for the events.
         if disp.rebooted {
             // The crash lost this worker's caches: the revived worker
             // re-touches all state cold. Ownership stamps are
@@ -367,11 +345,7 @@ impl<'a> Worker<'a> {
         let locked = self.sh.cfg.layout.shared_stack || stack != self.wid;
         let start_cycles = self.hier.stats.cycles;
         let outcome = {
-            let engine = &self.sh.engines[stack];
-            let mut guard = try_lock(engine).unwrap_or_else(|| {
-                self.out.stats.lock_contended += 1;
-                lock(engine)
-            });
+            let mut guard = lock(&self.sh.engines[stack]);
             if locked {
                 self.hier.charge_cycles(self.sh.lock_cycles);
             }
@@ -504,7 +478,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lock_outlives_a_panicked_holder_and_try_lock_yields_only_to_a_holder() {
+    fn lock_outlives_a_panicked_holder() {
         let m = Mutex::new(5u32);
         let holder_panicked = std::thread::scope(|s| {
             s.spawn(|| {
@@ -517,9 +491,5 @@ mod tests {
         });
         assert!(holder_panicked && m.is_poisoned());
         assert_eq!(*lock(&m), 6);
-        assert_eq!(try_lock(&m).map(|g| *g), Some(6));
-        // `WouldBlock` is the one answer that counts as contention.
-        let _held = lock(&m);
-        assert!(try_lock(&m).is_none());
     }
 }

@@ -4,22 +4,11 @@
 //! `NativeReport` bit-identical to the historical per-packet path
 //! (batch 1) — the ledger, the delay/service/wait moments, the
 //! steering counters, and the per-stream delivery counts all match
-//! exactly.
-//!
-//! One per-worker gauge is normalized out before comparison:
-//! `lock_contended` (`try_lock` contention is host scheduling, not
-//! modeled time). Everything else must be equal to the bit.
+//! exactly, and so does every per-worker counter.
 
 use afs_core::crossval::{stream_smoke_matrix, STREAM_POLICIES};
 use afs_native::crossval::{native_stream_config, native_stream_workload};
-use afs_native::{run_native, FrontEndKind, NativeReport, Pinning};
-
-fn normalized(mut r: NativeReport) -> NativeReport {
-    for w in &mut r.per_worker {
-        w.lock_contended = 0;
-    }
-    r
-}
+use afs_native::{run_native, FrontEndKind, Pinning};
 
 #[test]
 fn batched_dispatch_is_bit_identical_across_the_stream_matrix() {
@@ -28,12 +17,12 @@ fn batched_dispatch_is_bit_identical_across_the_stream_matrix() {
             for &policy in &STREAM_POLICIES {
                 let mut cfg = native_stream_config(&s, kind, policy);
                 cfg.pinning = Pinning::Off;
-                let base = normalized(run_native(&cfg, native_stream_workload(&s)));
+                let base = run_native(&cfg, native_stream_workload(&s));
                 assert_eq!(base.offered, s.total_packets);
                 for batch in [8usize, 64] {
                     let mut cfg_b = cfg.clone();
                     cfg_b.batch = batch;
-                    let got = normalized(run_native(&cfg_b, native_stream_workload(&s)));
+                    let got = run_native(&cfg_b, native_stream_workload(&s));
                     assert_eq!(
                         got,
                         base,
@@ -61,11 +50,11 @@ fn batched_dispatch_is_bit_identical_on_legacy_layouts() {
         cfg.pinning = Pinning::Off;
         cfg.seed = 0xBA7C;
         let workload = || zipf_workload(64, 4_000, 30_000.0, 1.1, 4.0, None, 64, 0xBA7C);
-        let base = normalized(run_native(&cfg, workload()));
+        let base = run_native(&cfg, workload());
         for batch in [8usize, 64] {
             let mut cfg_b = cfg.clone();
             cfg_b.batch = batch;
-            let got = normalized(run_native(&cfg_b, workload()));
+            let got = run_native(&cfg_b, workload());
             assert_eq!(got, base, "batch={batch} diverged for {}", policy.label());
         }
     }

@@ -3,17 +3,12 @@
 //! active, the native backend's steal schedule is a pure function of
 //! the arrival stream. At every worker count in {1, 2, 4, 8} and every
 //! dequeue batch in {1, 8, 64}, repeat runs produce bit-identical
-//! normalized reports — including `stream_migrations` and the steal
-//! counters the racy engine could only reproduce at a single worker —
-//! with and without a seeded processor-fault plan.
-//!
-//! Normalization zeroes the documented host-racy gauge
-//! (`lock_contended`); everything else must match to the bit.
+//! reports — including `stream_migrations` and the steal counters the
+//! racy engine could only reproduce at a single worker — with and
+//! without a seeded processor-fault plan.
 
 use afs_core::procfault::{FaultLoad, ProcFaultPlan};
-use afs_native::{
-    run_native, zipf_workload, NativeConfig, NativePacket, NativeReport, Pinning, PolicySpec,
-};
+use afs_native::{run_native, zipf_workload, NativeConfig, NativePacket, Pinning, PolicySpec};
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 const BATCHES: [usize; 3] = [1, 8, 64];
@@ -24,13 +19,6 @@ const ENGAGED: [PolicySpec; 2] = [PolicySpec::Locking, PolicySpec::Ips];
 
 fn workload() -> Vec<NativePacket> {
     zipf_workload(64, 2_000, 30_000.0, 1.1, 4.0, None, 64, 0x0057_EA1D)
-}
-
-fn normalized(mut r: NativeReport) -> NativeReport {
-    for w in &mut r.per_worker {
-        w.lock_contended = 0;
-    }
-    r
 }
 
 fn config(workers: usize, policy: PolicySpec, faults: Option<&ProcFaultPlan>) -> NativeConfig {
@@ -57,16 +45,13 @@ fn assert_schedule_pinned(policy: PolicySpec, faults: Option<&ProcFaultPlan>) {
                 &FaultLoad::light(),
             )
         });
-        let base = normalized(run_native(
-            &config(workers, policy, plan.as_ref()),
-            workload(),
-        ));
+        let base = run_native(&config(workers, policy, plan.as_ref()), workload());
         assert_eq!(base.outcomes.total(), base.offered, "lossy ledger");
         for batch in BATCHES {
             for repeat in 0..2 {
                 let mut cfg = config(workers, policy, plan.as_ref());
                 cfg.batch = batch;
-                let got = normalized(run_native(&cfg, workload()));
+                let got = run_native(&cfg, workload());
                 // The full report must be bit-identical, and the
                 // counters the racy engine could not pin are called
                 // out by name so a regression reads directly.

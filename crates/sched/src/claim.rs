@@ -58,8 +58,8 @@
 //! fault *plan* exactly like router masking) neither start nor steal
 //! nor get stolen from in the model; jobs already staged on a dead
 //! owner are force-resolved to that owner at flush, land on its dead
-//! ring (or its escrow), and are recovered by the watchdog's
-//! deterministic orphan re-dispatch.
+//! ring, and are recovered by the native dispatcher's deterministic
+//! orphan re-dispatch.
 
 use std::collections::VecDeque;
 
@@ -249,7 +249,7 @@ impl ClaimTable {
 
     /// Run the model to completion: resolve every staged job. Claims
     /// still staged on dead owners are force-resolved to those owners
-    /// (their physical rings feed the watchdog's orphan recovery).
+    /// (their physical rings feed the native orphan recovery).
     /// Call once after the last offer.
     pub fn flush(&mut self, out: &mut Vec<Claim>) {
         if matches!(self.mode, ClaimMode::Pooled) {

@@ -258,23 +258,15 @@ fn native_backend_is_deterministic_where_promised() {
     // is, so the full report must reproduce bit-for-bit.
     use affinity_sched::native::{poisson_workload, run_native, NativeConfig, Pinning};
     let workload = || poisson_workload(4, 50, 1_000.0, 48, 0xD0_0D);
-    // The host gauge is documented as racy (lock contention is host
-    // scheduling), so it is outside the promise.
-    let normalized = |mut r: NativeReport| {
-        for w in &mut r.per_worker {
-            w.lock_contended = 0;
-        }
-        r
-    };
     for policy in PolicySpec::ALL {
         let mut cfg = NativeConfig::new(1, policy);
         cfg.pinning = Pinning::Off;
         cfg.layout.steal = None;
-        let first = normalized(run_native(&cfg, workload()));
+        let first = run_native(&cfg, workload());
         // Enough pairs that a host-order reading left in the report
         // would fail here.
         for _ in 0..20 {
-            let again = normalized(run_native(&cfg, workload()));
+            let again = run_native(&cfg, workload());
             assert_eq!(
                 first, again,
                 "single-worker {policy:?} run must be reproducible"

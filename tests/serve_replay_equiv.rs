@@ -19,9 +19,6 @@
 //! a frame built for the wrong packet, length or session would price or
 //! demultiplex differently. (The bytes themselves, ident wrap included,
 //! are pinned by the unit test beside `dispatch::frame_of`.)
-//!
-//! One per-worker gauge is host-racy by documentation and normalized
-//! out: `lock_contended`.
 
 use affinity_sched::native::{
     run_native, run_serve, zipf_workload, FrontEndKind, Pinning, PolicySpec, ServeConfig,
@@ -43,8 +40,8 @@ fn cell(kind: FrontEndKind, policy: PolicySpec, batch: usize, payload_bytes: usi
     cfg
 }
 
-/// A worker's telemetry with the racy `lock_contended` and the host's
-/// `pinned` dropped, and the f64 clocks as bit patterns.
+/// A worker's telemetry with the host's `pinned` dropped, and the f64
+/// clocks as bit patterns.
 fn pinned_fields(w: &WorkerStats) -> [u64; 9] {
     [
         w.worker as u64,
