@@ -18,7 +18,8 @@
 //! 5. **claim** — pooled or stealing [`ClaimTable`] arbitration, chosen
 //!    from the [`afs_sched::NativeLayout`] alone;
 //! 6. **enqueue** — previous-owner stamping, the blocking ring push and
-//!    the placement trace events, in claim order;
+//!    the placement trace events, in claim order (a serving packet goes
+//!    as a descriptor: the worker that processes it builds its frame);
 //! 7. **recovery** — after the last arrival, the workers the plan kills
 //!    for good are joined for their orphans, which re-enter at stage 3.
 //!
@@ -37,7 +38,7 @@ use afs_desim::rng::RngFactory;
 use afs_desim::stats::Welford;
 use afs_obs::{MemRecorder, ObsEvent, Recorder as _};
 use afs_sched::{ClaimTable, FrontEndState, Route, RouterState, SchedView as _};
-use afs_xkernel::driver::{PacketFactory, PORT_STREAMS};
+use afs_xkernel::driver::PORT_STREAMS;
 use afs_xkernel::mt::owner_of;
 use afs_xkernel::{lock_overhead_cycles, ProtocolEngine, StreamId};
 use rand::rngs::StdRng;
@@ -50,7 +51,8 @@ use crate::worker::{lock, Job, Shared, Worker, WorkerResult, PREV_NONE};
 
 /// One packet handed to the dispatcher by its arrival source.
 pub(crate) struct Arrival {
-    /// The frame; empty on a serving run until stage 6 builds it.
+    /// The frame; empty on a serving run, whose processing worker
+    /// builds it.
     pub(crate) bytes: Vec<u8>,
     pub(crate) stream: StreamId,
     pub(crate) arrival_us: f64,
@@ -68,8 +70,8 @@ pub(crate) struct Pipeline<'a> {
     pub(crate) admit: Option<usize>,
     /// Where to merge the run's observability trace, if recording.
     pub(crate) obs: Option<&'a mut MemRecorder>,
-    /// `Some(payload bytes)`: the arrivals are descriptors, and stage 6
-    /// builds each placed packet's frame into a pooled buffer.
+    /// `Some(payload bytes)`: the arrivals are descriptors, and the
+    /// worker that processes a packet builds its frame.
     pub(crate) frames: Option<usize>,
     /// Called on the dispatcher thread after every offered packet.
     pub(crate) tick: Option<&'a mut Tick<'a>>,
@@ -183,18 +185,6 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     let worker_faults: Vec<WorkerFaults> = (0..w)
         .map(|i| WorkerFaults::from_plan(&cfg.faults, i))
         .collect();
-    // The frame-buffer pool: every buffer that can be out at once — a
-    // full ring per worker, a train in service per worker, the one
-    // stage 6 is filling — plus slack, minted now so the steady state
-    // never allocates. A staged or dropped packet holds none.
-    let pool = p.frames.map(|payload_bytes| {
-        let n = w * depth + w * cfg.batch.max(1) + 64;
-        let pool = RingQueue::with_capacity(n);
-        for _ in 0..n {
-            let _ = pool.push(Vec::with_capacity(payload_bytes + 64));
-        }
-        pool
-    });
     let sh = Shared {
         cfg,
         engines: &engines,
@@ -204,7 +194,7 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
         recovery_done: &recovery_done,
         lock_cycles: lock_overhead_cycles(&cfg.cost),
         sessions: sessions.max(1),
-        recycle: pool.as_ref(),
+        frames: p.frames,
         progress: p.tick.is_some().then_some(&progress),
     };
     let record_obs = p.obs.is_some();
@@ -300,20 +290,12 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
 /// is decided on the modeled backlog and claims on the virtual clock,
 /// and a full ring blocks the dispatcher, so the depth never changes a
 /// result; it only bounds how far the dispatcher runs ahead, and so how
-/// many frames are in flight.
+/// many jobs are in flight.
 fn ring_depth(batch: usize) -> usize {
     (4 * batch.max(1)).max(64).next_power_of_two()
 }
 
 const NO_POOL: &str = "a shared-pool route requires a pooled layout";
-
-/// The `seq`-th offered packet's frame, as the serving generator would
-/// have built it: its factory's per-call ident counter gives that
-/// packet ident `seq + 1`.
-fn frame_of(seq: u64, session: StreamId, payload_bytes: usize, out: &mut Vec<u8>) {
-    let ident = (seq as u16).wrapping_add(1);
-    PacketFactory::new().frame_at(ident, session, payload_bytes, out);
-}
 
 /// Dispatcher-thread state: the routing models, the claim table and the
 /// deterministic owner tracking. One method per stage.
@@ -343,8 +325,6 @@ struct Dispatcher<'a> {
     stealing: bool,
     staged: HashMap<u64, Job>,
     resolved: Vec<afs_sched::Claim>,
-    /// See [`Pipeline::frames`].
-    frames: Option<usize>,
     rec: Option<MemRecorder>,
     ledger: Ledger,
 }
@@ -394,7 +374,6 @@ impl<'a> Dispatcher<'a> {
             claims,
             staged: HashMap::with_capacity(if stealing { 2 * backlog_reserve } else { 0 }),
             resolved: Vec::new(),
-            frames: p.frames,
             rec: p.obs.is_some().then(MemRecorder::new),
             ledger: Ledger::default(),
         }
@@ -626,25 +605,13 @@ impl<'a> Dispatcher<'a> {
     /// order for orphans recovery requeues at `requeued_at` — so
     /// previous-owner stamping, ring content and the trace are pure
     /// functions of the arrival stream at any worker count and any
-    /// batch size. On a serving run it also builds the frame, so only
-    /// a placed packet ever holds a buffer.
+    /// batch size.
     fn enqueue(&mut self, mut job: Job, claimant: usize, requeued_at: Option<f64>) {
         let me = claimant as u32;
         let (seq, stream, arrival_us) = (job.seq, job.pkt.stream.0, job.pkt.arrival_us);
         let tid = job.thread.map_or(claimant, |pool| pool as usize);
         job.prev_stream_owner = std::mem::replace(&mut self.prev_stream[stream as usize], me);
         job.prev_thread_owner = std::mem::replace(&mut self.prev_thread[tid], me);
-        if let (Some(payload_bytes), Some(pool)) = (self.frames, self.sh.recycle) {
-            // Every buffer out means a worker is about to hand one back.
-            job.pkt.bytes = loop {
-                match pool.pop() {
-                    Some(b) => break b,
-                    None => std::thread::yield_now(),
-                }
-            };
-            let session = StreamId(stream % self.sh.sessions);
-            frame_of(seq, session, payload_bytes, &mut job.pkt.bytes);
-        }
         // Admitted ⇒ delivered: a full ring blocks the dispatcher until
         // the worker drains (back-pressure, never loss). A dead worker
         // drains too, into its orphans.
@@ -716,29 +683,6 @@ impl<'a> Dispatcher<'a> {
             });
             self.enqueue(job, target, Some(t_us));
             self.ledger.requeued += 1;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::runtime::zipf_workload;
-
-    #[test]
-    fn stage_6_frames_equal_the_generators_across_the_ident_wrap() {
-        let (sessions, payload_bytes) = (7, 16);
-        let packets = zipf_workload(100, 65_538, 1e5, 1.1, 4.0, Some(sessions), payload_bytes, 3);
-        for seq in 65_534..65_538u64 {
-            let p = &packets[seq as usize];
-            let mut frame = Vec::new();
-            frame_of(
-                seq,
-                StreamId(p.stream.0 % sessions),
-                payload_bytes,
-                &mut frame,
-            );
-            assert_eq!(frame, p.bytes, "seq {seq}");
         }
     }
 }

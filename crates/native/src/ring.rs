@@ -2,13 +2,12 @@
 //!
 //! Each worker owns one of these as its run queue, which the dispatcher
 //! fills and only that worker pops: steals are claims the dispatcher
-//! resolves before a job reaches any ring. The queue is still MPMC, for
-//! two reasons. The serving frame pool is one too, and every worker
-//! pushes its spent buffers back into it. And the dispatcher pops a
-//! job ring itself, once its worker has exited (orphan recovery) or
-//! while it unwinds, when a live worker may be popping the same ring.
+//! resolves before a job reaches any ring, and a crashed worker drains
+//! its own ring into its orphans. In the pipeline every ring therefore
+//! has one producer and one consumer. The type itself makes no such
+//! assumption, so any thread may push or pop.
 //!
-//! So it is std's: a `VecDeque` behind a `Mutex`, allocated once at its
+//! It is std's: a `VecDeque` behind a `Mutex`, allocated once at its
 //! rounded-up capacity and never grown. Every operation, a batch pop
 //! included, is one lock acquisition, and no schedule or trace value
 //! reads the queue's state. The real-thread stress tests in the
@@ -21,7 +20,8 @@ use std::sync::Mutex;
 
 use crate::worker::lock;
 
-/// Bounded multi-producer/multi-consumer FIFO queue.
+/// Bounded FIFO queue, safe for any number of producers and consumers;
+/// the pipeline gives each ring one of each.
 pub struct RingQueue<T> {
     capacity: usize,
     items: Mutex<VecDeque<T>>,

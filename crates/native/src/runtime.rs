@@ -332,8 +332,8 @@ impl ZipfPacketGen {
     }
 
     /// [`next_into`](Self::next_into) without the frame: the packet's
-    /// flow id and arrival stamp. A serving run draws only these and
-    /// builds the frames of the packets it places.
+    /// flow id and arrival stamp. A serving run draws only these; each
+    /// admitted packet's frame is built by the worker that processes it.
     pub(crate) fn next_arrival(&mut self) -> (StreamId, f64) {
         let (flow, t) = self.arrivals.next_arrival();
         (StreamId(flow), t)

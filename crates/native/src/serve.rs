@@ -8,15 +8,14 @@
 //! * **The arrival source** is an open-loop Zipf × compound-Poisson
 //!   generator ([`crate::runtime::ZipfPacketGen`]) instead of a
 //!   materialized `Vec`, so run length does not bound memory. It yields
-//!   descriptors (flow, arrival stamp); the dispatcher builds a frame
-//!   only for a packet it places (stage 6, DESIGN.md §9), byte-identical
-//!   to the generator's own, into a buffer from a fixed pool sized for
-//!   the pipeline — a ring of a few trains per worker, set by
-//!   [`NativeConfig::batch`] — and the processing worker returns the
-//!   buffer after the engine's borrow ends. A dropped packet never touches a buffer.
-//!   Every per-flow table is pre-sized, so after warm-up the per-packet
-//!   path never calls the allocator — pinned by the counting-allocator
-//!   test in `tests/alloc_free.rs`.
+//!   descriptors (flow, arrival stamp), and the dispatcher places them
+//!   as such (DESIGN.md §9). The worker that processes an admitted packet
+//!   builds its frame, byte-identical to the generator's own, into its
+//!   one reused frame buffer right before the engine reads it, so a
+//!   frame is written and read on the same core, and a dropped packet
+//!   never has one. Every per-flow table is pre-sized, so after warm-up
+//!   the per-packet path never calls the allocator — pinned by the
+//!   counting-allocator test in `tests/alloc_free.rs`.
 //! * **The admission bound** is [`NativeConfig::queue_capacity`] instead
 //!   of none: a packet whose steered worker already holds that many
 //!   modeled-backlog packets on the router's drain clock is tail-dropped
@@ -25,7 +24,7 @@
 //!   ledger (`offered = admitted + dropped`) is a pure function of the
 //!   seed. Admitted packets are never lost: the physical ring push
 //!   blocks (backpressure) until the worker drains. The bound is
-//!   modeled only; it sizes no ring and no buffer pool.
+//!   modeled only; it sizes no ring.
 //! * **No recorder**; instead, at a configurable packet interval the
 //!   dispatcher publishes an [`afs_obs::ServeSnapshot`] JSONL line (wall
 //!   time and RSS are explicitly host gauges; every committed artifact

@@ -17,7 +17,10 @@
 //! * **process** runs the real receive path over this worker's private
 //!   [`MemoryHierarchy`]: migration purges driven by the
 //!   dispatcher-stamped previous owners, the stack lock (charged where
-//!   the policy pays it), and the modeled service time.
+//!   the policy pays it), and the modeled service time. On a serving
+//!   run the job is a descriptor: the worker builds its frame first, into
+//!   its one frame buffer, so the bytes the engine reads were written on
+//!   this core.
 //! * **account** advances the virtual clock and books the packet into
 //!   the statistics, the trace and the published gauges.
 
@@ -28,7 +31,7 @@ use afs_cache::sim::{MemoryHierarchy, Region};
 use afs_desim::stats::Welford;
 use afs_obs::{ChargeKind, MemRecorder, ObsEvent, Recorder as _};
 use afs_sched::HashedLru;
-use afs_xkernel::driver::RxFrame;
+use afs_xkernel::driver::{PacketFactory, RxFrame};
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::{DropReason, ProtocolEngine, RxOutcome, StreamId, ThreadId};
 
@@ -76,6 +79,14 @@ pub(crate) struct Job {
 /// `Job::prev_*_owner`: deterministic first touch (no previous owner).
 pub(crate) const PREV_NONE: u32 = u32::MAX - 1;
 
+/// The `seq`-th offered packet's frame, as the serving generator would
+/// have built it: its factory's per-call ident counter gives that
+/// packet ident `seq + 1`.
+fn frame_of(seq: u64, session: StreamId, payload_bytes: usize, out: &mut Vec<u8>) {
+    let ident = (seq as u16).wrapping_add(1);
+    PacketFactory::new().frame_at(ident, session, payload_bytes, out);
+}
+
 /// Lock `m` even if a thread panicked holding it: a panicked worker
 /// must not wedge the dispatcher, the other workers or the report.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -101,10 +112,8 @@ pub(crate) struct Shared<'a> {
     /// Engine session space: flows fold onto `flow % sessions` bound
     /// sessions (the identity when `session_space` is unset).
     pub(crate) sessions: u32,
-    /// Frame-buffer pool: after a frame is processed its byte buffer is
-    /// returned here for stage 6 to refill (allocation-free steady
-    /// state). `None` drops buffers.
-    pub(crate) recycle: Option<&'a RingQueue<Vec<u8>>>,
+    /// [`crate::dispatch::Pipeline::frames`], handed to every worker.
+    pub(crate) frames: Option<usize>,
     /// Live progress gauge: incremented once per processed packet.
     pub(crate) progress: Option<&'a AtomicU64>,
 }
@@ -151,6 +160,9 @@ pub(crate) struct Worker<'a> {
     vclock: f64,
     /// Rotating simulated packet-buffer slot.
     slot: u32,
+    /// The buffer a serving run's frames are built into, one at a time
+    /// (empty on a replay run, whose frames arrive built).
+    frame: Vec<u8>,
     out: WorkerResult,
 }
 
@@ -178,6 +190,10 @@ impl<'a> Worker<'a> {
                 .map(|cap| HashedLru::new((cap / cfg.workers.max(1)).max(1))),
             vclock: 0.0,
             slot: 0,
+            // Room for the headers and the FCS: `frame_at` never grows it.
+            frame: sh
+                .frames
+                .map_or_else(Vec::new, |payload| Vec::with_capacity(payload + 64)),
             out: WorkerResult {
                 stats: WorkerStats {
                     worker: wid,
@@ -329,11 +345,20 @@ impl<'a> Worker<'a> {
         // Packet buffers arrive DMA-cold, as in the calibration runs.
         self.hier.purge_region(Region::PacketData);
 
+        // The engine demuxes by port, i.e. by folded session id;
+        // steering and migration tracking above use the real flow.
+        let session = StreamId(job.pkt.stream.0 % self.sh.sessions);
+        let bytes = match self.sh.frames {
+            Some(payload_bytes) => {
+                let mut bytes = std::mem::take(&mut self.frame);
+                frame_of(job.seq, session, payload_bytes, &mut bytes);
+                bytes
+            }
+            None => std::mem::take(&mut job.pkt.bytes),
+        };
         let frame = RxFrame {
-            bytes: std::mem::take(&mut job.pkt.bytes),
-            // The engine demuxes by port, i.e. by folded session id;
-            // steering and migration tracking above use the real flow.
-            stream: StreamId(job.pkt.stream.0 % self.sh.sessions),
+            bytes,
+            stream: session,
             buf_addr: self.layout.packet(self.slot % 8),
         };
         self.slot = self.slot.wrapping_add(1);
@@ -361,12 +386,10 @@ impl<'a> Worker<'a> {
             }
             outcome
         };
-        // The engine only borrowed the frame, so its byte buffer is
-        // free here — hand it back for refilling instead of dropping it.
-        // A full pool (impossible when sized to the buffer population)
-        // just drops the buffer.
-        if let Some(pool) = self.sh.recycle {
-            let _ = pool.push(frame.bytes);
+        // The engine only borrowed the frame: a serving buffer is kept
+        // for the next build.
+        if self.sh.frames.is_some() {
+            self.frame = frame.bytes;
         }
         let cycles = self.hier.stats.cycles - start_cycles;
         let service_us = self
@@ -476,6 +499,24 @@ impl<'a> Worker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::zipf_workload;
+
+    #[test]
+    fn worker_built_frames_equal_the_generators_across_the_ident_wrap() {
+        let (sessions, payload_bytes) = (7, 16);
+        let packets = zipf_workload(100, 65_538, 1e5, 1.1, 4.0, Some(sessions), payload_bytes, 3);
+        for seq in 65_534..65_538u64 {
+            let p = &packets[seq as usize];
+            let mut frame = Vec::new();
+            frame_of(
+                seq,
+                StreamId(p.stream.0 % sessions),
+                payload_bytes,
+                &mut frame,
+            );
+            assert_eq!(frame, p.bytes, "seq {seq}");
+        }
+    }
 
     #[test]
     fn lock_outlives_a_panicked_holder() {

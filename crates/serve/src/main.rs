@@ -57,7 +57,7 @@ OPTIONS:
     --payload <N>         UDP payload bytes, at most 4404 — one FDDI
                           frame (default 64)
     --queue-capacity <N>  per-worker admission bound on the modeled
-                          backlog; sizes no ring or buffer pool
+                          backlog; sizes no ring
                           (default 1024)
     --seed <N>            RNG seed (default 0xAF5)
     --pin                 pin workers to cores (default off)

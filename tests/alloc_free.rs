@@ -8,8 +8,8 @@
 //! is reached). Everything either run allocates while armed — teardown,
 //! report assembly, the RSS gauge — is common to both; the only thing
 //! that differs is thousands of extra steady-state packets. If the
-//! armed counts are *equal*, those packets allocated nothing: stage 6
-//! built their frames into recycled pool buffers, and every table
+//! armed counts are *equal*, those packets allocated nothing: each
+//! worker built their frames into its one reused frame buffer, and every table
 //! (router MRU, front-end steering, resident LRUs, the feedback heap,
 //! the staged claims) stayed within its pre-sized footprint.
 //!
@@ -32,8 +32,10 @@
 //!
 //! The same gauge pins a recorded native run's trace merge: folding the
 //! per-thread slices into one trace holds the trace once. It also pins
-//! what a serving run mints up front: the rings and the frame pool hold
-//! the pipeline, so they do not grow with the admission bound.
+//! what a serving run's dispatcher allocates up front: the rings hold
+//! the pipeline, so they do not grow with the admission bound, and hold
+//! descriptors, so they do not grow with the payload either (a worker
+//! builds each frame it processes).
 //!
 //! The counter also pins a replay's input: building a replay workload
 //! allocates each frame once, at its final size.
@@ -149,7 +151,7 @@ fn armed_allocs(workers: usize, policy: PolicySpec, total: u64) -> u64 {
     let mut cfg = ServeConfig::new(workers, 20_000, FrontEndKind::FlowDirector, policy);
     cfg.native.pinning = Pinning::Off;
     cfg.native.queue_capacity = 64;
-    // Past two workers' sustained rate: drops and pool backpressure are
+    // Past two workers' sustained rate: drops and ring backpressure are
     // part of the steady state being measured.
     cfg.offered_pps = 20_000.0;
     cfg.total_packets = total;
@@ -214,14 +216,15 @@ fn peak_heap<R>(f: impl FnOnce() -> R) -> (usize, R) {
 }
 
 /// Peak heap of a short serving run on the calling thread, which is the
-/// dispatcher: it mints the rings and the frame pool. 4 KiB payloads at
-/// `batch` 64, one worker, admission bound `queue_capacity`.
-fn serving_peak_heap(queue_capacity: usize) -> usize {
+/// dispatcher: it allocates the rings and the routing tables; the
+/// workers' frame buffers are on their own threads. `payload_bytes`
+/// payloads at `batch` 64, one worker, admission bound `queue_capacity`.
+fn serving_peak_heap(queue_capacity: usize, payload_bytes: usize) -> usize {
     let mut cfg = ServeConfig::new(1, 20_000, FrontEndKind::FlowDirector, PolicySpec::MinReload);
     cfg.native.pinning = Pinning::Off;
     cfg.native.batch = 64;
     cfg.native.queue_capacity = queue_capacity;
-    cfg.payload_bytes = 4_096;
+    cfg.payload_bytes = payload_bytes;
     cfg.total_packets = 2_000;
     cfg.warmup_packets = 400;
     cfg.snapshot_every = None;
@@ -234,17 +237,33 @@ fn serving_peak_heap(queue_capacity: usize) -> usize {
 /// The admission bound is a modeled backlog, not a host buffer: raising
 /// it 8× may grow the serving run's peak heap by the structures that
 /// follow the modeled backlog (the completion-feedback heap's reserve),
-/// never by rings or frame buffers. With the rings sized by the bound
-/// the pool alone grew by 7 168 buffers of 4 160 B, ≈29.8 MB.
+/// never by rings or frame buffers. When the rings, and the frame pool
+/// the dispatcher then kept, were sized by the bound, the pool alone
+/// grew by 7 168 buffers of 4 160 B, ≈29.8 MB.
 #[test]
 fn serving_heap_does_not_follow_the_admission_bound() {
     // Off the serving rows' armed windows, which count every thread.
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    let at_1k = serving_peak_heap(1_024);
-    let at_8k = serving_peak_heap(8_192);
+    let at_1k = serving_peak_heap(1_024, 4_096);
+    let at_8k = serving_peak_heap(8_192, 4_096);
     assert!(
         at_8k < at_1k + (1 << 20),
         "peak heap grows with queue_capacity: {at_1k} B at 1 024, {at_8k} B at 8 192"
+    );
+}
+
+/// The dispatcher places descriptors, so its heap does not follow the
+/// payload: a 4 KiB run peaks within 64 KiB of the same run at 64 B.
+/// While the dispatcher built every frame into a pool of its own, the
+/// 384 buffers of 4 160 B put the 4 KiB run ≈1.5 MB higher.
+#[test]
+fn serving_heap_does_not_follow_the_payload() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let at_64 = serving_peak_heap(1_024, 64);
+    let at_4k = serving_peak_heap(1_024, 4_096);
+    assert!(
+        at_4k < at_64 + (64 << 10),
+        "peak heap grows with the payload: {at_64} B at 64 B, {at_4k} B at 4 KiB"
     );
 }
 

@@ -14,11 +14,12 @@
 //!
 //! Every cell above carries 64 B payloads; the claim-arbitrated rungs
 //! (IPS stealing, Locking's shared pool) also run at 4 KiB. Serving
-//! builds each frame when the packet is placed, in claim-resolution
-//! order, while replay's frames were built up front in arrival order:
-//! a frame built for the wrong packet, length or session would price or
-//! demultiplex differently. (The bytes themselves, ident wrap included,
-//! are pinned by the unit test beside `dispatch::frame_of`.)
+//! builds each frame on the worker that processes the packet (a thief
+//! or a pooled claimant included), in that worker's run order, while
+//! replay's frames were built up front in arrival order: a frame built
+//! for the wrong packet, length or session would price or demultiplex
+//! differently. (The bytes themselves, ident wrap included, are pinned
+//! by the unit test beside `worker::frame_of`.)
 
 use affinity_sched::native::{
     run_native, run_serve, zipf_workload, FrontEndKind, Pinning, PolicySpec, ServeConfig,
