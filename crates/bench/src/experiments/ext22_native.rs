@@ -45,17 +45,19 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         labels.join(" / ")
     );
 
-    // The simulator side of every (scenario, policy) cell, in the order
-    // the loop below reads them, fans out on the AFS_JOBS parallel
-    // executor — the runs are pure. The native side stays serial below:
-    // its runs time real threads on the host's real caches, and running
-    // them concurrently would perturb the very effect being measured.
+    // Both sides of every (scenario, policy) cell, in the order the loop
+    // below reads them, fan out on the AFS_JOBS parallel executor: a
+    // native run, like a simulated one, is a pure function of its config.
     let none = FaultLoad::none();
     let cells: Vec<_> = matrix
         .iter()
         .flat_map(|s| PolicySpec::ALL.map(|p| (s, p)))
         .collect();
-    let mut sims = parallel_map(&cells, |&(s, p)| run(&s.sim_config(p, &none))).into_iter();
+    let mut runs = parallel_map(&cells, |&(s, p)| Cell {
+        sim: run(&s.sim_config(p, &none)),
+        native: run_native(&native_config(s, p, &none), native_workload(s)),
+    })
+    .into_iter();
 
     let mut rows: Vec<String> = Vec::new();
 
@@ -72,14 +74,8 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             "{:<12} {:>14} {:>14} {:>14} {:>14} {:>9} {:>8}",
             "policy", "sim delay", "native delay", "sim svc", "native svc", "migr", "steals"
         );
-        let cells: Vec<(PolicySpec, Cell)> = PolicySpec::ALL
-            .into_iter()
-            .zip(sims.by_ref())
-            .map(|(p, sim)| {
-                let native = run_native(&native_config(s, p, &none), native_workload(s));
-                (p, Cell { sim, native })
-            })
-            .collect();
+        let cells: Vec<(PolicySpec, Cell)> =
+            PolicySpec::ALL.into_iter().zip(runs.by_ref()).collect();
         for (p, c) in &cells {
             println!(
                 "{:<12} {:>14.1} {:>14.1} {:>14.1} {:>14.1} {:>9} {:>8}",

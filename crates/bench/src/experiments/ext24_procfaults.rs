@@ -29,13 +29,13 @@ use afs_core::crossval::{
 use afs_core::prelude::*;
 use afs_native::crossval::{native_config, native_workload};
 use afs_native::{run_native_recorded, NativeReport, PolicySpec};
-use afs_obs::MemRecorder;
+use afs_obs::Counters;
 
 /// Both backends' numbers for one (fault level, policy) cell.
 struct Cell {
     sim: RunReport,
     native: NativeReport,
-    trace: MemRecorder,
+    counters: Counters,
 }
 
 pub fn experiment(smoke: bool, checks: &mut Checks) {
@@ -63,19 +63,27 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             .join(" / ")
     );
 
-    // Simulator cells, in the order the loop below reads them, are pure
-    // and fan out on the AFS_JOBS executor; the native cells run
-    // serially (real threads, shared host caches).
+    // Both sides of every cell, in the order the loop below reads them,
+    // are pure and fan out on the AFS_JOBS executor; a native cell keeps
+    // only its trace's counters.
     let cells: Vec<_> = levels
         .iter()
         .flat_map(|(_, load)| PolicySpec::ALL.map(|p| (load, p)))
         .collect();
-    let mut sims = parallel_map(&cells, |&(load, p)| run(&s.sim_config(p, load))).into_iter();
+    let mut runs = parallel_map(&cells, |&(load, p)| {
+        let (native, trace) = run_native_recorded(&native_config(&s, p, load), native_workload(&s));
+        Cell {
+            sim: run(&s.sim_config(p, load)),
+            native,
+            counters: trace.counters,
+        }
+    })
+    .into_iter();
 
     let mut rows: Vec<String> = Vec::new();
     let mut by_level: Vec<(&str, Vec<(PolicySpec, Cell)>)> = Vec::new();
 
-    for (level, load) in &levels {
+    for (level, _) in &levels {
         println!("fault level: {level}");
         println!(
             "{:<12} {:>12} {:>12} {:>12} {:>12} {:>7} {:>7} {:>9} {:>9}",
@@ -89,15 +97,8 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             "orphaned",
             "requeued"
         );
-        let cells: Vec<(PolicySpec, Cell)> = PolicySpec::ALL
-            .into_iter()
-            .zip(sims.by_ref())
-            .map(|(p, sim)| {
-                let (native, trace) =
-                    run_native_recorded(&native_config(&s, p, load), native_workload(&s));
-                (p, Cell { sim, native, trace })
-            })
-            .collect();
+        let cells: Vec<(PolicySpec, Cell)> =
+            PolicySpec::ALL.into_iter().zip(runs.by_ref()).collect();
         for (p, c) in &cells {
             println!(
                 "{:<12} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>7} {:>7} {:>4}/{:<4} {:>4}/{:<4}",
@@ -145,7 +146,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
                     && c.native.outcomes.delivered == c.native.offered
                     && c.native.orphaned == c.native.requeued,
             );
-            let cs = &c.trace.counters;
+            let cs = &c.counters;
             checks.expect(
                 &format!("{level} {}: native obs ledger balances", p.label()),
                 cs.enqueued == c.native.offered

@@ -31,13 +31,13 @@ use afs_core::crossval::{
 use afs_core::prelude::*;
 use afs_native::crossval::run_stream_scenario_recorded;
 use afs_native::{FrontEndKind, NativeReport, PolicySpec};
-use afs_obs::MemRecorder;
+use afs_obs::Counters;
 
 /// Both backends' numbers for one (scenario, front-end, policy) cell.
 struct Cell {
     sim: RunReport,
     native: NativeReport,
-    trace: MemRecorder,
+    counters: Counters,
 }
 
 pub fn experiment(smoke: bool, checks: &mut Checks) {
@@ -62,14 +62,22 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
     }
     println!();
 
-    // Simulator cells, in the order the loop below reads them, are pure
-    // and fan out on the AFS_JOBS executor; the native cells run
-    // serially (real threads, shared host caches).
+    // Both sides of every cell, in the order the loop below reads them,
+    // are pure and fan out on the AFS_JOBS executor; a native cell keeps
+    // only its trace's counters.
     let cells: Vec<_> = scenarios
         .iter()
         .flat_map(|s| steering_cells().map(move |(kind, policy)| (s, kind, policy)))
         .collect();
-    let mut sims = parallel_map(&cells, |&(s, k, p)| run(&s.sim_config(k, p))).into_iter();
+    let mut runs = parallel_map(&cells, |&(s, k, p)| {
+        let (native, trace) = run_stream_scenario_recorded(s, k, p);
+        Cell {
+            sim: run(&s.sim_config(k, p)),
+            native,
+            counters: trace.counters,
+        }
+    })
+    .into_iter();
 
     let mut rows: Vec<String> = Vec::new();
 
@@ -88,9 +96,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             "sim rebd",
             "nat rebd"
         );
-        for ((kind, policy), sim) in steering_cells().zip(sims.by_ref()) {
-            let (native, trace) = run_stream_scenario_recorded(s, kind, policy);
-            let c = Cell { sim, native, trace };
+        for ((kind, policy), c) in steering_cells().zip(runs.by_ref()) {
             println!(
                 "{:<10} {:<10} {:>11.1} {:>11.1} {:>9} {:>9} {:>10} {:>10} {:>9} {:>9}",
                 kind.label(),
@@ -191,7 +197,7 @@ fn check_cell(
         c.native.outcomes.total() == c.native.offered
             && c.native.outcomes.delivered == c.native.offered,
     );
-    let cs = &c.trace.counters;
+    let cs = &c.counters;
     checks.expect(
         &format!("{tag}: native obs ledger balances"),
         cs.enqueued == c.native.offered && cs.completed == c.native.offered && cs.in_flight() == 0,

@@ -5,8 +5,9 @@
 //! never drops: fine for cross-validation, wrong for asking the
 //! serving question — *what does the pinned pipeline do when the
 //! offered load is not a fit*? This harness drives the `afs-serve`
-//! path (`afs_native::run_serve`: open-loop chunk generation, pooled
-//! frame buffers, virtual-domain taildrop, batched dequeue) across
+//! path (`afs_native::run_serve`: open-loop arrival generation, frames
+//! built by the processing worker, virtual-domain taildrop, batched
+//! dequeue) across
 //! offered loads from half to twice the rated capacity, dequeue
 //! batches {1, 8, 64}, and **all five policy rungs** behind a
 //! Flow-Director front-end — including the locking pool and IPS
@@ -22,14 +23,14 @@
 //! * **Batching is result-transparent while serving** — for every
 //!   (policy, load), batches 8 and 64 reproduce batch 1's virtual
 //!   results bit-for-bit (same admissions, same drops, same delay
-//!   moments, same steering counters). With claim arbitration this now
-//!   covers the stealing and pooled rows too. The CSV makes this
-//!   visible: rows differing only in `batch` are identical in every
-//!   virtual column.
-//! * **Every row replays bit-identically** — the virtual projection of
-//!   each (policy, load) cell is a pure function of its config: a
-//!   re-run reproduces it exactly, at every worker count probed
-//!   ({1, 2, 4} at rated load), steal schedules included.
+//!   moments, same steering counters): the whole report is equal. With
+//!   claim arbitration this covers the stealing and pooled rows too.
+//!   The CSV makes this visible: rows differing only in `batch` are
+//!   identical in every other column.
+//! * **Every row replays bit-identically** — each (policy, load) cell's
+//!   report is a pure function of its config: a re-run reproduces it
+//!   exactly, at every worker count probed ({1, 2, 4} at rated load),
+//!   steal schedules included.
 //! * **Degradation is graceful** — goodput rises with load until the
 //!   rated knee and then saturates (it never collapses); past the
 //!   knee the surplus shows up as tail drops, not lost accounting.
@@ -45,7 +46,7 @@
 //! `results/ext26_serve.csv`.
 
 use crate::{write_csv, Checks};
-use afs_native::{run_serve, FrontEndKind, Pinning, PolicySpec, ServeConfig, ServeReport};
+use afs_native::{run_serve, FrontEndKind, NativeReport, Pinning, PolicySpec, ServeConfig};
 
 const WORKERS: usize = 2;
 const STREAMS: u32 = 20_000;
@@ -55,7 +56,7 @@ const BATCHES: [usize; 3] = [1, 8, 64];
 /// Worker counts the rated-load determinism probe replays at.
 const DETERMINISM_WORKERS: [usize; 3] = [1, 2, 4];
 
-fn cell(workers: usize, policy: PolicySpec, load: f64, batch: usize, packets: u64) -> ServeReport {
+fn cell(workers: usize, policy: PolicySpec, load: f64, batch: usize, packets: u64) -> NativeReport {
     let mut cfg = ServeConfig::new(workers, STREAMS, FrontEndKind::FlowDirector, policy);
     cfg.native.pinning = Pinning::Off;
     cfg.native.queue_capacity = QUEUE_CAPACITY;
@@ -64,28 +65,6 @@ fn cell(workers: usize, policy: PolicySpec, load: f64, batch: usize, packets: u6
     cfg.total_packets = packets;
     cfg.warmup_packets = packets / 5;
     run_serve(&cfg, None)
-}
-
-/// The virtual-domain projection two batch sizes (or two replays) must
-/// agree on to the bit. Host gauges (wall time, RSS, pkts/s-of-wall)
-/// and the racy per-worker depth/contention samples are excluded by
-/// construction.
-fn virtual_key(r: &ServeReport) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64) {
-    (
-        r.admitted,
-        r.dropped,
-        r.outcomes.delivered,
-        r.recorded,
-        r.mean_delay_us.to_bits(),
-        r.mean_service_us.to_bits(),
-        r.makespan_us.to_bits(),
-        r.table_misses,
-        r.rebinds,
-        r.per_worker
-            .iter()
-            .map(|w| w.stream_migrations)
-            .sum::<u64>(),
-    )
 }
 
 pub fn experiment(smoke: bool, checks: &mut Checks) {
@@ -111,7 +90,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             "rebinds"
         );
         for &load in &LOADS {
-            let mut base: Option<ServeReport> = None;
+            let mut base: Option<NativeReport> = None;
             for &batch in &BATCHES {
                 let r = cell(WORKERS, policy, load, batch, packets);
                 println!(
@@ -131,19 +110,13 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
                     r.ledger_balanced(),
                 );
                 if let Some(b) = &base {
-                    checks.expect(
-                        "batched serving bit-identical to batch 1 in the virtual domain",
-                        virtual_key(&r) == virtual_key(b),
-                    );
+                    checks.expect("batched serving bit-identical to batch 1", r == *b);
                 } else {
-                    // Re-run the base cell: every row's virtual
-                    // projection must replay bit-identically (the claim
-                    // protocol pins the steal/pool schedule too).
+                    // Re-run the base cell: every row's report must
+                    // replay bit-identically (the claim protocol pins
+                    // the steal/pool schedule too).
                     let again = cell(WORKERS, policy, load, batch, packets);
-                    checks.expect(
-                        "serving row replays bit-identically",
-                        virtual_key(&again) == virtual_key(&r),
-                    );
+                    checks.expect("serving row replays bit-identically", again == r);
                     base = Some(r.clone());
                 }
                 rows.push(format!(
@@ -173,7 +146,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
     }
 
     // Determinism across worker counts at rated load: at every probed
-    // worker count each rung's virtual projection replays exactly —
+    // worker count each rung's report replays exactly —
     // the claim-arbitrated rungs are no longer a single-worker promise.
     for policy in PolicySpec::ALL {
         for &workers in &DETERMINISM_WORKERS {
@@ -181,7 +154,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             let b = cell(workers, policy, 1.0, 1, packets.min(10_000));
             checks.expect(
                 "rated-load cell replays bit-identically at every worker count",
-                virtual_key(&a) == virtual_key(&b),
+                a == b,
             );
         }
     }

@@ -12,7 +12,7 @@
 //! indexed by its submission position and reassembling in submission
 //! order. The output is therefore byte-identical to the serial loop for
 //! any worker count, which the committed golden artifacts (and
-//! `tests/par_determinism.rs`) pin.
+//! `tests/determinism_matrix.rs`) pin.
 //!
 //! ## Execution model
 //!

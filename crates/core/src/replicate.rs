@@ -52,7 +52,7 @@ impl MetricSummary {
 }
 
 /// Results of a replication study.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicationSummary {
     /// Number of replications run.
     pub replications: usize,

@@ -7,7 +7,7 @@ use crate::par;
 use crate::sim::run;
 
 /// One point of a rate sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Per-stream arrival rate (packets/second).
     pub rate_per_stream: f64,
@@ -18,7 +18,7 @@ pub struct SweepPoint {
 }
 
 /// A labelled series (one curve of a figure).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label (policy/paradigm).
     pub label: String,

@@ -30,7 +30,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use afs_cache::model::pricer::DispatchPricer;
 use afs_core::exec::ExecParams;
@@ -45,9 +45,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::ring::RingQueue;
-use crate::runtime::{NativeConfig, OutcomeTotals, WorkerStats};
+use crate::runtime::{NativeConfig, NativeReport, OutcomeTotals, WorkerStats};
 use crate::watchdog::WorkerFaults;
-use crate::worker::{lock, Job, Shared, Worker, WorkerResult, PREV_NONE};
+use crate::worker::{Job, Shared, Worker, WorkerResult, PREV_NONE};
 
 /// One packet handed to the dispatcher by its arrival source.
 pub(crate) struct Arrival {
@@ -92,43 +92,6 @@ pub(crate) struct Ledger {
     pub(crate) requeued: u64,
 }
 
-/// What one run produced; both report types are filled from this.
-pub(crate) struct Totals {
-    pub(crate) ledger: Ledger,
-    pub(crate) delay: Welford,
-    pub(crate) service: Welford,
-    pub(crate) wait: Welford,
-    pub(crate) outcomes: OutcomeTotals,
-    pub(crate) per_worker: Vec<WorkerStats>,
-    pub(crate) table_misses: u64,
-    pub(crate) rebinds: u64,
-    pub(crate) workers_crashed: u64,
-    engines: Vec<Mutex<ProtocolEngine>>,
-    sessions: u32,
-}
-
-impl Totals {
-    /// Largest final worker vclock, µs.
-    pub(crate) fn makespan_us(&self) -> f64 {
-        self.per_worker
-            .iter()
-            .map(|s| s.vclock_us)
-            .fold(0.0, f64::max)
-    }
-
-    /// Delivered packets per session, from the engines' session tables.
-    pub(crate) fn per_session_delivered(&self) -> Vec<u64> {
-        (0..self.sessions)
-            .map(|s| {
-                self.engines
-                    .iter()
-                    .filter_map(|e| lock(e).table.session(StreamId(s)).map(|ss| ss.packets))
-                    .sum()
-            })
-            .collect()
-    }
-}
-
 /// Releases the workers when the dispatcher is done with them — or
 /// unwinds: without the flags they would spin forever inside the scope
 /// and a dispatcher panic would never reach the caller. Every worker,
@@ -142,9 +105,9 @@ impl Drop for ReleaseWorkers<'_> {
     }
 }
 
-/// Run `arrivals` through the pipeline `p` describes and join the
-/// workers.
-pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>) -> Totals {
+/// Run `arrivals` through the pipeline `p` describes, join the workers
+/// and report the run. Both entry points return this report.
+pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>) -> NativeReport {
     let cfg = p.cfg;
     let w = cfg.workers;
     assert!(w >= 1, "need at least one worker");
@@ -152,8 +115,10 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
         panic!("invalid processor-fault plan: {e}");
     }
     // Session space: flows fold onto `flow % sessions` engine sessions
-    // (the identity when unbounded).
-    let sessions = cfg.session_space.map_or(p.flows, |m| m.min(p.flows.max(1)));
+    // (the identity when unbounded). A bounded space binds all of its
+    // sessions, whichever flows the arrivals reach, so a replay and a
+    // serve of one population bind the same sessions.
+    let sessions = cfg.session_space.unwrap_or(p.flows);
     assert!(
         sessions <= PORT_STREAMS,
         "{sessions} sessions exceed the {PORT_STREAMS} distinct UDP ports; \
@@ -200,7 +165,7 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     let record_obs = p.obs.is_some();
     let mut d = Dispatcher::new(sh, &p, &worker_faults);
     let mut tick = p.tick;
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+    let mut results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let mut handles: Vec<Option<_>> = worker_faults
             .iter()
             .enumerate()
@@ -244,37 +209,13 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
     let Dispatcher {
         ledger, fes, rec, ..
     } = d;
-    let mut totals = Totals {
-        ledger,
-        delay: Welford::new(),
-        service: Welford::new(),
-        wait: Welford::new(),
-        outcomes: OutcomeTotals::default(),
-        per_worker: Vec::with_capacity(w),
-        table_misses: fes.as_ref().map_or(0, |f| f.table_misses()),
-        rebinds: fes.as_ref().map_or(0, |f| f.rebinds),
-        workers_crashed: results.iter().filter(|r| r.orphans.is_some()).count() as u64,
-        engines,
-        sessions,
-    };
     // Merge the dispatcher's and each worker's trace slice into one
     // stream, sorted by the deterministic merge key (virtual time, seq,
     // causal rank); ties keep slice order: dispatcher, then worker 0, 1, …
     // Then stamp every queue depth from that one order.
-    let mut slices: Vec<MemRecorder> = rec.into_iter().collect();
-    for r in results {
-        totals.delay.merge(&r.delay);
-        totals.service.merge(&r.service);
-        totals.wait.merge(&r.wait);
-        totals.outcomes.delivered += r.outcomes.delivered;
-        totals.outcomes.no_session += r.outcomes.no_session;
-        totals.outcomes.queue_full += r.outcomes.queue_full;
-        totals.outcomes.rejected += r.outcomes.rejected;
-        totals.per_worker.push(r.stats);
-        slices.extend(r.rec);
-    }
     if let Some(out) = p.obs {
-        out.merge(slices);
+        let workers = results.iter_mut().filter_map(|r| r.rec.take());
+        out.merge(rec.into_iter().chain(workers).collect());
         // A drained run leaves every queue empty, and none went below.
         let tally = out.stamp_queue_depths();
         debug_assert!(
@@ -282,7 +223,82 @@ pub(crate) fn dispatch(p: Pipeline<'_>, arrivals: impl Iterator<Item = Arrival>)
             "{tally:?}"
         );
     }
-    totals
+    let engines = engines
+        .into_iter()
+        .map(|e| e.into_inner().unwrap_or_else(PoisonError::into_inner));
+    report(
+        cfg,
+        &ledger,
+        fes.as_ref(),
+        results,
+        engines.collect(),
+        sessions,
+    )
+}
+
+/// The one report of a run, replay or serve: the dispatcher's ledger
+/// and steering counters, the joined workers' statistics, and the
+/// delivered packets of each of the `sessions` sessions the engines
+/// bound.
+fn report(
+    cfg: &NativeConfig,
+    ledger: &Ledger,
+    fes: Option<&FrontEndState>,
+    results: Vec<WorkerResult>,
+    engines: Vec<ProtocolEngine>,
+    sessions: u32,
+) -> NativeReport {
+    let (mut delay, mut service, mut wait) = (Welford::new(), Welford::new(), Welford::new());
+    let mut outcomes = OutcomeTotals::default();
+    let workers_crashed = results.iter().filter(|r| r.orphans.is_some()).count() as u64;
+    let mut per_worker = Vec::with_capacity(results.len());
+    for r in results {
+        delay.merge(&r.delay);
+        service.merge(&r.service);
+        wait.merge(&r.wait);
+        outcomes.delivered += r.outcomes.delivered;
+        outcomes.no_session += r.outcomes.no_session;
+        outcomes.queue_full += r.outcomes.queue_full;
+        outcomes.rejected += r.outcomes.rejected;
+        per_worker.push(r.stats);
+    }
+    let per_stream_delivered = (0..sessions)
+        .map(|s| {
+            engines
+                .iter()
+                .filter_map(|e| e.table.session(StreamId(s)))
+                .map(|ss| ss.packets)
+                .sum()
+        })
+        .collect();
+    let sum = |f: fn(&WorkerStats) -> u64| -> u64 { per_worker.iter().map(f).sum() };
+    NativeReport {
+        policy: cfg.spec.label(),
+        workers: cfg.workers,
+        offered: ledger.offered,
+        admitted: ledger.admitted,
+        dropped: ledger.dropped,
+        outcomes,
+        mean_delay_us: delay.mean(),
+        mean_service_us: service.mean(),
+        mean_wait_us: wait.mean(),
+        max_delay_us: delay.max(),
+        recorded: delay.count(),
+        steals: sum(|s| s.steals),
+        stream_migrations: sum(|s| s.stream_migrations),
+        thread_migrations: sum(|s| s.thread_migrations),
+        last_arrival_us: ledger.last_arrival_us,
+        makespan_us: per_worker.iter().map(|s| s.vclock_us).fold(0.0, f64::max),
+        all_pinned: per_worker.iter().all(|s| s.pinned),
+        workers_crashed,
+        orphaned: ledger.orphaned,
+        requeued: ledger.requeued,
+        per_stream_delivered,
+        table_misses: fes.map_or(0, |f| f.table_misses()),
+        rebinds: fes.map_or(0, |f| f.rebinds),
+        ooo_deliveries: 0,
+        per_worker,
+    }
 }
 
 /// Each worker ring's depth: a pipeline's worth of trains, never less

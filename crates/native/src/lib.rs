@@ -21,9 +21,10 @@
 //!   [`pin::CorePinner`] trait; unprivileged CI degrades gracefully).
 //! * [`ring`] — the bounded FIFO (a `Mutex<VecDeque>`) each worker uses
 //!   as its run queue.
-//! * [`runtime`] — configuration, workload generators, report types and
-//!   the replay entry points ([`run_native`], [`run_native_recorded`]):
-//!   a pre-generated workload, lossless back-pressure, optional trace.
+//! * [`runtime`] — configuration, workload generators, the one report
+//!   ([`NativeReport`], which [`run_serve`] returns too) and the replay
+//!   entry points ([`run_native`], [`run_native_recorded`]): a
+//!   pre-generated workload, lossless back-pressure, optional trace.
 //! * [`serve`] — the serving entry points ([`run_serve`]): an open-loop
 //!   generator feeding the same pipeline for an unbounded horizon in
 //!   bounded memory, with deterministic taildrop under overload.

@@ -27,8 +27,8 @@
 //!   modeled only; it sizes no ring.
 //! * **No recorder**; instead, at a configurable packet interval the
 //!   dispatcher publishes an [`afs_obs::ServeSnapshot`] JSONL line (wall
-//!   time and RSS are explicitly host gauges; every committed artifact
-//!   uses only the virtual-domain fields of the final [`ServeReport`]).
+//!   time and RSS are explicitly host gauges). The run returns the
+//!   [`NativeReport`] replay does; no host gauge is in it.
 //!
 //! All five policy rungs serve; the work-conserving ones ride the claim
 //! protocol (DESIGN.md §3, `afs-sched::claim`) exactly as they do under replay.
@@ -43,7 +43,7 @@ use afs_sched::{FrontEndKind, FrontEndPlan, PolicySpec};
 
 use crate::crossval::NATIVE_SESSION_SPACE;
 use crate::dispatch::{dispatch, Arrival, Ledger, Pipeline, Tick};
-use crate::runtime::{NativeConfig, OutcomeTotals, WorkerStats, ZipfPacketGen};
+use crate::runtime::{NativeConfig, NativeReport, ZipfPacketGen};
 
 /// Default Flow-Director steering-table capacity for serving runs
 /// (matches the stream-scenario experiments' order of magnitude).
@@ -124,79 +124,10 @@ impl ServeConfig {
     }
 }
 
-/// What a serving run reports. The virtual-domain fields (ledger,
-/// delay/service moments, makespan) are deterministic for a seed; the
-/// host gauges (`wall_s`, `pkts_per_wall_s`, `rss_kb`) are measurement
-/// artifacts and must stay out of committed goldens.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Scheduling rung label.
-    pub policy: &'static str,
-    /// Front-end label.
-    pub frontend: &'static str,
-    /// Worker count.
-    pub workers: usize,
-    /// Dequeue/dispatch batch bound the run used.
-    pub batch: usize,
-    /// Packets the generator offered.
-    pub offered: u64,
-    /// Packets admitted past the NIC (offered − dropped).
-    pub admitted: u64,
-    /// Packets tail-dropped at admission (modeled backlog full).
-    pub dropped: u64,
-    /// Receive-path outcomes of every admitted packet.
-    pub outcomes: OutcomeTotals,
-    /// Packets inside the statistics window.
-    pub recorded: u64,
-    /// Mean end-to-end delay (queueing + service), µs, post-warm-up.
-    pub mean_delay_us: f64,
-    /// Mean modeled service time, µs, post-warm-up.
-    pub mean_service_us: f64,
-    /// Mean queueing wait, µs, post-warm-up.
-    pub mean_wait_us: f64,
-    /// Worst post-warm-up delay, µs.
-    pub max_delay_us: f64,
-    /// Virtual arrival stamp of the last offered packet, µs.
-    pub last_arrival_us: f64,
-    /// Final virtual clock of the slowest worker, µs.
-    pub makespan_us: f64,
-    /// Per-worker telemetry.
-    pub per_worker: Vec<WorkerStats>,
-    /// Front-end steering-table misses over the run.
-    pub table_misses: u64,
-    /// Flow-to-worker rebinds over the run.
-    pub rebinds: u64,
-    /// Host wall-clock seconds the run took (gauge).
-    pub wall_s: f64,
-    /// Processed packets per host wall-clock second (gauge).
-    pub pkts_per_wall_s: f64,
-    /// Resident set at teardown, KiB (gauge; 0 where unsupported).
-    pub rss_kb: u64,
-}
-
-impl ServeReport {
-    /// Delivered packets per *virtual* second of makespan.
-    pub fn goodput_pps(&self) -> f64 {
-        if self.makespan_us <= 0.0 {
-            return 0.0;
-        }
-        self.outcomes.delivered as f64 * 1e6 / self.makespan_us
-    }
-
-    /// Fraction of offered packets tail-dropped at admission.
-    pub fn drop_frac(&self) -> f64 {
-        self.dropped as f64 / self.offered.max(1) as f64
-    }
-
-    /// The overload-degradation contract: every offered packet is
-    /// accounted exactly once — admitted or dropped at the NIC, and
-    /// every admitted packet reached exactly one receive-path outcome.
-    pub fn ledger_balanced(&self) -> bool {
-        let o = &self.outcomes;
-        self.offered == self.admitted + self.dropped
-            && self.admitted == o.delivered + o.no_session + o.queue_full + o.rejected
-    }
-}
+/// What a serving run reports: the replay report, whose `dropped`
+/// counts the packets admission shed. The name stays for callers that
+/// still spell it.
+pub type ServeReport = NativeReport;
 
 /// Resident set size of the current process in KiB (Linux `/proc`;
 /// 0 elsewhere). A host gauge — never part of a committed artifact.
@@ -224,12 +155,13 @@ pub fn current_rss_kb() -> u64 {
 /// packet descriptors as the arrival source, the modeled
 /// backlog bound [`NativeConfig::queue_capacity`] as the admission
 /// bound, and no recorder.
-pub fn run_serve(cfg: &ServeConfig, mut sink: Option<&mut dyn Write>) -> ServeReport {
+pub fn run_serve(cfg: &ServeConfig, mut sink: Option<&mut dyn Write>) -> NativeReport {
     let n = &cfg.native;
     assert!(cfg.streams >= 1 && cfg.offered_pps > 0.0 && cfg.batch_mean >= 1.0);
-    let plan = n
-        .frontend
-        .expect("the serving path is NIC-steered: set NativeConfig::frontend");
+    assert!(
+        n.frontend.is_some(),
+        "the serving path is NIC-steered: set NativeConfig::frontend"
+    );
     assert!(
         n.faults.is_noop(),
         "fault plans are a replay-path feature; the serving path has no watchdog"
@@ -284,39 +216,23 @@ pub fn run_serve(cfg: &ServeConfig, mut sink: Option<&mut dyn Write>) -> ServeRe
         frames: Some(cfg.payload_bytes),
         tick,
     };
-    let t = dispatch(pipeline, arrivals);
+    let r = dispatch(pipeline, arrivals);
 
-    let wall_s = t0.elapsed().as_secs_f64();
-    let processed: u64 = t.per_worker.iter().map(|s| s.processed).sum();
     // Emit a closing snapshot so a streamed log always ends on the
     // final ledger and the joined final clocks.
     if let (Some(out), Some(_)) = (sink, cfg.snapshot_every) {
-        let clocks = t.per_worker.iter().map(|s| s.vclock_us);
-        write_snapshot(out, snapshot(t0, &t.ledger, processed, clocks));
+        let ledger = Ledger {
+            offered: r.offered,
+            admitted: r.admitted,
+            dropped: r.dropped,
+            last_arrival_us: r.last_arrival_us,
+            ..Ledger::default()
+        };
+        let processed = r.per_worker.iter().map(|s| s.processed).sum();
+        let clocks = r.per_worker.iter().map(|s| s.vclock_us);
+        write_snapshot(out, snapshot(t0, &ledger, processed, clocks));
     }
-    ServeReport {
-        policy: n.spec.label(),
-        frontend: plan.config.kind.label(),
-        workers: n.workers,
-        batch: n.batch.max(1),
-        offered: t.ledger.offered,
-        admitted: t.ledger.admitted,
-        dropped: t.ledger.dropped,
-        outcomes: t.outcomes,
-        recorded: t.delay.count(),
-        mean_delay_us: t.delay.mean(),
-        mean_service_us: t.service.mean(),
-        mean_wait_us: t.wait.mean(),
-        max_delay_us: t.delay.max(),
-        last_arrival_us: t.ledger.last_arrival_us,
-        makespan_us: t.makespan_us(),
-        table_misses: t.table_misses,
-        rebinds: t.rebinds,
-        per_worker: t.per_worker,
-        wall_s,
-        pkts_per_wall_s: processed as f64 / wall_s.max(1e-9),
-        rss_kb: current_rss_kb(),
-    }
+    r
 }
 
 /// A snapshot of the ledger and the given worker clocks (an exited
@@ -387,19 +303,16 @@ mod tests {
         }
     }
 
+    /// That an overload run replays bit for bit, at every dequeue batch,
+    /// is a serve row of `tests/determinism_matrix.rs`.
     #[test]
-    fn overload_drops_deterministically_and_underload_drops_nothing() {
+    fn overload_sheds_and_underload_drops_nothing() {
         let mut cfg = small(FrontEndKind::FlowDirector, PolicySpec::MruLoad);
         cfg.native.queue_capacity = 16;
         cfg.offered_pps = 4_000_000.0; // far past 2 workers' capacity
         let a = run_serve(&cfg, None);
-        let b = run_serve(&cfg, None);
         assert!(a.dropped > 0, "overload must shed: {a:?}");
         assert!(a.ledger_balanced());
-        // Drops are decided on the virtual clock: identical across runs.
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(a.admitted, b.admitted);
-        assert_eq!(a.outcomes, b.outcomes);
 
         // Two workers at ~180µs modeled service sustain ~11k pps; 4k
         // offered is comfortably under capacity.
@@ -407,39 +320,6 @@ mod tests {
         calm.offered_pps = 4_000.0;
         let c = run_serve(&calm, None);
         assert_eq!(c.dropped, 0, "underload must be lossless: {c:?}");
-    }
-
-    #[test]
-    fn batching_leaves_the_virtual_results_bit_identical() {
-        // The claim-arbitrated rungs (Locking's pooled fallback, IPS
-        // stealing) must be exactly as batch-transparent as the
-        // direct-push rungs: resolution happens dispatcher-side, so
-        // train size cannot move a single virtual result.
-        for (kind, policy) in [
-            (FrontEndKind::TransportFriendly, PolicySpec::MinReload),
-            (FrontEndKind::FlowDirector, PolicySpec::Locking),
-            (FrontEndKind::Rss, PolicySpec::Ips),
-        ] {
-            let base = {
-                let cfg = small(kind, policy);
-                run_serve(&cfg, None)
-            };
-            for b in [8usize, 64] {
-                let mut cfg = small(kind, policy);
-                cfg.native.batch = b;
-                let r = run_serve(&cfg, None);
-                assert_eq!(r.offered, base.offered, "{kind:?}/{policy:?}");
-                assert_eq!(r.admitted, base.admitted, "{kind:?}/{policy:?}");
-                assert_eq!(r.dropped, base.dropped, "{kind:?}/{policy:?}");
-                assert_eq!(r.outcomes, base.outcomes, "{kind:?}/{policy:?}");
-                assert_eq!(r.recorded, base.recorded, "{kind:?}/{policy:?}");
-                assert_eq!(r.mean_delay_us.to_bits(), base.mean_delay_us.to_bits());
-                assert_eq!(r.mean_service_us.to_bits(), base.mean_service_us.to_bits());
-                assert_eq!(r.makespan_us.to_bits(), base.makespan_us.to_bits());
-                assert_eq!(r.table_misses, base.table_misses);
-                assert_eq!(r.rebinds, base.rebinds);
-            }
-        }
     }
 
     /// A panic on the dispatcher thread must release the workers (they

@@ -20,8 +20,9 @@
 
 use std::io::Write;
 use std::process::ExitCode;
+use std::time::Instant;
 
-use afs_native::{run_serve, FrontEndKind, Pinning, PolicySpec, ServeConfig};
+use afs_native::{current_rss_kb, run_serve, FrontEndKind, Pinning, PolicySpec, ServeConfig};
 use afs_xkernel::{fddi, ip, udp};
 
 /// Largest UDP payload whose IP datagram fits one FDDI frame.
@@ -281,7 +282,10 @@ fn main() -> ExitCode {
         None
     };
 
+    let t0 = Instant::now();
     let r = run_serve(&cfg, sink);
+    let wall_s = t0.elapsed().as_secs_f64();
+    let processed: u64 = r.per_worker.iter().map(|w| w.processed).sum();
 
     eprintln!(
         "done: offered {} = admitted {} + dropped {} ({:.2}% drop); \
@@ -295,9 +299,9 @@ fn main() -> ExitCode {
         r.outcomes.delivered,
         r.goodput_pps(),
         r.mean_delay_us,
-        r.pkts_per_wall_s,
-        r.wall_s,
-        r.rss_kb,
+        processed as f64 / wall_s.max(1e-9),
+        wall_s,
+        current_rss_kb(),
         r.table_misses,
         r.rebinds,
     );

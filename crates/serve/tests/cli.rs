@@ -1,7 +1,7 @@
 //! `afs-serve` at its command line: a value outside a flag's range is a
 //! usage error (exit 2, one line naming the flag) before any thread
 //! starts — never a panic from an assertion deep in the pipeline — and
-//! a good run exits 0 with a balanced ledger.
+//! a good run exits 0 with a balanced ledger and its host gauges.
 
 use std::process::{Command, Output};
 
@@ -44,4 +44,18 @@ fn a_good_run_balances_its_ledger_and_exits_zero() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stderr.contains("offered 200 = admitted"), "{stderr}");
+    // The host gauges the binary measures around the run.
+    let closing = stderr.lines().last().unwrap_or_default();
+    let parts: Vec<&str> = closing.split("; ").collect();
+    let wall = parts
+        .iter()
+        .find_map(|p| p.split_once(" pkts/s host wall ("));
+    let (pps, secs) = wall.unwrap_or_else(|| panic!("no host rate: {closing}"));
+    assert!(pps.parse::<f64>().is_ok_and(|v| v > 0.0), "{closing}");
+    let secs = secs.strip_suffix(" s)").and_then(|s| s.parse::<f64>().ok());
+    assert!(secs.is_some_and(|v| v >= 0.0), "{closing}");
+    let rss = parts
+        .iter()
+        .find_map(|p| p.strip_prefix("rss ")?.strip_suffix(" KiB"));
+    assert!(rss.is_some_and(|v| v.parse::<u64>().is_ok()), "{closing}");
 }

@@ -252,25 +252,19 @@ fn backends_agree_on_frontend_structure() {
 
 #[test]
 fn native_backend_is_deterministic_where_promised() {
-    // Every router is a deterministic function of the seed (the
-    // load-aware ones route over the dispatcher's virtual model, not
-    // live ring state); with a single worker even the execution order
-    // is, so the full report must reproduce bit-for-bit.
+    // Every rung, stealing included, at several workers: routing and
+    // claims run on the dispatcher's virtual model, so the full report
+    // reproduces bit for bit. (Every perturbation that must not move it
+    // is a column of `tests/determinism_matrix.rs`.)
     use affinity_sched::native::{poisson_workload, run_native, NativeConfig, Pinning};
     let workload = || poisson_workload(4, 50, 1_000.0, 48, 0xD0_0D);
     for policy in PolicySpec::ALL {
-        let mut cfg = NativeConfig::new(1, policy);
+        let mut cfg = NativeConfig::new(3, policy);
         cfg.pinning = Pinning::Off;
-        cfg.layout.steal = None;
         let first = run_native(&cfg, workload());
-        // Enough pairs that a host-order reading left in the report
-        // would fail here.
-        for _ in 0..20 {
+        for _ in 0..2 {
             let again = run_native(&cfg, workload());
-            assert_eq!(
-                first, again,
-                "single-worker {policy:?} run must be reproducible"
-            );
+            assert_eq!(first, again, "{policy:?} run must be reproducible");
         }
     }
 }

@@ -3,11 +3,11 @@
 //! a packet counts on queue `q` from the `Enqueue` or `Requeue` naming
 //! `q` until the `Dispatch` or `Orphaned` that takes it off.
 //!
-//! * Three recorded runs of one Zipf workload at each dequeue batch of
-//!   1, 8 and 64 render byte-identical JSONL, across batches too, for
-//!   IPS with stealing, Locking and MRU-load on three workers. A depth
-//!   read off a ring follows how far the dispatcher ran ahead on the
-//!   host, capped at the ring's depth, and fails this.
+//! * Recorded runs render byte-identical JSONL at every dequeue batch:
+//!   the router rows of `tests/determinism_matrix.rs`, whose queues run
+//!   past the 64 slots of a batch-1 ring. A depth read off a ring
+//!   follows how far the dispatcher ran ahead on the host, capped at the
+//!   ring's depth, and fails there.
 //! * On seeded random merged traces, with steals, orphans and an
 //!   orphan its survivor starts before the `Requeue` stamp, the pass
 //!   matches an O(n²) count of that definition.
@@ -15,59 +15,12 @@
 //!   queue ends empty.
 
 use affinity_sched::native::{
-    poisson_workload, run_native_recorded, zipf_workload, FaultLoad, NativeConfig, NativePacket,
-    Pinning, PolicySpec, ProcFaultPlan,
+    poisson_workload, run_native_recorded, FaultLoad, NativeConfig, Pinning, PolicySpec,
+    ProcFaultPlan,
 };
-use affinity_sched::obs::{jsonl, ChargeKind, MemRecorder, ObsEvent, Recorder};
+use affinity_sched::obs::{ChargeKind, MemRecorder, ObsEvent, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const SEED: u64 = 0x0D3E_7A11;
-
-fn config(policy: PolicySpec, batch: usize) -> NativeConfig {
-    let mut cfg = NativeConfig::new(3, policy);
-    cfg.pinning = Pinning::Off;
-    cfg.seed = SEED;
-    cfg.batch = batch;
-    cfg
-}
-
-fn zipf() -> Vec<NativePacket> {
-    zipf_workload(64, 1_500, 30_000.0, 1.1, 4.0, None, 64, SEED)
-}
-
-#[test]
-fn recorded_runs_render_identical_jsonl_at_every_batch() {
-    assert!(config(PolicySpec::Ips, 1).layout.steal.is_some());
-    for policy in [PolicySpec::Ips, PolicySpec::Locking, PolicySpec::MruLoad] {
-        let (report, rec) = run_native_recorded(&config(policy, 1), zipf());
-        let want = jsonl::render(&rec.events);
-        if policy == PolicySpec::Ips {
-            assert!(report.steals > 0, "the IPS run must steal");
-        }
-        // The workload overloads three workers: the virtual backlog runs
-        // past the 64 slots of a batch-1 ring.
-        assert!(rec.counters.max_queue_depth > 64, "{policy:?}");
-        for batch in [1, 8, 64] {
-            for run in 0..3 {
-                let (_, rec) = run_native_recorded(&config(policy, batch), zipf());
-                let got = jsonl::render(&rec.events);
-                if got != want {
-                    let (line, (g, w)) = got
-                        .lines()
-                        .zip(want.lines())
-                        .enumerate()
-                        .find(|(_, (g, w))| g != w)
-                        .expect("same lines, different length");
-                    panic!(
-                        "{policy:?} batch {batch} run {run}: line {} differs:\n  got  {g}\n  want {w}",
-                        line + 1
-                    );
-                }
-            }
-        }
-    }
-}
 
 /// One job a ring holds: (seq, arrival, stream, stolen from).
 type Job = (u64, f64, u32, Option<u32>);

@@ -9,7 +9,9 @@
 //! worker 1. It serves the first of 300 packets, which all arrive
 //! within 0.3 µs, and its clock is then past its crash instant
 //! (0.5 µs), so the other 299 — more than the 64 slots of a batch-1
-//! ring — are orphans the survivor serves on worker 1's stack.
+//! ring — are orphans the survivor serves on worker 1's stack. That the
+//! run replays whole at every dequeue batch is its row of
+//! `tests/determinism_matrix.rs`.
 
 use affinity_sched::native::{
     run_native, NativeConfig, NativePacket, NativeReport, Pinning, PolicySpec, ProcFault,
@@ -34,11 +36,10 @@ fn workload() -> Vec<NativePacket> {
         .collect()
 }
 
-fn run(batch: usize) -> NativeReport {
+fn run() -> NativeReport {
     let mut cfg = NativeConfig::new(2, PolicySpec::Ips);
     cfg.pinning = Pinning::Off;
     cfg.layout.steal = None;
-    cfg.batch = batch;
     cfg.faults = ProcFaultPlan {
         faults: vec![ProcFault {
             proc: 1,
@@ -51,16 +52,11 @@ fn run(batch: usize) -> NativeReport {
 
 #[test]
 fn a_dead_workers_overflowing_ring_is_recovered_whole() {
-    let base = run(1);
-    assert_eq!(base.workers_crashed, 1);
-    assert_eq!((base.orphaned, base.requeued), (PACKETS - 1, PACKETS - 1));
-    assert_eq!(base.outcomes.total(), PACKETS);
-    assert_eq!(base.outcomes.delivered, PACKETS);
-    let processed: Vec<u64> = base.per_worker.iter().map(|w| w.processed).collect();
+    let r = run();
+    assert_eq!(r.workers_crashed, 1);
+    assert_eq!((r.orphaned, r.requeued), (PACKETS - 1, PACKETS - 1));
+    assert_eq!(r.outcomes.total(), PACKETS);
+    assert_eq!(r.outcomes.delivered, PACKETS);
+    let processed: Vec<u64> = r.per_worker.iter().map(|w| w.processed).collect();
     assert_eq!(processed, [PACKETS - 1, 1]);
-    for batch in [1, 8, 64] {
-        for repeat in 0..2 {
-            assert_eq!(run(batch), base, "batch {batch}, repeat {repeat}");
-        }
-    }
 }
