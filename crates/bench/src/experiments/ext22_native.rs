@@ -88,7 +88,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
                 c.native.steals
             );
             rows.push(format!(
-                "{},{},{:.3},{:.3},{:.3},{:.3},{},{},{},{}",
+                "{},{},{:.3},{:.3},{:.3},{:.3},{},{},{}",
                 s.label(),
                 p.label(),
                 c.sim.mean_delay_us,
@@ -97,8 +97,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
                 c.native.mean_service_us,
                 c.native.stream_migrations,
                 c.native.thread_migrations,
-                c.native.steals,
-                c.native.all_pinned
+                c.native.steals
             ));
         }
         println!();
@@ -239,7 +238,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
     write_csv(
         "ext22_native",
         "scenario,policy,sim_delay_us,native_delay_us,sim_service_us,native_service_us,\
-         native_stream_migrations,native_thread_migrations,native_steals,native_all_pinned",
+         native_stream_migrations,native_thread_migrations,native_steals",
         &rows,
     );
 }

@@ -19,7 +19,7 @@
 //!    from the [`afs_sched::NativeLayout`] alone;
 //! 6. **enqueue** — previous-owner stamping, the blocking ring push and
 //!    the placement trace events, in claim order (a serving packet goes
-//!    as a descriptor: the worker that processes it builds its frame);
+//!    as a descriptor: the worker that processes it writes its frame);
 //! 7. **recovery** — after the last arrival, the workers the plan kills
 //!    for good are joined for their orphans, which re-enter at stage 3.
 //!
@@ -52,7 +52,7 @@ use crate::worker::{Job, Shared, Worker, WorkerResult, PREV_NONE};
 /// One packet handed to the dispatcher by its arrival source.
 pub(crate) struct Arrival {
     /// The frame; empty on a serving run, whose processing worker
-    /// builds it.
+    /// writes it.
     pub(crate) bytes: Vec<u8>,
     pub(crate) stream: StreamId,
     pub(crate) arrival_us: f64,
@@ -71,7 +71,7 @@ pub(crate) struct Pipeline<'a> {
     /// Where to merge the run's observability trace, if recording.
     pub(crate) obs: Option<&'a mut MemRecorder>,
     /// `Some(payload bytes)`: the arrivals are descriptors, and the
-    /// worker that processes a packet builds its frame.
+    /// worker that processes a packet writes its frame.
     pub(crate) frames: Option<usize>,
     /// Called on the dispatcher thread after every offered packet.
     pub(crate) tick: Option<&'a mut Tick<'a>>,
@@ -289,7 +289,6 @@ fn report(
         thread_migrations: sum(|s| s.thread_migrations),
         last_arrival_us: ledger.last_arrival_us,
         makespan_us: per_worker.iter().map(|s| s.vclock_us).fold(0.0, f64::max),
-        all_pinned: per_worker.iter().all(|s| s.pinned),
         workers_crashed,
         orphaned: ledger.orphaned,
         requeued: ledger.requeued,

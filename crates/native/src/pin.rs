@@ -5,10 +5,10 @@
 //! that topology natively, each worker pins itself to one core via
 //! `sched_setaffinity(2)`. Pinning is best-effort: CI containers and
 //! restricted sandboxes may reject the syscall (or we may be running on
-//! a non-Linux host), in which case the runtime records the failure in
-//! [`WorkerStats::pinned`](crate::runtime::WorkerStats::pinned) and
-//! proceeds unpinned — the cycle-model accounting is unaffected because
-//! all cache costs are simulated, not measured.
+//! a non-Linux host), in which case the worker proceeds unpinned. No
+//! report records whether a pin took: the cycle-model accounting is
+//! unaffected because all cache costs are simulated, not measured, and
+//! a report is a function of (config, seed), not of the host.
 
 use std::fmt;
 

@@ -63,7 +63,7 @@ use crate::pin::{CorePinner, NoopPinner, OsPinner};
 /// Whether workers attempt to pin themselves to cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pinning {
-    /// Try `sched_setaffinity`; record failure and continue unpinned
+    /// Try `sched_setaffinity`; on failure continue unpinned
     /// (the CI-safe default).
     Auto,
     /// Never attempt the syscall.
@@ -347,10 +347,6 @@ impl ZipfPacketGen {
 pub struct WorkerStats {
     /// Worker index.
     pub worker: usize,
-    /// The core this worker asked for.
-    pub core: usize,
-    /// Whether the affinity syscall took effect.
-    pub pinned: bool,
     /// Packets this worker processed.
     pub processed: u64,
     /// Packets it delivered to a user queue.
@@ -425,8 +421,6 @@ pub struct NativeReport {
     pub last_arrival_us: f64,
     /// Largest final worker vclock, µs (the virtual makespan).
     pub makespan_us: f64,
-    /// Whether every worker's pin attempt succeeded.
-    pub all_pinned: bool,
     /// Workers that crashed (permanent plan crashes that fired).
     pub workers_crashed: u64,
     /// Packets orphaned on crashed workers: every job that reached a

@@ -10,12 +10,14 @@
 //!   materialized `Vec`, so run length does not bound memory. It yields
 //!   descriptors (flow, arrival stamp), and the dispatcher places them
 //!   as such (DESIGN.md §9). The worker that processes an admitted packet
-//!   builds its frame, byte-identical to the generator's own, into its
-//!   one reused frame buffer right before the engine reads it, so a
-//!   frame is written and read on the same core, and a dropped packet
-//!   never has one. Every per-flow table is pre-sized, so after warm-up
-//!   the per-packet path never calls the allocator — pinned by the
-//!   counting-allocator test in `tests/alloc_free.rs`.
+//!   rewrites its one frame as that packet's, byte-identical to the
+//!   generator's own, right before the engine reads it in place: the
+//!   payload was written once, when the worker started, and per packet
+//!   only the header bytes and the FCS are, on the core that reads them.
+//!   A dropped packet never has a frame. Every per-flow table is
+//!   pre-sized, so after warm-up the per-packet path never calls the
+//!   allocator — pinned by the counting-allocator test in
+//!   `tests/alloc_free.rs`.
 //! * **The admission bound** is [`NativeConfig::queue_capacity`] instead
 //!   of none: a packet whose steered worker already holds that many
 //!   modeled-backlog packets on the router's drain clock is tail-dropped

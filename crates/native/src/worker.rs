@@ -18,9 +18,10 @@
 //!   [`MemoryHierarchy`]: migration purges driven by the
 //!   dispatcher-stamped previous owners, the stack lock (charged where
 //!   the policy pays it), and the modeled service time. On a serving
-//!   run the job is a descriptor: the worker builds its frame first, into
-//!   its one frame buffer, so the bytes the engine reads were written on
-//!   this core.
+//!   run the job is a descriptor: the worker rewrites its one frame as
+//!   the job's first. The payload was written when the worker started;
+//!   per packet only the header bytes and the FCS are, on this core,
+//!   and the engine parses the frame where it lies.
 //! * **account** advances the virtual clock and books the packet into
 //!   the statistics, the trace and the published gauges.
 
@@ -31,7 +32,7 @@ use afs_cache::sim::{MemoryHierarchy, Region};
 use afs_desim::stats::Welford;
 use afs_obs::{ChargeKind, MemRecorder, ObsEvent, Recorder as _};
 use afs_sched::HashedLru;
-use afs_xkernel::driver::{PacketFactory, RxFrame};
+use afs_xkernel::driver::{FrameTemplate, RxFrame};
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::{DropReason, ProtocolEngine, RxOutcome, StreamId, ThreadId};
 
@@ -79,12 +80,11 @@ pub(crate) struct Job {
 /// `Job::prev_*_owner`: deterministic first touch (no previous owner).
 pub(crate) const PREV_NONE: u32 = u32::MAX - 1;
 
-/// The `seq`-th offered packet's frame, as the serving generator would
-/// have built it: its factory's per-call ident counter gives that
-/// packet ident `seq + 1`.
-fn frame_of(seq: u64, session: StreamId, payload_bytes: usize, out: &mut Vec<u8>) {
-    let ident = (seq as u16).wrapping_add(1);
-    PacketFactory::new().frame_at(ident, session, payload_bytes, out);
+/// Rewrite `frame`, built by `template`, as the `seq`-th offered
+/// packet's frame, the one the serving generator would have built: its
+/// factory's per-call ident counter gives that packet ident `seq + 1`.
+fn frame_of(template: &FrameTemplate, seq: u64, session: StreamId, frame: &mut [u8]) {
+    template.rewrite((seq as u16).wrapping_add(1), session, frame);
 }
 
 /// Lock `m` even if a thread panicked holding it: a panicked worker
@@ -160,9 +160,12 @@ pub(crate) struct Worker<'a> {
     vclock: f64,
     /// Rotating simulated packet-buffer slot.
     slot: u32,
-    /// The buffer a serving run's frames are built into, one at a time
-    /// (empty on a replay run, whose frames arrive built).
-    frame: Vec<u8>,
+    /// What the engine reads next: on a serving run this worker's one
+    /// frame, rewritten per packet by `template`; on a replay run the
+    /// job's own frame, which arrives built.
+    frame: RxFrame,
+    /// A serving run's frame template (`None` on a replay run).
+    template: Option<FrameTemplate>,
     out: WorkerResult,
 }
 
@@ -175,10 +178,18 @@ impl<'a> Worker<'a> {
         record_obs: bool,
     ) -> Self {
         let cfg = sh.cfg;
-        // `Pinning::Off` selects the no-op pinner, which always fails.
+        // Best-effort: `Pinning::Off` selects the no-op pinner, which
+        // always fails, and a refused pin changes no result.
         let pinner = cfg.pinning.pinner();
-        let core = wid % pinner.cores().max(1);
-        let pinned = pinner.pin_current(core).is_ok();
+        let _ = pinner.pin_current(wid % pinner.cores().max(1));
+        let mut frame = RxFrame {
+            bytes: Vec::new(),
+            stream: StreamId(0),
+            buf_addr: 0,
+        };
+        let template = sh
+            .frames
+            .map(|payload| FrameTemplate::new(payload, &mut frame.bytes));
         Worker {
             wid,
             sh,
@@ -190,15 +201,11 @@ impl<'a> Worker<'a> {
                 .map(|cap| HashedLru::new((cap / cfg.workers.max(1)).max(1))),
             vclock: 0.0,
             slot: 0,
-            // Room for the headers and the FCS: `frame_at` never grows it.
-            frame: sh
-                .frames
-                .map_or_else(Vec::new, |payload| Vec::with_capacity(payload + 64)),
+            frame,
+            template,
             out: WorkerResult {
                 stats: WorkerStats {
                     worker: wid,
-                    core,
-                    pinned,
                     ..WorkerStats::default()
                 },
                 delay: Welford::new(),
@@ -348,19 +355,12 @@ impl<'a> Worker<'a> {
         // The engine demuxes by port, i.e. by folded session id;
         // steering and migration tracking above use the real flow.
         let session = StreamId(job.pkt.stream.0 % self.sh.sessions);
-        let bytes = match self.sh.frames {
-            Some(payload_bytes) => {
-                let mut bytes = std::mem::take(&mut self.frame);
-                frame_of(job.seq, session, payload_bytes, &mut bytes);
-                bytes
-            }
-            None => std::mem::take(&mut job.pkt.bytes),
-        };
-        let frame = RxFrame {
-            bytes,
-            stream: session,
-            buf_addr: self.layout.packet(self.slot % 8),
-        };
+        match &self.template {
+            Some(template) => frame_of(template, job.seq, session, &mut self.frame.bytes),
+            None => self.frame.bytes = std::mem::take(&mut job.pkt.bytes),
+        }
+        self.frame.stream = session;
+        self.frame.buf_addr = self.layout.packet(self.slot % 8);
         self.slot = self.slot.wrapping_add(1);
 
         // A packet runs on the stack that holds its session; any
@@ -374,23 +374,18 @@ impl<'a> Worker<'a> {
             if locked {
                 self.hier.charge_cycles(self.sh.lock_cycles);
             }
-            let outcome = guard.receive_outcome(&mut self.hier, &frame, ThreadId(tid));
+            let outcome = guard.receive_outcome(&mut self.hier, &self.frame, ThreadId(tid));
             // The user process reads each datagram as it lands (its cost
             // is already priced into the receive path's user stage);
             // without this the 64-deep session queue would overflow on
             // any run longer than it.
             if outcome.is_delivered() {
-                if let Some(session) = guard.table.session_mut(frame.stream) {
+                if let Some(session) = guard.table.session_mut(session) {
                     session.consume();
                 }
             }
             outcome
         };
-        // The engine only borrowed the frame: a serving buffer is kept
-        // for the next build.
-        if self.sh.frames.is_some() {
-            self.frame = frame.bytes;
-        }
         let cycles = self.hier.stats.cycles - start_cycles;
         let service_us = self
             .faults
@@ -505,15 +500,11 @@ mod tests {
     fn worker_built_frames_equal_the_generators_across_the_ident_wrap() {
         let (sessions, payload_bytes) = (7, 16);
         let packets = zipf_workload(100, 65_538, 1e5, 1.1, 4.0, Some(sessions), payload_bytes, 3);
+        let mut frame = Vec::new();
+        let template = FrameTemplate::new(payload_bytes, &mut frame);
         for seq in 65_534..65_538u64 {
             let p = &packets[seq as usize];
-            let mut frame = Vec::new();
-            frame_of(
-                seq,
-                StreamId(p.stream.0 % sessions),
-                payload_bytes,
-                &mut frame,
-            );
+            frame_of(&template, seq, StreamId(p.stream.0 % sessions), &mut frame);
             assert_eq!(frame, p.bytes, "seq {seq}");
         }
     }

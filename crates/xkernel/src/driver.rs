@@ -7,7 +7,9 @@
 //! the same: [`PacketFactory`] fabricates byte-exact UDP/IP/FDDI frames
 //! for a set of streams, and callers hand them to the protocol engine as
 //! [`RxFrame`]s placed in the simulated packet buffers of
-//! [`MemLayout`](crate::mem::MemLayout).
+//! [`MemLayout`](crate::mem::MemLayout). A [`FrameTemplate`] turns one
+//! frame into the next of the same payload length by rewriting only its
+//! headers and its FCS.
 
 use crate::fddi::{self, MacAddr};
 use crate::ip::{self, Ipv4Addr};
@@ -121,36 +123,7 @@ impl PacketFactory {
     /// reserved exactly to the frame's length: an empty buffer is
     /// allocated once, and one that already has room keeps its capacity.
     pub fn frame_at(&self, ident: u16, stream: StreamId, payload_len: usize, out: &mut Vec<u8>) {
-        let udp_len = udp::HEADER_LEN + payload_len;
-        assert!(
-            ip::HEADER_LEN + udp_len <= fddi::MAX_PAYLOAD,
-            "factory payloads fit the FDDI MTU"
-        );
-        let src = peer_of(stream);
-        let iph = ip::build_header(
-            (ip::HEADER_LEN + udp_len) as u16,
-            ident,
-            true,
-            false,
-            0,
-            ip::DEFAULT_TTL,
-            ip::PROTO_UDP,
-            src,
-            HOST_ADDR,
-        );
-        // FDDI (the layout of `fddi::build_frame`), IP, then UDP (the
-        // layout of `udp::build_datagram`) with a zero checksum.
-        let mut hdr = [0u8; HEADERS_LEN];
-        hdr[0] = fddi::FC_LLC;
-        hdr[1..7].copy_from_slice(&HOST_MAC.0);
-        hdr[7..13].copy_from_slice(&MacAddr::station(100 + stream.0).0);
-        hdr[13..16].copy_from_slice(&[fddi::LLC_SNAP_SAP, fddi::LLC_SNAP_SAP, fddi::LLC_UI]);
-        // hdr[16..19]: the SNAP OUI, zero.
-        hdr[19..21].copy_from_slice(&fddi::ETHERTYPE_IP.to_be_bytes());
-        hdr[fddi::HEADER_LEN..UDP_START].copy_from_slice(&iph);
-        hdr[UDP_START..UDP_START + 2].copy_from_slice(&(1024 + stream.0 as u16).to_be_bytes());
-        hdr[UDP_START + 2..UDP_START + 4].copy_from_slice(&port_of(stream).to_be_bytes());
-        hdr[UDP_START + 4..UDP_START + 6].copy_from_slice(&(udp_len as u16).to_be_bytes());
+        let hdr = headers(ident, stream, payload_len);
         out.clear();
         out.reserve_exact(HEADERS_LEN + payload_len + fddi::FCS_LEN);
         out.extend_from_slice(&hdr);
@@ -162,12 +135,82 @@ impl PacketFactory {
             left -= n;
         }
         if self.udp_checksums {
-            let c = udp::udp_checksum(src, HOST_ADDR, &out[UDP_START..]);
+            let c = udp::udp_checksum(peer_of(stream), HOST_ADDR, &out[UDP_START..]);
             out[UDP_START + 6..UDP_START + 8].copy_from_slice(&c.to_be_bytes());
         }
         // FCS over everything so far.
         let fcs = fddi::crc32(out);
         out.extend_from_slice(&fcs.to_be_bytes());
+    }
+}
+
+/// The header bytes of [`PacketFactory::frame_at`]'s frame: FDDI (the
+/// layout of `fddi::build_frame`), IP, then UDP (the layout of
+/// `udp::build_datagram`) with a zero checksum.
+fn headers(ident: u16, stream: StreamId, payload_len: usize) -> [u8; HEADERS_LEN] {
+    let udp_len = udp::HEADER_LEN + payload_len;
+    assert!(
+        ip::HEADER_LEN + udp_len <= fddi::MAX_PAYLOAD,
+        "factory payloads fit the FDDI MTU"
+    );
+    let iph = ip::build_header(
+        (ip::HEADER_LEN + udp_len) as u16,
+        ident,
+        true,
+        false,
+        0,
+        ip::DEFAULT_TTL,
+        ip::PROTO_UDP,
+        peer_of(stream),
+        HOST_ADDR,
+    );
+    let mut hdr = [0u8; HEADERS_LEN];
+    hdr[0] = fddi::FC_LLC;
+    hdr[1..7].copy_from_slice(&HOST_MAC.0);
+    hdr[7..13].copy_from_slice(&MacAddr::station(100 + stream.0).0);
+    hdr[13..16].copy_from_slice(&[fddi::LLC_SNAP_SAP, fddi::LLC_SNAP_SAP, fddi::LLC_UI]);
+    // hdr[16..19]: the SNAP OUI, zero.
+    hdr[19..21].copy_from_slice(&fddi::ETHERTYPE_IP.to_be_bytes());
+    hdr[fddi::HEADER_LEN..UDP_START].copy_from_slice(&iph);
+    hdr[UDP_START..UDP_START + 2].copy_from_slice(&(1024 + stream.0 as u16).to_be_bytes());
+    hdr[UDP_START + 2..UDP_START + 4].copy_from_slice(&port_of(stream).to_be_bytes());
+    hdr[UDP_START + 4..UDP_START + 6].copy_from_slice(&(udp_len as u16).to_be_bytes());
+    hdr
+}
+
+/// A [`PacketFactory::new`] frame of one payload length whose payload is
+/// written once: only the header bytes and the FCS differ between two
+/// such frames, so [`rewrite`](Self::rewrite) writes those alone. The
+/// FCS is the headers' CRC moved past the payload and combined with the
+/// payload's, whose CRC is taken here, once.
+#[derive(Debug, Clone)]
+pub struct FrameTemplate {
+    payload_len: usize,
+    payload_crc: u32,
+    shift: fddi::Crc32Shift,
+}
+
+impl FrameTemplate {
+    /// Build a whole `payload_len` frame into `frame` (its headers those
+    /// of ident 0 on stream 0) and the template that rewrites it.
+    pub fn new(payload_len: usize, frame: &mut Vec<u8>) -> Self {
+        PacketFactory::new().frame_at(0, StreamId(0), payload_len, frame);
+        FrameTemplate {
+            payload_len,
+            payload_crc: fddi::crc32(&frame[HEADERS_LEN..HEADERS_LEN + payload_len]),
+            shift: fddi::Crc32Shift::new(payload_len),
+        }
+    }
+
+    /// Make `frame`, built by [`FrameTemplate::new`], byte for byte
+    /// `PacketFactory::new().frame_at(ident, stream, ..)`'s frame,
+    /// writing its header bytes and its FCS only.
+    pub fn rewrite(&self, ident: u16, stream: StreamId, frame: &mut [u8]) {
+        let hdr = headers(ident, stream, self.payload_len);
+        let fcs = self.shift.combine(fddi::crc32(&hdr), self.payload_crc);
+        let (head, rest) = frame.split_at_mut(HEADERS_LEN);
+        head.copy_from_slice(&hdr);
+        rest[self.payload_len..].copy_from_slice(&fcs.to_be_bytes());
     }
 }
 

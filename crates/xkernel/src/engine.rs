@@ -328,11 +328,6 @@ pub struct ProtocolEngine {
     /// Port-unreachable replies not generated because the egress queue
     /// was at its cap.
     pub icmp_suppressed: u64,
-    /// Reusable receive message: the receive body takes it, refills it
-    /// in place from the frame, and puts it back —
-    /// so the steady-state receive path never touches the allocator
-    /// once the buffer has grown to the frame length.
-    scratch: Message,
 }
 
 impl ProtocolEngine {
@@ -365,7 +360,6 @@ impl ProtocolEngine {
             tcp_sessions: std::collections::HashMap::new(),
             icmp_egress: Vec::new(),
             icmp_suppressed: 0,
-            scratch: Message::default(),
         }
     }
 
@@ -437,10 +431,9 @@ impl ProtocolEngine {
         let layout = self.layout;
         let start_cycles = hier.stats.cycles;
         let mut ctx = MemCtx::new(hier);
-        // Borrow the engine's scratch message and refill it in place —
-        // no allocation once its capacity covers the frame.
-        let mut msg = std::mem::take(&mut self.scratch);
-        msg.reset_from_wire(&frame.bytes, frame.buf_addr);
+        // The layers parse the driver's frame in place: no copy, no
+        // allocation.
+        let mut msg = Message::from_wire(&frame.bytes, frame.buf_addr);
         let mut disposition = None;
 
         let verdict = 'rx: {
@@ -562,9 +555,6 @@ impl ProtocolEngine {
             }
         };
 
-        // Return the scratch message (and its capacity) for the next
-        // receive.
-        self.scratch = msg;
         // --- Timing: single exit, charged whatever the verdict.
         let unattributed = settle(ctx, cost.cpi, start_cycles);
         let timing = |payload_bytes: usize, stream: StreamId| PacketTiming {
@@ -750,7 +740,7 @@ impl ProtocolEngine {
 
 /// Instrumented reads of a header's first `words` words, clamped into a
 /// short message so a runt still charges them.
-fn read_header_words(msg: &Message, ctx: &mut MemCtx<'_, MemoryHierarchy>, words: usize) {
+fn read_header_words(msg: &Message<'_>, ctx: &mut MemCtx<'_, MemoryHierarchy>, words: usize) {
     for w in 0..words {
         let _ = msg.read_u32(ctx, (w * 4).min(msg.len().saturating_sub(4)));
     }

@@ -303,6 +303,54 @@ mod fold {
     }
 }
 
+/// `b·xⁱ mod P` for i = 0..32, in the reflected bit order (bit 31 is
+/// `x⁰`): what a product with `b` sums.
+fn columns(b: u32) -> [u32; 32] {
+    let mut column = b;
+    std::array::from_fn(|_| {
+        let this = column;
+        column = (column >> 1) ^ (CRC_POLY & (column & 1).wrapping_neg());
+        this
+    })
+}
+
+/// `a·b mod P` (zlib's `multmodp`), `b` given by its [`columns`]: the
+/// sum of `b·xⁱ` over the `xⁱ` of `a`, bit 31 − i.
+fn mul_mod_p(a: u32, b: &[u32; 32]) -> u32 {
+    (0..32).fold(0, |p, i| p ^ b[i] & ((a << i) as i32 >> 31) as u32)
+}
+
+/// `crc32(a ‖ b)` from `crc32(a)` and `crc32(b)`, for every `b` of one
+/// length `n`: `crc32(a)` moved past `n` bytes, i.e. times the shift
+/// operator `x^(8n) mod P` (zlib's `crc32_combine_op`), plus `crc32(b)`.
+/// The operator is found by square-and-multiply over the bits of `8n`,
+/// O(log n) products (zlib's `crc32_combine_gen`), and kept as its
+/// columns, so a combination is 32 masked XORs.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32Shift([u32; 32]);
+
+impl Crc32Shift {
+    /// The shift past `n` bytes.
+    pub fn new(n: usize) -> Self {
+        let (mut op, mut square) = (1 << 31, 1 << 30); // x⁰, x¹
+        let mut e = 8 * n as u64;
+        while e != 0 {
+            let by = columns(square);
+            if e & 1 != 0 {
+                op = mul_mod_p(op, &by);
+            }
+            square = mul_mod_p(square, &by);
+            e >>= 1;
+        }
+        Crc32Shift(columns(op))
+    }
+
+    /// `crc32(a ‖ b)`, with `b` this shift's length.
+    pub fn combine(&self, crc_a: u32, crc_b: u32) -> u32 {
+        mul_mod_p(crc_a, &self.0) ^ crc_b
+    }
+}
+
 /// Build a complete wire frame around `payload`.
 pub fn build_frame(
     dst: MacAddr,
@@ -332,7 +380,7 @@ pub fn build_frame(
 /// instrumentation — used by builders and tests. The instrumented
 /// receive path lives in [`crate::engine`]; it charges the header reads
 /// to the memory model and then parses with this function.
-pub fn parse_frame(msg: &mut Message) -> Result<FddiHeader, FddiError> {
+pub fn parse_frame(msg: &mut Message<'_>) -> Result<FddiHeader, FddiError> {
     if msg.len() < HEADER_LEN + FCS_LEN {
         return Err(FddiError::Runt);
     }
@@ -443,6 +491,27 @@ mod tests {
             let len = rng.gen_range(0..=4500usize);
             let buf: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
             assert_both_kernels(&buf, &format!("len {len}"));
+        }
+    }
+
+    #[test]
+    fn crc32_combine_matches_the_bitwise_oracle_at_every_split() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0B1);
+        assert_eq!(Crc32Shift::new(0).0[0], 1 << 31, "no bytes shift by x^0");
+        // Every split point, the empty prefix and the empty suffix
+        // included: prefixes run the table below 64 bytes and the
+        // folding kernel from 64 on.
+        let mut lens = vec![0, 1, 63, 64, 65, 128, 4404];
+        lens.extend((0..4).map(|_| rng.gen_range(0..=4404usize)));
+        for len in lens {
+            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let expect = crc32_bitwise(&data);
+            for split in 0..=len {
+                let (a, b) = data.split_at(split);
+                let got = Crc32Shift::new(b.len()).combine(crc32(a), crc32(b));
+                assert_eq!(got, expect, "len {len}, split {split}");
+            }
         }
     }
 

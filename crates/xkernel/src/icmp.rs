@@ -106,7 +106,7 @@ pub fn port_unreachable(original: &[u8], our_addr: Ipv4Addr) -> Option<Vec<u8>> 
 }
 
 /// Parse an ICMP message (after the IP header has been stripped).
-pub fn parse(msg: &mut Message) -> Result<IcmpMessage, IcmpError> {
+pub fn parse(msg: &mut Message<'_>) -> Result<IcmpMessage, IcmpError> {
     let bytes = msg.bytes();
     if bytes.len() < HEADER_LEN {
         return Err(IcmpError::Truncated);

@@ -151,7 +151,7 @@ pub fn build_header(
 /// Parse and strip the IPv4 header of `msg` (uninstrumented; the
 /// instrumented fast path in [`crate::engine`] mirrors these reads).
 /// Verifies the checksum and length and truncates trailing padding.
-pub fn parse_header(msg: &mut Message) -> Result<IpHeader, IpError> {
+pub fn parse_header(msg: &mut Message<'_>) -> Result<IpHeader, IpError> {
     let bytes = msg.bytes();
     if bytes.len() < HEADER_LEN {
         return Err(IpError::Truncated);

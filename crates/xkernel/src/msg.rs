@@ -3,12 +3,17 @@
 //!
 //! An x-kernel message travels *down* a protocol graph on send (each layer
 //! pushes its header in front) and *up* on receive (each layer pops its
-//! header off). We model this with a `Vec<u8>` and a head offset: pops
-//! are O(1), pushes into reserved headroom are O(1).
+//! header off). We model this as a window `head..end` over a byte buffer:
+//! pops and truncations move the window in O(1). A received message
+//! borrows the frame it parses, so the receive path reads the driver's
+//! bytes where they lie and copies none; an outgoing one owns its bytes,
+//! and pushes into its reserved headroom are O(1).
 //!
 //! Each message is bound to a simulated packet-buffer address, so header
 //! reads issue `PacketData` references at the right simulated location:
 //! byte `i` of the wire frame lives at `base_addr + i`.
+
+use std::borrow::Cow;
 
 use afs_cache::sim::trace::{Region, TraceSink};
 
@@ -17,11 +22,13 @@ use crate::mem::MemCtx;
 /// Headroom reserved in front of a payload for pushed headers.
 pub const DEFAULT_HEADROOM: usize = 64;
 
-/// A protocol message: wire bytes plus a moving head pointer.
+/// A protocol message: wire bytes, borrowed on receive and owned on
+/// send, and the visible window `head..end` over them.
 #[derive(Debug, Clone)]
-pub struct Message {
-    buf: Vec<u8>,
+pub struct Message<'a> {
+    buf: Cow<'a, [u8]>,
     head: usize,
+    end: usize,
     /// Simulated base address of byte 0 of the *frame* (head = frame
     /// start when the driver hands the message up).
     base_addr: u64,
@@ -47,58 +54,34 @@ impl std::fmt::Display for MsgError {
 
 impl std::error::Error for MsgError {}
 
-impl Default for Message {
-    /// An empty message (no bytes, head at 0) — the placeholder
-    /// [`std::mem::take`] leaves behind when the engine borrows its
-    /// scratch message for one receive.
-    fn default() -> Self {
+impl<'a> Message<'a> {
+    /// View received wire bytes (head at 0) in place, bound to a
+    /// simulated buffer address. Nothing is copied: the message borrows
+    /// `frame`, and no pop or truncation writes to it.
+    pub fn from_wire(frame: &'a [u8], base_addr: u64) -> Self {
         Message {
-            buf: Vec::new(),
+            buf: Cow::Borrowed(frame),
             head: 0,
-            base_addr: 0,
-        }
-    }
-}
-
-impl Message {
-    /// Wrap received wire bytes (head at 0), bound to a simulated buffer
-    /// address.
-    pub fn from_wire(frame: &[u8], base_addr: u64) -> Self {
-        Message {
-            buf: frame.to_vec(),
-            head: 0,
+            end: frame.len(),
             base_addr,
         }
-    }
-
-    /// Reinitialize this message in place from received wire bytes,
-    /// reusing the existing buffer capacity. Equivalent to replacing
-    /// `self` with [`Message::from_wire`]`(frame, base_addr)`, but
-    /// allocation-free once the buffer has grown to the frame length —
-    /// the receive path's steady-state contract.
-    pub fn reset_from_wire(&mut self, frame: &[u8], base_addr: u64) {
-        self.buf.clear();
-        self.buf.extend_from_slice(frame);
-        self.head = 0;
-        self.base_addr = base_addr;
     }
 
     /// Create an outgoing message holding `payload`, with headroom for
     /// headers to be pushed in front.
     pub fn for_send(payload: &[u8], base_addr: u64) -> Self {
-        let mut buf = Vec::with_capacity(DEFAULT_HEADROOM + payload.len());
-        buf.resize(DEFAULT_HEADROOM, 0);
-        buf.extend_from_slice(payload);
+        let buf = [&[0; DEFAULT_HEADROOM][..], payload].concat();
         Message {
-            buf,
+            end: buf.len(),
+            buf: Cow::Owned(buf),
             head: DEFAULT_HEADROOM,
             base_addr,
         }
     }
 
-    /// Bytes currently visible (head onward).
+    /// Bytes currently visible (head up to the end).
     pub fn len(&self) -> usize {
-        self.buf.len() - self.head
+        self.end - self.head
     }
 
     /// True when nothing remains.
@@ -108,7 +91,7 @@ impl Message {
 
     /// Visible bytes as a slice.
     pub fn bytes(&self) -> &[u8] {
-        &self.buf[self.head..]
+        &self.buf[self.head..self.end]
     }
 
     /// The simulated address of the current head byte.
@@ -127,20 +110,22 @@ impl Message {
     }
 
     /// Push an `n`-byte header in front of the head and return a mutable
-    /// slice to fill it.
+    /// slice to fill it. An outgoing message owns its bytes, so this
+    /// writes in place.
     pub fn push(&mut self, n: usize) -> Result<&mut [u8], MsgError> {
         if n > self.head {
             return Err(MsgError::NoHeadroom);
         }
         self.head -= n;
         let head = self.head;
-        Ok(&mut self.buf[head..head + n])
+        Ok(&mut self.buf.to_mut()[head..head + n])
     }
 
-    /// Truncate the message to `n` visible bytes (drop trailing padding).
+    /// Truncate the message to `n` visible bytes (drop trailing padding):
+    /// the window's end moves, the bytes stay where they are.
     pub fn truncate(&mut self, n: usize) {
         if n < self.len() {
-            self.buf.truncate(self.head + n);
+            self.end = self.head + n;
         }
     }
 
@@ -229,18 +214,22 @@ mod tests {
     }
 
     #[test]
-    fn reset_from_wire_matches_from_wire_and_reuses_capacity() {
-        let mut m = Message::from_wire(&[1, 2, 3, 4, 5, 6, 7, 8], 0x100);
-        m.pop(5).unwrap();
-        m.reset_from_wire(&[9, 8, 7], 0x2000);
-        let fresh = Message::from_wire(&[9, 8, 7], 0x2000);
-        assert_eq!(m.bytes(), fresh.bytes());
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.head_addr(), fresh.head_addr());
-        // Shrinking refills keep the old capacity (no realloc churn).
-        let ptr = m.bytes().as_ptr();
-        m.reset_from_wire(&[1, 2], 0);
-        assert_eq!(m.bytes().as_ptr(), ptr);
+    fn from_wire_borrows_and_truncate_leaves_the_frame_untouched() {
+        let frame = [1u8, 2, 3, 4, 5, 6, 7, 8];
+        let mut m = Message::from_wire(&frame, 0x100);
+        // The message is a view of the frame, not a copy of it.
+        assert_eq!(m.bytes().as_ptr(), frame.as_ptr());
+        m.pop(2).unwrap();
+        assert_eq!(m.bytes().as_ptr(), frame[2..].as_ptr());
+        m.truncate(3);
+        assert_eq!(m.bytes(), &[3, 4, 5]);
+        assert_eq!(m.bytes().as_ptr(), frame[2..].as_ptr());
+        assert_eq!(m.head_addr(), 0x102);
+        assert_eq!(
+            m.read_u32(&mut MemCtx::new(&mut TraceBuffer::new()), 0),
+            Err(MsgError::Truncated)
+        );
+        assert_eq!(frame, [1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub fn build_segment(
 
 /// Parse and strip a TCP header, verifying the checksum.
 pub fn parse_segment(
-    msg: &mut Message,
+    msg: &mut Message<'_>,
     src: Ipv4Addr,
     dst: Ipv4Addr,
 ) -> Result<TcpHeader, TcpError> {

@@ -104,7 +104,7 @@ pub fn build_datagram(
 /// in [`crate::engine`]). When the sender computed a checksum
 /// (`checksum != 0`) it is verified against the pseudo-header.
 pub fn parse_datagram(
-    msg: &mut Message,
+    msg: &mut Message<'_>,
     src: Ipv4Addr,
     dst: Ipv4Addr,
 ) -> Result<UdpHeader, UdpError> {

@@ -9,18 +9,20 @@
 //! report assembly, the RSS gauge — is common to both; the only thing
 //! that differs is thousands of extra steady-state packets. If the
 //! armed counts are *equal*, those packets allocated nothing: each
-//! worker built their frames into its one reused frame buffer, and every table
+//! worker rewrote the header bytes and the FCS of its one frame, whose
+//! payload it wrote when it started, and every table
 //! (router MRU, front-end steering, resident LRUs, the feedback heap,
 //! the staged claims) stayed within its pre-sized footprint.
 //!
 //! The policy is an input: the owner-routed rung (one and two workers),
-//! IPS with stealing (claims staged until the model resolves them) and
-//! Locking (claims resolved through the shared pool), all offered past
-//! capacity, so drops and claim arbitration are part of the measured
-//! steady state. The single-worker case is fully deterministic (no lock
-//! contention, so no lazily created parking structures); the
-//! multi-worker cases exercise the lock path as well, whose parking
-//! allocations are forced during warm-up by sustained contention.
+//! IPS with stealing (claims staged until the model resolves them, at
+//! 64 B and at 4 KiB payloads) and Locking (claims resolved through the
+//! shared pool), all offered past capacity, so drops and claim
+//! arbitration are part of the measured steady state. The single-worker
+//! case is fully deterministic (no lock contention, so no lazily created
+//! parking structures); the multi-worker cases exercise the lock path as
+//! well, whose parking allocations are forced during warm-up by
+//! sustained contention.
 //!
 //! The simulator rows pin the other half of a long run's memory: a
 //! simulated run's heap is a function of its live state, not of its
@@ -147,9 +149,10 @@ const LONG: u64 = COUNTS[2];
 /// population is far past the Flow-Director table, so steering misses —
 /// and under Locking the pooled claims they resolve through — go on
 /// throughout the measured window.
-fn armed_allocs(workers: usize, policy: PolicySpec, total: u64) -> u64 {
+fn armed_allocs(workers: usize, policy: PolicySpec, payload_bytes: usize, total: u64) -> u64 {
     let mut cfg = ServeConfig::new(workers, 20_000, FrontEndKind::FlowDirector, policy);
     cfg.native.pinning = Pinning::Off;
+    cfg.payload_bytes = payload_bytes;
     cfg.native.queue_capacity = 64;
     // Past two workers' sustained rate: drops and ring backpressure are
     // part of the steady state being measured.
@@ -172,15 +175,20 @@ fn armed_allocs(workers: usize, policy: PolicySpec, total: u64) -> u64 {
     count
 }
 
-/// The armed counts of the short and the long horizon.
+/// The armed counts of the short and the long horizon, at 64 B payloads.
 fn short_and_long(workers: usize, policy: PolicySpec) {
-    let short = armed_allocs(workers, policy, SHORT);
-    let long = armed_allocs(workers, policy, LONG);
+    short_and_long_at(workers, policy, 64);
+}
+
+/// [`short_and_long`] at `payload_bytes` payloads.
+fn short_and_long_at(workers: usize, policy: PolicySpec, payload_bytes: usize) {
+    let short = armed_allocs(workers, policy, payload_bytes, SHORT);
+    let long = armed_allocs(workers, policy, payload_bytes, LONG);
     assert_eq!(
         short,
         long,
         "{} extra steady-state packets must not allocate under {policy:?} on {workers} \
-         worker(s) (armed counts: {short} vs {long})",
+         worker(s) at {payload_bytes} B payloads (armed counts: {short} vs {long})",
         LONG - SHORT
     );
 }
@@ -198,6 +206,11 @@ fn steady_state_serving_allocates_nothing_multi_worker() {
 #[test]
 fn steady_state_serving_allocates_nothing_with_staged_steal_claims() {
     short_and_long(2, PolicySpec::Ips);
+}
+
+#[test]
+fn steady_state_serving_allocates_nothing_with_staged_steal_claims_at_4_kib() {
+    short_and_long_at(2, PolicySpec::Ips, 4_096);
 }
 
 #[test]

@@ -74,10 +74,6 @@ const TEST_SUPPORT: &[(&str, &str)] = &[
         "crates/xkernel/tests/fuzz_receive.rs: the wire-fault harness draws from the named substream",
     ),
     (
-        "Message::from_wire",
-        "every afs-xkernel layer's unit tests and tests/proptests.rs parse from a fresh message",
-    ),
-    (
         "PSH",
         "crates/xkernel/tests/proptests.rs: a second flag bit for the TCP header round trip",
     ),
