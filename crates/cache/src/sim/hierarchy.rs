@@ -116,55 +116,23 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Charge `k` L1 hits like `mref` without looking anything up: the
-    /// counters `k` calls of [`MemoryHierarchy::access`] would advance
-    /// when each finds its line in its L1 set, already tagged and (for a
-    /// store) dirty — a hit that changes no cache state, never reaches
-    /// L2 and adds no cycles.
-    fn charge_l1_hits(&mut self, mref: MemRef, k: u64) {
-        self.stats.accesses += k;
-        self.stats.l1_hits += k;
-        self.l1_mut(mref.is_instr).charge(mref.region, 0, k);
-    }
-
-    /// Reload a streak of L1-absent lines in one pass: from reference `i`
-    /// of the first pass up to the first line that its L1 set holds, or
-    /// the end of the pass. Each line gets the miss branch of
-    /// [`MemoryHierarchy::access`], and its other references are the L1
-    /// hits they then are. `end_of(j, line)` is the first reference from
-    /// the `j`-th on that lies at or past `line`. Returns the reference
-    /// after the last one charged, which is `i` itself when its line is
-    /// resident.
-    ///
-    /// L2 takes one real access per L2 line, made by the fill of its
-    /// first streak line. The later L1 lines of that L2 line find it in
-    /// its set with the sweep's owner and dirty bit, since nothing in
-    /// between changes L2 (an L1 fill does not, a back-invalidation
-    /// touches only L1), so they are L2 hits that move counters only.
-    ///
-    /// The sweep's stride is at most an L1 line, so it touches every
-    /// line of its span, and its L1 fills go by *runs of sets*
-    /// (`Cache::fill_run`, which tests each line for absence when its turn
-    /// comes and books the run once). An L2 access that hits changes no L1
-    /// line and no L1 fill changes L2, so those accesses can follow the
-    /// fills of later lines; only one that misses, whose eviction may
-    /// back-invalidate, must come before the next fill. A run therefore
-    /// goes on through every L2 line that L2 holds (an L2 hit evicts
-    /// nothing, so what L2 holds cannot change before its turn) and ends
-    /// at the first line of the first one it does not hold, whose access
-    /// comes last — or after as many lines as L1 has sets, which bounds
-    /// the look-ahead a run cut short by a resident line has wasted.
-    /// Counters are booked once per streak; cycles are added per access,
-    /// in reference order.
-    fn reload_streak(
+    /// The L2 side of [`MemoryHierarchy::access`]'s L1 miss branch for
+    /// the `filled` lines from `line` that `Cache::fill_run` has just
+    /// placed for `first`'s sweep, in their order, with each miss's
+    /// cycles. L2 takes one real access per L2 line, and only the last
+    /// line's may miss. The other L1 lines of an L2 line, and those under
+    /// `l2_line` (the L2 line of the last real L2 access, which nothing
+    /// has changed since), hit it as that access left it, with the
+    /// sweep's owner and dirty bit, and are left to the caller's bulk
+    /// charge. Returns the real accesses made and how many of them missed.
+    fn reload_from_l2(
         &mut self,
         first: MemRef,
-        i: u64,
-        pass: u64,
-        at: impl Fn(u64) -> MemRef,
-        end_of: impl Fn(u64, u64) -> u64,
-    ) -> u64 {
-        let p = self.platform;
+        line: u64,
+        filled: u64,
+        l2_line: &mut Option<u64>,
+    ) -> (u64, u64) {
+        let p = &self.platform;
         let (region, is_write) = (first.region, first.is_write);
         let l1_shift = p.l1.line_bytes.trailing_zeros();
         // L1 line `l` lies in L2 line `l >> l2_of`.
@@ -172,82 +140,31 @@ impl MemoryHierarchy {
         // What `access` charges an L1 miss, summed in its order.
         let l2_cycles = p.l2_hit_penalty_cycles;
         let mem_cycles = l2_cycles + p.mem_penalty_cycles;
-        let last_line = at(pass - 1).addr >> l1_shift;
-        let mut line = at(i).addr >> l1_shift;
-        // The L2 line of the last real L2 access.
-        let mut l2_line = None;
-        let (mut j, mut lines, mut accesses, mut l2_hits) = (i, 0, 0, 0);
-        loop {
-            // The run's last line: the first line of the first L2 line
-            // whose real access L2 would miss, or the pass's last line, at
-            // most one line per L1 set from `line`.
-            let cap = last_line.min(line + p.l1.sets() - 1);
-            let mut run_last = line;
-            for l2 in line >> l2_of..=cap >> l2_of {
-                if l2_line != Some(l2) && !self.l2.contains(l2 << (l2_of + l1_shift)) {
-                    run_last = (l2 << l2_of).max(line);
-                    break;
-                }
-                run_last = (((l2 + 1) << l2_of) - 1).min(cap);
+        let last = line + filled - 1;
+        let (mut accesses, mut misses) = (0, 0);
+        for l2 in line >> l2_of..(last >> l2_of) + 1 {
+            if *l2_line == Some(l2) {
+                continue;
             }
-            let want = run_last - line + 1;
-            let filled = self
-                .l1_mut(first.is_instr)
-                .fill_run(line, want, region, is_write);
-            if filled == 0 {
-                break;
+            *l2_line = Some(l2);
+            let head = (l2 << l2_of).max(line);
+            let l2_result = self.l2.access_rw(head << l1_shift, region, is_write);
+            debug_assert!(l2_result.hit || head == last);
+            if let Some((victim, _)) = l2_result.evicted {
+                self.back_invalidate(victim);
             }
-            let (filled_last, end) = (line + filled - 1, end_of(j, line + filled));
-            debug_assert!((j..end).all(|k| self.is_stateless_l1_hit(at(k))));
-            // One real access per L2 line not yet accessed, made by its
-            // first line in the run, in order.
-            let mut missed = false;
-            for l2 in line >> l2_of..=filled_last >> l2_of {
-                if l2_line == Some(l2) {
-                    continue;
-                }
-                l2_line = Some(l2);
-                let head = (l2 << l2_of).max(line);
-                let l2_result = self.l2.access_rw(head << l1_shift, region, is_write);
-                debug_assert!(l2_result.hit || head == filled_last);
-                if let Some((victim, _)) = l2_result.evicted {
-                    self.back_invalidate(victim);
-                }
-                accesses += 1;
-                l2_hits += u64::from(l2_result.hit);
-                missed = !l2_result.hit;
-            }
-            debug_assert!(
-                !self
-                    .l2
-                    .one_line_per_set(line << l1_shift, filled_last << l1_shift)
-                    || (line..=filled_last).all(|l| self.l2.hit_is_stateless(
-                        l << l1_shift,
-                        region,
-                        is_write
-                    ))
-            );
-            for k in 0..filled {
-                self.stats.cycles += if missed && k == filled - 1 {
-                    mem_cycles
-                } else {
-                    l2_cycles
-                };
-            }
-            (j, lines) = (end, lines + filled);
-            if filled < want || j == pass {
-                break;
-            }
-            line = at(j).addr >> l1_shift;
+            accesses += 1;
+            misses += u64::from(!l2_result.hit);
         }
-        let (hits, repeats) = (j - i - lines, lines - accesses);
-        self.stats.accesses += lines + hits;
-        self.stats.l1_hits += hits;
-        self.stats.l2_hits += repeats + l2_hits;
-        self.stats.mem_fills += accesses - l2_hits;
-        self.l1_mut(first.is_instr).charge(region, lines, hits);
-        self.l2.charge(region, 0, repeats);
-        j
+        debug_assert!(
+            !self.l2.one_line_per_set(line << l1_shift, last << l1_shift)
+                || (line..=last).all(|l| self.l2.hit_is_stateless(l << l1_shift, region, is_write))
+        );
+        for _ in 1..filled {
+            self.stats.cycles += l2_cycles;
+        }
+        self.stats.cycles += if misses > 0 { mem_cycles } else { l2_cycles };
+        (accesses, misses)
     }
 
     /// Whether `mref` would be an L1 hit that changes no cache state.
@@ -316,14 +233,6 @@ impl MemoryHierarchy {
         let (l2_line, l2_lines) = lines(self.platform.l2.line_bytes as u64);
         self.l2.invalidate_run(l2_line, l2_lines);
     }
-
-    /// Reset counters without touching contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = HierarchyStats::default();
-        self.l1d.reset_stats();
-        self.l1i.reset_stats();
-        self.l2.reset_stats();
-    }
 }
 
 impl TraceSink for MemoryHierarchy {
@@ -331,42 +240,54 @@ impl TraceSink for MemoryHierarchy {
         let _ = MemoryHierarchy::access(self, mref);
     }
 
-    /// One lookup per L1 line of the sweep that an access would change;
-    /// every other reference is charged as the L1 hit it must be.
+    /// The sweep by line, in one loop. Each step of the first pass
+    /// classifies the line of the reference it is on once, and leaves
+    /// every cache, counter and cycle total as the walk of the references
+    /// it takes would leave them, in the walk's order. A probe
+    /// (`Cache::stateless_run`) tells the first case from the others, a
+    /// slot read the other two; after an absent run that filled every
+    /// line it asked for, the next line is tried as absent first, and a
+    /// step that finds it resident after all charges nothing.
     ///
-    /// * Only a stride that is a power of two no longer than an L1 line
-    ///   (every engine sweep: 4 and 16 bytes) is priced by line. Such a
-    ///   sweep touches every line of its span; any other stride, zero
-    ///   included, is walked reference by reference.
-    /// * In the first pass (`i < period`) addresses only rise, so the
-    ///   references that share an L1 line are consecutive. A *run probe*
-    ///   (`Cache::stateless_run`) finds how many lines from the current
-    ///   one are already resident with this sweep's tag and dirty bit:
-    ///   every reference into that run is a hit that moves only
-    ///   counters, so none of them changes what the probe saw. The line
-    ///   that ends a run gets a real access, which leaves it in that
-    ///   same state for the rest of its references — or, when its L1 set
-    ///   does not hold it, starts a streak that reloads it and the absent
-    ///   lines after it in one pass (`MemoryHierarchy::reload_streak`).
-    /// * Later passes re-walk lines the first pass left resident,
-    ///   provided nothing the pass did could displace one of them: the
-    ///   sweep's span covers at most `sets` consecutive lines at both
-    ///   levels, so its lines fall in distinct sets of L1 and of L2, a
-    ///   fill never evicts a sweep line, and an L2 eviction (hence a
-    ///   back-invalidation) never covers one. When the span is larger
-    ///   the later passes are walked reference by reference.
+    /// * *Resident and stateless* — its L1 set holds it with the sweep's
+    ///   owner, dirty if the sweep stores. A reference to such a line
+    ///   moves counters and nothing else, so none changes what
+    ///   `Cache::stateless_run` saw: every reference into the run of such
+    ///   lines it measures is charged as an L1 hit.
+    /// * *Absent* — its L1 set does not hold it. `Cache::fill_run` places
+    ///   it and the lines after it as the walk's L1 misses would, testing
+    ///   each when its turn comes, up to the first line of the first L2
+    ///   line L2 does not hold and at most one line per L1 set. An L2 hit
+    ///   changes no L1 line and no L1 fill changes L2, so the run's L2
+    ///   accesses may follow its fills, one per L2 line in order; the one
+    ///   that may miss, and so back-invalidate, is its last line's. The
+    ///   other L1 lines of an L2 line find it as its access left it, so
+    ///   their L2 hits move counters only; each L1 miss adds its cycles in
+    ///   reference order (`MemoryHierarchy::reload_from_l2`).
+    /// * *Anything else* — one real `access`, which leaves the line
+    ///   stateless for its other references.
     ///
-    /// Debug builds check every charged reference against the caches.
+    /// Last, the references after the first pass: when the span puts one
+    /// line in each set of L1 and of L2, no fill of the sweep evicted a
+    /// sweep line and no L2 eviction covered one, so the first pass left
+    /// every line stateless and they are charged in bulk; otherwise each
+    /// is one real `access`, as is every reference of a stride that is not
+    /// a power of two no longer than an L1 line (zero included), since
+    /// only such a stride touches every line of its span. Counters are
+    /// integers, tallied and booked once. Within a pass addresses rise,
+    /// so the references to a line are consecutive. Debug builds check
+    /// every charged reference against the caches.
     fn access_sweep(&mut self, first: MemRef, stride: u64, period: u64, n: u64) {
         if n == 0 {
             return;
         }
         assert!(period > 0, "a sweep has a non-zero period");
-        // The reference at offset `k` of the pass, `k = i % period`.
+        // The reference at offset `k` of a pass.
         let at = |k: u64| MemRef {
             addr: first.addr + k * stride,
             ..first
         };
+        let (region, is_write) = (first.region, first.is_write);
         let l1_shift = self.platform.l1.line_bytes.trailing_zeros();
         // The references priced by line: the first pass, or none.
         let pass = match stride.is_power_of_two() && stride <= 1 << l1_shift {
@@ -374,60 +295,92 @@ impl TraceSink for MemoryHierarchy {
             false => 0,
         };
         let shift = stride.trailing_zeros();
-        let last_line = at(n.min(period) - 1).addr >> l1_shift;
-        // The first reference of the pass from the `i`-th on that lies at
-        // or past line `next`.
-        let end_of = |i: u64, next: u64| {
-            let room = (next << l1_shift) - at(i).addr;
-            i + ((room + stride - 1) >> shift).min(pass - i)
-        };
-        let mut i = 0;
-        while i < pass {
-            let mref = at(i);
-            let line = mref.addr >> l1_shift;
-            let probed = self.l1_mut(first.is_instr).stateless_run(
-                line,
-                last_line - line + 1,
-                first.region,
-                first.is_write,
-            );
-            let (run, hits_from) = match probed {
-                // A refused line its set does not hold starts a streak;
-                // one that is resident is looked up for real, and is then
-                // a run of one for the references after `mref`.
-                0 => {
-                    let end = self.reload_streak(first, i, pass, at, end_of);
-                    if end > i {
-                        i = end;
-                        continue;
-                    }
-                    self.access(mref);
-                    (1, i + 1)
-                }
-                run => (run, i),
-            };
-            let end = end_of(i, line + run);
-            debug_assert!((hits_from..end).all(|j| self.is_stateless_l1_hit(at(j))));
-            self.charge_l1_hits(first, end - hits_from);
-            i = end;
-        }
-        if pass == n {
-            return;
-        }
-
-        let last = at(period - 1).addr;
-        if pass > 0
+        let last = at(n.min(period) - 1).addr >> l1_shift;
+        // L1 line `l` lies in L2 line `l >> l2_of`; L1 is direct-mapped.
+        let l2_of = self.platform.l2.line_bytes.trailing_zeros() - l1_shift;
+        let l1_sets = self.platform.l1.capacity_bytes >> l1_shift;
+        // Whether the span puts one line in each set of L1 and of L2.
+        let span_end = at(period - 1).addr;
+        let settled = pass < n
+            && pass > 0
             && self
                 .l1_mut(first.is_instr)
-                .one_line_per_set(first.addr, last)
-            && self.l2.one_line_per_set(first.addr, last)
-        {
-            debug_assert!((pass..n).all(|j| self.is_stateless_l1_hit(at(j % period))));
-            self.charge_l1_hits(first, n - pass);
-        } else {
-            (pass..n).for_each(|j| {
-                self.access(at(j % period));
-            });
+                .one_line_per_set(first.addr, span_end)
+            && self.l2.one_line_per_set(first.addr, span_end);
+        // Whether the last step filled every line it asked for, so that the
+        // line the loop is on is tried as absent first; the L2 line of the
+        // last real L2 access; and what the sweep has charged: L1 hits in
+        // bulk, L1 misses, and of those the real L2 accesses and the memory
+        // fills.
+        let (mut absent, mut l2_line) = (false, None);
+        let (mut hits, mut misses, mut l2_accesses, mut fills) = (0, 0, 0, 0);
+        let mut i = 0;
+        while i < n {
+            if i >= pass {
+                if settled {
+                    debug_assert!((i..n).all(|j| self.is_stateless_l1_hit(at(j % period))));
+                    hits += n - i;
+                    break;
+                }
+                self.access(at(i % period));
+                i += 1;
+                continue;
+            }
+            let mref = at(i);
+            let line = mref.addr >> l1_shift;
+            // The first reference from the `i`-th on at or past line `next`.
+            let end_of = |next: u64| {
+                let room = (next << l1_shift) - mref.addr;
+                i + ((room + stride - 1) >> shift).min(pass - i)
+            };
+            // After the step the references `from..end` find their lines
+            // stateless; `filled` of them were L1 misses, the rest hits.
+            let l1 = self.l1_mut(first.is_instr);
+            let run = match absent {
+                true => 0,
+                false => l1.stateless_run(line, last - line + 1, region, is_write),
+            };
+            let (from, end, filled) = if run > 0 {
+                (i, end_of(line + run), 0)
+            } else if !absent && l1.contains(mref.addr) {
+                self.access(mref);
+                (i + 1, end_of(line + 1), 0)
+            } else {
+                // Absent: up to the first line of the first L2 line that
+                // L2 does not hold, at most one line per L1 set.
+                let cap = last.min(line + l1_sets - 1);
+                let miss = (line >> l2_of..(cap >> l2_of) + 1)
+                    .find(|&l2| !self.l2.contains(l2 << (l2_of + l1_shift)));
+                let run_last = miss.map_or(cap, |l2| (l2 << l2_of).max(line));
+                let want = run_last - line + 1;
+                let filled = self
+                    .l1_mut(first.is_instr)
+                    .fill_run(line, want, region, is_write);
+                if filled == 0 {
+                    // Resident after all: classify it with a probe.
+                    absent = false;
+                    continue;
+                }
+                absent = filled == want;
+                (i, end_of(line + filled), filled)
+            };
+            debug_assert!((from..end).all(|j| self.is_stateless_l1_hit(at(j))));
+            if filled > 0 {
+                let (accesses, missed) = self.reload_from_l2(first, line, filled, &mut l2_line);
+                (misses, l2_accesses, fills) =
+                    (misses + filled, l2_accesses + accesses, fills + missed);
+            }
+            hits += end - from - filled;
+            i = end;
+        }
+        // Every L1 miss but a memory fill is an L2 hit, real or in bulk.
+        self.stats.accesses += hits + misses;
+        self.stats.l1_hits += hits;
+        self.l1_mut(first.is_instr).charge(region, misses, hits);
+        if misses > 0 {
+            self.stats.l2_hits += misses - fills;
+            self.stats.mem_fills += fills;
+            self.l2.charge(region, 0, misses - l2_accesses);
         }
     }
 }
@@ -592,7 +545,7 @@ mod tests {
             h.access_sweep(MemRef::fetch(0x4_0000), 16, 160, 960);
             walked(h) - before
         };
-        assert_eq!(code(&mut h), 1, "cold: one refused probe, then one streak");
+        assert_eq!(code(&mut h), 1, "cold: one refused probe, then absent runs");
         assert_eq!(code(&mut h), 160, "warm: the run is walked once, and kept");
         let priced = h.stats;
         assert_eq!(code(&mut h), 0);
@@ -601,8 +554,8 @@ mod tests {
         assert_eq!(h.stats.l1_hits, priced.l1_hits + 2 * 960);
 
         // Stream state (13 lines from set 0 of L1D) stays verified while a
-        // DMA-cold packet buffer, one streak each time, is filled eight
-        // blocks away from it...
+        // DMA-cold packet buffer, one refused probe each time, is filled
+        // eight blocks away from it...
         let stream = MemRef::read(0x10_0000, Region::Stream);
         let packet = MemRef::write(0x10_0800, Region::PacketData);
         assert_eq!(walks(&mut h, stream, 4, 52), 1);
@@ -619,6 +572,60 @@ mod tests {
         assert_eq!(walks(&mut h, stream, 4, 52), 1);
         assert_eq!(walks(&mut h, stream, 4, 52), 13);
         assert_eq!(walks(&mut h, stream, 4, 52), 0);
+    }
+
+    /// Lines walked by run probes, runs filled and `access_rw` lookups,
+    /// summed over the three caches.
+    fn work(h: &MemoryHierarchy) -> [u64; 3] {
+        let caches = [&h.l1d, &h.l1i, &h.l2];
+        [
+            caches.iter().map(|c| c.walked).sum(),
+            caches.iter().map(|c| c.runs).sum(),
+            caches.iter().map(|c| c.lookups).sum(),
+        ]
+    }
+
+    #[test]
+    fn a_steady_state_packet_does_no_more_host_work_than_pinned() {
+        // The sweeps of a 64 B packet at the engine's addresses on the
+        // R4400 (L1 set = addr / 16 % 1024, L2 set = addr / 128 % 8192):
+        // code from set 0, globals from 752, the stack from 800, two
+        // flows' stream state over sets 848..1024 (one L1 period apart,
+        // so each reloads what the other displaced from L2), and a
+        // DMA-cold buffer at set 1008, which also takes two of the first
+        // flow's L2 lines.
+        type Sweep = fn(&mut MemoryHierarchy, MemRef, u64, u64, u64);
+        let priced: Sweep = |h, first, stride, period, n| h.access_sweep(first, stride, period, n);
+        let by_reference: Sweep = |h, first, stride, period, n| {
+            (0..n).for_each(|i| {
+                h.access(MemRef {
+                    addr: first.addr + i % period * stride,
+                    ..first
+                });
+            })
+        };
+        let packet = |h: &mut MemoryHierarchy, sweep: Sweep| {
+            sweep(h, MemRef::fetch(0x1000_0000), 16, 160, 960);
+            sweep(h, MemRef::read(0x2000_2F00, Region::Global), 4, 160, 160);
+            sweep(h, MemRef::write(0x3000_3200, Region::Thread), 4, 160, 160);
+            for flow in [0, 1] {
+                let base = 0x4000_3500 + flow * 0x4000;
+                sweep(h, MemRef::read(base, Region::Stream), 4, 512, 512);
+                sweep(h, MemRef::write(base + 2048, Region::Stream), 4, 192, 192);
+                if flow == 0 {
+                    h.purge_region(Region::PacketData);
+                    sweep(h, MemRef::read(0x5000_3F00, Region::PacketData), 4, 32, 32);
+                }
+            }
+        };
+        let mut h = MemoryHierarchy::new(Platform::sgi_challenge_r4400());
+        (0..3).for_each(|_| packet(&mut h, priced));
+        let (mut reference, before) = (h.clone(), work(&h));
+        packet(&mut h, priced);
+        packet(&mut reference, by_reference);
+        let done: [u64; 3] = std::array::from_fn(|k| work(&h)[k] - before[k]);
+        assert_eq!(done, [5, 7, 45], "[walked, runs, lookups] for one packet");
+        assert_eq!(booked(&h), booked(&reference));
     }
 
     #[test]
@@ -640,7 +647,7 @@ mod tests {
         h.purge_range(far.addr + 32, 4);
         assert_eq!(walks(&mut h, stream, 4, 64), 0);
         // The run's first two lines (and a look past them), the purged
-        // line's refused probe and streak, the last thirteen lines.
+        // line's refused probe, the last thirteen lines.
         assert_eq!(walks(&mut h, far, 4, 64), 3 + 1 + 13);
         assert_eq!(walks(&mut h, far, 4, 64), 16, "refilled: walked once more");
         assert_eq!(walks(&mut h, far, 4, 64), 0);
@@ -655,8 +662,9 @@ mod tests {
         assert!(!h.l1d.contains(stream.addr + 128));
         assert_eq!(walks(&mut h, far, 4, 64), 0);
         let stats = h.stats;
-        // Lines 0..8 and the look past them, then one streak for 8..16:
-        // a memory fill of their L2 line, which the other seven then hit.
+        // Lines 0..8 and the look past them, then a refused probe and one
+        // absent run for 8..16: a memory fill of their L2 line, which the
+        // other seven then hit.
         assert_eq!(walks(&mut h, stream, 4, 64), 9 + 1);
         assert_eq!(h.stats.l1_hits - stats.l1_hits, 64 - 8);
         assert_eq!(h.stats.mem_fills - stats.mem_fills, 1);
@@ -679,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn a_streak_over_l2_resident_lines_books_what_the_reference_walk_books() {
+    fn an_absent_run_over_l2_resident_lines_books_what_the_reference_walk_books() {
         // 16 B L1 lines under 64 B L2 lines.
         let mut h = MemoryHierarchy::new(small_platform());
         let stores = MemRef::write(0x1000, Region::Stream);
@@ -701,7 +709,11 @@ mod tests {
         });
         let before = (h.stats, walked(&h), h.l1d.runs);
         h.access_sweep(stores, 4, 48, 48);
-        assert_eq!(walked(&h) - before.1, 1, "one refused probe, one streak");
+        assert_eq!(
+            walked(&h) - before.1,
+            1,
+            "one refused probe, then absent runs"
+        );
         // One run through the two L2 lines L2 holds, up to the first line
         // of the one it does not; one run after that line's L2 access.
         assert_eq!(h.l1d.runs - before.2, 2);
@@ -725,7 +737,7 @@ mod tests {
     }
 
     #[test]
-    fn a_streak_fills_no_set_before_the_l2_access_that_back_invalidates_it() {
+    fn an_absent_run_fills_no_set_before_the_l2_access_that_back_invalidates_it() {
         // 16 B L1 lines under 64 B L2 lines: stores over lines 0..8 (L1
         // sets 0..8) under two L2 lines, the second in L2 set 1.
         let mut h = MemoryHierarchy::new(small_platform());
@@ -764,14 +776,5 @@ mod tests {
         assert_eq!(h.stats.cycles, 110.0);
         h.charge_cycles(90.0);
         assert_eq!(h.stats.cycles, 200.0);
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut h = MemoryHierarchy::new(small_platform());
-        h.access(MemRef::read(0x80, Region::Thread));
-        h.reset_stats();
-        assert_eq!(h.stats.accesses, 0);
-        assert_eq!(h.access(MemRef::read(0x80, Region::Thread)), ServedBy::L1);
     }
 }

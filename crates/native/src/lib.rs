@@ -44,8 +44,9 @@
 //! workers advance per-worker virtual clocks by the modeled service
 //! time, and delays are derived from those clocks — so results are
 //! insensitive to host speed and interference, while still exercising
-//! real concurrency (real threads, real rings, real locks, real races
-//! in dispatch order).
+//! real concurrency (real threads, real rings, real locks). No race
+//! decides a placement: the dispatcher resolves every one before it
+//! enqueues the packet.
 
 pub mod crossval;
 mod dispatch;

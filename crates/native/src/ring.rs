@@ -187,8 +187,8 @@ mod tests {
 
     #[test]
     fn concurrent_batch_and_single_consumers_conserve_items() {
-        // Mixed consumers: one batch popper (the owner), two single
-        // poppers (thieves). Every pushed id must come out exactly once.
+        // Mixed consumers: one batch popper and two single poppers.
+        // Every pushed id must come out exactly once.
         use std::sync::atomic::AtomicBool;
         use std::sync::Mutex;
         const N: u64 = 20_000;
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn concurrent_producer_consumers_conserve_items() {
-        // Stress: 1 producer, 3 consumers (owner + 2 thieves), assert
+        // Stress: 1 producer, 3 consumers that pop one item at a time, assert
         // the multiset of received ids equals the sent set.
         use std::sync::atomic::AtomicBool;
         use std::sync::Mutex;

@@ -142,9 +142,9 @@ pub struct NativeConfig {
     /// per-packet path. `> 1` turns on train pops: a worker claims up to
     /// `batch` queued packets from its ring in one
     /// synchronized [`RingQueue::pop_batch`][crate::ring::RingQueue::pop_batch]
-    /// operation. Result-transparent — `RunReport`s and ledgers are
-    /// bit-identical across batch sizes, which the differential tests
-    /// pin. Every layout honours the bound: steering is recomputed per
+    /// operation. Result-transparent — [`NativeReport`]s and ledgers are
+    /// bit-identical across batch sizes, which `tests/determinism_matrix.rs`
+    /// pins. Every layout honours the bound: steering is recomputed per
     /// packet and pooled and stealing arbitration happen dispatcher-side
     /// in the claim table, so train pops never change a placement.
     pub batch: usize,
