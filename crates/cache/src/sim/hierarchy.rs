@@ -215,23 +215,24 @@ impl MemoryHierarchy {
         self.l2.purge_region(region);
     }
 
-    /// Evict every line overlapping `[addr, addr + bytes)` from every
-    /// level. Models cache-coherent migration of one entity's state at
-    /// address granularity: when another processor takes ownership of a
-    /// stream's session or a thread's stack, this processor's copies of
-    /// exactly those lines are invalidated, while unrelated state in the
-    /// same region class stays resident. Each cache clears the range as
-    /// one run of sets (`Cache::invalidate_run`).
+    /// Evict every L2 line overlapping `[addr, addr + bytes)`, and with
+    /// each the L1 lines it covers, as `back_invalidate` does, so
+    /// inclusion holds. Models cache-coherent migration of one entity's
+    /// state at address granularity: when another processor takes
+    /// ownership of a stream's session or a thread's stack, this
+    /// processor's copies of those lines are invalidated, while unrelated
+    /// state in the same region class stays resident. Each cache clears
+    /// its lines as one run of sets (`Cache::invalidate_run`).
     pub fn purge_range(&mut self, addr: u64, bytes: u64) {
         if bytes == 0 {
             return;
         }
-        let end = addr + bytes - 1;
-        let lines = |bytes: u64| (addr / bytes, end / bytes - addr / bytes + 1);
-        let (l1_line, l1_lines) = lines(self.platform.l1.line_bytes as u64);
-        self.invalidate_l1(l1_line, l1_lines);
-        let (l2_line, l2_lines) = lines(self.platform.l2.line_bytes as u64);
-        self.l2.invalidate_run(l2_line, l2_lines);
+        let l2_bytes = self.platform.l2.line_bytes as u64;
+        let per_l2 = l2_bytes / self.platform.l1.line_bytes as u64;
+        let line = addr / l2_bytes;
+        let lines = (addr + bytes - 1) / l2_bytes - line + 1;
+        self.invalidate_l1(line * per_l2, lines * per_l2);
+        self.l2.invalidate_run(line, lines);
     }
 }
 
@@ -455,25 +456,26 @@ mod tests {
     }
 
     #[test]
-    fn purge_range_straddling_an_l2_line_is_address_exact_at_each_level() {
+    fn purge_range_straddling_an_l2_line_takes_both_l2_lines_and_the_l1_lines_under_them() {
         let mut h = MemoryHierarchy::new(small_platform());
-        // 16 B L1 lines under 64 B L2 lines: [0x38, 0x48) overlaps L1
-        // lines 3 and 4 and, across the 0x40 boundary, L2 lines 0 and 1.
+        // 16 B L1 lines under 64 B L2 lines: [0x38, 0x48) overlaps, across
+        // the 0x40 boundary, L2 lines 0 and 1.
         for addr in [0x20, 0x30, 0x40, 0x50, 0x80] {
             h.access(MemRef::read(addr, Region::Stream));
         }
         h.access(MemRef::fetch(0x44));
         h.purge_range(0x38, 16);
-        // L1 loses exactly the two overlapped lines, in both halves...
-        for (addr, resident) in [(0x20, true), (0x30, false), (0x40, false), (0x50, true)] {
-            assert_eq!(h.l1d.contains(addr), resident, "L1D {addr:#x}");
-        }
-        assert!(!h.l1i.contains(0x44));
-        // ...and L2 both lines the range touches, but not the next one.
+        // L2 loses both lines the range touches, but not the next one...
         assert!(!h.l2.contains(0x00) && !h.l2.contains(0x40));
         assert!(h.l2.contains(0x80));
+        // ...and L1, in both halves, every line under them: inclusion.
+        for addr in [0x20, 0x30, 0x40, 0x50] {
+            assert!(!h.l1d.contains(addr), "L1D {addr:#x}");
+        }
+        assert!(!h.l1i.contains(0x44));
+        assert!(h.l1d.contains(0x80));
         assert_eq!(
-            h.access(MemRef::read(0x3c, Region::Stream)),
+            h.access(MemRef::read(0x20, Region::Stream)),
             ServedBy::Memory
         );
         assert_eq!(h.access(MemRef::read(0x80, Region::Stream)), ServedBy::L1);
@@ -642,13 +644,16 @@ mod tests {
             }
             h
         };
-        // `purge_range` of one line of the run, then of a line far from it.
+        // `purge_range` of bytes in one line of the run takes its whole
+        // L2 line (128 B over 16 B: the run's lines 0..8) from L1D too.
         let mut h = warm();
         h.purge_range(far.addr + 32, 4);
+        assert!(!h.l1d.contains(far.addr) && !h.l1d.contains(far.addr + 112));
+        assert!(h.l1d.contains(far.addr + 128));
         assert_eq!(walks(&mut h, stream, 4, 64), 0);
-        // The run's first two lines (and a look past them), the purged
-        // line's refused probe, the last thirteen lines.
-        assert_eq!(walks(&mut h, far, 4, 64), 3 + 1 + 13);
+        // The refused probe of line 0, one absent run for 0..8, the last
+        // eight lines.
+        assert_eq!(walks(&mut h, far, 4, 64), 1 + 8);
         assert_eq!(walks(&mut h, far, 4, 64), 16, "refilled: walked once more");
         assert_eq!(walks(&mut h, far, 4, 64), 0);
         // An L2 conflict evicts the L2 line under the run's lines 8..16

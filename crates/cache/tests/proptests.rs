@@ -413,7 +413,8 @@ fn ops_of(script: &[Step]) -> Vec<Op> {
 /// Issue `op` to a sink that prices sweeps its own way over the
 /// hierarchy `hier` finds in it. `by_line` purges a range by its
 /// definition, one line of one cache at a time, instead of by the
-/// hierarchy's runs of sets.
+/// hierarchy's runs of sets: every L2 line the range touches, and every
+/// L1 line under each.
 fn apply<S: TraceSink>(
     op: Op,
     sink: &mut S,
@@ -425,12 +426,14 @@ fn apply<S: TraceSink>(
         Op::PurgeRegion(r) => hier(sink).purge_region(r),
         Op::PurgeRange(addr, bytes) if by_line && bytes > 0 => {
             let h = hier(sink);
-            let (l1, l2) = (h.platform().l1.line_bytes, h.platform().l2.line_bytes);
-            for (cache, line_bytes) in [(&mut h.l1d, l1), (&mut h.l1i, l1), (&mut h.l2, l2)] {
-                let line_bytes = u64::from(line_bytes);
-                for line in addr / line_bytes..=(addr + bytes - 1) / line_bytes {
-                    cache.invalidate_run(line, 1);
+            let l2_bytes = u64::from(h.platform().l2.line_bytes);
+            let per_l2 = l2_bytes / u64::from(h.platform().l1.line_bytes);
+            for line in addr / l2_bytes..=(addr + bytes - 1) / l2_bytes {
+                for l1_line in line * per_l2..(line + 1) * per_l2 {
+                    h.l1d.invalidate_run(l1_line, 1);
+                    h.l1i.invalidate_run(l1_line, 1);
                 }
+                h.l2.invalidate_run(line, 1);
             }
         }
         Op::PurgeRange(addr, bytes) => hier(sink).purge_range(addr, bytes),
@@ -790,16 +793,22 @@ proptest! {
     fn back_invalidation_preserves_inclusion(
         addrs in prop::collection::vec(0u64..65_536, 1..500),
     ) {
-        // Small hierarchy: every line either L1 holds must also be in L2.
+        // Small hierarchy: every line either L1 holds must also be in L2,
+        // after accesses and after range purges at any byte offset.
         let mut platform = Platform::sgi_challenge_r4400();
         platform.l1 = CacheGeometry::new(512, 16, 1);
         platform.l2 = CacheGeometry::new(4096, 64, 1);
         let mut h = MemoryHierarchy::new(platform);
         for &a in &addrs {
-            h.access(match a % 3 {
-                0 => MemRef::fetch(a),
-                _ => MemRef::read(a, Region::Stream),
-            });
+            match a % 5 {
+                4 => h.purge_range(a, a % 97),
+                k => {
+                    h.access(match k {
+                        0 => MemRef::fetch(a),
+                        _ => MemRef::read(a, Region::Stream),
+                    });
+                }
+            }
         }
         for &a in &addrs {
             if h.l1d.contains(a) || h.l1i.contains(a) {

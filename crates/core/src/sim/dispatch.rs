@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 use rand::Rng as _;
 
 use afs_cache::model::exec_time::{Age, ComponentAges};
-use afs_desim::engine::Scheduler;
 use afs_desim::time::{SimDuration, SimTime};
 use afs_obs::{ChargeKind, ObsEvent, SHARED_QUEUE};
 use afs_sched::{SchedView, ThreadSource};
@@ -137,14 +136,7 @@ impl<'r> SchedSim<'r> {
     }
 
     /// Start serving `pkt` on processor `p`, run by `runner`.
-    pub(super) fn begin_service(
-        &mut self,
-        p: usize,
-        pkt: Packet,
-        runner: Runner,
-        now: SimTime,
-        sched: &mut Scheduler<Event>,
-    ) {
+    pub(super) fn begin_service(&mut self, p: usize, pkt: Packet, runner: Runner, now: SimTime) {
         debug_assert!(self.procs.is_available(p));
         let np = self.procs.np_now(p, now);
         let code_age = self.procs.code_age(p, now);
@@ -295,7 +287,7 @@ impl<'r> SchedSim<'r> {
         // Thread and stack bookkeeping is deferred to completion, which
         // reads the runner back from the in-flight record (a pool thread
         // stays parked out of the shared pool until then).
-        let completion = sched.schedule_at(done_at, Event::Completion { proc: p });
+        let completion = self.schedule_at(done_at, Event::Completion { proc: p });
         self.procs.set_activity(
             p,
             ProcActivity::Protocol(InFlight {
@@ -309,7 +301,7 @@ impl<'r> SchedSim<'r> {
     }
 
     /// One Locking dispatch attempt. Returns true if a packet started.
-    fn dispatch_locking(&mut self, now: SimTime, sched: &mut Scheduler<Event>) -> bool {
+    fn dispatch_locking(&mut self, now: SimTime) -> bool {
         // Saturated system: every select below would stall, drawing no
         // RNG and recording nothing (policies count idle workers before
         // drawing), so the whole attempt is a provable no-op. At load
@@ -349,7 +341,7 @@ impl<'r> SchedSim<'r> {
                             id: p,
                             pooled: false,
                         };
-                        self.begin_service(p, pkt, own, now, sched);
+                        self.begin_service(p, pkt, own, now);
                         return true;
                     }
                 }
@@ -398,12 +390,12 @@ impl<'r> SchedSim<'r> {
                 depth: self.global_q.len() as u32,
             });
         }
-        self.begin_service(a.worker, head, runner, now, sched);
+        self.begin_service(a.worker, head, runner, now);
         true
     }
 
     /// One IPS dispatch attempt.
-    fn dispatch_ips(&mut self, now: SimTime, sched: &mut Scheduler<Event>) -> bool {
+    fn dispatch_ips(&mut self, now: SimTime) -> bool {
         // Same proof as the Locking early-out: no idle worker means
         // every stack's select stalls with zero side effects.
         if !self.procs.any_available() {
@@ -443,7 +435,7 @@ impl<'r> SchedSim<'r> {
                         depth: self.stacks.queue[w].len() as u32,
                     });
                 }
-                self.begin_service(proc, pkt, Runner::Stack(w as u32), now, sched);
+                self.begin_service(proc, pkt, Runner::Stack(w as u32), now);
                 return true;
             }
         }
@@ -451,11 +443,11 @@ impl<'r> SchedSim<'r> {
     }
 
     /// Dispatch until no more work can start.
-    pub(super) fn try_dispatch(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
+    pub(super) fn try_dispatch(&mut self, now: SimTime) {
         loop {
             let dispatched = match &self.cfg.paradigm {
-                Paradigm::Locking { .. } => self.dispatch_locking(now, sched),
-                Paradigm::Ips { .. } => self.dispatch_ips(now, sched),
+                Paradigm::Locking { .. } => self.dispatch_locking(now),
+                Paradigm::Ips { .. } => self.dispatch_ips(now),
             };
             if !dispatched {
                 break;

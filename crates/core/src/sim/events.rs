@@ -11,7 +11,6 @@
 
 use std::collections::VecDeque;
 
-use afs_desim::engine::{Scheduler, Simulate};
 use afs_desim::time::SimTime;
 use afs_obs::{ObsEvent, SHARED_QUEUE};
 use afs_sched::Route;
@@ -243,7 +242,7 @@ impl<'r> SchedSim<'r> {
     /// degraded view (dead workers masked out). The orphan/requeue pair
     /// is synchronous, so the conservation identity never observes an
     /// intermediate state and no packet is lost or double-completed.
-    fn crash_proc(&mut self, now: SimTime, p: usize, sched: &mut Scheduler<Event>) {
+    fn crash_proc(&mut self, now: SimTime, p: usize) {
         if self.procs.health(p) == ProcHealth::Down {
             return;
         }
@@ -262,7 +261,7 @@ impl<'r> SchedSim<'r> {
         // and release its stack/thread.
         let mut in_flight = None;
         if let ProcActivity::Protocol(f) = self.procs.take_activity(p) {
-            sched.cancel(f.completion);
+            self.queue.cancel(f.completion);
             match f.runner {
                 Runner::Stack(w) => self.stacks.running[w as usize] = false,
                 Runner::Thread { id, pooled: true } => self.shared_pool.push_back(id),
@@ -329,13 +328,7 @@ impl<'r> SchedSim<'r> {
     /// running while it is frozen, so its cached state *ages* through
     /// the stall (the conservative reading: a frozen processor defends
     /// no cache lines against the interrupting workload).
-    fn stall_proc(
-        &mut self,
-        now: SimTime,
-        p: usize,
-        duration_us: f64,
-        sched: &mut Scheduler<Event>,
-    ) {
+    fn stall_proc(&mut self, now: SimTime, p: usize, duration_us: f64) {
         if self.procs.health(p) != ProcHealth::Up {
             return;
         }
@@ -350,9 +343,9 @@ impl<'r> SchedSim<'r> {
             });
         }
         if let ProcActivity::Protocol(f) = self.procs.activity(p) {
-            sched.cancel(f.completion);
+            self.queue.cancel(f.completion);
             let done_at = f.done_at + afs_desim::time::SimDuration::from_micros_f64(duration_us);
-            let completion = sched.schedule_at(done_at, Event::Completion { proc: p });
+            let completion = self.schedule_at(done_at, Event::Completion { proc: p });
             self.procs.set_activity(
                 p,
                 ProcActivity::Protocol(InFlight {
@@ -387,12 +380,9 @@ impl<'r> SchedSim<'r> {
             });
         }
     }
-}
 
-impl<'r> Simulate for SchedSim<'r> {
-    type Event = Event;
-
-    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
+    /// Deliver one event at `now`, the clock's time.
+    pub(super) fn handle(&mut self, now: SimTime, event: Event) {
         // Warm-up reset and midpoint capture for the growth check.
         if !self.warmup_reset && self.collector.recording(now) {
             self.collector.backlog.reset(now);
@@ -445,8 +435,8 @@ impl<'r> Simulate for SchedSim<'r> {
                     self.admit(now, pkt);
                 }
                 let (stream, at) = self.arrivals.next(now, stream);
-                sched.schedule_at(at, Event::Arrival { stream });
-                self.try_dispatch(now, sched);
+                self.schedule_at(at, Event::Arrival { stream });
+                self.try_dispatch(now);
             }
             Event::Completion { proc } => {
                 let ProcActivity::Protocol(InFlight {
@@ -527,14 +517,14 @@ impl<'r> Simulate for SchedSim<'r> {
                     self.collector
                         .on_completion(now, packet.arrival, packet.stream, service);
                 }
-                self.try_dispatch(now, sched);
+                self.try_dispatch(now);
             }
             Event::ProcFault { idx } => {
                 let fault = self.cfg.proc_faults.faults[idx as usize];
                 match fault.kind {
-                    ProcFaultKind::Crash { .. } => self.crash_proc(now, fault.proc, sched),
+                    ProcFaultKind::Crash { .. } => self.crash_proc(now, fault.proc),
                     ProcFaultKind::Stall { duration_us } => {
-                        self.stall_proc(now, fault.proc, duration_us, sched)
+                        self.stall_proc(now, fault.proc, duration_us)
                     }
                     ProcFaultKind::Slowdown { factor } => {
                         self.procs.set_slow_factor(fault.proc, factor);
@@ -542,11 +532,11 @@ impl<'r> Simulate for SchedSim<'r> {
                 }
                 // Requeued orphans may be dispatchable on live idle
                 // processors right away.
-                self.try_dispatch(now, sched);
+                self.try_dispatch(now);
             }
             Event::ProcRecover { idx } => {
                 self.proc_recover(now, idx);
-                self.try_dispatch(now, sched);
+                self.try_dispatch(now);
             }
         }
     }

@@ -50,7 +50,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 
 use afs_cache::model::pricer::DispatchPricer;
-use afs_desim::engine::Engine;
+use afs_desim::event::{EventId, EventQueue};
 use afs_desim::rng::RngFactory;
 use afs_desim::time::SimTime;
 use afs_obs::{EngineProbe, Recorder};
@@ -64,6 +64,7 @@ use crate::config::{Paradigm, SystemConfig};
 #[cfg(test)]
 use crate::config::IpsPolicy;
 use crate::metrics::{Collector, RunReport};
+use crate::procfault::ProcFaultKind;
 use crate::state::{LocTable, Packet, Procs, StreamTable};
 #[cfg(test)]
 use afs_desim::time::SimDuration;
@@ -140,7 +141,8 @@ impl Arrivals {
     }
 }
 
-/// The simulator model.
+/// The simulator: the model's state, and the clock and pending events
+/// that its run loop (`SchedSim::run_to`) advances it by.
 ///
 /// The lifetime parameter scopes the borrowed configuration and the
 /// optional observability recorder ([`SchedSim::obs`]); plain runs use
@@ -207,6 +209,14 @@ pub struct SchedSim<'r> {
     pub obs: Option<&'r mut dyn Recorder>,
     /// Next per-packet observability sequence number.
     next_seq: u64,
+    /// The pending events, popped in `(time, seq)` order.
+    queue: EventQueue<Event>,
+    /// The clock: the time of the last delivered event, or the horizon
+    /// once a run stops there.
+    now: SimTime,
+    /// Pending-set pressure sampled after every delivered event, when a
+    /// recorder is attached.
+    probe: Option<EngineProbe>,
 }
 
 impl<'r> SchedSim<'r> {
@@ -251,6 +261,9 @@ impl<'r> SchedSim<'r> {
             collector: Collector::new(SimTime::from_micros_f64(warm_us), k),
             obs: None,
             next_seq: 0,
+            queue: EventQueue::new(),
+            now: SimTime::ZERO,
+            probe: None,
             pricer: DispatchPricer::new(&cfg.exec.model),
             cfg,
         }
@@ -272,26 +285,81 @@ impl<'r> SchedSim<'r> {
             report.rebinds = fes.rebinds;
         }
     }
+
+    /// Schedule `event` at `at`, which must not precede the clock.
+    fn schedule_at(&mut self, at: SimTime, event: Event) -> EventId {
+        assert!(
+            at >= self.now,
+            "scheduling into the past: at={at} now={}",
+            self.now
+        );
+        self.queue.push(at, event)
+    }
+
+    /// Schedule the first arrivals and the processor-fault plan's
+    /// injection and recovery (stall end, crash revive) events: faults
+    /// are plan-driven, so both are known up front. An empty plan
+    /// schedules nothing, leaving the clean run's event stream untouched.
+    fn prime(&mut self) {
+        for (stream, at) in self.arrivals.first() {
+            self.schedule_at(at, Event::Arrival { stream });
+        }
+        let cfg = self.cfg;
+        for (idx, fault) in cfg.proc_faults.faults.iter().enumerate() {
+            let idx = idx as u32;
+            self.schedule_at(
+                SimTime::from_micros_f64(fault.at_us),
+                Event::ProcFault { idx },
+            );
+            let recover_at = match fault.kind {
+                ProcFaultKind::Stall { duration_us } => Some(fault.at_us + duration_us),
+                ProcFaultKind::Crash { revive_at_us } => revive_at_us,
+                ProcFaultKind::Slowdown { .. } => None,
+            };
+            if let Some(at) = recover_at {
+                self.schedule_at(SimTime::from_micros_f64(at), Event::ProcRecover { idx });
+            }
+        }
+    }
+
+    /// The run loop: deliver every pending event stamped at or before
+    /// `horizon` (inclusive), in the queue's `(time, seq)` order, and
+    /// sample the probe after each. The clock ends at the last delivered
+    /// event if the queue drains, else at `max(now, horizon)`: the report
+    /// covers the whole requested window, and a horizon already passed
+    /// never runs the clock back.
+    fn run_to(&mut self, horizon: SimTime) {
+        while let Some((time, event)) = self.queue.pop_at_or_before(horizon) {
+            debug_assert!(time >= self.now, "clock went backwards");
+            self.now = time;
+            self.handle(time, event);
+            if let Some(p) = &mut self.probe {
+                p.on_step(time.as_micros_f64(), self.queue.len());
+            }
+        }
+        if !self.queue.is_empty() {
+            self.now = self.now.max(horizon);
+        }
+    }
 }
 
-/// The one run loop behind every public entry point: build the model,
-/// optionally attach `rec` (which also attaches the engine probe), run
-/// to the horizon and report. The probe is default unless recorded.
+/// The one run behind every public entry point: build the model,
+/// optionally attach `rec` (and with it the probe), run to the horizon
+/// and report. The probe is default unless recorded.
 fn run_inner<'r>(
     cfg: &'r SystemConfig,
     rec: Option<&'r mut dyn Recorder>,
 ) -> (RunReport, EngineProbe) {
-    let mut engine = Engine::new(SchedSim::new(cfg));
+    let mut sim = SchedSim::new(cfg);
     if rec.is_some() {
-        engine.attach_probe();
+        sim.probe = Some(EngineProbe::new());
     }
-    engine.model_mut().obs = rec;
-    engine_prime(&mut engine);
-    engine.run_until(SimTime::ZERO + cfg.horizon);
-    let end = engine.now();
-    let mut report = engine.model_mut().collector.report(end, cfg.n_procs);
-    engine.model().finalize_report(&mut report);
-    (report, engine.take_probe().unwrap_or_default())
+    sim.obs = rec;
+    sim.prime();
+    sim.run_to(SimTime::ZERO + cfg.horizon);
+    let mut report = sim.collector.report(sim.now, cfg.n_procs);
+    sim.finalize_report(&mut report);
+    (report, sim.probe.unwrap_or_default())
 }
 
 /// Run a configuration to completion and report.
@@ -307,47 +375,12 @@ pub fn run(cfg: &SystemConfig) -> RunReport {
 
 /// Run a configuration with an observability recorder attached: every
 /// scheduling event of the whole run (warm-up included) streams through
-/// `rec` in the unified `afs-obs` schema, and the desim engine's probe
-/// is returned alongside the report. Attaching the recorder is pure
+/// `rec` in the unified `afs-obs` schema, and the run loop's probe is
+/// returned alongside the report. Attaching the recorder is pure
 /// observation — the report is bit-identical to [`run`]'s.
 pub fn run_observed<'r>(
     cfg: &'r SystemConfig,
     rec: &'r mut dyn Recorder,
 ) -> (RunReport, EngineProbe) {
     run_inner(cfg, Some(rec))
-}
-
-/// Prime helper: schedules the first arrivals plus the
-/// processor-fault plan's injection (and recovery) events.
-fn engine_prime(engine: &mut Engine<SchedSim<'_>>) {
-    // Split borrows: scheduler and model are distinct fields, so prime
-    // through a small dance — collect the arrivals first.
-    for (stream, at) in engine.model_mut().arrivals.first() {
-        engine
-            .scheduler()
-            .schedule_at(at, Event::Arrival { stream });
-    }
-    // Processor faults are plan-driven, so both the injection and its
-    // recovery (stall end, crash revive) are known up front. An empty
-    // plan schedules nothing — the clean-run event stream is untouched.
-    let faults = engine.model().cfg.proc_faults.faults.clone();
-    for (idx, fault) in faults.iter().enumerate() {
-        let idx = idx as u32;
-        engine.scheduler().schedule_at(
-            SimTime::from_micros_f64(fault.at_us),
-            Event::ProcFault { idx },
-        );
-        let recover_at = match fault.kind {
-            crate::procfault::ProcFaultKind::Stall { duration_us } => {
-                Some(fault.at_us + duration_us)
-            }
-            crate::procfault::ProcFaultKind::Crash { revive_at_us } => revive_at_us,
-            crate::procfault::ProcFaultKind::Slowdown { .. } => None,
-        };
-        if let Some(at) = recover_at {
-            engine
-                .scheduler()
-                .schedule_at(SimTime::from_micros_f64(at), Event::ProcRecover { idx });
-        }
-    }
 }

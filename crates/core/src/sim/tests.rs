@@ -1270,15 +1270,14 @@ mod frontend_tests {
         let mut cfg = frontend_cfg(FlowDirector, 512, 32, 256, true);
         cfg.queue_bound = 4;
         cfg.drop_policy = crate::config::DropPolicy::TailDrop;
-        let mut engine = Engine::new(SchedSim::new(&cfg));
-        engine_prime(&mut engine);
-        engine.run_until(SimTime::ZERO + cfg.horizon);
-        let end = engine.now();
-        let report = engine.model_mut().collector.report(end, cfg.n_procs);
+        let mut sim = SchedSim::new(&cfg);
+        sim.prime();
+        sim.run_to(SimTime::ZERO + cfg.horizon);
+        let report = sim.collector.report(sim.now, cfg.n_procs);
         assert_conservation(&report);
         assert!(report.queue_drops > 0, "the bound must bite: {report:?}");
         assert_eq!(report.shed_at_source, 0);
-        let fes = engine.model().frontend.as_ref().expect("front-end on");
+        let fes = sim.frontend.as_ref().expect("front-end on");
         assert_eq!(fes.table_hits() + fes.table_misses(), report.offered_total);
     }
 
@@ -1299,5 +1298,92 @@ mod frontend_tests {
         assert_conservation(&r);
         assert_eq!(r.proc_crashes, 1);
         assert!(r.per_proc_served[3] < *r.per_proc_served.iter().max().unwrap());
+    }
+}
+
+#[cfg(test)]
+mod loop_tests {
+    use super::super::*;
+    use crate::config::LockPolicy;
+    use crate::procfault::{ProcFault, ProcFaultPlan};
+    use afs_workload::Population;
+
+    fn cfg() -> SystemConfig {
+        let mut cfg = SystemConfig::new(
+            Paradigm::Locking {
+                policy: LockPolicy::Mru,
+            },
+            Population::homogeneous_poisson(4, 1000.0),
+        );
+        cfg.warmup = SimDuration::from_millis(10);
+        cfg.horizon = SimDuration::from_millis(50);
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn scheduling_before_the_clock_panics() {
+        let cfg = cfg();
+        let mut sim = SchedSim::new(&cfg);
+        sim.prime();
+        sim.run_to(SimTime::from_micros(20_000));
+        // A horizon already passed never runs the clock back...
+        sim.run_to(SimTime::from_micros(10_000));
+        assert_eq!(sim.now, SimTime::from_micros(20_000));
+        // ...and nothing may be scheduled before it.
+        sim.schedule_at(SimTime::from_micros(15_000), Event::Arrival { stream: 0 });
+    }
+
+    #[test]
+    fn an_event_stamped_at_the_horizon_is_delivered() {
+        let cfg = cfg();
+        let mut sim = SchedSim::new(&cfg);
+        let horizon = SimTime::from_micros(1_000);
+        sim.schedule_at(horizon, Event::Arrival { stream: 0 });
+        sim.schedule_at(
+            SimTime::from_ticks(horizon.ticks() + 1),
+            Event::Arrival { stream: 1 },
+        );
+        sim.run_to(horizon);
+        assert_eq!(
+            sim.next_seq, 1,
+            "only the arrival at the horizon is admitted"
+        );
+        assert_eq!(sim.now, horizon);
+    }
+
+    #[test]
+    fn the_clock_ends_at_the_horizon_unless_the_queue_drains() {
+        // Events still pending: the clock, and with it the report's
+        // measurement window, ends at the horizon.
+        let cfg = cfg();
+        let horizon = SimTime::ZERO + cfg.horizon;
+        let mut sim = SchedSim::new(&cfg);
+        sim.prime();
+        sim.run_to(horizon);
+        assert_eq!(sim.now, horizon);
+        let report = sim.collector.report(sim.now, cfg.n_procs);
+        let window = horizon.since(SimTime::ZERO + cfg.warmup).as_secs_f64();
+        assert!(report.arrivals > 0);
+        assert_eq!(report.offered_pps, report.arrivals as f64 / window);
+
+        // A queue that drains leaves the clock at its last event, and
+        // the probe has sampled each delivered event.
+        let mut cfg = cfg;
+        cfg.proc_faults = ProcFaultPlan {
+            faults: vec![ProcFault {
+                proc: 0,
+                at_us: 5_000.0,
+                kind: ProcFaultKind::Slowdown { factor: 1.0 },
+            }],
+        };
+        let mut sim = SchedSim::new(&cfg);
+        sim.probe = Some(EngineProbe::new());
+        sim.schedule_at(SimTime::from_micros(5_000), Event::ProcFault { idx: 0 });
+        sim.run_to(horizon);
+        assert_eq!(sim.now, SimTime::from_micros(5_000));
+        let probe = sim.probe.expect("probe attached");
+        assert_eq!((probe.steps, probe.max_pending), (1, 0));
+        assert_eq!(probe.last_t_us, 5_000.0);
     }
 }

@@ -183,7 +183,7 @@ impl<E> EventQueue<E> {
     /// or before `horizon`. Returns `None` both when the queue is
     /// drained and when the earliest event is past the horizon
     /// (distinguish via [`EventQueue::is_empty`]): one look at the root
-    /// where the engine's bounded run loop would otherwise peek, then pop.
+    /// where a run loop bounded by a horizon would otherwise peek, then pop.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         if self.heap.first().is_none_or(|e| e.time() > horizon) {
             return None;
@@ -500,7 +500,7 @@ mod tests {
             q.pop();
         }
         // Schedule before every remaining event, and before the last pop
-        // (legal for the queue even though the engine never schedules
+        // (legal for the queue even though a run loop never schedules
         // into the past).
         q.push(t(1), 999);
         assert_eq!(q.pop(), Some((t(1), 999)));

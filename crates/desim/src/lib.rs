@@ -8,15 +8,15 @@
 //! (HPDC-4, 1995).
 //!
 //! The crate is deliberately generic — nothing in here knows about caches,
-//! protocols or processors. It provides:
+//! protocols or processors, and it depends on no other workspace crate.
+//! It provides the pieces a run loop is built from (the simulator's own
+//! loop lives with its model, in `afs-core`'s `sim` module):
 //!
 //! * [`time`] — fixed-point simulation clock types ([`SimTime`],
 //!   [`SimDuration`]); integer nanosecond ticks, so event ordering is
 //!   exact and runs are bit-reproducible.
 //! * [`event`] — a stable (FIFO-on-ties) time-ordered event queue with
 //!   O(log n) cancellation: a 4-ary indexed heap over one slot arena.
-//! * [`engine`] — the [`Simulate`] trait and the [`Engine`] driver with
-//!   horizon / event-budget stop conditions.
 //! * [`rng`] — named deterministic RNG substreams supporting
 //!   common-random-number comparisons across scheduling policies.
 //! * [`dist`] — inverse-CDF samplers (deterministic, exponential,
@@ -28,7 +28,6 @@
 //!   truncation point of steady-state output series.
 
 pub mod dist;
-pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod stats;
@@ -36,7 +35,6 @@ pub mod time;
 pub mod warmup;
 
 pub use dist::{CountDist, Dist};
-pub use engine::{Engine, Scheduler, Simulate, StopReason};
 pub use event::{EventId, EventQueue};
 pub use rng::RngFactory;
 pub use stats::{BatchMeans, ConfInterval, Histogram, TimeWeighted, Welford};

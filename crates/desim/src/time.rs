@@ -94,12 +94,6 @@ impl SimTime {
         );
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Saturating addition of a duration (never overflows past `MAX`).
-    #[inline]
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
@@ -324,10 +318,6 @@ mod tests {
 
     #[test]
     fn saturating_ops() {
-        assert_eq!(
-            SimTime::MAX.saturating_add(SimDuration::from_micros(1)),
-            SimTime::MAX
-        );
         let d = SimDuration::from_micros(1);
         assert_eq!(
             d.saturating_sub(SimDuration::from_micros(5)),

@@ -37,7 +37,8 @@
 //!   delivery-order judge behind the reordering differential tests.
 //! * [`serve`] — [`ServeSnapshot`], the live serving-run gauge line.
 //! * [`summary`] — compact text summary for experiment output.
-//! * [`profile`] — [`EngineProbe`] hooks for the desim engine.
+//! * [`profile`] — [`EngineProbe`], the simulator run loop's per-event
+//!   pending-set sampler.
 //!
 //! How closely the backends' traces must agree is cross-validation
 //! policy, not schema: those bands live in `afs_core::crossval`.

@@ -1,14 +1,14 @@
-//! Profiling hooks for the discrete-event engine.
+//! Profiling of a discrete-event run loop.
 //!
-//! [`EngineProbe`] is an optional attachment for `afs-desim`'s engine: a
-//! cheap per-step sampler of event-set pressure. It answers "where did
-//! the simulation spend its events" questions without touching model
-//! code, and its overhead (two compares and a histogram record per step)
-//! is only paid when a probe is attached.
+//! [`EngineProbe`] is an optional attachment for the simulator's run
+//! loop: a cheap per-step sampler of event-set pressure. It answers
+//! "where did the simulation spend its events" questions without
+//! touching model code, and its overhead (two compares and a histogram
+//! record per step) is only paid when a probe is attached.
 
 use crate::hist::LogHistogram;
 
-/// Per-step engine statistics: event counts and pending-set pressure.
+/// Per-step run-loop statistics: event counts and pending-set pressure.
 #[derive(Debug, Clone, Default)]
 pub struct EngineProbe {
     /// Events delivered while the probe was attached.
@@ -27,7 +27,7 @@ impl EngineProbe {
         Self::default()
     }
 
-    /// Record one engine step: the delivered event's timestamp and the
+    /// Record one step: the delivered event's timestamp and the
     /// pending-set size after delivery.
     pub fn on_step(&mut self, t_us: f64, pending: usize) {
         self.steps += 1;

@@ -181,8 +181,10 @@ fn headers(ident: u16, stream: StreamId, payload_len: usize) -> [u8; HEADERS_LEN
 /// A [`PacketFactory::new`] frame of one payload length whose payload is
 /// written once: only the header bytes and the FCS differ between two
 /// such frames, so [`rewrite`](Self::rewrite) writes those alone. The
-/// FCS is the headers' CRC moved past the payload and combined with the
-/// payload's, whose CRC is taken here, once.
+/// FCS is the CRC of the headers and the payload's first `LEAD_LEN`
+/// bytes (one 64-byte input, long enough for the folding kernel) moved
+/// past the rest of the payload and combined with the rest's CRC, which
+/// is taken here, once.
 #[derive(Debug, Clone)]
 pub struct FrameTemplate {
     payload_len: usize,
@@ -190,15 +192,19 @@ pub struct FrameTemplate {
     shift: fddi::Crc32Shift,
 }
 
+/// Payload bytes the per-packet CRC covers after the headers.
+const LEAD_LEN: usize = fddi::FOLD_MIN_LEN - HEADERS_LEN;
+
 impl FrameTemplate {
     /// Build a whole `payload_len` frame into `frame` (its headers those
     /// of ident 0 on stream 0) and the template that rewrites it.
     pub fn new(payload_len: usize, frame: &mut Vec<u8>) -> Self {
         PacketFactory::new().frame_at(0, StreamId(0), payload_len, frame);
+        let lead = payload_len.min(LEAD_LEN);
         FrameTemplate {
             payload_len,
-            payload_crc: fddi::crc32(&frame[HEADERS_LEN..HEADERS_LEN + payload_len]),
-            shift: fddi::Crc32Shift::new(payload_len),
+            payload_crc: fddi::crc32(&frame[HEADERS_LEN + lead..HEADERS_LEN + payload_len]),
+            shift: fddi::Crc32Shift::new(payload_len - lead),
         }
     }
 
@@ -206,11 +212,12 @@ impl FrameTemplate {
     /// `PacketFactory::new().frame_at(ident, stream, ..)`'s frame,
     /// writing its header bytes and its FCS only.
     pub fn rewrite(&self, ident: u16, stream: StreamId, frame: &mut [u8]) {
-        let hdr = headers(ident, stream, self.payload_len);
-        let fcs = self.shift.combine(fddi::crc32(&hdr), self.payload_crc);
-        let (head, rest) = frame.split_at_mut(HEADERS_LEN);
-        head.copy_from_slice(&hdr);
-        rest[self.payload_len..].copy_from_slice(&fcs.to_be_bytes());
+        frame[..HEADERS_LEN].copy_from_slice(&headers(ident, stream, self.payload_len));
+        let lead = HEADERS_LEN + self.payload_len.min(LEAD_LEN);
+        let fcs = self
+            .shift
+            .combine(fddi::crc32(&frame[..lead]), self.payload_crc);
+        frame[HEADERS_LEN + self.payload_len..].copy_from_slice(&fcs.to_be_bytes());
     }
 }
 

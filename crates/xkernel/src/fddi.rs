@@ -136,7 +136,7 @@ struct LineAligned([[u32; 256]; 8]);
 /// Inputs at least this long, one 64-byte line, take the carry-less
 /// folding kernel on CPUs that have one (the 113-byte bodies of 64-byte
 /// payloads among them); shorter ones stay on the table.
-const FOLD_MIN_LEN: usize = 64;
+pub(crate) const FOLD_MIN_LEN: usize = 64;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), as used for the FCS.
 ///

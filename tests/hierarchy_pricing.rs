@@ -27,8 +27,11 @@
 //! Each pin covers every packet's `PacketTiming` and the final
 //! `HierarchyStats`, per-cache `CacheStats` and per-region (dirty)
 //! occupancy, floats by bit pattern.
+//!
+//! Last, a purge of a stream's range must keep the hierarchy inclusive
+//! wherever the range starts and ends.
 
-use affinity_sched::cache::sim::{MemoryHierarchy, Region};
+use affinity_sched::cache::sim::{MemRef, MemoryHierarchy, Region};
 use affinity_sched::xkernel::driver::{PacketFactory, RxFrame};
 use affinity_sched::xkernel::mem::MemLayout;
 use affinity_sched::xkernel::{CostModel, PacketTiming, ProtocolEngine, StreamId, ThreadId};
@@ -283,3 +286,29 @@ const UDP_64_INTERLEAVED: Priced = Priced {
     cycles: 5_281_689.0,
     digest: 7900482393404874049,
 };
+
+#[test]
+fn an_unaligned_range_purge_leaves_no_l1_line_without_its_l2_line() {
+    // R4400: 16 B L1 lines under 128 B L2 lines. The purged bytes start
+    // and end inside L2 lines, so they take four whole L2 lines (one of
+    // them in part) and must take every L1 line under those too.
+    let mut hier = CostModel::default().hierarchy();
+    let base = MemLayout::new().stream(3);
+    let span = 1024;
+    for addr in (base..base + span).step_by(16) {
+        hier.access(MemRef::read(addr, Region::Stream));
+        hier.access(MemRef::fetch(addr));
+    }
+    hier.purge_range(base + 200, 300);
+    for addr in (base..base + span).step_by(16) {
+        let purged = (base + 128..base + 512).contains(&addr);
+        assert_eq!(hier.l2.contains(addr), !purged, "L2 {addr:#x}");
+        for (half, l1) in [("L1D", &hier.l1d), ("L1I", &hier.l1i)] {
+            assert!(
+                !l1.contains(addr) || hier.l2.contains(addr),
+                "{half} holds {addr:#x}, whose L2 line is gone"
+            );
+        }
+    }
+    assert!(hier.l1d.contains(base) && hier.l1i.contains(base + 512));
+}
