@@ -46,7 +46,7 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         "u bounded by R",
         MVS_WORKLOAD.footprint(100.0, 16.0) <= 100.0,
     );
-    // The spot value the reproduction pins (DESIGN.md): u(20000, 16) ≈ 1850.
+    // The spot value the reproduction pins: u(20000, 16) ≈ 1850.
     let u = MVS_WORKLOAD.footprint(20_000.0, 16.0);
     checks.expect(
         "regression anchor u(20000,16) ~ 1.85e3",

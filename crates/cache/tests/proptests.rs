@@ -243,7 +243,7 @@ enum Step {
     },
     /// The previous sweep, `periods` × [`L1_PERIODS`] bytes up: it evicts
     /// every line of the previous sweep from L1, whose
-    /// repeat is then a streak of L1-absent lines, reloaded from L2 or,
+    /// repeat is then a sequence of absent runs, reloaded from L2 or,
     /// where the copy took their L2 sets too, from memory.
     Shifted {
         periods: u64,
@@ -300,7 +300,7 @@ fn step() -> impl Strategy<Value = Step> {
 /// repeat onward finds a memoised run, which the step before it has or
 /// has not made stale. One train in four instead alternates the sweep
 /// with a copy shifted by whole L1 periods, so that every repeat is a
-/// streak: its L2 lines are shared by two to four L1 lines when the L2
+/// sequence of absent runs: its L2 lines are shared by two to four L1 lines when the L2
 /// line is longer, and on a small L2 the copy's lines are evicted in the
 /// middle of it.
 fn train() -> impl Strategy<Value = Vec<Step>> {

@@ -157,7 +157,7 @@ proptest! {
     }
 
     #[test]
-    fn calendar_matches_binary_heap_under_heavy_ties(
+    fn four_ary_heap_matches_binary_heap_under_heavy_ties(
         ops in prop::collection::vec(
             prop_oneof![
                 // A tiny time domain: most pushes collide, so FIFO

@@ -2,7 +2,7 @@
 //!
 //! [`dispatch`] builds the protocol stacks and the per-worker rings,
 //! spawns the pinned [`Worker`]s, and then runs every arrival through
-//! the same stages, in this order (DESIGN.md §9 states each stage's
+//! the same stages, in this order (DESIGN.md §8 states each stage's
 //! contract):
 //!
 //! 1. **liveness mask** — plan-driven: an arrival inside a worker's

@@ -14,7 +14,7 @@
 //! ordering and the size of the affinity win.
 //!
 //! One dispatcher and one worker implementation serve every entry point
-//! (DESIGN.md §9): replay and serving differ only in the arrival source,
+//! (DESIGN.md §8): replay and serving differ only in the arrival source,
 //! the admission bound and whether a recorder is attached.
 //!
 //! * [`pin`] — best-effort core pinning (`sched_setaffinity` behind the

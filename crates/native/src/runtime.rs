@@ -8,7 +8,7 @@
 //! (structural knobs) plus the `afs-sched` decision objects
 //! ([`afs_sched::Router`], [`afs_sched::StealPolicy`]) and contains no
 //! policy `match` of its own. One dispatcher feeds per-worker ring
-//! run-queues (DESIGN.md §9); [`run_native`] replays a pre-generated
+//! run-queues (DESIGN.md §8); [`run_native`] replays a pre-generated
 //! workload through it, [`crate::serve::run_serve`] an open-loop
 //! generator. Each worker owns a *private* memory hierarchy (its
 //! processor's caches) and advances a virtual clock:

@@ -1,6 +1,6 @@
 //! The sustained-ingest serving path.
 //!
-//! [`run_serve`] runs the native pipeline (DESIGN.md §9) as a
+//! [`run_serve`] runs the native pipeline (DESIGN.md §8) as a
 //! long-running serving engine. It differs from replay
 //! ([`crate::runtime::run_native`]) in exactly three things it hands the
 //! shared dispatcher:
@@ -9,7 +9,7 @@
 //!   generator ([`crate::runtime::ZipfPacketGen`]) instead of a
 //!   materialized `Vec`, so run length does not bound memory. It yields
 //!   descriptors (flow, arrival stamp), and the dispatcher places them
-//!   as such (DESIGN.md §9). The worker that processes an admitted packet
+//!   as such (DESIGN.md §8). The worker that processes an admitted packet
 //!   rewrites its one frame as that packet's, byte-identical to the
 //!   generator's own, right before the engine reads it in place: the
 //!   payload was written once, when the worker started, and per packet

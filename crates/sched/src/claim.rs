@@ -14,12 +14,11 @@
 //! total virtual order* on the dispatcher thread. A claim is a
 //! `(start_us, seq, claimant)` triple: the model instant the job starts,
 //! the arrival sequence number, and the worker that takes it. The table
-//! maintains the same deterministic est-service drain model as
-//! [`RouterState`](crate::router::RouterState) — per-worker virtual
-//! clocks charged one estimated service per started job — and resolves
-//! every pop/steal against that model, so victim selection, migration
-//! accounting and previous-owner stamping become pure functions of the
-//! arrival stream. The physical rings then merely *execute* the resolved
+//! embeds the drain model [`RouterState`](crate::router::RouterState)
+//! routes over — per-worker virtual clocks charged one estimated service
+//! per started job — and resolves every pop/steal against that model, so
+//! victim selection, migration accounting and previous-owner stamping
+//! become pure functions of the arrival stream. The physical rings then merely *execute* the resolved
 //! schedule: each job is pushed to its claimant's ring, workers pop only
 //! their own ring FIFO, and no worker-side arbitration remains.
 //!
@@ -63,6 +62,7 @@
 
 use std::collections::VecDeque;
 
+use crate::drain::DrainModel;
 use crate::policy::StealPolicy;
 use crate::view::SchedView;
 
@@ -114,14 +114,11 @@ enum ClaimMode {
 #[derive(Debug, Clone)]
 pub struct ClaimTable {
     mode: ClaimMode,
-    /// Per-worker model clocks: the virtual instant each worker is free
-    /// after the jobs already claimed to it.
-    clock_us: Vec<f64>,
-    /// Estimated per-job service charged to the model clocks (the same
-    /// calibrated all-warm estimate `RouterState` drains at).
-    est_service_us: f64,
-    /// Plan-derived liveness mask (never host-observed health).
-    live: Vec<bool>,
+    /// Per-worker model clocks (the instant each worker is free after
+    /// the jobs already claimed to it), charged the calibrated all-warm
+    /// estimate `RouterState` drains at, and the plan-derived liveness
+    /// mask (never host-observed health).
+    drain: DrainModel,
     /// Jobs offered but not yet resolved (stealing mode only).
     staged: usize,
 }
@@ -132,9 +129,7 @@ impl ClaimTable {
     pub fn pooled(workers: usize, est_service_us: f64) -> Self {
         ClaimTable {
             mode: ClaimMode::Pooled,
-            clock_us: vec![0.0; workers],
-            est_service_us: est_service_us.max(1e-9),
-            live: vec![true; workers],
+            drain: DrainModel::new(workers, est_service_us),
             staged: 0,
         }
     }
@@ -147,23 +142,21 @@ impl ClaimTable {
                 queues: vec![VecDeque::new(); workers],
                 now_us: 0.0,
             },
-            clock_us: vec![0.0; workers],
-            est_service_us: est_service_us.max(1e-9),
-            live: vec![true; workers],
+            drain: DrainModel::new(workers, est_service_us),
             staged: 0,
         }
     }
 
     /// Number of workers in the model.
     pub fn n_workers(&self) -> usize {
-        self.clock_us.len()
+        self.drain.clock_us.len()
     }
 
     /// Mask worker `w` in (`true`) or out (`false`) of claim
     /// resolution. Driven by the fault plan at the same arrival-time
     /// instants as router masking, so the mask itself is deterministic.
     pub fn set_live(&mut self, w: usize, live: bool) {
-        self.live[w] = live;
+        self.drain.live[w] = live;
     }
 
     /// Jobs offered but not yet resolved (0 in pooled mode; bounded by
@@ -177,12 +170,7 @@ impl ClaimTable {
     /// still queued on `w`. This is the admission gauge the serving
     /// path tail-drops against.
     pub fn model_depth(&self, w: usize, t_us: f64) -> usize {
-        let lag = self.clock_us[w] - t_us;
-        let draining = if lag <= 0.0 {
-            0
-        } else {
-            (lag / self.est_service_us).ceil() as usize
-        };
+        let draining = self.drain.backlog(w, t_us);
         let queued = match &self.mode {
             ClaimMode::Pooled => 0,
             ClaimMode::Stealing { queues, .. } => queues[w].len(),
@@ -198,7 +186,7 @@ impl ClaimTable {
     /// mode, where every admitted job goes through the table.
     pub fn note_assigned(&mut self, w: usize, t_us: f64) {
         if matches!(self.mode, ClaimMode::Pooled) {
-            self.clock_us[w] = self.clock_us[w].max(t_us) + self.est_service_us;
+            self.drain.charge(w, t_us);
         }
     }
 
@@ -207,7 +195,7 @@ impl ClaimTable {
     /// an arrival waits only if *every* live worker is backlogged).
     pub fn min_model_depth(&self, t_us: f64) -> usize {
         (0..self.n_workers())
-            .filter(|&w| self.live[w])
+            .filter(|&w| self.drain.live[w])
             .map(|w| self.model_depth(w, t_us))
             .min()
             .unwrap_or(0)
@@ -222,8 +210,7 @@ impl ClaimTable {
         match &mut self.mode {
             ClaimMode::Pooled => {
                 let w = self.pooled_claimant(arrival_us);
-                let start = self.clock_us[w].max(arrival_us);
-                self.clock_us[w] = start + self.est_service_us;
+                let start = self.drain.charge(w, arrival_us);
                 out.push(Claim {
                     seq,
                     claimant: w,
@@ -260,12 +247,10 @@ impl ClaimTable {
         // start it and the policy never steals from the dead. Resolve
         // to the owner in (worker, FIFO) order — deterministic, and
         // physically it lands on the dead ring for orphan recovery.
-        let est = self.est_service_us;
         if let ClaimMode::Stealing { queues, .. } = &mut self.mode {
             for (w, queue) in queues.iter_mut().enumerate() {
                 while let Some(job) = queue.pop_front() {
-                    let start = self.clock_us[w].max(job.arrival_us);
-                    self.clock_us[w] = start + est;
+                    let start = self.drain.charge(w, job.arrival_us);
                     self.staged -= 1;
                     out.push(Claim {
                         seq: job.seq,
@@ -285,10 +270,10 @@ impl ClaimTable {
     fn pooled_claimant(&self, t: f64) -> usize {
         let best = |mask: bool| {
             (0..self.n_workers())
-                .filter(|&w| !mask || self.live[w])
+                .filter(|&w| !mask || self.drain.live[w])
                 .min_by(|&a, &b| {
-                    let sa = self.clock_us[a].max(t);
-                    let sb = self.clock_us[b].max(t);
+                    let sa = self.drain.clock_us[a].max(t);
+                    let sb = self.drain.clock_us[b].max(t);
                     sa.partial_cmp(&sb).unwrap().then(a.cmp(&b))
                 })
         };
@@ -299,7 +284,6 @@ impl ClaimTable {
     /// time ≤ `t`. One loop iteration resolves one owner-pop or one
     /// steal visit (up to `max_batch` jobs).
     fn advance(&mut self, t: f64, out: &mut Vec<Claim>) {
-        let est = self.est_service_us;
         loop {
             let ClaimMode::Stealing {
                 policy,
@@ -314,11 +298,11 @@ impl ClaimTable {
             // head at max(clock, head.arrival). Lowest index on ties.
             let mut own: Option<(f64, usize)> = None;
             for (w, queue) in queues.iter().enumerate() {
-                if !self.live[w] {
+                if !self.drain.live[w] {
                     continue;
                 }
                 if let Some(head) = queue.front() {
-                    let s = self.clock_us[w].max(head.arrival_us);
+                    let s = self.drain.clock_us[w].max(head.arrival_us);
                     if own.is_none_or(|(bs, _)| s < bs) {
                         own = Some((s, w));
                     }
@@ -333,17 +317,17 @@ impl ClaimTable {
             // (owner-pop wins exact ties).
             let mut steal: Option<(f64, usize)> = None;
             for i in 0..n {
-                if !self.live[i] || !queues[i].is_empty() {
+                if !self.drain.live[i] || !queues[i].is_empty() {
                     continue;
                 }
-                let a = self.clock_us[i].max(*now_us);
+                let a = self.drain.clock_us[i].max(*now_us);
                 if a > t || a >= own_time || steal.is_some_and(|(ba, _)| a >= ba) {
                     continue;
                 }
                 let view = StealModelView {
-                    clock_us: &self.clock_us,
+                    clock_us: &self.drain.clock_us,
                     queues,
-                    live: &self.live,
+                    live: &self.drain.live,
                 };
                 if policy.steal(&view, i).is_some() {
                     steal = Some((a, i));
@@ -352,9 +336,9 @@ impl ClaimTable {
             if let Some((a, thief)) = steal {
                 *now_us = a;
                 let view = StealModelView {
-                    clock_us: &self.clock_us,
+                    clock_us: &self.drain.clock_us,
                     queues,
-                    live: &self.live,
+                    live: &self.drain.live,
                 };
                 let d = policy
                     .steal(&view, thief)
@@ -363,8 +347,9 @@ impl ClaimTable {
                     let Some(job) = queues[d.victim].pop_front() else {
                         break;
                     };
-                    let start = self.clock_us[thief].max(a).max(job.arrival_us);
-                    self.clock_us[thief] = start + est;
+                    // `max` is exact, so grouping it differently cannot
+                    // change the start: max(clock, a, arrival).
+                    let start = self.drain.charge(thief, a.max(job.arrival_us));
                     self.staged -= 1;
                     out.push(Claim {
                         seq: job.seq,
@@ -379,7 +364,8 @@ impl ClaimTable {
                 Some((s, w)) if s <= t => {
                     *now_us = s;
                     let job = queues[w].pop_front().expect("owner queue has a head");
-                    self.clock_us[w] = s + est;
+                    // `s` is already `max(clock, head arrival)`.
+                    self.drain.charge(w, s);
                     self.staged -= 1;
                     out.push(Claim {
                         seq: job.seq,

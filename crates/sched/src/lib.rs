@@ -34,6 +34,9 @@
 //!   backends evaluate, and [`RouterState`], the dispatcher-side
 //!   deterministic virtual-load model the native backend evaluates it
 //!   over without consulting racy host queue lengths.
+//! * `drain` (private) — the per-worker drain model [`RouterState`] and
+//!   [`ClaimTable`] both embed: estimated-service drain clocks, the
+//!   backlog they imply, the liveness mask.
 //! * [`claim`] — [`ClaimTable`], the virtual-order claim protocol that
 //!   makes shared-pool pops and work stealing deterministic: every
 //!   pop/steal becomes a `(start, seq, claimant)` [`Claim`] resolved in
@@ -51,6 +54,7 @@
 
 pub mod claim;
 pub mod decision;
+mod drain;
 pub mod frontend;
 pub mod lru;
 pub mod paradigm;

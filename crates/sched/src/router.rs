@@ -19,6 +19,7 @@ use afs_cache::model::exec_time::{Age, ComponentAges};
 use afs_cache::model::pricer::DispatchPricer;
 
 use crate::decision::Route;
+use crate::drain::DrainModel;
 use crate::policy::{min_reload_route, mru_load_route, next_live, DrawFn};
 use crate::view::SchedView;
 
@@ -90,15 +91,11 @@ impl Router {
 pub struct RouterState {
     /// Worker that last received each stream (grown on demand).
     last: Vec<Option<usize>>,
-    /// Virtual time at which each worker's routed backlog drains.
-    vfinish_us: Vec<f64>,
-    /// Estimated per-packet service time charged to the drain clocks.
-    est_service_us: f64,
-    /// Plan-derived liveness mask: `false` masks a worker out of every
-    /// routing decision. Derived from the fault *plan*, never from racy
-    /// host-side health observation, so routing stays a pure function
-    /// of the workload.
-    live: Vec<bool>,
+    /// Each worker's drain clock, charged one estimated service per
+    /// routed packet, and the plan-derived liveness mask (never racy
+    /// host-side health, so routing stays a pure function of the
+    /// workload).
+    drain: DrainModel,
 }
 
 impl RouterState {
@@ -107,9 +104,7 @@ impl RouterState {
     pub fn new(workers: usize, est_service_us: f64) -> Self {
         RouterState {
             last: Vec::new(),
-            vfinish_us: vec![0.0; workers],
-            est_service_us: est_service_us.max(1e-9),
-            live: vec![true; workers],
+            drain: DrainModel::new(workers, est_service_us),
         }
     }
 
@@ -125,12 +120,12 @@ impl RouterState {
 
     /// Mask worker `w` in (`true`) or out (`false`) of routing.
     pub fn set_live(&mut self, w: usize, live: bool) {
-        self.live[w] = live;
+        self.drain.live[w] = live;
     }
 
     /// Whether worker `w` is currently routed to.
     pub fn is_live(&self, w: usize) -> bool {
-        self.live.get(w).copied().unwrap_or(true)
+        self.drain.live.get(w).copied().unwrap_or(true)
     }
 
     /// Record that a packet of `stream` arriving at `arrival_us` was
@@ -142,7 +137,7 @@ impl RouterState {
             self.last.resize(s + 1, None);
         }
         self.last[s] = Some(w);
-        self.vfinish_us[w] = self.vfinish_us[w].max(arrival_us) + self.est_service_us;
+        self.drain.charge(w, arrival_us);
     }
 
     /// The virtual instant worker `w`'s routed backlog drains. Read
@@ -151,7 +146,7 @@ impl RouterState {
     /// native dispatcher keys its Flow-Director completion-feedback
     /// queue on.
     pub fn vfinish_us(&self, w: usize) -> f64 {
-        self.vfinish_us[w]
+        self.drain.clock_us[w]
     }
 
     /// The model's [`SchedView`] at virtual time `now_us` (the arrival
@@ -173,20 +168,15 @@ pub struct RouterView<'s> {
 
 impl SchedView for RouterView<'_> {
     fn n_workers(&self) -> usize {
-        self.state.vfinish_us.len()
+        self.state.drain.clock_us.len()
     }
 
     fn is_idle(&self, w: usize) -> bool {
-        self.state.vfinish_us[w] <= self.now_us
+        self.state.drain.clock_us[w] <= self.now_us
     }
 
     fn queue_depth(&self, w: usize) -> usize {
-        let lag = self.state.vfinish_us[w] - self.now_us;
-        if lag <= 0.0 {
-            0
-        } else {
-            (lag / self.state.est_service_us).ceil() as usize
-        }
+        self.state.drain.backlog(w, self.now_us)
     }
 
     fn last_worker(&self, entity: u32) -> Option<usize> {
@@ -194,14 +184,14 @@ impl SchedView for RouterView<'_> {
     }
 
     fn is_live(&self, w: usize) -> bool {
-        self.state.live[w]
+        self.state.drain.live[w]
     }
 
     fn ages_on(&self, w: usize, entity: u32) -> ComponentAges {
         ComponentAges {
             // A worker that ever ran protocol work keeps warm code in
             // this virtual model; per-worker threads stay local.
-            code_global: if self.state.vfinish_us[w] > 0.0 {
+            code_global: if self.state.drain.clock_us[w] > 0.0 {
                 Age::Warm
             } else {
                 Age::Cold

@@ -30,14 +30,23 @@ const MAX_PAYLOAD: usize = fddi::MAX_PAYLOAD - ip::HEADER_LEN - udp::HEADER_LEN;
 // `USAGE` quotes the number.
 const _: () = assert!(MAX_PAYLOAD == 4404);
 
+/// The largest sizes a run can be given. `--workers` starts one thread
+/// per worker; `--streams` sizes the per-flow tables (the Zipf weights,
+/// the steering and previous-owner tables); `--queue-capacity` sizes the
+/// completion heap and the staged-claim map, `workers × (capacity + 2)`
+/// entries. `USAGE` quotes each.
+const MAX_WORKERS: usize = 64;
+const MAX_STREAMS: u32 = 1_048_576;
+const MAX_QUEUE_CAPACITY: usize = 16_384;
+
 const USAGE: &str = "afs-serve — sustained-ingest serving over the pinned native backend
 
 USAGE:
     afs-serve [OPTIONS]
 
 OPTIONS:
-    --workers <N>         worker threads, >= 1 (default 2)
-    --streams <N>         flow population size, >= 1 (default 65536)
+    --workers <N>         worker threads, 1..=64 (default 2)
+    --streams <N>         flow population size, 1..=1048576 (default 65536)
     --policy <P>          fallback policy: oblivious | locking | ips |
                           mru-load | min-reload (default min-reload)
     --frontend <F>        NIC front-end: rss | fdir | transport (default fdir)
@@ -58,7 +67,7 @@ OPTIONS:
     --payload <N>         UDP payload bytes, at most 4404 — one FDDI
                           frame (default 64)
     --queue-capacity <N>  per-worker admission bound on the modeled
-                          backlog; sizes no ring
+                          backlog, 0..=16384; sizes no ring
                           (default 1024)
     --seed <N>            RNG seed (default 0xAF5)
     --pin                 pin workers to cores (default off)
@@ -162,10 +171,14 @@ fn parse_args() -> Result<Option<Args>, String> {
         match flag {
             "-h" | "--help" => return Ok(None),
             "--workers" => {
-                args.workers = parse_value(flag, value(&mut i)?, |&n| n >= 1, AT_LEAST_ONE)?
+                let range = format!("an integer in 1..={MAX_WORKERS}");
+                let ok = |n: &usize| (1..=MAX_WORKERS).contains(n);
+                args.workers = parse_value(flag, value(&mut i)?, ok, &range)?
             }
             "--streams" => {
-                args.streams = parse_value(flag, value(&mut i)?, |&n| n >= 1, AT_LEAST_ONE)?
+                let range = format!("an integer in 1..={MAX_STREAMS}");
+                let ok = |n: &u32| (1..=MAX_STREAMS).contains(n);
+                args.streams = parse_value(flag, value(&mut i)?, ok, &range)?
             }
             "--policy" => args.policy = parse_policy(value(&mut i)?)?,
             "--frontend" => args.frontend = parse_frontend(value(&mut i)?)?,
@@ -196,7 +209,9 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.payload = parse_value(flag, value(&mut i)?, |&n| n <= MAX_PAYLOAD, &range)?
             }
             "--queue-capacity" => {
-                args.queue_capacity = Some(parse_value(flag, value(&mut i)?, |_| true, COUNT)?)
+                let range = format!("an integer in 0..={MAX_QUEUE_CAPACITY}");
+                let ok = |&n: &usize| n <= MAX_QUEUE_CAPACITY;
+                args.queue_capacity = Some(parse_value(flag, value(&mut i)?, ok, &range)?)
             }
             "--seed" => args.seed = Some(parse_value(flag, value(&mut i)?, |_| true, COUNT)?),
             "--pin" => args.pin = true,

@@ -14,7 +14,9 @@ fn serve(args: &[&str]) -> Output {
 
 #[test]
 fn out_of_range_values_are_usage_errors_not_panics() {
-    let bad: [&[&str]; 11] = [
+    // The upper bounds are checked while parsing, so these start no
+    // thread and size no table.
+    let bad: [&[&str]; 17] = [
         &["--payload", "4500"],
         &["--load", "-1"],
         &["--load", "nan"],
@@ -26,6 +28,12 @@ fn out_of_range_values_are_usage_errors_not_panics() {
         &["--streams", "0"],
         &["--seconds", "inf"],
         &["--packets"],
+        &["--workers", "65"],
+        &["--streams", "1048577"],
+        &["--streams", "4294967295"],
+        &["--queue-capacity", "16385"],
+        &["--queue-capacity", "18446744073709551615"],
+        &["--queue-capacity", "-1"],
     ];
     for args in bad {
         let out = serve(args);

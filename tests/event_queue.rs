@@ -193,7 +193,7 @@ fn zipf_hold_model_pops_in_reference_order() {
 /// Repeated growth to a few hundred live events and drains back to a
 /// few, with cancels between each growth and drain.
 #[test]
-fn compact_calendar_crossings_pop_in_reference_order() {
+fn heap_growth_and_drain_rounds_pop_in_reference_order() {
     let mut rng = RngFactory::new(35).stream("crossings");
     let mut pair = Pair::new();
     let mut keys = Vec::new();

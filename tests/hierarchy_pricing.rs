@@ -13,11 +13,11 @@
 //! per-block mutation stamps), over a 400-packet script of long trains
 //! in which every flow switch purges the stream range: the traffic the
 //! memo exists for, most packets finding every run but the packet
-//! buffer's as the previous packet left it — and, for the streak that
-//! reloads L1-absent lines in one pass, over 16 flows in trains of one
-//! that are never purged: every flow switch finds its stream state
-//! displaced from L1 by the previous flow's but still held in L2, which
-//! is the recorded replay's shape.
+//! buffer's as the previous packet left it — and, for the absent runs
+//! that reload L1-absent lines (`Cache::fill_run`), over 16 flows in
+//! trains of one that are never purged: every flow switch finds its
+//! stream state displaced from L1 by the previous flow's but still held
+//! in L2, which is the recorded replay's shape.
 //!
 //! The engine's receive entry points take `&mut MemoryHierarchy`, so
 //! there is no by-reference sink to hand them here. The reference side
