@@ -12,11 +12,10 @@ use crate::procfault::ProcFaultPlan;
 /// `afs_core::config::{Paradigm, LockPolicy, IpsPolicy}` paths working.
 pub use afs_sched::{IpsPolicy, LockPolicy, Paradigm};
 
-/// Flow-level fault model for the scheduling simulator — the coarse
-/// counterpart of `afs-xkernel`'s per-frame `FaultInjector`. Probabilities
-/// are per generated packet and drawn from the dedicated `"faults"` RNG
-/// substream, so a no-op profile consumes no randomness and leaves every
-/// other stream's sample path untouched.
+/// Flow-level fault model for the scheduling simulator (E21).
+/// Probabilities are per generated packet and drawn from the dedicated
+/// `"faults"` RNG substream, so a no-op profile consumes no randomness
+/// and leaves every other stream's sample path untouched.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Probability a packet is lost on the wire (never enqueued; no

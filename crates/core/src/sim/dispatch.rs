@@ -20,7 +20,8 @@ use afs_sched::{SchedView, ThreadSource};
 
 use crate::config::{Paradigm, SystemConfig};
 use crate::state::{
-    InFlight, LocTable, Packet, ProcActivity, ProcHealth, Procs, Runner, StreamTable,
+    FootprintTable, InFlight, LocTable, Packet, ProcActivity, ProcHealth, Procs, Runner,
+    StreamTable,
 };
 
 use super::{Event, SchedSim, Stacks};

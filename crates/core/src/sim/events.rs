@@ -455,9 +455,7 @@ impl<'r> SchedSim<'r> {
                 };
                 debug_assert_eq!(done_at, now);
                 // Clock bookkeeping: protocol time does not advance np.
-                let np = self
-                    .procs
-                    .note_protocol_end(proc, now, service.as_micros_f64());
+                let np = self.procs.note_protocol_end(proc, now, service);
 
                 if !packet.corrupt {
                     // Corrupt packets are rejected before the session

@@ -123,12 +123,12 @@ pub struct Procs {
     health: Vec<ProcHealth>,
     /// Service-time multiplier from a slowdown fault (1.0 = nominal).
     slow_factor: Vec<f64>,
-    /// Cumulative protocol execution time (µs) — the complement of the
+    /// Cumulative protocol execution time — the complement of the
     /// non-protocol clock.
-    proto_busy_us: Vec<f64>,
+    proto_busy: Vec<SimDuration>,
     /// Non-protocol clock value when protocol work last completed here
     /// (`None` = protocol never ran on this processor).
-    np_at_last_protocol: Vec<Option<f64>>,
+    np_at_last_protocol: Vec<Option<SimTime>>,
     /// Wall-clock time protocol work last completed here (for
     /// most-recently-active tie-breaking).
     last_protocol_end: Vec<Option<SimTime>>,
@@ -147,7 +147,7 @@ impl Procs {
             activity: vec![ProcActivity::NonProtocol; n],
             health: vec![ProcHealth::Up; n],
             slow_factor: vec![1.0; n],
-            proto_busy_us: vec![0.0; n],
+            proto_busy: vec![SimDuration::ZERO; n],
             np_at_last_protocol: vec![None; n],
             last_protocol_end: vec![None; n],
             served: vec![0; n],
@@ -241,10 +241,8 @@ impl Procs {
     ///
     /// Valid while the processor is *not* inside a protocol service (the
     /// simulator only reads ages at dispatch instants, when that holds).
-    pub fn np_now(&self, p: usize, now: SimTime) -> f64 {
-        let np = now.as_micros_f64() - self.proto_busy_us[p];
-        debug_assert!(np >= -1e-6, "negative non-protocol clock: {np}");
-        np.max(0.0)
+    pub fn np_now(&self, p: usize, now: SimTime) -> SimTime {
+        now - self.proto_busy[p]
     }
 
     /// Age of the code/global footprint component on `p` at dispatch
@@ -252,19 +250,16 @@ impl Procs {
     pub fn code_age(&self, p: usize, now: SimTime) -> Age {
         match self.np_at_last_protocol[p] {
             None => Age::Cold,
-            Some(np_then) => Age::Elapsed(SimDuration::from_micros_f64(
-                (self.np_now(p, now) - np_then).max(0.0),
-            )),
+            Some(np_then) => Age::Elapsed(self.np_now(p, now) - np_then),
         }
     }
 
-    /// Completion bookkeeping for a protocol service of `service_us`
-    /// microseconds ending on `p` at `now`: protocol busy time, the
-    /// np-clock capture, the recency stamp and the served count, in the
-    /// historical order. Returns the captured np clock (the caller
-    /// records footprint locations at it).
-    pub fn note_protocol_end(&mut self, p: usize, now: SimTime, service_us: f64) -> f64 {
-        self.proto_busy_us[p] += service_us;
+    /// Completion bookkeeping for a protocol service of length `service`
+    /// ending on `p` at `now`: protocol busy time, the np-clock capture,
+    /// the recency stamp and the served count. Returns the captured np
+    /// clock (the caller records footprint locations at it).
+    pub fn note_protocol_end(&mut self, p: usize, now: SimTime, service: SimDuration) -> SimTime {
+        self.proto_busy[p] += service;
         let np = self.np_now(p, now);
         self.np_at_last_protocol[p] = Some(np);
         self.last_protocol_end[p] = Some(now);
@@ -284,6 +279,38 @@ impl Procs {
     }
 }
 
+/// A table of where the entities of one footprint class last ran. The
+/// footprint rules — an entity's age on a processor, whether running it
+/// there migrates it, where it last ran — read only
+/// [`FootprintTable::last_run`], so every table ages the same way.
+pub trait FootprintTable {
+    /// The processor entity `i` last ran on and that processor's np clock
+    /// when the run ended; `None` when it is cold everywhere (it never
+    /// ran, or its last host crashed).
+    fn last_run(&self, i: usize) -> Option<(usize, SimTime)>;
+
+    /// Age of entity `i` on processor `p` at np clock `np_now`: cold when
+    /// it ran nowhere, remote when it last ran elsewhere, else the
+    /// non-protocol time elapsed on `p` since.
+    fn age_on(&self, i: usize, p: usize, np_now: SimTime) -> Age {
+        match self.last_run(i) {
+            None => Age::Cold,
+            Some((q, np_then)) if q == p => Age::Elapsed(np_now - np_then),
+            Some(_) => Age::Remote,
+        }
+    }
+
+    /// True when entity `i` would migrate if dispatched on `p`.
+    fn migrates_to(&self, i: usize, p: usize) -> bool {
+        self.last_proc(i).is_some_and(|q| q != p)
+    }
+
+    /// The processor entity `i` last ran on, if any.
+    fn last_proc(&self, i: usize) -> Option<usize> {
+        self.last_run(i).map(|(q, _)| q)
+    }
+}
+
 /// Where the entities of one footprint class (thread stacks, stream
 /// state, IPS stacks) last ran, field-major: a processor column and an
 /// np-clock column, indexed by entity id.
@@ -295,7 +322,7 @@ impl Procs {
 #[derive(Debug, Clone)]
 pub struct LocTable {
     proc: Vec<u32>,
-    np_then: Vec<f64>,
+    np_then: Vec<SimTime>,
 }
 
 /// The "never ran / host crashed" sentinel of [`LocTable`].
@@ -306,7 +333,7 @@ impl LocTable {
     pub fn new(n: usize) -> Self {
         LocTable {
             proc: vec![NOWHERE; n],
-            np_then: vec![0.0; n],
+            np_then: vec![SimTime::ZERO; n],
         }
     }
 
@@ -320,32 +347,10 @@ impl LocTable {
         self.proc.is_empty()
     }
 
-    /// Age of entity `i` on processor `p` at np-clock `np_now`.
-    pub fn age_on(&self, i: usize, p: usize, np_now: f64) -> Age {
-        match self.proc[i] {
-            NOWHERE => Age::Cold,
-            q if q as usize == p => Age::Elapsed(SimDuration::from_micros_f64(
-                (np_now - self.np_then[i]).max(0.0),
-            )),
-            _ => Age::Remote,
-        }
-    }
-
     /// Record a completed run of entity `i` on `p`.
-    pub fn record(&mut self, i: usize, p: usize, np_now: f64) {
+    pub fn record(&mut self, i: usize, p: usize, np_now: SimTime) {
         self.proc[i] = p as u32;
         self.np_then[i] = np_now;
-    }
-
-    /// True when entity `i` would migrate if dispatched on `p`.
-    pub fn migrates_to(&self, i: usize, p: usize) -> bool {
-        self.proc[i] != NOWHERE && self.proc[i] as usize != p
-    }
-
-    /// The processor entity `i` last ran on, if any.
-    pub fn last_proc(&self, i: usize) -> Option<usize> {
-        let q = self.proc[i];
-        (q != NOWHERE).then_some(q as usize)
     }
 
     /// Crash semantics: every entity last resident on `p` is cold
@@ -360,6 +365,13 @@ impl LocTable {
     }
 }
 
+impl FootprintTable for LocTable {
+    fn last_run(&self, i: usize) -> Option<(usize, SimTime)> {
+        let q = self.proc[i];
+        (q != NOWHERE).then(|| (q as usize, self.np_then[i]))
+    }
+}
+
 /// Stream-state locations: dense (one slot per stream — the historical
 /// representation, exact at any population) or a bounded hashed-LRU
 /// cache sized far below the stream population.
@@ -369,17 +381,16 @@ impl LocTable {
 /// stream is cold everywhere — so the next dispatch of that stream pays
 /// the full cold stream-footprint reload through the existing
 /// [`DispatchPricer`](afs_cache::model::pricer::DispatchPricer) with no
-/// new pricing code. Reads ([`StreamTable::age_on`],
-/// [`StreamTable::last_proc`], [`StreamTable::migrates_to`]) peek
-/// without promoting, so policy scans never perturb the eviction order;
-/// only [`StreamTable::record`] (a completed service) refreshes
-/// recency.
+/// new pricing code. Reads ([`FootprintTable::last_run`] and the rules
+/// on it) peek without promoting, so policy scans never perturb the
+/// eviction order; only [`StreamTable::record`] (a completed service)
+/// refreshes recency.
 #[derive(Debug, Clone)]
 pub enum StreamTable {
     /// One slot per stream, never evicted.
     Dense(LocTable),
     /// Bounded cache of `(processor, np-clock)` keyed by stream id.
-    Hashed(HashedLru<(u32, f64)>),
+    Hashed(HashedLru<(u32, SimTime)>),
 }
 
 impl StreamTable {
@@ -393,54 +404,14 @@ impl StreamTable {
         StreamTable::Hashed(HashedLru::new(capacity))
     }
 
-    /// Age of stream `i` on processor `p` at np-clock `np_now`. Absent
-    /// (never recorded, evicted, or host crashed) means cold.
-    pub fn age_on(&self, i: usize, p: usize, np_now: f64) -> Age {
-        match self {
-            StreamTable::Dense(t) => t.age_on(i, p, np_now),
-            StreamTable::Hashed(t) => match t.peek(i as u64) {
-                Some((q, np_then)) if q != NOWHERE => {
-                    if q as usize == p {
-                        Age::Elapsed(SimDuration::from_micros_f64((np_now - np_then).max(0.0)))
-                    } else {
-                        Age::Remote
-                    }
-                }
-                _ => Age::Cold,
-            },
-        }
-    }
-
     /// Record a completed run of stream `i` on `p` (inserts or promotes
     /// in the hashed representation; may evict the LRU stream).
-    pub fn record(&mut self, i: usize, p: usize, np_now: f64) {
+    pub fn record(&mut self, i: usize, p: usize, np_now: SimTime) {
         match self {
             StreamTable::Dense(t) => t.record(i, p, np_now),
             StreamTable::Hashed(t) => {
                 t.insert(i as u64, (p as u32, np_now));
             }
-        }
-    }
-
-    /// True when stream `i` would migrate if dispatched on `p`.
-    pub fn migrates_to(&self, i: usize, p: usize) -> bool {
-        match self {
-            StreamTable::Dense(t) => t.migrates_to(i, p),
-            StreamTable::Hashed(t) => matches!(
-                t.peek(i as u64),
-                Some((q, _)) if q != NOWHERE && q as usize != p
-            ),
-        }
-    }
-
-    /// The processor stream `i` last ran on, if still tracked.
-    pub fn last_proc(&self, i: usize) -> Option<usize> {
-        match self {
-            StreamTable::Dense(t) => t.last_proc(i),
-            StreamTable::Hashed(t) => match t.peek(i as u64) {
-                Some((q, _)) if q != NOWHERE => Some(q as usize),
-                _ => None,
-            },
         }
     }
 
@@ -463,12 +434,29 @@ impl StreamTable {
     }
 }
 
+impl FootprintTable for StreamTable {
+    /// Absent (never recorded, evicted, or host crashed) means cold.
+    fn last_run(&self, i: usize) -> Option<(usize, SimTime)> {
+        match self {
+            StreamTable::Dense(t) => t.last_run(i),
+            StreamTable::Hashed(t) => match t.peek(i as u64) {
+                Some((q, np_then)) if q != NOWHERE => Some((q as usize, np_then)),
+                _ => None,
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    fn d(us: u64) -> SimDuration {
+        SimDuration::from_micros(us)
     }
 
     fn pkt() -> Packet {
@@ -498,10 +486,10 @@ mod tests {
     #[test]
     fn np_clock_excludes_protocol_time() {
         let mut p = Procs::new(1);
-        assert_eq!(p.np_now(0, t(1000)), 1000.0);
+        assert_eq!(p.np_now(0, t(1000)), t(1000));
         // Protocol ran 300 µs (bookkept at completion).
-        p.note_protocol_end(0, t(700), 300.0);
-        assert_eq!(p.np_now(0, t(1000)), 700.0);
+        assert_eq!(p.note_protocol_end(0, t(700), d(300)), t(400));
+        assert_eq!(p.np_now(0, t(1000)), t(700));
     }
 
     #[test]
@@ -509,11 +497,8 @@ mod tests {
         let mut p = Procs::new(1);
         assert_eq!(p.code_age(0, t(100)), Age::Cold);
         // Protocol ran 200–400 µs: busy 200, np at completion = 200.
-        p.note_protocol_end(0, t(400), 200.0);
-        match p.code_age(0, t(1000)) {
-            Age::Elapsed(d) => assert!((d.as_micros_f64() - 600.0).abs() < 1e-9),
-            other => panic!("expected Elapsed, got {other:?}"),
-        }
+        p.note_protocol_end(0, t(400), d(200));
+        assert_eq!(p.code_age(0, t(1000)), Age::Elapsed(d(600)));
         assert_eq!(p.last_protocol_end(0), Some(t(400)));
         assert_eq!(p.served(), &[1]);
     }
@@ -522,25 +507,19 @@ mod tests {
     fn age_does_not_advance_during_protocol() {
         // A service ran 0–500; redispatching at 500 sees age 0.
         let mut p = Procs::new(1);
-        p.note_protocol_end(0, t(500), 500.0);
-        match p.code_age(0, t(500)) {
-            Age::Elapsed(d) => assert_eq!(d, SimDuration::ZERO),
-            other => panic!("{other:?}"),
-        }
+        p.note_protocol_end(0, t(500), d(500));
+        assert_eq!(p.code_age(0, t(500)), Age::Elapsed(SimDuration::ZERO));
     }
 
     #[test]
     fn loc_table_ages() {
         let mut s = LocTable::new(1);
-        assert_eq!(s.age_on(0, 0, 100.0), Age::Cold);
+        assert_eq!(s.age_on(0, 0, t(100)), Age::Cold);
         assert!(!s.migrates_to(0, 0));
         assert_eq!(s.last_proc(0), None);
-        s.record(0, 0, 100.0);
-        match s.age_on(0, 0, 150.0) {
-            Age::Elapsed(d) => assert!((d.as_micros_f64() - 50.0).abs() < 1e-9),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(s.age_on(0, 1, 9999.0), Age::Remote);
+        s.record(0, 0, t(100));
+        assert_eq!(s.age_on(0, 0, t(150)), Age::Elapsed(d(50)));
+        assert_eq!(s.age_on(0, 1, t(9999)), Age::Remote);
         assert!(s.migrates_to(0, 1));
         assert!(!s.migrates_to(0, 0));
         assert_eq!(s.last_proc(0), Some(0));
@@ -549,65 +528,65 @@ mod tests {
     #[test]
     fn loc_table_evicts_crashed_proc_only() {
         let mut s = LocTable::new(3);
-        s.record(0, 4, 10.0);
-        s.record(1, 5, 20.0);
-        s.record(2, 4, 30.0);
+        s.record(0, 4, t(10));
+        s.record(1, 5, t(20));
+        s.record(2, 4, t(30));
         s.evict_proc(4);
         assert_eq!(s.last_proc(0), None);
         assert_eq!(s.last_proc(1), Some(5));
         assert_eq!(s.last_proc(2), None);
         // Evicted entities are cold everywhere, including on the (re-
         // vived) crashed processor itself.
-        assert_eq!(s.age_on(0, 4, 99.0), Age::Cold);
+        assert_eq!(s.age_on(0, 4, t(99)), Age::Cold);
     }
 
     #[test]
     fn stream_table_hashed_matches_dense_until_eviction() {
         let mut dense = StreamTable::dense(4);
         let mut hashed = StreamTable::hashed(4);
-        for t in [&mut dense, &mut hashed] {
-            t.record(0, 1, 10.0);
-            t.record(3, 2, 20.0);
+        for table in [&mut dense, &mut hashed] {
+            table.record(0, 1, t(10));
+            table.record(3, 2, t(20));
         }
-        for t in [&dense, &hashed] {
-            assert_eq!(t.last_proc(0), Some(1));
-            assert_eq!(t.last_proc(3), Some(2));
-            assert_eq!(t.last_proc(2), None);
-            assert!(t.migrates_to(0, 0));
-            assert!(!t.migrates_to(0, 1));
-            assert_eq!(t.age_on(2, 0, 99.0), Age::Cold);
-            assert_eq!(t.age_on(0, 2, 99.0), Age::Remote);
-            match t.age_on(0, 1, 15.0) {
-                Age::Elapsed(d) => assert!((d.as_micros_f64() - 5.0).abs() < 1e-9),
-                other => panic!("{other:?}"),
-            }
+        for table in [&dense, &hashed] {
+            assert_eq!(table.last_proc(0), Some(1));
+            assert_eq!(table.last_proc(3), Some(2));
+            assert_eq!(table.last_proc(2), None);
+            assert!(table.migrates_to(0, 0));
+            assert!(!table.migrates_to(0, 1));
+            assert_eq!(table.age_on(2, 0, t(99)), Age::Cold);
+            assert_eq!(table.age_on(0, 2, t(99)), Age::Remote);
+            assert_eq!(table.age_on(0, 1, t(15)), Age::Elapsed(d(5)));
         }
     }
 
     #[test]
     fn stream_table_eviction_means_cold() {
-        let mut t = StreamTable::hashed(2);
-        t.record(0, 0, 1.0);
-        t.record(1, 1, 2.0);
-        t.record(2, 2, 3.0); // capacity 2: evicts stream 0
-        assert_eq!(t.last_proc(0), None);
-        assert_eq!(t.age_on(0, 0, 9.0), Age::Cold);
-        assert!(!t.migrates_to(0, 1), "an absent stream migrates nowhere");
+        let mut table = StreamTable::hashed(2);
+        table.record(0, 0, t(1));
+        table.record(1, 1, t(2));
+        table.record(2, 2, t(3)); // capacity 2: evicts stream 0
+        assert_eq!(table.last_proc(0), None);
+        assert_eq!(table.age_on(0, 0, t(9)), Age::Cold);
+        assert!(
+            !table.migrates_to(0, 1),
+            "an absent stream migrates nowhere"
+        );
         // Re-recording re-admits it (evicting the then-LRU stream 1).
-        t.record(0, 3, 4.0);
-        assert_eq!(t.last_proc(0), Some(3));
-        assert_eq!(t.last_proc(1), None);
+        table.record(0, 3, t(4));
+        assert_eq!(table.last_proc(0), Some(3));
+        assert_eq!(table.last_proc(1), None);
     }
 
     #[test]
     fn stream_table_crash_eviction_reports_cold_in_place() {
-        let mut t = StreamTable::hashed(4);
-        t.record(0, 4, 10.0);
-        t.record(1, 5, 20.0);
-        t.evict_proc(4);
-        assert_eq!(t.last_proc(0), None);
-        assert_eq!(t.age_on(0, 4, 99.0), Age::Cold);
-        assert_eq!(t.last_proc(1), Some(5));
+        let mut table = StreamTable::hashed(4);
+        table.record(0, 4, t(10));
+        table.record(1, 5, t(20));
+        table.evict_proc(4);
+        assert_eq!(table.last_proc(0), None);
+        assert_eq!(table.age_on(0, 4, t(99)), Age::Cold);
+        assert_eq!(table.last_proc(1), Some(5));
     }
 
     #[test]
@@ -636,7 +615,7 @@ mod tests {
     #[test]
     fn forget_cache_clears_code_footprint() {
         let mut p = Procs::new(1);
-        p.note_protocol_end(0, t(400), 200.0);
+        p.note_protocol_end(0, t(400), d(200));
         assert!(p.last_protocol_end(0).is_some());
         p.forget_cache(0);
         assert_eq!(p.code_age(0, t(500)), Age::Cold);

@@ -55,7 +55,7 @@ use afs_sched::{NativeLayout, PolicySpec};
 use afs_workload::{ZipfArrivals, ZipfSpec};
 use afs_xkernel::driver::PacketFactory;
 use afs_xkernel::engine::CostModel;
-use afs_xkernel::StreamId;
+use afs_xkernel::{DropReason, RxOutcome, StreamId};
 
 use crate::dispatch::{dispatch, Arrival, Pipeline};
 use crate::pin::{CorePinner, NoopPinner, OsPinner};
@@ -377,6 +377,22 @@ pub struct OutcomeTotals {
 }
 
 impl OutcomeTotals {
+    /// Count one receive-path verdict in its bucket.
+    pub fn add(&mut self, outcome: &RxOutcome) {
+        match outcome {
+            RxOutcome::Delivered(_) => self.delivered += 1,
+            RxOutcome::Dropped {
+                reason: DropReason::NoSession(_),
+                ..
+            } => self.no_session += 1,
+            RxOutcome::Dropped {
+                reason: DropReason::UserQueueFull(_),
+                ..
+            } => self.queue_full += 1,
+            RxOutcome::Error { .. } => self.rejected += 1,
+        }
+    }
+
     /// All packets that completed a receive-path traversal.
     pub fn total(&self) -> u64 {
         self.delivered + self.no_session + self.queue_full + self.rejected

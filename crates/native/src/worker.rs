@@ -34,7 +34,7 @@ use afs_obs::{ChargeKind, MemRecorder, ObsEvent, Recorder as _};
 use afs_sched::HashedLru;
 use afs_xkernel::driver::{FrameTemplate, RxFrame};
 use afs_xkernel::mem::MemLayout;
-use afs_xkernel::{DropReason, ProtocolEngine, RxOutcome, StreamId, ThreadId};
+use afs_xkernel::{ProtocolEngine, RxOutcome, StreamId, ThreadId};
 
 use crate::dispatch::Arrival;
 use crate::ring::RingQueue;
@@ -416,6 +416,7 @@ impl<'a> Worker<'a> {
         stats.steals += job.stolen_from.is_some() as u64;
         stats.stream_migrations += s.stream_migrated as u64;
         stats.thread_migrations += s.thread_migrated as u64;
+        stats.delivered += s.outcome.is_delivered() as u64;
         if let Some(r) = self.out.rec.as_mut() {
             // For a steal, `queue` names the victim ring the packet was
             // lifted from.
@@ -467,18 +468,7 @@ impl<'a> Worker<'a> {
                 ok: s.outcome.is_delivered(),
             });
         }
-        let outcomes = &mut self.out.outcomes;
-        match s.outcome {
-            RxOutcome::Delivered(_) => {
-                stats.delivered += 1;
-                outcomes.delivered += 1;
-            }
-            RxOutcome::Dropped { reason, .. } => match reason {
-                DropReason::NoSession(_) => outcomes.no_session += 1,
-                DropReason::UserQueueFull(_) => outcomes.queue_full += 1,
-            },
-            RxOutcome::Error { .. } => outcomes.rejected += 1,
-        }
+        self.out.outcomes.add(&s.outcome);
         if job.pkt.record {
             self.out.delay.add(delay_us);
             self.out.service.add(s.service_us);

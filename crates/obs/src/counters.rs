@@ -63,8 +63,6 @@ pub struct Counters {
     pub thread_migrations: u64,
     /// Cache-flush charges.
     pub flushes: u64,
-    /// Warm-service charges (all footprints resident).
-    pub warm_charges: u64,
     /// Reload-transient charges.
     pub reload_charges: u64,
     /// Total reload-transient virtual time charged (µs).
@@ -73,28 +71,6 @@ pub struct Counters {
     pub lock_charges: u64,
     /// Total lock-overhead virtual time charged (µs).
     pub lock_us: f64,
-
-    /// Frames examined by a fault injector ahead of this run.
-    pub fault_examined: u64,
-    /// Frames dropped on the wire by fault injection.
-    pub wire_drops: u64,
-    /// Duplicate frames injected.
-    pub duplicates: u64,
-    /// Frames reordered by fault injection.
-    pub reorders: u64,
-    /// Frames corrupted by fault injection.
-    pub corruptions: u64,
-    /// Frames truncated by fault injection.
-    pub truncations: u64,
-
-    /// Receive-path outcomes: payload reached the user queue.
-    pub delivered: u64,
-    /// Receive-path outcomes: shed for want of a session.
-    pub dropped_no_session: u64,
-    /// Receive-path outcomes: shed at a full user queue.
-    pub dropped_queue_full: u64,
-    /// Receive-path outcomes: rejected as malformed by a protocol layer.
-    pub errored: u64,
 
     /// Workers observed leaving service (crash or stall window start).
     pub worker_downs: u64,
@@ -214,7 +190,8 @@ impl Counters {
                 amount_us,
                 ..
             } => match kind {
-                ChargeKind::Warm => self.warm_charges += 1,
+                // A warm charge lives in the trace only; nothing counts it.
+                ChargeKind::Warm => {}
                 ChargeKind::Flush => {
                     self.flushes += 1;
                     self.lane(worker).flushes += 1;
@@ -295,21 +272,10 @@ impl Counters {
         self.stream_migrations += other.stream_migrations;
         self.thread_migrations += other.thread_migrations;
         self.flushes += other.flushes;
-        self.warm_charges += other.warm_charges;
         self.reload_charges += other.reload_charges;
         self.reload_transient_us += other.reload_transient_us;
         self.lock_charges += other.lock_charges;
         self.lock_us += other.lock_us;
-        self.fault_examined += other.fault_examined;
-        self.wire_drops += other.wire_drops;
-        self.duplicates += other.duplicates;
-        self.reorders += other.reorders;
-        self.corruptions += other.corruptions;
-        self.truncations += other.truncations;
-        self.delivered += other.delivered;
-        self.dropped_no_session += other.dropped_no_session;
-        self.dropped_queue_full += other.dropped_queue_full;
-        self.errored += other.errored;
         self.worker_downs += other.worker_downs;
         self.worker_ups += other.worker_ups;
         self.orphaned += other.orphaned;
@@ -458,10 +424,7 @@ mod tests {
             kind: ChargeKind::Warm,
             amount_us: 0.0,
         });
-        assert_eq!(
-            (c.flushes, c.reload_charges, c.lock_charges, c.warm_charges),
-            (1, 1, 1, 1)
-        );
+        assert_eq!((c.flushes, c.reload_charges, c.lock_charges), (1, 1, 1));
         assert!((c.reload_transient_us - 8.5).abs() < 1e-12);
         assert!((c.lock_us - 1.0).abs() < 1e-12);
     }

@@ -53,24 +53,6 @@ pub fn render(c: &Counters) -> String {
         c.queue_depth.mean(),
         c.max_queue_depth
     );
-    if c.fault_examined > 0
-        || c.delivered + c.dropped_no_session + c.dropped_queue_full + c.errored > 0
-    {
-        let _ = writeln!(
-            out,
-            "  faults: {} examined, {} wire drops, {} dup, {} reorder, {} corrupt, {} trunc | outcomes: {} delivered, {} no-session, {} queue-full, {} errored",
-            c.fault_examined,
-            c.wire_drops,
-            c.duplicates,
-            c.reorders,
-            c.corruptions,
-            c.truncations,
-            c.delivered,
-            c.dropped_no_session,
-            c.dropped_queue_full,
-            c.errored
-        );
-    }
     if c.worker_downs > 0 || c.orphaned > 0 {
         let _ = writeln!(
             out,
@@ -147,7 +129,7 @@ mod tests {
         assert!(s.contains("4 enqueued"), "{s}");
         assert!(s.contains("75.0% hits"), "{s}");
         assert!(s.contains("worker 0: 4 dispatched"), "{s}");
-        // No faults section when nothing fault-related was observed.
-        assert!(!s.contains("faults:"), "{s}");
+        // No processor-fault line when no worker went down.
+        assert!(!s.contains("proc faults:"), "{s}");
     }
 }

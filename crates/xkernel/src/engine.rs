@@ -236,24 +236,6 @@ impl RxOutcome {
     pub fn is_delivered(&self) -> bool {
         matches!(self, RxOutcome::Delivered(_))
     }
-
-    /// Tally this outcome into the unified observability counters
-    /// (`delivered` / `dropped_no_session` / `dropped_queue_full` /
-    /// `errored`).
-    pub fn observe_into(&self, c: &mut afs_obs::Counters) {
-        match self {
-            RxOutcome::Delivered(_) => c.delivered += 1,
-            RxOutcome::Dropped {
-                reason: DropReason::NoSession(_),
-                ..
-            } => c.dropped_no_session += 1,
-            RxOutcome::Dropped {
-                reason: DropReason::UserQueueFull(_),
-                ..
-            } => c.dropped_queue_full += 1,
-            RxOutcome::Error { .. } => c.errored += 1,
-        }
-    }
 }
 
 /// Timing breakdown of one packet's processing.

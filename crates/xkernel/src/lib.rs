@@ -19,8 +19,6 @@
 //! * [`proto`] — sessions, the port demux map, stream/thread identities.
 //! * [`driver`] — the in-memory FDDI driver and packet factory (the
 //!   paper's own in-memory-driver technique).
-//! * [`fault`] — deterministic per-frame fault injection (drop,
-//!   duplicate, reorder, corrupt, truncate) applied by the driver.
 //! * [`mem`] — the instrumented memory model: address-space layout,
 //!   region-tagged loads/stores, code-segment instruction fetches.
 //! * [`engine`] — the instrumented fast paths (one receive body behind
@@ -35,7 +33,6 @@
 pub mod calib;
 pub mod driver;
 pub mod engine;
-pub mod fault;
 pub mod fddi;
 pub mod icmp;
 pub mod ip;
@@ -50,5 +47,4 @@ pub use calib::{calibrate, lock_overhead_cycles, Calibration};
 pub use engine::{
     CostModel, DropReason, PacketTiming, ProtocolEngine, RxError, RxLayer, RxOutcome,
 };
-pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use proto::{SessionState, SessionTable, StreamId, ThreadId};

@@ -1,26 +1,28 @@
 //! Adversarial fuzz harness for the receive path.
 //!
 //! Feeds arbitrary byte soup, bit-flipped/truncated mutations of valid
-//! frames, and `FaultInjector`-damaged traffic into
+//! frames, and traffic damaged by a hostile wire ([`hostile_wire`]) into
 //! [`ProtocolEngine::receive_outcome`] and [`ip::parse_header`], and
 //! requires that every input terminates in a *typed* outcome — never a
 //! panic — with partial work charged on rejection.
 //!
 //! Seven suites × 256 cases per run (the vendored proptest honours
 //! `PROPTEST_CASES` as a global cap for CI smoke runs). The last two
-//! suites replay injector-damaged traffic through the native
+//! suites replay wire-damaged traffic through the native
 //! pinned-thread backend and cross-check its typed-outcome accounting
 //! against a single-engine reference — the final one while a seeded
 //! processor-fault plan crashes, stalls and slows workers mid-run.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use afs_desim::rng::RngFactory;
+use afs_native::OutcomeTotals;
 use afs_xkernel::driver::{PacketFactory, RxFrame};
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::msg::Message;
 use afs_xkernel::proto::StreamId;
-use afs_xkernel::{ip, CostModel, FaultInjector, FaultPlan, ProtocolEngine, RxOutcome, ThreadId};
+use afs_xkernel::{ip, CostModel, ProtocolEngine, RxOutcome, ThreadId};
 
 const CASES: u32 = 256;
 
@@ -40,6 +42,84 @@ fn frame_at(bytes: Vec<u8>, stream: u32, slot: u32) -> RxFrame {
         stream: StreamId(stream),
         buf_addr: MemLayout::new().packet(slot % 8),
     }
+}
+
+/// A lossy, corrupting, duplicating, reordering wire, drawn from one
+/// seeded RNG. Each offered frame is independently dropped (`drop_p`),
+/// hit by 1–3 bit flips (`corrupt_p`), cut short (`truncate_p`), sent
+/// twice with the same damage (0.2) and held back 1–4 offers (0.2).
+/// Returns the frames in the order the engine sees them, each with
+/// whether its bytes were damaged.
+fn hostile_wire(
+    frames: impl IntoIterator<Item = RxFrame>,
+    seed: u64,
+    drop_p: f64,
+    corrupt_p: f64,
+    truncate_p: f64,
+) -> Vec<(RxFrame, bool)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    let mut held: Vec<(usize, (RxFrame, bool))> = Vec::new();
+    for (i, mut frame) in frames.into_iter().enumerate() {
+        // Frames held back until this offer leave ahead of it.
+        let (due, later) = held.into_iter().partition(|(until, _)| *until <= i);
+        held = later;
+        out.extend(due.into_iter().map(|(_, f)| f));
+        if rng.gen_bool(drop_p) {
+            continue;
+        }
+        let mut damaged = false;
+        if rng.gen_bool(corrupt_p) {
+            for _ in 0..rng.gen_range(1..=3) {
+                let byte = rng.gen_range(0..frame.bytes.len());
+                frame.bytes[byte] ^= 1u8 << rng.gen_range(0..8);
+            }
+            damaged = true;
+        }
+        if rng.gen_bool(truncate_p) {
+            frame.bytes.truncate(rng.gen_range(1..frame.bytes.len()));
+            damaged = true;
+        }
+        let copy = rng.gen_bool(0.2).then(|| (frame.clone(), damaged));
+        if rng.gen_bool(0.2) {
+            held.push((i + rng.gen_range(1..=4usize), (frame, damaged)));
+        } else {
+            out.push((frame, damaged));
+        }
+        out.extend(copy);
+    }
+    out.extend(held.into_iter().map(|(_, f)| f));
+    out
+}
+
+/// The single-engine reference: every stream in `0..streams` bound, one
+/// thread, the wire's frames in order. Each outcome must be typed.
+fn reference_totals(wire: &[(RxFrame, bool)], streams: u32) -> OutcomeTotals {
+    let mut eng = ProtocolEngine::new(CostModel::default());
+    for s in 0..streams {
+        eng.bind_stream(StreamId(s));
+    }
+    let mut hier = CostModel::default().hierarchy();
+    let mut totals = OutcomeTotals::default();
+    for (frame, _) in wire {
+        let out = eng.receive_outcome(&mut hier, frame, ThreadId(0));
+        assert_typed(&out);
+        totals.add(&out);
+    }
+    totals
+}
+
+/// The wire's frames as a native replay, spaced so the run exercises
+/// real queueing but stays fast.
+fn native_workload(wire: &[(RxFrame, bool)]) -> Vec<afs_native::NativePacket> {
+    wire.iter()
+        .enumerate()
+        .map(|(i, (f, _))| afs_native::NativePacket {
+            bytes: f.bytes.clone(),
+            stream: f.stream,
+            arrival_us: 25.0 * i as f64,
+        })
+        .collect()
 }
 
 /// Whatever happened, the outcome must be typed and must have charged
@@ -128,8 +208,8 @@ proptest! {
     }
 
     /// A lossy, corrupting, reordering wire feeding the engine: every
-    /// admitted frame still terminates in a typed outcome, and intact
-    /// frames still deliver.
+    /// frame it emits terminates in one typed outcome, and every frame
+    /// it did not damage delivers.
     #[test]
     fn engine_survives_fault_injected_traffic(
         seed in any::<u64>(),
@@ -138,58 +218,33 @@ proptest! {
         corrupt_p in 0.0f64..0.5,
         truncate_p in 0.0f64..0.5,
     ) {
-        let plan = FaultPlan {
-            drop_p,
-            corrupt_p,
-            truncate_p,
-            duplicate_p: 0.2,
-            reorder_p: 0.2,
-            ..FaultPlan::none()
-        };
-        let factory_rng = RngFactory::new(seed);
-        let mut inj = FaultInjector::from_factory(plan, &factory_rng);
         let mut eng = ProtocolEngine::new(CostModel::default());
         eng.bind_stream(StreamId(1));
         let mut hier = CostModel::default().hierarchy();
         let mut packets = PacketFactory::new();
-        let mut emitted = Vec::new();
-        for i in 0..n_frames {
-            let frame = frame_at(packets.frame_for(StreamId(1), 64 + i), 1, i as u32);
-            emitted.extend(inj.admit(frame));
-        }
-        emitted.extend(inj.flush());
-        // Per-case diagnostics: the injected fault mix and the typed
-        // outcome of every traversal, folded into one Counters value so
-        // a failing case prints *what the wire did* next to *what the
-        // engine concluded* instead of a bare pass/fail.
-        let mut obs = afs_obs::Counters::new();
-        inj.stats.observe_into(&mut obs);
-        for frame in &emitted {
+        let frames = (0..n_frames)
+            .map(|i| frame_at(packets.frame_for(StreamId(1), 64 + i), 1, i as u32));
+        let wire = hostile_wire(frames, seed, drop_p, corrupt_p, truncate_p);
+        let mut totals = OutcomeTotals::default();
+        for (i, (frame, damaged)) in wire.iter().enumerate() {
             let out = eng.receive_outcome(&mut hier, frame, ThreadId(0));
             assert_typed(&out);
-            out.observe_into(&mut obs);
+            totals.add(&out);
+            prop_assert!(
+                *damaged || out.is_delivered(),
+                "undamaged frame {i} of {} did not deliver: {out:?}",
+                wire.len()
+            );
         }
-        prop_assert_eq!(obs.fault_examined, n_frames as u64);
         prop_assert_eq!(
-            obs.delivered + obs.dropped_no_session + obs.dropped_queue_full + obs.errored,
-            emitted.len() as u64,
-            "every admitted frame gets exactly one typed outcome\n{}",
-            afs_obs::summary::render(&obs)
-        );
-        // A damaged original shows up at most twice (itself + one
-        // duplicate carrying the same damage); every undamaged frame
-        // must deliver.
-        let delivered = obs.delivered as usize;
-        let damaged = (obs.corruptions + obs.truncations) as usize;
-        prop_assert!(
-            delivered + 2 * damaged >= emitted.len(),
-            "undamaged frames must deliver: {delivered} + 2*{damaged} < {}\n{}",
-            emitted.len(),
-            afs_obs::summary::render(&obs)
+            totals.total(),
+            wire.len() as u64,
+            "every emitted frame gets exactly one typed outcome: {:?}",
+            totals
         );
     }
 
-    /// The native pinned-thread backend fed the same fault-injected
+    /// The native pinned-thread backend fed the same wire-damaged
     /// traffic: its goodput accounting must be lossless (every offered
     /// frame lands in exactly one typed-outcome bucket) and must agree
     /// with a single-engine replay of the identical wire bytes — the
@@ -204,81 +259,32 @@ proptest! {
         corrupt_p in 0.0f64..0.4,
         truncate_p in 0.0f64..0.4,
     ) {
-        use afs_native::{run_native_recorded, NativeConfig, NativePacket, Pinning, PolicySpec};
+        use afs_native::{run_native_recorded, NativeConfig, Pinning, PolicySpec};
 
-        let plan = FaultPlan {
-            drop_p,
-            corrupt_p,
-            truncate_p,
-            duplicate_p: 0.2,
-            reorder_p: 0.2,
-            ..FaultPlan::none()
-        };
-        let factory_rng = RngFactory::new(seed);
-        let mut inj = FaultInjector::from_factory(plan, &factory_rng);
         let mut packets = PacketFactory::new();
         let streams = 4u32;
-        let mut emitted = Vec::new();
-        for i in 0..n_frames {
+        let frames = (0..n_frames).map(|i| {
             let s = i as u32 % streams;
-            let frame = frame_at(packets.frame_for(StreamId(s), 32 + i % 256), s, i as u32);
-            emitted.extend(inj.admit(frame));
-        }
-        emitted.extend(inj.flush());
+            frame_at(packets.frame_for(StreamId(s), 32 + i % 256), s, i as u32)
+        });
+        let wire = hostile_wire(frames, seed, drop_p, corrupt_p, truncate_p);
+        let want = reference_totals(&wire, streams);
 
-        // Reference verdicts: one engine, one thread, same bytes.
-        let mut eng = ProtocolEngine::new(CostModel::default());
-        for s in 0..streams {
-            eng.bind_stream(StreamId(s));
-        }
-        let mut hier = CostModel::default().hierarchy();
-        let mut want = afs_obs::Counters::new();
-        inj.stats.observe_into(&mut want);
-        for frame in &emitted {
-            let out = eng.receive_outcome(&mut hier, frame, ThreadId(0));
-            assert_typed(&out);
-            out.observe_into(&mut want);
-        }
-
-        // Native run over the identical frames (arrivals spaced so the
-        // run exercises real queueing but stays fast), traced through
-        // the unified recorder so a failure prints both sides' counters.
-        let workload: Vec<NativePacket> = emitted
-            .iter()
-            .enumerate()
-            .map(|(i, f)| NativePacket {
-                bytes: f.bytes.clone(),
-                stream: f.stream,
-                arrival_us: 25.0 * i as f64,
-            })
-            .collect();
         let mut cfg = NativeConfig::new(workers, PolicySpec::Ips);
         cfg.pinning = Pinning::Off;
-        let (report, rec) = run_native_recorded(&cfg, workload);
-        let diag = || {
-            format!(
-                "wire + reference:\n{}\nnative trace:\n{}",
-                afs_obs::summary::render(&want),
-                afs_obs::summary::render(&rec.counters)
-            )
-        };
+        let (report, rec) = run_native_recorded(&cfg, native_workload(&wire));
+        let c = &rec.counters;
+        let diag = || format!("reference: {want:?}\nreport: {report:?}\ntrace: {c:?}");
 
-        prop_assert_eq!(report.offered, emitted.len() as u64);
+        prop_assert_eq!(report.offered, wire.len() as u64);
         prop_assert_eq!(report.outcomes.total(), report.offered, "lost frames\n{}", diag());
-        prop_assert_eq!(report.outcomes.delivered, want.delivered, "{}", diag());
-        prop_assert_eq!(report.outcomes.rejected, want.errored, "{}", diag());
-        prop_assert_eq!(
-            report.outcomes.no_session + report.outcomes.queue_full,
-            want.dropped_no_session + want.dropped_queue_full,
-            "{}", diag()
-        );
+        prop_assert_eq!(report.outcomes, want, "{}", diag());
         // The runtime drains each user queue on delivery, so overflow
         // cannot be the native backend's private failure mode here.
         prop_assert_eq!(report.outcomes.queue_full, 0);
         // Trace-side conservation: every offered frame was enqueued,
         // dispatched and completed exactly once — nothing in flight at
         // join, nothing evicted (the dispatcher blocks, never drops).
-        let c = &rec.counters;
         prop_assert_eq!(c.enqueued, report.offered, "{}", diag());
         prop_assert_eq!(c.dispatched, report.offered, "{}", diag());
         prop_assert_eq!(c.completed, report.offered, "{}", diag());
@@ -287,8 +293,8 @@ proptest! {
         prop_assert_eq!(c.completed_ok, want.delivered, "{}", diag());
     }
 
-    /// Packet faults and processor faults at once: the injector damages
-    /// the wire while a seeded plan crashes, stalls and slows workers
+    /// Packet faults and processor faults at once: the wire damages
+    /// frames while a seeded plan crashes, stalls and slows workers
     /// mid-run. The deliver/reject verdict must still depend only on
     /// the frame (it matches the single-engine reference exactly), and
     /// the conservation ledger must balance across the crash — every
@@ -308,54 +314,21 @@ proptest! {
         slow in opt((0.0f64..0.7, 1.0f64..3.0)),
     ) {
         use afs_native::{
-            run_native_recorded, NativeConfig, NativePacket, Pinning, PolicySpec, ProcFault,
-            ProcFaultKind, ProcFaultPlan,
+            run_native_recorded, NativeConfig, Pinning, PolicySpec, ProcFault, ProcFaultKind,
+            ProcFaultPlan,
         };
 
-        let plan = FaultPlan {
-            drop_p,
-            corrupt_p,
-            truncate_p,
-            duplicate_p: 0.2,
-            reorder_p: 0.2,
-            ..FaultPlan::none()
-        };
-        let factory_rng = RngFactory::new(seed);
-        let mut inj = FaultInjector::from_factory(plan, &factory_rng);
         let mut packets = PacketFactory::new();
         let streams = 4u32;
-        let mut emitted = Vec::new();
-        for i in 0..n_frames {
+        let frames = (0..n_frames).map(|i| {
             let s = i as u32 % streams;
-            let frame = frame_at(packets.frame_for(StreamId(s), 32 + i % 256), s, i as u32);
-            emitted.extend(inj.admit(frame));
-        }
-        emitted.extend(inj.flush());
-        prop_assume!(!emitted.is_empty());
+            frame_at(packets.frame_for(StreamId(s), 32 + i % 256), s, i as u32)
+        });
+        let wire = hostile_wire(frames, seed, drop_p, corrupt_p, truncate_p);
+        prop_assume!(!wire.is_empty());
+        let want = reference_totals(&wire, streams);
 
-        // Reference verdicts: one engine, one thread, same bytes.
-        let mut eng = ProtocolEngine::new(CostModel::default());
-        for s in 0..streams {
-            eng.bind_stream(StreamId(s));
-        }
-        let mut hier = CostModel::default().hierarchy();
-        let mut want = afs_obs::Counters::new();
-        inj.stats.observe_into(&mut want);
-        for frame in &emitted {
-            let out = eng.receive_outcome(&mut hier, frame, ThreadId(0));
-            assert_typed(&out);
-            out.observe_into(&mut want);
-        }
-
-        let workload: Vec<NativePacket> = emitted
-            .iter()
-            .enumerate()
-            .map(|(i, f)| NativePacket {
-                bytes: f.bytes.clone(),
-                stream: f.stream,
-                arrival_us: 25.0 * i as f64,
-            })
-            .collect();
+        let workload = native_workload(&wire);
         let horizon_us = 25.0 * workload.len() as f64;
 
         // The processor-fault plan: one crash (never worker 0 — the
@@ -391,26 +364,19 @@ proptest! {
         cfg.pinning = Pinning::Off;
         cfg.faults = proc_plan;
         let (report, rec) = run_native_recorded(&cfg, workload);
-        let diag = || {
-            format!(
-                "wire + reference:\n{}\nnative trace:\n{}\nreport: {report:?}",
-                afs_obs::summary::render(&want),
-                afs_obs::summary::render(&rec.counters)
-            )
-        };
+        let c = &rec.counters;
+        let diag = || format!("reference: {want:?}\nreport: {report:?}\ntrace: {c:?}");
 
         // Verdicts are frame properties, crash or no crash: home-stack
         // routing keeps diverted streams on their session state, so the
         // typed-outcome totals match the single-engine reference.
-        prop_assert_eq!(report.offered, emitted.len() as u64);
+        prop_assert_eq!(report.offered, wire.len() as u64);
         prop_assert_eq!(report.outcomes.total(), report.offered, "lost frames\n{}", diag());
-        prop_assert_eq!(report.outcomes.delivered, want.delivered, "{}", diag());
-        prop_assert_eq!(report.outcomes.rejected, want.errored, "{}", diag());
+        prop_assert_eq!(report.outcomes, want, "{}", diag());
         prop_assert_eq!(report.outcomes.no_session, 0, "session lost in a crash\n{}", diag());
 
         // Conservation across the crash: the ledger balances and every
         // orphan was re-dispatched.
-        let c = &rec.counters;
         prop_assert_eq!(c.enqueued, report.offered, "{}", diag());
         prop_assert_eq!(c.completed, report.offered, "{}", diag());
         prop_assert_eq!(c.in_flight(), 0, "{}", diag());

@@ -127,9 +127,16 @@ fn traces_are_internally_consistent_on_both_backends() {
                 "{ctx}: conservation violated"
             );
             assert_eq!(
-                c.steals, c.stolen_dispatches,
-                "{ctx}: Steal events and stolen dispatch flags disagree"
+                (c.steal_claims, c.stolen_dispatches),
+                (c.steals, c.steals),
+                "{ctx}: steal claims, Steal events and stolen dispatch flags disagree"
             );
+            if backend == "native" && p == PolicySpec::Ips {
+                assert!(
+                    c.steals > 0,
+                    "{ctx}: no steal, so the check above is vacuous"
+                );
+            }
             assert_eq!(
                 c.dispatched,
                 c.affinity_hits + c.stream_migrations,

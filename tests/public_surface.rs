@@ -62,18 +62,6 @@ const TEST_SUPPORT: &[(&str, &str)] = &[
         "the instruction-count oracle of afs-xkernel's engine.rs and calib.rs unit tests",
     ),
     (
-        "RxOutcome::observe_into",
-        "crates/xkernel/tests/fuzz_receive.rs folds every outcome into afs-obs counters",
-    ),
-    (
-        "FaultStats::observe_into",
-        "crates/xkernel/tests/fuzz_receive.rs reports what the injected wire did",
-    ),
-    (
-        "FaultInjector::from_factory",
-        "crates/xkernel/tests/fuzz_receive.rs: the wire-fault harness draws from the named substream",
-    ),
-    (
         "PSH",
         "crates/xkernel/tests/proptests.rs: a second flag bit for the TCP header round trip",
     ),
