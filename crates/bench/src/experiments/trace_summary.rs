@@ -82,7 +82,7 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         );
         checks.expect(
             &format!(
-                "native {}: steal events match the runtime's count",
+                "native {}: stolen dispatches match the runtime's count",
                 p.label()
             ),
             c.steals == report.steals,

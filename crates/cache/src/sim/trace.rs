@@ -139,16 +139,6 @@ impl TraceBuffer {
         Self::default()
     }
 
-    /// Count unique `line_bytes`-sized lines in the buffer — the exact
-    /// footprint `u(R, L)` of the recorded stream.
-    pub fn unique_lines(&self, line_bytes: u64) -> u64 {
-        assert!(line_bytes.is_power_of_two());
-        let mut lines: Vec<u64> = self.refs.iter().map(|r| r.addr / line_bytes).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines.len() as u64
-    }
-
     /// Number of references recorded.
     pub fn len(&self) -> usize {
         self.refs.len()
@@ -179,19 +169,6 @@ mod tests {
         let mut idx: Vec<usize> = Region::ALL.iter().map(|r| r.index()).collect();
         idx.sort_unstable();
         assert_eq!(idx, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn unique_lines_counts_lines_not_bytes() {
-        let mut buf = TraceBuffer::new();
-        // Four references in the same 16-byte line, one in the next.
-        for a in [0u64, 4, 8, 12, 16] {
-            buf.access(MemRef::read(a, Region::Stream));
-        }
-        assert_eq!(buf.len(), 5);
-        assert_eq!(buf.unique_lines(16), 2);
-        assert_eq!(buf.unique_lines(32), 1);
-        assert_eq!(buf.unique_lines(4), 5);
     }
 
     #[test]

@@ -240,41 +240,15 @@ impl<'r> SchedSim<'r> {
                 thread_migrated: t_mig,
                 stolen: false,
             });
-            // One flush charge per migrated footprint; the cycle cost is
-            // carried by the reload-transient charge below.
-            if s_mig {
+            // Only priced charges: the migrations are the flags above.
+            let reload = self.cfg.exec.reload_transient_us(proto.as_micros_f64());
+            if !pkt.corrupt && reload > 1e-9 {
                 rec.record(ObsEvent::CacheCharge {
                     t_us,
                     worker,
-                    kind: ChargeKind::Flush,
-                    amount_us: 0.0,
+                    kind: ChargeKind::ReloadTransient,
+                    amount_us: reload,
                 });
-            }
-            if t_mig {
-                rec.record(ObsEvent::CacheCharge {
-                    t_us,
-                    worker,
-                    kind: ChargeKind::Flush,
-                    amount_us: 0.0,
-                });
-            }
-            if !pkt.corrupt {
-                let reload = self.cfg.exec.reload_transient_us(proto.as_micros_f64());
-                if reload > 1e-9 {
-                    rec.record(ObsEvent::CacheCharge {
-                        t_us,
-                        worker,
-                        kind: ChargeKind::ReloadTransient,
-                        amount_us: reload,
-                    });
-                } else {
-                    rec.record(ObsEvent::CacheCharge {
-                        t_us,
-                        worker,
-                        kind: ChargeKind::Warm,
-                        amount_us: 0.0,
-                    });
-                }
             }
             if lock_us > 0.0 {
                 rec.record(ObsEvent::CacheCharge {

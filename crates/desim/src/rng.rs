@@ -48,11 +48,6 @@ impl RngFactory {
         RngFactory { master_seed }
     }
 
-    /// The master seed this factory derives from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Derive the substream seed for `name`.
     pub fn seed_for(&self, name: &str) -> u64 {
         splitmix64(self.master_seed ^ fnv1a(name.as_bytes()))

@@ -144,11 +144,6 @@ impl TimeWeighted {
         self.set(now, v);
     }
 
-    /// Current (instantaneous) value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
     /// Time-weighted average over `[start, now]`.
     pub fn average(&self, now: SimTime) -> f64 {
         let total = now.since(self.start).as_secs_f64();
@@ -419,7 +414,6 @@ mod tests {
         let avg = tw.average(SimTime::from_micros(40)); // 1 for 10us
                                                         // (0*10 + 2*20 + 1*10) / 40 = 50/40
         assert!((avg - 1.25).abs() < 1e-12);
-        assert_eq!(tw.current(), 1.0);
     }
 
     #[test]
@@ -434,10 +428,10 @@ mod tests {
     #[test]
     fn time_weighted_add_delta() {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.add(SimTime::from_micros(10), 2.0);
-        assert_eq!(tw.current(), 3.0);
-        tw.add(SimTime::from_micros(20), -3.0);
-        assert_eq!(tw.current(), 0.0);
+        tw.add(SimTime::from_micros(10), 2.0); // 1 for 10us
+        tw.add(SimTime::from_micros(20), -3.0); // 3 for 10us
+        let avg = tw.average(SimTime::from_micros(40)); // 0 for 20us
+        assert!((avg - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The simulation epoch.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant (used as an "infinite" horizon).
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanosecond ticks.
     #[inline]
@@ -99,8 +97,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The longest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw nanosecond ticks.
     #[inline]

@@ -590,8 +590,8 @@ impl<'a> Dispatcher<'a> {
             if let Some(victim) = c.victim {
                 job.stolen_from = Some(victim as u32);
                 // The claim is the arbitration decision, stamped with
-                // the model's steal instant; the worker-side Steal
-                // event later records the thief executing it.
+                // the model's steal instant; the thief's `Dispatch`,
+                // flagged `stolen`, later records it executing it.
                 self.trace(ObsEvent::StealClaim {
                     t_us: c.start_us,
                     seq: c.seq,

@@ -38,11 +38,6 @@ impl<T> RingQueue<T> {
         }
     }
 
-    /// The rounded-up capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Enqueue `value`; on a full queue the value is handed back so the
     /// caller can retry (the dispatcher blocks — the runtime is
     /// lossless by construction).
@@ -121,9 +116,11 @@ mod tests {
 
     #[test]
     fn capacity_rounds_up() {
-        assert_eq!(RingQueue::<u8>::with_capacity(0).capacity(), 2);
-        assert_eq!(RingQueue::<u8>::with_capacity(3).capacity(), 4);
-        assert_eq!(RingQueue::<u8>::with_capacity(1024).capacity(), 1024);
+        for (asked, held) in [(0, 2), (3, 4), (1024, 1024)] {
+            let q = RingQueue::<u8>::with_capacity(asked);
+            let pushed = (0..=held).take_while(|_| q.push(0).is_ok()).count();
+            assert_eq!(pushed, held, "with_capacity({asked})");
+        }
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub(crate) struct Job {
     /// (same encoding as `prev_stream_owner`).
     pub(crate) prev_thread_owner: u32,
     /// Worker whose queue this packet was stolen from, per the resolved
-    /// claim. Drives the steal statistics, the `Steal` trace event, and
-    /// the locked steal-handoff path.
+    /// claim. Drives the steal statistics, the `Dispatch.stolen` trace
+    /// flag, and the locked steal-handoff path.
     pub(crate) stolen_from: Option<u32>,
 }
 
@@ -418,16 +418,6 @@ impl<'a> Worker<'a> {
         stats.thread_migrations += s.thread_migrated as u64;
         stats.delivered += s.outcome.is_delivered() as u64;
         if let Some(r) = self.out.rec.as_mut() {
-            // For a steal, `queue` names the victim ring the packet was
-            // lifted from.
-            if let Some(victim) = job.stolen_from {
-                r.record(ObsEvent::Steal {
-                    t_us: s.start_v,
-                    seq: job.seq,
-                    from: victim,
-                    to: me,
-                });
-            }
             r.record(ObsEvent::Dispatch {
                 t_us: s.start_v,
                 seq: job.seq,
@@ -438,22 +428,16 @@ impl<'a> Worker<'a> {
                 thread_migrated: s.thread_migrated,
                 stolen: job.stolen_from.is_some(),
             });
-            let lock_us = self.hier.platform().cycles_to_us(self.sh.lock_cycles);
-            for (charged, kind, amount_us) in [
-                (s.stream_migrated, ChargeKind::Flush, 0.0),
-                (s.thread_migrated, ChargeKind::Flush, 0.0),
-                (s.locked, ChargeKind::Lock, lock_us),
-            ] {
-                if charged {
-                    r.record(ObsEvent::CacheCharge {
-                        t_us: s.start_v,
-                        worker: me,
-                        kind,
-                        amount_us,
-                    });
-                }
+            if s.locked {
+                r.record(ObsEvent::CacheCharge {
+                    t_us: s.start_v,
+                    worker: me,
+                    kind: ChargeKind::Lock,
+                    amount_us: self.hier.platform().cycles_to_us(self.sh.lock_cycles),
+                });
             }
-            // Its depth is stamped from the merged trace.
+            // Its depth is stamped from the merged trace; for a steal,
+            // `queue` names the victim ring the packet was lifted from.
             r.record(ObsEvent::QueueDepth {
                 t_us: s.start_v,
                 queue: job.stolen_from.unwrap_or(me),

@@ -4,10 +4,11 @@
 //! and [`LogHistogram`]s. The backend-independent definitions here are
 //! what the differential tests compare across the simulator and the
 //! native backend: an *affinity hit* is a dispatch whose stream state was
-//! still resident on the executing worker; a *flush* is a cache-charge of
-//! kind [`ChargeKind::Flush`]; steal counts come from [`ObsEvent::Steal`]
-//! events only (the redundant `stolen` dispatch flag is tracked
-//! separately so the two can be cross-checked).
+//! still resident on the executing worker; migrations and steals are read
+//! off the `Dispatch` flags (`stream_migrated`, `thread_migrated`,
+//! `stolen`), and the dispatcher's [`ObsEvent::StealClaim`]s are counted
+//! separately so the two can be cross-checked. Cache charges carry a
+//! priced amount and are summed by [`ChargeKind`].
 
 use crate::event::{ChargeKind, ObsEvent};
 use crate::hist::LogHistogram;
@@ -27,8 +28,6 @@ pub struct WorkerLane {
     pub thread_migrations: u64,
     /// Messages this worker executed after stealing them.
     pub steals_in: u64,
-    /// Flush charges attributed to this worker.
-    pub flushes: u64,
     /// Total service time executed here (µs of virtual time).
     pub busy_us: f64,
 }
@@ -46,23 +45,18 @@ pub struct Counters {
     pub completed_ok: u64,
     /// Messages evicted from a queue by an overload drop policy.
     pub evicted: u64,
-    /// Steal transfers observed.
+    /// Dispatches flagged as operating on a stolen message.
     pub steals: u64,
     /// Steal claims resolved by the dispatcher's virtual-order claim
     /// table (must equal [`Counters::steals`] in a consistent trace:
     /// every executed steal was arbitrated by exactly one claim).
     pub steal_claims: u64,
-    /// Dispatches flagged as operating on a stolen message (must equal
-    /// [`Counters::steals`] in a consistent trace).
-    pub stolen_dispatches: u64,
     /// Dispatches with the stream state resident (affinity preserved).
     pub affinity_hits: u64,
     /// Dispatches that migrated stream state between workers.
     pub stream_migrations: u64,
     /// Dispatches that migrated a protocol thread between workers.
     pub thread_migrations: u64,
-    /// Cache-flush charges.
-    pub flushes: u64,
     /// Reload-transient charges.
     pub reload_charges: u64,
     /// Total reload-transient virtual time charged (µs).
@@ -139,7 +133,7 @@ impl Counters {
                 self.dispatched += 1;
                 self.service_us.record(service_us);
                 if stolen {
-                    self.stolen_dispatches += 1;
+                    self.steals += 1;
                 }
                 if stream_migrated {
                     self.stream_migrations += 1;
@@ -160,13 +154,12 @@ impl Counters {
                 if thread_migrated {
                     lane.thread_migrations += 1;
                 }
+                if stolen {
+                    lane.steals_in += 1;
+                }
             }
             ObsEvent::StealClaim { .. } => {
                 self.steal_claims += 1;
-            }
-            ObsEvent::Steal { to, .. } => {
-                self.steals += 1;
-                self.lane(to).steals_in += 1;
             }
             ObsEvent::Complete {
                 worker,
@@ -185,17 +178,8 @@ impl Counters {
                 self.evicted += 1;
             }
             ObsEvent::CacheCharge {
-                worker,
-                kind,
-                amount_us,
-                ..
+                kind, amount_us, ..
             } => match kind {
-                // A warm charge lives in the trace only; nothing counts it.
-                ChargeKind::Warm => {}
-                ChargeKind::Flush => {
-                    self.flushes += 1;
-                    self.lane(worker).flushes += 1;
-                }
                 ChargeKind::ReloadTransient => {
                     self.reload_charges += 1;
                     self.reload_transient_us += amount_us;
@@ -242,16 +226,6 @@ impl Counters {
         ratio(self.affinity_hits, self.dispatched)
     }
 
-    /// Stream migrations per dispatch.
-    pub fn stream_migration_rate(&self) -> f64 {
-        ratio(self.stream_migrations, self.dispatched)
-    }
-
-    /// Thread migrations per dispatch.
-    pub fn thread_migration_rate(&self) -> f64 {
-        ratio(self.thread_migrations, self.dispatched)
-    }
-
     /// Steals per dispatch.
     pub fn steal_rate(&self) -> f64 {
         ratio(self.steals, self.dispatched)
@@ -267,11 +241,9 @@ impl Counters {
         self.evicted += other.evicted;
         self.steals += other.steals;
         self.steal_claims += other.steal_claims;
-        self.stolen_dispatches += other.stolen_dispatches;
         self.affinity_hits += other.affinity_hits;
         self.stream_migrations += other.stream_migrations;
         self.thread_migrations += other.thread_migrations;
-        self.flushes += other.flushes;
         self.reload_charges += other.reload_charges;
         self.reload_transient_us += other.reload_transient_us;
         self.lock_charges += other.lock_charges;
@@ -297,7 +269,6 @@ impl Counters {
             mine.stream_migrations += theirs.stream_migrations;
             mine.thread_migrations += theirs.thread_migrations;
             mine.steals_in += theirs.steals_in;
-            mine.flushes += theirs.flushes;
             mine.busy_us += theirs.busy_us;
         }
     }
@@ -367,15 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn steals_counted_from_steal_events_only() {
+    fn steals_counted_from_stolen_dispatches() {
         let mut c = Counters::new();
         c.observe(&ObsEvent::StealClaim {
-            t_us: 0.0,
-            seq: 7,
-            from: 0,
-            to: 1,
-        });
-        c.observe(&ObsEvent::Steal {
             t_us: 0.0,
             seq: 7,
             from: 0,
@@ -393,19 +358,13 @@ mod tests {
         });
         assert_eq!(c.steals, 1);
         assert_eq!(c.steal_claims, 1);
-        assert_eq!(c.stolen_dispatches, 1);
         assert_eq!(c.by_worker[1].steals_in, 1);
+        assert_eq!((c.stream_migrations, c.thread_migrations), (1, 1));
     }
 
     #[test]
     fn charges_split_by_kind() {
         let mut c = Counters::new();
-        c.observe(&ObsEvent::CacheCharge {
-            t_us: 0.0,
-            worker: 0,
-            kind: ChargeKind::Flush,
-            amount_us: 0.0,
-        });
         c.observe(&ObsEvent::CacheCharge {
             t_us: 0.0,
             worker: 0,
@@ -418,13 +377,7 @@ mod tests {
             kind: ChargeKind::Lock,
             amount_us: 1.0,
         });
-        c.observe(&ObsEvent::CacheCharge {
-            t_us: 0.0,
-            worker: 0,
-            kind: ChargeKind::Warm,
-            amount_us: 0.0,
-        });
-        assert_eq!((c.flushes, c.reload_charges, c.lock_charges), (1, 1, 1));
+        assert_eq!((c.reload_charges, c.lock_charges), (1, 1));
         assert!((c.reload_transient_us - 8.5).abs() < 1e-12);
         assert!((c.lock_us - 1.0).abs() < 1e-12);
     }

@@ -24,6 +24,10 @@
 //! of the pass collects the orphans (a handful per failure), and an
 //! orphan dispatched before its `Orphaned` leaves the failed worker's
 //! queue at the dispatch; the later pair then moves nothing.
+//!
+//! A stolen packet's `QueueDepth` samples its victim's queue. The victim
+//! is on the dispatcher's [`ObsEvent::StealClaim`] of the same `seq`,
+//! which the same scan collects.
 
 use crate::event::{ObsEvent, SHARED_QUEUE};
 use crate::hist::LogHistogram;
@@ -81,25 +85,26 @@ impl MemRecorder {
     /// dispatched at that instant with `q` as its sampled queue (the
     /// victim for a steal, its own otherwise).
     pub fn stamp_queue_depths(&mut self) -> QueueTally {
-        let mut orphans: Vec<Orphan> = self
-            .events
-            .iter()
-            .filter_map(|ev| match *ev {
-                ObsEvent::Orphaned { seq, worker, .. } => Some(Orphan {
+        let mut orphans: Vec<Orphan> = Vec::new();
+        // (seq, victim) of every steal claim.
+        let mut victims: Vec<(u64, u32)> = Vec::new();
+        for ev in &self.events {
+            match *ev {
+                ObsEvent::Orphaned { seq, worker, .. } => orphans.push(Orphan {
                     seq,
                     on: Some(worker),
                     started: false,
                 }),
-                _ => None,
-            })
-            .collect();
+                ObsEvent::StealClaim { seq, from, .. } => victims.push((seq, from)),
+                _ => {}
+            }
+        }
         orphans.sort_unstable_by_key(|o| o.seq);
+        victims.sort_unstable();
         let mut tally = QueueTally::default();
         // Per worker: (instant bits, sampled queue, depth) of its latest
         // dispatch, until the `QueueDepth` it emitted takes it.
         let mut sampled: Vec<Option<(u64, u32, u32)>> = Vec::new();
-        // The latest `Steal`: it directly precedes its `Dispatch`.
-        let mut victim: Option<(u64, u32)> = None;
         let (mut hist, mut max) = (LogHistogram::new(), 0u64);
         for ev in &mut self.events {
             match ev {
@@ -117,7 +122,6 @@ impl MemRecorder {
                         tally.add(q, -1);
                     }
                 }
-                ObsEvent::Steal { seq, from, .. } => victim = Some((*seq, *from)),
                 ObsEvent::Dispatch {
                     t_us,
                     seq,
@@ -135,8 +139,8 @@ impl MemRecorder {
                     if let Some(q) = off {
                         tally.add(q, -1);
                     }
-                    let queue = match victim {
-                        Some((s, from)) if *stolen && s == *seq => from,
+                    let queue = match victims.binary_search_by_key(seq, |&(s, _)| s) {
+                        Ok(i) if *stolen => victims[i].1,
                         _ => *worker,
                     };
                     let w = *worker as usize;

@@ -17,10 +17,6 @@ pub const SHARED_QUEUE: u32 = u32::MAX;
 /// What a [`ObsEvent::CacheCharge`] is paying for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChargeKind {
-    /// The dispatch found every footprint resident: warm-bound service.
-    Warm,
-    /// A migration flushed state (code, thread or stream footprint).
-    Flush,
     /// Reload-transient cycles charged on top of the warm bound
     /// (the paper's `D + RC` displacement cost).
     ReloadTransient,
@@ -33,8 +29,6 @@ impl ChargeKind {
     /// Short stable label used by the JSONL sink.
     pub fn label(self) -> &'static str {
         match self {
-            ChargeKind::Warm => "warm",
-            ChargeKind::Flush => "flush",
             ChargeKind::ReloadTransient => "reload",
             ChargeKind::Lock => "lock",
         }
@@ -81,14 +75,15 @@ pub enum ObsEvent {
         stream_migrated: bool,
         /// The protocol thread (Locking paradigm) last ran elsewhere.
         thread_migrated: bool,
-        /// The message was obtained by work stealing.
+        /// The message was obtained by work stealing (the victim is on
+        /// the [`ObsEvent::StealClaim`] of the same `seq`).
         stolen: bool,
     },
     /// The dispatcher's claim table resolved a steal in virtual order:
     /// message `seq`, queued on `from`, was claimed by thief `to` at
     /// model start instant `t_us` (native backend). The claim is the
-    /// arbitration *decision*; the matching [`ObsEvent::Steal`] records
-    /// the thief executing it.
+    /// arbitration *decision*; the thief's `Dispatch` of the same `seq`
+    /// (flagged `stolen`) executes it.
     StealClaim {
         /// Virtual timestamp (µs): the claim's model start instant.
         t_us: f64,
@@ -97,17 +92,6 @@ pub enum ObsEvent {
         /// Victim worker (the queue owner).
         from: u32,
         /// Claimant (thief) worker.
-        to: u32,
-    },
-    /// A message moved between workers by stealing (native backend).
-    Steal {
-        /// Virtual timestamp (µs) at the thief.
-        t_us: f64,
-        /// Message sequence number.
-        seq: u64,
-        /// Victim worker.
-        from: u32,
-        /// Thief worker.
         to: u32,
     },
     /// A message finished service.
@@ -136,7 +120,9 @@ pub enum ObsEvent {
         /// Queue it was evicted from.
         queue: u32,
     },
-    /// Cache/lock cycles charged against a worker.
+    /// Priced cache/lock cycles charged against a worker. Every charge
+    /// carries its amount; unpriced facts (migrations, steals) are
+    /// `Dispatch` flags, not charges.
     CacheCharge {
         /// Virtual timestamp (µs).
         t_us: f64,
@@ -144,8 +130,7 @@ pub enum ObsEvent {
         worker: u32,
         /// What the charge pays for.
         kind: ChargeKind,
-        /// Amount (µs); `0.0` for pure count events such as flushes
-        /// whose cost is already folded into the service time.
+        /// Amount (µs), part of the dispatch's `service_us`.
         amount_us: f64,
     },
     /// A queue-depth sample, emitted by each dispatch.
@@ -235,7 +220,6 @@ impl ObsEvent {
             ObsEvent::Enqueue { t_us, .. }
             | ObsEvent::Dispatch { t_us, .. }
             | ObsEvent::StealClaim { t_us, .. }
-            | ObsEvent::Steal { t_us, .. }
             | ObsEvent::Complete { t_us, .. }
             | ObsEvent::Evict { t_us, .. }
             | ObsEvent::CacheCharge { t_us, .. }
@@ -255,7 +239,6 @@ impl ObsEvent {
             ObsEvent::Enqueue { seq, .. }
             | ObsEvent::Dispatch { seq, .. }
             | ObsEvent::StealClaim { seq, .. }
-            | ObsEvent::Steal { seq, .. }
             | ObsEvent::Complete { seq, .. }
             | ObsEvent::Evict { seq, .. }
             | ObsEvent::Orphaned { seq, .. }
@@ -274,13 +257,12 @@ impl ObsEvent {
     /// (table miss, rebind) records before the enqueue it produced, a
     /// message is enqueued before it is evicted or stolen, a steal
     /// *claim* (the dispatcher's virtual-order arbitration decision)
-    /// before the steal executing it, stolen before dispatched,
-    /// dispatched (and charged) before completed. Failure
-    /// events slot in causally too: within one message's timestamp an
-    /// orphan records before its requeue, and a requeue before any
-    /// steal/dispatch of the same message. The *relative* order of the
-    /// pre-existing kinds is unchanged by the front-end insertions, so
-    /// existing merged traces sort identically (ranks are never
+    /// before the dispatch executing it, dispatched (and charged) before
+    /// completed. Failure events slot in causally too: within one
+    /// message's timestamp an orphan records before its requeue, and a
+    /// requeue before any claim/dispatch of the same message. The
+    /// *relative* order of the kinds is fixed, so merged traces sort
+    /// identically whatever kinds are added or removed (ranks are never
     /// serialized).
     pub fn kind_rank(&self) -> u8 {
         match self {
@@ -293,11 +275,10 @@ impl ObsEvent {
             ObsEvent::Orphaned { .. } => 6,
             ObsEvent::Requeue { .. } => 7,
             ObsEvent::StealClaim { .. } => 8,
-            ObsEvent::Steal { .. } => 9,
-            ObsEvent::Dispatch { .. } => 10,
-            ObsEvent::CacheCharge { .. } => 11,
-            ObsEvent::QueueDepth { .. } => 12,
-            ObsEvent::Complete { .. } => 13,
+            ObsEvent::Dispatch { .. } => 9,
+            ObsEvent::CacheCharge { .. } => 10,
+            ObsEvent::QueueDepth { .. } => 11,
+            ObsEvent::Complete { .. } => 12,
         }
     }
 
@@ -334,12 +315,6 @@ mod tests {
             from: 0,
             to: 1,
         };
-        let steal = ObsEvent::Steal {
-            t_us: 1.0,
-            seq: 0,
-            from: 0,
-            to: 1,
-        };
         let disp = ObsEvent::Dispatch {
             t_us: 1.0,
             seq: 0,
@@ -359,8 +334,7 @@ mod tests {
             ok: true,
         };
         assert!(enq.kind_rank() < claim.kind_rank());
-        assert!(claim.kind_rank() < steal.kind_rank());
-        assert!(steal.kind_rank() < disp.kind_rank());
+        assert!(claim.kind_rank() < disp.kind_rank());
         assert_eq!(claim.seq(), Some(0));
         assert!(disp.kind_rank() < done.kind_rank());
         assert!(enq.merge_key() < done.merge_key());

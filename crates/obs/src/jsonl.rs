@@ -52,17 +52,6 @@ pub fn write_event(out: &mut String, ev: &ObsEvent) {
                 "{{\"e\":\"claim\",\"t\":{t_us:.3},\"seq\":{seq},\"from\":{from},\"to\":{to}}}"
             );
         }
-        ObsEvent::Steal {
-            t_us,
-            seq,
-            from,
-            to,
-        } => {
-            let _ = writeln!(
-                out,
-                "{{\"e\":\"steal\",\"t\":{t_us:.3},\"seq\":{seq},\"from\":{from},\"to\":{to}}}"
-            );
-        }
         ObsEvent::Complete {
             t_us,
             seq,
@@ -176,7 +165,7 @@ mod tests {
                 thread_migrated: false,
                 stolen: false,
             },
-            ObsEvent::Steal {
+            ObsEvent::StealClaim {
                 t_us: 2.0,
                 seq: 1,
                 from: 0,
@@ -243,6 +232,7 @@ mod tests {
         assert_eq!(a.lines().count(), events.len());
         assert!(a.starts_with("{\"e\":\"enq\",\"t\":1.234,"), "{a}");
         assert!(a.contains("\"kind\":\"reload\""));
+        assert!(a.contains("{\"e\":\"claim\",\"t\":2.000,\"seq\":1,\"from\":0,\"to\":1}"));
         assert!(a.contains("\"queue\":4294967295"));
         assert!(a.contains("{\"e\":\"wdown\",\"t\":14.000,\"worker\":2}"));
         assert!(a.contains("{\"e\":\"orphan\",\"t\":14.000,\"seq\":4,\"worker\":2}"));

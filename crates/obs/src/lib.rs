@@ -6,7 +6,7 @@
 //! (`afs-core::sim` on `afs-desim`) and the native pinned-thread runtime
 //! (`afs-native::runtime`) emit the same structured [`ObsEvent`]s through
 //! a [`Recorder`], so per-message scheduling/cache telemetry — affinity
-//! hits, steals, flushes, reload-transient charges, queueing delay — can
+//! hits, migrations, steals, reload-transient charges, queueing delay — can
 //! be compared *across* backends and regression-tested without rerunning
 //! full experiments.
 //!

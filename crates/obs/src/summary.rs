@@ -20,11 +20,10 @@ pub fn render(c: &Counters) -> String {
     );
     let _ = writeln!(
         out,
-        "  affinity: {:.1}% hits | {} stream migrations | {} thread migrations | {} flushes",
+        "  affinity: {:.1}% hits | {} stream migrations | {} thread migrations",
         100.0 * c.affinity_hit_rate(),
         c.stream_migrations,
-        c.thread_migrations,
-        c.flushes
+        c.thread_migrations
     );
     let _ = writeln!(
         out,
@@ -69,21 +68,16 @@ pub fn render(c: &Counters) -> String {
         );
     }
     for (w, lane) in c.by_worker.iter().enumerate() {
-        if lane.dispatched == 0 && lane.steals_in == 0 {
+        if lane.dispatched == 0 {
             continue;
         }
         let _ = writeln!(
             out,
-            "  worker {w}: {} dispatched, {} completed, {:.1}% affinity, {} steals in, {} flushes, busy {:.0}us",
+            "  worker {w}: {} dispatched, {} completed, {:.1}% affinity, {} steals in, busy {:.0}us",
             lane.dispatched,
             lane.completed,
-            if lane.dispatched > 0 {
-                100.0 * lane.affinity_hits as f64 / lane.dispatched as f64
-            } else {
-                0.0
-            },
+            100.0 * lane.affinity_hits as f64 / lane.dispatched as f64,
             lane.steals_in,
-            lane.flushes,
             lane.busy_us
         );
     }

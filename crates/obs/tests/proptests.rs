@@ -9,8 +9,9 @@
 //!   `Complete`, and a `Complete` only after a `Dispatch`;
 //! * per-worker dispatch timestamps are monotone (virtual clocks never
 //!   run backwards);
-//! * steal conservation: `Steal` events, stolen-dispatch flags and the
-//!   `steals` counter all describe the same set of messages;
+//! * steal conservation: `StealClaim` events and stolen-dispatch flags
+//!   describe the same set of messages, and the `steals` counter counts
+//!   them;
 //! * attaching a recorder changes nothing about a simulator run;
 //! * identical seed + config ⇒ byte-identical JSONL (seeded replay).
 
@@ -92,7 +93,7 @@ fn assert_lifecycle(events: &[ObsEvent]) -> Result<(), TestCaseError> {
     let mut comp: HashMap<u64, u32> = HashMap::new();
     let mut evicted: HashSet<u64> = HashSet::new();
     let mut last_dispatch_t: HashMap<u32, f64> = HashMap::new();
-    let mut steal_seqs: HashSet<u64> = HashSet::new();
+    let mut claim_seqs: HashSet<u64> = HashSet::new();
     let mut stolen_dispatch_seqs: HashSet<u64> = HashSet::new();
 
     for ev in events {
@@ -118,10 +119,7 @@ fn assert_lifecycle(events: &[ObsEvent]) -> Result<(), TestCaseError> {
             }
             ObsEvent::StealClaim { seq, from, to, .. } => {
                 prop_assert!(from != to, "self-claim of seq {seq}");
-            }
-            ObsEvent::Steal { seq, from, to, .. } => {
-                prop_assert!(from != to, "self-steal of seq {seq}");
-                steal_seqs.insert(seq);
+                claim_seqs.insert(seq);
             }
             ObsEvent::Complete { seq, .. } => *comp.entry(seq).or_insert(0) += 1,
             ObsEvent::Evict { seq, .. } => {
@@ -154,9 +152,9 @@ fn assert_lifecycle(events: &[ObsEvent]) -> Result<(), TestCaseError> {
         );
     }
     prop_assert_eq!(
-        steal_seqs,
+        claim_seqs,
         stolen_dispatch_seqs,
-        "Steal events and stolen dispatch flags describe different messages"
+        "steal claims and stolen dispatch flags describe different messages"
     );
     Ok(())
 }

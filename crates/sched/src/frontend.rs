@@ -84,10 +84,11 @@ pub struct FrontEndConfig {
     /// evictions — and the re-learning churn they cause — actually
     /// happen. Ignored by the other kinds.
     pub table_capacity: usize,
-    /// Salt mixed into the RSS hash (models the random key real NICs
-    /// generate at boot; fixed per run for determinism).
-    pub salt: u64,
 }
+
+/// Salt mixed into the RSS hash (models the random key real NICs
+/// generate at boot; fixed for determinism).
+const RSS_SALT: u64 = 0x5EED_0F10;
 
 /// A front-end plus the fallback router its table misses route through.
 ///
@@ -108,13 +109,12 @@ pub struct FrontEndPlan {
 }
 
 impl FrontEndPlan {
-    /// A plan with the default salt.
+    /// A plan for `kind` with a `table_capacity`-entry table.
     pub fn new(kind: FrontEndKind, table_capacity: usize, fallback: Router) -> Self {
         FrontEndPlan {
             config: FrontEndConfig {
                 kind,
                 table_capacity,
-                salt: 0x5EED_0F10,
             },
             fallback,
         }
@@ -157,11 +157,6 @@ impl FrontEndState {
             rebinds: 0,
             first_placements: 0,
         }
-    }
-
-    /// The plan this state was built from.
-    pub fn plan(&self) -> &FrontEndPlan {
-        &self.plan
     }
 
     /// Pre-size the steering memory for flows `0..n` so steady-state
@@ -250,7 +245,7 @@ impl FrontEndState {
         let target = match self.plan.config.kind {
             FrontEndKind::Rss => {
                 let n = view.n_workers();
-                let h = crate::lru::splitmix64(flow as u64 ^ self.plan.config.salt);
+                let h = crate::lru::splitmix64(flow as u64 ^ RSS_SALT);
                 Route::Worker(next_live(view, (h % n as u64) as usize))
             }
             FrontEndKind::FlowDirector => match self.table.get(flow as u64) {

@@ -159,31 +159,6 @@ impl std::fmt::Display for RxError {
 
 impl std::error::Error for RxError {}
 
-impl RxError {
-    /// The protocol layer that rejected the packet.
-    pub fn layer(&self) -> RxLayer {
-        match self {
-            RxError::Fddi(_) => RxLayer::Fddi,
-            RxError::Ip(_) => RxLayer::Ip,
-            RxError::Udp(_) => RxLayer::Udp,
-            RxError::Tcp(_) => RxLayer::Tcp,
-        }
-    }
-}
-
-/// The layer at which a packet left the fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RxLayer {
-    /// MAC framing / FCS.
-    Fddi,
-    /// IP header validation / protocol demux.
-    Ip,
-    /// UDP header validation.
-    Udp,
-    /// TCP header validation / sequence processing.
-    Tcp,
-}
-
 /// Why a *well-formed* packet was dropped (as opposed to rejected as
 /// malformed, which is [`RxOutcome::Error`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,9 +188,7 @@ pub enum RxOutcome {
     },
     /// A layer rejected the packet as malformed.
     Error {
-        /// The rejecting layer.
-        layer: RxLayer,
-        /// The typed rejection.
+        /// The typed rejection (its variant names the rejecting layer).
         error: RxError,
         /// Work charged before rejection.
         timing: PacketTiming,
@@ -555,7 +528,6 @@ impl ProtocolEngine {
                 timing: unattributed,
             },
             Verdict::Reject { error } => RxOutcome::Error {
-                layer: error.layer(),
                 error,
                 timing: unattributed,
             },
@@ -862,7 +834,6 @@ mod tests {
         assert!(matches!(
             out,
             RxOutcome::Error {
-                layer: RxLayer::Ip,
                 error: RxError::Ip(ip::IpError::BadChecksum),
                 ..
             }
@@ -1212,7 +1183,6 @@ mod tcp_tests {
         assert!(matches!(
             out,
             RxOutcome::Error {
-                layer: RxLayer::Tcp,
                 error: RxError::Tcp(tcp::TcpError::BadChecksum),
                 ..
             }

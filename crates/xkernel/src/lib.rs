@@ -44,7 +44,5 @@ pub mod tcp;
 pub mod udp;
 
 pub use calib::{calibrate, lock_overhead_cycles, Calibration};
-pub use engine::{
-    CostModel, DropReason, PacketTiming, ProtocolEngine, RxError, RxLayer, RxOutcome,
-};
+pub use engine::{CostModel, DropReason, PacketTiming, ProtocolEngine, RxError, RxOutcome};
 pub use proto::{SessionState, SessionTable, StreamId, ThreadId};

@@ -28,9 +28,6 @@ use afs_cache::sim::trace::{MemRef, Region, TraceSink};
 /// or miss anyway.
 pub const IFETCH_GRANULE: u32 = 4;
 
-/// Bytes per MIPS instruction.
-pub const INSTR_BYTES: u64 = 4;
-
 /// A contiguous code segment owned by one protocol function/layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodeSeg {
@@ -38,13 +35,6 @@ pub struct CodeSeg {
     pub base: u64,
     /// Segment length in bytes.
     pub len: u64,
-}
-
-impl CodeSeg {
-    /// Number of instructions the segment holds.
-    pub fn instructions(&self) -> u64 {
-        self.len / INSTR_BYTES
-    }
 }
 
 /// Simulated address-space layout.
@@ -273,7 +263,7 @@ mod tests {
         assert_eq!(s1.len, 112);
         assert_eq!(s2.base, s1.base + 112);
         assert_eq!(a.allocated(), 128);
-        assert_eq!(s2.instructions(), 4);
+        assert_eq!(s2.len, 16);
     }
 
     #[test]
@@ -288,7 +278,8 @@ mod tests {
         assert_eq!(ctx.instructions, 16);
         assert_eq!(ctx.ifetch_refs, 4);
         assert_eq!(buf.len(), 4);
-        assert_eq!(buf.unique_lines(16), 2);
+        let lines: Vec<u64> = buf.refs.iter().map(|r| r.addr / 16).collect();
+        assert_eq!(lines, [0x100, 0x101, 0x100, 0x101]);
         assert!(buf.refs.iter().all(|r| r.is_instr));
     }
 

@@ -9,7 +9,7 @@ use affinity_sched::prelude::*;
 use afs_xkernel::driver::{PacketFactory, RxFrame};
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::proto::{StreamId, ThreadId, MAX_QUEUE_DEPTH};
-use afs_xkernel::{fddi, ProtocolEngine, RxError, RxLayer, RxOutcome};
+use afs_xkernel::{fddi, ProtocolEngine, RxError, RxOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -151,7 +151,6 @@ fn frames_past_the_mtu_are_rejected_before_delivery() {
     assert!(matches!(
         out,
         RxOutcome::Error {
-            layer: RxLayer::Fddi,
             error: RxError::Fddi(fddi::FddiError::Oversize),
             ..
         }

@@ -31,14 +31,6 @@ fn serve(slices: &mut [MemRecorder], vclock: &mut [f64], w: usize, job: Job, ser
     let (seq, arrival, stream, stolen) = job;
     let start = vclock[w].max(arrival);
     let r = &mut slices[w];
-    if let Some(victim) = stolen {
-        r.record(ObsEvent::Steal {
-            t_us: start,
-            seq,
-            from: victim,
-            to: w as u32,
-        });
-    }
     r.record(ObsEvent::Dispatch {
         t_us: start,
         seq,
@@ -205,10 +197,10 @@ fn brute_force_depths(events: &[ObsEvent]) -> Vec<Option<u32>> {
         } => events
             .iter()
             .find_map(|x| match *x {
-                ObsEvent::Steal { seq: s, from, .. } if s == seq => Some(from),
+                ObsEvent::StealClaim { seq: s, from, .. } if s == seq => Some(from),
                 _ => None,
             })
-            .expect("a stolen dispatch has its steal"),
+            .expect("a stolen dispatch has its claim"),
         ObsEvent::Dispatch { worker, .. } => worker,
         _ => unreachable!(),
     };
@@ -276,7 +268,7 @@ fn stamping_matches_a_brute_force_count_on_random_traces() {
                         matches!(*x, ObsEvent::Dispatch { seq: s, t_us: t, .. } if s == seq && t < t_us)
                     }) as u32;
                 }
-                ObsEvent::Steal { .. } => steals += 1,
+                ObsEvent::Dispatch { stolen: true, .. } => steals += 1,
                 _ => {}
             }
         }

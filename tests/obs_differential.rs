@@ -4,7 +4,7 @@
 //!
 //! Both backends emit the shared `afs_obs` event schema, so the derived
 //! per-dispatch rates — stream migration (= 1 − affinity hit), thread
-//! migration, flush charges, steals — are directly comparable. The
+//! migration, steals — are directly comparable. The
 //! backends price time differently by design, but the *rates* are
 //! properties of the scheduling policy, not of the clock; they must
 //! agree within the tolerances documented in `afs_core::crossval`.
@@ -14,7 +14,7 @@
 //! fig06 golden cells) and internal trace consistency on both backends.
 
 use affinity_sched::core::crossval::{
-    smoke_matrix, CrossvalScenario, FLUSH_RATE_TOL, STEAL_RATE_MAX, STREAM_MIGRATION_RATE_TOL,
+    smoke_matrix, CrossvalScenario, STEAL_RATE_MAX, STREAM_MIGRATION_RATE_TOL,
     THREAD_MIGRATION_RATE_TOL,
 };
 use affinity_sched::core::sim::{run, run_observed};
@@ -28,7 +28,6 @@ use affinity_sched::sched::PolicySpec;
 struct Rates {
     stream_migration: f64,
     thread_migration: f64,
-    flush: f64,
     steal: f64,
     affinity_hit: f64,
 }
@@ -38,15 +37,15 @@ fn rates(c: &Counters) -> Rates {
     Rates {
         stream_migration: c.stream_migrations as f64 / d,
         thread_migration: c.thread_migrations as f64 / d,
-        flush: c.flushes as f64 / d,
         steal: c.steals as f64 / d,
         affinity_hit: c.affinity_hit_rate(),
     }
 }
 
 /// Run one (scenario, policy) cell through both backends with the
-/// recorder attached and return the two traces' counters.
-fn both(s: &CrossvalScenario, p: PolicySpec) -> (Counters, Counters) {
+/// recorder attached and return the two traces' counters and the native
+/// report's steal count.
+fn both(s: &CrossvalScenario, p: PolicySpec) -> (Counters, Counters, u64) {
     let none = FaultLoad::none();
     let mut sim_rec = MemRecorder::new();
     let (sim_report, _probe) = run_observed(&s.sim_config(p, &none), &mut sim_rec);
@@ -66,14 +65,14 @@ fn both(s: &CrossvalScenario, p: PolicySpec) -> (Counters, Counters) {
         s.label(),
         p.label()
     );
-    (sim_rec.counters, nat_rec.counters)
+    (sim_rec.counters, nat_rec.counters, nat_report.steals)
 }
 
 #[test]
 fn backends_agree_on_trace_derived_rates() {
     for s in smoke_matrix() {
         for p in PolicySpec::ALL {
-            let (sim, nat) = both(&s, p);
+            let (sim, nat, _) = both(&s, p);
             let (sr, nr) = (rates(&sim), rates(&nat));
             let ctx = format!("{} {}: sim {sr:?} native {nr:?}", s.label(), p.label());
 
@@ -84,10 +83,6 @@ fn backends_agree_on_trace_derived_rates() {
             assert!(
                 (sr.thread_migration - nr.thread_migration).abs() <= THREAD_MIGRATION_RATE_TOL,
                 "thread-migration rates diverge — {ctx}"
-            );
-            assert!(
-                (sr.flush - nr.flush).abs() <= FLUSH_RATE_TOL,
-                "flush rates diverge — {ctx}"
             );
             assert!(
                 sr.steal <= STEAL_RATE_MAX && nr.steal <= STEAL_RATE_MAX,
@@ -118,8 +113,9 @@ fn backends_agree_on_trace_derived_rates() {
 fn traces_are_internally_consistent_on_both_backends() {
     let s = &smoke_matrix()[0];
     for p in PolicySpec::ALL {
-        let (sim, nat) = both(s, p);
-        for (backend, c) in [("sim", &sim), ("native", &nat)] {
+        let (sim, nat, nat_steals) = both(s, p);
+        // The simulator never steals.
+        for (backend, c, steals) in [("sim", &sim, 0), ("native", &nat, nat_steals)] {
             let ctx = format!("{backend} {} {}", s.label(), p.label());
             assert_eq!(
                 c.enqueued as i64,
@@ -127,9 +123,9 @@ fn traces_are_internally_consistent_on_both_backends() {
                 "{ctx}: conservation violated"
             );
             assert_eq!(
-                (c.steal_claims, c.stolen_dispatches),
-                (c.steals, c.steals),
-                "{ctx}: steal claims, Steal events and stolen dispatch flags disagree"
+                (c.steal_claims, c.steals),
+                (steals, steals),
+                "{ctx}: steal claims, stolen dispatch flags and the report's steals disagree"
             );
             if backend == "native" && p == PolicySpec::Ips {
                 assert!(

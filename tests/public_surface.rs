@@ -1,10 +1,18 @@
 //! Nothing public without a caller. Every `pub fn | const | struct |
 //! enum | trait | type NAME` in the non-test part of `crates/*/src`
-//! must be named, as a whole word, somewhere in non-test source other
-//! than its own definition — `crates/*/src` outside unit-test code (by
-//! the rule of `afs_bench::source`, the size ledger's), `examples/`,
-//! `benchmark/src` — or appear in [`TEST_SUPPORT`] with the test that
-//! needs it. Comments, `use` declarations and the type an `impl` block
+//! must be called somewhere in non-test source other than its own
+//! definition — `crates/*/src` outside unit-test code (by the rule of
+//! `afs_bench::source`, the size ledger's), `examples/`, `benchmark/src`
+//! — or appear in [`TEST_SUPPORT`] with the test that needs it. What
+//! counts as a call depends on the item:
+//!
+//! * a method (a `fn` of an `impl` block whose first parameter is
+//!   `self`, in any form): `.name(` or `::name`;
+//! * any other item of an `impl` block: `Type::name` or `Self::name`;
+//! * a free item: its name as a whole word, more often than it is
+//!   defined.
+//!
+//! Comments, `use` and `mod` declarations and the type an `impl` block
 //! is for are not callers. The scan is by name, not by path: a collision
 //! can only hide a dead item, never fail a live one.
 //!
@@ -46,11 +54,15 @@ const TEST_SUPPORT: &[(&str, &str)] = &[
         "crates/core/tests/proptests.rs: the upper service-time bound of every run",
     ),
     (
-        "FLUSH_RATE_TOL",
+        "STEAL_RATE_MAX",
         "tests/obs_differential.rs::backends_agree_on_trace_derived_rates",
     ),
     (
-        "STEAL_RATE_MAX",
+        "STREAM_MIGRATION_RATE_TOL",
+        "tests/obs_differential.rs::backends_agree_on_trace_derived_rates",
+    ),
+    (
+        "THREAD_MIGRATION_RATE_TOL",
         "tests/obs_differential.rs::backends_agree_on_trace_derived_rates",
     ),
     (
@@ -84,17 +96,18 @@ fn is_ident(c: char) -> bool {
 }
 
 /// The text of `product` that can hold a caller: not comments, not
-/// `use` declarations (to their closing `;`), and of an `impl` header
-/// only the trait it names — implementing a trait uses the trait, not
-/// the type.
+/// `use` declarations (to their closing `;`) or `mod` lines, and of an
+/// `impl` header only the trait it names — implementing a trait uses
+/// the trait, not the type.
 fn caller_lines<'a>(product: &[&'a str]) -> Vec<&'a str> {
     let mut in_use = false;
     product
         .iter()
         .filter_map(|raw| {
             let line = raw.trim();
-            in_use |= line.starts_with("use ") || line.starts_with("pub use ");
-            let skip = in_use || line.starts_with("//");
+            let item = line.strip_prefix("pub ").unwrap_or(line);
+            in_use |= item.starts_with("use ");
+            let skip = in_use || line.starts_with("//") || item.starts_with("mod ");
             in_use &= !line.ends_with(';');
             match line.strip_prefix("impl") {
                 _ if skip => None,
@@ -105,8 +118,9 @@ fn caller_lines<'a>(product: &[&'a str]) -> Vec<&'a str> {
         .collect()
 }
 
-/// The name a `pub` item line defines, if it is one of the six kinds.
-fn defined_name(line: &str) -> Option<&str> {
+/// The kind and name a `pub` item line defines, if it is one of the
+/// six kinds.
+fn defined_item(line: &str) -> Option<(&str, &str)> {
     let mut words = line.strip_prefix("pub ")?.split_whitespace().peekable();
     // `pub const fn`, `pub unsafe fn`: the item is the `fn`.
     while matches!(words.peek(), Some(&"const" | &"unsafe")) && words.clone().nth(1) == Some("fn") {
@@ -117,7 +131,33 @@ fn defined_name(line: &str) -> Option<&str> {
         return None;
     }
     let end = rest.find(|c| !is_ident(c)).unwrap_or(rest.len());
-    (end > 0).then(|| &rest[..end])
+    (end > 0).then(|| (kind, &rest[..end]))
+}
+
+/// Whether the `fn` whose signature starts `signature` takes `self`:
+/// its first parameter, past any generics, is `self`, `&self`,
+/// `&'a mut self`, `self: Rc<Self>`, ….
+fn takes_self(signature: &str) -> bool {
+    let mut depth = 0;
+    let Some(open) = signature.find(|c| {
+        match c {
+            '<' => depth += 1,
+            '>' => depth -= 1,
+            _ => {}
+        }
+        c == '(' && depth == 0
+    }) else {
+        return false;
+    };
+    let params = &signature[open + 1..];
+    let first = params[..params.find([',', ')']).unwrap_or(params.len())].trim();
+    let first = first.trim_start_matches('&');
+    let first = match first.strip_prefix('\'') {
+        Some(lifetime) => lifetime.trim_start_matches(is_ident).trim_start(),
+        None => first,
+    };
+    let first = first.strip_prefix("mut ").unwrap_or(first);
+    first == "self" || first.starts_with("self:")
 }
 
 /// The type an `impl` header at column 0 is for.
@@ -132,16 +172,6 @@ fn impl_target(line: &str) -> Option<&str> {
     let head = head.trim_start();
     let end = head.find(|c| !is_ident(c)).unwrap_or(head.len());
     (end > 0).then(|| &head[..end])
-}
-
-fn count_words<'a>(corpus: &[&'a str]) -> BTreeMap<&'a str, usize> {
-    let mut counts = BTreeMap::new();
-    for line in corpus {
-        for word in line.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
-            *counts.entry(word).or_insert(0) += 1;
-        }
-    }
-    counts
 }
 
 /// The `leaf` directory of every immediate subdirectory of `dir`
@@ -161,32 +191,134 @@ fn files_under(dirs: &[PathBuf]) -> Vec<SourceFile> {
     dirs.iter().flat_map(|d| rust_files(d)).collect()
 }
 
-/// `(display path, qualified name, bare name)` of every `pub` item in
-/// the product part of `files`.
-fn definitions<'a>(root: &Path, files: &'a [SourceFile]) -> Vec<(String, String, &'a str)> {
+/// A `pub` item of the product code.
+struct Def<'a> {
+    /// Its file, as the failure prints it.
+    file: String,
+    /// The type of the `impl` block it is in, if any.
+    owner: Option<&'a str>,
+    name: &'a str,
+    /// A `fn` that takes `self`.
+    method: bool,
+}
+
+impl Def<'_> {
+    /// The name as the failure prints it.
+    fn qualified(&self) -> String {
+        match self.owner {
+            Some(ty) => format!("{ty}::{}", self.name),
+            None => self.name.to_string(),
+        }
+    }
+}
+
+/// Every `pub` item in the product part of `files`.
+fn definitions<'a>(root: &Path, files: &'a [SourceFile]) -> Vec<Def<'a>> {
     let mut defs = Vec::new();
     for (path, text, test_only) in files {
         if *test_only {
             continue;
         }
         let shown = path.strip_prefix(root).unwrap_or(path).display();
+        let lines = product_lines(text);
         let mut owner: Option<&str> = None;
-        for raw in product_lines(text) {
+        for (i, raw) in lines.iter().enumerate() {
             if raw.starts_with("impl") {
-                owner = impl_target(raw);
+                // A one-line `impl … {}` opens no block.
+                owner = impl_target(raw).filter(|_| !raw.ends_with("{}"));
             } else if raw.starts_with('}') {
                 owner = None;
             }
-            if let Some(name) = defined_name(raw.trim_start()) {
-                let qualified = match owner.filter(|_| raw.starts_with(' ')) {
-                    Some(ty) => format!("{ty}::{name}"),
-                    None => name.to_string(),
-                };
-                defs.push((shown.to_string(), qualified, name));
-            }
+            let Some((kind, name)) = defined_item(raw.trim_start()) else {
+                continue;
+            };
+            let owner = owner.filter(|_| raw.starts_with(' '));
+            // A signature can wrap; its first parameter is on one of
+            // the next few lines.
+            let signature = lines[i..lines.len().min(i + 4)].join(" ");
+            let after_name = signature
+                .split_once(&format!("fn {name}"))
+                .map_or("", |(_, rest)| rest);
+            defs.push(Def {
+                file: shown.to_string(),
+                owner,
+                name,
+                method: owner.is_some() && kind == "fn" && takes_self(after_name),
+            });
         }
     }
     defs
+}
+
+/// How caller text names things.
+#[derive(Default)]
+struct Calls<'a> {
+    /// Whole-word counts.
+    words: BTreeMap<&'a str, usize>,
+    /// Names called as a method (`.name(`) or reached by a path (`::name`).
+    dotted: BTreeSet<&'a str>,
+    /// `(A, name)` of every `A::name`.
+    paths: BTreeSet<(&'a str, &'a str)>,
+}
+
+fn calls<'a>(corpus: &[&'a str]) -> Calls<'a> {
+    let mut calls = Calls::default();
+    for line in corpus {
+        let mut start = 0;
+        for word in line.split(|c| !is_ident(c)) {
+            let (before, after) = (&line[..start], &line[start + word.len()..]);
+            start += word.len() + after.chars().next().map_or(0, char::len_utf8);
+            if word.is_empty() {
+                continue;
+            }
+            *calls.words.entry(word).or_insert(0) += 1;
+            if let Some(head) = before.strip_suffix("::") {
+                calls.dotted.insert(word);
+                let prefix = head.rsplit(|c| !is_ident(c)).next().unwrap_or("");
+                if !prefix.is_empty() {
+                    calls.paths.insert((prefix, word));
+                }
+            } else if before.ends_with('.') && (after.starts_with('(') || after.starts_with("::<"))
+            {
+                calls.dotted.insert(word);
+            }
+        }
+    }
+    calls
+}
+
+/// How many items of `defs` share each bare name.
+fn defined_counts<'d, 'a: 'd>(
+    defs: impl IntoIterator<Item = &'d Def<'a>>,
+) -> BTreeMap<&'a str, usize> {
+    let mut defined = BTreeMap::new();
+    for def in defs {
+        *defined.entry(def.name).or_insert(0) += 1;
+    }
+    defined
+}
+
+/// Whether `calls` calls `def`; `defined` counts the definitions of
+/// each bare name, which the whole-word count includes.
+fn is_called(def: &Def, calls: &Calls, defined: &BTreeMap<&str, usize>) -> bool {
+    match def.owner {
+        _ if def.method => calls.dotted.contains(def.name),
+        Some(ty) => [ty, "Self"]
+            .iter()
+            .any(|&prefix| calls.paths.contains(&(prefix, def.name))),
+        None => calls.words.get(def.name).copied().unwrap_or(0) > defined[def.name],
+    }
+}
+
+/// The items of `defs` that `calls` never calls.
+fn uncalled<'d, 'a>(
+    defs: &'d [Def<'a>],
+    calls: &Calls<'_>,
+    defined: &BTreeMap<&str, usize>,
+) -> Vec<&'d Def<'a>> {
+    defs.iter()
+        .filter(|def| !is_called(def, calls, defined))
+        .collect()
 }
 
 /// The caller lines of the product part of `files`.
@@ -237,11 +369,7 @@ fn every_public_item_has_a_non_test_caller() {
     vendor_corpus.extend(test_callers(&tests));
     let crate_defs = definitions(&root, &crates);
     let vendor_defs = definitions(&root, &vendor);
-
-    let mut defined: BTreeMap<&str, usize> = BTreeMap::new();
-    for (_, _, name) in crate_defs.iter().chain(&vendor_defs) {
-        *defined.entry(name).or_insert(0) += 1;
-    }
+    let defined = defined_counts(crate_defs.iter().chain(&vendor_defs));
 
     assert!(
         TEST_SUPPORT.len() <= TEST_SUPPORT_MAX,
@@ -252,15 +380,13 @@ fn every_public_item_has_a_non_test_caller() {
     let mut offenders = Vec::new();
     let mut used_excuses = BTreeSet::new();
     for (defs, corpus) in [(&crate_defs, &corpus), (&vendor_defs, &vendor_corpus)] {
-        let words = count_words(corpus);
-        for (file, qualified, name) in defs {
-            if words.get(name).copied().unwrap_or(0) > defined[name] {
-                continue;
-            }
-            if excused.contains(qualified.as_str()) {
-                used_excuses.insert(qualified.as_str());
-            } else {
-                offenders.push(format!("{file}: {qualified}"));
+        for def in uncalled(defs, &calls(corpus), &defined) {
+            let qualified = def.qualified();
+            match excused.get(qualified.as_str()) {
+                Some(&name) => {
+                    used_excuses.insert(name);
+                }
+                None => offenders.push(format!("{}: {qualified}", def.file)),
             }
         }
     }
@@ -276,6 +402,56 @@ fn every_public_item_has_a_non_test_caller() {
         offenders.len(),
         offenders.join("\n")
     );
+}
+
+/// Two dead items the whole-word rule let through, because other
+/// product code supplies their words: an associated fn whose name
+/// another type's associated fn shares, and a method whose name a local
+/// and a field share.
+#[test]
+fn a_shared_name_does_not_call_an_item() {
+    let product = "\
+pub mod plan;
+impl FaultPlan {
+    pub fn uniform(p: f64) -> Self {
+        FaultPlan { p }
+    }
+}
+impl ComponentAges {
+    pub fn uniform(age: Age) -> Self {
+        Self { age }
+    }
+    pub fn age(
+        &self,
+    ) -> Age {
+        self.age
+    }
+}
+impl FaultInjector {
+    pub fn plan(&'a mut self) -> &FaultPlan {
+        &self.plan
+    }
+}
+pub fn run() -> Age {
+    let plan = frontend_plan();
+    ComponentAges::uniform(plan.age).age()
+}
+";
+    let files = vec![(PathBuf::from("lib.rs"), product.to_string(), false)];
+    let defs = definitions(Path::new(""), &files);
+    let methods: Vec<String> = defs
+        .iter()
+        .filter(|d| d.method)
+        .map(Def::qualified)
+        .collect();
+    assert_eq!(methods, ["ComponentAges::age", "FaultInjector::plan"]);
+    let corpus = product_callers(&files);
+    let defined = defined_counts(&defs);
+    let dead: Vec<String> = uncalled(&defs, &calls(&corpus), &defined)
+        .into_iter()
+        .map(Def::qualified)
+        .collect();
+    assert_eq!(dead, ["FaultPlan::uniform", "FaultInjector::plan", "run"]);
 }
 
 /// The `[dependencies]` and `[dev-dependencies]` keys of a manifest,

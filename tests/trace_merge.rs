@@ -82,7 +82,7 @@ fn event(rng: &mut StdRng, tag: u32) -> ObsEvent {
             kind: [ChargeKind::ReloadTransient, ChargeKind::Lock][tag as usize % 2],
             amount_us: amount,
         },
-        5 => ObsEvent::Steal {
+        5 => ObsEvent::StealClaim {
             t_us,
             seq,
             from: tag,
