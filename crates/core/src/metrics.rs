@@ -66,8 +66,8 @@ pub struct Collector {
     pub proc_crashes: u64,
     /// Processor stall windows entered (post-warmup).
     pub proc_stalls: u64,
-    /// Packets orphaned by a processor crash — in service or queued on
-    /// the dead worker at crash time (post-warmup).
+    /// Packets orphaned by a processor crash — queued on the dead
+    /// worker at crash time (post-warmup).
     pub orphaned: u64,
     /// Orphaned packets re-routed to a live queue. Conservation requires
     /// `requeued == orphaned`: the crash handler requeues every orphan

@@ -23,16 +23,17 @@ use rand::Rng as _;
 /// What happens to the processor when the fault fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProcFaultKind {
-    /// The processor dies: its in-flight and queued work is orphaned
-    /// and re-routed, its cache state is lost. With `revive_at_us` it
-    /// later returns — cold — to service.
+    /// The processor dies at a packet boundary: it finishes its
+    /// in-flight packet, its queued work is orphaned and re-routed, and
+    /// its cache state is lost. With `revive_at_us` it later returns —
+    /// cold — to service.
     Crash {
         /// Absolute revival time, if the processor comes back.
         revive_at_us: Option<f64>,
     },
-    /// The processor freezes for `duration_us`: it finishes nothing and
-    /// accepts nothing during the window, then resumes with its cache
-    /// intact.
+    /// The processor stalls for `duration_us`: it finishes its
+    /// in-flight packet on time but starts nothing during the window,
+    /// then resumes with its cache intact.
     Stall {
         /// Window length in microseconds (> 0).
         duration_us: f64,

@@ -262,7 +262,7 @@ impl<'r> SchedSim<'r> {
         // Thread and stack bookkeeping is deferred to completion, which
         // reads the runner back from the in-flight record (a pool thread
         // stays parked out of the shared pool until then).
-        let completion = self.schedule_at(done_at, Event::Completion { proc: p });
+        self.schedule_at(done_at, Event::Completion { proc: p });
         self.procs.set_activity(
             p,
             ProcActivity::Protocol(InFlight {
@@ -270,7 +270,7 @@ impl<'r> SchedSim<'r> {
                 runner,
                 service,
                 done_at,
-                completion,
+                crashed: false,
             }),
         );
     }

@@ -236,11 +236,13 @@ impl<'r> SchedSim<'r> {
         }
     }
 
-    /// Crash processor `p`: its cache state dies, its in-flight packet
-    /// and queued backlog are orphaned, and every orphan is immediately
-    /// re-routed through the *policy's own* routing rule over the
-    /// degraded view (dead workers masked out). The orphan/requeue pair
-    /// is synchronous, so the conservation identity never observes an
+    /// Crash processor `p` at a packet boundary: it takes no new work,
+    /// and its queued backlog is orphaned and immediately re-routed
+    /// through the *policy's own* routing rule over the degraded view
+    /// (dead workers masked out). Its in-flight packet, if any,
+    /// completes on time; its cache state dies now if it is idle, else
+    /// right after that completion. The orphan/requeue pair is
+    /// synchronous, so the conservation identity never observes an
     /// intermediate state and no packet is lost or double-completed.
     fn crash_proc(&mut self, now: SimTime, p: usize) {
         if self.procs.health(p) == ProcHealth::Down {
@@ -256,53 +258,36 @@ impl<'r> SchedSim<'r> {
                 worker: p as u32,
             });
         }
-
-        // Reclaim the in-flight packet, if any: cancel its completion
-        // and release its stack/thread.
-        let mut in_flight = None;
-        if let ProcActivity::Protocol(f) = self.procs.take_activity(p) {
-            self.queue.cancel(f.completion);
-            match f.runner {
-                Runner::Stack(w) => self.stacks.running[w as usize] = false,
-                Runner::Thread { id, pooled: true } => self.shared_pool.push_back(id),
-                Runner::Thread { pooled: false, .. } => {}
+        match self.procs.activity(p) {
+            ProcActivity::Protocol(f) => {
+                let f = InFlight { crashed: true, ..f };
+                self.procs.set_activity(p, ProcActivity::Protocol(f));
             }
-            in_flight = Some(f.packet);
+            ProcActivity::NonProtocol => self.forget_proc(p),
         }
+        for pkt in std::mem::take(&mut self.proc_q[p]) {
+            self.requeue_orphan(now, pkt, p);
+        }
+    }
 
-        // Cache death: the crashed processor loses its protocol code
-        // footprint, and every migratable entity last resident there is
-        // cold everywhere from now on.
+    /// Cache death of crashed processor `p`: it loses its protocol code
+    /// footprint, and every migratable entity last resident there is
+    /// cold everywhere from now on.
+    fn forget_proc(&mut self, p: usize) {
         self.procs.forget_cache(p);
         self.streams.evict_proc(p);
         self.threads.evict_proc(p);
         self.stacks.loc.evict_proc(p);
-
-        // Orphan recovery: the in-flight packet first, then the drained
-        // backlog in its queue order.
-        let drained: Vec<Packet> = self.proc_q[p].drain(..).collect();
-        if let Some(pkt) = in_flight {
-            self.requeue_orphan(now, pkt, p, true);
-        }
-        for pkt in drained {
-            self.requeue_orphan(now, pkt, p, false);
-        }
     }
 
-    /// Re-route one orphan of crashed processor `dead` over the degraded
-    /// view (the dead worker is masked out of the front-end's `next_live`
-    /// and the policy's router alike) and account for it. `at_front` is
-    /// the in-flight packet: it was at the head once, so it re-enters its
-    /// IPS stack queue or the global FIFO at the head. Per-processor
-    /// queues take every orphan at the back.
-    fn requeue_orphan(&mut self, now: SimTime, pkt: Packet, dead: usize, at_front: bool) {
+    /// Re-route one queued orphan of crashed processor `dead` over the
+    /// degraded view (the dead worker is masked out of the front-end's
+    /// `next_live` and the policy's router alike), at the back of its
+    /// new queue, and account for it.
+    fn requeue_orphan(&mut self, now: SimTime, pkt: Packet, dead: usize) {
         let target = self.target_of(now, &pkt);
         let (queue, id) = self.queue_of(target);
-        if at_front && !matches!(target, Target::Proc(_)) {
-            queue.push_front(pkt);
-        } else {
-            queue.push_back(pkt);
-        }
+        queue.push_back(pkt);
         if self.collector.recording(now) {
             self.collector.orphaned += 1;
             self.collector.requeued += 1;
@@ -322,13 +307,12 @@ impl<'r> SchedSim<'r> {
         }
     }
 
-    /// Stall processor `p` for `duration_us`: it freezes mid-service —
-    /// its in-flight completion slips by the stall length — and takes no
-    /// new work until the window ends. The non-protocol clock keeps
-    /// running while it is frozen, so its cached state *ages* through
-    /// the stall (the conservative reading: a frozen processor defends
-    /// no cache lines against the interrupting workload).
-    fn stall_proc(&mut self, now: SimTime, p: usize, duration_us: f64) {
+    /// Stall processor `p` until its window ends: it finishes its
+    /// in-flight packet on time but takes no new work. The non-protocol
+    /// clock keeps running, so its cached state *ages* through the
+    /// stall (the conservative reading: a stalled processor defends no
+    /// cache lines against the interrupting workload).
+    fn stall_proc(&mut self, now: SimTime, p: usize) {
         if self.procs.health(p) != ProcHealth::Up {
             return;
         }
@@ -341,19 +325,6 @@ impl<'r> SchedSim<'r> {
                 t_us: now.as_micros_f64(),
                 worker: p as u32,
             });
-        }
-        if let ProcActivity::Protocol(f) = self.procs.activity(p) {
-            self.queue.cancel(f.completion);
-            let done_at = f.done_at + afs_desim::time::SimDuration::from_micros_f64(duration_us);
-            let completion = self.schedule_at(done_at, Event::Completion { proc: p });
-            self.procs.set_activity(
-                p,
-                ProcActivity::Protocol(InFlight {
-                    done_at,
-                    completion,
-                    ..f
-                }),
-            );
         }
     }
 
@@ -444,7 +415,7 @@ impl<'r> SchedSim<'r> {
                     runner,
                     service,
                     done_at,
-                    ..
+                    crashed,
                 }) = self.procs.take_activity(proc)
                 else {
                     // A completion without an in-flight packet is an
@@ -498,6 +469,9 @@ impl<'r> SchedSim<'r> {
                         }
                     }
                 }
+                if crashed {
+                    self.forget_proc(proc);
+                }
 
                 if let Some(rec) = self.obs.as_deref_mut() {
                     rec.record(ObsEvent::Complete {
@@ -521,9 +495,7 @@ impl<'r> SchedSim<'r> {
                 let fault = self.cfg.proc_faults.faults[idx as usize];
                 match fault.kind {
                     ProcFaultKind::Crash { .. } => self.crash_proc(now, fault.proc),
-                    ProcFaultKind::Stall { duration_us } => {
-                        self.stall_proc(now, fault.proc, duration_us)
-                    }
+                    ProcFaultKind::Stall { .. } => self.stall_proc(now, fault.proc),
                     ProcFaultKind::Slowdown { factor } => {
                         self.procs.set_slow_factor(fault.proc, factor);
                     }

@@ -34,9 +34,10 @@
 //!   and executes typed decisions.
 //!
 //! A started packet's whole in-flight record — what runs it, its
-//! service time, its completion event — lives in its processor's
+//! service time, its completion instant — lives in its processor's
 //! [`ProcActivity::Protocol`](crate::state::ProcActivity::Protocol);
-//! completion, crash and stall read it from there.
+//! its completion reads it from there. Processor faults act at packet
+//! boundaries: a crash or a stall never cancels or moves a completion.
 
 mod dispatch;
 mod events;
@@ -50,7 +51,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 
 use afs_cache::model::pricer::DispatchPricer;
-use afs_desim::event::{EventId, EventQueue};
+use afs_desim::event::EventQueue;
 use afs_desim::rng::RngFactory;
 use afs_desim::time::SimTime;
 use afs_obs::{EngineProbe, Recorder};
@@ -287,13 +288,13 @@ impl<'r> SchedSim<'r> {
     }
 
     /// Schedule `event` at `at`, which must not precede the clock.
-    fn schedule_at(&mut self, at: SimTime, event: Event) -> EventId {
+    fn schedule_at(&mut self, at: SimTime, event: Event) {
         assert!(
             at >= self.now,
             "scheduling into the past: at={at} now={}",
             self.now
         );
-        self.queue.push(at, event)
+        self.queue.push(at, event);
     }
 
     /// Schedule the first arrivals and the processor-fault plan's

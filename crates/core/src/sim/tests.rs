@@ -899,9 +899,10 @@ mod fairness_tests {
     }
 }
 
-/// Processor-fault injection: crashes orphan and requeue work through
-/// the policy's own routing, stalls slip in-flight completions, and
-/// slowdowns scale service — all without perturbing a clean run.
+/// Processor-fault injection at packet boundaries: crashes orphan and
+/// requeue queued work through the policy's own routing, stalls delay
+/// starts, in-flight packets complete on time, and slowdowns scale
+/// service — all without perturbing a clean run.
 mod procfault_tests {
     use super::super::*;
     use crate::config::LockPolicy;
@@ -996,33 +997,64 @@ mod procfault_tests {
     }
 
     #[test]
-    fn stall_slips_completions_without_losing_work() {
-        let base = run(&quick(LockPolicy::Mru, 4, 800.0));
-        let mut cfg = quick(LockPolicy::Mru, 4, 800.0);
-        // Stall every processor's window mid-run (staggered), so some
-        // in-flight packet certainly freezes.
+    fn stalls_delay_starts_only() {
+        use afs_obs::ObsEvent;
+        use std::collections::HashMap;
+        let base = run(&quick(LockPolicy::Mru, 16, 800.0));
+        let mut cfg = quick(LockPolicy::Mru, 16, 800.0);
+        // A staggered window on every processor.
+        let window = |p: u32| {
+            let start = 250_000.0 + 10_000.0 * p as f64;
+            start..start + 50_000.0
+        };
         cfg.proc_faults = ProcFaultPlan {
             faults: (0..8)
                 .map(|p| ProcFault {
                     proc: p,
-                    at_us: 250_000.0 + 10_000.0 * p as f64,
+                    at_us: window(p as u32).start,
                     kind: ProcFaultKind::Stall {
                         duration_us: 50_000.0,
                     },
                 })
                 .collect(),
         };
-        let r = run(&cfg);
+        let mut rec = MemRecorder::new();
+        let (r, _) = run_observed(&cfg, &mut rec);
         assert_conservation(&r);
         assert_eq!(r.proc_stalls, 8);
         assert_eq!(r.orphaned, 0, "stalls never orphan");
-        assert!(
-            r.max_delay_us > base.max_delay_us + 10_000.0,
-            "stalls must show up in tail delay: base {} stalled {}",
-            base.max_delay_us,
-            r.max_delay_us
-        );
         assert_eq!(r.offered_total, base.offered_total, "arrivals unperturbed");
+        // Nothing starts on a stalled processor, and whatever was in
+        // service when its stall began completes on time.
+        let mut done_at = HashMap::new();
+        let mut finished_inside = 0;
+        for ev in &rec.events {
+            match *ev {
+                ObsEvent::Dispatch {
+                    t_us,
+                    seq,
+                    worker,
+                    service_us,
+                    ..
+                } => {
+                    assert!(
+                        !window(worker).contains(&t_us),
+                        "seq {seq} started on stalled processor {worker} at {t_us}"
+                    );
+                    done_at.insert(seq, (worker, t_us + service_us));
+                }
+                ObsEvent::Complete {
+                    t_us, seq, worker, ..
+                } => {
+                    let (w, due) = done_at.remove(&seq).expect("dispatched first");
+                    assert_eq!(w, worker);
+                    assert!((t_us - due).abs() < 1e-3, "seq {seq} due {due} done {t_us}");
+                    finished_inside += usize::from(window(worker).contains(&t_us));
+                }
+                _ => {}
+            }
+        }
+        assert!(finished_inside > 0, "no packet was in service at a stall");
     }
 
     #[test]
@@ -1099,7 +1131,7 @@ mod procfault_tests {
     }
 
     #[test]
-    fn ips_crash_requeues_the_stack_head() {
+    fn an_ips_crash_orphans_nothing() {
         let mut cfg = SystemConfig::new(
             Paradigm::Ips {
                 policy: IpsPolicy::Mru,
@@ -1120,10 +1152,70 @@ mod procfault_tests {
         let r = run(&cfg);
         assert_conservation(&r);
         assert_eq!(r.proc_crashes, 1);
-        // IPS keeps its backlog on stack queues, so a crash orphans at
-        // most the in-flight packet; either way the run stays lossless.
-        assert!(r.orphaned <= 1, "IPS crash orphaned {} packets", r.orphaned);
+        // IPS keeps its backlog on stack queues and the in-flight packet
+        // completes, so a crash leaves nothing to re-route.
+        assert_eq!((r.orphaned, r.requeued), (0, 0));
         assert!(r.per_proc_served[0] > r.per_proc_served[1]);
+    }
+
+    /// A crash lands mid-service: the packet completes on time on the
+    /// crashed processor, and then no footprint survives there, even
+    /// when a revive came before that completion.
+    #[test]
+    fn a_crash_mid_service_forgets_the_cache_after_the_completion() {
+        use crate::state::{FootprintTable, ProcActivity};
+        use afs_cache::model::exec_time::Age;
+        use afs_obs::ObsEvent;
+        let clean = quick(LockPolicy::Mru, 4, 2000.0);
+        let mut rec = MemRecorder::new();
+        run_observed(&clean, &mut rec);
+        let (seq, stream, start, service) = rec
+            .events
+            .iter()
+            .find_map(|ev| match *ev {
+                ObsEvent::Dispatch {
+                    t_us,
+                    seq,
+                    stream,
+                    worker: 0,
+                    service_us,
+                    ..
+                } if t_us > 200_000.0 => Some((seq, stream, t_us, service_us)),
+                _ => None,
+            })
+            .expect("processor 0 serves past 200 ms");
+        let crash = start + service / 2.0;
+        for revive in [None, Some(crash + service / 4.0)] {
+            let mut cfg = clean.clone();
+            cfg.proc_faults = ProcFaultPlan {
+                faults: vec![ProcFault {
+                    proc: 0,
+                    at_us: crash,
+                    kind: ProcFaultKind::Crash {
+                        revive_at_us: revive,
+                    },
+                }],
+            };
+            let mut sim = SchedSim::new(&cfg);
+            sim.prime();
+            sim.run_to(SimTime::from_micros_f64(revive.unwrap_or(crash)));
+            // The crash left the packet and its warm state in place.
+            let ProcActivity::Protocol(f) = sim.procs.activity(0) else {
+                panic!("processor 0 is serving seq {seq}");
+            };
+            assert_eq!(f.packet.seq, seq);
+            assert_ne!(sim.procs.code_age(0, sim.now), Age::Cold);
+            let served = sim.procs.served()[0];
+            sim.run_to(f.done_at);
+            assert_eq!(sim.procs.served()[0], served + 1, "revive {revive:?}");
+            assert_eq!(
+                sim.procs.code_age(0, sim.now),
+                Age::Cold,
+                "revive {revive:?}"
+            );
+            assert_eq!(sim.streams.last_proc(stream as usize), None);
+            assert!((0..sim.threads.len()).all(|i| sim.threads.last_proc(i) != Some(0)));
+        }
     }
 }
 
@@ -1321,6 +1413,12 @@ mod loop_tests {
         cfg.warmup = SimDuration::from_millis(10);
         cfg.horizon = SimDuration::from_millis(50);
         cfg
+    }
+
+    #[test]
+    fn an_event_fits_two_words() {
+        // With its u128 key, a pending event's heap entry is 32 bytes.
+        assert!(std::mem::size_of::<Event>() <= 16);
     }
 
     #[test]

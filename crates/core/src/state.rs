@@ -27,7 +27,6 @@
 //! through a setter that refreshes it; the raw fields are private to
 //! make bypassing the setters impossible.
 
-use afs_desim::event::EventId;
 use afs_desim::time::{SimDuration, SimTime};
 
 use afs_cache::model::exec_time::Age;
@@ -52,12 +51,12 @@ pub struct Packet {
 }
 
 /// What runs a started packet's protocol code: the footprint its
-/// completion records and the resource a crash releases.
+/// completion records and the resource it releases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Runner {
     /// Locking: protocol thread `id` — the processor's own thread, or
     /// (`pooled`) one popped from the shared FIFO pool, which gets it
-    /// back when the packet completes or its processor crashes.
+    /// back when the packet completes.
     Thread {
         /// Thread id (equal to the processor index for an own thread).
         id: usize,
@@ -68,8 +67,9 @@ pub enum Runner {
     Stack(u32),
 }
 
-/// A packet in service: everything its completion, a crash or a stall
-/// reads about it.
+/// A packet in service: everything its completion reads about it.
+/// Faults act at packet boundaries: nothing moves or cancels a started
+/// packet's completion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InFlight {
     /// The packet being served.
@@ -78,11 +78,11 @@ pub struct InFlight {
     pub runner: Runner,
     /// Its priced service duration.
     pub service: SimDuration,
-    /// Service completes at this time (a stall pushes it back).
+    /// Service completes at this time.
     pub done_at: SimTime,
-    /// The scheduled completion event, so a crash can cancel it and a
-    /// stall can move it.
-    pub completion: EventId,
+    /// Its processor crashed mid-service: no footprint may survive
+    /// this completion, even if a revive came first.
+    pub crashed: bool,
 }
 
 /// What a processor is doing.
@@ -100,11 +100,12 @@ pub enum ProcHealth {
     /// Healthy and schedulable.
     #[default]
     Up,
-    /// Frozen inside a stall window: finishes nothing, takes nothing,
-    /// keeps its cache.
+    /// Inside a stall window: finishes its in-flight packet on time but
+    /// takes no new work, and keeps its cache.
     Stalled,
-    /// Crashed: its cache state is gone and it takes no work until (and
-    /// unless) a revive event brings it back cold.
+    /// Crashed: it finishes its in-flight packet, then its cache state
+    /// is gone, and it takes no work until (and unless) a revive event
+    /// brings it back cold.
     Down,
 }
 
@@ -470,7 +471,6 @@ mod tests {
     }
 
     fn serving(done_at: SimTime) -> ProcActivity {
-        let mut events = afs_desim::event::EventQueue::new();
         ProcActivity::Protocol(InFlight {
             packet: pkt(),
             runner: Runner::Thread {
@@ -479,7 +479,7 @@ mod tests {
             },
             service: SimDuration::from_micros(10),
             done_at,
-            completion: events.push(done_at, ()),
+            crashed: false,
         })
     }
 

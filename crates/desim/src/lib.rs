@@ -15,8 +15,8 @@
 //! * [`time`] — fixed-point simulation clock types ([`SimTime`],
 //!   [`SimDuration`]); integer nanosecond ticks, so event ordering is
 //!   exact and runs are bit-reproducible.
-//! * [`event`] — a stable (FIFO-on-ties) time-ordered event queue with
-//!   O(log n) cancellation: a 4-ary indexed heap over one slot arena.
+//! * [`event`] — a stable (FIFO-on-ties) time-ordered event queue: a
+//!   4-ary min-heap of keyed payloads, without cancellation.
 //! * [`rng`] — named deterministic RNG substreams supporting
 //!   common-random-number comparisons across scheduling policies.
 //! * [`dist`] — inverse-CDF samplers (deterministic, exponential,
@@ -35,7 +35,7 @@ pub mod time;
 pub mod warmup;
 
 pub use dist::{CountDist, Dist};
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::RngFactory;
 pub use stats::{BatchMeans, ConfInterval, Histogram, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};

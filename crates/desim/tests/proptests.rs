@@ -21,16 +21,10 @@ struct ModelQueue {
 }
 
 impl ModelQueue {
-    fn push(&mut self, t: u64, payload: u32) -> u64 {
+    fn push(&mut self, t: u64, payload: u32) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.items.push((t, seq, payload));
-        seq
-    }
-    fn cancel(&mut self, seq: u64) -> bool {
-        let before = self.items.len();
-        self.items.retain(|&(_, s, _)| s != seq);
-        self.items.len() != before
     }
     fn pop(&mut self) -> Option<(u64, u32)> {
         if self.items.is_empty() {
@@ -49,52 +43,23 @@ impl ModelQueue {
 }
 
 /// Reference model #2: a real `BinaryHeap` ordered by `(time, seq)`
-/// ascending, with lazily-applied cancellation — the exact structure
-/// (and contract) of the first event core. Differential target for the
-/// indexed 4-ary heap: whatever its eager cancels and sifts do
+/// ascending — the structure (and contract) of the first event core.
+/// Differential target for the 4-ary heap: whatever its sifts do
 /// internally, pop order must match this heap bit-for-bit.
 #[derive(Default)]
 struct HeapModel {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
-    cancelled: std::collections::HashSet<u64>,
     next_seq: u64,
-    live: usize,
 }
 
 impl HeapModel {
-    fn push(&mut self, t: u64, payload: u32) -> u64 {
+    fn push(&mut self, t: u64, payload: u32) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(std::cmp::Reverse((t, seq, payload)));
-        self.live += 1;
-        seq
-    }
-    fn cancel(&mut self, seq: u64) -> bool {
-        if seq >= self.next_seq || self.cancelled.contains(&seq) {
-            return false;
-        }
-        // Only live entries can be cancelled; popped seqs are gone from
-        // the heap, so probe for presence.
-        if self
-            .heap
-            .iter()
-            .any(|std::cmp::Reverse((_, s, _))| *s == seq)
-        {
-            self.cancelled.insert(seq);
-            self.live -= 1;
-            return true;
-        }
-        false
     }
     fn pop(&mut self) -> Option<(u64, u32)> {
-        while let Some(std::cmp::Reverse((t, seq, p))) = self.heap.pop() {
-            if self.cancelled.remove(&seq) {
-                continue;
-            }
-            self.live -= 1;
-            return Some((t, p));
-        }
-        None
+        self.heap.pop().map(|std::cmp::Reverse((t, _, p))| (t, p))
     }
 }
 
@@ -103,14 +68,12 @@ impl HeapModel {
 enum Op {
     Push(u64, u32),
     Pop,
-    Cancel(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..10_000, any::<u32>()).prop_map(|(t, p)| Op::Push(t, p)),
         Just(Op::Pop),
-        (0usize..64).prop_map(Op::Cancel),
     ]
 }
 
@@ -121,26 +84,16 @@ proptest! {
     fn event_queue_matches_reference_model(ops in prop::collection::vec(op_strategy(), 1..200)) {
         let mut real = EventQueue::new();
         let mut model = ModelQueue::default();
-        let mut live_ids = Vec::new();
         for op in ops {
             match op {
                 Op::Push(t, p) => {
-                    let id = real.push(SimTime::from_micros(t), p);
-                    let seq = model.push(t, p);
-                    live_ids.push((id, seq));
+                    real.push(SimTime::from_micros(t), p);
+                    model.push(t, p);
                 }
                 Op::Pop => {
                     let got = real.pop();
                     let want = model.pop();
                     prop_assert_eq!(got.map(|(t, p)| (t.ticks() / 1000, p)), want);
-                }
-                Op::Cancel(i) => {
-                    if !live_ids.is_empty() {
-                        let (id, seq) = live_ids[i % live_ids.len()];
-                        let got = real.cancel(id);
-                        let want = model.cancel(seq);
-                        prop_assert_eq!(got, want);
-                    }
                 }
             }
             prop_assert_eq!(real.len(), model.items.len());
@@ -164,33 +117,24 @@ proptest! {
                 // tie-breaking carries nearly all of the ordering.
                 (0u64..8, any::<u32>()).prop_map(|(t, p)| Op::Push(t, p)),
                 Just(Op::Pop),
-                (0usize..64).prop_map(Op::Cancel),
             ],
             1..300,
         ),
     ) {
         let mut real = EventQueue::new();
         let mut heap = HeapModel::default();
-        let mut ids = Vec::new();
         for op in ops {
             match op {
                 Op::Push(t, p) => {
-                    let id = real.push(SimTime::from_micros(t), p);
-                    let seq = heap.push(t, p);
-                    ids.push((id, seq));
+                    real.push(SimTime::from_micros(t), p);
+                    heap.push(t, p);
                 }
                 Op::Pop => {
                     let got = real.pop().map(|(t, p)| (t.ticks() / 1000, p));
                     prop_assert_eq!(got, heap.pop());
                 }
-                Op::Cancel(i) => {
-                    if !ids.is_empty() {
-                        let (id, seq) = ids[i % ids.len()];
-                        prop_assert_eq!(real.cancel(id), heap.cancel(seq));
-                    }
-                }
             }
-            prop_assert_eq!(real.len(), heap.live);
+            prop_assert_eq!(real.len(), heap.heap.len());
         }
         loop {
             let got = real.pop().map(|(t, p)| (t.ticks() / 1000, p));
@@ -241,23 +185,17 @@ proptest! {
     }
 
     #[test]
-    fn tombstone_heavy_workload_bounds_memory_and_keeps_order(
-        n in 64usize..600,
-        keep_every in 2usize..17,
+    fn horizon_bounded_pops_keep_order(
+        n in 4usize..600,
         horizon_frac in 0.0f64..1.2,
     ) {
         let mut real = EventQueue::new();
         let mut heap = HeapModel::default();
-        let mut ids = Vec::new();
         let t_max = 10 * n as u64;
         for i in 0..n {
             let t = (i as u64).wrapping_mul(7_368_787) % t_max;
-            ids.push((real.push(SimTime::from_micros(t), i as u32), heap.push(t, i as u32)));
-        }
-        for (i, &(id, seq)) in ids.iter().enumerate() {
-            if i % keep_every != 0 {
-                prop_assert_eq!(real.cancel(id), heap.cancel(seq));
-            }
+            real.push(SimTime::from_micros(t), i as u32);
+            heap.push(t, i as u32);
         }
         // Horizon-bounded pops agree with the model: deliver while the
         // model head is at or before the horizon, then stop.

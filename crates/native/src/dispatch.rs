@@ -674,8 +674,11 @@ impl<'a> Dispatcher<'a> {
         }
         // One order across the dead workers, whatever their pop order.
         orphans.sort_by_key(|(_, j)| j.seq);
-        for (dead, job) in orphans {
+        for (dead, mut job) in orphans {
             self.ledger.orphaned += 1;
+            // The dead thief's claim is spent: its survivor runs the
+            // job as routed, not as a steal from the old victim.
+            job.stolen_from = None;
             let crash_at = self.worker_faults[dead as usize]
                 .crash
                 .map_or(0.0, |(c, _)| c);

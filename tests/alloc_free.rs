@@ -30,7 +30,7 @@
 //! since the gauge opened, and their peak); one configuration is run at
 //! several horizons on the test's own thread, and the peak must not
 //! grow with the horizon. Streaming batch means, and an event queue that
-//! reuses a cancelled or popped slot at once, are what make it so.
+//! holds exactly its pending events, are what make it so.
 //!
 //! The same gauge pins a recorded native run's trace merge: folding the
 //! per-thread slices into one trace holds the trace once. It also pins

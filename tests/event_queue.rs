@@ -7,13 +7,13 @@
 //! model: one pending arrival per flow, flow `i` re-arming a mean of
 //! `(i + 1)` base gaps later, the shape a Flow-Director population of
 //! 10⁴ (debug) or 10⁵ (release) flows gives the simulator. Around it the
-//! test cancels events near the root and deep in the heap, pushes before
-//! the last pop, moves the whole live set far ahead, and grows and
-//! drains the heap through a few to a few hundred live events.
+//! test pushes one-shot events near the root, before the last pop and in
+//! ties with pending ones, moves the whole live set far ahead, and grows
+//! and drains the heap through a few to a few hundred live events.
 
 use std::collections::BTreeMap;
 
-use afs_desim::event::{EventId, EventQueue};
+use afs_desim::event::EventQueue;
 use afs_desim::rng::RngFactory;
 use afs_desim::time::SimTime;
 use rand::rngs::StdRng;
@@ -35,7 +35,7 @@ const FLOWS: u32 = if cfg!(debug_assertions) {
 /// The queue under test and the reference, fed the same operations.
 struct Pair {
     queue: EventQueue<(u64, u32)>,
-    reference: BTreeMap<(u64, u64), (EventId, u32)>,
+    reference: BTreeMap<(u64, u64), u32>,
     next_seq: u64,
     /// Time of the last pop.
     now: u64,
@@ -53,21 +53,11 @@ impl Pair {
         }
     }
 
-    fn push(&mut self, t: u64, flow: u32) -> (u64, u64) {
+    fn push(&mut self, t: u64, flow: u32) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = self.queue.push(SimTime::from_ticks(t), (seq, flow));
-        self.reference.insert((t, seq), (id, flow));
-        (t, seq)
-    }
-
-    /// Cancel the event at `key`; returns its flow.
-    fn cancel(&mut self, key: (u64, u64)) -> u32 {
-        let (id, flow) = self.reference.remove(&key).expect("cancel a live key");
-        assert!(self.queue.cancel(id), "live event {key:?} refused cancel");
-        assert!(!self.queue.cancel(id), "double cancel of {key:?} accepted");
-        assert_eq!(self.queue.len(), self.reference.len());
-        flow
+        self.queue.push(SimTime::from_ticks(t), (seq, flow));
+        self.reference.insert((t, seq), flow);
     }
 
     /// Pop from both, compare, and return the event's `(time, flow)`.
@@ -84,7 +74,7 @@ impl Pair {
             .reference
             .first_key_value()
             .filter(|(k, _)| k.0 <= horizon);
-        let want = due.map(|(&(t, seq), &(_, flow))| (t, seq, flow));
+        let want = due.map(|(&(t, seq), &flow)| (t, seq, flow));
         assert_eq!(got, want, "pop {} at or before {horizon}", self.pops);
         if let Some((t, seq, _)) = got {
             self.reference.remove(&(t, seq));
@@ -112,8 +102,9 @@ fn gap(rng: &mut StdRng, flow: u32) -> u64 {
     (-mean * (1.0 - rng.gen::<f64>()).ln()).max(1.0) as u64
 }
 
-/// The Zipf hold model with cancels of every kind, pushes before the
-/// last pop and a jump of the whole live set far ahead, then drained.
+/// The Zipf hold model with one-shot pushes near the root, before the
+/// last pop and in ties, then a jump of the whole live set far ahead,
+/// then drained.
 #[test]
 fn zipf_hold_model_pops_in_reference_order() {
     let mut rng = RngFactory::new(35).stream("event_queue");
@@ -124,32 +115,15 @@ fn zipf_hold_model_pops_in_reference_order() {
     }
     // The live span: the rarest flow's mean gap.
     let span = (BASE_GAP * FLOWS as f64) as u64;
-    let mut today_timer = None;
     for step in 0..3 * FLOWS as u64 {
-        if let Some(key) = today_timer.take() {
-            assert_eq!(pair.cancel(key), ONE_SHOT);
-        }
         let (now, flow) = pair.pop().expect("the hold model stays live");
         if flow != ONE_SHOT {
             let t = now + gap(&mut rng, flow);
             pair.push(t, flow);
         }
         match step % 16 {
-            // A timer a tick ahead sits near the root; cancelled before
-            // the next pop.
-            1 | 9 => today_timer = Some(pair.push(now + 1, ONE_SHOT)),
-            // Cancel an arbitrary live event, almost always one deep in
-            // the heap, and re-arm its flow.
-            3 | 7 | 11 => {
-                let probe = now + rng.gen_range(0..2 * span);
-                if let Some(key) = pair.live_at_or_after(probe) {
-                    let flow = pair.cancel(key);
-                    if flow != ONE_SHOT {
-                        let t = now + gap(&mut rng, flow);
-                        pair.push(t, flow);
-                    }
-                }
-            }
+            // A timer a tick ahead sits near the root.
+            1 | 9 => pair.push(now + 1, ONE_SHOT),
             // Earlier than the last pop.
             5 => {
                 pair.push(
@@ -191,31 +165,23 @@ fn zipf_hold_model_pops_in_reference_order() {
 }
 
 /// Repeated growth to a few hundred live events and drains back to a
-/// few, with cancels between each growth and drain.
+/// few.
 #[test]
 fn heap_growth_and_drain_rounds_pop_in_reference_order() {
     let mut rng = RngFactory::new(35).stream("crossings");
     let mut pair = Pair::new();
-    let mut keys = Vec::new();
     for round in 0..200u64 {
         let grow = rng.gen_range(1..300);
         let spread = [1u64, 50, 10_000, 1 << 30][round as usize % 4];
         for _ in 0..grow {
             let t = pair.now + rng.gen_range(0..spread);
-            keys.push(pair.push(t, ONE_SHOT));
-        }
-        for _ in 0..grow / 3 {
-            let key = keys.swap_remove(rng.gen_range(0..keys.len()));
-            if pair.reference.contains_key(&key) {
-                pair.cancel(key);
-            }
+            pair.push(t, ONE_SHOT);
         }
         // Drain to a random level under 100.
         let level = rng.gen_range(0..100);
         while pair.reference.len() > level {
             pair.pop();
         }
-        keys.retain(|k| pair.reference.contains_key(k));
     }
     pair.drain();
 }

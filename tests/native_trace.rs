@@ -13,6 +13,9 @@
 //!   matches an O(n²) count of that definition.
 //! * On heavy processor-fault runs, no count goes negative and every
 //!   queue ends empty.
+//! * A stolen `Dispatch` runs the steal its thief claimed: an orphan
+//!   recovery requeues is no steal, so under heavy faults every stolen
+//!   `Dispatch` has exactly one `StealClaim`, naming its worker.
 
 use affinity_sched::native::{
     poisson_workload, run_native_recorded, FaultLoad, NativeConfig, Pinning, PolicySpec,
@@ -320,4 +323,43 @@ fn heavy_fault_runs_keep_every_count_non_negative_and_drain() {
         assert_eq!(rec.events, stamped, "{policy:?}: stamping is idempotent");
     }
     assert!(orphans > 0, "the heavy plan must orphan work");
+}
+
+#[test]
+fn every_stolen_dispatch_runs_the_claim_of_its_worker_under_heavy_faults() {
+    let workload = poisson_workload(8, 40, 2_000.0, 32, 7);
+    let horizon = workload.last().unwrap().arrival_us;
+    let mut cfg = NativeConfig::new(4, PolicySpec::Ips);
+    cfg.pinning = Pinning::Off;
+    cfg.faults = ProcFaultPlan::seeded(0xFA17, 4, (0.2 * horizon, horizon), &FaultLoad::heavy());
+    let (report, mut rec) = run_native_recorded(&cfg, workload);
+    assert!(report.orphaned > 0, "the heavy plan must orphan work");
+    let mut stolen = 0;
+    for ev in &rec.events {
+        let ObsEvent::Dispatch {
+            seq,
+            worker,
+            stolen: true,
+            ..
+        } = *ev
+        else {
+            continue;
+        };
+        stolen += 1;
+        let claims: Vec<u32> = rec
+            .events
+            .iter()
+            .filter_map(|c| match *c {
+                ObsEvent::StealClaim { seq: s, to, .. } if s == seq => Some(to),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(claims, [worker], "stolen seq {seq} ran on worker {worker}");
+    }
+    assert_eq!(
+        stolen, report.steals,
+        "the trace and the report count steals alike"
+    );
+    assert!(stolen > 0, "the run must steal");
+    assert_eq!(rec.stamp_queue_depths().end, vec![0; 4]);
 }

@@ -12,11 +12,19 @@
 //! ring — are orphans the survivor serves on worker 1's stack. That the
 //! run replays whole at every dequeue batch is its row of
 //! `tests/determinism_matrix.rs`.
+//!
+//! Both backends fault a processor at a packet boundary: a packet in
+//! service when its processor crashes or stalls completes there, at the
+//! instant it would have without the fault, and is never orphaned.
 
+use affinity_sched::core::crossval::{procfault_smoke_scenario, CrossvalScenario};
+use affinity_sched::core::sim::run_observed;
+use affinity_sched::native::crossval::{native_config, native_workload};
 use affinity_sched::native::{
-    run_native, NativeConfig, NativePacket, NativeReport, Pinning, PolicySpec, ProcFault,
-    ProcFaultKind, ProcFaultPlan,
+    run_native, run_native_recorded, FaultLoad, NativeConfig, NativePacket, NativeReport, Pinning,
+    PolicySpec, ProcFault, ProcFaultKind, ProcFaultPlan,
 };
+use affinity_sched::obs::{MemRecorder, ObsEvent};
 use affinity_sched::xkernel::driver::PacketFactory;
 use affinity_sched::xkernel::StreamId;
 
@@ -59,4 +67,101 @@ fn a_dead_workers_overflowing_ring_is_recovered_whole() {
     assert_eq!(r.outcomes.delivered, PACKETS);
     let processed: Vec<u64> = r.per_worker.iter().map(|w| w.processed).collect();
     assert_eq!(processed, [PACKETS - 1, 1]);
+}
+
+/// The first packet a fault-free trace dispatches past half its span:
+/// `(seq, worker, start, service)`.
+fn mid_run_dispatch(events: &[ObsEvent]) -> (u64, u32, f64, f64) {
+    let end = events.iter().map(ObsEvent::t_us).fold(0.0, f64::max);
+    events
+        .iter()
+        .find_map(|ev| match *ev {
+            ObsEvent::Dispatch {
+                t_us,
+                seq,
+                worker,
+                service_us,
+                ..
+            } if t_us > end / 2.0 && service_us > 0.0 => Some((seq, worker, t_us, service_us)),
+            _ => None,
+        })
+        .expect("a dispatch past mid-run")
+}
+
+/// Where and when `seq` completed.
+fn completion(events: &[ObsEvent], seq: u64) -> (u32, f64) {
+    events
+        .iter()
+        .find_map(|ev| match *ev {
+            ObsEvent::Complete {
+                t_us,
+                seq: s,
+                worker,
+                ..
+            } if s == seq => Some((worker, t_us)),
+            _ => None,
+        })
+        .expect("every packet completes")
+}
+
+/// Crash, then stall, the processor of a fault-free run's mid-run
+/// packet at its mid-service instant: the packet still completes on
+/// that processor at its fault-free stamp, and is never orphaned.
+fn assert_faults_act_at_packet_boundaries(
+    backend: &str,
+    trace: impl Fn(ProcFaultPlan) -> Vec<ObsEvent>,
+) {
+    let clean = trace(ProcFaultPlan::none());
+    let (seq, p, start, service) = mid_run_dispatch(&clean);
+    let done = completion(&clean, seq);
+    assert_eq!(done.0, p);
+    let mid = start + service / 2.0;
+    for kind in [
+        ProcFaultKind::Crash { revive_at_us: None },
+        ProcFaultKind::Stall {
+            duration_us: 2_000.0,
+        },
+    ] {
+        let plan = ProcFaultPlan {
+            faults: vec![ProcFault {
+                proc: p as usize,
+                at_us: mid,
+                kind,
+            }],
+        };
+        let events = trace(plan);
+        assert_eq!(
+            completion(&events, seq),
+            done,
+            "{backend}: {kind:?} of worker {p} at {mid} µs moved seq {seq}"
+        );
+        assert!(
+            !events
+                .iter()
+                .any(|ev| matches!(*ev, ObsEvent::Orphaned { seq: s, .. } if s == seq)),
+            "{backend}: {kind:?} of worker {p} at {mid} µs orphaned seq {seq}"
+        );
+    }
+}
+
+#[test]
+fn a_packet_in_service_finishes_on_its_faulted_processor_on_both_backends() {
+    let s = CrossvalScenario {
+        packets_per_stream: 100,
+        ..procfault_smoke_scenario()
+    };
+    let policy = PolicySpec::MruLoad;
+    assert_faults_act_at_packet_boundaries("native", |plan| {
+        let mut cfg = native_config(&s, policy, &FaultLoad::none());
+        cfg.pinning = Pinning::Off;
+        cfg.faults = plan;
+        run_native_recorded(&cfg, native_workload(&s)).1.events
+    });
+    assert_faults_act_at_packet_boundaries("simulator", |plan| {
+        let mut cfg = s.sim_config(policy, &FaultLoad::none());
+        cfg.proc_faults = plan;
+        let mut rec = MemRecorder::new();
+        run_observed(&cfg, &mut rec);
+        rec.events
+    });
 }
