@@ -15,7 +15,7 @@
 //! paper's 40–50 % band at matched (pre-saturation) rates.
 
 use super::{midpoint_capacity, reduction_curve};
-use crate::{locking, template_with, write_csv, Checks, K_STREAMS};
+use crate::{locking, template_with, Artifact, Checks, K_STREAMS};
 use afs_cache::model::footprint::SstParams;
 use afs_core::prelude::*;
 
@@ -39,7 +39,7 @@ fn peak_reduction_for(exec: ExecParams, quick: bool) -> f64 {
     .fold(0.0f64, |best, (_, pct, _)| best.max(pct))
 }
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let calibrated = ExecParams::calibrated();
     let multipliers = [0.02, 0.2, 1.0, 8.0, 64.0, 512.0];
     println!("{:>10} {:>18}", "W scale", "peak V=0 red. %");
@@ -56,11 +56,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         rows.push(format!("{m},{p:.2}"));
         peaks.push(p);
     }
-    write_csv(
-        "abl17_sensitivity",
-        "w_multiplier,peak_reduction_pct",
-        &rows,
-    );
 
     let max = peaks.iter().fold(0.0f64, |a, &b| a.max(b));
     let min = peaks.iter().fold(f64::INFINITY, |a, &b| a.min(b));
@@ -85,4 +80,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         "calibrated configuration shows a solid benefit (>= 5%)",
         peaks[2] >= 5.0,
     );
+    vec![Artifact::csv(
+        "abl17_sensitivity.csv",
+        "w_multiplier,peak_reduction_pct",
+        &rows,
+    )]
 }

@@ -8,7 +8,7 @@
 //! IPS scales with min(stacks, N) and pays neither — so IPS holds a
 //! roughly constant per-processor edge until stacks run out.
 
-use crate::{ips, locking, template_with, write_csv, Checks, K_STREAMS};
+use crate::{ips, locking, template_with, Artifact, Checks, K_STREAMS};
 use afs_core::prelude::*;
 
 fn capacity(paradigm: Paradigm, n_procs: usize, quick: bool) -> f64 {
@@ -19,7 +19,7 @@ fn capacity(paradigm: Paradigm, n_procs: usize, quick: bool) -> f64 {
     per_stream * K_STREAMS as f64
 }
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let procs = [2usize, 4, 8, 16];
     println!(
         "{:>8} {:>16} {:>16} {:>10}",
@@ -37,7 +37,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         lock_caps.push(lock);
         ips_caps.push(ipsc);
     }
-    write_csv("abl18_procs", "procs,locking_pps,ips_pps,ips_edge", &rows);
 
     checks.expect(
         "Locking capacity scales near-linearly 2->16 procs (>= 6x)",
@@ -54,4 +53,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
             .zip(&lock_caps)
             .all(|(i, l)| i > &(l * 0.98)),
     );
+    vec![Artifact::csv(
+        "abl18_procs.csv",
+        "procs,locking_pps,ips_pps,ips_edge",
+        &rows,
+    )]
 }

@@ -6,13 +6,13 @@
 //! then runs the affinity comparison with send-side bounds.
 
 use super::path_bounds;
-use crate::{locking, template_with, write_csv, Checks};
+use crate::{locking, template_with, Artifact, Checks};
 use afs_cache::model::exec_time::{ComponentWeights, TimeBounds};
 use afs_core::prelude::*;
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::{CostModel, ProtocolEngine, StreamId, ThreadId};
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let [t_warm, t_l2, t_cold] = path_bounds(|| {
         let mut eng = ProtocolEngine::new(CostModel::default());
         eng.bind_stream(StreamId(0));
@@ -62,7 +62,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
             }
         }
     }
-    write_csv("ext12_send_side", "key,value", &rows);
 
     checks.expect(
         "send bounds ordered warm < L2 < cold",
@@ -80,4 +79,5 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         "affinity scheduling also pays off on the send side (>5%)",
         any_gain,
     );
+    vec![Artifact::csv("ext12_send_side.csv", "key,value", &rows)]
 }

@@ -6,7 +6,7 @@
 //! first car of a train warms the caches for the rest — so longer trains
 //! at a fixed mean rate improve delay under affinity policies.
 
-use crate::{ips, locking, template_with, write_csv, Checks, K_STREAMS};
+use crate::{ips, locking, template_with, Artifact, Checks, K_STREAMS};
 use afs_core::prelude::*;
 use afs_workload::ArrivalGen;
 
@@ -14,7 +14,7 @@ fn train_population(k: usize, rate: f64, cars: f64, inter_car_us: f64) -> Popula
     Population::from_arrivals((0..k).map(|_| ArrivalGen::train(rate, cars, inter_car_us)))
 }
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let k = K_STREAMS;
     let rate = 600.0; // per stream, fixed mean rate
     let inter_car_us = 300.0;
@@ -52,11 +52,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         mru_delays.push(mru.mean_delay_us);
         base_delays.push(base.mean_delay_us);
     }
-    write_csv(
-        "ext13_packet_train",
-        "cars,lock_mru_us,lock_base_us,ips_wired_us",
-        &rows,
-    );
 
     // Source locality: trains make affinity more valuable — the relative
     // gain of MRU over baseline grows with train length.
@@ -74,4 +69,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
     checks.expect("affinity gain positive at every train length", {
         mru_delays.iter().zip(&base_delays).all(|(m, b)| m < b)
     });
+    vec![Artifact::csv(
+        "ext13_packet_train.csv",
+        "cars,lock_mru_us,lock_base_us,ips_wired_us",
+        &rows,
+    )]
 }

@@ -6,10 +6,10 @@
 //! than processors creates wiring collisions. The sweep exposes the
 //! trade-off at a moderate and a high load.
 
-use crate::{delay_or_inf, ips, template_with, write_csv, Checks, K_STREAMS};
+use crate::{delay_or_inf, ips, template_with, Artifact, Checks, K_STREAMS};
 use afs_core::prelude::*;
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let k = K_STREAMS;
     let stack_counts = [2usize, 4, 8, 16];
     let rates = [600.0, 1800.0, 2600.0];
@@ -39,7 +39,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         rows.push(format!("{ns},{r},{wd:.2},{md:.2}"));
         wired_at.insert((ns, r as u64), (w.stable, w.mean_delay_us));
     }
-    write_csv("ext14_num_stacks", "stacks,rate,wired_us,mru_us", &rows);
 
     // Aggregate capacity grows with stack count until stacks ≥ procs.
     let few = wired_at[&(2, 2600)];
@@ -59,4 +58,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         (full.1 - eight_mid.1).abs() / eight_mid.1 < 0.15,
     );
     checks.expect("8-stack wired stable at 2600/s/stream", eight.0);
+    vec![Artifact::csv(
+        "ext14_num_stacks.csv",
+        "stacks,rate,wired_us,mru_us",
+        &rows,
+    )]
 }

@@ -7,14 +7,14 @@
 //! payload size and reports both the delay and the relative benefit of
 //! affinity scheduling, which shrinks as copying grows.
 
-use crate::{locking, template_with, write_csv, Checks, K_STREAMS};
+use crate::{locking, template_with, Artifact, Checks, K_STREAMS};
 use afs_core::prelude::*;
 use afs_workload::SizeDist;
 
 /// The paper's copy rate: 32 bytes per microsecond.
 const COPY_RATE_BYTES_PER_US: f64 = 32.0;
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let k = K_STREAMS;
     let sizes = [1.0, 256.0, 1024.0, 2048.0, 4432.0];
     let rate = 900.0;
@@ -52,11 +52,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         ));
         reductions.push(red);
     }
-    write_csv(
-        "ext15_copying",
-        "payload_bytes,copy_us,baseline_us,mru_us,reduction_pct",
-        &rows,
-    );
 
     checks.expect(
         "relative affinity benefit shrinks as copying grows",
@@ -70,4 +65,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         "worst-case copy cost ~139 us (4432 B at 32 B/us)",
         (4432.0 / COPY_RATE_BYTES_PER_US - 138.5).abs() < 0.1,
     );
+    vec![Artifact::csv(
+        "ext15_copying.csv",
+        "payload_bytes,copy_us,baseline_us,mru_us,reduction_pct",
+        &rows,
+    )]
 }

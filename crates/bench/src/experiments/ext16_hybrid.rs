@@ -12,10 +12,10 @@
 //! its processor; pure MRU sacrifices the tail's affinity; the hybrid
 //! keeps both properties.
 
-use crate::{delay_or_inf, locking, template_with, write_csv, Checks};
+use crate::{delay_or_inf, locking, template_with, Artifact, Checks};
 use afs_core::prelude::*;
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     // 2 hot streams (up to beyond single-processor capacity) + 14
     // moderate streams.
     let hot = 2usize;
@@ -55,7 +55,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         rows.push(format!("{hr},{m:.2},{w:.2},{h:.2}"));
         outcome.push((mru, wired, hybrid));
     }
-    write_csv("ext16_hybrid", "hot_rate,mru_us,wired_us,hybrid_us", &rows);
 
     checks.expect(
         "pure Wired collapses once a hot stream outgrows one processor",
@@ -77,4 +76,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
             .iter()
             .all(|(m, _, h)| !m.stable || h.mean_delay_us <= m.mean_delay_us * 1.10),
     );
+    vec![Artifact::csv(
+        "ext16_hybrid.csv",
+        "hot_rate,mru_us,wired_us,hybrid_us",
+        &rows,
+    )]
 }

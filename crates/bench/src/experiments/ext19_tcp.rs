@@ -14,14 +14,14 @@
 //! the paper's conjecture that the conclusions carry over.
 
 use super::path_bounds;
-use crate::{delay_or_inf, locking, template_with, write_csv, Checks, K_STREAMS};
+use crate::{delay_or_inf, locking, template_with, Artifact, Checks, K_STREAMS};
 use afs_cache::model::exec_time::{ComponentWeights, TimeBounds};
 use afs_core::prelude::*;
 use afs_xkernel::driver::{PacketFactory, RxFrame};
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::{CostModel, ProtocolEngine, StreamId, ThreadId};
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     // (1) TCP bounds via the Section-4 method.
     let [t_warm, t_l2, t_cold] = path_bounds(|| {
         let mut eng = ProtocolEngine::new(CostModel::default());
@@ -87,7 +87,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
             gains.push(red);
         }
     }
-    write_csv("ext19_tcp", "key,value", &rows);
 
     checks.expect(
         "TCP-specific warm share near the paper's ~15% (8-25%)",
@@ -105,4 +104,5 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         "affinity conclusions carry over to TCP (positive gains everywhere)",
         !gains.is_empty() && gains.iter().all(|&g| g > 3.0),
     );
+    vec![Artifact::csv("ext19_tcp.csv", "key,value", &rows)]
 }

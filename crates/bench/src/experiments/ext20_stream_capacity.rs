@@ -6,7 +6,7 @@
 //! the stream population until the mean delay exceeds a target, per
 //! configuration.
 
-use crate::{ips, locking, write_csv, Checks, N_PROCS};
+use crate::{ips, locking, Artifact, Checks, N_PROCS};
 use afs_core::prelude::*;
 
 /// Largest K meeting the delay target (exponential probe + bisection).
@@ -38,7 +38,7 @@ fn max_streams(mk: &dyn Fn(usize) -> SystemConfig, target_us: f64) -> usize {
     lo
 }
 
-pub fn experiment(_quick: bool, checks: &mut Checks) {
+pub fn experiment(_quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let rate = 1_000.0;
     // A delay target between the affinity policies' service levels
     // (~210-230 us) and the affinity-oblivious baseline's (~255 us at
@@ -74,7 +74,6 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         rows.push(format!("{name},{k}"));
         results.push((*name, k));
     }
-    write_csv("ext20_stream_capacity", "configuration,streams", &rows);
 
     let baseline = results[0].1;
     let mru = results[1].1;
@@ -89,4 +88,9 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         "the best affinity configuration carries >= 25 streams",
         mru.max(wired).max(best_ips) >= 25,
     );
+    vec![Artifact::csv(
+        "ext20_stream_capacity.csv",
+        "configuration,streams",
+        &rows,
+    )]
 }

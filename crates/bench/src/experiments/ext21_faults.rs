@@ -16,7 +16,7 @@
 //! Emits `results/ext21_faults.json` with one record per
 //! (part, policy, fault rate, queue bound, drop policy) cell.
 
-use crate::{delay_or_inf, ips, json_object, locking, write_json, Checks, N_PROCS};
+use crate::{delay_or_inf, ips, json_object, locking, Artifact, Checks, N_PROCS};
 use afs_core::prelude::*;
 
 const MODERATE_RATE: f64 = 700.0;
@@ -103,7 +103,7 @@ fn record(
     ])
 }
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     println!(
         "{K_STREAMS} streams x {N_PROCS} processors; moderate load {MODERATE_RATE:.0} pkts/s/stream, overload {OVERLOAD_RATE:.0} pkts/s/stream\n"
     );
@@ -230,15 +230,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         bp.shed_at_source > 0 && bp.queue_drops == 0,
     );
 
-    let mut body = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        body.push_str("  ");
-        body.push_str(r);
-        if i + 1 < records.len() {
-            body.push(',');
-        }
-        body.push('\n');
-    }
-    body.push_str("]\n");
-    write_json("ext21_faults", &body);
+    let body = format!("[\n  {}\n]\n", records.join(",\n  "));
+    vec![Artifact {
+        file: "ext21_faults.json",
+        body,
+    }]
 }

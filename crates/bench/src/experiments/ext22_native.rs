@@ -17,7 +17,7 @@
 //! `--smoke` (or `AFS_QUICK=1`) runs the single-scenario smoke matrix —
 //! the bounded CI configuration. Emits `results/ext22_native.csv`.
 
-use crate::{write_csv, Checks};
+use crate::{Artifact, Checks};
 use afs_core::crossval::{
     default_matrix, relative_improvement, smoke_matrix, IMPROVEMENT_TOLERANCE, ORDERING_SLACK,
 };
@@ -31,7 +31,7 @@ struct Cell {
     native: NativeReport,
 }
 
-pub fn experiment(smoke: bool, checks: &mut Checks) {
+pub fn experiment(smoke: bool, checks: &mut Checks) -> Vec<Artifact> {
     let matrix = if smoke {
         smoke_matrix()
     } else {
@@ -116,7 +116,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             );
             checks.expect(
                 &format!("{} {}: both backends stable", s.label(), p.label()),
-                c.sim.stable && c.native.recorded > 0,
+                c.sim.stable && c.native.recorded > 0 && c.native.mean_delay_us > 0.0,
             );
         }
 
@@ -235,10 +235,10 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         println!();
     }
 
-    write_csv(
-        "ext22_native",
+    vec![Artifact::csv(
+        "ext22_native.csv",
         "scenario,policy,sim_delay_us,native_delay_us,sim_service_us,native_service_us,\
          native_stream_migrations,native_thread_migrations,native_steals",
         &rows,
-    );
+    )]
 }

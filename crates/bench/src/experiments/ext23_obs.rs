@@ -20,24 +20,57 @@
 //!
 //! `--smoke` (or `AFS_QUICK=1`) restricts the rate grid and scenario
 //! matrix but keeps the full fig06 horizon, so every cell it does run
-//! stays comparable to the committed CSV. Emits `results/ext23_obs.csv`
+//! stays comparable to the committed CSV. Returns `results/ext23_obs.csv`
 //! and the golden traces `results/ext23_trace_golden.jsonl` (simulator)
-//! and `results/ext23_native_trace_golden.jsonl` (native).
+//! and `results/ext23_native_trace_golden.jsonl` (native), which do not
+//! depend on `--smoke`.
 
 use std::fs;
 
-use crate::artifacts::{
-    native_obs_trace_golden, obs_trace_golden, NATIVE_TRACE_GOLDEN_FILE, OBS_TRACE_GOLDEN_FILE,
-};
-use crate::{locking, results_dir, template_with, write_csv, Checks};
+use crate::{locking, results_dir, template_with, Artifact, Checks};
 use afs_core::crossval::{default_matrix, smoke_matrix, ORDERING_SLACK};
 use afs_core::prelude::*;
 use afs_core::sim::run_observed;
 use afs_desim::stats::Welford;
 use afs_native::crossval::{native_config, native_workload};
-use afs_native::run_native_recorded;
+use afs_native::{run_native_recorded, zipf_workload, NativeConfig, NativeReport, Pinning};
 use afs_obs::{Counters, ObsEvent};
 use afs_sched::PolicySpec;
+
+/// The seeded-replay golden trace: a small, fully deterministic
+/// simulator run captured through the unified observability recorder and
+/// rendered as JSONL. Identical seed and configuration must reproduce
+/// the identical trace, which pins the event schema, the emission order
+/// and the numeric formatting all at once.
+pub fn obs_trace_golden() -> (RunReport, String) {
+    let mut cfg = SystemConfig::new(
+        Paradigm::Locking {
+            policy: LockPolicy::Mru,
+        },
+        Population::homogeneous_poisson(4, 300.0),
+    );
+    cfg.n_procs = 2;
+    cfg.warmup = SimDuration::from_millis(20);
+    cfg.horizon = SimDuration::from_millis(120);
+    let mut rec = MemRecorder::new();
+    let (report, _probe) = run_observed(&cfg, &mut rec);
+    (report, afs_obs::jsonl::render(&rec.events))
+}
+
+/// The native golden trace: a recorded three-worker IPS run with
+/// stealing over a small overloaded Zipf replay, rendered as JSONL.
+/// Every stamp is virtual and every queue depth is counted from the
+/// merged trace, so the bytes are a function of the configuration and
+/// the seed alone — at any dequeue batch.
+pub fn native_obs_trace_golden() -> (NativeReport, String) {
+    const SEED: u64 = 0x6017_DE23;
+    let mut cfg = NativeConfig::new(3, PolicySpec::Ips);
+    cfg.pinning = Pinning::Off;
+    cfg.seed = SEED;
+    let workload = zipf_workload(16, 400, 30_000.0, 1.1, 4.0, None, 64, SEED);
+    let (report, rec) = run_native_recorded(&cfg, workload);
+    (report, afs_obs::jsonl::render(&rec.events))
+}
 
 /// A streaming recorder that derives figure cells from the trace: the
 /// aggregate [`Counters`] plus a post-warm-up Welford over successful
@@ -125,7 +158,7 @@ fn committed_fig06(rate: f64, column: usize) -> Option<f64> {
     None
 }
 
-pub fn experiment(smoke: bool, checks: &mut Checks) {
+pub fn experiment(smoke: bool, checks: &mut Checks) -> Vec<Artifact> {
     // ------------------------------------------------------------------
     // Simulator: the fig06 grid through the streaming trace recorder.
     // ------------------------------------------------------------------
@@ -232,34 +265,24 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         hit_ordered,
     );
 
-    let (header, rows) = {
-        let mut header = String::from("rate_per_stream");
+    let mut header = String::from("rate_per_stream");
+    for suffix in ["", "_hit_rate"] {
         for (label, _) in &policies {
-            header.push_str(&format!(",{label}"));
+            header.push_str(&format!(",{label}{suffix}"));
         }
-        for (label, _) in &policies {
-            header.push_str(&format!(",{label}_hit_rate"));
-        }
-        let rows: Vec<String> = rates
-            .iter()
-            .enumerate()
-            .map(|(ri, r)| {
-                let mut row = format!("{r}");
-                for row_cells in &cells {
-                    row.push_str(&format!(",{:.2}", row_cells[ri].trace_delay_or_inf()));
-                }
-                for row_cells in &cells {
-                    row.push_str(&format!(
-                        ",{:.4}",
-                        row_cells[ri].counters.affinity_hit_rate()
-                    ));
-                }
-                row
-            })
-            .collect();
-        (header, rows)
-    };
-    write_csv("ext23_obs", &header, &rows);
+    }
+    let rows: Vec<String> = (0..rates.len())
+        .map(|ri| {
+            let delays = cells
+                .iter()
+                .map(|c| format!(",{:.2}", c[ri].trace_delay_or_inf()));
+            let hits = cells
+                .iter()
+                .map(|c| format!(",{:.4}", c[ri].counters.affinity_hit_rate()));
+            format!("{}", rates[ri]) + &delays.chain(hits).collect::<String>()
+        })
+        .collect();
+    let csv = Artifact::csv("ext23_obs.csv", &header, &rows);
 
     // ------------------------------------------------------------------
     // Native backend: the same derivation on real threads.
@@ -342,7 +365,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
     }
 
     // ------------------------------------------------------------------
-    // Golden trace: regenerate and persist the seeded-replay artifact.
+    // Golden traces: the seeded replays reproduce themselves.
     // ------------------------------------------------------------------
     let (golden_report, golden_trace) = obs_trace_golden();
     let (replay_report, replay_trace) = obs_trace_golden();
@@ -350,13 +373,7 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         "golden trace: identical seed+config => byte-identical JSONL",
         golden_trace == replay_trace && golden_report == replay_report,
     );
-    let path = results_dir().join(OBS_TRACE_GOLDEN_FILE);
-    fs::write(&path, &golden_trace).expect("write golden trace");
-    println!(
-        "\n  wrote {} ({} events)",
-        path.display(),
-        golden_trace.lines().count()
-    );
+    println!("\n  golden trace: {} events", golden_trace.lines().count());
 
     // The native golden: a recorded IPS-stealing run replays to the same
     // bytes, queue depths included.
@@ -374,11 +391,19 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         ),
         native_report.steals >= 1 && native_trace.lines().count() <= 2_000,
     );
-    let path = results_dir().join(NATIVE_TRACE_GOLDEN_FILE);
-    fs::write(&path, &native_trace).expect("write native golden trace");
     println!(
-        "  wrote {} ({} events)",
-        path.display(),
+        "  native golden trace: {} events",
         native_trace.lines().count()
     );
+    vec![
+        csv,
+        Artifact {
+            file: "ext23_trace_golden.jsonl",
+            body: golden_trace,
+        },
+        Artifact {
+            file: "ext23_native_trace_golden.jsonl",
+            body: native_trace,
+        },
+    ]
 }

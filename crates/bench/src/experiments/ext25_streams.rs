@@ -19,14 +19,24 @@
 //!   pathology of Wu et al. at the pinned pathology cell.
 //! * **Tables far below the population actually miss** — Flow-Director
 //!   lookup misses and stream-state evictions are live effects in
-//!   every cell, priced as cold stream reloads.
+//!   every cell, priced as cold stream reloads, and the two backends'
+//!   miss volumes agree within `STEERING_AGREEMENT_FACTOR`.
+//! * **The miss path is the policy axis** — under Flow-Director an
+//!   affinity/load-aware fallback router (mru-load, min-reload) never
+//!   loses to the oblivious one on either backend, which is what makes
+//!   the churning table survivable (Wu et al.).
+//!
+//! The simulator stays stable in every RSS and transport cell; a
+//! Flow-Director cell may saturate — the churning table behind an
+//! oblivious miss path is the pathology under study.
 //!
 //! `--smoke` (or `AFS_QUICK=1`) runs the bounded CI scenario. Emits
 //! `results/ext25_streams.csv`.
 
-use crate::{write_csv, Checks};
+use crate::{Artifact, Checks};
 use afs_core::crossval::{
-    stream_matrix, stream_pathology_scenario, stream_smoke_matrix, StreamScenario, STREAM_POLICIES,
+    stream_matrix, stream_pathology_scenario, stream_smoke_matrix, StreamScenario, ORDERING_SLACK,
+    STEERING_AGREEMENT_FACTOR, STREAM_POLICIES,
 };
 use afs_core::prelude::*;
 use afs_native::crossval::run_stream_scenario_recorded;
@@ -40,7 +50,7 @@ struct Cell {
     counters: Counters,
 }
 
-pub fn experiment(smoke: bool, checks: &mut Checks) {
+pub fn experiment(smoke: bool, checks: &mut Checks) -> Vec<Artifact> {
     let scenarios = if smoke {
         stream_smoke_matrix()
     } else {
@@ -96,7 +106,8 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
             "sim rebd",
             "nat rebd"
         );
-        for ((kind, policy), c) in steering_cells().zip(runs.by_ref()) {
+        let cells: Vec<_> = steering_cells().zip(runs.by_ref()).collect();
+        for &((kind, policy), ref c) in &cells {
             println!(
                 "{:<10} {:<10} {:>11.1} {:>11.1} {:>9} {:>9} {:>10} {:>10} {:>9} {:>9}",
                 kind.label(),
@@ -127,7 +138,22 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
                 c.sim.rebinds,
                 c.native.rebinds,
             ));
-            check_cell(checks, s, kind, policy, &c);
+            check_cell(checks, s, kind, policy, c);
+        }
+        // Under Flow-Director the fallback router is the policy axis: an
+        // affinity/load-aware miss path must not lose to the oblivious one.
+        let fdir = |p: PolicySpec| {
+            let key = (FrontEndKind::FlowDirector, p);
+            &cells.iter().find(|(k, _)| *k == key).expect("cell ran").1
+        };
+        let obl = fdir(PolicySpec::Oblivious);
+        for p in [PolicySpec::MruLoad, PolicySpec::MinReload] {
+            let (c, tag) = (fdir(p), format!("{} fdir {}", s.label(), p.label()));
+            checks.expect(
+                &format!("{tag}: no slower than the oblivious miss path, both backends"),
+                c.sim.mean_delay_us <= ORDERING_SLACK * obl.sim.mean_delay_us
+                    && c.native.mean_delay_us <= ORDERING_SLACK * obl.native.mean_delay_us,
+            );
         }
         println!();
     }
@@ -163,13 +189,13 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         sim_rss.ooo_deliveries == 0 && nat_rss.ooo_deliveries == 0,
     );
 
-    write_csv(
-        "ext25_streams",
+    vec![Artifact::csv(
+        "ext25_streams.csv",
         "scenario,streams,frontend,policy,sim_delay_us,native_delay_us,sim_service_us,\
          native_service_us,sim_ooo,native_ooo,sim_table_misses,native_table_misses,\
          sim_rebinds,native_rebinds",
         &rows,
-    );
+    )]
 }
 
 /// The `(front-end, policy)` cells of one scenario, in run and print order.
@@ -179,7 +205,8 @@ fn steering_cells() -> impl Iterator<Item = (FrontEndKind, PolicySpec)> {
         .flat_map(|kind| STREAM_POLICIES.map(|policy| (kind, policy)))
 }
 
-/// Conservation + structural-order checks for one cell.
+/// Conservation, stability, miss-volume agreement and structural-order
+/// checks for one cell.
 fn check_cell(
     checks: &mut Checks,
     s: &StreamScenario,
@@ -196,6 +223,14 @@ fn check_cell(
         &format!("{tag}: native run is lossless"),
         c.native.outcomes.total() == c.native.offered
             && c.native.outcomes.delivered == c.native.offered,
+    );
+    if kind != FrontEndKind::FlowDirector {
+        checks.expect(&format!("{tag}: sim stays stable"), c.sim.stable);
+    }
+    let (sm, nm) = (c.sim.table_misses, c.native.table_misses);
+    checks.expect(
+        &format!("{tag}: miss volumes agree within {STEERING_AGREEMENT_FACTOR}x"),
+        sm.max(nm) as f64 / sm.min(nm).max(1) as f64 <= STEERING_AGREEMENT_FACTOR,
     );
     let cs = &c.counters;
     checks.expect(

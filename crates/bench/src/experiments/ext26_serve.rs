@@ -45,7 +45,7 @@
 //! `--smoke` (or `AFS_QUICK=1`) shrinks the horizon. Emits
 //! `results/ext26_serve.csv`.
 
-use crate::{write_csv, Checks};
+use crate::{Artifact, Checks};
 use afs_native::{run_serve, FrontEndKind, NativeReport, Pinning, PolicySpec, ServeConfig};
 
 const WORKERS: usize = 2;
@@ -67,7 +67,7 @@ fn cell(workers: usize, policy: PolicySpec, load: f64, batch: usize, packets: u6
     run_serve(&cfg, None)
 }
 
-pub fn experiment(smoke: bool, checks: &mut Checks) {
+pub fn experiment(smoke: bool, checks: &mut Checks) -> Vec<Artifact> {
     let packets: u64 = if smoke { 10_000 } else { 40_000 };
     println!(
         "{WORKERS} workers, {STREAMS} flows, fdir front-end, queue capacity {QUEUE_CAPACITY}, \
@@ -178,12 +178,12 @@ pub fn experiment(smoke: bool, checks: &mut Checks) {
         checks.expect("double load visibly tail-drops", dropf(4) > 0.2);
     }
 
-    write_csv(
-        "ext26_serve",
+    vec![Artifact::csv(
+        "ext26_serve.csv",
         "policy,batch,load,offered_pps,offered,admitted,dropped,drop_frac,goodput_pps,\
          mean_delay_us,mean_service_us,max_delay_us,table_misses,rebinds,stream_migrations",
         &rows,
-    );
+    )]
 }
 
 /// Rated capacity of the sweep's fixed configuration, pps (the warm

@@ -6,13 +6,13 @@
 //! reloads — the transient whose linear interpolation underlies the
 //! analytic model.
 
-use crate::{write_csv, Checks};
+use crate::{Artifact, Checks};
 use afs_cache::sim::trace::Region;
 use afs_xkernel::driver::{PacketFactory, RxFrame};
 use afs_xkernel::mem::MemLayout;
 use afs_xkernel::{CostModel, ProtocolEngine, StreamId, ThreadId};
 
-pub fn experiment(_quick: bool, checks: &mut Checks) {
+pub fn experiment(_quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let cost = CostModel::default();
     let mut eng = ProtocolEngine::new(cost);
     eng.bind_stream(StreamId(0));
@@ -47,7 +47,6 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         rows.push(format!("{},{:.2}", i + 1, t.us));
         times.push(t.us);
     }
-    write_csv("fig02", "packet_index,exec_time_us", &rows);
 
     checks.expect(
         "first packet near t_cold (within 10% of 284.3 us)",
@@ -67,4 +66,9 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         "transient never undershoots the warm floor",
         times.iter().all(|&t| t >= tail * 0.99),
     );
+    vec![Artifact::csv(
+        "fig02.csv",
+        "packet_index,exec_time_us",
+        &rows,
+    )]
 }

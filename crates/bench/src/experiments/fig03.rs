@@ -6,12 +6,12 @@
 //! comparing, for each controlled cache state, the time the instrumented
 //! engine *measures* against the time the analytic model *predicts*.
 
-use crate::{write_csv, Checks};
+use crate::{Artifact, Checks};
 use afs_cache::model::exec_time::{Age, ComponentAges};
 use afs_core::ExecParams;
 use afs_xkernel::{calibrate, CostModel};
 
-pub fn experiment(_quick: bool, checks: &mut Checks) {
+pub fn experiment(_quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let cal = calibrate(&CostModel::default());
     let exec = ExecParams::calibrated();
     let warm = ComponentAges::ALL_WARM;
@@ -73,7 +73,6 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
             err
         ));
     }
-    write_csv("fig03", "state,measured_us,model_us,error_pct", &rows);
 
     checks.expect(
         "model matches measurement within 5% in every state",
@@ -84,4 +83,9 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         cal.bounds.t_warm_us < cal.t_thread_us.min(cal.t_stream_us)
             && cal.t_code_global_us < cal.bounds.t_cold_us,
     );
+    vec![Artifact::csv(
+        "fig03.csv",
+        "state,measured_us,model_us,error_pct",
+        &rows,
+    )]
 }

@@ -5,10 +5,10 @@
 //! using the paper's published MVS constants (W = 2.19827, a = 0.033233,
 //! b = 0.827457, log d = −0.13025).
 
-use crate::{write_csv, Checks};
+use crate::{Artifact, Checks};
 use afs_cache::model::footprint::MVS_WORKLOAD;
 
-pub fn experiment(_quick: bool, checks: &mut Checks) {
+pub fn experiment(_quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     println!(
         "{:>12} {:>14} {:>14} {:>12}",
         "refs R", "u(R, 16B)", "u(R, 128B)", "KB @128B"
@@ -35,7 +35,6 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
             prev16 = u16;
         }
     }
-    write_csv("fig04", "refs,u_16B,u_128B", &rows);
 
     checks.expect("u(R,16) monotone increasing in R", monotone);
     checks.expect(
@@ -52,4 +51,5 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         "regression anchor u(20000,16) ~ 1.85e3",
         (u - 1850.0).abs() / 1850.0 < 0.02,
     );
+    vec![Artifact::csv("fig04.csv", "refs,u_16B,u_128B", &rows)]
 }

@@ -10,7 +10,7 @@
 //! a synthetic workload with SST-fitted locality runs for the same
 //! reference budget, and the surviving fraction is measured directly.
 
-use crate::{write_csv, Checks};
+use crate::{Artifact, Checks};
 use afs_cache::model::fit::fit_sst;
 use afs_cache::model::flush::flushed_fraction;
 use afs_cache::model::footprint::MVS_WORKLOAD;
@@ -51,7 +51,7 @@ fn simulate_displacement(platform: &Platform, refs: u64, seed: u64) -> (f64, f64
     )
 }
 
-pub fn experiment(_quick: bool, checks: &mut Checks) {
+pub fn experiment(_quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let platform = Platform::sgi_challenge_r4400();
     let model = FlushModel::new(platform, MVS_WORKLOAD);
 
@@ -66,7 +66,7 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         println!("{x:>12.0} {:>10.3} {:>10.3}", d.f1, d.f2);
         rows.push(format!("{x},{:.4},{:.4}", d.f1, d.f2));
     }
-    write_csv("fig05_analytic", "x_us,F1,F2", &rows);
+    let analytic = Artifact::csv("fig05_analytic.csv", "x_us,F1,F2", &rows);
 
     // Cross-validation: fit SST constants to the *synthetic generator's*
     // measured growth, predict displacement, compare to direct simulation.
@@ -102,8 +102,8 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
             .max((f1_sim - f1_model).abs())
             .max((f2_sim - f2_model).abs());
     }
-    write_csv(
-        "fig05_crossval",
+    let crossval = Artifact::csv(
+        "fig05_crossval.csv",
         "refs,F1_sim,F1_model,F2_sim,F2_model",
         &rows,
     );
@@ -128,4 +128,5 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         "analytic model tracks trace-driven simulation within 0.15",
         max_err < 0.15,
     );
+    vec![analytic, crossval]
 }

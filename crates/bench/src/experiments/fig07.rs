@@ -7,20 +7,30 @@
 //! low and moderate load (work-conserving, keeps the code footprint
 //! concentrated) but saturates earlier than Wired, which never migrates
 //! stream state and therefore has the lower service time — and the
-//! higher capacity — at the top of the range.
+//! higher capacity — at the top of the range. `results/fig07.csv` is a
+//! golden file, like fig06's.
 
-use crate::{artifacts, print_table, Checks};
+use crate::{locking, print_table, series_csv, template_with, Artifact, Checks};
 use afs_core::analysis::crossover_index;
+use afs_core::prelude::*;
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let k = 32;
-    let data = artifacts::fig07(quick);
-    print_table("pkts/s/stream", &data.rates, &data.series);
-    data.artifact.write();
-    let rates = &data.rates;
+    let rates: Vec<f64> = vec![
+        50.0, 100.0, 200.0, 350.0, 500.0, 700.0, 900.0, 1100.0, 1250.0, 1350.0, 1450.0,
+    ];
+    let series: Vec<Series> = [
+        ("baseline", LockPolicy::Baseline),
+        ("mru", LockPolicy::Mru),
+        ("wired", LockPolicy::Wired),
+    ]
+    .into_iter()
+    .map(|(label, p)| rate_sweep(label, &template_with(locking(p), k, quick), &rates))
+    .collect();
+    print_table("pkts/s/stream", &rates, &series);
 
-    let mru = &data.series[1];
-    let wired = &data.series[2];
+    let mru = &series[1];
+    let wired = &series[2];
     checks.expect(
         "MRU better than Wired at low rate",
         mru.points[0].report.mean_delay_us < wired.points[0].report.mean_delay_us,
@@ -45,4 +55,5 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         "Wired survives to higher rates than MRU (capacity extension)",
         wired.max_stable_rate().unwrap_or(0.0) >= mru.max_stable_rate().unwrap_or(0.0),
     );
+    vec![series_csv("fig07.csv", &rates, &series)]
 }

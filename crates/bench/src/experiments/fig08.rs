@@ -6,15 +6,23 @@
 //! capacity." Conclusion: "Under IPS, independent stacks should be wired
 //! to processors — except under low arrival rate, when MRU processor
 //! scheduling performs better."
+//!
+//! Locking's capacity lies in the grid's top four rates, so those cells
+//! decide the capacity claim, and they run at the full horizon in smoke
+//! too: the stability test flags a backlog that grows linearly from the
+//! start only when the horizon exceeds five warm-ups, which the smoke
+//! horizon (650 ms after 150 ms) does not — it judges Locking-Wired
+//! stable at 38 ms mean delay.
 
-use crate::{ips, locking, print_table, series_rows, template_with, write_csv, Checks, K_STREAMS};
+use crate::{ips, locking, print_table, series_csv, template_with, Artifact, Checks, K_STREAMS};
 use afs_core::prelude::*;
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let k = K_STREAMS;
     let rates: Vec<f64> = vec![
         100.0, 200.0, 400.0, 700.0, 1000.0, 1400.0, 1800.0, 2200.0, 2500.0, 2700.0, 2900.0, 3100.0,
     ];
+    let (below, saturating) = rates.split_at(rates.len() - 4);
     let series: Vec<Series> = [
         ("lock-mru", locking(LockPolicy::Mru)),
         ("lock-wired", locking(LockPolicy::Wired)),
@@ -22,11 +30,14 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         ("ips-wired", ips(IpsPolicy::Wired, k)),
     ]
     .into_iter()
-    .map(|(label, paradigm)| rate_sweep(label, &template_with(paradigm, k, quick), &rates))
+    .map(|(label, paradigm)| {
+        let mut s = rate_sweep(label, &template_with(paradigm.clone(), k, quick), below);
+        let top = rate_sweep(label, &template_with(paradigm, k, false), saturating);
+        s.points.extend(top.points);
+        s
+    })
     .collect();
     print_table("pkts/s/stream", &rates, &series);
-    let (header, rows) = series_rows(&rates, &series);
-    write_csv("fig08", &header, &rows);
 
     let lock_mru = &series[0];
     let lock_wired = &series[1];
@@ -80,4 +91,5 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
             ips_wired.points[i].report.mean_delay_us < ips_mru.points[i].report.mean_delay_us
         }),
     );
+    vec![series_csv("fig08.csv", &rates, &series)]
 }

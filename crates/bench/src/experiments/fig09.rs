@@ -11,7 +11,7 @@
 //!   one processor) under IPS, while Locking spreads its packets over
 //!   all processors.
 
-use crate::{ips, locking, template_with, write_csv, Checks, K_STREAMS};
+use crate::{ips, locking, template_with, Artifact, Checks, K_STREAMS};
 use afs_core::prelude::*;
 
 fn burst_experiment(quick: bool) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -56,7 +56,7 @@ fn scalability_experiment(quick: bool) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
     (procs, lock, ipsd)
 }
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     println!("(a) mean delay (us) vs intra-stream batch size, 700 pkts/s/stream:");
     let (batches, lock_d, ips_d) = burst_experiment(quick);
     println!("{:>10} {:>12} {:>12}", "batch", "locking-mru", "ips-wired");
@@ -68,7 +68,11 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         );
         rows.push(format!("{},{:.2},{:.2}", batches[i], lock_d[i], ips_d[i]));
     }
-    write_csv("fig09a", "batch_mean,locking_mru_us,ips_wired_us", &rows);
+    let burst = Artifact::csv(
+        "fig09a.csv",
+        "batch_mean,locking_mru_us,ips_wired_us",
+        &rows,
+    );
 
     println!("\n(b) max single-stream throughput (pkts/s) vs processors:");
     let (procs, lock_c, ips_c) = scalability_experiment(quick);
@@ -78,8 +82,8 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         println!("{:>10} {:>12.0} {:>12.0}", procs[i], lock_c[i], ips_c[i]);
         rows.push(format!("{},{:.0},{:.0}", procs[i], lock_c[i], ips_c[i]));
     }
-    write_csv(
-        "fig09b",
+    let scaling = Artifact::csv(
+        "fig09b.csv",
         "procs,locking_capacity_pps,ips_capacity_pps",
         &rows,
     );
@@ -108,4 +112,5 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         "IPS single-stream capacity flat in N (<1.3x)",
         ips_scaling < 1.3,
     );
+    vec![burst, scaling]
 }

@@ -15,7 +15,7 @@
 //! (it becomes the capacity-extension effect instead).
 
 use super::{midpoint_capacity, reduction_curve};
-use crate::{delay_or_inf, locking, template_with, write_csv, Checks};
+use crate::{delay_or_inf, locking, template_with, Artifact, Checks};
 use afs_core::prelude::*;
 
 /// The Locking template at uncached overhead `v` µs.
@@ -76,7 +76,7 @@ fn curve_at(v: f64, k: usize, quick: bool) -> Vec<(f64, f64, bool)> {
     )
 }
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let k = 16;
     let vs = [0.0, 35.0, 70.0, 139.0];
     let mut rows = Vec::new();
@@ -110,11 +110,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         peaks.push(peak);
         knee_peaks.push(knee);
     }
-    write_csv(
-        "fig10",
-        "v_us,rate_per_stream,reduction_pct,baseline_saturated",
-        &rows,
-    );
 
     checks.expect("V=0 pre-saturation peak reduction >= 8%", peaks[0] >= 8.0);
     checks.expect(
@@ -133,4 +128,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         "V=139 (full-FDDI checksum) cuts the benefit vs V=0 by >25% relatively",
         peaks[3] < 0.75 * peaks[0],
     );
+    vec![Artifact::csv(
+        "fig10.csv",
+        "v_us,rate_per_stream,reduction_pct,baseline_saturated",
+        &rows,
+    )]
 }

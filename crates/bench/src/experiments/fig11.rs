@@ -8,7 +8,7 @@
 //! reference is not yet saturated.
 
 use super::{midpoint_capacity, reduction_curve};
-use crate::{ips, template_with, write_csv, Checks, K_STREAMS};
+use crate::{ips, template_with, Artifact, Checks, K_STREAMS};
 use afs_core::prelude::*;
 
 /// Pre-saturation reduction curve for one V; `(rate, reduction %)`.
@@ -31,7 +31,7 @@ fn curve_at(v: f64, k: usize, quick: bool) -> Vec<(f64, f64)> {
     .collect()
 }
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let k = K_STREAMS;
     let vs = [0.0, 35.0, 70.0, 139.0];
     let mut rows = Vec::new();
@@ -50,7 +50,6 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         println!("  V={v:>3.0}: peak reduction {peak:.1}%");
         peaks.push(peak);
     }
-    write_csv("fig11", "v_us,rate_per_stream,reduction_pct", &rows);
 
     checks.expect("V=0 peak reduction positive (>= 5%)", peaks[0] >= 5.0);
     checks.expect(
@@ -61,4 +60,9 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         "V=139 cuts the benefit vs V=0 by >25% relatively",
         peaks[3] < 0.75 * peaks[0],
     );
+    vec![Artifact::csv(
+        "fig11.csv",
+        "v_us,rate_per_stream,reduction_pct",
+        &rows,
+    )]
 }

@@ -8,7 +8,9 @@ use afs_cache::sim::trace::Region;
 use afs_core::prelude::*;
 use afs_xkernel::CostModel;
 
-use crate::Checks;
+use crate::{Artifact, Checks};
+
+pub use ext23_obs::{native_obs_trace_golden, obs_trace_golden};
 
 mod abl17_sensitivity;
 mod abl18_procs;
@@ -51,11 +53,32 @@ pub struct Experiment {
     pub title: &'static str,
     /// The paper statement it answers to (banner line 2).
     pub paper: &'static str,
-    /// The files under `results/` this experiment (re)writes.
+    /// The files under `results/` this experiment owns, in the order
+    /// `run` returns them.
     pub files: &'static [&'static str],
     /// Run it: `quick` selects the smoke horizon, shape expectations go
-    /// to the `Checks`.
-    pub run: fn(quick: bool, checks: &mut Checks),
+    /// to the `Checks`, and the files come back for the caller to write
+    /// or to compare. An experiment writes nothing itself.
+    pub run: fn(quick: bool, checks: &mut Checks) -> Vec<Artifact>,
+}
+
+impl Experiment {
+    /// Run it and return its files, which must be the ones it owns.
+    pub fn artifacts(&self, quick: bool, checks: &mut Checks) -> Vec<Artifact> {
+        let artifacts = (self.run)(quick, checks);
+        let files: Vec<&str> = artifacts.iter().map(|a| a.file).collect();
+        assert_eq!(
+            files, self.files,
+            "{} must return the files it owns",
+            self.id
+        );
+        artifacts
+    }
+}
+
+/// The registry entry `id`.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.id == id)
 }
 
 /// Every experiment, in the order `afs-bench run all` runs them.

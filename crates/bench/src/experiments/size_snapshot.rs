@@ -1,4 +1,4 @@
-//! Size snapshot — writes `results/size.json`: code lines per crate,
+//! Size snapshot — `results/size.json`: code lines per crate,
 //! non-test versus test, so a PR that grows or shrinks a crate shows up
 //! as a diff in a committed file (CI fails when the committed file is
 //! stale). The file is host- and mode-independent.
@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::source::{product_lines, rust_files, TEST_MARKER};
-use crate::{write_json, Checks};
+use crate::{Artifact, Checks};
 
 /// A code line is non-blank and does not start with `//`.
 fn count_code<'a>(lines: impl IntoIterator<Item = &'a str>) -> u64 {
@@ -39,10 +39,10 @@ fn dir_code_lines(dir: &Path) -> (u64, u64) {
         .fold((0, 0), |(n, t), (dn, dt)| (n + dn, t + dt))
 }
 
-/// Write `results/size.json`: per package, `src/` by the rule of
+/// `results/size.json`: per package, `src/` by the rule of
 /// [`code_lines`], plus `tests/` and `benches/` counted wholly as test
 /// code. One package per line, sorted, so growth reads as a line diff.
-pub fn experiment(_quick: bool, _checks: &mut Checks) {
+pub fn experiment(_quick: bool, _checks: &mut Checks) -> Vec<Artifact> {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut packages = vec![("affinity-sched".to_string(), root.clone())];
     let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
@@ -78,7 +78,10 @@ pub fn experiment(_quick: bool, _checks: &mut Checks) {
         body,
         "  }},\n  \"total\": {{\"non_test\": {all_non_test}, \"test\": {all_test}}}\n}}\n"
     );
-    write_json("size", &body);
+    vec![Artifact {
+        file: "size.json",
+        body,
+    }]
 }
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 //! Much cheaper than `run_experiments.sh`; useful as a smoke check that
 //! the whole pipeline is healthy.
 
-use crate::{delay_or_inf, ips, locking, template_with, Checks, K_STREAMS};
+use crate::{delay_or_inf, ips, locking, template_with, Artifact, Checks, K_STREAMS};
 use afs_core::prelude::*;
 use afs_xkernel::{calibrate, CostModel};
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let cal = calibrate(&CostModel::default());
     println!("calibration:");
     println!(
@@ -20,10 +20,15 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
     );
 
     let k = K_STREAMS;
+    // Locking saturates at the high load, so that column decides the
+    // Locking claims, and it runs at the full horizon in smoke too: the
+    // smoke horizon is under five warm-ups, too short for the stability
+    // test to flag a backlog that grows from the start (it judges
+    // L/baseline and L/mru stable at ~27 ms mean delay).
     let loads = [
-        ("low (200/s)", 200.0),
-        ("mid (1400/s)", 1400.0),
-        ("high (2600/s)", 2600.0),
+        ("low (200/s)", 200.0, quick),
+        ("mid (1400/s)", 1400.0, quick),
+        ("high (2600/s)", 2600.0, false),
     ];
     let contenders: Vec<(&str, Paradigm)> = vec![
         ("L/baseline", locking(LockPolicy::Baseline)),
@@ -34,7 +39,7 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
     ];
     println!("\nmean delay (us), {k} streams on 8 processors:");
     print!("{:<12}", "policy");
-    for (name, _) in &loads {
+    for (name, ..) in &loads {
         print!(" {name:>14}");
     }
     println!();
@@ -42,7 +47,7 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
     for (name, paradigm) in &contenders {
         print!("{name:<12}");
         let mut row = Vec::new();
-        for &(_, rate) in &loads {
+        for &(_, rate, quick) in &loads {
             let mut cfg = template_with(paradigm.clone(), k, quick);
             cfg.population = cfg.population.clone().with_rate(rate);
             let r = run(&cfg);
@@ -80,4 +85,5 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
         grid[3][0].mean_delay_us < grid[4][0].mean_delay_us
             && grid[4][2].mean_delay_us < grid[3][2].mean_delay_us,
     );
+    Vec::new()
 }

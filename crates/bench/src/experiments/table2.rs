@@ -6,13 +6,13 @@
 //! code+globals have been displaced — and what a migrated (remote-cache)
 //! fetch costs relative to a memory fill.
 
-use crate::{write_csv, Checks};
+use crate::{Artifact, Checks};
 use afs_cache::model::exec_time::{Age, ComponentAges};
 use afs_cache::sim::trace::Region;
 use afs_core::ExecParams;
 use afs_xkernel::{calibrate, CostModel};
 
-pub fn experiment(_quick: bool, checks: &mut Checks) {
+pub fn experiment(_quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     let cal = calibrate(&CostModel::default());
     let warm = cal.bounds.t_warm_us;
     println!("per-packet cost over t_warm = {warm:.1} us when one component is displaced:");
@@ -92,7 +92,6 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         format!("stream_remote_extra_us,{:.2}", stream_remote - t_warm),
         format!("lock_overhead_us,{:.2}", cal.lock_overhead_us),
     ];
-    write_csv("table2", "key,value", &rows);
 
     checks.expect("components sum approximately to the full span", {
         let sum =
@@ -107,4 +106,5 @@ pub fn experiment(_quick: bool, checks: &mut Checks) {
         "remote fetch costs more than a memory fill",
         stream_remote > stream_cold,
     );
+    vec![Artifact::csv("table2.csv", "key,value", &rows)]
 }

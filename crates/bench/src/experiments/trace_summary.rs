@@ -13,7 +13,7 @@
 //! `--smoke` / `AFS_QUICK=1` shrinks the horizon; output is console-only
 //! (no `results/` artifacts).
 
-use crate::{locking, template_with, Checks};
+use crate::{locking, template_with, Artifact, Checks};
 use afs_core::crossval::smoke_matrix;
 use afs_core::prelude::*;
 use afs_native::crossval::{native_config, native_workload};
@@ -21,7 +21,7 @@ use afs_native::{run_native, run_native_recorded};
 use afs_obs::summary;
 use afs_sched::PolicySpec;
 
-pub fn experiment(quick: bool, checks: &mut Checks) {
+pub fn experiment(quick: bool, checks: &mut Checks) -> Vec<Artifact> {
     // ------------------------------------------------------------------
     // Simulator: MRU vs baseline at a moderate load, full trace kept.
     // ------------------------------------------------------------------
@@ -95,4 +95,5 @@ pub fn experiment(quick: bool, checks: &mut Checks) {
             plain.offered == report.offered,
         );
     }
+    Vec::new()
 }

@@ -9,7 +9,8 @@
 //!
 //! 1. runs the workloads that generate the artifact,
 //! 2. prints the same rows/series the paper reports,
-//! 3. writes the `results/` files its registry entry owns, and
+//! 3. returns the `results/` files its registry entry owns as
+//!    [`Artifact`]s, which the runner writes on a full run only, and
 //! 4. checks the *shape* expectations recorded in DESIGN.md §4 and
 //!    prints PASS/FAIL lines (the process exits 1 on a FAIL, 2 on a
 //!    usage error, so the harness can gate CI).
@@ -24,7 +25,6 @@ use std::path::PathBuf;
 
 use afs_core::prelude::*;
 
-pub mod artifacts;
 pub mod experiments;
 pub mod source;
 
@@ -33,7 +33,7 @@ pub const N_PROCS: usize = 8;
 /// Default stream population for the delay figures.
 pub const K_STREAMS: usize = 16;
 
-/// Directory where CSV outputs land.
+/// The committed `results/` directory.
 pub fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -46,7 +46,7 @@ pub fn results_dir() -> PathBuf {
 /// `main` turns them into the verdict table and the exit code.
 #[derive(Debug, Default)]
 pub struct Checks {
-    failures: u32,
+    failed: Vec<String>,
     total: u32,
 }
 
@@ -62,14 +62,14 @@ impl Checks {
         if ok {
             println!("  [PASS] {name}");
         } else {
-            self.failures += 1;
+            self.failed.push(name.to_string());
             println!("  [FAIL] {name}");
         }
     }
 
-    /// Number of failures so far.
-    pub fn failures(&self) -> u32 {
-        self.failures
+    /// The names of the expectations that failed so far, in order.
+    pub fn failed(&self) -> &[String] {
+        &self.failed
     }
 
     /// Number of expectations recorded so far.
@@ -78,27 +78,27 @@ impl Checks {
     }
 }
 
-/// Write rows to `results/<name>.csv`.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let path = results_dir().join(format!("{name}.csv"));
-    let mut out = String::with_capacity(rows.len() * 32 + header.len() + 2);
-    let _ = writeln!(out, "{header}");
-    for r in rows {
-        let _ = writeln!(out, "{r}");
-    }
-    fs::write(&path, out).expect("write csv");
-    println!("  wrote {}", path.display());
+/// One file an experiment produces: its name under `results/` and its
+/// bytes — CSV, JSON or JSONL alike. Experiments only return these; the
+/// runner writes them, and only on a full run.
+#[derive(Debug)]
+pub struct Artifact {
+    /// File name under `results/`, extension included.
+    pub file: &'static str,
+    /// The exact file contents.
+    pub body: String,
 }
 
-/// Write a pre-rendered JSON document to `results/<name>.json`.
-///
-/// The workspace carries no serde; experiments render their own
-/// rows (all keys and values are program-generated, so no escaping is
-/// needed).
-pub fn write_json(name: &str, body: &str) {
-    let path = results_dir().join(format!("{name}.json"));
-    fs::write(&path, body).expect("write json");
-    println!("  wrote {}", path.display());
+impl Artifact {
+    /// A CSV file: the header line, then one line per row.
+    pub fn csv(file: &'static str, header: &str, rows: &[String]) -> Self {
+        let mut body = String::with_capacity(rows.len() * 32 + header.len() + 2);
+        let _ = writeln!(body, "{header}");
+        for r in rows {
+            let _ = writeln!(body, "{r}");
+        }
+        Artifact { file, body }
+    }
 }
 
 /// Render `(key, value)` pairs as one JSON object. Values are inserted
@@ -184,8 +184,9 @@ pub fn print_table(x_label: &str, rates: &[f64], series: &[Series]) {
     }
 }
 
-/// CSV rows for a set of series on a shared grid.
-pub fn series_rows(rates: &[f64], series: &[Series]) -> (String, Vec<String>) {
+/// A CSV of several series on a shared grid: one row per rate, one
+/// column per series.
+pub fn series_csv(file: &'static str, rates: &[f64], series: &[Series]) -> Artifact {
     let mut header = String::from("rate_per_stream");
     for s in series {
         let _ = write!(header, ",{}", s.label.replace(' ', "_"));
@@ -204,8 +205,8 @@ pub fn series_rows(rates: &[f64], series: &[Series]) -> (String, Vec<String>) {
             }
             row
         })
-        .collect();
-    (header, rows)
+        .collect::<Vec<_>>();
+    Artifact::csv(file, &header, &rows)
 }
 
 #[cfg(test)]
@@ -224,25 +225,33 @@ mod tests {
     }
 
     #[test]
-    fn checks_count() {
-        let mut c = Checks::new();
-        c.expect("a", true);
-        assert_eq!(c.failures(), 0);
-        c.expect("b", false);
-        assert_eq!(c.failures(), 1);
+    fn csv_is_the_header_then_one_line_per_row() {
+        let a = Artifact::csv("t.csv", "a,b", &["1,2".into(), "3,4".into()]);
+        assert_eq!(a.body, "a,b\n1,2\n3,4\n");
     }
 
     #[test]
-    fn series_rows_formats_instability_as_inf() {
+    fn checks_count() {
+        let mut c = Checks::new();
+        c.expect("a", true);
+        assert!(c.failed().is_empty());
+        c.expect("b", false);
+        assert_eq!(c.failed(), ["b"]);
+        assert_eq!(c.total(), 2);
+    }
+
+    #[test]
+    fn series_csv_formats_instability_as_inf() {
         let mut quick = template_with(locking(LockPolicy::Mru), 2, false);
         quick.horizon = SimDuration::from_millis(400);
         quick.warmup = SimDuration::from_millis(80);
         let s = rate_sweep("mru", &quick, &[100.0, 30_000.0]);
-        let (header, rows) = series_rows(&[100.0, 30_000.0], &[s]);
-        assert!(header.starts_with("rate_per_stream"));
-        assert_eq!(rows.len(), 2);
-        assert!(!rows[0].contains("inf"), "{}", rows[0]);
-        assert!(rows[1].contains("inf"), "{}", rows[1]);
+        let csv = series_csv("t.csv", &[100.0, 30_000.0], &[s]).body;
+        let lines: Vec<&str> = csv.lines().collect();
+        assert!(lines[0].starts_with("rate_per_stream"));
+        assert_eq!(lines.len(), 3);
+        assert!(!lines[1].contains("inf"), "{}", lines[1]);
+        assert!(lines[2].contains("inf"), "{}", lines[2]);
     }
 
     #[test]

@@ -8,15 +8,17 @@
 //!
 //! `--smoke` (or `AFS_QUICK=1`) is the one switch,
 //! [`afs_bench::quick_mode`]. Each experiment prints its banner, its
-//! paper-style rows and its PASS/FAIL shape checks, and rewrites the
-//! `results/` files its registry entry owns; the run ends with one
+//! paper-style rows and its PASS/FAIL shape checks, and returns the
+//! `results/` files its registry entry owns. This runner is their only
+//! writer, and only on a full run: a smoke run writes nothing, so it
+//! never puts smoke rows in the committed results. The run ends with one
 //! verdict line per experiment. Exit status: 0 every check passed, 1 a
 //! shape check failed, 2 usage error (a panic stays 101).
 
 use std::process::ExitCode;
 
-use afs_bench::experiments::{Experiment, REGISTRY};
-use afs_bench::{quick_mode, Checks};
+use afs_bench::experiments::{find, Experiment, REGISTRY};
+use afs_bench::{quick_mode, results_dir, Checks};
 
 fn main() -> ExitCode {
     let quick = quick_mode();
@@ -34,8 +36,7 @@ fn main() -> ExitCode {
         }
         ["run", "all"] => REGISTRY.iter().collect(),
         ["run", ids @ ..] if !ids.is_empty() => {
-            let find = |&id| REGISTRY.iter().find(|e| e.id == id).ok_or(id);
-            match ids.iter().map(find).collect() {
+            match ids.iter().map(|&id| find(id).ok_or(id)).collect() {
                 Ok(selected) => selected,
                 Err(unknown) => {
                     let valid: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
@@ -60,23 +61,30 @@ fn main() -> ExitCode {
         println!("  paper: {}", e.paper);
         println!("================================================================");
         let mut checks = Checks::new();
-        (e.run)(quick, &mut checks);
+        let artifacts = e.artifacts(quick, &mut checks);
+        if !quick {
+            for a in artifacts {
+                let path = results_dir().join(a.file);
+                std::fs::write(&path, a.body).expect("write artifact");
+                println!("  wrote {}", path.display());
+            }
+        }
         verdicts.push((e.id, checks));
     }
     println!("verdict:");
     for (id, checks) in &verdicts {
+        let failed = checks.failed().len() as u32;
         println!(
             "  {id:<22} {} {}/{} shape checks",
-            if checks.failures() == 0 {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            checks.total() - checks.failures(),
+            if failed == 0 { "PASS" } else { "FAIL" },
+            checks.total() - failed,
             checks.total()
         );
     }
-    if verdicts.iter().all(|(_, checks)| checks.failures() == 0) {
+    if verdicts
+        .iter()
+        .all(|(_, checks)| checks.failed().is_empty())
+    {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -12,7 +12,8 @@
 //! processor-fault plan both backends draw
 //! ([`CrossvalScenario::fault_plan`]), and every documented agreement
 //! band the cross-validation harness (`ext22_native`–`ext25_streams`,
-//! `tests/crossval_native.rs`, `tests/obs_differential.rs`) asserts.
+//! run in tier-1 by `tests/experiment_checks.rs`, and
+//! `tests/obs_differential.rs`) asserts.
 //!
 //! There is no matrix runner here: each caller lists its cells in the
 //! order it reads them and fans the simulator side out with

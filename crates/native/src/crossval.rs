@@ -2,8 +2,9 @@
 //!
 //! `afs_core::crossval` defines the shared scenario matrix and the
 //! simulator mapping; this module supplies the native mapping so
-//! `ext22_native` and `tests/crossval_native.rs` can run the *same*
-//! scenario through both backends and compare the policy structure.
+//! the `ext22_native`–`ext25_streams` experiments (run in tier-1 by
+//! `tests/experiment_checks.rs`) can run the *same* scenario through
+//! both backends and compare the policy structure.
 //! A cell is `run_native{,_recorded}(&native_config(..), native_workload(..))`.
 
 use afs_core::crossval::{CrossvalScenario, StreamScenario};

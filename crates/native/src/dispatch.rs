@@ -90,6 +90,8 @@ pub(crate) struct Ledger {
     pub(crate) last_arrival_us: f64,
     pub(crate) orphaned: u64,
     pub(crate) requeued: u64,
+    /// Plan crashes that took effect inside the statistics window.
+    pub(crate) crashes: u64,
 }
 
 /// Releases the workers when the dispatcher is done with them — or
@@ -250,7 +252,6 @@ fn report(
 ) -> NativeReport {
     let (mut delay, mut service, mut wait) = (Welford::new(), Welford::new(), Welford::new());
     let mut outcomes = OutcomeTotals::default();
-    let workers_crashed = results.iter().filter(|r| r.orphans.is_some()).count() as u64;
     let mut per_worker = Vec::with_capacity(results.len());
     for r in results {
         delay.merge(&r.delay);
@@ -289,7 +290,7 @@ fn report(
         thread_migrations: sum(|s| s.thread_migrations),
         last_arrival_us: ledger.last_arrival_us,
         makespan_us: per_worker.iter().map(|s| s.vclock_us).fold(0.0, f64::max),
-        workers_crashed,
+        workers_crashed: ledger.crashes,
         orphaned: ledger.orphaned,
         requeued: ledger.requeued,
         per_stream_delivered,
@@ -405,7 +406,7 @@ impl<'a> Dispatcher<'a> {
         let (flow, t) = (a.stream.0, a.arrival_us);
         self.ledger.offered += 1;
         self.ledger.last_arrival_us = t;
-        self.mask_liveness(t);
+        self.mask_liveness(t, a.record);
         self.deliver_feedback(t);
         let (route, rebind_from) = self.steer(flow, t, seq);
         if !self.admits(route, t) {
@@ -449,14 +450,18 @@ impl<'a> Dispatcher<'a> {
     /// around it — the policy's own fallback scan over a degraded view,
     /// not a runtime special case. The claim model's mask flips in
     /// lockstep with the router's, at the same arrival instants: dead
-    /// workers neither claim nor get stolen from while down.
-    fn mask_liveness(&mut self, t: f64) {
+    /// workers neither claim nor get stolen from while down. A crash
+    /// counts in the report when its mask goes up at a `record`ed
+    /// arrival, as the simulator counts the crashes it fires past its
+    /// warm-up.
+    fn mask_liveness(&mut self, t: f64, record: bool) {
         for (i, f) in self.worker_faults.iter().enumerate() {
             let live = match f.crash {
                 Some((crash, revive)) if t >= crash => revive.is_some_and(|r| t >= r),
                 _ => true,
             };
             if self.rstate.is_live(i) != live {
+                self.ledger.crashes += u64::from(record && !live);
                 self.set_live(i, live);
             }
         }
@@ -663,11 +668,14 @@ impl<'a> Dispatcher<'a> {
     /// over the degraded view. `recovery_done` holds live workers in
     /// their loops until every orphan is back in a live ring, so
     /// recovered work is drained. Without a permanent crash in the
-    /// plan there is nothing orphaned.
+    /// plan there is nothing orphaned. A crash past the last arrival,
+    /// which no arrival masked, counts once its worker reached it with
+    /// work in hand.
     fn recover<'r>(&mut self, dead: impl Iterator<Item = &'r mut WorkerResult>) {
         let mut orphans: Vec<(u32, Job)> = Vec::new();
         for r in dead {
             let wid = r.stats.worker;
+            self.ledger.crashes += u64::from(self.rstate.is_live(wid) && r.orphans.is_some());
             self.set_live(wid, false);
             let jobs = r.orphans.iter_mut().flat_map(std::mem::take);
             orphans.extend(jobs.map(|job| (wid as u32, job)));

@@ -9,7 +9,7 @@
 //! other side: it *executes* the instrumented x-kernel receive path
 //! (`afs-xkernel`) on real OS threads pinned to cores, under the same
 //! `afs-sched` policy rungs the simulator models, and the cross-validation
-//! harness (`ext22_native`, `tests/crossval_native.rs`) checks that both
+//! harness (`ext22_native`, run in tier-1 by `tests/experiment_checks.rs`) checks that both
 //! backends agree on the paper's qualitative claims — the policy
 //! ordering and the size of the affinity win.
 //!

@@ -437,7 +437,12 @@ pub struct NativeReport {
     pub last_arrival_us: f64,
     /// Largest final worker vclock, µs (the virtual makespan).
     pub makespan_us: f64,
-    /// Workers that crashed (permanent plan crashes that fired).
+    /// Plan crashes (permanent or revived) that took effect inside the
+    /// statistics window: the dispatcher masked the worker at an arrival
+    /// past the warm-up cut, or — for a permanent crash past the last
+    /// arrival — the worker reached it with work in hand and orphaned
+    /// that work. The simulator's `RunReport::proc_crashes` counts the
+    /// same plan crashes, fired past its warm-up.
     pub workers_crashed: u64,
     /// Packets orphaned on crashed workers: every job that reached a
     /// dead worker's ring from its fatal job on.
@@ -861,7 +866,9 @@ mod tests {
                 assert_eq!(r.outcomes.total(), 240, "{label:?}");
                 assert_eq!(r.outcomes.delivered, 240, "{label:?}");
                 assert_eq!(r.orphaned, r.requeued, "{label:?}");
-                assert!(r.workers_crashed <= 1, "{label:?}");
+                // The crash at 2 ms precedes the warm-up cut (a fifth
+                // of the ~20 ms arrival span): it counts nowhere.
+                assert_eq!(r.workers_crashed, 0, "{label:?}");
             }
         }
 
@@ -870,9 +877,9 @@ mod tests {
             let mut c = ips_no_steal(2);
             c.faults = crash(1, 3_000.0, Some(6_000.0));
             let (r, rec) = run_native_recorded(&c, backlog_on_worker_1(200));
-            // A reboot is not a permanent crash: nothing orphans, the
-            // worker rejoins with cold caches and keeps processing.
-            assert_eq!((r.workers_crashed, r.orphaned, r.requeued), (0, 0, 0));
+            // A reboot is a crash that orphans nothing: the worker
+            // rejoins with cold caches and keeps processing.
+            assert_eq!((r.workers_crashed, r.orphaned, r.requeued), (1, 0, 0));
             assert_eq!(r.outcomes.total(), 200);
             assert_eq!(r.outcomes.delivered, 200);
             let down = rec.events.iter().any(

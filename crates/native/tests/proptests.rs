@@ -93,7 +93,20 @@ proptest! {
         cfg.faults = plan;
         let workload = poisson_workload(streams, pkts, RATE_PPS, 64, seed);
         let offered = workload.len() as u64;
+        // The crash counts where the dispatcher masks it — at the first
+        // arrival inside its down window, if that arrival is past the
+        // warm-up cut — or, past the last arrival, if it orphans work.
+        let arrivals: Vec<f64> = workload.iter().map(|p| p.arrival_us).collect();
+        let cut = cfg.warmup_frac * arrivals.last().copied().unwrap_or(0.0);
         let (report, rec) = run_native_recorded(&cfg, workload);
+        let want_crashed = crash.map_or(0, |(_, at, revive)| {
+            let (down, up) = (at * horizon_us, revive.map(|d| (at + d) * horizon_us));
+            match arrivals.iter().find(|&&t| t >= down) {
+                Some(&t) if up.is_none_or(|up| t < up) => u64::from(t >= cut),
+                Some(_) => 0,
+                None => u64::from(report.orphaned > 0),
+            }
+        });
 
         // Lossless across any schedule: every packet delivered (valid
         // frames, sessions preserved by home-stack routing), none lost.
@@ -103,9 +116,12 @@ proptest! {
 
         // Orphan recovery balances, and only crashes create orphans.
         prop_assert_eq!(report.orphaned, report.requeued, "{report:?}");
-        prop_assert!(report.workers_crashed <= 1);
+        prop_assert_eq!(report.workers_crashed, want_crashed, "{report:?}");
         if report.orphaned > 0 {
-            prop_assert!(report.workers_crashed > 0, "orphans without a crash");
+            prop_assert!(
+                matches!(crash, Some((_, _, None))),
+                "orphans without a permanent crash"
+            );
         }
 
         // The unified trace ledger agrees with the report.
@@ -116,7 +132,7 @@ proptest! {
         prop_assert_eq!(c.evicted, 0);
         prop_assert_eq!(c.orphaned, c.requeued);
         prop_assert_eq!(c.orphaned, report.orphaned);
-        if report.workers_crashed > 0 {
+        if report.orphaned > 0 {
             prop_assert!(c.worker_downs > 0, "crash without a WorkerDown event");
         }
     }

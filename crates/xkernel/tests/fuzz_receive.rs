@@ -384,7 +384,7 @@ proptest! {
         prop_assert_eq!(c.orphaned, c.requeued, "{}", diag());
         prop_assert_eq!(c.orphaned, report.orphaned, "{}", diag());
         prop_assert_eq!(report.orphaned, report.requeued, "{}", diag());
-        if report.workers_crashed > 0 {
+        if report.orphaned > 0 {
             prop_assert!(c.worker_downs > 0, "crash without a WorkerDown event\n{}", diag());
         }
     }

@@ -4,8 +4,9 @@
 # `afs-bench list` in its own process (so a crash in one experiment
 # does not stop the rest). Outputs: stdout (paper-style rows + shape
 # checks + one verdict line per id) and the files under results/.
-# Exits with the worst status it saw: 0 all checks pass, 1 a shape
-# check failed, anything higher a crash.
+# AFS_QUICK=1 runs every experiment on the smoke horizon and writes no
+# file. Exits with the worst status it saw: 0 all checks pass, 1 a
+# shape check failed, anything higher a crash.
 #
 # Independent simulation runs fan out across cores via the afs_core::par
 # executor; AFS_JOBS caps the worker count (AFS_JOBS=1 forces the serial

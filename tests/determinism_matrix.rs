@@ -321,9 +321,7 @@ fn replay_claim_rows() {
         ips.stream_migrations
     );
     assert!(
-        bases
-            .iter()
-            .any(|(r, _)| r.workers_crashed > 0 && r.orphaned > 0),
+        bases.iter().any(|(r, _)| r.orphaned > 0),
         "no fault plan crashed a worker with work on it"
     );
 }

@@ -34,20 +34,12 @@ use afs_bench::source::{product_lines, rust_files};
 /// the test that needs it)`. Capped at [`TEST_SUPPORT_MAX`].
 const TEST_SUPPORT: &[(&str, &str)] = &[
     (
-        "Artifact::csv_bytes",
-        "tests/golden_artifacts.rs compares a built artifact to the committed file without writing it",
-    ),
-    (
         "Cache::total_occupancy",
         "crates/cache/tests/proptests.rs: occupancy never exceeds the geometry, a flush empties it",
     ),
     (
         "TraceBuffer",
         "the reference-capturing sink of afs-xkernel's mem.rs and msg.rs unit tests",
-    ),
-    (
-        "STEERING_AGREEMENT_FACTOR",
-        "tests/crossval_native.rs: the documented sim/native steering band",
     ),
     (
         "ExecParams::cold_service_us",

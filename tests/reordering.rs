@@ -7,14 +7,21 @@
 //!
 //! * The simulator's *online* out-of-order counter agrees exactly with
 //!   the offline checker run over its own trace, cell by cell.
-//! * RSS and the transport-friendly pin deliver **zero** out-of-order
-//!   packets in every cell on both backends — order is structural.
-//! * The Flow-Director learning table visibly reorders at the pinned
-//!   pathology cell (bursty arrivals, table far below the population)
-//!   on both backends — the Wu et al. pathology, reproduced.
+//! * The checker finds **zero** out-of-order packets in every RSS and
+//!   transport-friendly cell's trace on both backends — order is
+//!   structural.
+//! * At the pinned pathology cell (bursty arrivals, table far below the
+//!   population) the checker sees the Flow-Director reordering the
+//!   simulator reports — the Wu et al. pathology; the native report's
+//!   count is the checker's verdict on its trace.
 //! * Steering telemetry in the trace (table misses, rebinds) matches
 //!   the reports, so the counters the experiments gate on are exactly
 //!   what an external observer of the trace would compute.
+//!
+//! The reports' own counts — zero reordering and rebinds under RSS and
+//! the transport pin, Flow-Director reordering and RSS order at the
+//! pathology cell — are `ext25_streams` checks, run in tier-1 by
+//! `tests/experiment_checks.rs`.
 
 use affinity_sched::core::crossval::{
     stream_pathology_scenario, stream_smoke_matrix, STREAM_POLICIES,
@@ -67,27 +74,17 @@ fn order_preserving_frontends_never_reorder_on_either_backend() {
             for &policy in &STREAM_POLICIES {
                 let cfg = s.sim_config(kind, policy);
                 let mut rec = MemRecorder::new();
-                let (sim, _) = run_observed(&cfg, &mut rec);
-                assert_eq!(
-                    sim.ooo_deliveries,
-                    0,
-                    "sim {} {} must preserve per-flow order",
-                    kind.label(),
-                    policy.label()
-                );
-                assert_eq!(sim.rebinds, 0, "{} never rebinds", kind.label());
-
-                let (native, trace) = run_stream_scenario_recorded(s, kind, policy);
-                let verdict = SequenceChecker::check(&trace.events);
-                assert_eq!(
-                    verdict.ooo_deliveries,
-                    0,
-                    "native {} {} must preserve per-flow order",
-                    kind.label(),
-                    policy.label()
-                );
-                assert_eq!(native.ooo_deliveries, 0);
-                assert_eq!(native.rebinds, 0, "{} never rebinds", kind.label());
+                run_observed(&cfg, &mut rec);
+                let (_, trace) = run_stream_scenario_recorded(s, kind, policy);
+                for (backend, events) in [("sim", &rec.events), ("native", &trace.events)] {
+                    assert_eq!(
+                        SequenceChecker::check(events).ooo_deliveries,
+                        0,
+                        "{backend} {} {} must preserve per-flow order",
+                        kind.label(),
+                        policy.label()
+                    );
+                }
             }
         }
     }
@@ -99,10 +96,6 @@ fn flow_director_reorders_at_the_pathology_cell_on_both_backends() {
     let cfg = s.sim_config(FrontEndKind::FlowDirector, PolicySpec::Oblivious);
     let mut rec = MemRecorder::new();
     let (sim, _) = run_observed(&cfg, &mut rec);
-    assert!(
-        sim.ooo_deliveries > 0,
-        "sim Flow-Director must reorder at the pinned pathology seed"
-    );
     assert!(sim.rebinds > 0 && sim.table_misses > 0);
     // The independent judge sees the same pathology in the trace.
     assert_eq!(
@@ -112,20 +105,7 @@ fn flow_director_reorders_at_the_pathology_cell_on_both_backends() {
 
     let (native, trace) =
         run_stream_scenario_recorded(&s, FrontEndKind::FlowDirector, PolicySpec::Oblivious);
-    assert!(
-        native.ooo_deliveries > 0,
-        "native Flow-Director must reorder at the pinned pathology seed"
-    );
     assert!(native.rebinds > 0 && native.table_misses > 0);
     assert_eq!(trace.counters.table_misses, native.table_misses);
     assert_eq!(trace.counters.rebinds, native.rebinds);
-
-    // Same cell, hash steering: clean on both backends.
-    let rss_cfg = s.sim_config(FrontEndKind::Rss, PolicySpec::Oblivious);
-    let mut rss_rec = MemRecorder::new();
-    let (rss_sim, _) = run_observed(&rss_cfg, &mut rss_rec);
-    let (rss_native, _) =
-        run_stream_scenario_recorded(&s, FrontEndKind::Rss, PolicySpec::Oblivious);
-    assert_eq!(rss_sim.ooo_deliveries, 0);
-    assert_eq!(rss_native.ooo_deliveries, 0);
 }
